@@ -325,13 +325,13 @@ fn run_load() {
     );
     println!(
         "{:<12} {:>9} {:>9} {:>9} {:>11} {:>13} {:>13}",
-        "flush mode", "entries", "flushes", "batches", "origin ops", "ops/entry", "flush us"
+        "flush every", "entries", "flushes", "batches", "origin ops", "ops/entry", "flush us"
     );
     let wmix = load::write_mix(wmix_params);
     for r in &wmix {
         println!(
             "{:<12} {:>9} {:>9} {:>9} {:>11} {:>13.2} {:>13}",
-            if r.batched { "batched" } else { "per-entry" },
+            r.flush_every,
             r.entries_flushed,
             r.flush_calls,
             r.flush_batches,
@@ -432,10 +432,10 @@ fn load_json(
     out.push_str("    \"runs\": [\n");
     for (i, r) in wmix.iter().enumerate() {
         out.push_str(&format!(
-            "      {{\"mode\": \"{}\", \"entries_flushed\": {}, \"flush_calls\": {}, \
+            "      {{\"flush_every\": {}, \"entries_flushed\": {}, \"flush_calls\": {}, \
              \"flush_batches\": {}, \"batched_writes\": {}, \"origin_ops\": {}, \
              \"ops_per_entry\": {:.4}, \"flush_micros\": {}}}{}\n",
-            if r.batched { "batched" } else { "per_entry" },
+            r.flush_every,
             r.entries_flushed,
             r.flush_calls,
             r.flush_batches,

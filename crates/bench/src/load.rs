@@ -20,9 +20,9 @@
 //! and that `coalesced_waits` accounts for all the waiters.
 //!
 //! The **write mix** is measured by [`write_mix`]: the same Zipf
-//! population drives write-back writes, and periodic flushes are run once
-//! with per-entry flushing and once with the batched per-origin scheduler,
-//! counting middleware origin operations per flushed entry. The batched
+//! population drives write-back writes, flushed once after every write
+//! (every per-origin group is a single entry) and once periodically,
+//! counting middleware origin operations per flushed entry. The periodic
 //! run must amortize origin round-trips at least 2× — like the coalesce
 //! probe, an acceptance check rather than a soft measurement.
 
@@ -512,17 +512,17 @@ impl WriteMixParams {
     }
 }
 
-/// One write-mix run: the same trace flushed with or without the batched
-/// per-origin scheduler.
+/// One write-mix run: the trace flushed at one interval.
 #[derive(Debug, Clone, Copy)]
 pub struct WriteMixResult {
-    /// Whether [`placeless_cache::CacheConfig::batched_flush`] was on.
-    pub batched: bool,
+    /// Writes between flushes. At `1` every flush group is a single
+    /// entry — the per-entry baseline.
+    pub flush_every: usize,
     /// Dirty entries pushed to the middleware across all flushes.
     pub entries_flushed: u64,
     /// `flush()` calls issued.
     pub flush_calls: u64,
-    /// Grouped origin operations issued (stats delta; zero per-entry).
+    /// Grouped origin operations issued (stats delta).
     pub flush_batches: u64,
     /// Entries written through a grouped batch (stats delta).
     pub batched_writes: u64,
@@ -534,44 +534,53 @@ pub struct WriteMixResult {
 
 impl WriteMixResult {
     /// Origin operations per flushed entry — the round-trip amortization
-    /// metric the batched scheduler is gated on.
+    /// metric grouped flushing is gated on.
     pub fn ops_per_entry(&self) -> f64 {
         self.origin_ops as f64 / self.entries_flushed.max(1) as f64
     }
 }
 
-/// Runs the write mix twice over one trace — per-entry flushing, then the
-/// batched per-origin scheduler — and asserts the batched run amortizes
-/// origin round-trips at least 2×.
+/// Runs the write mix twice over one trace — flushing after every write,
+/// so each group is one entry, then every `params.flush_every` writes —
+/// and asserts the grouped run amortizes origin round-trips at least 2×.
+/// Both rows go through the same flush code; the entry counts differ
+/// (flushing after every write cannot coalesce rewrites of one key), which
+/// is why the metric is normalised per entry.
 ///
 /// # Panics
 ///
 /// Panics if any flush is not clean, if `FlushReport` accounting is not
-/// exact (`attempted == flushed + parked + requeued`), if the two modes
-/// disagree on what was flushed, or if the amortization falls below 2× —
-/// this is the E-LOAD write-mix acceptance check.
+/// exact (`attempted == flushed + parked + requeued`), if the singleton
+/// row does not cost exactly one group and three origin operations per
+/// entry, or if the amortization falls below 2× — this is the E-LOAD
+/// write-mix acceptance check.
 pub fn write_mix(params: WriteMixParams) -> [WriteMixResult; 2] {
-    let per_entry = write_mix_one(params, false);
-    let batched = write_mix_one(params, true);
+    let singleton = write_mix_one(params, 1);
+    let grouped = write_mix_one(params, params.flush_every);
     assert_eq!(
-        per_entry.entries_flushed, batched.entries_flushed,
-        "same trace, same flush points, same dirty entries"
+        singleton.flush_batches, singleton.entries_flushed,
+        "flushing after every write forms one group per entry"
     );
-    assert_eq!(per_entry.flush_batches, 0, "per-entry mode must not batch");
-    assert!(batched.flush_batches > 0, "batched mode never grouped");
     assert_eq!(
-        batched.batched_writes, batched.entries_flushed,
-        "every healthy-origin entry flushes through its group"
+        singleton.ops_per_entry(),
+        3.0,
+        "a group of one amortizes nothing"
     );
-    let amortization = per_entry.ops_per_entry() / batched.ops_per_entry();
+    for row in [singleton, grouped] {
+        assert_eq!(
+            row.batched_writes, row.entries_flushed,
+            "every healthy-origin entry flushes through its group"
+        );
+    }
+    let amortization = singleton.ops_per_entry() / grouped.ops_per_entry();
     assert!(
         amortization >= 2.0,
         "grouped flushes must amortize origin round-trips >= 2x, got {amortization:.2}"
     );
-    [per_entry, batched]
+    [singleton, grouped]
 }
 
-fn write_mix_one(params: WriteMixParams, batched: bool) -> WriteMixResult {
+fn write_mix_one(params: WriteMixParams, flush_every: usize) -> WriteMixResult {
     let sampler = TraceBuilder::new(params.seed)
         .users(params.users)
         .documents(params.documents)
@@ -610,13 +619,12 @@ fn write_mix_one(params: WriteMixParams, batched: bool) -> WriteMixResult {
             .capacity_bytes(1 << 30)
             .local_latency(LatencyModel::FREE)
             .write_mode(WriteMode::Back)
-            .batched_flush(batched)
             .build(),
     );
     let clock = space.clock().clone();
     let before = cache.stats();
     let mut result = WriteMixResult {
-        batched,
+        flush_every,
         entries_flushed: 0,
         flush_calls: 0,
         flush_batches: 0,
@@ -645,7 +653,7 @@ fn write_mix_one(params: WriteMixParams, batched: bool) -> WriteMixResult {
         cache
             .write(user, docs[e.doc], body.as_bytes())
             .expect("buffered write");
-        if (i + 1) % params.flush_every == 0 {
+        if (i + 1) % flush_every == 0 {
             flush_now(&mut result);
         }
     }
@@ -746,14 +754,14 @@ mod tests {
             ..WriteMixParams::default()
         };
         // write_mix() itself asserts the >= 2x amortization contract.
-        let [per_entry, batched] = write_mix(params);
-        assert_eq!(per_entry.flush_calls, batched.flush_calls);
-        assert!(batched.origin_ops < per_entry.origin_ops);
+        let [singleton, grouped] = write_mix(params);
+        assert!(grouped.flush_calls < singleton.flush_calls);
+        assert!(grouped.origin_ops < singleton.origin_ops);
         assert!(
-            batched.flush_micros <= per_entry.flush_micros,
+            grouped.flush_micros <= singleton.flush_micros,
             "grouped commits must not cost more virtual time"
         );
-        assert!(batched.flush_batches >= batched.flush_calls);
+        assert!(grouped.flush_batches >= grouped.flush_calls);
     }
 
     #[test]

@@ -93,6 +93,11 @@ pub fn run_one(
         CacheConfig {
             capacity_bytes: ((corpus_bytes as f64) * capacity_frac) as u64,
             policy: PolicyFactory::by_name(policy_name).expect("known policy"),
+            // The experiment compares policies, not sharding. The default
+            // (one shard per CPU) splits each policy into per-shard
+            // instances over the one byte budget, so the ranking would
+            // depend on the host's core count.
+            shards: 1,
             ..CacheConfig::default()
         },
     );

@@ -94,7 +94,8 @@ use crate::overload::{BrownoutLevel, OverloadConfig, OverloadController, Priorit
 use crate::policy::{EntryAttrs, EntryKey, PolicyFactory, ReplacementPolicy, STAGE_PIN_LEVEL};
 use crate::prefetch::PrefetchConfig;
 use crate::resilience::{
-    Admission, BackoffSchedule, BreakerSet, BreakerState, ResilienceConfig, StalenessBound,
+    BackoffSchedule, BreakerSet, BreakerState, GaveUp, ResilienceConfig, RetryDriver,
+    StalenessBound,
 };
 use crate::singleflight::{Acquire, FlightGroup, FlightResult, InflightWindow, Join};
 use crate::stats::{AtomicCacheStats, CacheStats};
@@ -154,9 +155,8 @@ pub struct FlushReport {
     /// them: transient failures without a journal, and non-transient
     /// failures always.
     pub requeued: Vec<(DocumentId, UserId, PlacelessError)>,
-    /// Per-origin groups the batched scheduler formed (one per distinct
-    /// origin among the drained entries). Zero when batched flushing is
-    /// disabled and every entry is written individually.
+    /// Per-origin groups the flush formed (one per distinct origin among
+    /// the drained entries).
     pub batches: u64,
     /// Drained entries whose key was not an [`EntryKey::Version`] —
     /// an invariant violation (the dirty maps only ever buffer version
@@ -327,8 +327,8 @@ pub struct CacheConfig {
     /// reproduces the original global-lock behaviour exactly.
     pub shards: usize,
     /// Resilient-fetch policy: retries, circuit breakers, serve-stale
-    /// degradation. The default disables all of it, reproducing the
-    /// fail-fast behaviour exactly.
+    /// degradation. The default enables none of it: every origin
+    /// operation is one attempt and fails with that attempt's error.
     pub resilience: ResilienceConfig,
     /// Retain intermediate stage outputs from the compiled transform plan,
     /// content-addressed by stage signature, so the user-independent base
@@ -344,25 +344,11 @@ pub struct CacheConfig {
     /// its retries are *parked* in the journal instead of erroring. `None`
     /// (the default) reproduces the unjournaled behaviour exactly.
     pub journal: Option<WriteJournal>,
-    /// Coalesce concurrent misses on the same key into one computation
-    /// (single-flight): the first thread fetches, the rest wait and share
-    /// its result — or its error. On by default; single-threaded
-    /// behaviour and statistics are identical either way, because a lone
-    /// reader always leads its own flight.
-    pub single_flight: bool,
     /// Bound the number of concurrently in-flight origin fetches per
     /// origin. Excess misses block at the cache until a slot frees,
     /// queueing a miss storm instead of stampeding the origin. `None`
     /// (the default) leaves fetch concurrency unbounded.
     pub max_inflight_per_origin: Option<u32>,
-    /// Group drained dirty entries by origin and flush each group as one
-    /// grouped origin operation: one breaker admission decision, one
-    /// backoff schedule, and one in-flight-window slot cover the whole
-    /// group, and the space charges its middleware hops once per group
-    /// instead of once per entry. Park/requeue/journal semantics stay
-    /// per entry — the batch write returns one result per entry. On by
-    /// default; `false` restores the serial per-entry flush exactly.
-    pub batched_flush: bool,
     /// Operation-based conflict resolution. When set, write conflicts
     /// detected during recovery *and* flush are routed through the merge
     /// policy first: a conflicted write whose journal record carries
@@ -398,9 +384,7 @@ impl Default for CacheConfig {
             resilience: ResilienceConfig::default(),
             stage_cache: false,
             journal: None,
-            single_flight: true,
             max_inflight_per_origin: None,
-            batched_flush: true,
             merge: None,
             overload: None,
         }
@@ -504,10 +488,11 @@ impl CacheConfigBuilder {
         self
     }
 
-    /// Enables or disables single-flight miss coalescing (see
-    /// [`CacheConfig::single_flight`]).
-    pub fn single_flight(mut self, on: bool) -> Self {
-        self.config.single_flight = on;
+    /// Single-flight miss coalescing is always on; kept until
+    /// `benchmark/` is next re-cut.
+    #[doc(hidden)]
+    #[deprecated(note = "always on; this call selects nothing")]
+    pub fn single_flight(self, _on: bool) -> Self {
         self
     }
 
@@ -518,10 +503,11 @@ impl CacheConfigBuilder {
         self
     }
 
-    /// Enables or disables per-origin flush batching (see
-    /// [`CacheConfig::batched_flush`]).
-    pub fn batched_flush(mut self, on: bool) -> Self {
-        self.config.batched_flush = on;
+    /// Per-origin flush grouping is always on; kept until `benchmark/`
+    /// is next re-cut.
+    #[doc(hidden)]
+    #[deprecated(note = "always on; this call selects nothing")]
+    pub fn batched_flush(self, _on: bool) -> Self {
         self
     }
 
@@ -565,8 +551,8 @@ pub struct ReadOptions {
     /// ([`ResilienceConfig::fetch_deadline_micros`]) for this read only.
     /// Like the configured deadline it bounds retry *scheduling* — a
     /// backoff the remaining budget cannot cover fails the read with
-    /// [`PlacelessError::Timeout`] instead of sleeping. With the no-op
-    /// resilience default there are no retries to bound and the override
+    /// [`PlacelessError::Timeout`] instead of sleeping. With the default
+    /// resilience config there are no retries to bound and the override
     /// has no effect.
     pub deadline_micros: Option<u64>,
     /// Permits serving resident-but-unverifiable bytes when the origin is
@@ -770,10 +756,6 @@ pub struct DocumentCache {
     /// delivery. Gaps mean dropped notifications (see
     /// [`DocumentCache::note_sequence`]).
     last_seq: AtomicU64,
-    /// Single-flight coalescing enabled (see [`CacheConfig::single_flight`]).
-    single_flight: bool,
-    /// Per-origin flush batching enabled (see [`CacheConfig::batched_flush`]).
-    batched_flush: bool,
     /// Open miss fetches keyed by version key.
     version_flights: FlightGroup,
     /// Open stage executions keyed by stage signature.
@@ -841,8 +823,6 @@ impl DocumentCache {
             journal: config.journal,
             parked: Mutex::new(HashSet::new()),
             last_seq: AtomicU64::new(0),
-            single_flight: config.single_flight,
-            batched_flush: config.batched_flush,
             version_flights: FlightGroup::new(),
             stage_flights: FlightGroup::new(),
             window: {
@@ -1346,48 +1326,44 @@ impl DocumentCache {
         // Miss path. Coalesce concurrent misses on this key into one
         // flight: the first thread fetches, the rest wait (holding no
         // cache lock) and share its outcome.
-        let guard = if self.single_flight {
-            match self.version_flights.join(key) {
-                Join::Leader(guard) => Some(guard),
-                Join::Waited(Some(FlightResult::Shared { bytes, forward, .. })) => {
-                    // Another thread's miss computed these bytes while we
-                    // waited; the read was served locally without touching
-                    // the origin, so it counts as a hit — plus the
-                    // coalescing counter that explains *why* it hit.
-                    AtomicCacheStats::bump(&self.stats.hits);
-                    AtomicCacheStats::bump(&self.stats.coalesced_waits);
-                    self.local_latency.charge(&clock, bytes.len() as u64);
-                    AtomicCacheStats::add(&self.stats.hit_micros, watch.elapsed_micros());
-                    if forward {
-                        // `CacheableWithEvents` demands an event per read:
-                        // every waiter posts its own.
-                        self.space
-                            .post_cache_event(user, doc, EventKind::CacheRead)?;
-                        AtomicCacheStats::bump(&self.stats.events_forwarded);
-                    }
-                    if let Some(link) = &self.access_link {
-                        link.transfer(&clock, bytes.len() as u64);
-                    }
-                    let latency_micros = watch.elapsed_micros();
-                    return Ok(ReadOutcome {
-                        bytes,
-                        class: HitClass::CoalescedWait,
-                        latency_micros,
-                    });
+        let guard = match self.version_flights.join(key) {
+            Join::Leader(guard) => Some(guard),
+            Join::Waited(Some(FlightResult::Shared { bytes, forward, .. })) => {
+                // Another thread's miss computed these bytes while we
+                // waited; the read was served locally without touching
+                // the origin, so it counts as a hit — plus the
+                // coalescing counter that explains *why* it hit.
+                AtomicCacheStats::bump(&self.stats.hits);
+                AtomicCacheStats::bump(&self.stats.coalesced_waits);
+                self.local_latency.charge(&clock, bytes.len() as u64);
+                AtomicCacheStats::add(&self.stats.hit_micros, watch.elapsed_micros());
+                if forward {
+                    // `CacheableWithEvents` demands an event per read:
+                    // every waiter posts its own.
+                    self.space
+                        .post_cache_event(user, doc, EventKind::CacheRead)?;
+                    AtomicCacheStats::bump(&self.stats.events_forwarded);
                 }
-                Join::Waited(Some(FlightResult::Failed(error))) => {
-                    // The flight's one fetch failed; every waiter shares
-                    // the error (and its own stale fallback, if any).
-                    AtomicCacheStats::bump(&self.stats.coalesced_waits);
-                    return self.stale_or_degraded(error, stale, user, doc, &clock, &opts, &watch);
+                if let Some(link) = &self.access_link {
+                    link.transfer(&clock, bytes.len() as u64);
                 }
-                // The leader's result may not be shared (uncacheable
-                // content must reach the origin per read) or the leader
-                // unwound without publishing: fetch independently.
-                Join::Waited(Some(FlightResult::Unshared)) | Join::Waited(None) => None,
+                let latency_micros = watch.elapsed_micros();
+                return Ok(ReadOutcome {
+                    bytes,
+                    class: HitClass::CoalescedWait,
+                    latency_micros,
+                });
             }
-        } else {
-            None
+            Join::Waited(Some(FlightResult::Failed(error))) => {
+                // The flight's one fetch failed; every waiter shares
+                // the error (and its own stale fallback, if any).
+                AtomicCacheStats::bump(&self.stats.coalesced_waits);
+                return self.stale_or_degraded(error, stale, user, doc, &clock, &opts, &watch);
+            }
+            // The leader's result may not be shared (uncacheable
+            // content must reach the origin per read) or the leader
+            // unwound without publishing: fetch independently.
+            Join::Waited(Some(FlightResult::Unshared)) | Join::Waited(None) => None,
         };
 
         // Execute the full read path with no shard lock held — the path
@@ -1527,13 +1503,9 @@ impl DocumentCache {
         })
     }
 
-    /// Executes the middleware read under the configured resilience
-    /// policy: circuit-breaker admission before every attempt, bounded
-    /// retries with deterministic exponential backoff charged to the
-    /// virtual clock, and an overall fetch deadline (`opts` may override
-    /// the configured deadline per read). With the no-op default config
-    /// this is exactly one plain read — bit-identical to the
-    /// pre-resilience cache.
+    /// Executes the middleware read through the retry driver
+    /// ([`RetryDriver::run`]); `opts` may override the configured deadline
+    /// per read.
     ///
     /// Returns the bytes, the path report, and whether the chain walk
     /// reused at least one cached stage. Runs with no cache lock held
@@ -1553,90 +1525,63 @@ impl DocumentCache {
         let ctx = FetchCtx {
             priority: opts.priority,
             // The budget instant exists only under overload control;
-            // without it the deadline keeps bounding retry scheduling
-            // alone, exactly as before.
+            // without it the deadline bounds retry scheduling alone.
             deadline_at: if self.overload.is_some() {
                 deadline.map(|budget| clock.now().plus(budget))
             } else {
                 None
             },
         };
-        if self.resilience.is_noop() {
-            // A per-read deadline bounds retry scheduling; without
-            // retries there is nothing to bound, so the shortcut stands
-            // (overload admission still applies inside `fetch_once`).
-            return self.fetch_once(user, doc, clock, use_stages, ctx);
+        self.with_retries(user, doc, deadline, &self.stats.retries, || {
+            self.fetch_once(user, doc, clock, use_stages, ctx)
+        })
+    }
+
+    /// The retry driver over this cache's policy, breakers and stats.
+    /// `retries` names the counter a waited-out backoff is charged to.
+    fn retry_driver<'a>(
+        &'a self,
+        deadline: Option<u64>,
+        retries: &'a AtomicU64,
+    ) -> RetryDriver<'a> {
+        RetryDriver {
+            config: &self.resilience,
+            breakers: &self.breakers,
+            clock: self.space.clock(),
+            deadline,
+            trips: &self.stats.breaker_trips,
+            retries,
         }
-        let origin = self
-            .space
+    }
+
+    /// Runs a single-key origin operation — a miss fetch, a write-through
+    /// write — through the retry driver.
+    fn with_retries<T>(
+        &self,
+        user: UserId,
+        doc: DocumentId,
+        deadline: Option<u64>,
+        retries: &AtomicU64,
+        mut op: impl FnMut() -> Result<T>,
+    ) -> Result<T> {
+        self.retry_driver(deadline, retries)
+            .run(
+                || self.origin_key(doc),
+                // Salting the jitter stream with the key keeps concurrent
+                // operations from sharing one schedule while staying
+                // deterministic per key.
+                || BackoffSchedule::new(&self.resilience, doc.0 ^ user.0.rotate_left(32)),
+                || op().map_err(|error| [error]),
+            )
+            .map_err(GaveUp::into_error)
+    }
+
+    /// The key `doc`'s origin goes by in the breakers, the in-flight
+    /// windows and the flush groups.
+    fn origin_key(&self, doc: DocumentId) -> String {
+        self.space
             .origin_of(doc)
-            .unwrap_or_else(|| format!("doc:{}", doc.0));
-        let started = clock.now();
-        // Salting the jitter stream with the key keeps concurrent fetches
-        // from sharing one schedule while staying deterministic per key.
-        let mut backoff = BackoffSchedule::new(&self.resilience, doc.0 ^ user.0.rotate_left(32));
-        let mut attempt = 0u32;
-        loop {
-            if let Some(config) = &self.resilience.breaker {
-                if let Admission::Reject { retry_after } =
-                    self.breakers.admit(config, &origin, clock.now())
-                {
-                    // Fast-fail without contacting the origin at all.
-                    return Err(PlacelessError::Unavailable {
-                        source: origin,
-                        retry_after: Some(retry_after),
-                    });
-                }
-            }
-            match self.fetch_once(user, doc, clock, use_stages, ctx) {
-                Ok(fetched) => {
-                    if let Some(config) = &self.resilience.breaker {
-                        self.breakers.record_success(config, &origin);
-                    }
-                    return Ok(fetched);
-                }
-                Err(error) if error.is_transient() => {
-                    if let Some(config) = &self.resilience.breaker {
-                        if self.breakers.record_failure(config, &origin, clock.now()) {
-                            AtomicCacheStats::bump(&self.stats.breaker_trips);
-                        }
-                    }
-                    if attempt >= self.resilience.max_retries {
-                        return Err(error);
-                    }
-                    // A provider `retry_after` hint floors the backoff:
-                    // retrying sooner than the origin said it could
-                    // recover is a wasted attempt. A hint beyond the
-                    // schedule's own horizon means no wait this loop is
-                    // prepared to make can reach recovery — give up now.
-                    let floor = crate::resilience::retry_floor(&error);
-                    if floor > self.resilience.hint_horizon_micros() {
-                        return Err(error);
-                    }
-                    let delay = backoff.delay_micros(attempt).max(floor);
-                    if let Some(budget) = deadline {
-                        // Don't start a backoff the deadline can't cover.
-                        // The caller still waited out the rest of its
-                        // budget discovering that, so charge the
-                        // truncated wait to the clock before reporting —
-                        // `elapsed_micros` then covers the backoff that
-                        // overran, not just the attempts before it.
-                        let elapsed = clock.now().since(started);
-                        if elapsed + delay > budget {
-                            clock.advance(budget.saturating_sub(elapsed));
-                            return Err(PlacelessError::Timeout {
-                                source: origin,
-                                elapsed_micros: clock.now().since(started),
-                            });
-                        }
-                    }
-                    clock.advance(delay);
-                    AtomicCacheStats::bump(&self.stats.retries);
-                    attempt += 1;
-                }
-                Err(error) => return Err(error),
-            }
-        }
+            .unwrap_or_else(|| format!("doc:{}", doc.0))
     }
 
     /// Executes one middleware read attempt: the plain opaque-stream read,
@@ -1685,10 +1630,7 @@ impl DocumentCache {
         let slot = match &self.window {
             None => None,
             Some(window) => {
-                let origin = self
-                    .space
-                    .origin_of(doc)
-                    .unwrap_or_else(|| format!("doc:{}", doc.0));
+                let origin = self.origin_key(doc);
                 match &self.overload {
                     None => window.acquire(&origin),
                     Some(controller) => {
@@ -1818,8 +1760,8 @@ impl DocumentCache {
     /// replacement cost and still register their path metadata (votes,
     /// verifiers, pins) via a lazy dummy wrap.
     ///
-    /// With single-flight on, a stage that is neither resident nor being
-    /// computed opens a **stage flight** keyed by its signature; threads
+    /// A stage that is neither resident nor being computed opens a
+    /// **stage flight** keyed by its signature; threads
     /// that miss the same `(doc, stage)` signature while it is open wait
     /// for the leader and account the shared output as a stage hit plus a
     /// coalesced wait. Identical signatures imply identical input bytes
@@ -1902,7 +1844,7 @@ impl DocumentCache {
                         )?;
                         AtomicCacheStats::bump(&self.stats.stage_hits);
                         any_hit = true;
-                    } else if self.single_flight {
+                    } else {
                         match self.stage_flights.join(EntryKey::Stage(stage_sig)) {
                             Join::Leader(guard) => {
                                 // Re-check residency under leadership: a
@@ -1993,16 +1935,6 @@ impl DocumentCache {
                                 )?;
                             }
                         }
-                    } else {
-                        self.run_and_fill_stage(
-                            &plan,
-                            &mut pipeline,
-                            clock,
-                            index,
-                            &mut report,
-                            &mut fetched_root,
-                            &mut root_verifier,
-                        )?;
                     }
                 }
                 None => {
@@ -2427,10 +2359,15 @@ impl DocumentCache {
     /// Writes a document for `user` according to the configured
     /// [`WriteMode`].
     pub fn write(&self, user: UserId, doc: DocumentId, data: &[u8]) -> Result<()> {
-        let clock = self.space.clock().clone();
         match self.write_mode {
             WriteMode::Through => {
-                self.write_with_resilience(user, doc, data, &clock)?;
+                // Successes and failures land on the *same* per-origin
+                // breakers the read path uses, so a storm of failed
+                // writes opens the breaker for reads too (and vice versa).
+                let deadline = self.resilience.fetch_deadline_micros;
+                self.with_retries(user, doc, deadline, &self.stats.flush_retries, || {
+                    self.space.write_document(user, doc, data)
+                })?;
                 AtomicCacheStats::bump(&self.stats.writes);
                 // The source changed: every locally cached version of this
                 // document is stale, whatever notifiers may also say.
@@ -2612,107 +2549,20 @@ impl DocumentCache {
         Ok(())
     }
 
-    /// Executes one middleware write under the configured resilience
-    /// policy: breaker admission before every attempt, bounded retries
-    /// with deterministic backoff, and the fetch deadline. Successes and
-    /// failures are recorded on the *same* per-origin breakers the read
-    /// path uses, so a write-through storm of failures opens the breaker
-    /// for reads too (and vice versa). With the no-op default config this
-    /// is exactly one plain write — bit-identical to the pre-resilience
-    /// cache.
-    ///
-    /// Runs with no cache lock held.
-    fn write_with_resilience(
-        &self,
-        user: UserId,
-        doc: DocumentId,
-        data: &[u8],
-        clock: &VirtualClock,
-    ) -> Result<()> {
-        if self.resilience.is_noop() {
-            return self.space.write_document(user, doc, data);
-        }
-        let origin = self
-            .space
-            .origin_of(doc)
-            .unwrap_or_else(|| format!("doc:{}", doc.0));
-        let started = clock.now();
-        let deadline = self.resilience.fetch_deadline_micros;
-        let mut backoff = BackoffSchedule::new(&self.resilience, doc.0 ^ user.0.rotate_left(32));
-        let mut attempt = 0u32;
-        loop {
-            if let Some(config) = &self.resilience.breaker {
-                if let Admission::Reject { retry_after } =
-                    self.breakers.admit(config, &origin, clock.now())
-                {
-                    return Err(PlacelessError::Unavailable {
-                        source: origin,
-                        retry_after: Some(retry_after),
-                    });
-                }
-            }
-            match self.space.write_document(user, doc, data) {
-                Ok(()) => {
-                    if let Some(config) = &self.resilience.breaker {
-                        self.breakers.record_success(config, &origin);
-                    }
-                    return Ok(());
-                }
-                Err(error) if error.is_transient() => {
-                    if let Some(config) = &self.resilience.breaker {
-                        if self.breakers.record_failure(config, &origin, clock.now()) {
-                            AtomicCacheStats::bump(&self.stats.breaker_trips);
-                        }
-                    }
-                    if attempt >= self.resilience.max_retries {
-                        return Err(error);
-                    }
-                    // As on the read path, a provider `retry_after` hint
-                    // floors the backoff wait, and a hint beyond the
-                    // schedule's horizon fails the write at once.
-                    let floor = crate::resilience::retry_floor(&error);
-                    if floor > self.resilience.hint_horizon_micros() {
-                        return Err(error);
-                    }
-                    let delay = backoff.delay_micros(attempt).max(floor);
-                    if let Some(budget) = deadline {
-                        // As on the read path: a backoff the budget
-                        // cannot cover fails the write, but the truncated
-                        // wait is still charged to the clock first so the
-                        // reported elapsed time includes it.
-                        let elapsed = clock.now().since(started);
-                        if elapsed + delay > budget {
-                            clock.advance(budget.saturating_sub(elapsed));
-                            return Err(PlacelessError::Timeout {
-                                source: origin,
-                                elapsed_micros: clock.now().since(started),
-                            });
-                        }
-                    }
-                    clock.advance(delay);
-                    AtomicCacheStats::bump(&self.stats.flush_retries);
-                    attempt += 1;
-                }
-                Err(error) => return Err(error),
-            }
-        }
-    }
-
     /// Pushes all buffered write-back data to the middleware.
     ///
     /// Dirty data is drained holding one shard lock at a time, sorted
     /// into a deterministic order, and written with no cache lock held.
-    /// With [`CacheConfig::batched_flush`] (the default) the drained
-    /// entries are grouped by origin and each group is written as one
-    /// grouped origin operation — one breaker admission decision, one
-    /// backoff schedule, and one pair of middleware hops per group
-    /// attempt instead of per entry — while every per-entry outcome
-    /// below still holds, because the batch write returns one result per
-    /// entry. A failed write no longer abandons the remaining entries: the
-    /// failed entry and every entry not yet attempted are re-queued into
-    /// their shards' dirty maps (a concurrent newer write for the same
-    /// key wins over the re-queue), and the returned [`FlushReport`]
-    /// names exactly what remains dirty.
+    /// The drained entries are grouped by origin and each group is
+    /// written as one grouped origin operation — one breaker admission
+    /// decision, one backoff schedule, and one pair of middleware hops
+    /// per group attempt instead of per entry — while every per-entry
+    /// outcome below still holds, because the batch write returns one
+    /// result per entry. A failed write does not abandon the remaining
+    /// entries: the failed entry and every entry not yet attempted are
+    /// re-queued into their shards' dirty maps (a concurrent newer write
+    /// for the same key wins over the re-queue), and the returned
+    /// [`FlushReport`] names exactly what remains dirty.
     ///
     /// With a journal configured, a flushed record is acknowledged (and
     /// the journal pruned) only after its origin write succeeded, and an
@@ -2735,11 +2585,15 @@ impl DocumentCache {
         // same-seed replays.
         dirty.sort_by_key(|(key, _)| *key);
         let mut report = FlushReport::default();
-        let clock = self.space.clock().clone();
-        let mut entries: Vec<(DocumentId, UserId, DirtyEntry)> = Vec::with_capacity(dirty.len());
+        // Group by origin, preserving the sorted entry order inside each
+        // group; BTreeMap keeps the group order itself deterministic too.
+        let mut groups: BTreeMap<String, Vec<(DocumentId, UserId, DirtyEntry)>> = BTreeMap::new();
         for (key, entry) in dirty {
             match key {
-                EntryKey::Version(doc, user) => entries.push((doc, user, entry)),
+                EntryKey::Version(doc, user) => groups
+                    .entry(self.origin_key(doc))
+                    .or_default()
+                    .push((doc, user, entry)),
                 EntryKey::Stage(_) => {
                     // Dirty data is only ever buffered under version keys;
                     // a stage key here is an invariant violation. Don't
@@ -2751,26 +2605,8 @@ impl DocumentCache {
                 }
             }
         }
-        if self.batched_flush {
-            // Group by origin, preserving the sorted entry order inside
-            // each group; BTreeMap keeps the group order itself
-            // deterministic too.
-            let mut groups: BTreeMap<String, Vec<(DocumentId, UserId, DirtyEntry)>> =
-                BTreeMap::new();
-            for (doc, user, entry) in entries {
-                let origin = self
-                    .space
-                    .origin_of(doc)
-                    .unwrap_or_else(|| format!("doc:{}", doc.0));
-                groups.entry(origin).or_default().push((doc, user, entry));
-            }
-            for (origin, group) in groups {
-                self.flush_group(&origin, group, &clock, &mut report);
-            }
-        } else {
-            for (doc, user, entry) in entries {
-                self.flush_one(doc, user, entry, &clock, &mut report);
-            }
+        for (origin, group) in groups {
+            self.flush_group(&origin, group, &mut report);
         }
         debug_assert_eq!(
             report.attempted,
@@ -2781,42 +2617,8 @@ impl DocumentCache {
         Ok(report)
     }
 
-    /// Writes one drained dirty entry through [`Self::write_with_resilience`]
-    /// and settles the outcome — the pre-batching per-entry flush path,
-    /// kept verbatim for [`CacheConfig::batched_flush`]` = false`.
-    fn flush_one(
-        &self,
-        doc: DocumentId,
-        user: UserId,
-        mut entry: DirtyEntry,
-        clock: &VirtualClock,
-        report: &mut FlushReport,
-    ) {
-        report.attempted += 1;
-        if self.merge.is_some() && !self.settle_conflict_per_entry(doc, user, &mut entry, report) {
-            return; // the conflict was resolved by dropping the entry
-        }
-        match self.write_with_resilience(user, doc, &entry.data, clock) {
-            Ok(()) => {
-                AtomicCacheStats::bump(&self.stats.flushes);
-                report.flushed += 1;
-                if let (Some(journal), Some(seq)) = (&self.journal, entry.seq) {
-                    // Ack precisely this record; a newer write that
-                    // superseded it mid-flush keeps its own record.
-                    journal.ack(seq);
-                }
-                let key = EntryKey::Version(doc, user);
-                if self.parked.lock().remove(&key) {
-                    self.parked_gauge.fetch_sub(1, Ordering::Relaxed);
-                }
-                self.invalidate_doc(doc);
-            }
-            Err(error) => self.settle_flush_failure(doc, user, entry, error, report),
-        }
-    }
-
     /// Flushes one per-origin group of drained dirty entries as grouped
-    /// origin operations.
+    /// origin operations through the retry driver.
     ///
     /// One breaker admission decision, one origin-salted backoff
     /// schedule, and one in-flight-window slot cover each *attempt* on
@@ -2825,176 +2627,122 @@ impl DocumentCache {
     /// entry. Outcomes stay per entry: successes are acknowledged in the
     /// journal as a batch (one compaction), transient failures stay
     /// pending for the group's next retry, and non-transient failures
-    /// are re-queued immediately. Entries still pending when the retry
-    /// budget (or deadline, or breaker) gives out are parked or
-    /// re-queued exactly as the per-entry path would have done.
+    /// are re-queued immediately. Entries still pending when the driver
+    /// gives up are parked or re-queued — each with its own error when
+    /// the retries ran out, all with the driver's verdict when the
+    /// breaker or the deadline stopped the group.
     fn flush_group(
         &self,
         origin: &str,
         group: Vec<(DocumentId, UserId, DirtyEntry)>,
-        clock: &VirtualClock,
         report: &mut FlushReport,
     ) {
         report.attempted += group.len() as u64;
         report.batches += 1;
-        let mut pending = group;
-        if self.merge.is_some() {
-            pending = self.route_conflicts_through_merge(pending, report);
-            if pending.is_empty() {
-                return;
-            }
+        let mut pending = self.route_conflicts_through_merge(group, report);
+        if pending.is_empty() {
+            return;
         }
-        let started = clock.now();
         let deadline = self.resilience.fetch_deadline_micros;
-        let mut backoff = BackoffSchedule::for_origin(&self.resilience, origin);
-        let mut attempt = 0u32;
-        loop {
-            // One admission decision covers the whole group.
-            if let Some(config) = &self.resilience.breaker {
-                if let Admission::Reject { retry_after } =
-                    self.breakers.admit(config, origin, clock.now())
-                {
-                    let error = PlacelessError::Unavailable {
-                        source: origin.to_owned(),
-                        retry_after: Some(retry_after),
-                    };
-                    for (doc, user, entry) in pending {
-                        self.settle_flush_failure(doc, user, entry, error.clone(), report);
-                    }
-                    return;
+        let outcome = self.retry_driver(deadline, &self.stats.flush_retries).run(
+            || origin.to_owned(),
+            || BackoffSchedule::for_origin(&self.resilience, origin),
+            || {
+                // One grouped origin operation per attempt, behind one
+                // per-origin window slot (when configured).
+                AtomicCacheStats::bump(&self.stats.flush_batches);
+                let writes: Vec<BatchWrite> = pending
+                    .iter()
+                    .map(|(doc, user, entry)| BatchWrite {
+                        user: *user,
+                        doc: *doc,
+                        data: entry.data.clone(),
+                        // With a merge policy, rebasable deltas travel
+                        // as ops and are applied server-side onto the
+                        // origin's current content — concurrent
+                        // writers through other caches are merged, not
+                        // clobbered.
+                        ops: if self.merge.is_some() && rebasable(&entry.ops) {
+                            entry.ops.clone()
+                        } else {
+                            Vec::new()
+                        },
+                    })
+                    .collect();
+                if let Some(window) = &self.window {
+                    window.acquire(origin);
                 }
-            }
-            // One grouped origin operation per attempt, behind one
-            // per-origin window slot (when configured).
-            AtomicCacheStats::bump(&self.stats.flush_batches);
-            let writes: Vec<BatchWrite> = pending
-                .iter()
-                .map(|(doc, user, entry)| BatchWrite {
-                    user: *user,
-                    doc: *doc,
-                    data: entry.data.clone(),
-                    // With a merge policy, rebasable deltas travel as ops
-                    // and are applied server-side onto the origin's
-                    // current content — concurrent writers through other
-                    // caches are merged, not clobbered. Without one,
-                    // payloads are byte-identical to the pre-merge cache.
-                    ops: if self.merge.is_some() && rebasable(&entry.ops) {
-                        entry.ops.clone()
-                    } else {
-                        Vec::new()
-                    },
-                })
-                .collect();
-            if let Some(window) = &self.window {
-                window.acquire(origin);
-            }
-            let results = self.space.write_documents(&writes);
-            if let Some(window) = &self.window {
-                window.release(origin);
-            }
-            debug_assert_eq!(results.len(), pending.len());
-            let mut acks: Vec<u64> = Vec::new();
-            let mut transient: Vec<(DocumentId, UserId, DirtyEntry, PlacelessError)> = Vec::new();
-            for ((doc, user, entry), result) in pending.drain(..).zip(results) {
-                match result {
-                    Ok(()) => {
-                        AtomicCacheStats::bump(&self.stats.flushes);
-                        AtomicCacheStats::bump(&self.stats.batched_writes);
-                        report.flushed += 1;
-                        if self.journal.is_some() {
-                            if let Some(seq) = entry.seq {
-                                acks.push(seq);
-                            }
+                let results = self.space.write_documents(&writes);
+                if let Some(window) = &self.window {
+                    window.release(origin);
+                }
+                debug_assert_eq!(results.len(), pending.len());
+                let mut acks: Vec<u64> = Vec::new();
+                // The entries a retry would write again, and (index
+                // for index) the transient error each just met.
+                let mut survivors = Vec::new();
+                let mut errors = Vec::new();
+                for ((doc, user, entry), result) in pending.drain(..).zip(results) {
+                    match result {
+                        Ok(()) => {
+                            AtomicCacheStats::bump(&self.stats.flushes);
+                            AtomicCacheStats::bump(&self.stats.batched_writes);
+                            report.flushed += 1;
+                            acks.extend(entry.seq);
+                            self.unpark(EntryKey::Version(doc, user));
+                            self.invalidate_doc(doc);
                         }
-                        let key = EntryKey::Version(doc, user);
-                        if self.parked.lock().remove(&key) {
-                            self.parked_gauge.fetch_sub(1, Ordering::Relaxed);
+                        Err(error) if error.is_transient() => {
+                            survivors.push((doc, user, entry));
+                            errors.push(error);
                         }
-                        self.invalidate_doc(doc);
+                        Err(error) => self.settle_flush_failure(doc, user, entry, error, report),
                     }
-                    Err(error) if error.is_transient() => {
-                        transient.push((doc, user, entry, error));
+                }
+                if let Some(journal) = &self.journal {
+                    if !acks.is_empty() {
+                        // Each ack names exactly the record that was
+                        // pushed (a newer write that superseded it
+                        // mid-flush keeps its own); the medium
+                        // compacts once per batch.
+                        journal.ack_batch(&acks);
                     }
-                    Err(error) => self.settle_flush_failure(doc, user, entry, error, report),
                 }
-            }
-            if let Some(journal) = &self.journal {
-                if !acks.is_empty() {
-                    // Acks are seq-precise exactly like the per-entry
-                    // path, but the medium compacts once per batch.
-                    journal.ack_batch(&acks);
+                pending = survivors;
+                // The driver records one breaker strike per batch
+                // attempt: the origin either answered for the group or
+                // dropped (part of) it.
+                if errors.is_empty() {
+                    Ok(())
+                } else {
+                    Err(errors)
                 }
-            }
-            // One breaker record covers the batch attempt: the origin
-            // either answered for the group or dropped (part of) it.
-            if let Some(config) = &self.resilience.breaker {
-                if transient.is_empty() {
-                    self.breakers.record_success(config, origin);
-                } else if self.breakers.record_failure(config, origin, clock.now()) {
-                    AtomicCacheStats::bump(&self.stats.breaker_trips);
-                }
-            }
-            if transient.is_empty() {
-                return;
-            }
-            if attempt >= self.resilience.max_retries {
-                for (doc, user, entry, error) in transient {
+            },
+        );
+        match outcome {
+            Ok(()) => {}
+            Err(GaveUp::Own(errors)) => {
+                for ((doc, user, entry), error) in pending.into_iter().zip(errors) {
                     self.settle_flush_failure(doc, user, entry, error, report);
                 }
-                return;
             }
-            // The largest `retry_after` hint among the group's transient
-            // failures floors the backoff: the group retries as one, so
-            // it waits for the slowest origin-reported recovery. Beyond
-            // the schedule's horizon the group settles its failures now
-            // instead of waiting out an advertised outage.
-            let floor = transient
-                .iter()
-                .map(|(_, _, _, error)| crate::resilience::retry_floor(error))
-                .max()
-                .unwrap_or(0);
-            if floor > self.resilience.hint_horizon_micros() {
-                for (doc, user, entry, error) in transient {
-                    self.settle_flush_failure(doc, user, entry, error, report);
-                }
-                return;
-            }
-            let delay = backoff.delay_micros(attempt).max(floor);
-            if let Some(budget) = deadline {
-                // Same deadline accounting as the per-entry retry loops:
-                // the truncated wait is charged before reporting.
-                let elapsed = clock.now().since(started);
-                if elapsed + delay > budget {
-                    clock.advance(budget.saturating_sub(elapsed));
-                    let error = PlacelessError::Timeout {
-                        source: origin.to_owned(),
-                        elapsed_micros: clock.now().since(started),
-                    };
-                    for (doc, user, entry, _) in transient {
-                        self.settle_flush_failure(doc, user, entry, error.clone(), report);
-                    }
-                    return;
+            Err(GaveUp::Shared(error)) => {
+                for (doc, user, entry) in pending {
+                    self.settle_flush_failure(doc, user, entry, error.clone(), report);
                 }
             }
-            clock.advance(delay);
-            AtomicCacheStats::bump(&self.stats.flush_retries);
-            attempt += 1;
-            pending = transient
-                .into_iter()
-                .map(|(doc, user, entry, _)| (doc, user, entry))
-                .collect();
         }
     }
 
     /// Probes each entry's base epoch against the origin's current
     /// rendition and routes every conflict through the merge policy
-    /// (merge configured; the grouped-flush path). Returns the entries
+    /// (without one, every entry passes through). Returns the entries
     /// that should still be written:
     ///
     /// * rebasable conflicts stay — their ops travel server-side and are
     ///   rebased onto the origin's current content by `write_documents`;
     /// * unmergeable conflicts resolved `KeepMine` stay as full-body
-    ///   writes (the informed PR-4 overwrite);
+    ///   writes (an informed overwrite);
     /// * unmergeable conflicts resolved `KeepTheirs` are dropped: their
     ///   journal record is acknowledged and the drop is reported.
     ///
@@ -3062,72 +2810,12 @@ impl DocumentCache {
                     if let (Some(journal), Some(seq)) = (&self.journal, entry.seq) {
                         journal.ack(seq);
                     }
+                    self.unpark(EntryKey::Version(doc, user));
                     report.dropped.push((doc, user));
                 }
             }
         }
         kept
-    }
-
-    /// The per-entry sibling of [`Self::route_conflicts_through_merge`]
-    /// for the legacy unbatched flush path. The per-entry path has no
-    /// grouped op write, so a rebasable conflict is rebased *cache-side*:
-    /// the entry's data becomes the origin's current content with the
-    /// ops folded in, and its epoch advances to match. Returns `false`
-    /// when the entry was resolved by dropping it (`KeepTheirs`).
-    fn settle_conflict_per_entry(
-        &self,
-        doc: DocumentId,
-        user: UserId,
-        entry: &mut DirtyEntry,
-        report: &mut FlushReport,
-    ) -> bool {
-        let Some(policy) = &self.merge else {
-            return true;
-        };
-        if entry.epoch == NO_EPOCH {
-            return true;
-        }
-        let Ok((origin, _)) = self.space.read_document(user, doc) else {
-            return true; // unreachable origin: the write attempt decides
-        };
-        let origin_sig = ConcurrentStore::signature_of(&origin);
-        if origin_sig == entry.epoch {
-            return true;
-        }
-        AtomicCacheStats::bump(&self.stats.write_conflicts);
-        report.merge.examined += 1;
-        if rebasable(&entry.ops) {
-            entry.data = apply_all(&origin, &entry.ops);
-            entry.epoch = origin_sig;
-            AtomicCacheStats::bump(&self.stats.conflicts_merged);
-            for _ in &entry.ops {
-                AtomicCacheStats::bump(&self.stats.merge_rebases);
-            }
-            report.merge.merged += 1;
-            report.merge.rebases += entry.ops.len() as u64;
-            return true;
-        }
-        let conflict = WriteConflict {
-            doc,
-            user,
-            journal_epoch: entry.epoch,
-            origin_signature: origin_sig,
-        };
-        match policy.resolve_unmergeable(&conflict) {
-            ConflictResolution::KeepMine => {
-                report.merge.kept_mine += 1;
-                true
-            }
-            ConflictResolution::KeepTheirs => {
-                report.merge.kept_theirs += 1;
-                if let (Some(journal), Some(seq)) = (&self.journal, entry.seq) {
-                    journal.ack(seq);
-                }
-                report.dropped.push((doc, user));
-                false
-            }
-        }
     }
 
     /// Settles one failed flush entry: re-queues the data (a concurrent
@@ -3153,6 +2841,14 @@ impl DocumentCache {
             report.parked.push((doc, user));
         } else {
             report.requeued.push((doc, user, error));
+        }
+    }
+
+    /// Forgets that `key` was parked: its entry left the dirty set for
+    /// good (flushed, or dropped by a `KeepTheirs` resolution).
+    fn unpark(&self, key: EntryKey) {
+        if self.parked.lock().remove(&key) {
+            self.parked_gauge.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -3893,7 +3589,29 @@ mod tests {
         assert_eq!(config.shards, 2);
         assert!(config.prefetch.enabled);
         assert!(config.merge.is_some());
-        assert!(CacheConfig::default().merge.is_none(), "merge defaults off");
+        // Exhaustive on purpose: a fifteenth field stops this compiling,
+        // so adding an option is a decision, not an accident.
+        let CacheConfig {
+            capacity_bytes: _,
+            policy: _,
+            run_verifiers,
+            write_mode,
+            local_latency: _,
+            prefetch,
+            access_link,
+            shards,
+            resilience,
+            stage_cache,
+            journal,
+            max_inflight_per_origin,
+            merge,
+            overload,
+        } = CacheConfig::default();
+        assert!(run_verifiers && !stage_cache && !prefetch.enabled);
+        assert_eq!((write_mode, shards), (WriteMode::Through, 0));
+        assert_eq!((resilience.max_retries, resilience.breaker), (0, None));
+        assert!(access_link.is_none() && journal.is_none() && merge.is_none());
+        assert!(max_inflight_per_origin.is_none() && overload.is_none());
         assert!(CacheConfig::builder().policy_name("bogus").is_err());
 
         let (space, _provider, doc) = setup("built", 100);

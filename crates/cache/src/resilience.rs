@@ -13,13 +13,17 @@
 //! two runs with the same seed produce byte-identical schedules and
 //! [`crate::stats::CacheStats`].
 //!
-//! The default [`ResilienceConfig`] disables every mechanism, so a cache
-//! built without [`crate::manager::CacheConfigBuilder::resilience`] behaves
-//! exactly as it did before this module existed.
+//! Every origin operation — a miss fetch, a write-through write, a flush
+//! group — goes through the one retry loop, [`RetryDriver::run`]. The
+//! default [`ResilienceConfig`] enables no mechanism, which through that
+//! loop is exactly one attempt and the attempt's own error.
 
+use crate::stats::AtomicCacheStats;
 use parking_lot::Mutex;
-use placeless_simenv::{Instant, SimRng};
+use placeless_core::error::PlacelessError;
+use placeless_simenv::{Instant, SimRng, VirtualClock};
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
 
 /// How long a resident entry may be served past a failed freshness check.
 ///
@@ -119,15 +123,6 @@ impl ResilienceConfig {
         ResilienceConfigBuilder {
             config: Self::default(),
         }
-    }
-
-    /// Returns `true` if no mechanism is enabled — the cache can skip the
-    /// resilience machinery entirely and behave exactly as the seed did.
-    pub fn is_noop(&self) -> bool {
-        self.max_retries == 0
-            && self.fetch_deadline_micros.is_none()
-            && self.breaker.is_none()
-            && self.serve_stale.is_none()
     }
 
     /// The longest single backoff this config's schedule could ever
@@ -423,9 +418,9 @@ impl BackoffSchedule {
 /// never shorter than the schedule either. A hint beyond
 /// [`ResilienceConfig::hint_horizon_micros`] makes the loop give up at
 /// once instead (see there).
-pub fn retry_floor(error: &placeless_core::error::PlacelessError) -> u64 {
+pub fn retry_floor(error: &PlacelessError) -> u64 {
     match error {
-        placeless_core::error::PlacelessError::Unavailable {
+        PlacelessError::Unavailable {
             retry_after: Some(hint),
             ..
         } => *hint,
@@ -433,26 +428,264 @@ pub fn retry_floor(error: &placeless_core::error::PlacelessError) -> u64 {
     }
 }
 
+/// Why [`RetryDriver::run`] stopped without a success.
+pub(crate) enum GaveUp<E> {
+    /// The last attempt's own errors stand: one was not transient, the
+    /// retries ran out, or a provider hint lay beyond the backoff horizon.
+    Own(E),
+    /// The breaker rejected the operation or the deadline could not cover
+    /// the next backoff: one verdict for everything the operation still
+    /// had pending.
+    Shared(PlacelessError),
+}
+
+impl GaveUp<[PlacelessError; 1]> {
+    /// The error a single-entry operation (a fetch, a write-through
+    /// write) fails with.
+    pub(crate) fn into_error(self) -> PlacelessError {
+        match self {
+            GaveUp::Own([error]) | GaveUp::Shared(error) => error,
+        }
+    }
+}
+
+/// The retry loop behind every origin operation, over one cache's
+/// resilience policy, breakers and clock.
+pub(crate) struct RetryDriver<'a> {
+    pub(crate) config: &'a ResilienceConfig,
+    pub(crate) breakers: &'a BreakerSet,
+    pub(crate) clock: &'a VirtualClock,
+    /// Virtual-time budget for the whole operation, backoffs included.
+    pub(crate) deadline: Option<u64>,
+    /// Bumped once per breaker trip.
+    pub(crate) trips: &'a AtomicU64,
+    /// Bumped once per backoff actually waited out (`retries` for reads,
+    /// `flush_retries` for writes and flush groups).
+    pub(crate) retries: &'a AtomicU64,
+}
+
+impl RetryDriver<'_> {
+    /// Runs `attempt` until it succeeds or the policy gives up: breaker
+    /// admission before every attempt and one success/failure record
+    /// after it, at most `max_retries` retries, each after the scheduled
+    /// backoff or the longest provider `retry_after` hint among the
+    /// attempt's errors, whichever is longer.
+    ///
+    /// An attempt fails with every error it has left — one for a fetch,
+    /// one per still-pending entry for a flush group. Unless all of them
+    /// are transient the loop stops at once and records nothing against
+    /// the breaker.
+    ///
+    /// `origin` and `backoff` are called at most once each: `origin` only
+    /// when a breaker is configured or the deadline lapses, `backoff` only
+    /// when a retry is scheduled. Resolving the origin key takes the space
+    /// lock and allocates, which the default config must not pay on every
+    /// miss.
+    pub(crate) fn run<T, E: AsRef<[PlacelessError]>>(
+        &self,
+        origin: impl Fn() -> String,
+        backoff: impl Fn() -> BackoffSchedule,
+        mut attempt: impl FnMut() -> Result<T, E>,
+    ) -> Result<T, GaveUp<E>> {
+        let config = self.config;
+        let clock = self.clock;
+        let started = clock.now();
+        let guard = config.breaker.as_ref().map(|breaker| (breaker, origin()));
+        let mut schedule: Option<BackoffSchedule> = None;
+        let mut retry = 0u32;
+        loop {
+            if let Some((breaker, origin)) = &guard {
+                if let Admission::Reject { retry_after } =
+                    self.breakers.admit(breaker, origin, clock.now())
+                {
+                    // Fast-fail without contacting the origin at all.
+                    return Err(GaveUp::Shared(PlacelessError::Unavailable {
+                        source: origin.clone(),
+                        retry_after: Some(retry_after),
+                    }));
+                }
+            }
+            let failure = match attempt() {
+                Ok(value) => {
+                    if let Some((breaker, origin)) = &guard {
+                        self.breakers.record_success(breaker, origin);
+                    }
+                    return Ok(value);
+                }
+                Err(failure) => failure,
+            };
+            let errors = failure.as_ref();
+            if !errors.iter().all(PlacelessError::is_transient) {
+                return Err(GaveUp::Own(failure));
+            }
+            if let Some((breaker, origin)) = &guard {
+                if self.breakers.record_failure(breaker, origin, clock.now()) {
+                    AtomicCacheStats::bump(self.trips);
+                }
+            }
+            if retry >= config.max_retries {
+                return Err(GaveUp::Own(failure));
+            }
+            // Retrying sooner than the origin said it could recover is a
+            // wasted attempt, and a hint beyond the schedule's horizon
+            // means no wait this loop is prepared to make reaches
+            // recovery: give up now.
+            let floor = errors
+                .iter()
+                .fold(0, |floor, error| floor.max(retry_floor(error)));
+            if floor > config.hint_horizon_micros() {
+                return Err(GaveUp::Own(failure));
+            }
+            let delay = schedule
+                .get_or_insert_with(&backoff)
+                .delay_micros(retry)
+                .max(floor);
+            if let Some(budget) = self.deadline {
+                // Don't start a backoff the deadline can't cover. The
+                // caller still waited out the rest of its budget
+                // discovering that, so charge the truncated wait to the
+                // clock first: `elapsed_micros` then covers the backoff
+                // that overran, not just the attempts before it.
+                let elapsed = clock.now().since(started);
+                if elapsed + delay > budget {
+                    clock.advance(budget.saturating_sub(elapsed));
+                    return Err(GaveUp::Shared(PlacelessError::Timeout {
+                        source: guard.map_or_else(&origin, |(_, origin)| origin),
+                        elapsed_micros: clock.now().since(started),
+                    }));
+                }
+            }
+            clock.advance(delay);
+            AtomicCacheStats::bump(self.retries);
+            retry += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A scripted operation for [`RetryDriver::run`]: fails with
+    /// `script`'s errors in turn, then succeeds. Returns the driver's
+    /// verdict, how many attempts ran, and the virtual time charged.
+    fn drive(
+        config: &ResilienceConfig,
+        breakers: &BreakerSet,
+        deadline: Option<u64>,
+        origin: impl Fn() -> String,
+        script: Vec<PlacelessError>,
+    ) -> (Result<(), PlacelessError>, usize, u64) {
+        let clock = VirtualClock::new();
+        let (trips, retries) = (AtomicU64::new(0), AtomicU64::new(0));
+        let driver = RetryDriver {
+            config,
+            breakers,
+            clock: &clock,
+            deadline,
+            trips: &trips,
+            retries: &retries,
+        };
+        let mut script = script.into_iter();
+        let mut attempts = 0;
+        let verdict = driver
+            .run(
+                origin,
+                || BackoffSchedule::new(config, 0),
+                || {
+                    attempts += 1;
+                    script.next().map_or(Ok(()), |error| Err([error]))
+                },
+            )
+            .map_err(GaveUp::into_error);
+        (verdict, attempts, clock.now().as_micros())
+    }
+
+    fn unavailable(retry_after: Option<u64>) -> PlacelessError {
+        PlacelessError::Unavailable {
+            source: "web".into(),
+            retry_after,
+        }
+    }
+
     #[test]
-    fn default_config_is_noop() {
+    fn default_config_is_one_attempt_and_the_attempts_own_error() {
         let config = ResilienceConfig::default();
-        assert!(config.is_noop());
-        let built = ResilienceConfig::builder().build();
-        assert!(built.is_noop());
-        assert!(!ResilienceConfig::builder().max_retries(1).build().is_noop());
-        assert!(!ResilienceConfig::builder()
-            .serve_stale(StalenessBound::micros(1))
-            .build()
-            .is_noop());
+        let no_origin = || -> String { panic!("the default config must not resolve the origin") };
+        let (verdict, attempts, waited) = drive(
+            &config,
+            &BreakerSet::new(),
+            None,
+            no_origin,
+            vec![unavailable(None)],
+        );
+        assert_eq!(verdict, Err(unavailable(None)));
+        assert_eq!((attempts, waited), (1, 0));
+        let (verdict, attempts, waited) =
+            drive(&config, &BreakerSet::new(), None, no_origin, Vec::new());
+        assert_eq!(verdict, Ok(()));
+        assert_eq!((attempts, waited), (1, 0));
+    }
+
+    #[test]
+    fn deadline_shorter_than_the_backoff_charges_exactly_the_budget() {
+        let config = ResilienceConfig::builder()
+            .max_retries(3)
+            .backoff_base_micros(1_000)
+            .build();
+        let (verdict, attempts, waited) = drive(
+            &config,
+            &BreakerSet::new(),
+            Some(400),
+            || "web".into(),
+            vec![unavailable(None), unavailable(None)],
+        );
+        assert_eq!(
+            verdict,
+            Err(PlacelessError::Timeout {
+                source: "web".into(),
+                elapsed_micros: 400,
+            })
+        );
+        assert_eq!((attempts, waited), (1, 400));
+    }
+
+    #[test]
+    fn hint_beyond_the_horizon_gives_up_with_the_original_error() {
+        let config = ResilienceConfig::builder()
+            .max_retries(3)
+            .backoff_base_micros(1_000)
+            .build();
+        let hinted = unavailable(Some(config.hint_horizon_micros() + 1));
+        let (verdict, attempts, waited) = drive(
+            &config,
+            &BreakerSet::new(),
+            None,
+            || "web".into(),
+            vec![hinted.clone(), hinted.clone()],
+        );
+        assert_eq!(verdict, Err(hinted));
+        assert_eq!((attempts, waited), (1, 0));
+    }
+
+    #[test]
+    fn open_breaker_rejects_without_an_attempt() {
+        let breaker = BreakerConfig {
+            failure_threshold: 1,
+            open_micros: 1_000,
+            half_open_probes: 1,
+        };
+        let config = ResilienceConfig::builder().breaker(breaker).build();
+        let breakers = BreakerSet::new();
+        breakers.record_failure(&breaker, "web", Instant(0));
+        let (verdict, attempts, waited) =
+            drive(&config, &breakers, None, || "web".into(), Vec::new());
+        assert_eq!(verdict, Err(unavailable(Some(1_000))));
+        assert_eq!((attempts, waited), (0, 0));
     }
 
     #[test]
     fn retry_floor_reads_only_unavailable_hints() {
-        use placeless_core::error::PlacelessError;
         let hinted = PlacelessError::Unavailable {
             source: "o".into(),
             retry_after: Some(7_500),

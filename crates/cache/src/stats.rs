@@ -82,13 +82,12 @@ pub struct CacheStats {
     /// Write attempts repeated after a transient failure (write-through
     /// and flush paths; the write-side sibling of `retries`).
     pub flush_retries: u64,
-    /// Grouped origin write operations issued by the batched flush
-    /// scheduler — one per per-origin group per attempt (a retried
-    /// group counts again).
+    /// Grouped origin write operations issued by `flush` — one per
+    /// per-origin group per attempt (a retried group counts again).
     pub flush_batches: u64,
-    /// Dirty entries whose origin write succeeded as part of a grouped
-    /// flush batch (`flushes` counts these too; the difference is the
-    /// per-entry fallback path).
+    /// Dirty entries whose origin write succeeded as part of a flush
+    /// group. Every flushed entry goes through a group, so this equals
+    /// `flushes`.
     pub batched_writes: u64,
     /// Recovered writes that conflicted with a newer origin version
     /// (journal epoch no longer matches the origin signature).

@@ -23,27 +23,44 @@ cargo test -q "${CARGO_FLAGS[@]}" --workspace
 echo "==> fault matrix (resilience + fault-injection suite)"
 cargo test -q "${CARGO_FLAGS[@]}" --test fault_matrix
 
+# The experiments binary writes BENCH_*.json next to its working
+# directory. The smokes below run reduced parameters, so they run from
+# target/smoke/ and leave the committed full-size files in the repo root
+# alone.
+ROOT="$PWD"
+mkdir -p target/smoke
+smoke() {
+  (cd "$ROOT/target/smoke" && cargo run -q --release "${CARGO_FLAGS[@]}" \
+    --manifest-path "$ROOT/Cargo.toml" -p placeless-bench --bin experiments -- "$@")
+}
+
 echo "==> E-FAULT smoke (availability table under a scripted outage)"
-cargo run -q --release "${CARGO_FLAGS[@]}" -p placeless-bench --bin experiments -- fault
+smoke fault
 
 echo "==> E-STAGE smoke (staged-plan partial hits + lease >=2x gate,"
-echo "    zero-copy probe, 4 MiB big-doc smoke; writes BENCH_stage.json)"
-cargo run -q --release "${CARGO_FLAGS[@]}" -p placeless-bench --bin experiments -- stage
+echo "    zero-copy probe, 4 MiB big-doc smoke)"
+smoke stage
 
-echo "==> E-CRASH smoke (write-journal durability; writes BENCH_crash.json)"
-cargo run -q --release "${CARGO_FLAGS[@]}" -p placeless-bench --bin experiments -- crash
+echo "==> E-CRASH smoke (write-journal durability)"
+smoke crash
 
-echo "==> E-MERGE smoke (op-based multi-writer merge; writes BENCH_merge.json)"
-cargo run -q --release "${CARGO_FLAGS[@]}" -p placeless-bench --bin experiments -- merge
+echo "==> E-MERGE smoke (op-based multi-writer merge)"
+smoke merge
 
-echo "==> E-LOAD smoke (trace-driven load + coalesce probe + write mix; writes BENCH_load.json)"
+echo "==> E-LOAD smoke (trace-driven load + coalesce probe + write mix)"
 E_LOAD_USERS=20000 E_LOAD_OPS=4000 E_LOAD_THREADS=4 \
   E_LOAD_WMIX_WRITES=800 E_LOAD_WMIX_DOCS=48 E_LOAD_WMIX_FLUSH_EVERY=400 \
-  cargo run -q --release "${CARGO_FLAGS[@]}" -p placeless-bench --bin experiments -- load
+  smoke load
 
-echo "==> E-OVERLOAD smoke (deadline admission + brownout under a 10x burst; writes BENCH_overload.json)"
+echo "==> E-OVERLOAD smoke (deadline admission + brownout under a 10x burst)"
 E_OVERLOAD_EVENTS=300 E_OVERLOAD_THREADS=4 E_OVERLOAD_WALL_MICROS=150 \
-  cargo run -q --release "${CARGO_FLAGS[@]}" -p placeless-bench --bin experiments -- overload
+  smoke overload
+
+# The benchmark package is frozen outside benchmark PRs; these two steps
+# prove it still builds and runs against the current placeless-cache API.
+echo "==> repo benchmark: unit tests + smoke"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings

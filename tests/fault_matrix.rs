@@ -1025,7 +1025,6 @@ fn grouped_flush_run(seed: u64, writes: u64) -> (CacheStats, usize, Vec<Bytes>) 
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
             .write_mode(WriteMode::Back)
-            .batched_flush(true)
             .shards(1)
             .journal(journal.clone())
             .resilience(
@@ -1414,6 +1413,51 @@ fn partition_mid_flush_parks_then_merges_after_heal() {
     assert!(
         bob.stats().writes_parked > 0,
         "the partition parked the write"
+    );
+}
+
+/// A write parked by a partition and later resolved `KeepTheirs` has left
+/// the dirty set for good: the parked gauge must drop with it.
+#[test]
+fn parked_write_dropped_by_keep_theirs_leaves_the_parked_gauge() {
+    let clock = VirtualClock::new();
+    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
+    let fs = MemFs::new(clock.clone());
+    fs.create("/shared", "seed;");
+    let link = lan(63);
+    link.set_fault_plan(FaultPlan::builder(63).partition(50_000, 150_000).build());
+    let doc = space.create_document(USER, FsProvider::new(fs.clone(), "/shared", link));
+    space.add_reference(BOB, doc).expect("doc exists");
+
+    let keep_theirs = || {
+        let mut config = merge_config(WriteJournal::new(StableStore::new()));
+        let hook: ConflictHook = Arc::new(|_| ConflictResolution::KeepTheirs);
+        config.merge = Some(MergePolicy::new().on_unmergeable(hook));
+        config
+    };
+    let alice = DocumentCache::new(space.clone(), keep_theirs());
+    let bob = DocumentCache::new(space.clone(), keep_theirs());
+    alice.read(USER, doc).expect("warm fill");
+    bob.read(BOB, doc).expect("warm fill");
+    alice.write(USER, doc, b"alice").expect("write buffers");
+    bob.write(BOB, doc, b"bob").expect("write buffers");
+
+    clock.advance_to(Instant(60_000));
+    let parked = bob.flush().expect("the flush itself runs");
+    assert_eq!(parked.parked, vec![(doc, BOB)], "{parked}");
+    assert_eq!(bob.parked_count(), 1);
+
+    // After the heal Alice lands first; Bob's plain write cannot be
+    // rebased onto the moved origin and the policy keeps theirs.
+    clock.advance_to(Instant(160_000));
+    assert!(alice.flush().expect("healed origin").is_clean());
+    let healed = bob.flush().expect("healed origin");
+    assert_eq!(healed.dropped, vec![(doc, BOB)], "{healed}");
+    assert_eq!(bob.dirty_count(), 0);
+    assert_eq!(bob.parked_count(), 0, "a dropped write is no longer parked");
+    assert_eq!(
+        fs.read("/shared").expect("file exists"),
+        Bytes::from("alice")
     );
 }
 
