@@ -3,8 +3,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use placeless_cache::{md5, EntryKey, SharedStore};
-use placeless_core::id::{DocumentId, UserId};
+use placeless_cache::{md5, ConcurrentStore};
 use std::hint::black_box;
 
 fn bench_md5(c: &mut Criterion) {
@@ -25,25 +24,24 @@ fn bench_shared_store(c: &mut Criterion) {
 
     group.bench_function("insert_distinct", |b| {
         let mut i = 0u64;
-        let mut store = SharedStore::new();
+        let store = ConcurrentStore::new();
         b.iter(|| {
             i += 1;
             let mut content = payload.to_vec();
             content[0..8].copy_from_slice(&i.to_le_bytes());
-            black_box(store.insert(
-                EntryKey::Version(DocumentId(i), UserId(1)),
-                Bytes::from(content),
-            ))
+            let content = Bytes::from(content);
+            let sig = ConcurrentStore::signature_of(&content);
+            black_box(store.try_acquire(sig, &content, u64::MAX))
         })
     });
 
     group.bench_function("insert_shared", |b| {
-        let mut i = 0u64;
-        let mut store = SharedStore::new();
-        store.insert(EntryKey::Version(DocumentId(0), UserId(0)), payload.clone());
+        let store = ConcurrentStore::new();
+        let sig = ConcurrentStore::signature_of(&payload);
+        let _ = store.try_acquire(sig, &payload, u64::MAX);
         b.iter(|| {
-            i += 1;
-            black_box(store.insert(EntryKey::Version(DocumentId(i), UserId(1)), payload.clone()))
+            let sig = ConcurrentStore::signature_of(&payload);
+            black_box(store.try_acquire(sig, &payload, u64::MAX))
         })
     });
 

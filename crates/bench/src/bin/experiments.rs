@@ -433,13 +433,12 @@ fn load_json(
     for (i, r) in wmix.iter().enumerate() {
         out.push_str(&format!(
             "      {{\"flush_every\": {}, \"entries_flushed\": {}, \"flush_calls\": {}, \
-             \"flush_batches\": {}, \"batched_writes\": {}, \"origin_ops\": {}, \
+             \"flush_batches\": {}, \"origin_ops\": {}, \
              \"ops_per_entry\": {:.4}, \"flush_micros\": {}}}{}\n",
             r.flush_every,
             r.entries_flushed,
             r.flush_calls,
             r.flush_batches,
-            r.batched_writes,
             r.origin_ops,
             r.ops_per_entry(),
             r.flush_micros,

@@ -1,9 +1,9 @@
 //! Cache entry metadata.
 //!
 //! The bytes themselves live in the signature-deduplicated
-//! [`crate::keys::SharedStore`]; an [`EntryMeta`] carries everything else
-//! the read path shipped with them: verifiers, the cacheability indicator,
-//! the replacement cost, and bookkeeping.
+//! [`crate::store::ConcurrentStore`]; an [`EntryMeta`] carries everything
+//! else the read path shipped with them: verifiers, the cacheability
+//! indicator, the replacement cost, and bookkeeping.
 
 use placeless_core::cacheability::Cacheability;
 use placeless_core::verifier::Verifier;

@@ -10,9 +10,10 @@
 //!   [`manager::CacheConfig::builder`].
 //! * [`store::ConcurrentStore`] — striped, refcounted
 //!   `signature → content` storage with atomic byte accounting, so
-//!   identical renditions share bytes across shards and users.
-//! * [`keys::SharedStore`] — the single-threaded predecessor mapping,
-//!   kept for reference models and microbenchmarks.
+//!   identical renditions share bytes across shards and users. It is the
+//!   second level of the paper's `(document, user) → signature → content`
+//!   map; the first level is the cache's sharded entry table (the
+//!   crate-private `shard` module).
 //! * [`digest`] — in-tree MD5 (RFC 1321) content signatures (re-exported
 //!   from `placeless_core`, where the plan compiler also derives per-stage
 //!   signatures from them).
@@ -34,20 +35,19 @@ pub use placeless_core::digest;
 
 pub mod entry;
 pub mod journal;
-pub mod keys;
 pub mod manager;
 pub mod merge;
 pub mod overload;
 pub mod policy;
 pub mod prefetch;
 pub mod resilience;
+mod shard;
 pub mod singleflight;
 pub mod stats;
 pub mod store;
 
 pub use digest::{md5, Md5, Signature};
 pub use journal::{JournalRecord, ReplayOutcome, WriteJournal, NO_EPOCH};
-pub use keys::SharedStore;
 pub use manager::{
     default_shard_count, CacheConfig, CacheConfigBuilder, ConflictHook, ConflictResolution,
     DocumentCache, FlushReport, HitClass, ReadOptions, ReadOutcome, RecoveryReport, WriteConflict,

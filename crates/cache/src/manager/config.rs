@@ -1,0 +1,315 @@
+//! Cache construction parameters and per-read options.
+
+use super::*;
+
+/// How writes reach the middleware.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteMode {
+    /// Forward every write immediately.
+    Through,
+    /// Buffer writes locally; [`DocumentCache::flush`] pushes them.
+    Back,
+}
+
+/// Returns one shard per available CPU (the `shards: 0` default).
+pub fn default_shard_count() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// Cache construction parameters.
+///
+/// All fields are public and `..CacheConfig::default()` keeps working;
+/// [`CacheConfig::builder`] is the ergonomic front door.
+#[derive(Clone)]
+pub struct CacheConfig {
+    /// Capacity in *physical* (deduplicated) bytes.
+    pub capacity_bytes: u64,
+    /// Replacement policy recipe; defaults to Greedy-Dual-Size. Each
+    /// shard builds its own instance.
+    pub policy: PolicyFactory,
+    /// Whether to run verifiers on hits (disable to measure a
+    /// notifier-only configuration).
+    pub run_verifiers: bool,
+    /// Write handling.
+    pub write_mode: WriteMode,
+    /// Cost of serving a hit from local storage.
+    pub local_latency: LatencyModel,
+    /// Collection prefetching (§5 related-documents mechanism).
+    pub prefetch: PrefetchConfig,
+    /// The network path between the application and this cache, if the
+    /// cache is not co-located with the application — the prototype "also
+    /// experimented with caches co-located with the Placeless server".
+    /// Charged on every served read.
+    pub access_link: Option<Link>,
+    /// Number of lock shards; `0` means one per available CPU. `1`
+    /// reproduces the original global-lock behaviour exactly.
+    pub shards: usize,
+    /// Resilient-fetch policy: retries, circuit breakers, serve-stale
+    /// degradation. The default enables none of it: every origin
+    /// operation is one attempt and fails with that attempt's error.
+    pub resilience: ResilienceConfig,
+    /// Retain intermediate stage outputs from the compiled transform plan,
+    /// content-addressed by stage signature, so the user-independent base
+    /// prefix of a property chain is computed once and shared across
+    /// users; later misses replay only the per-user reference suffix. Off
+    /// by default: misses then execute the chain as one opaque stream,
+    /// exactly as before.
+    pub stage_cache: bool,
+    /// Durable write-ahead journal for write-back writes. When set, every
+    /// `WriteMode::Back` write is appended to the journal's stable medium
+    /// *before* the dirty map is updated, flushes acknowledge records only
+    /// after the origin write succeeds, and writes whose flush exhausts
+    /// its retries are *parked* in the journal instead of erroring. `None`
+    /// (the default) reproduces the unjournaled behaviour exactly.
+    pub journal: Option<WriteJournal>,
+    /// Bound the number of concurrently in-flight origin fetches per
+    /// origin. Excess misses block at the cache until a slot frees,
+    /// queueing a miss storm instead of stampeding the origin. `None`
+    /// (the default) leaves fetch concurrency unbounded.
+    pub max_inflight_per_origin: Option<u32>,
+    /// Operation-based conflict resolution. When set, write conflicts
+    /// detected during recovery *and* flush are routed through the merge
+    /// policy first: a conflicted write whose journal record carries
+    /// rebasable typed ops ([`placeless_core::op::DocOp`], via
+    /// [`DocumentCache::write_op`]) is rebased onto the origin's current
+    /// content — both sides' edits survive — and only unmergeable
+    /// conflicts (plain full-body writes) fall back to the binary
+    /// keep-mine/keep-theirs hooks. `None` (the default) preserves the
+    /// binary PR-4 behaviour exactly: no origin probes, no rebases,
+    /// byte-identical flush payloads.
+    pub merge: Option<MergePolicy>,
+    /// Overload control: deadline-aware admission against the per-origin
+    /// in-flight windows, AIMD concurrency limits driven by observed
+    /// fetch latency, priority-class shedding, and the brownout ladder
+    /// (see [`crate::overload`]). Requires an in-flight window: when
+    /// `max_inflight_per_origin` is unset, the window is created with
+    /// the overload config's `max_inflight` ceiling. `None` (the
+    /// default) reproduces the uncontrolled behaviour exactly.
+    pub overload: Option<OverloadConfig>,
+}
+
+impl Default for CacheConfig {
+    fn default() -> Self {
+        Self {
+            capacity_bytes: 16 * 1024 * 1024,
+            policy: PolicyFactory::default(),
+            run_verifiers: true,
+            write_mode: WriteMode::Through,
+            local_latency: LatencyModel::new(50, 5),
+            prefetch: PrefetchConfig::OFF,
+            access_link: None,
+            shards: 0,
+            resilience: ResilienceConfig::default(),
+            stage_cache: false,
+            journal: None,
+            max_inflight_per_origin: None,
+            merge: None,
+            overload: None,
+        }
+    }
+}
+
+impl CacheConfig {
+    /// Starts building a configuration from the defaults.
+    pub fn builder() -> CacheConfigBuilder {
+        CacheConfigBuilder {
+            config: Self::default(),
+        }
+    }
+}
+
+/// Builder for [`CacheConfig`]; obtain via [`CacheConfig::builder`].
+#[derive(Clone)]
+pub struct CacheConfigBuilder {
+    config: CacheConfig,
+}
+
+impl CacheConfigBuilder {
+    /// Sets the capacity in physical (deduplicated) bytes.
+    pub fn capacity_bytes(mut self, bytes: u64) -> Self {
+        self.config.capacity_bytes = bytes;
+        self
+    }
+
+    /// Sets the replacement-policy recipe.
+    pub fn policy(mut self, policy: PolicyFactory) -> Self {
+        self.config.policy = policy;
+        self
+    }
+
+    /// Sets the replacement policy by name (case-insensitive); the error
+    /// lists every known policy.
+    pub fn policy_name(
+        mut self,
+        name: &str,
+    ) -> std::result::Result<Self, crate::policy::UnknownPolicy> {
+        self.config.policy = PolicyFactory::by_name(name)?;
+        Ok(self)
+    }
+
+    /// Enables or disables verifier runs on hits.
+    pub fn run_verifiers(mut self, run: bool) -> Self {
+        self.config.run_verifiers = run;
+        self
+    }
+
+    /// Sets the write mode.
+    pub fn write_mode(mut self, mode: WriteMode) -> Self {
+        self.config.write_mode = mode;
+        self
+    }
+
+    /// Sets the local hit latency model.
+    pub fn local_latency(mut self, latency: LatencyModel) -> Self {
+        self.config.local_latency = latency;
+        self
+    }
+
+    /// Sets the collection-prefetch configuration.
+    pub fn prefetch(mut self, prefetch: PrefetchConfig) -> Self {
+        self.config.prefetch = prefetch;
+        self
+    }
+
+    /// Sets the application-to-cache network link.
+    pub fn access_link(mut self, link: Link) -> Self {
+        self.config.access_link = Some(link);
+        self
+    }
+
+    /// Sets the shard count (`0` = one per available CPU).
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.config.shards = shards;
+        self
+    }
+
+    /// Sets the resilient-fetch policy (retries, circuit breakers,
+    /// serve-stale degradation); see [`ResilienceConfig::builder`].
+    pub fn resilience(mut self, resilience: ResilienceConfig) -> Self {
+        self.config.resilience = resilience;
+        self
+    }
+
+    /// Enables or disables intermediate-result (stage) caching on the miss
+    /// path.
+    pub fn stage_cache(mut self, on: bool) -> Self {
+        self.config.stage_cache = on;
+        self
+    }
+
+    /// Attaches a durable write-ahead journal for write-back writes (see
+    /// [`CacheConfig::journal`]). Pass a journal opened over the same
+    /// [`placeless_simenv::StableStore`] across restarts to recover
+    /// buffered writes with [`DocumentCache::recover`].
+    pub fn journal(mut self, journal: WriteJournal) -> Self {
+        self.config.journal = Some(journal);
+        self
+    }
+
+    /// Single-flight miss coalescing is always on; kept until
+    /// `benchmark/` is next re-cut.
+    #[doc(hidden)]
+    #[deprecated(note = "always on; this call selects nothing")]
+    pub fn single_flight(self, _on: bool) -> Self {
+        self
+    }
+
+    /// Bounds concurrently in-flight origin fetches per origin (see
+    /// [`CacheConfig::max_inflight_per_origin`]).
+    pub fn max_inflight_per_origin(mut self, limit: u32) -> Self {
+        self.config.max_inflight_per_origin = Some(limit);
+        self
+    }
+
+    /// Per-origin flush grouping is always on; kept until `benchmark/`
+    /// is next re-cut.
+    #[doc(hidden)]
+    #[deprecated(note = "always on; this call selects nothing")]
+    pub fn batched_flush(self, _on: bool) -> Self {
+        self
+    }
+
+    /// Enables operation-based conflict resolution (see
+    /// [`CacheConfig::merge`]).
+    pub fn merge(mut self, policy: MergePolicy) -> Self {
+        self.config.merge = Some(policy);
+        self
+    }
+
+    /// Enables overload control (see [`CacheConfig::overload`]).
+    pub fn overload(mut self, overload: OverloadConfig) -> Self {
+        self.config.overload = Some(overload);
+        self
+    }
+
+    /// Finishes the configuration.
+    pub fn build(self) -> CacheConfig {
+        self.config
+    }
+}
+
+/// Per-read knobs for [`DocumentCache::read_with`].
+///
+/// `ReadOptions::default()` reproduces [`DocumentCache::read`] exactly.
+/// The struct is `#[non_exhaustive]` so later PRs can add knobs without
+/// breaking callers; construct it with [`ReadOptions::new`] (or
+/// `default()`) and the chainable setters:
+///
+/// ```
+/// use placeless_cache::ReadOptions;
+///
+/// let opts = ReadOptions::new().allow_stale(true).deadline_micros(5_000);
+/// assert!(opts.allow_stale);
+/// assert_eq!(opts.deadline_micros, Some(5_000));
+/// ```
+#[non_exhaustive]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadOptions {
+    /// Overrides the configured fetch deadline
+    /// ([`ResilienceConfig::fetch_deadline_micros`]) for this read only.
+    /// Like the configured deadline it bounds retry *scheduling* — a
+    /// backoff the remaining budget cannot cover fails the read with
+    /// [`PlacelessError::Timeout`] instead of sleeping. With the default
+    /// resilience config there are no retries to bound and the override
+    /// has no effect.
+    pub deadline_micros: Option<u64>,
+    /// Permits serving resident-but-unverifiable bytes when the origin is
+    /// unreachable, even if the cache has no configured
+    /// [`ResilienceConfig::serve_stale`] bound (the per-read bound is
+    /// [`StalenessBound::UNBOUNDED`]). A configured bound still applies
+    /// to every read regardless of this flag.
+    pub allow_stale: bool,
+    /// Scheduling class for overload control: under pressure the cache
+    /// sheds [`Priority::Prefetch`] first, [`Priority::Refresh`] next,
+    /// and [`Priority::Foreground`] (the default) last. Without
+    /// [`CacheConfig::overload`] the class is recorded but never acted
+    /// on.
+    pub priority: Priority,
+}
+
+impl ReadOptions {
+    /// Returns the defaults ([`DocumentCache::read`] semantics).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sets the per-read fetch deadline override.
+    pub fn deadline_micros(mut self, micros: u64) -> Self {
+        self.deadline_micros = Some(micros);
+        self
+    }
+
+    /// Sets the per-read stale-service opt-in.
+    pub fn allow_stale(mut self, allow: bool) -> Self {
+        self.allow_stale = allow;
+        self
+    }
+
+    /// Sets the read's overload priority class.
+    pub fn priority(mut self, priority: Priority) -> Self {
+        self.priority = priority;
+        self
+    }
+}

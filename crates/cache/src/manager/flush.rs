@@ -1,0 +1,348 @@
+//! The write-back flush: drain, group by origin, write through the retry
+//! driver, and settle every entry.
+
+use super::*;
+
+/// What a [`DocumentCache::flush`] accomplished — the write-side sibling
+/// of the read path's `PathReport`.
+///
+/// A flush only returns `Err` for infrastructure failures before any
+/// write is attempted (currently never); per-entry failures are reported
+/// here so one unreachable origin cannot hide the entries that *did*
+/// flush, and nothing is silently dropped — which also makes the report
+/// `#[must_use]`: dropping it unexamined loses the parked/requeued
+/// entries it carries.
+#[must_use = "inspect the report: it may carry parked or requeued writes"]
+#[derive(Debug, Clone, Default)]
+pub struct FlushReport {
+    /// Dirty entries the flush attempted to write.
+    pub attempted: u64,
+    /// Entries whose origin write succeeded (and, with a journal, whose
+    /// journal record was acknowledged and pruned).
+    pub flushed: u64,
+    /// Entries parked in the journal after exhausting retries against a
+    /// transient failure: still dirty, still journaled, drained by a
+    /// later flush once the origin's breaker admits probes again.
+    /// Journal-configured caches only.
+    pub parked: Vec<(DocumentId, UserId)>,
+    /// Entries re-queued into the dirty maps with the error that stopped
+    /// them: transient failures without a journal, and non-transient
+    /// failures always.
+    pub requeued: Vec<(DocumentId, UserId, PlacelessError)>,
+    /// Per-origin groups the flush formed (one per distinct origin among
+    /// the drained entries).
+    pub batches: u64,
+    /// Entries deliberately dropped by an unmergeable-conflict
+    /// `KeepTheirs` resolution (merge policy configured): the origin's
+    /// newer version won, the journaled write was acknowledged and
+    /// discarded. Empty without a [`crate::MergePolicy`].
+    pub dropped: Vec<(DocumentId, UserId)>,
+    /// What the merge policy did with flush-time write conflicts. Empty
+    /// (all zeros) without a [`crate::MergePolicy`].
+    pub merge: MergeReport,
+}
+
+impl FlushReport {
+    /// Returns `true` if every attempted entry was resolved — written to
+    /// the origin, or deliberately dropped by a `KeepTheirs` merge
+    /// fallback — and nothing remains dirty.
+    pub fn is_clean(&self) -> bool {
+        self.parked.is_empty() && self.requeued.is_empty()
+    }
+
+    /// Returns how many entries remain dirty after this flush.
+    pub fn remaining(&self) -> u64 {
+        (self.parked.len() + self.requeued.len()) as u64
+    }
+}
+
+impl std::fmt::Display for FlushReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "flushed {}/{} in {} batch(es); {} parked, {} requeued, {} dropped",
+            self.flushed,
+            self.attempted,
+            self.batches,
+            self.parked.len(),
+            self.requeued.len(),
+            self.dropped.len(),
+        )?;
+        if !self.merge.is_empty() {
+            write!(f, "; merge: {}", self.merge)?;
+        }
+        Ok(())
+    }
+}
+
+impl DocumentCache {
+    /// Pushes all buffered write-back data to the middleware.
+    ///
+    /// Dirty data is drained holding one shard lock at a time, sorted
+    /// into a deterministic order, and written with no cache lock held.
+    /// The drained entries are grouped by origin and each group is
+    /// written as one grouped origin operation — one breaker admission
+    /// decision, one backoff schedule, and one pair of middleware hops
+    /// per group attempt instead of per entry — while every per-entry
+    /// outcome below still holds, because the batch write returns one
+    /// result per entry. A failed write does not abandon the remaining
+    /// entries: the failed entry and every entry not yet attempted are
+    /// re-queued into their shards' dirty maps (a concurrent newer write
+    /// for the same key wins over the re-queue), and the returned
+    /// [`FlushReport`] names exactly what remains dirty.
+    ///
+    /// With a journal configured, a flushed record is acknowledged (and
+    /// the journal pruned) only after its origin write succeeded, and an
+    /// entry whose write exhausted its retries on a transient failure is
+    /// *parked*: it stays dirty and journaled, without failing the flush,
+    /// until a later flush finds the origin's breaker admitting probes
+    /// again. Non-transient failures are re-queued and reported either
+    /// way.
+    pub fn flush(&self) -> Result<FlushReport> {
+        let mut dirty: Vec<(DocumentId, UserId, DirtyEntry)> = Vec::new();
+        for mut shard in self.lock_each() {
+            shard.drain_dirty(&mut dirty);
+        }
+        // HashMap drain order depends on the process hasher seed; sorting
+        // by the full key (no ties between distinct keys) keeps flush
+        // outcomes (which entry hit the outage window first) reproducible
+        // for same-seed replays.
+        dirty.sort_by_key(|(doc, user, _)| (*doc, *user));
+        let mut report = FlushReport::default();
+        // Group by origin, preserving the sorted entry order inside each
+        // group; BTreeMap keeps the group order itself deterministic too.
+        let mut groups: BTreeMap<String, Vec<(DocumentId, UserId, DirtyEntry)>> = BTreeMap::new();
+        for (doc, user, entry) in dirty {
+            groups
+                .entry(self.origin_key(doc))
+                .or_default()
+                .push((doc, user, entry));
+        }
+        for (origin, group) in groups {
+            self.flush_group(&origin, group, &mut report);
+        }
+        debug_assert_eq!(
+            report.attempted,
+            report.flushed
+                + (report.parked.len() + report.requeued.len() + report.dropped.len()) as u64,
+            "flush accounting must be non-lossy"
+        );
+        Ok(report)
+    }
+
+    /// Flushes one per-origin group of drained dirty entries as grouped
+    /// origin operations through the retry driver.
+    ///
+    /// One breaker admission decision, one origin-salted backoff
+    /// schedule, and one in-flight-window slot cover each *attempt* on
+    /// the whole group; the group write itself goes through
+    /// [`DocumentSpace::write_documents`], which returns one result per
+    /// entry. Outcomes stay per entry: successes are acknowledged in the
+    /// journal as a batch (one compaction), transient failures stay
+    /// pending for the group's next retry, and non-transient failures
+    /// are re-queued immediately. Entries still pending when the driver
+    /// gives up are parked or re-queued — each with its own error when
+    /// the retries ran out, all with the driver's verdict when the
+    /// breaker or the deadline stopped the group.
+    fn flush_group(
+        &self,
+        origin: &str,
+        group: Vec<(DocumentId, UserId, DirtyEntry)>,
+        report: &mut FlushReport,
+    ) {
+        report.attempted += group.len() as u64;
+        report.batches += 1;
+        let mut pending = self.route_conflicts_through_merge(group, report);
+        if pending.is_empty() {
+            return;
+        }
+        let deadline = self.resilience.fetch_deadline_micros;
+        let outcome = self.retry_driver(deadline, &self.stats.flush_retries).run(
+            || origin.to_owned(),
+            || BackoffSchedule::for_origin(&self.resilience, origin),
+            || {
+                // One grouped origin operation per attempt, behind one
+                // per-origin window slot (when configured).
+                AtomicCacheStats::bump(&self.stats.flush_batches);
+                let writes: Vec<BatchWrite> = pending
+                    .iter()
+                    .map(|(doc, user, entry)| BatchWrite {
+                        user: *user,
+                        doc: *doc,
+                        data: entry.data.clone(),
+                        // With a merge policy, rebasable deltas travel
+                        // as ops and are applied server-side onto the
+                        // origin's current content — concurrent
+                        // writers through other caches are merged, not
+                        // clobbered.
+                        ops: if self.merge.is_some() && rebasable(&entry.ops) {
+                            entry.ops.clone()
+                        } else {
+                            Vec::new()
+                        },
+                    })
+                    .collect();
+                if let Some(window) = &self.window {
+                    window.acquire(origin);
+                }
+                let results = self.space.write_documents(&writes);
+                if let Some(window) = &self.window {
+                    window.release(origin);
+                }
+                debug_assert_eq!(results.len(), pending.len());
+                let mut acks: Vec<u64> = Vec::new();
+                // The entries a retry would write again, and (index
+                // for index) the transient error each just met.
+                let mut survivors = Vec::new();
+                let mut errors = Vec::new();
+                for ((doc, user, entry), result) in pending.drain(..).zip(results) {
+                    match result {
+                        Ok(()) => {
+                            AtomicCacheStats::bump(&self.stats.flushes);
+                            report.flushed += 1;
+                            acks.extend(entry.seq);
+                            self.unpark(doc, user);
+                            self.invalidate_doc(doc);
+                        }
+                        Err(error) if error.is_transient() => {
+                            survivors.push((doc, user, entry));
+                            errors.push(error);
+                        }
+                        Err(error) => self.settle_flush_failure(doc, user, entry, error, report),
+                    }
+                }
+                if let Some(journal) = &self.journal {
+                    if !acks.is_empty() {
+                        // Each ack names exactly the record that was
+                        // pushed (a newer write that superseded it
+                        // mid-flush keeps its own); the medium
+                        // compacts once per batch.
+                        journal.ack_batch(&acks);
+                    }
+                }
+                pending = survivors;
+                // The driver records one breaker strike per batch
+                // attempt: the origin either answered for the group or
+                // dropped (part of) it.
+                if errors.is_empty() {
+                    Ok(())
+                } else {
+                    Err(errors)
+                }
+            },
+        );
+        match outcome {
+            Ok(()) => {}
+            Err(GaveUp::Own(errors)) => {
+                for ((doc, user, entry), error) in pending.into_iter().zip(errors) {
+                    self.settle_flush_failure(doc, user, entry, error, report);
+                }
+            }
+            Err(GaveUp::Shared(error)) => {
+                for (doc, user, entry) in pending {
+                    self.settle_flush_failure(doc, user, entry, error.clone(), report);
+                }
+            }
+        }
+    }
+
+    /// Probes each entry's base epoch against the origin's current
+    /// rendition and routes every conflict through the merge policy
+    /// (without one, every entry passes through). Returns the entries
+    /// that should still be written:
+    ///
+    /// * rebasable conflicts stay — their ops travel server-side and are
+    ///   rebased onto the origin's current content by `write_documents`;
+    /// * unmergeable conflicts resolved `KeepMine` stay as full-body
+    ///   writes (an informed overwrite);
+    /// * unmergeable conflicts resolved `KeepTheirs` are dropped: their
+    ///   journal record is acknowledged and the drop is reported.
+    ///
+    /// Entries with no base epoch, and entries whose origin is currently
+    /// unreachable, pass through unassessed — the write attempt itself
+    /// will surface any failure, and ops still rebase server-side.
+    fn route_conflicts_through_merge(
+        &self,
+        entries: Vec<(DocumentId, UserId, DirtyEntry)>,
+        report: &mut FlushReport,
+    ) -> Vec<(DocumentId, UserId, DirtyEntry)> {
+        if self.merge.is_none() {
+            return entries;
+        }
+        let mut kept = Vec::with_capacity(entries.len());
+        for (doc, user, entry) in entries {
+            // The origin's current signature, when it can be probed and
+            // differs from the entry's base epoch.
+            let moved = (entry.epoch != NO_EPOCH)
+                .then(|| self.space.read_document(user, doc).ok())
+                .flatten()
+                .map(|(bytes, _)| ConcurrentStore::signature_of(&bytes))
+                .filter(|origin_sig| *origin_sig != entry.epoch);
+            let Some(origin_signature) = moved else {
+                kept.push((doc, user, entry));
+                continue;
+            };
+            // The origin moved on while the write sat buffered: a flush-
+            // time write conflict.
+            let conflict = WriteConflict {
+                doc,
+                user,
+                journal_epoch: entry.epoch,
+                origin_signature,
+            };
+            match self.settle_conflict(&conflict, &entry.ops, None, &mut report.merge) {
+                // Rebasable ops travel server-side; keep-mine is an informed
+                // overwrite. Either way the entry is still written.
+                None | Some(ConflictResolution::KeepMine) => kept.push((doc, user, entry)),
+                Some(ConflictResolution::KeepTheirs) => {
+                    if let (Some(journal), Some(seq)) = (&self.journal, entry.seq) {
+                        journal.ack(seq);
+                    }
+                    self.unpark(doc, user);
+                    report.dropped.push((doc, user));
+                }
+            }
+        }
+        kept
+    }
+
+    /// Settles one failed flush entry: re-queues the data (a concurrent
+    /// newer write wins) and either parks it (journal configured and the
+    /// failure transient — it stays journaled and dirty until a later
+    /// flush finds the origin's breaker admitting probes again) or
+    /// reports it re-queued with the error.
+    fn settle_flush_failure(
+        &self,
+        doc: DocumentId,
+        user: UserId,
+        entry: DirtyEntry,
+        error: PlacelessError,
+        report: &mut FlushReport,
+    ) {
+        // Put the drained entry back without clobbering a newer write
+        // that landed while the flush held no lock.
+        let mut shard = self.lock(EntryKey::Version(doc, user));
+        if shard.dirty(doc, user).is_none() {
+            shard.put_dirty(doc, user, entry);
+        }
+        drop(shard);
+        if self.journal.is_some() && error.is_transient() {
+            if self.parked.lock().insert((doc, user)) {
+                self.parked_gauge.fetch_add(1, Ordering::Relaxed);
+                AtomicCacheStats::bump(&self.stats.writes_parked);
+            }
+            report.parked.push((doc, user));
+        } else {
+            report.requeued.push((doc, user, error));
+        }
+    }
+
+    /// Forgets that `user`'s write to `doc` was parked: the entry left
+    /// the dirty set for good (flushed, or dropped by a `KeepTheirs`
+    /// resolution).
+    pub(super) fn unpark(&self, doc: DocumentId, user: UserId) {
+        if self.parked.lock().remove(&(doc, user)) {
+            self.parked_gauge.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}

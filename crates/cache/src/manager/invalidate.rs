@@ -1,0 +1,82 @@
+//! Notifier-driven invalidation: the bus subscription, doc-wide sweeps,
+//! and the reaction to dropped notifications.
+
+use super::*;
+
+impl DocumentCache {
+    /// Records an invalidation-bus sequence number and reacts to gaps.
+    ///
+    /// Sequence numbers are dense over every bus post; a jump of more
+    /// than one means notifications were lost, and *any* resident entry
+    /// might have been covered by one of them. The notifier consistency
+    /// guarantee is void, so every entry is demoted to verifier
+    /// revalidation: entries with verifiers are flagged `force_verify`
+    /// (checked on their next hit even in notifier-only configurations),
+    /// and entries with no verifier — nothing could ever catch their
+    /// staleness — are dropped outright.
+    ///
+    /// The first delivery after subscribing (`prev == 0`) establishes the
+    /// baseline and is never treated as a gap.
+    fn note_sequence(&self, seq: u64) {
+        let prev = self.last_seq.swap(seq, Ordering::AcqRel);
+        if prev == 0 || seq <= prev + 1 {
+            return;
+        }
+        AtomicCacheStats::bump(&self.stats.notifier_gaps);
+        for mut shard in self.lock_each() {
+            shard.demote_after_gap();
+        }
+    }
+
+    /// Drops every resident version of `doc`, sweeping the shards one at
+    /// a time (no two shard locks are ever held together). Returns how
+    /// many entries went.
+    pub(super) fn invalidate_doc(&self, doc: DocumentId) -> u64 {
+        // Hygiene, not correctness: both lease halves self-validate on use
+        // (chain epoch, root verifier), but a doc-wide invalidation makes
+        // them unlikely to validate again — free the memory now.
+        self.leases.lock().remove(&doc);
+        self.lock_each()
+            .map(|mut shard| shard.remove_doc(doc))
+            .sum()
+    }
+
+    fn handle_invalidation(&self, invalidation: &Invalidation) {
+        let dropped = match *invalidation {
+            // User-scoped invalidations resolve to exactly one key, so
+            // only that key's shard is locked.
+            Invalidation::UserDocument(doc, user) => {
+                let key = EntryKey::Version(doc, user);
+                u64::from(self.lock(key).remove(key, Removal::Invalidated))
+            }
+            Invalidation::Document(doc) => self.invalidate_doc(doc),
+        };
+        AtomicCacheStats::add(&self.stats.notifier_invalidations, dropped);
+    }
+}
+
+/// Bus subscription adapter holding a weak handle so dropping the cache
+/// tears down the subscription naturally.
+pub(super) struct CacheSink {
+    pub(super) cache: Weak<DocumentCache>,
+    pub(super) id: CacheId,
+}
+
+impl InvalidationSink for CacheSink {
+    fn cache_id(&self) -> CacheId {
+        self.id
+    }
+
+    fn invalidate(&self, invalidation: &Invalidation) {
+        if let Some(cache) = self.cache.upgrade() {
+            cache.handle_invalidation(invalidation);
+        }
+    }
+
+    fn invalidate_seq(&self, seq: u64, invalidation: &Invalidation) {
+        if let Some(cache) = self.cache.upgrade() {
+            cache.note_sequence(seq);
+            cache.handle_invalidation(invalidation);
+        }
+    }
+}

@@ -1,0 +1,664 @@
+//! The read path: hit, stale service, overload gates, miss coalescing,
+//! the resilient origin fetch, and collection prefetch.
+
+use super::*;
+
+/// How a [`DocumentCache::read_with`] was served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum HitClass {
+    /// Served from a resident entry (verifiers passed, or a verifier
+    /// replaced the content in place), or from the reader's own buffered
+    /// write-back data.
+    Hit,
+    /// A miss whose chain walk reused at least one cached intermediate
+    /// stage (the paper's per-user suffix over a shared base prefix).
+    PartialHit,
+    /// Fetched through the full read path, including uncacheable reads.
+    Miss,
+    /// Joined another thread's in-flight miss on the same key and shared
+    /// its bytes without fetching (counted under both `hits` and
+    /// `coalesced_waits` in [`CacheStats`]).
+    CoalescedWait,
+    /// Resident bytes of unknown freshness served in place of an
+    /// unreachable origin, within the staleness bound.
+    StaleServed,
+}
+
+impl HitClass {
+    /// A stable lowercase label for reports and JSON artifacts.
+    pub fn label(&self) -> &'static str {
+        match self {
+            HitClass::Hit => "hit",
+            HitClass::PartialHit => "partial_hit",
+            HitClass::Miss => "miss",
+            HitClass::CoalescedWait => "coalesced_wait",
+            HitClass::StaleServed => "stale_served",
+        }
+    }
+}
+
+/// What [`DocumentCache::read_with`] returned: the bytes plus how they
+/// were obtained, so callers classify service quality per read instead of
+/// re-deriving it from [`CacheStats`] deltas. `#[must_use]`: dropping an
+/// outcome unexamined silently discards the degraded/stale service
+/// classification.
+#[must_use = "inspect the outcome's class: it may be stale or degraded service"]
+#[non_exhaustive]
+#[derive(Debug, Clone)]
+pub struct ReadOutcome {
+    /// The document content.
+    pub bytes: Bytes,
+    /// How the read was served.
+    pub class: HitClass,
+    /// Virtual-clock microseconds this read observed, as charged by the
+    /// latency models along its path. Under concurrent load the virtual
+    /// clock advances globally, so per-read wall-clock timing belongs to
+    /// the caller (the load engine times reads with a wall stopwatch).
+    pub latency_micros: u64,
+}
+
+/// Per-fetch overload context threaded from [`DocumentCache::read_with`]
+/// through retries, window admission, and stage computation: the read's
+/// priority class and the virtual instant its deadline budget expires.
+/// `deadline_at` is only ever `Some` when overload control is configured
+/// — without it the deadline keeps its original meaning (bounding retry
+/// scheduling only) and no new check fires.
+#[derive(Clone, Copy)]
+pub(super) struct FetchCtx {
+    pub(super) priority: Priority,
+    pub(super) deadline_at: Option<Instant>,
+}
+
+/// What one origin fetch produced.
+pub(super) struct Fetched {
+    pub(super) bytes: Bytes,
+    pub(super) report: PathReport,
+    /// Whether the chain walk reused at least one cached stage.
+    pub(super) stage_partial: bool,
+    /// The content digest, when the walk already knows it (spares the
+    /// install a full re-hash).
+    pub(super) content_sig: Option<Signature>,
+}
+
+/// A claimed per-origin window slot plus when the fetch started, so
+/// releasing it can feed the observed service time to the AIMD
+/// controller.
+struct OriginSlot {
+    origin: String,
+    started: Instant,
+}
+
+/// What one [`DocumentCache::read_with`] call carries through its steps.
+struct ReadCtx {
+    user: UserId,
+    doc: DocumentId,
+    opts: ReadOptions,
+    clock: VirtualClock,
+    watch: Stopwatch,
+}
+
+impl ReadCtx {
+    fn outcome(&self, bytes: Bytes, class: HitClass) -> ReadOutcome {
+        ReadOutcome {
+            bytes,
+            class,
+            latency_micros: self.watch.elapsed_micros(),
+        }
+    }
+}
+
+/// What the shard held for a read.
+enum Lookup {
+    /// The reader's own buffered write-back data.
+    Dirty(Bytes),
+    /// A resident entry that passed (or was refreshed by) its verifiers,
+    /// and whether its cacheability demands a forwarded read event.
+    Serve(Bytes, bool),
+    /// Go to the origin.
+    Miss(Option<Stale>),
+}
+
+impl DocumentCache {
+    /// Reads a document for `user`, serving from the cache when possible.
+    ///
+    /// Equivalent to [`Self::read_with`] with default [`ReadOptions`],
+    /// discarding the [`ReadOutcome`] classification.
+    pub fn read(&self, user: UserId, doc: DocumentId) -> Result<Bytes> {
+        self.read_with(user, doc, ReadOptions::default())
+            .map(|outcome| outcome.bytes)
+    }
+
+    /// Reads a document for `user` under per-read [`ReadOptions`],
+    /// reporting how the read was served.
+    pub fn read_with(
+        &self,
+        user: UserId,
+        doc: DocumentId,
+        opts: ReadOptions,
+    ) -> Result<ReadOutcome> {
+        let key = EntryKey::Version(doc, user);
+        let clock = self.space.clock().clone();
+        let read = ReadCtx {
+            user,
+            doc,
+            opts,
+            watch: Stopwatch::start(&clock),
+            clock,
+        };
+        let stale = match self.lookup(key, &read) {
+            Lookup::Dirty(bytes) => return Ok(read.outcome(bytes, HitClass::Hit)),
+            Lookup::Serve(bytes, forward) => {
+                return self.deliver(&read, bytes, HitClass::Hit, forward)
+            }
+            Lookup::Miss(stale) => stale,
+        };
+        if let Some(served) = self.overload_gate(&read, stale.as_ref()) {
+            return served;
+        }
+
+        // Miss path. Coalesce concurrent misses on this key into one
+        // flight: the first thread fetches, the rest wait (holding no
+        // cache lock) and share its outcome.
+        let guard = match self.version_flights.join(key) {
+            Join::Leader(guard) => Some(guard),
+            Join::Waited(Some(FlightResult::Shared { bytes, forward })) => {
+                // Another thread's miss computed these bytes while we
+                // waited; the read was served locally without touching
+                // the origin, so it counts as a hit — plus the
+                // coalescing counter that explains *why* it hit.
+                AtomicCacheStats::bump(&self.stats.hits);
+                AtomicCacheStats::bump(&self.stats.coalesced_waits);
+                self.local_latency.charge(&read.clock, bytes.len() as u64);
+                AtomicCacheStats::add(&self.stats.hit_micros, read.watch.elapsed_micros());
+                // `CacheableWithEvents` demands an event per read: every
+                // waiter posts its own.
+                return self.deliver(&read, bytes, HitClass::CoalescedWait, forward);
+            }
+            Join::Waited(Some(FlightResult::Failed(error))) => {
+                // The flight's one fetch failed; every waiter shares
+                // the error (and its own stale fallback, if any).
+                AtomicCacheStats::bump(&self.stats.coalesced_waits);
+                return self.stale_or_degraded(&read, error, stale);
+            }
+            // The leader's result may not be shared (uncacheable
+            // content must reach the origin per read) or the leader
+            // unwound without publishing: fetch independently.
+            Join::Waited(Some(FlightResult::Unshared)) | Join::Waited(None) => None,
+        };
+
+        // Execute the full read path with no shard lock held — the path
+        // may dispatch events that invalidate entries in this cache
+        // (lock-order rule: no cache lock across middleware calls).
+        let fetched = self.fetch_with_resilience(&read);
+        if let Some(guard) = guard {
+            guard.complete(match &fetched {
+                Ok(fetched) if fetched.report.cacheability == Cacheability::Uncacheable => {
+                    FlightResult::Unshared
+                }
+                Ok(fetched) => FlightResult::Shared {
+                    bytes: fetched.bytes.clone(),
+                    forward: fetched.report.cacheability.requires_event_forwarding(),
+                },
+                Err(error) => FlightResult::Failed(error.clone()),
+            });
+        }
+        let fetched = match fetched {
+            Ok(fetched) => fetched,
+            Err(error) => return self.stale_or_degraded(&read, error, stale),
+        };
+        if fetched.report.cacheability == Cacheability::Uncacheable {
+            AtomicCacheStats::bump(&self.stats.uncacheable_reads);
+            return Ok(read.outcome(fetched.bytes, HitClass::Miss));
+        }
+        AtomicCacheStats::bump(&self.stats.misses);
+        let class = if fetched.stage_partial {
+            HitClass::PartialHit
+        } else {
+            HitClass::Miss
+        };
+        let bytes = fetched.bytes.clone();
+        self.fill(key, fetched, false);
+        AtomicCacheStats::add(&self.stats.miss_micros, read.watch.elapsed_micros());
+        if self.prefetch.enabled {
+            // Brownout rung 3: sibling prefetch is the most speculative
+            // work in the cache, so it is the first whole feature shed.
+            if self.brownout_level().sheds_prefetch() {
+                self.count_shed(Priority::Prefetch);
+            } else {
+                self.prefetch_collection_siblings(user, doc);
+            }
+        }
+        self.deliver(&read, bytes, class, false)
+    }
+
+    /// Looks `key` up under its shard lock: buffered write-back data
+    /// first (the freshest view for its writer), then the resident entry,
+    /// whose verifiers run here and decide what becomes of it.
+    fn lookup(&self, key: EntryKey, read: &ReadCtx) -> Lookup {
+        let clock = &read.clock;
+        let mut shard = self.lock(key);
+        if let Some(dirty) = shard.dirty(read.doc, read.user) {
+            return Lookup::Dirty(dirty.data.clone());
+        }
+        let verify = |meta: &EntryMeta| {
+            // `force_verify` (set after an invalidation gap) overrides a
+            // notifier-only configuration: the notifier guarantee is void
+            // for this entry until a verification passes.
+            if !(self.run_verifiers || meta.force_verify) {
+                return Validity::Valid;
+            }
+            let (verdict, probe_cost) = run_all(&meta.verifiers, clock);
+            clock.advance(probe_cost);
+            AtomicCacheStats::add(&self.stats.verify_micros, probe_cost);
+            verdict
+        };
+        match shard.probe(key, clock, verify) {
+            Some(Probe::Fresh {
+                bytes,
+                forward,
+                was_prefetched,
+                replaced,
+                ..
+            }) => {
+                if replaced {
+                    AtomicCacheStats::bump(&self.stats.verifier_replacements);
+                } else if was_prefetched {
+                    AtomicCacheStats::bump(&self.stats.prefetch_hits);
+                }
+                self.local_latency.charge(clock, bytes.len() as u64);
+                AtomicCacheStats::bump(&self.stats.hits);
+                AtomicCacheStats::add(&self.stats.hit_micros, read.watch.elapsed_micros());
+                Lookup::Serve(bytes, forward)
+            }
+            Some(Probe::Invalid) => {
+                AtomicCacheStats::bump(&self.stats.verifier_invalidations);
+                Lookup::Miss(None)
+            }
+            // Neither fresh nor refuted. The entry stays; the miss path
+            // decides whether the staleness bound lets it stand in for an
+            // unreachable origin.
+            Some(Probe::Unverifiable(stale)) => Lookup::Miss(Some(stale)),
+            None => Lookup::Miss(None),
+        }
+    }
+
+    /// The shared tail of every read served through the cache: forwards
+    /// the read event when the entry's cacheability demands one per read,
+    /// charges the access link, and stamps the latency.
+    fn deliver(
+        &self,
+        read: &ReadCtx,
+        bytes: Bytes,
+        class: HitClass,
+        forward: bool,
+    ) -> Result<ReadOutcome> {
+        if forward {
+            self.space
+                .post_cache_event(read.user, read.doc, EventKind::CacheRead)?;
+            AtomicCacheStats::bump(&self.stats.events_forwarded);
+        }
+        if let Some(link) = &self.access_link {
+            link.transfer(&read.clock, bytes.len() as u64);
+        }
+        Ok(read.outcome(bytes, class))
+    }
+
+    /// Overload gates on the miss path: feeds the brownout ladder one
+    /// pressure sample, then applies its rungs before any fetch work.
+    /// `Some` ends the read here.
+    fn overload_gate(&self, read: &ReadCtx, stale: Option<&Stale>) -> Option<Result<ReadOutcome>> {
+        let controller = self.overload.as_ref()?;
+        let level = self.observe_overload_pressure(controller, &read.clock);
+        // Rung 4: reject background misses outright — only foreground
+        // reads still compete for origin capacity (each remains subject
+        // to deadline-aware admission below).
+        if level.rejects_background() && read.opts.priority < Priority::Foreground {
+            self.count_shed(read.opts.priority);
+            return Some(Err(PlacelessError::Overloaded {
+                retry_after: controller.config().retry_after_micros,
+            }));
+        }
+        // Rung 1: serve the resident stale candidate without fetching at
+        // all, within the brownout staleness bound (or the resilience
+        // bound when none is configured). A hit the origin never sees is
+        // capacity reclaimed.
+        let stale = stale.filter(|_| level.widens_stale())?;
+        let bound = controller
+            .config()
+            .brownout_stale
+            .or(self.resilience.serve_stale)?;
+        bound
+            .permits(stale.filled_at, read.clock.now())
+            .then(|| self.serve_stale_candidate(read, stale.bytes.clone(), stale.forward))
+    }
+
+    /// Terminal miss-path failure handling: a transient error may still
+    /// be served stale — resident bytes whose freshness is merely
+    /// *unknown* stand in for the unreachable origin within the effective
+    /// staleness bound (the configured [`ResilienceConfig::serve_stale`],
+    /// or an unbounded per-read window when `opts.allow_stale` is set).
+    /// Verifier-rejected entries were dropped before the fetch and can
+    /// never be served here. Everything else propagates the error.
+    ///
+    /// [`ResilienceConfig::serve_stale`]: crate::ResilienceConfig::serve_stale
+    fn stale_or_degraded(
+        &self,
+        read: &ReadCtx,
+        error: PlacelessError,
+        stale: Option<Stale>,
+    ) -> Result<ReadOutcome> {
+        if error.is_transient() {
+            let bound = self
+                .resilience
+                .serve_stale
+                .or_else(|| read.opts.allow_stale.then_some(StalenessBound::UNBOUNDED));
+            if let (Some(bound), Some(stale)) = (bound, stale) {
+                if bound.permits(stale.filled_at, read.clock.now()) {
+                    return self.serve_stale_candidate(read, stale.bytes, stale.forward);
+                }
+            }
+            AtomicCacheStats::bump(&self.stats.degraded_errors);
+        }
+        Err(error)
+    }
+
+    /// Serves resident stale bytes in place of a fetch: counts the stale
+    /// service and charges local latency. Callers have already checked
+    /// the applicable staleness bound.
+    fn serve_stale_candidate(
+        &self,
+        read: &ReadCtx,
+        bytes: Bytes,
+        forward: bool,
+    ) -> Result<ReadOutcome> {
+        AtomicCacheStats::bump(&self.stats.stale_served);
+        self.local_latency.charge(&read.clock, bytes.len() as u64);
+        self.deliver(read, bytes, HitClass::StaleServed, forward)
+    }
+
+    /// The overload context for a fetch of class `priority` with
+    /// `deadline` microseconds of budget. The budget instant exists only
+    /// under overload control; without it the deadline bounds retry
+    /// scheduling alone.
+    fn fetch_ctx(
+        &self,
+        priority: Priority,
+        deadline: Option<u64>,
+        clock: &VirtualClock,
+    ) -> FetchCtx {
+        FetchCtx {
+            priority,
+            deadline_at: deadline
+                .filter(|_| self.overload.is_some())
+                .map(|budget| clock.now().plus(budget)),
+        }
+    }
+
+    /// Executes the middleware read through the retry driver
+    /// ([`RetryDriver::run`]); the read's options may override the
+    /// configured deadline. Runs with no cache lock held (the middleware
+    /// path may re-enter this cache through the invalidation bus).
+    fn fetch_with_resilience(&self, read: &ReadCtx) -> Result<Fetched> {
+        let deadline = read
+            .opts
+            .deadline_micros
+            .or(self.resilience.fetch_deadline_micros);
+        let ctx = self.fetch_ctx(read.opts.priority, deadline, &read.clock);
+        self.with_retries(read.user, read.doc, deadline, &self.stats.retries, || {
+            self.fetch_once(read.user, read.doc, &read.clock, ctx)
+        })
+    }
+
+    /// The retry driver over this cache's policy, breakers and stats.
+    /// `retries` names the counter a waited-out backoff is charged to.
+    pub(super) fn retry_driver<'a>(
+        &'a self,
+        deadline: Option<u64>,
+        retries: &'a AtomicU64,
+    ) -> RetryDriver<'a> {
+        RetryDriver {
+            config: &self.resilience,
+            breakers: &self.breakers,
+            clock: self.space.clock(),
+            deadline,
+            trips: &self.stats.breaker_trips,
+            retries,
+        }
+    }
+
+    /// Runs a single-key origin operation — a miss fetch, a write-through
+    /// write — through the retry driver.
+    pub(super) fn with_retries<T>(
+        &self,
+        user: UserId,
+        doc: DocumentId,
+        deadline: Option<u64>,
+        retries: &AtomicU64,
+        mut op: impl FnMut() -> Result<T>,
+    ) -> Result<T> {
+        self.retry_driver(deadline, retries)
+            .run(
+                || self.origin_key(doc),
+                // Salting the jitter stream with the key keeps concurrent
+                // operations from sharing one schedule while staying
+                // deterministic per key.
+                || BackoffSchedule::new(&self.resilience, doc.0 ^ user.0.rotate_left(32)),
+                || op().map_err(|error| [error]),
+            )
+            .map_err(GaveUp::into_error)
+    }
+
+    /// The key `doc`'s origin goes by in the breakers, the in-flight
+    /// windows and the flush groups.
+    pub(super) fn origin_key(&self, doc: DocumentId) -> String {
+        self.space
+            .origin_of(doc)
+            .unwrap_or_else(|| format!("doc:{}", doc.0))
+    }
+
+    /// Executes one middleware read attempt: the compiled-plan walk with
+    /// intermediate-result lookups when stage caching is on, the plain
+    /// opaque-stream read otherwise. Every attempt claims a per-origin
+    /// window slot first (when configured) and is counted in the
+    /// in-flight gauge behind `inflight_peak`; with overload control the
+    /// claim is deadline-aware and may shed the attempt with
+    /// [`PlacelessError::Overloaded`]. Runs with no cache lock held.
+    fn fetch_once(
+        &self,
+        user: UserId,
+        doc: DocumentId,
+        clock: &VirtualClock,
+        ctx: FetchCtx,
+    ) -> Result<Fetched> {
+        let slot = self.begin_origin_fetch(doc, clock, ctx)?;
+        let result = if self.stage_cache {
+            self.read_through_stages(user, doc, clock, ctx)
+        } else {
+            self.space
+                .read_document(user, doc)
+                .map(|(bytes, report)| Fetched {
+                    bytes,
+                    report,
+                    stage_partial: false,
+                    content_sig: None,
+                })
+        };
+        self.end_origin_fetch(slot, clock);
+        result
+    }
+
+    /// Claims a per-origin window slot (when a window is configured) and
+    /// bumps the in-flight gauge feeding `inflight_peak`. Without
+    /// overload control the claim blocks until a slot frees, exactly as
+    /// before. With overload control the claim is deadline-aware
+    /// ([`InflightWindow::acquire_until`]): a request whose remaining
+    /// budget cannot cover the expected queue wait plus service time —
+    /// or whose deadline lapses while parked — is shed with
+    /// [`PlacelessError::Overloaded`] and counted against its priority
+    /// class. Called holding no cache lock; the window wait blocks
+    /// holding no lock either.
+    ///
+    /// [`InflightWindow::acquire_until`]: crate::singleflight::InflightWindow::acquire_until
+    fn begin_origin_fetch(
+        &self,
+        doc: DocumentId,
+        clock: &VirtualClock,
+        ctx: FetchCtx,
+    ) -> Result<Option<OriginSlot>> {
+        let slot = match &self.window {
+            None => None,
+            Some(window) => {
+                let origin = self.origin_key(doc);
+                match &self.overload {
+                    None => window.acquire(&origin),
+                    Some(controller) => {
+                        let expected = controller.expected_service_micros(&origin);
+                        match window.acquire_until(&origin, clock, ctx.deadline_at, expected) {
+                            Acquire::Admitted { queued_micros } => {
+                                AtomicCacheStats::add(&self.stats.queue_wait_micros, queued_micros);
+                            }
+                            Acquire::Shed { queued_micros } => {
+                                AtomicCacheStats::add(&self.stats.queue_wait_micros, queued_micros);
+                                self.count_shed(ctx.priority);
+                                return Err(PlacelessError::Overloaded {
+                                    retry_after: controller.config().retry_after_micros,
+                                });
+                            }
+                        }
+                    }
+                }
+                Some(OriginSlot {
+                    origin,
+                    started: clock.now(),
+                })
+            }
+        };
+        let now = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
+        AtomicCacheStats::maximize(&self.stats.inflight_peak, now);
+        Ok(slot)
+    }
+
+    /// Releases what [`Self::begin_origin_fetch`] claimed and, with
+    /// overload control, feeds the observed fetch latency to the AIMD
+    /// controller — the returned width immediately resizes this origin's
+    /// window. The observation is virtual-clock time, which under
+    /// concurrency includes advances charged by other threads; AIMD only
+    /// needs the signal to rise under load and fall when it drains, and
+    /// it does.
+    fn end_origin_fetch(&self, slot: Option<OriginSlot>, clock: &VirtualClock) {
+        self.inflight.fetch_sub(1, Ordering::Relaxed);
+        if let (Some(window), Some(slot)) = (&self.window, slot) {
+            window.release(&slot.origin);
+            if let Some(controller) = &self.overload {
+                let observed = clock.now().since(slot.started);
+                let width = controller.observe_fetch(&slot.origin, observed);
+                window.set_limit(&slot.origin, width as usize);
+            }
+        }
+    }
+
+    /// Bumps the shed counter for `priority`.
+    pub(super) fn count_shed(&self, priority: Priority) {
+        AtomicCacheStats::bump(match priority {
+            Priority::Foreground => &self.stats.sheds_foreground,
+            Priority::Refresh => &self.stats.sheds_refresh,
+            Priority::Prefetch => &self.stats.sheds_prefetch,
+        });
+    }
+
+    /// Current brownout rung ([`BrownoutLevel::Normal`] without overload
+    /// control).
+    pub(super) fn brownout_level(&self) -> BrownoutLevel {
+        self.overload
+            .as_ref()
+            .map(|controller| controller.level())
+            .unwrap_or(BrownoutLevel::Normal)
+    }
+
+    /// Feeds the brownout ladder one pressure sample (readers parked on
+    /// origin windows plus readers blocked on miss flights) and records
+    /// any transition in the stats. Returns the post-sample level.
+    fn observe_overload_pressure(
+        &self,
+        controller: &OverloadController,
+        clock: &VirtualClock,
+    ) -> BrownoutLevel {
+        let waiters = self
+            .window
+            .as_ref()
+            .map(|window| window.queued_total())
+            .unwrap_or(0)
+            + self.version_flights.waiting();
+        if let Some((_, to)) = controller.observe_pressure(clock.now(), waiters) {
+            AtomicCacheStats::bump(&self.stats.brownout_shifts);
+            AtomicCacheStats::set(&self.stats.brownout_level, u64::from(to.rung()));
+        }
+        controller.level()
+    }
+
+    /// Installs a fetched version under `key`, taking the shard lock for
+    /// the install only.
+    fn fill(&self, key: EntryKey, fetched: Fetched, prefetched: bool) {
+        let Fetched {
+            bytes,
+            report,
+            content_sig,
+            ..
+        } = fetched;
+        let mut meta = EntryMeta::new(
+            report.verifiers,
+            report.cacheability,
+            report.cost.effective_micros(),
+            bytes.len() as u64,
+            self.space.clock().now(),
+        );
+        meta.pinned = report.pinned;
+        meta.prefetched = prefetched;
+        self.lock(key).install(key, bytes, meta, 0, content_sig);
+    }
+
+    /// Pulls collection siblings of `doc` into the cache after a miss.
+    ///
+    /// Sibling fetches carry [`Priority::Prefetch`], so with overload
+    /// control they are the first work deadline-aware admission sheds —
+    /// and one `Overloaded` verdict abandons the rest of the batch
+    /// rather than hammering a window that just refused speculative
+    /// work.
+    fn prefetch_collection_siblings(&self, user: UserId, doc: DocumentId) {
+        let clock = self.space.clock();
+        // Speculative work gets the configured fetch budget as its
+        // deadline: a prefetch the origin cannot serve inside the budget
+        // a demand read would get is not worth queueing for.
+        let ctx = self.fetch_ctx(
+            Priority::Prefetch,
+            self.resilience.fetch_deadline_micros,
+            clock,
+        );
+        let mut budget = self.prefetch.max_per_miss;
+        for collection in self.space.collections_of(doc) {
+            for sibling in self.space.collection_members(&collection) {
+                if budget == 0 {
+                    return;
+                }
+                if sibling == doc
+                    || self.contains(user, sibling)
+                    || !self.space.has_reference(user, sibling)
+                {
+                    continue;
+                }
+                // Fetch through the full property path, as a miss would.
+                let fetched = match self.fetch_once(user, sibling, clock, ctx) {
+                    Ok(fetched) => fetched,
+                    Err(PlacelessError::Overloaded { .. }) => return,
+                    Err(_) => continue,
+                };
+                if fetched.report.cacheability == Cacheability::Uncacheable {
+                    continue;
+                }
+                self.fill(EntryKey::Version(sibling, user), fetched, true);
+                AtomicCacheStats::bump(&self.stats.prefetches);
+                budget -= 1;
+            }
+        }
+    }
+}

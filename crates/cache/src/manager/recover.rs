@@ -1,0 +1,243 @@
+//! Warm restart: replaying the write journal into the dirty queue.
+
+use super::*;
+
+/// How [`DocumentCache::recover`] should resolve one write conflict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConflictResolution {
+    /// Keep the journaled write: re-queue it dirty so the next flush
+    /// pushes it over the newer origin version. The conflict is still
+    /// reported — this is an informed overwrite, not last-writer-wins by
+    /// omission.
+    KeepMine,
+    /// Keep the origin's version: drop the journaled write and
+    /// acknowledge its record.
+    KeepTheirs,
+}
+
+/// One recovered write whose base version no longer matches the origin:
+/// the origin moved on while the write sat buffered across the crash.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WriteConflict {
+    /// The conflicted document.
+    pub doc: DocumentId,
+    /// The user whose buffered write conflicts.
+    pub user: UserId,
+    /// Signature of the rendition the writer based the write on.
+    pub journal_epoch: Signature,
+    /// Signature of the origin's current rendition.
+    pub origin_signature: Signature,
+}
+
+impl WriteConflict {
+    /// Returns the conflict as the middleware error it surfaces as.
+    pub fn error(&self) -> PlacelessError {
+        PlacelessError::Conflict {
+            doc: self.doc,
+            user: self.user,
+        }
+    }
+}
+
+/// Resolution callback consulted by [`DocumentCache::recover`] for each
+/// [`WriteConflict`]; `None` defaults to [`ConflictResolution::KeepMine`].
+pub type ConflictHook = Arc<dyn Fn(&WriteConflict) -> ConflictResolution + Send + Sync>;
+
+/// What [`DocumentCache::recover`] did with the journal's live records.
+#[derive(Debug, Clone, Default)]
+pub struct RecoveryReport {
+    /// Intact journal records considered for replay.
+    pub replayed: u64,
+    /// Records re-queued into the dirty maps (flushed by the next flush).
+    pub requeued: u64,
+    /// Conflicts detected (journal epoch vs. origin signature), however
+    /// they were resolved. Each surfaces as a non-fatal
+    /// [`PlacelessError::Conflict`] via [`WriteConflict::error`].
+    pub conflicts: Vec<WriteConflict>,
+    /// Conflicts resolved by keeping the journaled write.
+    pub kept_mine: u64,
+    /// Conflicts resolved by keeping the origin's version.
+    pub kept_theirs: u64,
+    /// Records dropped because their document no longer exists (the
+    /// write can never be applied).
+    pub dropped: u64,
+    /// What the merge policy did with recovery conflicts. Empty (all
+    /// zeros) without a [`crate::MergePolicy`].
+    pub merge: MergeReport,
+}
+
+impl std::fmt::Display for RecoveryReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "replayed {}, requeued {}; {} conflict(s) ({} kept mine, {} kept theirs), {} dropped",
+            self.replayed,
+            self.requeued,
+            self.conflicts.len(),
+            self.kept_mine,
+            self.kept_theirs,
+            self.dropped,
+        )?;
+        if !self.merge.is_empty() {
+            write!(f, "; merge: {}", self.merge)?;
+        }
+        Ok(())
+    }
+}
+
+impl DocumentCache {
+    /// Creates a cache after a crash, replaying the journal configured in
+    /// `config` into the dirty queue (warm restart).
+    ///
+    /// Open the journal over the surviving [`placeless_simenv::StableStore`]
+    /// first — [`WriteJournal::open`] truncates any torn tail the crash
+    /// left — then pass it in `config.journal`. Each intact record is
+    /// checked against the origin: if the record carries a base-version
+    /// epoch and the origin's current rendition no longer matches it, the
+    /// origin changed while the write sat buffered across the crash. That
+    /// is a [`WriteConflict`], resolved through `hook` (default:
+    /// [`ConflictResolution::KeepMine`]) and *reported*, never silently
+    /// last-writer-wins. Records whose origin is unreachable during
+    /// recovery are re-queued unchecked — the conflict check re-runs
+    /// implicitly when a human inspects the report, and the write itself
+    /// is preserved either way. Records whose document no longer exists
+    /// are dropped and acknowledged.
+    ///
+    /// Without a journal in `config`, this is exactly [`Self::new`] plus
+    /// an empty report.
+    pub fn recover(
+        space: Arc<DocumentSpace>,
+        config: CacheConfig,
+        hook: Option<ConflictHook>,
+    ) -> (Arc<Self>, RecoveryReport) {
+        let cache = Self::new(space, config);
+        let mut report = RecoveryReport::default();
+        let Some(journal) = cache.journal.clone() else {
+            return (cache, report);
+        };
+        for record in journal.live_records() {
+            report.replayed += 1;
+            AtomicCacheStats::bump(&cache.stats.journal_replays);
+            // Seed the causal counter so post-recovery ops continue this
+            // writer's sequence instead of restarting it.
+            if record.writer_seq > 0 {
+                let mut seqs = cache.writer_seqs.lock();
+                let counter = seqs.entry((record.doc, record.user)).or_insert(0);
+                *counter = (*counter).max(record.writer_seq);
+            }
+            // The origin's current rendition, fetched only when the record
+            // names a base version to compare it with (the writer may
+            // never have read the document).
+            let origin = if record.epoch == NO_EPOCH {
+                None
+            } else {
+                match cache.space.read_document(record.user, record.doc) {
+                    Ok((bytes, _)) => Some(bytes),
+                    Err(
+                        PlacelessError::NoSuchDocument(_) | PlacelessError::NoSuchReference(..),
+                    ) => {
+                        // The write's target is gone; it can never be
+                        // applied. Drop and acknowledge.
+                        journal.ack(record.seq);
+                        report.dropped += 1;
+                        continue;
+                    }
+                    // Origin unreachable (or any other read failure):
+                    // re-queue unchecked — losing the write would be worse
+                    // than flushing it unverified.
+                    Err(_) => None,
+                }
+            };
+            let mut entry = DirtyEntry {
+                data: record.data.clone(),
+                seq: Some(record.seq),
+                ops: record.ops.clone(),
+                epoch: record.epoch,
+                writer_seq: record.writer_seq,
+            };
+            let origin_signature = origin.as_deref().map(ConcurrentStore::signature_of);
+            if let (Some(origin), Some(origin_signature)) = (origin, origin_signature) {
+                if origin_signature != record.epoch {
+                    let conflict = WriteConflict {
+                        doc: record.doc,
+                        user: record.user,
+                        journal_epoch: record.epoch,
+                        origin_signature,
+                    };
+                    let resolution = cache.settle_conflict(
+                        &conflict,
+                        &record.ops,
+                        hook.as_ref(),
+                        &mut report.merge,
+                    );
+                    report.conflicts.push(conflict);
+                    match resolution {
+                        None => {
+                            // Re-apply the writer's typed ops onto the
+                            // origin's *current* content, so both the
+                            // crashed writer's edits and whatever landed at
+                            // the origin meanwhile survive. The re-queued
+                            // entry's epoch advances to the rebased base so
+                            // the flush does not re-detect the same
+                            // conflict.
+                            entry.data = apply_all(&origin, &record.ops);
+                            entry.epoch = origin_signature;
+                        }
+                        Some(ConflictResolution::KeepMine) => report.kept_mine += 1,
+                        Some(ConflictResolution::KeepTheirs) => {
+                            report.kept_theirs += 1;
+                            journal.ack(record.seq);
+                            continue;
+                        }
+                    }
+                }
+            }
+            cache
+                .lock(EntryKey::Version(record.doc, record.user))
+                .put_dirty(record.doc, record.user, entry);
+            report.requeued += 1;
+        }
+        (cache, report)
+    }
+
+    /// Counts one write conflict and decides what becomes of the
+    /// conflicted write, for recovery and flush alike. With a merge
+    /// policy, rebasable typed ops need no resolution — they rebase onto
+    /// the origin's content and both sides' edits survive: `None`.
+    /// Anything else falls back to the binary hooks — the call-site `hook`
+    /// first, then the policy's fallback, then keep-mine. `tally` is
+    /// touched only when a merge policy is configured.
+    pub(super) fn settle_conflict(
+        &self,
+        conflict: &WriteConflict,
+        ops: &[DocOp],
+        hook: Option<&ConflictHook>,
+        tally: &mut MergeReport,
+    ) -> Option<ConflictResolution> {
+        AtomicCacheStats::bump(&self.stats.write_conflicts);
+        let mut unreported = MergeReport::default();
+        let tally = if self.merge.is_some() {
+            tally
+        } else {
+            &mut unreported
+        };
+        tally.examined += 1;
+        if self.merge.is_some() && rebasable(ops) {
+            AtomicCacheStats::bump(&self.stats.conflicts_merged);
+            AtomicCacheStats::add(&self.stats.merge_rebases, ops.len() as u64);
+            tally.merged += 1;
+            tally.rebases += ops.len() as u64;
+            return None;
+        }
+        let resolution = match (hook, &self.merge) {
+            (Some(hook), _) => hook(conflict),
+            (None, Some(policy)) => policy.resolve_unmergeable(conflict),
+            (None, None) => ConflictResolution::KeepMine,
+        };
+        match resolution {
+            ConflictResolution::KeepMine => tally.kept_mine += 1,
+            ConflictResolution::KeepTheirs => tally.kept_theirs += 1,
+        }
+        Some(resolution)
+    }
+}

@@ -1,0 +1,558 @@
+//! The cache's entry table: the first level of the paper's two-level map.
+//!
+//! §3 asks for `(document, user) → signature → content`. The second level
+//! is the cache-wide [`ConcurrentStore`]; this module is the first. A
+//! [`ShardTable`] splits the entries over N [`Shard`]s, each behind its own
+//! mutex, with the shard chosen by a *fixed* multiplicative hash of the key
+//! (no per-process hasher seeds, so runs are reproducible). A shard keeps
+//! **one** map from key to [`Resident`] — the content signature the key is
+//! bound to together with the entry's metadata — so "a resident entry has
+//! content" holds by construction, beside its replacement-policy instance
+//! and its buffered write-back data.
+//!
+//! Everything that must change together with that map happens here and
+//! nowhere else: taking and dropping content-store references, telling
+//! the replacement policy, and moving the `stage_bytes` and dirty-count
+//! gauges. The rest of the cache works through [`ShardGuard`]'s methods,
+//! and a shard lock is held exactly as long as a guard is alive.
+//!
+//! # Lock ordering (deadlock freedom)
+//!
+//! 1. A thread **blocks** on at most one shard lock, acquired while
+//!    holding no other cache lock: [`ShardTable::lock`] and each step of
+//!    [`ShardTable::lock_each`] are the only blocking acquisitions.
+//! 2. A thread already holding a shard lock probes sibling shards only
+//!    via `try_lock`, which never blocks: `ShardGuard::steal_one`, reached
+//!    from [`ShardGuard::install`] and the reclaim after a replacement.
+//! 3. Content-store stripe locks are **leaves**: taken under a shard lock
+//!    by the methods here, released before they return, never two at
+//!    once. The cache's other leaf locks (journal, parked set, leases,
+//!    writer sequences) are never taken by this module.
+//!
+//! Every blocking edge therefore points from "holding nothing" to a shard
+//! lock, or from a shard lock to a leaf; the wait-for graph is acyclic.
+
+use crate::digest::Signature;
+use crate::entry::EntryMeta;
+use crate::policy::{EntryAttrs, EntryKey, PolicyFactory, ReplacementPolicy};
+use crate::stats::AtomicCacheStats;
+use crate::store::{ConcurrentStore, NoRoom};
+use bytes::Bytes;
+use parking_lot::{Mutex, MutexGuard};
+use placeless_core::id::{DocumentId, UserId};
+use placeless_core::op::DocOp;
+use placeless_core::verifier::Validity;
+use placeless_simenv::{Instant, VirtualClock};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// One buffered write-back write: the data plus (journal configured) the
+/// sequence number of its journal record, so a flush acknowledges exactly
+/// the record it pushed — never a newer one that superseded it while the
+/// flush held no lock.
+#[derive(Debug, Clone)]
+pub(crate) struct DirtyEntry {
+    pub(crate) data: Bytes,
+    pub(crate) seq: Option<u64>,
+    /// Typed ops accumulated since `epoch`, oldest first — the delta a
+    /// merge can rebase. Empty for plain full-body writes.
+    pub(crate) ops: Vec<DocOp>,
+    /// Content signature of the base rendition the buffered write was
+    /// authored against ([`crate::NO_EPOCH`] when unknown). The flush-time
+    /// conflict probe compares it against the origin's current rendition.
+    pub(crate) epoch: Signature,
+    /// Per-`(doc, user)` causal sequence; `0` for plain writes.
+    pub(crate) writer_seq: u64,
+}
+
+/// A resident entry: the content it is bound to, and everything else the
+/// read path shipped with it. Holds one content-store reference on `sig`
+/// for as long as it sits in a shard's table.
+struct Resident {
+    sig: Signature,
+    meta: EntryMeta,
+}
+
+/// One lock-striped slice of the entry table.
+pub(crate) struct Shard {
+    /// Boxed so a table slot is a key and a pointer: doc-wide
+    /// invalidation scans every key, and inline entries triple what that
+    /// scan drags through the memory hierarchy.
+    entries: HashMap<EntryKey, Box<Resident>>,
+    policy: Box<dyn ReplacementPolicy>,
+    /// Buffered write-back writes. Keyed by `(document, user)`, not by
+    /// [`EntryKey`]: only versions are ever written.
+    dirty: HashMap<(DocumentId, UserId), DirtyEntry>,
+}
+
+/// Why an entry leaves the table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Removal {
+    /// An invalidation or a verifier rejection: the policy still tracks
+    /// the key and must be told.
+    Invalidated,
+    /// The policy nominated the key as an eviction victim and has already
+    /// forgotten it.
+    Evicted,
+}
+
+/// What [`ShardGuard::probe`] found out about a resident entry.
+pub(crate) enum Probe {
+    /// The entry is good to serve: its verifiers passed, or one of them
+    /// supplied fresh content that now replaces the old (`replaced`).
+    Fresh {
+        bytes: Bytes,
+        sig: Signature,
+        forward: bool,
+        was_prefetched: bool,
+        replaced: bool,
+    },
+    /// A verifier refuted the entry; it has been removed.
+    Invalid,
+    /// Neither fresh nor refuted (origin unreachable). The entry stays.
+    Unverifiable(Stale),
+}
+
+/// Resident bytes whose freshness could not be checked: the
+/// stale-service candidate a miss keeps in hand.
+pub(crate) struct Stale {
+    pub(crate) bytes: Bytes,
+    pub(crate) filled_at: Instant,
+    pub(crate) forward: bool,
+}
+
+/// The sharded entry table plus what its bookkeeping needs: the content
+/// store the entries reference, the byte budget, and the dirty gauge.
+pub(crate) struct ShardTable {
+    shards: Box<[Mutex<Shard>]>,
+    store: ConcurrentStore,
+    capacity_bytes: u64,
+    /// Buffered write-back writes across all shards, so
+    /// [`ShardTable::dirty_count`] does not sweep the shard locks.
+    dirty_gauge: AtomicU64,
+}
+
+impl ShardTable {
+    /// Creates `shards` empty shards, each with its own policy instance.
+    pub(crate) fn new(shards: usize, policy: &PolicyFactory, capacity_bytes: u64) -> Self {
+        Self {
+            shards: (0..shards)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        entries: HashMap::new(),
+                        policy: policy.build(),
+                        dirty: HashMap::new(),
+                    })
+                })
+                .collect(),
+            store: ConcurrentStore::new(),
+            capacity_bytes,
+            dirty_gauge: AtomicU64::new(0),
+        }
+    }
+
+    pub(crate) fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Picks the shard for a key with a fixed multiplicative hash, so
+    /// placement is identical across runs and machines (std's default
+    /// hasher is randomly seeded and would break reproducibility).
+    fn shard_index(&self, key: EntryKey) -> usize {
+        let mixed = match key {
+            EntryKey::Version(DocumentId(doc), UserId(user)) => {
+                doc.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ user.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+            }
+            // A stage signature is an MD5 digest: hash its two halves with
+            // the same mixers for identical distribution properties.
+            EntryKey::Stage(sig) => {
+                let lo = u64::from_le_bytes(sig.0[..8].try_into().expect("8 bytes"));
+                let hi = u64::from_le_bytes(sig.0[8..].try_into().expect("8 bytes"));
+                lo.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ hi.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+            }
+        };
+        // Use the high bits: multiplicative hashing mixes upward.
+        (mixed >> 32) as usize % self.shards.len()
+    }
+
+    /// Blocks on shard `index`'s lock.
+    fn guard<'a>(&'a self, index: usize, stats: &'a AtomicCacheStats) -> ShardGuard<'a> {
+        ShardGuard {
+            shard: self.shards[index].lock(),
+            index,
+            table: self,
+            stats,
+        }
+    }
+
+    /// Blocks on `key`'s shard lock (lock-order rule 1: the caller holds
+    /// no other cache lock).
+    pub(crate) fn lock<'a>(&'a self, key: EntryKey, stats: &'a AtomicCacheStats) -> ShardGuard<'a> {
+        self.guard(self.shard_index(key), stats)
+    }
+
+    /// Locks the shards one at a time: each guard is released before the
+    /// iterator blocks on the next lock, so no two are ever held together.
+    pub(crate) fn lock_each<'a>(
+        &'a self,
+        stats: &'a AtomicCacheStats,
+    ) -> impl Iterator<Item = ShardGuard<'a>> {
+        (0..self.shards.len()).map(move |index| self.guard(index, stats))
+    }
+
+    /// Returns `(physical, logical)` resident bytes. Lock-free.
+    pub(crate) fn resident_bytes(&self) -> (u64, u64) {
+        (self.store.physical_bytes(), self.store.logical_bytes())
+    }
+
+    /// Returns how many writes are buffered. Lock-free.
+    pub(crate) fn dirty_count(&self) -> usize {
+        self.dirty_gauge.load(Ordering::Relaxed) as usize
+    }
+}
+
+/// A held shard lock. Every method runs under that lock; dropping the
+/// guard releases it.
+pub(crate) struct ShardGuard<'a> {
+    shard: MutexGuard<'a, Shard>,
+    index: usize,
+    table: &'a ShardTable,
+    stats: &'a AtomicCacheStats,
+}
+
+impl ShardGuard<'_> {
+    /// Returns the number of resident entries in this shard.
+    pub(crate) fn len(&self) -> usize {
+        self.shard.entries.len()
+    }
+
+    /// Returns the number of resident intermediate stage entries.
+    pub(crate) fn stage_len(&self) -> usize {
+        self.shard.entries.keys().filter(|k| k.is_stage()).count()
+    }
+
+    pub(crate) fn contains(&self, key: EntryKey) -> bool {
+        self.shard.entries.contains_key(&key)
+    }
+
+    /// Returns the content signature `key` is bound to.
+    pub(crate) fn signature(&self, key: EntryKey) -> Option<Signature> {
+        self.shard.entries.get(&key).map(|entry| entry.sig)
+    }
+
+    /// Returns `key`'s resident content and its signature without
+    /// registering a hit.
+    pub(crate) fn content(&self, key: EntryKey) -> Option<(Bytes, Signature)> {
+        let sig = self.signature(key)?;
+        Some((self.table.store.get(sig)?, sig))
+    }
+
+    /// The hit path: asks `verify` for a verdict on `key`'s resident entry
+    /// (it sees the entry's metadata) and applies it — registers the hit,
+    /// replaces the content in place, drops the entry, or leaves it alone.
+    /// `None` when `key` is not resident.
+    pub(crate) fn probe(
+        &mut self,
+        key: EntryKey,
+        clock: &VirtualClock,
+        verify: impl FnOnce(&EntryMeta) -> Validity,
+    ) -> Option<Probe> {
+        let table = self.table;
+        let store = &table.store;
+        let shard = &mut *self.shard;
+        let entry = shard.entries.get_mut(&key)?;
+        let forward = entry.meta.cacheability.requires_event_forwarding();
+        let (bytes, replaced) = match verify(&entry.meta) {
+            Validity::Valid => (store.get(entry.sig)?, false),
+            Validity::Replace(bytes) => {
+                store.release(entry.sig);
+                entry.sig = ConcurrentStore::signature_of(&bytes);
+                if store.acquire(entry.sig, &bytes) {
+                    AtomicCacheStats::bump(&self.stats.shared_fills);
+                }
+                entry.meta.size = bytes.len() as u64;
+                entry.meta.filled_at = clock.now();
+                (bytes, true)
+            }
+            Validity::Invalid => {
+                self.remove(key, Removal::Invalidated);
+                return Some(Probe::Invalid);
+            }
+            Validity::Unverifiable => {
+                return Some(Probe::Unverifiable(Stale {
+                    bytes: store.get(entry.sig)?,
+                    filled_at: entry.meta.filled_at,
+                    forward,
+                }))
+            }
+        };
+        entry.meta.hits += 1;
+        entry.meta.force_verify = false;
+        let (sig, was_prefetched) = (entry.sig, entry.meta.prefetched);
+        shard.policy.on_hit(key);
+        if replaced {
+            // The replacement may have grown the content past the budget;
+            // reclaim, sparing the fresh entry.
+            self.reclaim_over_budget(key);
+        }
+        Some(Probe::Fresh {
+            bytes,
+            sig,
+            forward,
+            was_prefetched,
+            replaced,
+        })
+    }
+
+    /// Inserts a filled entry, updating sharing stats, pinning, the
+    /// policy, and enforcing the global byte budget.
+    ///
+    /// Room is *reserved* before the content is published
+    /// ([`ConcurrentStore::try_acquire`], a compare-and-swap bounded by
+    /// the budget), evicting until the reservation succeeds — concurrent
+    /// fills can never overshoot the budget. The one deliberate exception
+    /// is a verifier's in-place replacement ([`Self::probe`]), which
+    /// refreshes the content first and reclaims any overshoot immediately
+    /// afterwards.
+    ///
+    /// Victim order matches the classic insert-then-evict loop: the
+    /// incoming entry enters the shard's policy first, so it competes for
+    /// residency like any other entry; if the policy nominates *it*, the
+    /// fill tries to steal room from a sibling shard and otherwise gives
+    /// the entry up (with one shard that is "evict the entry just
+    /// inserted", statistics included).
+    ///
+    /// `known_sig` is the content digest when the read path already
+    /// computed it in-stream; the store is content-addressed, so a wrong
+    /// digest would corrupt sharing — debug builds re-hash and compare.
+    pub(crate) fn install(
+        &mut self,
+        key: EntryKey,
+        bytes: Bytes,
+        meta: EntryMeta,
+        pin_level: u8,
+        known_sig: Option<Signature>,
+    ) {
+        // A re-fill over an existing binding releases the old content;
+        // the policy keeps the key, and `on_insert` below refreshes it.
+        self.remove(key, Removal::Evicted);
+        let attrs = EntryAttrs::new(meta.size, meta.cost_micros).with_pin_level(pin_level);
+        if meta.pinned {
+            // Pinned entries never enter the policy, so they can never be
+            // chosen as eviction victims.
+            AtomicCacheStats::bump(&self.stats.pinned_fills);
+        } else {
+            self.shard.policy.on_insert(key, &attrs);
+        }
+        let sig = match known_sig {
+            Some(sig) => {
+                debug_assert_eq!(
+                    sig,
+                    ConcurrentStore::signature_of(&bytes),
+                    "known content signature must match the bytes being installed"
+                );
+                sig
+            }
+            None => ConcurrentStore::signature_of(&bytes),
+        };
+        let table = self.table;
+        loop {
+            match table.store.try_acquire(sig, &bytes, table.capacity_bytes) {
+                Ok(shared) => {
+                    if shared {
+                        AtomicCacheStats::bump(&self.stats.shared_fills);
+                    }
+                    if key.is_stage() {
+                        AtomicCacheStats::add(&self.stats.stage_bytes, meta.size);
+                    }
+                    let entry = Box::new(Resident { sig, meta });
+                    self.shard.entries.insert(key, entry);
+                    return;
+                }
+                Err(NoRoom) => match self.shard.policy.evict() {
+                    Some(victim) if victim == key => {
+                        // The incoming entry is its own shard's minimum;
+                        // prefer room from a sibling shard.
+                        if self.steal_one() {
+                            self.shard.policy.on_insert(key, &attrs);
+                            continue;
+                        }
+                        AtomicCacheStats::bump(&self.stats.evictions);
+                        return;
+                    }
+                    Some(victim) => {
+                        self.remove(victim, Removal::Evicted);
+                        AtomicCacheStats::bump(&self.stats.evictions);
+                    }
+                    None => {
+                        // Nothing evictable anywhere (everything pinned):
+                        // serve without caching rather than overshoot.
+                        if !self.steal_one() {
+                            return;
+                        }
+                    }
+                },
+            }
+        }
+    }
+
+    /// Removes `key`'s entry, dropping its content reference. Returns
+    /// `true` if the entry existed.
+    pub(crate) fn remove(&mut self, key: EntryKey, why: Removal) -> bool {
+        if why == Removal::Invalidated {
+            self.shard.policy.on_remove(key);
+        }
+        let Some(entry) = self.shard.entries.remove(&key) else {
+            return false;
+        };
+        self.table.store.release(entry.sig);
+        if key.is_stage() {
+            AtomicCacheStats::sub(&self.stats.stage_bytes, entry.meta.size);
+        }
+        true
+    }
+
+    /// Invalidates every resident version of `doc` in this shard,
+    /// returning how many there were.
+    pub(crate) fn remove_doc(&mut self, doc: DocumentId) -> u64 {
+        let keys: Vec<EntryKey> = self
+            .shard
+            .entries
+            .keys()
+            .filter(|key| key.doc() == Some(doc))
+            .copied()
+            .collect();
+        for &key in &keys {
+            self.remove(key, Removal::Invalidated);
+        }
+        keys.len() as u64
+    }
+
+    /// Demotes every version entry to verifier revalidation after an
+    /// invalidation gap: entries with verifiers are flagged
+    /// `force_verify`, entries with none — nothing could ever catch their
+    /// staleness — are dropped. Stage entries are exempt: they are
+    /// content-addressed, so a lost invalidation can never make one serve
+    /// stale data — the lookup key itself stops resolving.
+    pub(crate) fn demote_after_gap(&mut self) {
+        let mut unverifiable = Vec::new();
+        for (key, entry) in self.shard.entries.iter_mut() {
+            if key.is_stage() {
+                continue;
+            }
+            if entry.meta.verifiers.is_empty() {
+                unverifiable.push(*key);
+            } else {
+                entry.meta.force_verify = true;
+            }
+        }
+        for key in unverifiable {
+            self.remove(key, Removal::Invalidated);
+        }
+    }
+
+    /// Returns `user`'s buffered write-back write to `doc`, if any.
+    pub(crate) fn dirty(&self, doc: DocumentId, user: UserId) -> Option<&DirtyEntry> {
+        self.shard.dirty.get(&(doc, user))
+    }
+
+    /// Buffers `entry` as `user`'s write to `doc`, superseding any write
+    /// already there.
+    pub(crate) fn put_dirty(&mut self, doc: DocumentId, user: UserId, entry: DirtyEntry) {
+        if self.shard.dirty.insert((doc, user), entry).is_none() {
+            self.table.dirty_gauge.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Moves every buffered write of this shard into `into`.
+    pub(crate) fn drain_dirty(&mut self, into: &mut Vec<(DocumentId, UserId, DirtyEntry)>) {
+        let drained = self.shard.dirty.len() as u64;
+        into.extend(
+            self.shard
+                .dirty
+                .drain()
+                .map(|((doc, user), entry)| (doc, user, entry)),
+        );
+        self.table.dirty_gauge.fetch_sub(drained, Ordering::Relaxed);
+    }
+
+    /// Evicts one entry from some *other* shard to make room, probing
+    /// with `try_lock` only (lock-order rule 2: a blocking acquisition
+    /// here could deadlock with a concurrent steal in the opposite
+    /// direction). Returns `true` if an entry was evicted.
+    fn steal_one(&self) -> bool {
+        let shards = &self.table.shards;
+        for offset in 1..shards.len() {
+            let index = (self.index + offset) % shards.len();
+            let Some(shard) = shards[index].try_lock() else {
+                continue;
+            };
+            let mut sibling = ShardGuard {
+                shard,
+                index,
+                table: self.table,
+                stats: self.stats,
+            };
+            if let Some(victim) = sibling.shard.policy.evict() {
+                sibling.remove(victim, Removal::Evicted);
+                AtomicCacheStats::bump(&self.stats.evictions);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Evicts until the store fits the budget again, sparing `spare`
+    /// (re-entered into the policy if nominated). Used after an in-place
+    /// verifier replacement, the one path that can overshoot.
+    fn reclaim_over_budget(&mut self, spare: EntryKey) {
+        while self.table.store.physical_bytes() > self.table.capacity_bytes {
+            match self.shard.policy.evict() {
+                Some(victim) if victim == spare => {
+                    let shard = &mut *self.shard;
+                    if let Some(entry) = shard.entries.get(&victim) {
+                        let attrs = EntryAttrs::new(entry.meta.size, entry.meta.cost_micros);
+                        shard.policy.on_insert(victim, &attrs);
+                    }
+                    if !self.steal_one() {
+                        return;
+                    }
+                }
+                Some(victim) => {
+                    self.remove(victim, Removal::Evicted);
+                    AtomicCacheStats::bump(&self.stats.evictions);
+                }
+                None => {
+                    if !self.steal_one() {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_placement_is_deterministic() {
+        let table = |shards| ShardTable::new(shards, &PolicyFactory::default(), 1_024);
+        let (a, b) = (table(8), table(8));
+        for d in 0..64u64 {
+            for u in 1..4u64 {
+                let key = EntryKey::Version(DocumentId(d), UserId(u));
+                assert_eq!(a.shard_index(key), b.shard_index(key));
+            }
+        }
+        let spread: std::collections::HashSet<usize> = (0..64u64)
+            .map(|d| a.shard_index(EntryKey::Version(DocumentId(d), UserId(1))))
+            .collect();
+        assert!(
+            spread.len() >= 4,
+            "64 docs hit only {} of 8 shards",
+            spread.len()
+        );
+    }
+}

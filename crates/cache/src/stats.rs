@@ -85,10 +85,6 @@ pub struct CacheStats {
     /// Grouped origin write operations issued by `flush` — one per
     /// per-origin group per attempt (a retried group counts again).
     pub flush_batches: u64,
-    /// Dirty entries whose origin write succeeded as part of a flush
-    /// group. Every flushed entry goes through a group, so this equals
-    /// `flushes`.
-    pub batched_writes: u64,
     /// Recovered writes that conflicted with a newer origin version
     /// (journal epoch no longer matches the origin signature).
     pub write_conflicts: u64,
@@ -224,7 +220,6 @@ impl CacheStats {
             writes_parked: self.writes_parked.saturating_sub(earlier.writes_parked),
             flush_retries: self.flush_retries.saturating_sub(earlier.flush_retries),
             flush_batches: self.flush_batches.saturating_sub(earlier.flush_batches),
-            batched_writes: self.batched_writes.saturating_sub(earlier.batched_writes),
             write_conflicts: self.write_conflicts.saturating_sub(earlier.write_conflicts),
             conflicts_merged: self
                 .conflicts_merged
@@ -295,7 +290,6 @@ pub struct AtomicCacheStats {
     pub(crate) writes_parked: AtomicU64,
     pub(crate) flush_retries: AtomicU64,
     pub(crate) flush_batches: AtomicU64,
-    pub(crate) batched_writes: AtomicU64,
     pub(crate) write_conflicts: AtomicU64,
     pub(crate) conflicts_merged: AtomicU64,
     pub(crate) merge_rebases: AtomicU64,
@@ -370,7 +364,6 @@ impl AtomicCacheStats {
             writes_parked: self.writes_parked.load(Ordering::Relaxed),
             flush_retries: self.flush_retries.load(Ordering::Relaxed),
             flush_batches: self.flush_batches.load(Ordering::Relaxed),
-            batched_writes: self.batched_writes.load(Ordering::Relaxed),
             write_conflicts: self.write_conflicts.load(Ordering::Relaxed),
             conflicts_merged: self.conflicts_merged.load(Ordering::Relaxed),
             merge_rebases: self.merge_rebases.load(Ordering::Relaxed),

@@ -1,24 +1,29 @@
 //! Concurrent, signature-deduplicated content storage.
 //!
-//! [`ConcurrentStore`] is the sharded cache's replacement for the
-//! single-threaded [`crate::keys::SharedStore`]. It keeps the same
-//! accounting model — content is stored once per MD5 [`Signature`] with a
-//! reference count, so identical per-user renditions share physical bytes —
-//! but distributes the `Signature → content` map over lock stripes and
-//! maintains the physical/logical byte totals as atomic counters, so
-//! readers never take a lock to answer [`ConcurrentStore::physical_bytes`].
+//! §3: "content entries could be shared if the cache maps a pair of document
+//! and user identifiers to a content signature (e.g., MD5 hash) and in turn
+//! these signatures map to the actual content. On a cache miss for an
+//! already cached version of the same content, only the document and user
+//! identifier mapping to the content signature needs to be established."
 //!
-//! Unlike `SharedStore`, the `(document, user) → Signature` binding does
-//! *not* live here: cache shards own their slice of that map (see
-//! `crate::manager`), because key bindings must change atomically with the
-//! shard's entry metadata. The store only counts references.
+//! [`ConcurrentStore`] is the second of those two maps. Content is stored
+//! once per MD5 [`Signature`] with a reference count, so identical per-user
+//! renditions share physical bytes. The `Signature → content` map is
+//! distributed over lock stripes and the physical/logical byte totals are
+//! atomic counters, so readers never take a lock to answer
+//! [`ConcurrentStore::physical_bytes`].
+//!
+//! The `(document, user) → Signature` binding does *not* live here: cache
+//! shards own their slice of that map (the crate-private `shard` module),
+//! because a key's binding must change atomically with its entry metadata.
+//! The store only counts references; each bound key holds exactly one.
 //!
 //! # Lock ordering
 //!
 //! Stripe locks are leaves in the cache's lock hierarchy: a shard lock may
 //! be held when a stripe lock is taken, never the reverse, and no two
-//! stripe locks are ever held at once. See the deadlock argument in
-//! `crate::manager`.
+//! stripe locks are ever held at once. See the deadlock argument in the
+//! `shard` module.
 
 use crate::digest::{md5, Signature};
 use bytes::Bytes;
@@ -251,5 +256,46 @@ mod tests {
             }
         });
         assert_eq!(store.physical_bytes(), 0);
+    }
+
+    /// Re-pointing a key the way a shard does — release the old binding's
+    /// reference, acquire the new content — must decrement the *old*
+    /// signature's refcount, and orphaned bytes must leave the store at
+    /// once, not linger until some later release.
+    #[test]
+    fn repoint_decrements_old_refcount_and_evicts_orphans() {
+        let store = ConcurrentStore::new();
+        let (v1, v2) = (bytes("v1-bytes"), bytes("v2-bytes!"));
+        let (sig1, sig2) = (
+            ConcurrentStore::signature_of(&v1),
+            ConcurrentStore::signature_of(&v2),
+        );
+        // Two keys share v1; a third holds v2.
+        assert!(!store.acquire(sig1, &v1));
+        assert!(store.acquire(sig1, &v1));
+        assert!(!store.acquire(sig2, &v2));
+        assert_eq!(store.physical_bytes(), 8 + 9);
+
+        // Re-point one v1 holder onto v2: v1 must survive (one ref left)
+        // and the fill must report sharing v2's bytes.
+        store.release(sig1);
+        assert!(store.acquire(sig2, &v2), "v2 bytes were already resident");
+        assert!(store.get(sig1).is_some(), "one v1 reference remains");
+        assert_eq!(store.logical_bytes(), 8 + 9 + 9);
+
+        // Re-point the last v1 holder: the orphaned v1 bytes must go with
+        // the release itself.
+        store.release(sig1);
+        assert!(store.get(sig1).is_none(), "v1 orphan evicted");
+        assert!(store.acquire(sig2, &v2));
+        assert_eq!(store.physical_bytes(), 9);
+
+        // And the refcount actually moved: dropping two of the three v2
+        // holders keeps the bytes, dropping the last frees them.
+        store.release(sig2);
+        store.release(sig2);
+        assert_eq!(store.physical_bytes(), 9, "still one v2 reference");
+        store.release(sig2);
+        assert_eq!((store.physical_bytes(), store.logical_bytes()), (0, 0));
     }
 }

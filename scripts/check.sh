@@ -65,4 +65,15 @@ bash benchmark/run.sh --smoke
 echo "==> cargo clippy (-D warnings)"
 cargo clippy "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (placeless-cache: broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+  cargo doc "${CARGO_FLAGS[@]}" --no-deps -p placeless-cache
+
+# The number simplicity PRs quote: lines of crates/cache/src above each
+# file's `#[cfg(test)]`, policy/ and manager/ included.
+echo "==> non-test lines in crates/cache/src"
+for f in $(find crates/cache/src -name '*.rs'); do
+  awk '/^#\[cfg\(test\)\]/{exit} {c++} END{print c+0}' "$f"
+done | awk '{s+=$1} END{print s}'
+
 echo "==> all checks passed"

@@ -1,0 +1,728 @@
+//! The cache manager's behaviour through its public API: hit and miss
+//! paths, verifiers, notifier invalidation, signature sharing, capacity,
+//! both write modes, the journal and recovery, cacheability, plan leases,
+//! the config builder, and op-based writes.
+
+use bytes::Bytes;
+use placeless_bench::support::TagProperty;
+use placeless_cache::{
+    default_shard_count, CacheConfig, DocumentCache, MergePolicy, PrefetchConfig, WriteJournal,
+    WriteMode,
+};
+use placeless_core::prelude::*;
+use placeless_simenv::{LatencyModel, VirtualClock};
+use std::sync::Arc;
+
+const ALICE: UserId = UserId(1);
+const BOB: UserId = UserId(2);
+
+fn setup(content: &str, fetch_cost: u64) -> (Arc<DocumentSpace>, Arc<MemoryProvider>, DocumentId) {
+    let clock = VirtualClock::new();
+    let space = DocumentSpace::with_middleware_cost(clock, LatencyModel::FREE);
+    let provider = MemoryProvider::new("t", content.to_owned(), fetch_cost);
+    let doc = space.create_document(ALICE, provider.clone());
+    (space, provider, doc)
+}
+
+fn quiet_config() -> CacheConfig {
+    CacheConfig {
+        local_latency: LatencyModel::FREE,
+        ..CacheConfig::default()
+    }
+}
+
+#[test]
+fn miss_then_hit() {
+    let (space, _provider, doc) = setup("content", 1_000);
+    let cache = DocumentCache::new(space, quiet_config());
+    assert_eq!(
+        cache.read(ALICE, doc).expect("read must succeed"),
+        "content"
+    );
+    assert_eq!(
+        cache.read(ALICE, doc).expect("read must succeed"),
+        "content"
+    );
+    let stats = cache.stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1));
+    assert!(cache.contains(ALICE, doc));
+}
+
+#[test]
+fn hits_are_much_faster_than_misses() {
+    let (space, _provider, doc) = setup("content", 50_000);
+    let clock = space.clock().clone();
+    let cache = DocumentCache::new(space, quiet_config());
+    let t0 = clock.now();
+    cache.read(ALICE, doc).expect("read must succeed");
+    let miss_time = clock.now().since(t0);
+    let t1 = clock.now();
+    cache.read(ALICE, doc).expect("read must succeed");
+    let hit_time = clock.now().since(t1);
+    assert!(
+        hit_time * 10 < miss_time,
+        "hit {hit_time}µs vs miss {miss_time}µs"
+    );
+}
+
+#[test]
+fn verifier_catches_out_of_band_change() {
+    let (space, provider, doc) = setup("v1", 100);
+    let cache = DocumentCache::new(space, quiet_config());
+    assert_eq!(cache.read(ALICE, doc).expect("read must succeed"), "v1");
+    provider.set_out_of_band("v2");
+    assert_eq!(
+        cache.read(ALICE, doc).expect("read must succeed"),
+        "v2",
+        "stale entry refilled"
+    );
+    let stats = cache.stats();
+    assert_eq!(stats.verifier_invalidations, 1);
+    assert_eq!(stats.misses, 2);
+}
+
+#[test]
+fn verifiers_can_be_disabled() {
+    let (space, provider, doc) = setup("v1", 100);
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig {
+            run_verifiers: false,
+            local_latency: LatencyModel::FREE,
+            ..CacheConfig::default()
+        },
+    );
+    cache.read(ALICE, doc).expect("read must succeed");
+    provider.set_out_of_band("v2");
+    // Without verifiers (and no notifier for out-of-band changes) the
+    // stale content is served — the consistency/latency trade-off.
+    assert_eq!(cache.read(ALICE, doc).expect("read must succeed"), "v1");
+}
+
+#[test]
+fn bus_invalidation_drops_entries() {
+    let (space, _provider, doc) = setup("v1", 100);
+    let cache = DocumentCache::new(space.clone(), quiet_config());
+    cache.read(ALICE, doc).expect("read must succeed");
+    assert!(cache.contains(ALICE, doc));
+    space.bus().post(Invalidation::Document(doc));
+    assert!(!cache.contains(ALICE, doc));
+    assert_eq!(cache.stats().notifier_invalidations, 1);
+}
+
+#[test]
+fn user_scoped_invalidation_spares_others() {
+    let (space, _provider, doc) = setup("v1", 100);
+    space
+        .add_reference(BOB, doc)
+        .expect("reference must attach");
+    let cache = DocumentCache::new(space.clone(), quiet_config());
+    cache.read(ALICE, doc).expect("read must succeed");
+    cache.read(BOB, doc).expect("read must succeed");
+    space.bus().post(Invalidation::UserDocument(doc, ALICE));
+    assert!(!cache.contains(ALICE, doc));
+    assert!(cache.contains(BOB, doc));
+}
+
+#[test]
+fn identical_chains_share_bytes() {
+    let (space, _provider, doc) = setup("shared content", 100);
+    space
+        .add_reference(BOB, doc)
+        .expect("reference must attach");
+    let cache = DocumentCache::new(space, quiet_config());
+    cache.read(ALICE, doc).expect("read must succeed");
+    cache.read(BOB, doc).expect("read must succeed");
+    let (physical, logical) = cache.resident_bytes();
+    assert_eq!(physical, 14);
+    assert_eq!(logical, 28);
+    assert_eq!(cache.stats().shared_fills, 1);
+}
+
+#[test]
+fn sharing_crosses_shard_boundaries() {
+    // Same bytes for many users land in different shards but are
+    // stored once: the content store is global.
+    let (space, _provider, doc) = setup("cross-shard bytes", 100);
+    let users: Vec<UserId> = (2..=9).map(UserId).collect();
+    for &user in &users {
+        space
+            .add_reference(user, doc)
+            .expect("reference must attach");
+    }
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig {
+            shards: 8,
+            local_latency: LatencyModel::FREE,
+            ..CacheConfig::default()
+        },
+    );
+    cache.read(ALICE, doc).expect("read must succeed");
+    for &user in &users {
+        cache.read(user, doc).expect("read must succeed");
+    }
+    let (physical, logical) = cache.resident_bytes();
+    assert_eq!(physical, 17);
+    assert_eq!(logical, 17 * 9);
+    assert_eq!(cache.stats().shared_fills, 8);
+}
+
+#[test]
+fn capacity_forces_evictions() {
+    let clock = VirtualClock::new();
+    let space = DocumentSpace::with_middleware_cost(clock, LatencyModel::FREE);
+    let mut docs = Vec::new();
+    for i in 0..10u8 {
+        // Distinct bodies, or signature sharing would dedup them all.
+        let mut body = vec![b'x'; 100];
+        body[0] = b'0' + i;
+        let provider = MemoryProvider::new(&format!("d{i}"), body, 100);
+        docs.push(space.create_document(ALICE, provider));
+    }
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig {
+            capacity_bytes: 350,
+            local_latency: LatencyModel::FREE,
+            ..CacheConfig::default()
+        },
+    );
+    for &doc in &docs {
+        cache.read(ALICE, doc).expect("read must succeed");
+    }
+    let (physical, _) = cache.resident_bytes();
+    assert!(physical <= 350, "capacity respected, got {physical}");
+    assert!(cache.stats().evictions >= 7);
+    assert_eq!(cache.len() as u64 * 100, physical);
+}
+
+#[test]
+fn write_through_updates_source_and_invalidates() {
+    let (space, provider, doc) = setup("old", 100);
+    let cache = DocumentCache::new(space, quiet_config());
+    cache.read(ALICE, doc).expect("read must succeed");
+    cache
+        .write(ALICE, doc, b"new")
+        .expect("write-through must succeed");
+    assert_eq!(provider.content(), "new");
+    assert!(!cache.contains(ALICE, doc), "own entry invalidated");
+    assert_eq!(cache.read(ALICE, doc).expect("read must succeed"), "new");
+}
+
+#[test]
+fn write_back_buffers_until_flush() {
+    let (space, provider, doc) = setup("old", 100);
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig {
+            write_mode: WriteMode::Back,
+            local_latency: LatencyModel::FREE,
+            ..CacheConfig::default()
+        },
+    );
+    cache
+        .write(ALICE, doc, b"buffered")
+        .expect("write-back must buffer");
+    assert_eq!(provider.content(), "old", "not yet flushed");
+    assert_eq!(cache.dirty_count(), 1);
+    // The writer reads their own buffered data.
+    assert_eq!(
+        cache.read(ALICE, doc).expect("read must succeed"),
+        "buffered"
+    );
+    let _ = cache.flush().expect("flush must push every dirty entry");
+    assert_eq!(provider.content(), "buffered");
+    assert_eq!(cache.dirty_count(), 0);
+    assert_eq!(cache.stats().flushes, 1);
+}
+
+#[test]
+fn journal_records_writes_and_flush_acks_prune_it() {
+    let (space, provider, doc) = setup("v0", 100);
+    let journal = WriteJournal::new(placeless_simenv::StableStore::new());
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig {
+            write_mode: WriteMode::Back,
+            journal: Some(journal.clone()),
+            ..quiet_config()
+        },
+    );
+    cache
+        .write(ALICE, doc, b"draft")
+        .expect("write must buffer");
+    assert_eq!(cache.stats().journal_appends, 1);
+    assert_eq!(journal.len(), 1, "journaled before the flush");
+    assert!(!journal.store().is_empty());
+    let report = cache.flush().expect("flush must succeed");
+    assert!(report.is_clean());
+    assert_eq!((report.attempted, report.flushed), (1, 1));
+    assert!(journal.is_empty(), "ack prunes the flushed record");
+    assert!(journal.store().is_empty(), "ack compacts the medium");
+    assert_eq!(provider.content(), "draft");
+}
+
+#[test]
+fn recover_replays_journal_into_dirty_queue() {
+    let (space, provider, doc) = setup("v0", 100);
+    let medium = placeless_simenv::StableStore::new();
+    {
+        let cache = DocumentCache::new(
+            space.clone(),
+            CacheConfig {
+                write_mode: WriteMode::Back,
+                journal: Some(WriteJournal::new(medium.clone())),
+                ..quiet_config()
+            },
+        );
+        cache
+            .write(ALICE, doc, b"buffered")
+            .expect("write must buffer");
+        // Crash: every in-memory structure dies unflushed; only the
+        // stable medium survives.
+    }
+    let (journal, outcome) = WriteJournal::open(medium);
+    assert_eq!(outcome.records.len(), 1);
+    let (cache, report) = DocumentCache::recover(
+        space,
+        CacheConfig {
+            write_mode: WriteMode::Back,
+            journal: Some(journal),
+            ..quiet_config()
+        },
+        None,
+    );
+    assert_eq!((report.replayed, report.requeued), (1, 1));
+    assert!(report.conflicts.is_empty());
+    assert_eq!(cache.dirty_count(), 1);
+    assert_eq!(cache.stats().journal_replays, 1);
+    assert_eq!(
+        cache.read(ALICE, doc).expect("read must succeed"),
+        "buffered",
+        "the recovered write is the writer's view again"
+    );
+    let _ = cache.flush().expect("flush must succeed");
+    assert_eq!(provider.content(), "buffered");
+}
+
+#[test]
+fn uncacheable_content_is_never_stored() {
+    struct LiveProvider;
+    impl BitProvider for LiveProvider {
+        fn describe(&self) -> String {
+            "live".into()
+        }
+        fn open_input(&self, clock: &VirtualClock) -> Result<Box<dyn InputStream>> {
+            Ok(Box::new(MemoryInput::new(Bytes::from(format!(
+                "frame@{}",
+                clock.advance(1).as_micros()
+            )))))
+        }
+        fn open_output(&self, _clock: &VirtualClock) -> Result<Box<dyn OutputStream>> {
+            Err(PlacelessError::ReadOnly(DocumentId(0)))
+        }
+        fn make_verifier(
+            &self,
+            _clock: &VirtualClock,
+        ) -> Option<Box<dyn placeless_core::verifier::Verifier>> {
+            None
+        }
+        fn fetch_cost_micros(&self) -> u64 {
+            10
+        }
+        fn cacheability_vote(&self) -> Cacheability {
+            Cacheability::Uncacheable
+        }
+    }
+    let clock = VirtualClock::new();
+    let space = DocumentSpace::with_middleware_cost(clock, LatencyModel::FREE);
+    let doc = space.create_document(ALICE, Arc::new(LiveProvider));
+    let cache = DocumentCache::new(space, quiet_config());
+    let a = cache.read(ALICE, doc).expect("read must succeed");
+    let b = cache.read(ALICE, doc).expect("read must succeed");
+    assert_ne!(a, b, "every read reaches the live source");
+    assert!(cache.is_empty());
+    assert_eq!(cache.stats().uncacheable_reads, 2);
+    assert_eq!(cache.stats().hits, 0);
+}
+
+#[test]
+fn latency_and_verifier_accounting() {
+    let (space, _provider, doc) = setup("abcdef", 10_000);
+    let clock = space.clock().clone();
+    let cache = DocumentCache::new(space, quiet_config());
+    cache.read(ALICE, doc).expect("read must succeed");
+    cache.read(ALICE, doc).expect("read must succeed");
+    cache.read(ALICE, doc).expect("read must succeed");
+    let stats = cache.stats();
+    // The provider's mtime verifier costs 2 µs per hit.
+    assert_eq!(stats.verify_micros, 4);
+    assert!(stats.mean_miss_ms().expect("misses were recorded") >= 10.0);
+    assert!(stats.mean_hit_ms().expect("hits were recorded") < 1.0);
+    assert!(clock.now().as_micros() >= 10_000);
+}
+
+#[test]
+fn writes_are_counted_per_mode() {
+    let (space, _provider, doc) = setup("x", 0);
+    let through = DocumentCache::new(space.clone(), quiet_config());
+    through
+        .write(ALICE, doc, b"a")
+        .expect("write-through must succeed");
+    through
+        .write(ALICE, doc, b"b")
+        .expect("write-through must succeed");
+    assert_eq!(through.stats().writes, 2);
+    assert_eq!(through.stats().flushes, 0);
+
+    let back = DocumentCache::new(
+        space,
+        CacheConfig {
+            write_mode: WriteMode::Back,
+            local_latency: LatencyModel::FREE,
+            ..CacheConfig::default()
+        },
+    );
+    back.write(ALICE, doc, b"c")
+        .expect("write-back must buffer");
+    back.write(ALICE, doc, b"d")
+        .expect("write-back must buffer");
+    let _ = back.flush().expect("flush must push every dirty entry");
+    let stats = back.stats();
+    assert_eq!(stats.writes, 2);
+    assert_eq!(stats.flushes, 1, "coalesced into one flush");
+}
+
+fn lease_setup() -> (
+    Arc<DocumentSpace>,
+    Arc<MemoryProvider>,
+    DocumentId,
+    VirtualClock,
+) {
+    let clock = VirtualClock::new();
+    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::new(300, 0));
+    let provider = MemoryProvider::new("t", "body", 1_000);
+    let doc = space.create_document(ALICE, provider.clone());
+    space.add_reference(BOB, doc).expect("reference");
+    space
+        .attach_active(Scope::Universal, doc, TagProperty::new("t", 50))
+        .expect("attach");
+    (space, provider, doc, clock)
+}
+
+fn lease_config() -> CacheConfig {
+    CacheConfig {
+        local_latency: LatencyModel::FREE,
+        stage_cache: true,
+        ..CacheConfig::default()
+    }
+}
+
+#[test]
+fn plan_lease_serves_later_staged_walks_without_refetching() {
+    let (space, _provider, doc, clock) = lease_setup();
+    let cache = DocumentCache::new(space, lease_config());
+
+    assert_eq!(cache.read(ALICE, doc).expect("first read"), "body[t]");
+    assert_eq!(cache.stats().root_reuses, 0, "cold walk must fetch");
+
+    // Bob's first read is a version miss, but the whole staged walk is
+    // served off the leases: the chain lease saves one hop, the
+    // verified root signature elides the provider fetch, and the tag
+    // stage is adopted from the intermediate store.
+    let t0 = clock.now();
+    assert_eq!(cache.read(BOB, doc).expect("later read"), "body[t]");
+    let later = clock.now().since(t0);
+    let stats = cache.stats();
+    assert_eq!(stats.root_reuses, 1, "root fetch elided via the lease");
+    assert_eq!(stats.stage_hits, 1, "tag stage adopted, not executed");
+    assert!(
+        later < 1_000,
+        "later walk ({later} us) must not pay the 1000 us provider fetch"
+    );
+}
+
+#[test]
+fn stale_root_lease_refetches_fresh_provider_bytes() {
+    let (space, provider, doc, _clock) = lease_setup();
+    space.add_reference(UserId(3), doc).expect("reference");
+    let cache = DocumentCache::new(space, lease_config());
+
+    assert_eq!(cache.read(ALICE, doc).expect("first read"), "body[t]");
+    assert_eq!(cache.read(BOB, doc).expect("leased read"), "body[t]");
+    assert_eq!(cache.stats().root_reuses, 1);
+
+    // An out-of-band provider change fires no events; only the lease's
+    // verifier can catch it — and must, on the very next walk.
+    provider.set_out_of_band("body2");
+    assert_eq!(
+        cache.read(UserId(3), doc).expect("post-change read"),
+        "body2[t]",
+        "stale root lease must never anchor a walk on old bytes"
+    );
+    let stats = cache.stats();
+    assert_eq!(
+        stats.root_reuses, 1,
+        "the invalidated root lease is not reused"
+    );
+}
+
+#[test]
+fn cacheable_with_events_forwards_cache_reads() {
+    use parking_lot::Mutex as PMutex;
+    struct Audit {
+        reads: Arc<PMutex<u64>>,
+    }
+    impl ActiveProperty for Audit {
+        fn name(&self) -> &str {
+            "audit"
+        }
+        fn interests(&self) -> Interests {
+            Interests::of(&[EventKind::GetInputStream, EventKind::CacheRead])
+        }
+        fn wrap_input(
+            &self,
+            _ctx: &PathCtx<'_>,
+            report: &mut PathReport,
+            inner: Box<dyn InputStream>,
+        ) -> Result<Box<dyn InputStream>> {
+            report.vote(Cacheability::CacheableWithEvents);
+            *self.reads.lock() += 1;
+            Ok(inner)
+        }
+        fn on_event(&self, _ctx: &EventCtx<'_>, _event: &DocumentEvent) -> Result<()> {
+            *self.reads.lock() += 1;
+            Ok(())
+        }
+    }
+    let (space, _provider, doc) = setup("audited", 100);
+    let reads = Arc::new(PMutex::new(0u64));
+    space
+        .attach_active(
+            Scope::Universal,
+            doc,
+            Arc::new(Audit {
+                reads: reads.clone(),
+            }),
+        )
+        .expect("property must attach to an existing document");
+    let cache = DocumentCache::new(space, quiet_config());
+    cache.read(ALICE, doc).expect("read must succeed"); // miss: wrap_input counts 1
+    cache.read(ALICE, doc).expect("read must succeed"); // hit: forwarded event counts 1
+    cache.read(ALICE, doc).expect("read must succeed"); // hit: forwarded event counts 1
+    assert_eq!(*reads.lock(), 3, "audit saw every read despite caching");
+    assert_eq!(cache.stats().events_forwarded, 2);
+    assert_eq!(cache.stats().hits, 2);
+}
+
+#[test]
+fn builder_mirrors_struct_config() {
+    let config = CacheConfig::builder()
+        .capacity_bytes(4_096)
+        .policy_name("LFU")
+        .expect("LFU is a known policy")
+        .run_verifiers(false)
+        .write_mode(WriteMode::Back)
+        .local_latency(LatencyModel::FREE)
+        .prefetch(PrefetchConfig::up_to(3))
+        .shards(2)
+        .merge(MergePolicy::new())
+        .build();
+    assert_eq!(config.capacity_bytes, 4_096);
+    assert_eq!(config.policy.name(), "lfu");
+    assert!(!config.run_verifiers);
+    assert_eq!(config.write_mode, WriteMode::Back);
+    assert_eq!(config.shards, 2);
+    assert!(config.prefetch.enabled);
+    assert!(config.merge.is_some());
+    // Exhaustive on purpose: a fifteenth field stops this compiling,
+    // so adding an option is a decision, not an accident.
+    let CacheConfig {
+        capacity_bytes: _,
+        policy: _,
+        run_verifiers,
+        write_mode,
+        local_latency: _,
+        prefetch,
+        access_link,
+        shards,
+        resilience,
+        stage_cache,
+        journal,
+        max_inflight_per_origin,
+        merge,
+        overload,
+    } = CacheConfig::default();
+    assert!(run_verifiers && !stage_cache && !prefetch.enabled);
+    assert_eq!((write_mode, shards), (WriteMode::Through, 0));
+    assert_eq!((resilience.max_retries, resilience.breaker), (0, None));
+    assert!(access_link.is_none() && journal.is_none() && merge.is_none());
+    assert!(max_inflight_per_origin.is_none() && overload.is_none());
+    assert!(CacheConfig::builder().policy_name("bogus").is_err());
+
+    let (space, _provider, doc) = setup("built", 100);
+    let cache = DocumentCache::new(space, config);
+    assert_eq!(cache.shard_count(), 2);
+    cache
+        .write(ALICE, doc, b"dirty")
+        .expect("write-back must buffer");
+    assert_eq!(
+        cache.read(ALICE, doc).expect("read must succeed"),
+        "dirty",
+        "write-back took"
+    );
+}
+
+#[test]
+fn write_op_buffers_a_mergeable_delta_and_flushes_it() {
+    use placeless_core::op::DocOp;
+    let (space, provider, doc) = setup("base;", 100);
+    let journal = WriteJournal::new(placeless_simenv::StableStore::new());
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig {
+            write_mode: WriteMode::Back,
+            journal: Some(journal.clone()),
+            merge: Some(MergePolicy::new()),
+            ..quiet_config()
+        },
+    );
+    cache.read(ALICE, doc).expect("read must succeed");
+    cache
+        .write_op(ALICE, doc, DocOp::Append(Bytes::from("a1;")))
+        .expect("op write must buffer");
+    cache
+        .write_op(ALICE, doc, DocOp::Append(Bytes::from("a2;")))
+        .expect("op write must buffer");
+    // The buffered view materializes the accumulated delta.
+    assert_eq!(
+        cache.read(ALICE, doc).expect("read must succeed"),
+        "base;a1;a2;"
+    );
+    // The journal record carries both ops with a causal sequence.
+    let records = journal.live_records();
+    assert_eq!(records.len(), 1);
+    assert_eq!(records[0].ops.len(), 2);
+    assert_eq!(records[0].writer_seq, 2);
+    assert!(records[0].rebasable());
+    let report = cache.flush().expect("flush must run");
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(provider.content(), "base;a1;a2;");
+    assert!(journal.is_empty(), "flush acks the op record");
+}
+
+#[test]
+fn plain_write_supersedes_the_op_delta() {
+    use placeless_core::op::DocOp;
+    let (space, _provider, doc) = setup("base", 100);
+    let journal = WriteJournal::new(placeless_simenv::StableStore::new());
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig {
+            write_mode: WriteMode::Back,
+            journal: Some(journal.clone()),
+            ..quiet_config()
+        },
+    );
+    cache
+        .write_op(ALICE, doc, DocOp::Append(Bytes::from("!")))
+        .expect("op write must buffer");
+    assert!(!journal.live_records()[0].ops.is_empty());
+    cache
+        .write(ALICE, doc, b"rewritten")
+        .expect("write buffers");
+    let records = journal.live_records();
+    assert_eq!(records.len(), 1, "the plain write supersedes the delta");
+    assert!(records[0].ops.is_empty());
+    assert_eq!(records[0].data, "rewritten");
+    // A later op over the pending snapshot folds it in as a
+    // full-body op: correct view, deliberately unmergeable.
+    cache
+        .write_op(ALICE, doc, DocOp::Append(Bytes::from("?")))
+        .expect("op write must buffer");
+    assert_eq!(
+        cache.read(ALICE, doc).expect("read must succeed"),
+        "rewritten?"
+    );
+    assert!(!journal.live_records()[0].rebasable());
+}
+
+#[test]
+fn write_op_through_mode_applies_to_current_content() {
+    use placeless_core::op::DocOp;
+    let (space, provider, doc) = setup("hello world", 100);
+    let cache = DocumentCache::new(space.clone(), quiet_config());
+    cache
+        .write_op(
+            ALICE,
+            doc,
+            DocOp::ReplaceRange {
+                start: 6,
+                end: 11,
+                data: Bytes::from("there"),
+            },
+        )
+        .expect("through-mode op writes immediately");
+    assert_eq!(provider.content(), "hello there");
+    cache
+        .write_op(
+            ALICE,
+            doc,
+            DocOp::SetProperty {
+                name: "mood".into(),
+                value: placeless_core::content::PropertyValue::Str("calm".into()),
+            },
+        )
+        .expect("property op attaches");
+    let description = space.describe(ALICE, doc).expect("describe");
+    assert!(
+        description.personal.iter().any(|p| p.name == "mood"),
+        "SetProperty attached a personal property"
+    );
+}
+
+#[test]
+fn zero_shards_means_auto() {
+    let (space, _provider, _doc) = setup("auto", 0);
+    let cache = DocumentCache::new(space, quiet_config());
+    assert_eq!(cache.shard_count(), default_shard_count());
+    assert!(cache.shard_count() >= 1);
+}
+
+#[test]
+fn multi_shard_cache_behaves_like_single_shard() {
+    // The same single-threaded workload through 1 and 8 shards must
+    // agree on every outcome that does not depend on victim choice.
+    let run = |shards: usize| {
+        let clock = VirtualClock::new();
+        let space = DocumentSpace::with_middleware_cost(clock, LatencyModel::FREE);
+        let mut docs = Vec::new();
+        for i in 0..12u8 {
+            let provider = MemoryProvider::new(&format!("m{i}"), format!("body {i}"), 100);
+            docs.push(space.create_document(ALICE, provider));
+        }
+        let cache = DocumentCache::new(
+            space.clone(),
+            CacheConfig {
+                shards,
+                local_latency: LatencyModel::FREE,
+                ..CacheConfig::default()
+            },
+        );
+        for &doc in &docs {
+            cache.read(ALICE, doc).expect("read must succeed");
+            cache.read(ALICE, doc).expect("read must succeed");
+        }
+        space.bus().post(Invalidation::Document(docs[0]));
+        let stats = cache.stats();
+        (
+            stats.hits,
+            stats.misses,
+            stats.notifier_invalidations,
+            cache.len(),
+            cache.resident_bytes(),
+        )
+    };
+    assert_eq!(run(1), run(8));
+}

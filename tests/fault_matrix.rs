@@ -895,7 +895,7 @@ fn batched_flush_straddling_outage_parks_only_failed_entries() {
     assert_eq!(fs.read("/b").expect("file exists"), "old b");
     let stats = cache.stats();
     assert!(stats.flush_batches >= 1, "the grouped path ran");
-    assert_eq!(stats.batched_writes, 1, "one entry succeeded via the batch");
+    assert_eq!(stats.flushes, 1, "one entry succeeded via the batch");
     assert_eq!(stats.writes_parked, 2);
 
     // Past the outage and the breaker cool-down, the parked half of the
@@ -1459,6 +1459,51 @@ fn parked_write_dropped_by_keep_theirs_leaves_the_parked_gauge() {
         fs.read("/shared").expect("file exists"),
         Bytes::from("alice")
     );
+}
+
+/// A second plain write over a still-buffered one keeps the *first*
+/// write's base epoch: the writer has only ever been served their own
+/// dirty bytes since, so that epoch is the last origin rendition they
+/// saw. Taking the epoch from the resident entry instead would launder
+/// the conflict once an invalidation dropped that entry (`NO_EPOCH`
+/// skips the flush-time probe and the origin is blindly overwritten).
+#[test]
+fn second_plain_write_keeps_the_buffered_epoch() {
+    for second_write in [false, true] {
+        let clock = VirtualClock::new();
+        let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
+        let fs = MemFs::new(clock.clone());
+        fs.create("/shared", "seed");
+        let doc = space.create_document(USER, FsProvider::new(fs.clone(), "/shared", lan(64)));
+        space.add_reference(BOB, doc).expect("doc exists");
+
+        let keep_theirs = || {
+            let mut config = merge_config(WriteJournal::new(StableStore::new()));
+            let hook: ConflictHook = Arc::new(|_| ConflictResolution::KeepTheirs);
+            config.merge = Some(MergePolicy::new().on_unmergeable(hook));
+            config
+        };
+        let alice = DocumentCache::new(space.clone(), keep_theirs());
+        let bob = DocumentCache::new(space.clone(), keep_theirs());
+        alice.read(USER, doc).expect("warm fill");
+        bob.read(BOB, doc).expect("warm fill");
+        alice.write(USER, doc, b"alice 1").expect("write buffers");
+        bob.write(BOB, doc, b"bob").expect("write buffers");
+        assert!(bob.flush().expect("healthy origin").is_clean());
+        space.bus().post(Invalidation::Document(doc));
+        if second_write {
+            alice.write(USER, doc, b"alice 2").expect("write buffers");
+        }
+
+        let report = alice.flush().expect("healthy origin");
+        assert_eq!(
+            report.dropped,
+            vec![(doc, USER)],
+            "second_write={second_write}: {report}"
+        );
+        assert_eq!(alice.stats().write_conflicts, 1, "the probe ran");
+        assert_eq!(fs.read("/shared").expect("file exists"), Bytes::from("bob"));
+    }
 }
 
 /// With `merge: None` (the default) the write-back pipeline is the

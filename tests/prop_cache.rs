@@ -1,17 +1,20 @@
-//! Property-based tests over the caching layer: the shared store against a
-//! reference model, replacement-policy contracts under random operation
-//! sequences, GDS invariants, and the simulation substrate.
+//! Property-based tests over the caching layer: the content store against
+//! a reference model, refcount and gauge balance through the public cache
+//! API, replacement-policy contracts under random operation sequences, GDS
+//! invariants, and the simulation substrate.
 
 use bytes::Bytes;
-use placeless_cache::keys::SharedStore;
+use placeless_bench::support::TagProperty;
 use placeless_cache::policy::{
     by_name, EntryAttrs, EntryKey, GreedyDualSize, ReplacementPolicy, ALL_POLICIES,
 };
-use placeless_core::id::{DocumentId, UserId};
+use placeless_cache::{CacheConfig, ConcurrentStore, DocumentCache};
+use placeless_core::prelude::*;
 use placeless_simenv::trace::{WorkloadBuilder, ZipfSampler};
-use placeless_simenv::{SimRng, VirtualClock};
+use placeless_simenv::{LatencyModel, SimRng, VirtualClock};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 fn key_strategy() -> impl Strategy<Value = EntryKey> {
     (0u64..12, 0u64..4).prop_map(|(d, u)| EntryKey::Version(DocumentId(d), UserId(u)))
@@ -35,37 +38,159 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+const BALANCE_DOCS: u64 = 4;
+const BALANCE_USERS: u64 = 3;
+/// About a third of what the world's stage and version entries need, so
+/// most fills evict.
+const BALANCE_CAPACITY: u64 = 250;
+
+/// Steps the balance test drives through the public cache API.
+#[derive(Debug, Clone)]
+enum CacheOp {
+    Read(u64, u64),
+    Write(u64, u64, u8),
+    DropUser(u64, u64),
+    DropDoc(u64),
+}
+
+fn cache_op_strategy() -> impl Strategy<Value = CacheOp> {
+    let doc = 0..BALANCE_DOCS;
+    let user = 0..BALANCE_USERS;
+    prop_oneof![
+        (doc.clone(), user.clone()).prop_map(|(d, u)| CacheOp::Read(d, u)),
+        (doc.clone(), user.clone()).prop_map(|(d, u)| CacheOp::Read(d, u)),
+        (doc.clone(), user.clone(), any::<u8>()).prop_map(|(d, u, v)| CacheOp::Write(d, u, v)),
+        (doc.clone(), user).prop_map(|(d, u)| CacheOp::DropUser(d, u)),
+        doc.prop_map(CacheOp::DropDoc),
+    ]
+}
+
+/// Every document carries one universal signed stage and one signed
+/// personal suffix per user, behind a write-through stage-caching cache
+/// far too small for all of them.
+fn staged_chain_world(
+    shards: usize,
+) -> (
+    Arc<DocumentSpace>,
+    Arc<DocumentCache>,
+    Vec<DocumentId>,
+    Vec<UserId>,
+) {
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let users: Vec<UserId> = (1..=BALANCE_USERS).map(UserId).collect();
+    let docs: Vec<DocumentId> = (0..BALANCE_DOCS)
+        .map(|d| {
+            let body = format!("document {d} body, thirty-two bytes");
+            let doc = space.create_document(users[0], MemoryProvider::new("d", body, 100));
+            space
+                .attach_active(Scope::Universal, doc, TagProperty::new("all", 100))
+                .expect("doc exists");
+            for &user in &users {
+                if user != users[0] {
+                    space.add_reference(user, doc).expect("doc exists");
+                }
+                space
+                    .attach_active(
+                        Scope::Personal(user),
+                        doc,
+                        TagProperty::new(&format!("u{}", user.0), 100),
+                    )
+                    .expect("reference exists");
+            }
+            doc
+        })
+        .collect();
+    let cache = DocumentCache::new(
+        space.clone(),
+        CacheConfig::builder()
+            .capacity_bytes(BALANCE_CAPACITY)
+            .local_latency(LatencyModel::FREE)
+            .stage_cache(true)
+            .shards(shards)
+            .build(),
+    );
+    (space, cache, docs, users)
+}
+
 proptest! {
-    /// The shared store behaves like a plain `(key → bytes)` map for
-    /// lookups, while storing each distinct value once.
+    /// The content store behaves like a plain `(key → bytes)` map when
+    /// driven the way a cache shard drives it — one reference per bound
+    /// key, released on re-point and removal — while storing each distinct
+    /// value once.
     #[test]
     fn shared_store_matches_reference_model(ops in proptest::collection::vec(op_strategy(), 0..200)) {
-        let mut store = SharedStore::new();
+        let store = ConcurrentStore::new();
+        // Content derived from the value: equal values share.
+        let content = |v: u8| Bytes::from(vec![v; 16]);
+        let sig = |v: u8| ConcurrentStore::signature_of(&[v; 16]);
         let mut model: HashMap<EntryKey, u8> = HashMap::new();
         for op in ops {
             match op {
                 Op::Insert(key, v) => {
-                    // Content derived from the value: equal values share.
-                    store.insert(key, Bytes::from(vec![v; 16]));
+                    if let Some(old) = model.remove(&key) {
+                        store.release(sig(old));
+                    }
+                    let shared = store.try_acquire(sig(v), &content(v), u64::MAX);
+                    prop_assert_eq!(shared, Ok(model.values().any(|&other| other == v)));
                     model.insert(key, v);
                 }
                 Op::Remove(key) => {
-                    let existed = store.remove(key);
-                    prop_assert_eq!(existed, model.remove(&key).is_some());
+                    if let Some(old) = model.remove(&key) {
+                        store.release(sig(old));
+                    }
                 }
                 _ => {}
             }
             // Lookups agree.
-            for (&key, &v) in &model {
-                prop_assert_eq!(store.get(key), Some(Bytes::from(vec![v; 16])));
+            for &v in model.values() {
+                prop_assert_eq!(store.get(sig(v)), Some(content(v)));
             }
-            prop_assert_eq!(store.key_count(), model.len());
             // Physical bytes: one copy per distinct value.
             let distinct: HashSet<u8> = model.values().copied().collect();
-            prop_assert_eq!(store.distinct_contents(), distinct.len());
             prop_assert_eq!(store.physical_bytes(), distinct.len() as u64 * 16);
             prop_assert_eq!(store.logical_bytes(), model.len() as u64 * 16);
         }
+        for (_, v) in model.drain() {
+            store.release(sig(v));
+        }
+        prop_assert_eq!((store.physical_bytes(), store.logical_bytes()), (0, 0));
+    }
+
+    /// Store refcounts and the `stage_bytes` gauge stay balanced through
+    /// any sequence of fills, evictions and invalidations: the budget is
+    /// never overshot, and once every version is invalidated exactly the
+    /// stage entries' references remain.
+    #[test]
+    fn refcounts_and_gauges_balance_through_the_public_api(
+        shards in proptest::sample::select(vec![1usize, 4]),
+        ops in proptest::collection::vec(cache_op_strategy(), 0..80),
+    ) {
+        let (space, cache, docs, users) = staged_chain_world(shards);
+        for op in ops {
+            match op {
+                CacheOp::Read(d, u) => {
+                    cache.read(users[u as usize], docs[d as usize]).expect("read must succeed");
+                }
+                CacheOp::Write(d, u, v) => {
+                    let body = format!("rewritten body number {v}");
+                    cache
+                        .write(users[u as usize], docs[d as usize], body.as_bytes())
+                        .expect("write-through must succeed");
+                }
+                CacheOp::DropUser(d, u) => space
+                    .bus()
+                    .post(Invalidation::UserDocument(docs[d as usize], users[u as usize])),
+                CacheOp::DropDoc(d) => space.bus().post(Invalidation::Document(docs[d as usize])),
+            }
+            let (physical, logical) = cache.resident_bytes();
+            prop_assert!(physical <= BALANCE_CAPACITY, "{} over budget", physical);
+            prop_assert!(physical <= logical);
+        }
+        for &doc in &docs {
+            space.bus().post(Invalidation::Document(doc));
+        }
+        prop_assert_eq!(cache.len(), cache.stage_entry_count());
+        prop_assert_eq!(cache.resident_bytes().1, cache.stats().stage_bytes);
     }
 
     /// Every policy maintains the contract: it tracks exactly the live

@@ -7,7 +7,7 @@ use placeless_cache::{CacheConfig, DocumentCache, HitClass, ReadOptions, Resilie
 use placeless_core::bitprovider::BitProvider;
 use placeless_core::error::{PlacelessError, Result};
 use placeless_core::id::UserId;
-use placeless_core::space::{DocumentSpace, Scope};
+use placeless_core::space::DocumentSpace;
 use placeless_core::streams::{InputStream, MemoryInput, OutputStream};
 use placeless_core::verifier::Verifier;
 use placeless_repository::{FsProvider, MemFs};
@@ -288,67 +288,4 @@ fn deadline_override_bounds_retries() {
         .expect("retries outlast the outage");
     assert!(!outcome.bytes.is_empty());
     assert!(cache.stats().retries > 0);
-}
-
-/// `bypass_stage_cache` forces a full recompute: a read that would have
-/// been a partial hit over the shared stage prefix classifies as a plain
-/// miss and takes no stage hits.
-#[test]
-fn bypass_stage_cache_forces_full_recompute() {
-    use placeless_bench::support::TagProperty;
-
-    let clock = VirtualClock::new();
-    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
-    let fs = MemFs::new(clock.clone());
-    fs.create("/doc", "staged body");
-    let doc = space.create_document(
-        USER,
-        FsProvider::new(fs, "/doc", Link::new(500, 2_000_000, 0.0, 3)),
-    );
-    for i in 0..3 {
-        space
-            .attach_active(
-                Scope::Universal,
-                doc,
-                TagProperty::new(&format!("b{i}"), 100),
-            )
-            .expect("attach");
-    }
-    let second = UserId(2);
-    let third = UserId(3);
-    space.add_reference(second, doc).expect("reference");
-    space.add_reference(third, doc).expect("reference");
-    let cache = DocumentCache::new(
-        space,
-        CacheConfig::builder()
-            .local_latency(LatencyModel::FREE)
-            .stage_cache(true)
-            .build(),
-    );
-
-    // First user warms the shared stage prefix.
-    let first = cache
-        .read_with(USER, doc, ReadOptions::default())
-        .expect("cold fill");
-    assert_eq!(first.class, HitClass::Miss);
-
-    // Second user normally rides it: a partial hit.
-    let partial = cache
-        .read_with(second, doc, ReadOptions::default())
-        .expect("staged read");
-    assert_eq!(partial.class, HitClass::PartialHit);
-    let stage_hits_after_partial = cache.stats().stage_hits;
-    assert!(stage_hits_after_partial > 0);
-
-    // Third user bypasses the stage cache: same bytes, full recompute.
-    let bypassed = cache
-        .read_with(third, doc, ReadOptions::new().bypass_stage_cache(true))
-        .expect("bypassed read");
-    assert_eq!(bypassed.class, HitClass::Miss);
-    assert_eq!(bypassed.bytes, partial.bytes);
-    assert_eq!(
-        cache.stats().stage_hits,
-        stage_hits_after_partial,
-        "a bypassed read must not consult stage entries"
-    );
 }
