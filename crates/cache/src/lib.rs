@@ -14,6 +14,9 @@
 //!   second level of the paper's `(document, user) → signature → content`
 //!   map; the first level is the cache's sharded entry table (the
 //!   crate-private `shard` module).
+//! * the crate-private `origin` module — one record per origin (its
+//!   circuit breaker, its window of running fetches, its AIMD state)
+//!   behind an RAII slot.
 //! * [`digest`] — in-tree MD5 (RFC 1321) content signatures (re-exported
 //!   from `placeless_core`, where the plan compiler also derives per-stage
 //!   signatures from them).
@@ -37,6 +40,7 @@ pub mod entry;
 pub mod journal;
 pub mod manager;
 pub mod merge;
+mod origin;
 pub mod overload;
 pub mod policy;
 pub mod prefetch;
@@ -53,7 +57,7 @@ pub use manager::{
     DocumentCache, FlushReport, HitClass, ReadOptions, ReadOutcome, RecoveryReport, WriteConflict,
     WriteMode,
 };
-pub use merge::{Contribution, MergePolicy, MergeReport};
+pub use merge::{MergePolicy, MergeReport};
 pub use overload::{expected_completion_micros, BrownoutLevel, OverloadConfig, Priority};
 pub use policy::{
     by_name, EntryAttrs, EntryKey, GdsFrequency, GreedyDualSize, PolicyFactory, ReplacementPolicy,
@@ -61,8 +65,8 @@ pub use policy::{
 };
 pub use prefetch::PrefetchConfig;
 pub use resilience::{
-    retry_floor, Admission, BreakerConfig, BreakerSet, BreakerState, ResilienceConfig,
-    ResilienceConfigBuilder, StalenessBound,
+    retry_floor, BreakerConfig, BreakerState, ResilienceConfig, ResilienceConfigBuilder,
+    StalenessBound,
 };
 pub use stats::CacheStats;
 pub use store::ConcurrentStore;

@@ -43,8 +43,8 @@ pub struct CacheConfig {
     /// experimented with caches co-located with the Placeless server".
     /// Charged on every served read.
     pub access_link: Option<Link>,
-    /// Number of lock shards; `0` means one per available CPU. `1`
-    /// reproduces the original global-lock behaviour exactly.
+    /// Number of lock shards; `0` means one per available CPU. `1` is a
+    /// single global lock over one replacement-policy instance.
     pub shards: usize,
     /// Resilient-fetch policy: retries, circuit breakers, serve-stale
     /// degradation. The default enables none of it: every origin
@@ -54,15 +54,16 @@ pub struct CacheConfig {
     /// content-addressed by stage signature, so the user-independent base
     /// prefix of a property chain is computed once and shared across
     /// users; later misses replay only the per-user reference suffix. Off
-    /// by default: misses then execute the chain as one opaque stream,
-    /// exactly as before.
+    /// by default: a miss then executes the whole chain as one opaque
+    /// stream and only the final version is cached.
     pub stage_cache: bool,
     /// Durable write-ahead journal for write-back writes. When set, every
     /// `WriteMode::Back` write is appended to the journal's stable medium
     /// *before* the dirty map is updated, flushes acknowledge records only
     /// after the origin write succeeds, and writes whose flush exhausts
-    /// its retries are *parked* in the journal instead of erroring. `None`
-    /// (the default) reproduces the unjournaled behaviour exactly.
+    /// its retries are *parked* in the journal instead of erroring. With
+    /// `None` (the default) buffered writes live in memory only, and a
+    /// failed flush re-queues the entry and reports its error.
     pub journal: Option<WriteJournal>,
     /// Bound the number of concurrently in-flight origin fetches per
     /// origin. Excess misses block at the cache until a slot frees,
@@ -76,17 +77,18 @@ pub struct CacheConfig {
     /// [`DocumentCache::write_op`]) is rebased onto the origin's current
     /// content — both sides' edits survive — and only unmergeable
     /// conflicts (plain full-body writes) fall back to the binary
-    /// keep-mine/keep-theirs hooks. `None` (the default) preserves the
-    /// binary PR-4 behaviour exactly: no origin probes, no rebases,
-    /// byte-identical flush payloads.
+    /// keep-mine/keep-theirs hooks. With `None` (the default) only those
+    /// hooks exist: a flush never probes the origin, nothing is rebased,
+    /// and every flush payload is the writer's full body.
     pub merge: Option<MergePolicy>,
     /// Overload control: deadline-aware admission against the per-origin
     /// in-flight windows, AIMD concurrency limits driven by observed
     /// fetch latency, priority-class shedding, and the brownout ladder
     /// (see [`crate::overload`]). Requires an in-flight window: when
     /// `max_inflight_per_origin` is unset, the window is created with
-    /// the overload config's `max_inflight` ceiling. `None` (the
-    /// default) reproduces the uncontrolled behaviour exactly.
+    /// the overload config's `max_inflight` ceiling. With `None` (the
+    /// default) no read is ever shed: a miss parks on a full window for
+    /// as long as it takes, and deadlines bound retry scheduling only.
     pub overload: Option<OverloadConfig>,
 }
 

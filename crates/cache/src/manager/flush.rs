@@ -119,7 +119,7 @@ impl DocumentCache {
                 .push((doc, user, entry));
         }
         for (origin, group) in groups {
-            self.flush_group(&origin, group, &mut report);
+            self.flush_group(&self.origins.get(origin), group, &mut report);
         }
         debug_assert_eq!(
             report.attempted,
@@ -134,8 +134,8 @@ impl DocumentCache {
     /// origin operations through the retry driver.
     ///
     /// One breaker admission decision, one origin-salted backoff
-    /// schedule, and one in-flight-window slot cover each *attempt* on
-    /// the whole group; the group write itself goes through
+    /// schedule, and one slot of the origin's window cover each *attempt*
+    /// on the whole group; the group write itself goes through
     /// [`DocumentSpace::write_documents`], which returns one result per
     /// entry. Outcomes stay per entry: successes are acknowledged in the
     /// journal as a batch (one compaction), transient failures stay
@@ -146,7 +146,7 @@ impl DocumentCache {
     /// breaker or the deadline stopped the group.
     fn flush_group(
         &self,
-        origin: &str,
+        origin: &Origin,
         group: Vec<(DocumentId, UserId, DirtyEntry)>,
         report: &mut FlushReport,
     ) {
@@ -158,8 +158,8 @@ impl DocumentCache {
         }
         let deadline = self.resilience.fetch_deadline_micros;
         let outcome = self.retry_driver(deadline, &self.stats.flush_retries).run(
-            || origin.to_owned(),
-            || BackoffSchedule::for_origin(&self.resilience, origin),
+            || origin,
+            || BackoffSchedule::for_origin(&self.resilience, origin.key()),
             || {
                 // One grouped origin operation per attempt, behind one
                 // per-origin window slot (when configured).
@@ -182,13 +182,13 @@ impl DocumentCache {
                         },
                     })
                     .collect();
-                if let Some(window) = &self.window {
-                    window.acquire(origin);
-                }
+                // With no deadline the claim parks but is never shed.
+                let clock = self.space.clock();
+                let slot = self
+                    .origins
+                    .enter(|| origin, clock, None, false, &self.stats);
                 let results = self.space.write_documents(&writes);
-                if let Some(window) = &self.window {
-                    window.release(origin);
-                }
+                drop(slot);
                 debug_assert_eq!(results.len(), pending.len());
                 let mut acks: Vec<u64> = Vec::new();
                 // The entries a retry would write again, and (index

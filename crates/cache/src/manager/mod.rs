@@ -41,12 +41,14 @@
 //! ## Lock ordering
 //!
 //! The shard-lock rules live with the table in `crate::shard`. On top of
-//! them, the write-journal, parked-set, writer-sequence and lease locks
-//! are **leaves**: released before returning, never two at once, and no
-//! shard lock is ever requested while one of them is held. Miss fetches,
-//! flush writes, and event forwarding run with **no** cache lock held,
-//! because the middleware path may re-enter the cache through the
-//! invalidation bus.
+//! them, the write-journal, parked-set, writer-sequence and lease locks,
+//! and the origin locks of `crate::origin` (the table of records, each
+//! record's breaker and its window gate), are **leaves**: released before
+//! returning, never two at once, and no shard lock is ever requested
+//! while one of them is held. A read parked on a full origin window holds
+//! no lock at all. Miss fetches, flush writes, and event forwarding run
+//! with **no** cache lock held, because the middleware path may re-enter
+//! the cache through the invalidation bus.
 //!
 //! ## Single-flight coalescing
 //!
@@ -59,8 +61,8 @@
 //! cycle: a version leader may wait on a stage flight, but a stage leader
 //! only executes its transform. [`CacheConfig::max_inflight_per_origin`]
 //! adds per-origin back-pressure for the misses coalescing cannot merge
-//! (distinct keys, one origin). See the `singleflight` module docs for
-//! the full argument.
+//! (distinct keys, one origin; the `origin` module). See the
+//! `singleflight` module docs for the full argument.
 
 mod config;
 mod flush;
@@ -81,15 +83,15 @@ use crate::digest::Signature;
 use crate::entry::EntryMeta;
 use crate::journal::{WriteJournal, NO_EPOCH};
 use crate::merge::{MergePolicy, MergeReport};
+use crate::origin::{Origin, Origins};
 use crate::overload::{BrownoutLevel, OverloadConfig, OverloadController, Priority};
 use crate::policy::{EntryKey, PolicyFactory, STAGE_PIN_LEVEL};
 use crate::prefetch::PrefetchConfig;
 use crate::resilience::{
-    BackoffSchedule, BreakerSet, BreakerState, GaveUp, ResilienceConfig, RetryDriver,
-    StalenessBound,
+    BackoffSchedule, BreakerState, GaveUp, ResilienceConfig, RetryDriver, StalenessBound,
 };
 use crate::shard::{DirtyEntry, Probe, Removal, ShardGuard, ShardTable, Stale};
-use crate::singleflight::{Acquire, FlightGroup, FlightResult, InflightWindow, Join};
+use crate::singleflight::{FlightGroup, FlightResult, Join};
 use crate::stats::{AtomicCacheStats, CacheStats};
 use crate::store::ConcurrentStore;
 use bytes::Bytes;
@@ -109,6 +111,7 @@ use placeless_core::verifier::{run_all, Validity, Verifier};
 use placeless_simenv::{Instant, LatencyModel, Link, Stopwatch, VirtualClock};
 use read::{FetchCtx, Fetched};
 use stages::PlanLease;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -129,7 +132,8 @@ pub struct DocumentCache {
     stats: AtomicCacheStats,
     resilience: ResilienceConfig,
     stage_cache: bool,
-    breakers: BreakerSet,
+    /// One record per origin: its breaker and its fetch window.
+    origins: Origins,
     journal: Option<WriteJournal>,
     /// Keys whose flush exhausted its retries and now sit in the journal
     /// awaiting a breaker probe. Bookkeeping only (stats and reports);
@@ -143,13 +147,9 @@ pub struct DocumentCache {
     version_flights: FlightGroup,
     /// Open stage executions keyed by stage signature.
     stage_flights: FlightGroup,
-    /// Per-origin fetch back-pressure, when configured.
-    window: Option<InflightWindow>,
-    /// Overload control (deadline-aware admission, AIMD limits, brownout
-    /// ladder), when configured. Always paired with a `window`.
+    /// Overload control's brownout ladder and tuning, when configured;
+    /// its per-origin half (admission, AIMD widths) lives in `origins`.
     overload: Option<OverloadController>,
-    /// Origin fetches currently running (gauge feeding `inflight_peak`).
-    inflight: AtomicU64,
     /// Mirror of `parked.len()`, so [`DocumentCache::parked_count`] does
     /// not take the parked lock.
     parked_gauge: AtomicU64,
@@ -186,26 +186,13 @@ impl DocumentCache {
             stats: AtomicCacheStats::default(),
             resilience: config.resilience,
             stage_cache: config.stage_cache,
-            breakers: BreakerSet::new(),
+            origins: Origins::new(config.max_inflight_per_origin, config.overload.clone()),
             journal: config.journal,
             parked: Mutex::new(HashSet::new()),
             last_seq: AtomicU64::new(0),
             version_flights: FlightGroup::new(),
             stage_flights: FlightGroup::new(),
-            window: {
-                // Overload control needs a window to meter admission
-                // through; fall back to its ceiling when no static
-                // per-origin bound was configured.
-                let limit = config.max_inflight_per_origin.or_else(|| {
-                    config
-                        .overload
-                        .as_ref()
-                        .map(|overload| overload.max_inflight)
-                });
-                limit.map(|limit| InflightWindow::new(limit as usize))
-            },
             overload: config.overload.map(OverloadController::new),
-            inflight: AtomicU64::new(0),
             parked_gauge: AtomicU64::new(0),
             merge: config.merge,
             writer_seqs: Mutex::new(HashMap::new()),
@@ -243,7 +230,9 @@ impl DocumentCache {
     /// by [`placeless_core::bitprovider::BitProvider::origin_key`]);
     /// `Closed` if the origin has never failed.
     pub fn breaker_state(&self, origin: &str) -> BreakerState {
-        self.breakers.state(origin)
+        self.origins
+            .peek(origin)
+            .map_or(BreakerState::Closed, |origin| origin.breaker_state())
     }
 
     /// Returns the number of resident entries — final `(document, user)`
@@ -312,7 +301,7 @@ impl DocumentCache {
     /// Returns how many origin fetch attempts are running right now (the
     /// gauge whose high-water mark is `CacheStats::inflight_peak`).
     pub fn inflight_fetches(&self) -> u64 {
-        self.inflight.load(Ordering::Relaxed)
+        self.origins.running()
     }
 
     /// Returns how many readers are currently parked waiting for a
@@ -320,10 +309,7 @@ impl DocumentCache {
     /// Zero without a configured [`CacheConfigBuilder::max_inflight_per_origin`]
     /// window, and zero whenever the cache is quiescent.
     pub fn queued_fetches(&self) -> u64 {
-        self.window
-            .as_ref()
-            .map(|window| window.queued_total())
-            .unwrap_or(0)
+        self.origins.queued()
     }
 
     /// Returns the configured write journal, if any.

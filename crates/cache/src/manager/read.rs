@@ -61,8 +61,8 @@ pub struct ReadOutcome {
 /// through retries, window admission, and stage computation: the read's
 /// priority class and the virtual instant its deadline budget expires.
 /// `deadline_at` is only ever `Some` when overload control is configured
-/// — without it the deadline keeps its original meaning (bounding retry
-/// scheduling only) and no new check fires.
+/// — without it a deadline bounds retry scheduling only, and neither the
+/// window claim nor the stage walk checks it.
 #[derive(Clone, Copy)]
 pub(super) struct FetchCtx {
     pub(super) priority: Priority,
@@ -80,12 +80,23 @@ pub(super) struct Fetched {
     pub(super) content_sig: Option<Signature>,
 }
 
-/// A claimed per-origin window slot plus when the fetch started, so
-/// releasing it can feed the observed service time to the AIMD
-/// controller.
-struct OriginSlot {
-    origin: String,
-    started: Instant,
+/// A document's origin record, resolved — one space lookup for the key,
+/// one table lookup for the record — at most once, and only when a
+/// breaker, a window or a lapsed deadline asks for it: the default
+/// configuration asks for nothing, so a miss under it pays for neither.
+pub(super) struct DocOrigin<'a> {
+    cache: &'a DocumentCache,
+    doc: DocumentId,
+    record: OnceCell<Arc<Origin>>,
+}
+
+impl DocOrigin<'_> {
+    pub(super) fn get(&self) -> &Origin {
+        self.record.get_or_init(|| {
+            let key = self.cache.origin_key(self.doc);
+            self.cache.origins.get(key)
+        })
+    }
 }
 
 /// What one [`DocumentCache::read_with`] call carries through its steps.
@@ -308,15 +319,19 @@ impl DocumentCache {
     /// `Some` ends the read here.
     fn overload_gate(&self, read: &ReadCtx, stale: Option<&Stale>) -> Option<Result<ReadOutcome>> {
         let controller = self.overload.as_ref()?;
-        let level = self.observe_overload_pressure(controller, &read.clock);
+        // The pressure sample: readers parked on origin windows plus
+        // readers blocked on miss flights.
+        let waiters = self.origins.queued() + self.version_flights.waiting();
+        if let Some((_, to)) = controller.observe_pressure(read.clock.now(), waiters) {
+            AtomicCacheStats::bump(&self.stats.brownout_shifts);
+            AtomicCacheStats::set(&self.stats.brownout_level, u64::from(to.rung()));
+        }
+        let level = controller.level();
         // Rung 4: reject background misses outright — only foreground
         // reads still compete for origin capacity (each remains subject
         // to deadline-aware admission below).
         if level.rejects_background() && read.opts.priority < Priority::Foreground {
-            self.count_shed(read.opts.priority);
-            return Some(Err(PlacelessError::Overloaded {
-                retry_after: controller.config().retry_after_micros,
-            }));
+            return Some(Err(self.shed(read.opts.priority)));
         }
         // Rung 1: serve the resident stale candidate without fetching at
         // all, within the brownout staleness bound (or the resilience
@@ -404,13 +419,17 @@ impl DocumentCache {
             .deadline_micros
             .or(self.resilience.fetch_deadline_micros);
         let ctx = self.fetch_ctx(read.opts.priority, deadline, &read.clock);
-        self.with_retries(read.user, read.doc, deadline, &self.stats.retries, || {
-            self.fetch_once(read.user, read.doc, &read.clock, ctx)
-        })
+        self.with_retries(
+            read.user,
+            read.doc,
+            deadline,
+            &self.stats.retries,
+            |origin| self.fetch_once(read.user, read.doc, &read.clock, ctx, origin),
+        )
     }
 
-    /// The retry driver over this cache's policy, breakers and stats.
-    /// `retries` names the counter a waited-out backoff is charged to.
+    /// The retry driver over this cache's policy and stats. `retries`
+    /// names the counter a waited-out backoff is charged to.
     pub(super) fn retry_driver<'a>(
         &'a self,
         deadline: Option<u64>,
@@ -418,7 +437,6 @@ impl DocumentCache {
     ) -> RetryDriver<'a> {
         RetryDriver {
             config: &self.resilience,
-            breakers: &self.breakers,
             clock: self.space.clock(),
             deadline,
             trips: &self.stats.breaker_trips,
@@ -427,29 +445,40 @@ impl DocumentCache {
     }
 
     /// Runs a single-key origin operation — a miss fetch, a write-through
-    /// write — through the retry driver.
+    /// write — through the retry driver. `op` is handed the origin record
+    /// the driver works on, still unresolved unless something needed it.
     pub(super) fn with_retries<T>(
         &self,
         user: UserId,
         doc: DocumentId,
         deadline: Option<u64>,
         retries: &AtomicU64,
-        mut op: impl FnMut() -> Result<T>,
+        mut op: impl FnMut(&DocOrigin<'_>) -> Result<T>,
     ) -> Result<T> {
+        let origin = self.doc_origin(doc);
         self.retry_driver(deadline, retries)
             .run(
-                || self.origin_key(doc),
+                || origin.get(),
                 // Salting the jitter stream with the key keeps concurrent
                 // operations from sharing one schedule while staying
                 // deterministic per key.
                 || BackoffSchedule::new(&self.resilience, doc.0 ^ user.0.rotate_left(32)),
-                || op().map_err(|error| [error]),
+                || op(&origin).map_err(|error| [error]),
             )
             .map_err(GaveUp::into_error)
     }
 
-    /// The key `doc`'s origin goes by in the breakers, the in-flight
-    /// windows and the flush groups.
+    /// `doc`'s origin record, not yet resolved.
+    fn doc_origin(&self, doc: DocumentId) -> DocOrigin<'_> {
+        DocOrigin {
+            cache: self,
+            doc,
+            record: OnceCell::new(),
+        }
+    }
+
+    /// The key `doc`'s origin goes by in the origin table and the flush
+    /// groups.
     pub(super) fn origin_key(&self, doc: DocumentId) -> String {
         self.space
             .origin_of(doc)
@@ -458,20 +487,29 @@ impl DocumentCache {
 
     /// Executes one middleware read attempt: the compiled-plan walk with
     /// intermediate-result lookups when stage caching is on, the plain
-    /// opaque-stream read otherwise. Every attempt claims a per-origin
-    /// window slot first (when configured) and is counted in the
-    /// in-flight gauge behind `inflight_peak`; with overload control the
-    /// claim is deadline-aware and may shed the attempt with
-    /// [`PlacelessError::Overloaded`]. Runs with no cache lock held.
+    /// opaque-stream read otherwise. The attempt runs inside a
+    /// [`Slot`](crate::origin::Slot): counted in the running-fetch gauge
+    /// behind `inflight_peak` and, when a window is configured, holding
+    /// one of its origin's slots until it returns or unwinds. Without
+    /// overload control the claim parks until a slot frees; with it the
+    /// claim is deadline-aware, and an attempt whose remaining budget
+    /// cannot cover the expected queue wait plus service time — or whose
+    /// deadline lapses while parked — is shed with
+    /// [`PlacelessError::Overloaded`] and counted against its priority
+    /// class. Runs with no cache lock held.
     fn fetch_once(
         &self,
         user: UserId,
         doc: DocumentId,
         clock: &VirtualClock,
         ctx: FetchCtx,
+        origin: &DocOrigin<'_>,
     ) -> Result<Fetched> {
-        let slot = self.begin_origin_fetch(doc, clock, ctx)?;
-        let result = if self.stage_cache {
+        let _slot = self
+            .origins
+            .enter(|| origin.get(), clock, ctx.deadline_at, true, &self.stats)
+            .map_err(|_shed| self.shed(ctx.priority))?;
+        if self.stage_cache {
             self.read_through_stages(user, doc, clock, ctx)
         } else {
             self.space
@@ -482,78 +520,18 @@ impl DocumentCache {
                     stage_partial: false,
                     content_sig: None,
                 })
-        };
-        self.end_origin_fetch(slot, clock);
-        result
+        }
     }
 
-    /// Claims a per-origin window slot (when a window is configured) and
-    /// bumps the in-flight gauge feeding `inflight_peak`. Without
-    /// overload control the claim blocks until a slot frees, exactly as
-    /// before. With overload control the claim is deadline-aware
-    /// ([`InflightWindow::acquire_until`]): a request whose remaining
-    /// budget cannot cover the expected queue wait plus service time —
-    /// or whose deadline lapses while parked — is shed with
-    /// [`PlacelessError::Overloaded`] and counted against its priority
-    /// class. Called holding no cache lock; the window wait blocks
-    /// holding no lock either.
-    ///
-    /// [`InflightWindow::acquire_until`]: crate::singleflight::InflightWindow::acquire_until
-    fn begin_origin_fetch(
-        &self,
-        doc: DocumentId,
-        clock: &VirtualClock,
-        ctx: FetchCtx,
-    ) -> Result<Option<OriginSlot>> {
-        let slot = match &self.window {
-            None => None,
-            Some(window) => {
-                let origin = self.origin_key(doc);
-                match &self.overload {
-                    None => window.acquire(&origin),
-                    Some(controller) => {
-                        let expected = controller.expected_service_micros(&origin);
-                        match window.acquire_until(&origin, clock, ctx.deadline_at, expected) {
-                            Acquire::Admitted { queued_micros } => {
-                                AtomicCacheStats::add(&self.stats.queue_wait_micros, queued_micros);
-                            }
-                            Acquire::Shed { queued_micros } => {
-                                AtomicCacheStats::add(&self.stats.queue_wait_micros, queued_micros);
-                                self.count_shed(ctx.priority);
-                                return Err(PlacelessError::Overloaded {
-                                    retry_after: controller.config().retry_after_micros,
-                                });
-                            }
-                        }
-                    }
-                }
-                Some(OriginSlot {
-                    origin,
-                    started: clock.now(),
-                })
-            }
-        };
-        let now = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        AtomicCacheStats::maximize(&self.stats.inflight_peak, now);
-        Ok(slot)
-    }
-
-    /// Releases what [`Self::begin_origin_fetch`] claimed and, with
-    /// overload control, feeds the observed fetch latency to the AIMD
-    /// controller — the returned width immediately resizes this origin's
-    /// window. The observation is virtual-clock time, which under
-    /// concurrency includes advances charged by other threads; AIMD only
-    /// needs the signal to rise under load and fall when it drains, and
-    /// it does.
-    fn end_origin_fetch(&self, slot: Option<OriginSlot>, clock: &VirtualClock) {
-        self.inflight.fetch_sub(1, Ordering::Relaxed);
-        if let (Some(window), Some(slot)) = (&self.window, slot) {
-            window.release(&slot.origin);
-            if let Some(controller) = &self.overload {
-                let observed = clock.now().since(slot.started);
-                let width = controller.observe_fetch(&slot.origin, observed);
-                window.set_limit(&slot.origin, width as usize);
-            }
+    /// Sheds a read of class `priority`: counts it and builds the
+    /// [`PlacelessError::Overloaded`] it fails with.
+    pub(super) fn shed(&self, priority: Priority) -> PlacelessError {
+        self.count_shed(priority);
+        PlacelessError::Overloaded {
+            retry_after: self
+                .overload
+                .as_ref()
+                .map_or(0, |controller| controller.config().retry_after_micros),
         }
     }
 
@@ -573,27 +551,6 @@ impl DocumentCache {
             .as_ref()
             .map(|controller| controller.level())
             .unwrap_or(BrownoutLevel::Normal)
-    }
-
-    /// Feeds the brownout ladder one pressure sample (readers parked on
-    /// origin windows plus readers blocked on miss flights) and records
-    /// any transition in the stats. Returns the post-sample level.
-    fn observe_overload_pressure(
-        &self,
-        controller: &OverloadController,
-        clock: &VirtualClock,
-    ) -> BrownoutLevel {
-        let waiters = self
-            .window
-            .as_ref()
-            .map(|window| window.queued_total())
-            .unwrap_or(0)
-            + self.version_flights.waiting();
-        if let Some((_, to)) = controller.observe_pressure(clock.now(), waiters) {
-            AtomicCacheStats::bump(&self.stats.brownout_shifts);
-            AtomicCacheStats::set(&self.stats.brownout_level, u64::from(to.rung()));
-        }
-        controller.level()
     }
 
     /// Installs a fetched version under `key`, taking the shard lock for
@@ -623,7 +580,9 @@ impl DocumentCache {
     /// control they are the first work deadline-aware admission sheds —
     /// and one `Overloaded` verdict abandons the rest of the batch
     /// rather than hammering a window that just refused speculative
-    /// work.
+    /// work. A sibling whose origin's breaker is not `Closed` is skipped:
+    /// an open breaker means the origin is not to be contacted, and
+    /// speculative work never spends a half-open probe.
     fn prefetch_collection_siblings(&self, user: UserId, doc: DocumentId) {
         let clock = self.space.clock();
         // Speculative work gets the configured fetch budget as its
@@ -646,8 +605,14 @@ impl DocumentCache {
                 {
                     continue;
                 }
+                let origin = self.doc_origin(sibling);
+                if self.resilience.breaker.is_some()
+                    && origin.get().breaker_state() != BreakerState::Closed
+                {
+                    continue;
+                }
                 // Fetch through the full property path, as a miss would.
-                let fetched = match self.fetch_once(user, sibling, clock, ctx) {
+                let fetched = match self.fetch_once(user, sibling, clock, ctx, &origin) {
                     Ok(fetched) => fetched,
                     Err(PlacelessError::Overloaded { .. }) => return,
                     Err(_) => continue,

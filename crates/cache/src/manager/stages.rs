@@ -86,17 +86,11 @@ impl DocumentCache {
     /// overload control supplied a deadline instant): a walk whose
     /// budget already lapsed is shed instead of computing doomed stages.
     fn check_stage_budget(&self, ctx: FetchCtx, clock: &VirtualClock) -> Result<()> {
-        let Some(controller) = &self.overload else {
-            return Ok(());
-        };
         if ctx
             .deadline_at
             .is_some_and(|deadline| clock.now() >= deadline)
         {
-            self.count_shed(ctx.priority);
-            return Err(PlacelessError::Overloaded {
-                retry_after: controller.config().retry_after_micros,
-            });
+            return Err(self.shed(ctx.priority));
         }
         Ok(())
     }

@@ -12,7 +12,7 @@ impl DocumentCache {
                 // breakers the read path uses, so a storm of failed
                 // writes opens the breaker for reads too (and vice versa).
                 let deadline = self.resilience.fetch_deadline_micros;
-                self.with_retries(user, doc, deadline, &self.stats.flush_retries, || {
+                self.with_retries(user, doc, deadline, &self.stats.flush_retries, |_| {
                     self.space.write_document(user, doc, data)
                 })?;
                 AtomicCacheStats::bump(&self.stats.writes);

@@ -1,41 +1,39 @@
-//! Deterministic operation-based merge for concurrent write-back writes.
+//! Operation-based merge policy for concurrent write-back writes.
 //!
-//! PR 4's conflict story is binary: when a journaled write's base epoch no
-//! longer matches the origin, a [`ConflictHook`] picks `KeepMine` (clobber
-//! the origin) or `KeepTheirs` (drop the write) — either way one side's
-//! edit is lost. This module is the third way the paper's collaborative
-//! workloads need: when the journal recorded *typed operations*
-//! ([`DocOp`]) rather than an opaque snapshot, a conflicted write is
-//! **rebased** — its ops re-applied onto the origin's *current* content —
-//! so both sides' edits survive.
+//! Without a policy, conflict resolution is binary: when a journaled
+//! write's base epoch no longer matches the origin, a [`ConflictHook`]
+//! picks `KeepMine` (clobber the origin) or `KeepTheirs` (drop the write)
+//! — either way one side's edit is lost. A [`MergePolicy`] is the third
+//! way the paper's collaborative workloads need: when the journal recorded
+//! *typed operations* ([`placeless_core::op::DocOp`]) rather than an
+//! opaque snapshot, a conflicted write is **rebased** — its ops re-applied
+//! onto the origin's *current* content — so both sides' edits survive.
 //!
-//! Determinism is the whole point: every cache that merges the same set of
-//! contributions onto the same origin content must produce identical
-//! bytes, regardless of arrival order. [`merge_onto`] therefore sorts
-//! contributions into the canonical causal order — ascending
-//! `(user, writer_seq, journal seq)` — and deduplicates replayed
-//! contributions (same user, same writer sequence) before folding, making
-//! the merge order-independent and idempotent.
+//! The rebase itself is [`placeless_core::op::apply_all`]: recovery folds
+//! a conflicted record's ops onto the origin's rendition, and a flush
+//! sends rebasable ops to be applied server-side by `write_documents`.
+//! Determinism comes from the flush order: one flush writes its entries
+//! in ascending `(document, user)` order and each writer's ops in the
+//! order it issued them, so the bytes it produces do not depend on the
+//! order the writes arrived in (the reference model and its proptest live
+//! in `tests/fault_matrix.rs`).
 //!
 //! A full-body `Replace` op (or an op-less v1 record) pins the entire
 //! document, so it cannot be rebased; those conflicts still drop to the
 //! binary hook via [`MergePolicy::on_unmergeable`].
 
 use crate::manager::{ConflictHook, ConflictResolution, WriteConflict};
-use bytes::Bytes;
-use placeless_core::id::UserId;
-use placeless_core::op::{apply_all, rebasable, DocOp};
 use std::fmt;
 
 /// How the cache resolves write conflicts when typed ops are available.
 ///
-/// Set on [`crate::CacheConfig::merge`]; `None` (the default) preserves
-/// the PR-4 binary behaviour exactly — no probes, no rebases.
+/// Set on [`crate::CacheConfig::merge`]; with `None` (the default) every
+/// conflict goes to the binary hooks — no origin probes, no rebases.
 #[derive(Clone, Default)]
 pub struct MergePolicy {
     /// Consulted for conflicts that cannot be rebased (op-less records,
     /// or op lists containing a full-body `Replace`). `None` falls back
-    /// to [`ConflictResolution::KeepMine`], matching the PR-4 default.
+    /// to [`ConflictResolution::KeepMine`], the binary hooks' own default.
     pub on_unmergeable: Option<ConflictHook>,
 }
 
@@ -70,59 +68,6 @@ impl fmt::Debug for MergePolicy {
             )
             .finish()
     }
-}
-
-/// One writer's contribution to a merge: the typed ops it accumulated
-/// since its base epoch, plus the causal coordinates that order it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Contribution {
-    /// The writing user.
-    pub user: UserId,
-    /// Per-`(doc, user)` causal sequence at the time of the write.
-    pub writer_seq: u64,
-    /// Journal-wide sequence number (tie-breaker of last resort).
-    pub seq: u64,
-    /// The ops, oldest first.
-    pub ops: Vec<DocOp>,
-}
-
-impl Contribution {
-    fn causal_key(&self) -> (u64, u64, u64) {
-        (self.user.0, self.writer_seq, self.seq)
-    }
-
-    /// True when this contribution can be rebased onto a foreign base.
-    pub fn rebasable(&self) -> bool {
-        rebasable(&self.ops)
-    }
-}
-
-/// Sorts contributions into the canonical causal order — ascending
-/// `(user, writer_seq, seq)` — and drops replayed duplicates (same user
-/// and writer sequence). This is what makes the merge order-independent
-/// and idempotent: any permutation, with any contribution repeated,
-/// canonicalizes to the same list.
-pub fn canonical_order(mut contributions: Vec<Contribution>) -> Vec<Contribution> {
-    contributions.sort_by_key(Contribution::causal_key);
-    contributions.dedup_by_key(|c| (c.user.0, c.writer_seq));
-    contributions
-}
-
-/// Rebases every contribution onto `origin` in canonical order, returning
-/// the merged content and how many individual ops were re-applied.
-///
-/// The caller is responsible for only passing rebasable contributions
-/// (see [`Contribution::rebasable`]); a full-body `Replace` in the fold
-/// would silently discard every contribution ordered before it.
-pub fn merge_onto(origin: &Bytes, contributions: Vec<Contribution>) -> (Bytes, u64) {
-    let canonical = canonical_order(contributions);
-    let mut view = origin.clone();
-    let mut rebases = 0;
-    for c in &canonical {
-        view = apply_all(&view, &c.ops);
-        rebases += c.ops.len() as u64;
-    }
-    (view, rebases)
 }
 
 /// What the merge machinery did during one recovery or flush.
@@ -170,53 +115,7 @@ impl fmt::Display for MergeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use placeless_core::id::DocumentId;
-
-    fn b(s: &str) -> Bytes {
-        Bytes::copy_from_slice(s.as_bytes())
-    }
-
-    fn contrib(user: u64, writer_seq: u64, seq: u64, ops: Vec<DocOp>) -> Contribution {
-        Contribution {
-            user: UserId(user),
-            writer_seq,
-            seq,
-            ops,
-        }
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let origin = b("base;");
-        let a = contrib(1, 1, 10, vec![DocOp::Append(b("alice;"))]);
-        let bb = contrib(2, 1, 11, vec![DocOp::Append(b("bob;"))]);
-        let (fwd, _) = merge_onto(&origin, vec![a.clone(), bb.clone()]);
-        let (rev, _) = merge_onto(&origin, vec![bb, a]);
-        assert_eq!(fwd, rev);
-        assert_eq!(fwd, b("base;alice;bob;"));
-    }
-
-    #[test]
-    fn merge_is_idempotent_under_replay() {
-        let origin = b("v:");
-        let a = contrib(1, 1, 10, vec![DocOp::Append(b("x"))]);
-        let (once, rebases_once) = merge_onto(&origin, vec![a.clone()]);
-        let (twice, rebases_twice) = merge_onto(&origin, vec![a.clone(), a]);
-        assert_eq!(once, twice, "a replayed contribution folds once");
-        assert_eq!(rebases_once, rebases_twice);
-    }
-
-    #[test]
-    fn canonical_order_sorts_by_user_then_writer_seq() {
-        let list = vec![
-            contrib(2, 1, 5, vec![]),
-            contrib(1, 2, 9, vec![]),
-            contrib(1, 1, 7, vec![]),
-        ];
-        let ordered = canonical_order(list);
-        let keys: Vec<_> = ordered.iter().map(Contribution::causal_key).collect();
-        assert_eq!(keys, vec![(1, 1, 7), (1, 2, 9), (2, 1, 5)]);
-    }
+    use placeless_core::id::{DocumentId, UserId};
 
     #[test]
     fn unmergeable_resolution_defaults_to_keep_mine() {

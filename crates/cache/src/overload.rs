@@ -2,9 +2,8 @@
 //! graceful brownout.
 //!
 //! Under a traffic burst the failure mode of a naive cache is *congestive
-//! collapse*: every reader queues on the per-origin
-//! [`InflightWindow`](crate::singleflight::InflightWindow) forever, misses
-//! its deadline anyway, and still consumes a thread, a queue slot, and —
+//! collapse*: every reader queues on its origin's window (the
+//! crate-private `origin` module) forever, misses its deadline anyway, and still consumes a thread, a queue slot, and —
 //! eventually — origin capacity. This module turns that cliff into a
 //! ladder of controlled degradation:
 //!
@@ -18,7 +17,9 @@
 //! 2. **AIMD concurrency limits** — each origin's in-flight window width
 //!    adapts to observed fetch latency: additive increase while fetches
 //!    meet the latency target, multiplicative decrease when they exceed
-//!    it. A slow origin sheds load instead of accumulating queues.
+//!    it. A slow origin sheds load instead of accumulating queues. The
+//!    width and the latency estimate live in the origin's record, next to
+//!    the slots they govern; this module holds the tuning.
 //! 3. **Priority classes** — [`Priority::Foreground`] >
 //!    [`Priority::Refresh`] > [`Priority::Prefetch`]; pressure sheds the
 //!    lowest class first, so speculative sibling prefetches are the first
@@ -33,14 +34,13 @@
 //! state, and the seeded configuration — shedding is deterministic and
 //! replayable, which the overload proptests rely on.
 //!
-//! The subsystem is **opt-in**: `overload: None` (the default) leaves
-//! every path byte-for-byte identical to the pre-overload cache, which
-//! the parity tests pin.
+//! The subsystem is **opt-in**: with `overload: None` (the default) no
+//! read is shed, no deadline instant is computed and no ladder exists,
+//! which the parity tests pin.
 
 use crate::resilience::StalenessBound;
 use parking_lot::Mutex;
 use placeless_simenv::Instant;
-use std::collections::HashMap;
 
 /// Scheduling class of a read, from most to least sheddable.
 ///
@@ -248,22 +248,15 @@ pub fn expected_completion_micros(queued_ahead: u64, limit: u32, service_micros:
     rounds.saturating_mul(service_micros.max(1))
 }
 
-struct OriginControl {
-    limit: u32,
-    /// EWMA of observed fetch latency (µs); 0 means "no samples yet".
-    ewma_micros: u64,
-}
-
 struct ControllerState {
-    origins: HashMap<String, OriginControl>,
     level: BrownoutLevel,
     /// Virtual instant of the last ladder move, for dwell enforcement.
     shifted_at: Instant,
 }
 
-/// Runtime state of the overload subsystem: per-origin AIMD windows and
-/// the brownout ladder. One per cache; all methods are thread-safe and
-/// deterministic given the same sequence of (virtual time, observation)
+/// Runtime state of the overload subsystem: the brownout ladder, over
+/// the configuration. One per cache; all methods are thread-safe and
+/// deterministic given the same sequence of (virtual time, pressure)
 /// inputs.
 pub(crate) struct OverloadController {
     config: OverloadConfig,
@@ -274,7 +267,6 @@ impl OverloadController {
     pub(crate) fn new(config: OverloadConfig) -> Self {
         Self {
             state: Mutex::new(ControllerState {
-                origins: HashMap::new(),
                 level: BrownoutLevel::Normal,
                 shifted_at: Instant(0),
             }),
@@ -284,46 +276,6 @@ impl OverloadController {
 
     pub(crate) fn config(&self) -> &OverloadConfig {
         &self.config
-    }
-
-    /// Current expected service time for `origin` (EWMA, or the
-    /// configured prior before any sample lands).
-    pub(crate) fn expected_service_micros(&self, origin: &str) -> u64 {
-        let state = self.state.lock();
-        state
-            .origins
-            .get(origin)
-            .map(|c| c.ewma_micros)
-            .filter(|&e| e > 0)
-            .unwrap_or(self.config.expected_service_micros)
-            .max(1)
-    }
-
-    /// Records one completed fetch against `origin` and returns the new
-    /// AIMD window width: multiplicative decrease when the observation
-    /// exceeds the latency target, additive increase otherwise.
-    pub(crate) fn observe_fetch(&self, origin: &str, observed_micros: u64) -> u32 {
-        let mut state = self.state.lock();
-        let control = state
-            .origins
-            .entry(origin.to_owned())
-            .or_insert(OriginControl {
-                limit: self.config.max_inflight,
-                ewma_micros: 0,
-            });
-        control.ewma_micros = if control.ewma_micros == 0 {
-            observed_micros.max(1)
-        } else {
-            // 3/4 old + 1/4 new: smooth enough to ride out one outlier,
-            // fast enough to track a regime change within a few fetches.
-            ((control.ewma_micros * 3 + observed_micros) / 4).max(1)
-        };
-        control.limit = if observed_micros > self.config.target_fetch_micros {
-            (control.limit / 2).max(self.config.min_inflight)
-        } else {
-            (control.limit + 1).min(self.config.max_inflight)
-        };
-        control.limit
     }
 
     /// Current brownout level.
@@ -399,35 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn aimd_shrinks_on_slow_and_grows_on_fast() {
-        let ctrl = OverloadController::new(
-            OverloadConfig::default()
-                .target_fetch_micros(1_000)
-                .inflight_bounds(1, 8),
-        );
-        assert_eq!(ctrl.observe_fetch("o", 5_000), 4, "8/2 on a slow fetch");
-        assert_eq!(ctrl.observe_fetch("o", 5_000), 2);
-        assert_eq!(ctrl.observe_fetch("o", 5_000), 1);
-        assert_eq!(ctrl.observe_fetch("o", 5_000), 1, "floored at min");
-        assert_eq!(ctrl.observe_fetch("o", 100), 2, "+1 on a fast fetch");
-        for _ in 0..10 {
-            ctrl.observe_fetch("o", 100);
-        }
-        assert_eq!(ctrl.observe_fetch("o", 100), 8, "capped at max");
-    }
-
-    #[test]
-    fn ewma_warms_from_prior_then_tracks() {
-        let ctrl =
-            OverloadController::new(OverloadConfig::default().expected_service_micros(2_000));
-        assert_eq!(ctrl.expected_service_micros("o"), 2_000, "prior");
-        ctrl.observe_fetch("o", 10_000);
-        assert_eq!(ctrl.expected_service_micros("o"), 10_000, "first sample");
-        ctrl.observe_fetch("o", 2_000);
-        assert_eq!(ctrl.expected_service_micros("o"), 8_000, "(3·10k + 2k)/4");
-    }
-
-    #[test]
     fn ladder_has_hysteresis_and_dwell() {
         let ctrl = OverloadController::new(
             OverloadConfig::default()
@@ -454,24 +377,5 @@ mod tests {
             ctrl.observe_pressure(Instant(5_000), 0),
             Some((BrownoutLevel::SkipStageFills, BrownoutLevel::WidenStale))
         );
-    }
-
-    #[test]
-    fn decisions_replay_identically() {
-        let run = || {
-            let ctrl = OverloadController::new(OverloadConfig::default());
-            let mut log = Vec::new();
-            for i in 0..200u64 {
-                let observed = (i * 37) % 9_000;
-                log.push(ctrl.observe_fetch("o", observed));
-                log.push(u32::from(
-                    ctrl.observe_pressure(Instant(i * 700), (i * 13) % 16)
-                        .map(|(_, to)| to.rung())
-                        .unwrap_or(99),
-                ));
-            }
-            log
-        };
-        assert_eq!(run(), run(), "controller is a pure function of inputs");
     }
 }

@@ -18,11 +18,10 @@
 //! default [`ResilienceConfig`] enables no mechanism, which through that
 //! loop is exactly one attempt and the attempt's own error.
 
+use crate::origin::{Admission, Origin};
 use crate::stats::AtomicCacheStats;
-use parking_lot::Mutex;
 use placeless_core::error::PlacelessError;
 use placeless_simenv::{Instant, SimRng, VirtualClock};
-use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 
 /// How long a resident entry may be served past a failed freshness check.
@@ -208,153 +207,6 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// One origin's breaker bookkeeping.
-#[derive(Debug)]
-struct Breaker {
-    state: BreakerState,
-    consecutive_failures: u32,
-    opened_at: Instant,
-    half_open_successes: u32,
-}
-
-impl Breaker {
-    fn new() -> Self {
-        Self {
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            opened_at: Instant(0),
-            half_open_successes: 0,
-        }
-    }
-}
-
-/// The verdict of [`BreakerSet::admit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Contact the origin normally.
-    Allow,
-    /// Contact the origin as a half-open probe.
-    Probe,
-    /// Do not contact the origin; `retry_after` is the remaining
-    /// cool-down in virtual µs.
-    Reject {
-        /// Remaining cool-down before the breaker half-opens.
-        retry_after: u64,
-    },
-}
-
-/// Circuit breakers keyed by origin, shared by every shard of a cache.
-///
-/// All transitions are driven by the virtual clock, so breaker behaviour
-/// replays exactly under a fixed fault plan.
-#[derive(Debug, Default)]
-pub struct BreakerSet {
-    breakers: Mutex<HashMap<String, Breaker>>,
-    trips: Mutex<u64>,
-}
-
-impl BreakerSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Asks whether a fetch against `origin` may proceed at `now`.
-    ///
-    /// An `Open` breaker whose cool-down has elapsed transitions to
-    /// `HalfOpen` here and admits the caller as a probe.
-    pub fn admit(&self, config: &BreakerConfig, origin: &str, now: Instant) -> Admission {
-        let mut breakers = self.breakers.lock();
-        let breaker = breakers
-            .entry(origin.to_owned())
-            .or_insert_with(Breaker::new);
-        match breaker.state {
-            BreakerState::Closed => Admission::Allow,
-            BreakerState::HalfOpen => Admission::Probe,
-            BreakerState::Open => {
-                let elapsed = now
-                    .as_micros()
-                    .saturating_sub(breaker.opened_at.as_micros());
-                if elapsed >= config.open_micros {
-                    breaker.state = BreakerState::HalfOpen;
-                    breaker.half_open_successes = 0;
-                    Admission::Probe
-                } else {
-                    Admission::Reject {
-                        retry_after: config.open_micros - elapsed,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Records a successful fetch against `origin`.
-    pub fn record_success(&self, config: &BreakerConfig, origin: &str) {
-        let mut breakers = self.breakers.lock();
-        let breaker = breakers
-            .entry(origin.to_owned())
-            .or_insert_with(Breaker::new);
-        match breaker.state {
-            BreakerState::Closed => breaker.consecutive_failures = 0,
-            BreakerState::HalfOpen => {
-                breaker.half_open_successes += 1;
-                if breaker.half_open_successes >= config.half_open_probes {
-                    breaker.state = BreakerState::Closed;
-                    breaker.consecutive_failures = 0;
-                }
-            }
-            // A success while open can only come from a fetch admitted
-            // before the breaker tripped; it doesn't close anything.
-            BreakerState::Open => {}
-        }
-    }
-
-    /// Records a transient fetch failure against `origin` at `now`.
-    /// Returns `true` if this failure tripped the breaker open.
-    pub fn record_failure(&self, config: &BreakerConfig, origin: &str, now: Instant) -> bool {
-        let mut breakers = self.breakers.lock();
-        let breaker = breakers
-            .entry(origin.to_owned())
-            .or_insert_with(Breaker::new);
-        match breaker.state {
-            BreakerState::Closed => {
-                breaker.consecutive_failures += 1;
-                if breaker.consecutive_failures >= config.failure_threshold {
-                    breaker.state = BreakerState::Open;
-                    breaker.opened_at = now;
-                    *self.trips.lock() += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            BreakerState::HalfOpen => {
-                // A failed probe re-opens immediately and restarts the
-                // cool-down.
-                breaker.state = BreakerState::Open;
-                breaker.opened_at = now;
-                *self.trips.lock() += 1;
-                true
-            }
-            BreakerState::Open => false,
-        }
-    }
-
-    /// Returns `origin`'s current state (Closed if never seen).
-    pub fn state(&self, origin: &str) -> BreakerState {
-        self.breakers
-            .lock()
-            .get(origin)
-            .map(|b| b.state)
-            .unwrap_or(BreakerState::Closed)
-    }
-
-    /// Returns how many times any breaker tripped open.
-    pub fn trip_count(&self) -> u64 {
-        *self.trips.lock()
-    }
-}
-
 /// The deterministic backoff schedule for one fetch.
 ///
 /// Delay before retry *n* (0-based) is `base << n`, plus a jitter sampled
@@ -450,10 +302,9 @@ impl GaveUp<[PlacelessError; 1]> {
 }
 
 /// The retry loop behind every origin operation, over one cache's
-/// resilience policy, breakers and clock.
+/// resilience policy and clock.
 pub(crate) struct RetryDriver<'a> {
     pub(crate) config: &'a ResilienceConfig,
-    pub(crate) breakers: &'a BreakerSet,
     pub(crate) clock: &'a VirtualClock,
     /// Virtual-time budget for the whole operation, backoffs included.
     pub(crate) deadline: Option<u64>,
@@ -478,12 +329,12 @@ impl RetryDriver<'_> {
     ///
     /// `origin` and `backoff` are called at most once each: `origin` only
     /// when a breaker is configured or the deadline lapses, `backoff` only
-    /// when a retry is scheduled. Resolving the origin key takes the space
-    /// lock and allocates, which the default config must not pay on every
-    /// miss.
-    pub(crate) fn run<T, E: AsRef<[PlacelessError]>>(
+    /// when a retry is scheduled. Resolving the origin record takes the
+    /// space lock and allocates its key, which the default config must not
+    /// pay on every miss.
+    pub(crate) fn run<'o, T, E: AsRef<[PlacelessError]>>(
         &self,
-        origin: impl Fn() -> String,
+        origin: impl Fn() -> &'o Origin,
         backoff: impl Fn() -> BackoffSchedule,
         mut attempt: impl FnMut() -> Result<T, E>,
     ) -> Result<T, GaveUp<E>> {
@@ -495,12 +346,10 @@ impl RetryDriver<'_> {
         let mut retry = 0u32;
         loop {
             if let Some((breaker, origin)) = &guard {
-                if let Admission::Reject { retry_after } =
-                    self.breakers.admit(breaker, origin, clock.now())
-                {
+                if let Admission::Reject { retry_after } = origin.admit(breaker, clock.now()) {
                     // Fast-fail without contacting the origin at all.
                     return Err(GaveUp::Shared(PlacelessError::Unavailable {
-                        source: origin.clone(),
+                        source: origin.key().to_owned(),
                         retry_after: Some(retry_after),
                     }));
                 }
@@ -508,7 +357,7 @@ impl RetryDriver<'_> {
             let failure = match attempt() {
                 Ok(value) => {
                     if let Some((breaker, origin)) = &guard {
-                        self.breakers.record_success(breaker, origin);
+                        origin.record_success(breaker);
                     }
                     return Ok(value);
                 }
@@ -519,7 +368,7 @@ impl RetryDriver<'_> {
                 return Err(GaveUp::Own(failure));
             }
             if let Some((breaker, origin)) = &guard {
-                if self.breakers.record_failure(breaker, origin, clock.now()) {
+                if origin.record_failure(breaker, clock.now()) {
                     AtomicCacheStats::bump(self.trips);
                 }
             }
@@ -550,7 +399,10 @@ impl RetryDriver<'_> {
                 if elapsed + delay > budget {
                     clock.advance(budget.saturating_sub(elapsed));
                     return Err(GaveUp::Shared(PlacelessError::Timeout {
-                        source: guard.map_or_else(&origin, |(_, origin)| origin),
+                        source: guard
+                            .map_or_else(&origin, |(_, origin)| origin)
+                            .key()
+                            .to_owned(),
                         elapsed_micros: clock.now().since(started),
                     }));
                 }
@@ -569,18 +421,16 @@ mod tests {
     /// A scripted operation for [`RetryDriver::run`]: fails with
     /// `script`'s errors in turn, then succeeds. Returns the driver's
     /// verdict, how many attempts ran, and the virtual time charged.
-    fn drive(
+    fn drive<'o>(
         config: &ResilienceConfig,
-        breakers: &BreakerSet,
         deadline: Option<u64>,
-        origin: impl Fn() -> String,
+        origin: impl Fn() -> &'o Origin,
         script: Vec<PlacelessError>,
     ) -> (Result<(), PlacelessError>, usize, u64) {
         let clock = VirtualClock::new();
         let (trips, retries) = (AtomicU64::new(0), AtomicU64::new(0));
         let driver = RetryDriver {
             config,
-            breakers,
             clock: &clock,
             deadline,
             trips: &trips,
@@ -601,6 +451,10 @@ mod tests {
         (verdict, attempts, clock.now().as_micros())
     }
 
+    fn web() -> std::sync::Arc<Origin> {
+        crate::origin::Origins::new(None, None).get("web".into())
+    }
+
     fn unavailable(retry_after: Option<u64>) -> PlacelessError {
         PlacelessError::Unavailable {
             source: "web".into(),
@@ -611,18 +465,12 @@ mod tests {
     #[test]
     fn default_config_is_one_attempt_and_the_attempts_own_error() {
         let config = ResilienceConfig::default();
-        let no_origin = || -> String { panic!("the default config must not resolve the origin") };
-        let (verdict, attempts, waited) = drive(
-            &config,
-            &BreakerSet::new(),
-            None,
-            no_origin,
-            vec![unavailable(None)],
-        );
+        let no_origin =
+            || -> &'static Origin { panic!("the default config must not resolve the origin") };
+        let (verdict, attempts, waited) = drive(&config, None, no_origin, vec![unavailable(None)]);
         assert_eq!(verdict, Err(unavailable(None)));
         assert_eq!((attempts, waited), (1, 0));
-        let (verdict, attempts, waited) =
-            drive(&config, &BreakerSet::new(), None, no_origin, Vec::new());
+        let (verdict, attempts, waited) = drive(&config, None, no_origin, Vec::new());
         assert_eq!(verdict, Ok(()));
         assert_eq!((attempts, waited), (1, 0));
     }
@@ -633,11 +481,11 @@ mod tests {
             .max_retries(3)
             .backoff_base_micros(1_000)
             .build();
+        let web = web();
         let (verdict, attempts, waited) = drive(
             &config,
-            &BreakerSet::new(),
             Some(400),
-            || "web".into(),
+            || &web,
             vec![unavailable(None), unavailable(None)],
         );
         assert_eq!(
@@ -657,13 +505,9 @@ mod tests {
             .backoff_base_micros(1_000)
             .build();
         let hinted = unavailable(Some(config.hint_horizon_micros() + 1));
-        let (verdict, attempts, waited) = drive(
-            &config,
-            &BreakerSet::new(),
-            None,
-            || "web".into(),
-            vec![hinted.clone(), hinted.clone()],
-        );
+        let web = web();
+        let (verdict, attempts, waited) =
+            drive(&config, None, || &web, vec![hinted.clone(), hinted.clone()]);
         assert_eq!(verdict, Err(hinted));
         assert_eq!((attempts, waited), (1, 0));
     }
@@ -676,10 +520,9 @@ mod tests {
             half_open_probes: 1,
         };
         let config = ResilienceConfig::builder().breaker(breaker).build();
-        let breakers = BreakerSet::new();
-        breakers.record_failure(&breaker, "web", Instant(0));
-        let (verdict, attempts, waited) =
-            drive(&config, &breakers, None, || "web".into(), Vec::new());
+        let web = web();
+        web.record_failure(&breaker, Instant(0));
+        let (verdict, attempts, waited) = drive(&config, None, || &web, Vec::new());
         assert_eq!(verdict, Err(unavailable(Some(1_000))));
         assert_eq!((attempts, waited), (0, 0));
     }
@@ -734,111 +577,6 @@ mod tests {
         assert!(!bound.permits(Instant(500), Instant(1_501)));
         assert!(StalenessBound::ZERO.permits(Instant(5), Instant(5)));
         assert!(!StalenessBound::ZERO.permits(Instant(5), Instant(6)));
-    }
-
-    #[test]
-    fn breaker_trips_after_threshold_and_recovers() {
-        let config = BreakerConfig {
-            failure_threshold: 2,
-            open_micros: 1_000,
-            half_open_probes: 1,
-        };
-        let set = BreakerSet::new();
-        assert_eq!(set.admit(&config, "web", Instant(0)), Admission::Allow);
-        assert!(!set.record_failure(&config, "web", Instant(10)));
-        assert!(
-            set.record_failure(&config, "web", Instant(20)),
-            "second failure trips"
-        );
-        assert_eq!(set.state("web"), BreakerState::Open);
-        assert_eq!(set.trip_count(), 1);
-
-        // While open, fetches are rejected with the remaining cool-down.
-        assert_eq!(
-            set.admit(&config, "web", Instant(120)),
-            Admission::Reject { retry_after: 900 }
-        );
-
-        // After the cool-down, one probe is admitted.
-        assert_eq!(set.admit(&config, "web", Instant(1_020)), Admission::Probe);
-        assert_eq!(set.state("web"), BreakerState::HalfOpen);
-        set.record_success(&config, "web");
-        assert_eq!(set.state("web"), BreakerState::Closed);
-        assert_eq!(set.admit(&config, "web", Instant(1_030)), Admission::Allow);
-    }
-
-    #[test]
-    fn failed_probe_reopens_the_breaker() {
-        let config = BreakerConfig {
-            failure_threshold: 1,
-            open_micros: 100,
-            half_open_probes: 1,
-        };
-        let set = BreakerSet::new();
-        assert!(set.record_failure(&config, "dms", Instant(0)));
-        assert_eq!(set.admit(&config, "dms", Instant(100)), Admission::Probe);
-        assert!(
-            set.record_failure(&config, "dms", Instant(110)),
-            "probe failed"
-        );
-        assert_eq!(set.state("dms"), BreakerState::Open);
-        assert_eq!(
-            set.admit(&config, "dms", Instant(150)),
-            Admission::Reject { retry_after: 60 },
-            "cool-down restarted at the failed probe"
-        );
-        assert_eq!(set.trip_count(), 2);
-    }
-
-    #[test]
-    fn breakers_are_per_origin() {
-        let config = BreakerConfig {
-            failure_threshold: 1,
-            open_micros: 1_000,
-            half_open_probes: 1,
-        };
-        let set = BreakerSet::new();
-        set.record_failure(&config, "web-a", Instant(0));
-        assert_eq!(set.state("web-a"), BreakerState::Open);
-        assert_eq!(set.state("web-b"), BreakerState::Closed);
-        assert_eq!(set.admit(&config, "web-b", Instant(1)), Admission::Allow);
-    }
-
-    #[test]
-    fn success_resets_the_failure_streak() {
-        let config = BreakerConfig {
-            failure_threshold: 2,
-            open_micros: 1_000,
-            half_open_probes: 1,
-        };
-        let set = BreakerSet::new();
-        set.record_failure(&config, "web", Instant(0));
-        set.record_success(&config, "web");
-        assert!(
-            !set.record_failure(&config, "web", Instant(10)),
-            "streak restarted after the success"
-        );
-        assert_eq!(set.state("web"), BreakerState::Closed);
-    }
-
-    #[test]
-    fn multiple_half_open_probes_required_when_configured() {
-        let config = BreakerConfig {
-            failure_threshold: 1,
-            open_micros: 100,
-            half_open_probes: 2,
-        };
-        let set = BreakerSet::new();
-        set.record_failure(&config, "web", Instant(0));
-        assert_eq!(set.admit(&config, "web", Instant(100)), Admission::Probe);
-        set.record_success(&config, "web");
-        assert_eq!(
-            set.state("web"),
-            BreakerState::HalfOpen,
-            "one probe is not enough"
-        );
-        set.record_success(&config, "web");
-        assert_eq!(set.state("web"), BreakerState::Closed);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Single-flight miss coalescing and per-origin in-flight windows.
+//! Single-flight miss coalescing.
 //!
 //! Under heavy concurrent traffic the expensive event is not the miss
 //! itself but the *redundant* miss: N threads observe the same key absent
@@ -24,15 +24,14 @@
 //!   on the same `(doc, stage)` signature — typically different users
 //!   sharing a chain prefix — compute the intermediate exactly once.
 //!
-//! [`InflightWindow`] is the companion back-pressure mechanism: a bounded
-//! count of concurrently in-flight fetches per origin, so a miss storm
-//! that single-flight cannot coalesce (distinct keys, one origin) queues
-//! at the cache instead of stampeding the origin.
+//! The per-origin windows of `crate::origin` are the companion
+//! back-pressure mechanism for the misses a flight cannot merge (distinct
+//! keys, one origin).
 //!
 //! Locks here are `std::sync` primitives (the flight wait needs a
 //! condvar) and are **leaves** in the manager's lock order: no shard lock
 //! is ever taken while one is held, and the manager only joins flights
-//! and acquires window slots while holding no shard lock. Waiting
+//! while holding no shard lock. Waiting
 //! threads hold no lock at all while blocked. Leader/waiter waits cannot
 //! cycle: a version leader may wait on a stage flight, but a stage
 //! leader only executes its transform — it never joins another flight.
@@ -109,10 +108,10 @@ impl Flight {
     }
 }
 
-/// A mutex lock that shrugs off poisoning: flight state transitions are
-/// trivial stores, so state is coherent even if a panicking thread was
-/// interrupted holding the lock.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// A mutex lock that shrugs off poisoning: flight state transitions (and
+/// `crate::origin`'s gate updates) are trivial stores, so state is
+/// coherent even if a panicking thread was interrupted holding the lock.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -207,217 +206,10 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// How [`InflightWindow::acquire_until`] resolved a slot request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Acquire {
-    /// A slot was claimed; `queued_micros` is the virtual time spent
-    /// parked before admission (0 when a slot was free on arrival).
-    Admitted {
-        /// Virtual microseconds spent queued before the slot freed.
-        queued_micros: u64,
-    },
-    /// The request was shed: its remaining deadline budget could not
-    /// cover the expected queue wait plus service time, or the deadline
-    /// lapsed while parked. No slot is held.
-    Shed {
-        /// Virtual microseconds spent queued before giving up.
-        queued_micros: u64,
-    },
-}
-
-/// Per-origin slot accounting inside [`InflightWindow`].
-#[derive(Default)]
-struct OriginSlots {
-    /// Fetches currently holding a slot.
-    inflight: usize,
-    /// Readers parked waiting for a slot (for admission math and the
-    /// brownout pressure signal).
-    queued: usize,
-    /// AIMD override of the window width; `None` means the static
-    /// default applies.
-    limit: Option<usize>,
-}
-
-/// A bounded per-origin window of concurrently in-flight fetches.
-///
-/// `acquire` blocks (holding no other lock) while the origin's window is
-/// already full; `release` frees the slot and wakes blocked threads.
-/// Slots are held only for the duration of a single origin attempt,
-/// never across a flight wait for another key's leader — so slot waits
-/// always terminate.
-///
-/// Two extensions support the overload subsystem and change nothing
-/// until used: [`InflightWindow::set_limit`] lets the AIMD controller
-/// widen or shrink one origin's window at runtime, and
-/// [`InflightWindow::acquire_until`] is the deadline-aware variant of
-/// `acquire` that sheds doomed requests instead of queueing them (see
-/// [`crate::overload`]).
-pub(crate) struct InflightWindow {
-    default_limit: usize,
-    slots: Mutex<HashMap<String, OriginSlots>>,
-    freed: Condvar,
-    /// Total readers parked across all origins (brownout pressure
-    /// gauge; kept atomic so sampling never takes the slot lock).
-    queued: AtomicU64,
-}
-
-impl InflightWindow {
-    /// How long a parked reader sleeps between deadline re-checks in
-    /// [`InflightWindow::acquire_until`]. Wall-clock, not virtual: the
-    /// virtual clock only moves when some thread advances it, so parked
-    /// readers must poll it to notice a deadline that lapsed without a
-    /// slot being freed.
-    const QUEUE_POLL: std::time::Duration = std::time::Duration::from_millis(1);
-
-    /// Creates a window admitting up to `limit` concurrent fetches per
-    /// origin (`limit` is clamped to at least 1 — a zero-wide window
-    /// would admit nothing and hang the first fetch).
-    pub(crate) fn new(limit: usize) -> Self {
-        Self {
-            default_limit: limit.max(1),
-            slots: Mutex::new(HashMap::new()),
-            freed: Condvar::new(),
-            queued: AtomicU64::new(0),
-        }
-    }
-
-    fn effective_limit(&self, slots: &OriginSlots) -> usize {
-        slots.limit.unwrap_or(self.default_limit)
-    }
-
-    /// Overrides `origin`'s window width (clamped ≥ 1). Raising the
-    /// limit wakes parked readers so they can claim the new slots.
-    pub(crate) fn set_limit(&self, origin: &str, limit: usize) {
-        let mut slots = lock(&self.slots);
-        let entry = slots.entry(origin.to_owned()).or_default();
-        let limit = limit.max(1);
-        let raised = limit > self.effective_limit(entry);
-        entry.limit = Some(limit);
-        drop(slots);
-        if raised {
-            self.freed.notify_all();
-        }
-    }
-
-    /// Current window width for `origin`.
-    #[cfg(test)]
-    pub(crate) fn limit_for(&self, origin: &str) -> usize {
-        let slots = lock(&self.slots);
-        slots
-            .get(origin)
-            .map(|s| self.effective_limit(s))
-            .unwrap_or(self.default_limit)
-    }
-
-    /// Total readers currently parked on any origin's window.
-    pub(crate) fn queued_total(&self) -> u64 {
-        self.queued.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until a slot for `origin` is free, then claims it.
-    pub(crate) fn acquire(&self, origin: &str) {
-        let mut slots = lock(&self.slots);
-        loop {
-            let entry = slots.entry(origin.to_owned()).or_default();
-            if entry.inflight < self.effective_limit(entry) {
-                entry.inflight += 1;
-                return;
-            }
-            slots = self
-                .freed
-                .wait(slots)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Deadline-aware [`InflightWindow::acquire`]: claims a slot for
-    /// `origin` only if the caller can plausibly finish in time.
-    ///
-    /// On arrival, the expected completion time (queue depth ÷ window
-    /// width × `expected_service_micros`, see
-    /// [`crate::overload::expected_completion_micros`]) is compared
-    /// against the budget remaining until `deadline_at`; a doomed
-    /// request is shed immediately without queueing. While parked, the
-    /// reader re-checks the virtual clock (woken by `release`, or every
-    /// [`Self::QUEUE_POLL`] of wall time otherwise) and sheds the moment
-    /// its deadline lapses — a reader whose deadline expires while
-    /// queued is never served late. `deadline_at: None` never sheds and
-    /// degrades to plain `acquire` with queue accounting.
-    pub(crate) fn acquire_until(
-        &self,
-        origin: &str,
-        clock: &placeless_simenv::VirtualClock,
-        deadline_at: Option<placeless_simenv::Instant>,
-        expected_service_micros: u64,
-    ) -> Acquire {
-        let started = clock.now();
-        let mut slots = lock(&self.slots);
-        {
-            let entry = slots.entry(origin.to_owned()).or_default();
-            let limit = self.effective_limit(entry);
-            if entry.inflight < limit {
-                entry.inflight += 1;
-                return Acquire::Admitted { queued_micros: 0 };
-            }
-            if let Some(deadline_at) = deadline_at {
-                let remaining = deadline_at.since(started);
-                let expected = crate::overload::expected_completion_micros(
-                    entry.queued as u64,
-                    limit as u32,
-                    expected_service_micros,
-                );
-                if remaining == 0 || expected > remaining {
-                    return Acquire::Shed { queued_micros: 0 };
-                }
-            }
-            entry.queued += 1;
-        }
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        let verdict = loop {
-            let entry = slots.entry(origin.to_owned()).or_default();
-            if entry.inflight < self.effective_limit(entry) {
-                entry.inflight += 1;
-                entry.queued -= 1;
-                break Acquire::Admitted {
-                    queued_micros: clock.now().since(started),
-                };
-            }
-            if deadline_at.is_some_and(|d| clock.now() >= d) {
-                entry.queued -= 1;
-                break Acquire::Shed {
-                    queued_micros: clock.now().since(started),
-                };
-            }
-            slots = self
-                .freed
-                .wait_timeout(slots, Self::QUEUE_POLL)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        };
-        self.queued.fetch_sub(1, Ordering::SeqCst);
-        verdict
-    }
-
-    /// Releases a slot claimed by [`InflightWindow::acquire`] or
-    /// [`InflightWindow::acquire_until`].
-    pub(crate) fn release(&self, origin: &str) {
-        let mut slots = lock(&self.slots);
-        if let Some(entry) = slots.get_mut(origin) {
-            entry.inflight = entry.inflight.saturating_sub(1);
-            if entry.inflight == 0 && entry.queued == 0 && entry.limit.is_none() {
-                slots.remove(origin);
-            }
-        }
-        drop(slots);
-        self.freed.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use placeless_core::id::{DocumentId, UserId};
-    use std::sync::atomic::AtomicUsize;
     use std::thread;
     use std::time::Duration;
 
@@ -520,108 +312,5 @@ mod tests {
             Join::Waited(_) => panic!("key 2 must lead its own flight"),
         }
         a.complete(FlightResult::Unshared);
-    }
-
-    #[test]
-    fn window_bounds_concurrency_per_origin() {
-        let window = Arc::new(InflightWindow::new(2));
-        let running = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let window = Arc::clone(&window);
-                let running = Arc::clone(&running);
-                let peak = Arc::clone(&peak);
-                thread::spawn(move || {
-                    window.acquire("origin-a");
-                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    thread::sleep(Duration::from_millis(2));
-                    running.fetch_sub(1, Ordering::SeqCst);
-                    window.release("origin-a");
-                })
-            })
-            .collect();
-        for thread in threads {
-            thread.join().expect("no panic");
-        }
-        assert!(peak.load(Ordering::SeqCst) <= 2, "window overshot");
-    }
-
-    #[test]
-    fn window_is_per_origin() {
-        let window = InflightWindow::new(1);
-        window.acquire("origin-a");
-        // A different origin is admitted immediately even though
-        // origin-a's window is full.
-        window.acquire("origin-b");
-        window.release("origin-a");
-        window.release("origin-b");
-    }
-
-    #[test]
-    fn set_limit_overrides_one_origin_and_persists_when_idle() {
-        let window = InflightWindow::new(1);
-        window.set_limit("origin-a", 2);
-        assert_eq!(window.limit_for("origin-a"), 2);
-        assert_eq!(window.limit_for("origin-b"), 1, "others keep the default");
-        window.acquire("origin-a");
-        window.acquire("origin-a");
-        window.release("origin-a");
-        window.release("origin-a");
-        // The override survives the origin going idle.
-        assert_eq!(window.limit_for("origin-a"), 2);
-    }
-
-    #[test]
-    fn acquire_until_sheds_doomed_arrivals_without_queueing() {
-        use placeless_simenv::VirtualClock;
-        let clock = VirtualClock::new();
-        let window = InflightWindow::new(1);
-        window.acquire("o");
-        // Budget 1000µs, expected service 5000µs: doomed on arrival.
-        let deadline = Some(clock.now().plus(1_000));
-        assert_eq!(
-            window.acquire_until("o", &clock, deadline, 5_000),
-            Acquire::Shed { queued_micros: 0 }
-        );
-        assert_eq!(window.queued_total(), 0, "shed arrivals never park");
-        // Without a deadline the same arrival would have queued; with a
-        // generous budget and a free slot it is admitted instantly.
-        window.release("o");
-        assert_eq!(
-            window.acquire_until("o", &clock, deadline, 5_000),
-            Acquire::Admitted { queued_micros: 0 }
-        );
-        window.release("o");
-    }
-
-    #[test]
-    fn queued_reader_sheds_when_virtual_deadline_lapses() {
-        use placeless_simenv::VirtualClock;
-        let clock = Arc::new(VirtualClock::new());
-        let window = Arc::new(InflightWindow::new(1));
-        window.acquire("o");
-        let parked = {
-            let clock = Arc::clone(&clock);
-            let window = Arc::clone(&window);
-            thread::spawn(move || {
-                // Budget 10000µs covers one expected service, so the
-                // reader queues rather than shedding on arrival.
-                let deadline = Some(clock.now().plus(10_000));
-                window.acquire_until("o", &clock, deadline, 5_000)
-            })
-        };
-        while window.queued_total() < 1 {
-            thread::sleep(Duration::from_millis(1));
-        }
-        // The slot never frees; the virtual clock passes the deadline.
-        clock.advance(20_000);
-        let verdict = parked.join().expect("no panic");
-        let Acquire::Shed { queued_micros } = verdict else {
-            panic!("expected a shed, got {verdict:?}");
-        };
-        assert!(queued_micros >= 10_000, "queue wait is accounted");
-        window.release("o");
     }
 }

@@ -1,13 +1,12 @@
 //! Compiled transform plans — the explicit form of a property chain.
 //!
-//! The read and write paths used to be implicit: `DocumentSpace` re-derived
-//! the base-then-reference property chain inline and folded each property's
-//! stream wrapper into the previous one. A [`TransformPlan`] makes that
-//! chain a first-class value: an ordered list of [`PlanStage`]s compiled
-//! once per path, which the space replays for plain reads/writes and which
-//! a cache can *walk* — executing stages buffered, content-addressing each
-//! stage's output by a **stage signature**, and skipping stages whose
-//! output it already holds.
+//! A read or write path is the base-then-reference property chain, each
+//! property's stream wrapper folded over the previous one. A
+//! [`TransformPlan`] makes that chain a first-class value: an ordered
+//! list of [`PlanStage`]s compiled once per path, which the space replays
+//! for plain reads/writes and which a cache can *walk* — executing one
+//! stage at a time, content-addressing each stage's output by a **stage
+//! signature**, and skipping stages whose output it already holds.
 //!
 //! ## Stage signatures
 //!
@@ -35,7 +34,7 @@ use crate::error::Result;
 use crate::event::EventSite;
 use crate::id::{DocumentId, UserId};
 use crate::property::{ActiveProperty, PathCtx, PathReport, PropsSnapshot, StageRecord};
-use crate::streams::{read_all, InputStream, MemoryInput, OutputStream};
+use crate::streams::{InputStream, MemoryInput, OutputStream};
 use bytes::Bytes;
 use placeless_simenv::VirtualClock;
 use std::sync::Arc;
@@ -68,8 +67,9 @@ impl std::fmt::Debug for PlanStage {
 ///
 /// Compiled by [`crate::space::DocumentSpace`] (which owns the chain
 /// assembly) and consumed either by the space itself — replaying the
-/// stages as stream wrappers exactly as the old inline loops did — or by a
-/// cache walking the stages buffered with intermediate-result lookups.
+/// stages as nested stream wrappers over the provider's stream — or by a
+/// cache walking the stages one at a time with intermediate-result
+/// lookups.
 pub struct TransformPlan {
     /// The base document the plan reads or writes.
     pub doc: DocumentId,
@@ -190,9 +190,9 @@ impl TransformPlan {
         Some(ctx.finalize())
     }
 
-    /// Replays stage `index` as a read-path stream wrapper, exactly as the
-    /// old inline loop did: charge the clock, accumulate the replacement
-    /// cost, interpose the property's stream, record the execution.
+    /// Replays stage `index` as a read-path stream wrapper: charge the
+    /// clock, accumulate the replacement cost, interpose the property's
+    /// stream, record the execution.
     pub fn wrap_input_stage(
         &self,
         clock: &VirtualClock,
@@ -218,7 +218,7 @@ impl TransformPlan {
     }
 
     /// Replays stage `index` as a write-path stream wrapper (clock charge
-    /// plus `wrap_output`, mirroring the old inline loop).
+    /// plus `wrap_output`).
     pub fn wrap_output_stage(
         &self,
         clock: &VirtualClock,
@@ -232,42 +232,13 @@ impl TransformPlan {
         stage.prop.wrap_output(&ctx, report, stream)
     }
 
-    /// Executes stage `index` to completion over buffered `input`,
-    /// returning the stage's output bytes. Cost accounting matches
-    /// [`Self::wrap_input_stage`]; `signature` (if the stage has one) is
-    /// recorded for observability.
-    pub fn run_stage_buffered(
-        &self,
-        clock: &VirtualClock,
-        index: usize,
-        report: &mut PathReport,
-        input: Bytes,
-        signature: Option<Signature>,
-    ) -> Result<Bytes> {
-        let ctx = self.ctx(clock, index);
-        let stage = &self.stages[index];
-        clock.advance(stage.cost_micros);
-        report.add_cost(stage.cost_micros);
-        let inner: Box<dyn InputStream> = Box::new(MemoryInput::new(input));
-        let mut wrapped = stage.prop.wrap_input(&ctx, report, inner)?;
-        let out = read_all(wrapped.as_mut())?;
-        report.executed.push(stage.prop.name().to_owned());
-        report.record_stage(StageRecord {
-            name: stage.prop.name().to_owned(),
-            site: stage.site,
-            cost_micros: stage.cost_micros,
-            cached: false,
-            signature,
-            bytes: out.len() as u64,
-        });
-        Ok(out)
-    }
-
     /// Executes stage `index` over `input` through the chunked streaming
     /// path, computing the output's content digest *in the same pass* that
-    /// collects the bytes. Cost accounting, report entries, and output
-    /// bytes are identical to [`Self::run_stage_buffered`]; the differences
-    /// are purely execution strategy:
+    /// collects the bytes. Cost accounting and report entries match
+    /// [`Self::wrap_input_stage`] (plus the stage's signature and output
+    /// size), and the output is what draining that wrapper to the end
+    /// would collect — `tests/streaming_parity.rs` holds the buffered
+    /// reference walk. What differs is execution strategy:
     ///
     /// - pass-through stages (wrappers that forward the input slice
     ///   unchanged) return the input `Bytes` itself, and when `input_sig`
@@ -489,16 +460,6 @@ impl<'p> StagePipeline<'p> {
         self.plan.stage_signature(index, self.chain_sig)
     }
 
-    /// The resident bytes at the current chain position, if materialized.
-    pub fn current(&self) -> Option<&Bytes> {
-        self.bytes.as_ref()
-    }
-
-    /// Content digest of the resident bytes, when known.
-    pub fn content_signature(&self) -> Option<Signature> {
-        self.content_sig
-    }
-
     /// Executes stage `index` through the streaming path and advances the
     /// chain. Returns the stage's output (for cache installs: the bytes
     /// plus their already-computed content digest).
@@ -674,22 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn run_stage_buffered_matches_wrapping_and_charges_clock() {
-        let plan = plan_of(vec![("a", Some(b"t"))]);
-        let clock = VirtualClock::new();
-        let mut report = PathReport::default();
-        let out = plan
-            .run_stage_buffered(&clock, 0, &mut report, Bytes::from_static(b"body"), None)
-            .unwrap();
-        assert_eq!(out, Bytes::from_static(b"bodya"));
-        assert_eq!(clock.now().0, 10);
-        assert_eq!(report.cost.raw_micros(), 10.0);
-        assert_eq!(report.executed, vec!["a"]);
-        assert_eq!(report.stages.len(), 1);
-        assert!(!report.stages[0].cached);
-    }
-
-    #[test]
     fn note_stage_hit_registers_metadata_without_clock_charge() {
         let plan = plan_of(vec![("a", Some(b"t"))]);
         let clock = VirtualClock::new();
@@ -732,36 +677,6 @@ mod tests {
         fn transform_token(&self, _ctx: &PathCtx<'_>) -> Option<Vec<u8>> {
             Some(b"id".to_vec())
         }
-    }
-
-    #[test]
-    fn run_stage_streaming_matches_buffered_output_cost_and_records() {
-        let make = || plan_of(vec![("a", Some(b"t"))]);
-        let body = Bytes::from_static(b"body");
-        let root = md5(&body);
-
-        let plan = make();
-        let clock_b = VirtualClock::new();
-        let mut report_b = PathReport::default();
-        let sig = plan.stage_signature(0, root);
-        let buffered = plan
-            .run_stage_buffered(&clock_b, 0, &mut report_b, body.clone(), sig)
-            .unwrap();
-
-        let clock_s = VirtualClock::new();
-        let mut report_s = PathReport::default();
-        let streamed = plan
-            .run_stage_streaming(&clock_s, 0, &mut report_s, body, Some(root), sig)
-            .unwrap();
-
-        assert_eq!(streamed.bytes, buffered);
-        assert_eq!(streamed.content_sig, md5(&buffered));
-        assert_eq!(clock_s.now(), clock_b.now());
-        assert_eq!(report_s.cost.raw_micros(), report_b.cost.raw_micros());
-        assert_eq!(report_s.executed, report_b.executed);
-        assert_eq!(report_s.stages.len(), 1);
-        assert_eq!(report_s.stages[0].signature, sig);
-        assert_eq!(report_s.stages[0].bytes, buffered.len() as u64);
     }
 
     #[test]

@@ -1116,7 +1116,7 @@ pub struct BatchWrite {
     /// rebased over a concurrent writer preserves both sides' edits.
     /// [`crate::op::DocOp::SetProperty`] ops attach their property after
     /// the content commit succeeds. Empty (the default) commits `data`
-    /// exactly as before.
+    /// verbatim.
     pub ops: Vec<crate::op::DocOp>,
 }
 

@@ -11,16 +11,30 @@ if [[ "${OFFLINE:-0}" == "1" ]]; then
   CARGO_FLAGS+=(--offline)
 fi
 
-echo "==> cargo fmt --check"
+# Announces a stage. Under GitHub Actions each stage is a log group, so it
+# folds in the job log and the stage that failed is the one left open.
+stage() {
+  if [[ -z "${GITHUB_ACTIONS:-}" ]]; then
+    echo "==> $*"
+    return
+  fi
+  if [[ -n "${STAGE_OPEN:-}" ]]; then
+    echo "::endgroup::"
+  fi
+  STAGE_OPEN=1
+  echo "::group::$*"
+}
+
+stage "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo build --release"
+stage "cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}" --workspace
 
-echo "==> cargo test"
+stage "cargo test"
 cargo test -q "${CARGO_FLAGS[@]}" --workspace
 
-echo "==> fault matrix (resilience + fault-injection suite)"
+stage "fault matrix (resilience + fault-injection suite)"
 cargo test -q "${CARGO_FLAGS[@]}" --test fault_matrix
 
 # The experiments binary writes BENCH_*.json next to its working
@@ -34,46 +48,56 @@ smoke() {
     --manifest-path "$ROOT/Cargo.toml" -p placeless-bench --bin experiments -- "$@")
 }
 
-echo "==> E-FAULT smoke (availability table under a scripted outage)"
+stage "E-FAULT smoke (availability table under a scripted outage)"
 smoke fault
 
-echo "==> E-STAGE smoke (staged-plan partial hits + lease >=2x gate,"
-echo "    zero-copy probe, 4 MiB big-doc smoke)"
+stage "E-STAGE smoke (staged-plan partial hits + lease >=2x gate," \
+  "zero-copy probe, 4 MiB big-doc smoke)"
 smoke stage
 
-echo "==> E-CRASH smoke (write-journal durability)"
+stage "E-CRASH smoke (write-journal durability)"
 smoke crash
 
-echo "==> E-MERGE smoke (op-based multi-writer merge)"
+stage "E-MERGE smoke (op-based multi-writer merge)"
 smoke merge
 
-echo "==> E-LOAD smoke (trace-driven load + coalesce probe + write mix)"
+stage "E-LOAD smoke (trace-driven load + coalesce probe + write mix)"
 E_LOAD_USERS=20000 E_LOAD_OPS=4000 E_LOAD_THREADS=4 \
   E_LOAD_WMIX_WRITES=800 E_LOAD_WMIX_DOCS=48 E_LOAD_WMIX_FLUSH_EVERY=400 \
   smoke load
 
-echo "==> E-OVERLOAD smoke (deadline admission + brownout under a 10x burst)"
+stage "E-OVERLOAD smoke (deadline admission + brownout under a 10x burst)"
 E_OVERLOAD_EVENTS=300 E_OVERLOAD_THREADS=4 E_OVERLOAD_WALL_MICROS=150 \
   smoke overload
 
 # The benchmark package is frozen outside benchmark PRs; these two steps
 # prove it still builds and runs against the current placeless-cache API.
-echo "==> repo benchmark: unit tests + smoke"
+stage "repo benchmark: unit tests + smoke"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke
 
-echo "==> cargo clippy (-D warnings)"
+stage "cargo clippy (-D warnings)"
 cargo clippy "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (placeless-cache: broken intra-doc links are errors)"
+stage "cargo doc (placeless-cache: broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
   cargo doc "${CARGO_FLAGS[@]}" --no-deps -p placeless-cache
 
-# The number simplicity PRs quote: lines of crates/cache/src above each
-# file's `#[cfg(test)]`, policy/ and manager/ included.
-echo "==> non-test lines in crates/cache/src"
-for f in $(find crates/cache/src -name '*.rs'); do
-  awk '/^#\[cfg\(test\)\]/{exit} {c++} END{print c+0}' "$f"
-done | awk '{s+=$1} END{print s}'
+# The numbers simplicity PRs quote: lines above each file's `#[cfg(test)]`,
+# for all of crates/cache/src (policy/ and manager/ included) and for the
+# per-origin file set (retry driver, flights, overload, origin records and
+# the manager files that call them).
+non_test_lines() {
+  for f in "$@"; do
+    awk '/^#\[cfg\(test\)\]/{exit} {c++} END{print c+0}' "$f"
+  done | awk '{s+=$1} END{print s}'
+}
+stage "non-test lines"
+echo "crates/cache/src: $(non_test_lines $(find crates/cache/src -name '*.rs'))"
+(cd crates/cache/src && echo "per-origin file set: $(non_test_lines \
+  resilience.rs singleflight.rs overload.rs origin.rs manager/{read,flush,mod}.rs)")
 
+if [[ -n "${STAGE_OPEN:-}" ]]; then
+  echo "::endgroup::"
+fi
 echo "==> all checks passed"

@@ -12,15 +12,15 @@ use parking_lot::Mutex;
 use placeless_bench::fault::{self, FaultParams, ResilienceMode};
 use placeless_cache::{
     BreakerConfig, BreakerState, CacheConfig, CacheStats, ConflictHook, ConflictResolution,
-    DocumentCache, MergePolicy, ResilienceConfig, StalenessBound, WriteConflict, WriteJournal,
-    WriteMode,
+    DocumentCache, MergePolicy, PrefetchConfig, ResilienceConfig, StalenessBound, WriteConflict,
+    WriteJournal, WriteMode,
 };
 use placeless_core::bitprovider::BitProvider;
 use placeless_core::cacheability::Cacheability;
 use placeless_core::error::{PlacelessError, Result};
 use placeless_core::id::{DocumentId, UserId};
 use placeless_core::notifier::Invalidation;
-use placeless_core::op::DocOp;
+use placeless_core::op::{apply_all, DocOp};
 use placeless_core::space::DocumentSpace;
 use placeless_core::streams::{InputStream, MemoryInput, OutputStream};
 use placeless_core::verifier::{ClosureVerifier, Validity, Verifier};
@@ -356,6 +356,64 @@ fn breaker_opens_half_opens_and_recovers() {
     assert_eq!(stats.breaker_trips, 2);
     assert_eq!(stats.degraded_errors, 4);
     assert_eq!(stats.misses, 1, "exactly one read ever got real bytes");
+}
+
+/// Collection prefetch is speculative work, so it honours an open
+/// breaker like any other fetch: a sibling on a tripped origin is skipped
+/// without contacting that origin, and without spending the half-open
+/// probe a demand read will need.
+#[test]
+fn prefetch_skips_siblings_behind_an_open_breaker() {
+    let clock = VirtualClock::new();
+    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
+    let fs = MemFs::new(clock.clone());
+    fs.create("/a", "body a");
+    let doc_a = space.create_document(USER, FsProvider::new(fs, "/a", lan(6)));
+    let server = WebServer::new("origin-b");
+    server.publish("/b", "body b", 60_000_000);
+    let link_b = lan(7);
+    link_b.set_fault_plan(FaultPlan::builder(7).outage(0, 10_000).build());
+    let doc_b = space.create_document(USER, WebProvider::new(server.clone(), "/b", link_b));
+    for doc in [doc_a, doc_b] {
+        space.add_to_collection("pair", doc).expect("doc exists");
+    }
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig::builder()
+            .local_latency(LatencyModel::FREE)
+            .prefetch(PrefetchConfig::up_to(4))
+            .resilience(
+                ResilienceConfig::builder()
+                    .breaker(BreakerConfig {
+                        failure_threshold: 1,
+                        open_micros: 500_000,
+                        half_open_probes: 1,
+                    })
+                    .build(),
+            )
+            .build(),
+    );
+
+    // One failed read trips origin B's breaker; then B comes back while
+    // the cool-down is still running.
+    assert!(cache.read(USER, doc_b).is_err());
+    assert_eq!(cache.breaker_state("http://origin-b"), BreakerState::Open);
+    clock.advance_to(Instant(20_000));
+    let (gets_before, _) = server.counters();
+
+    // A miss on healthy origin A would prefetch its sibling on B.
+    assert_eq!(
+        cache.read(USER, doc_a).expect("origin A is healthy"),
+        "body a"
+    );
+    assert_eq!(
+        server.counters().0,
+        gets_before,
+        "no origin contact while the breaker is open"
+    );
+    assert!(!cache.contains(USER, doc_b));
+    assert_eq!(cache.stats().prefetches, 0);
+    assert_eq!(cache.breaker_state("http://origin-b"), BreakerState::Open);
 }
 
 /// A dropped invalidation opens a consistency hole in a notifier-only
@@ -1564,50 +1622,192 @@ fn merge_disabled_preserves_the_blind_overwrite_pipeline() {
     assert_eq!(stats.merge_rebases, 0);
 }
 
+// The reference model of the op-based merge: what the origin must hold
+// after any set of rebasable contributions, whatever order they arrived
+// in. The cache itself never calls it — it merges through
+// `op::apply_all` in recovery and server-side in `write_documents` — so
+// the proptest below holds one real flush to it.
+
+/// One writer's contribution to a merge: the typed ops it accumulated
+/// since its base epoch, plus the causal coordinates that order it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Contribution {
+    /// The writing user.
+    pub user: UserId,
+    /// Per-`(doc, user)` causal sequence at the time of the write.
+    pub writer_seq: u64,
+    /// Journal-wide sequence number (tie-breaker of last resort).
+    pub seq: u64,
+    /// The ops, oldest first.
+    pub ops: Vec<DocOp>,
+}
+
+impl Contribution {
+    fn causal_key(&self) -> (u64, u64, u64) {
+        (self.user.0, self.writer_seq, self.seq)
+    }
+}
+
+/// Sorts contributions into the canonical causal order — ascending
+/// `(user, writer_seq, seq)` — and drops replayed duplicates (same user
+/// and writer sequence). This is what makes the merge order-independent
+/// and idempotent: any permutation, with any contribution repeated,
+/// canonicalizes to the same list.
+pub fn canonical_order(mut contributions: Vec<Contribution>) -> Vec<Contribution> {
+    contributions.sort_by_key(Contribution::causal_key);
+    contributions.dedup_by_key(|c| (c.user.0, c.writer_seq));
+    contributions
+}
+
+/// Rebases every contribution onto `origin` in canonical order, returning
+/// the merged content and how many individual ops were re-applied.
+///
+/// The caller is responsible for only passing rebasable contributions; a
+/// full-body `Replace` in the fold would silently discard every
+/// contribution ordered before it.
+pub fn merge_onto(origin: &Bytes, contributions: Vec<Contribution>) -> (Bytes, u64) {
+    let canonical = canonical_order(contributions);
+    let mut view = origin.clone();
+    let mut rebases = 0;
+    for c in &canonical {
+        view = apply_all(&view, &c.ops);
+        rebases += c.ops.len() as u64;
+    }
+    (view, rebases)
+}
+
+mod merge_model {
+    use super::*;
+
+    fn b(s: &str) -> Bytes {
+        Bytes::copy_from_slice(s.as_bytes())
+    }
+
+    fn contrib(user: u64, writer_seq: u64, seq: u64, ops: Vec<DocOp>) -> Contribution {
+        Contribution {
+            user: UserId(user),
+            writer_seq,
+            seq,
+            ops,
+        }
+    }
+
+    #[test]
+    fn merge_is_order_independent() {
+        let origin = b("base;");
+        let a = contrib(1, 1, 10, vec![DocOp::Append(b("alice;"))]);
+        let bb = contrib(2, 1, 11, vec![DocOp::Append(b("bob;"))]);
+        let (fwd, _) = merge_onto(&origin, vec![a.clone(), bb.clone()]);
+        let (rev, _) = merge_onto(&origin, vec![bb, a]);
+        assert_eq!(fwd, rev);
+        assert_eq!(fwd, b("base;alice;bob;"));
+    }
+
+    #[test]
+    fn merge_is_idempotent_under_replay() {
+        let origin = b("v:");
+        let a = contrib(1, 1, 10, vec![DocOp::Append(b("x"))]);
+        let (once, rebases_once) = merge_onto(&origin, vec![a.clone()]);
+        let (twice, rebases_twice) = merge_onto(&origin, vec![a.clone(), a]);
+        assert_eq!(once, twice, "a replayed contribution folds once");
+        assert_eq!(rebases_once, rebases_twice);
+    }
+
+    #[test]
+    fn canonical_order_sorts_by_user_then_writer_seq() {
+        let list = vec![
+            contrib(2, 1, 5, vec![]),
+            contrib(1, 2, 9, vec![]),
+            contrib(1, 1, 7, vec![]),
+        ];
+        let ordered = canonical_order(list);
+        let keys: Vec<_> = ordered.iter().map(Contribution::causal_key).collect();
+        assert_eq!(keys, vec![(1, 1, 7), (1, 2, 9), (2, 1, 5)]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Replaying the same contribution set through `merge_onto` is
-    /// order-independent (canonical causal order, not arrival order) and
-    /// idempotent (duplicate deliveries collapse) — the property that
-    /// makes recovery-then-flush safe to repeat after a second crash.
+    /// One real flush agrees with the model: the same contributions,
+    /// issued as `write_op`s by several users in a shuffled arrival order
+    /// through one write-back cache (journal + merge policy), leave the
+    /// origin holding exactly `merge_onto`'s bytes — the flush's
+    /// `(doc, user)` sort is the canonical order the model claims — and
+    /// the model itself is order-independent (canonical causal order, not
+    /// arrival order) and idempotent (duplicate deliveries collapse), the
+    /// property that makes recovery-then-flush safe to repeat after a
+    /// second crash.
     #[test]
     fn merge_replay_is_order_independent_and_idempotent(
         seed in any::<u64>(),
         writers in 1u64..4,
         edits in 1u64..5,
     ) {
-        use placeless_cache::merge::{merge_onto, Contribution};
         let origin = Bytes::from("origin;");
-        let mut contributions = Vec::new();
-        let mut seq = 0u64;
+        let mut arrivals = Vec::new();
         for w in 1..=writers {
             for e in 1..=edits {
-                seq += 1;
-                contributions.push(Contribution {
-                    user: UserId(w),
-                    writer_seq: e,
-                    seq,
-                    ops: vec![DocOp::Append(Bytes::from(format!("w{w}e{e};")))],
-                });
+                arrivals.push((UserId(w), DocOp::Append(Bytes::from(format!("w{w}e{e};")))));
             }
         }
         // A deterministic shuffle driven by the proptest seed.
-        let mut shuffled = contributions.clone();
         let mut state = seed | 1;
-        for i in (1..shuffled.len()).rev() {
+        for i in (1..arrivals.len()).rev() {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            shuffled.swap(i, (state >> 33) as usize % (i + 1));
+            arrivals.swap(i, (state >> 33) as usize % (i + 1));
         }
+
+        // The real cache sees the arrival order; a writer's causal
+        // sequence is the order its own ops arrived in.
+        let clock = VirtualClock::new();
+        let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
+        let fs = MemFs::new(clock.clone());
+        fs.create("/shared", origin.clone());
+        let doc = space.create_document(USER, FsProvider::new(fs.clone(), "/shared", lan(64)));
+        for w in 2..=writers {
+            space.add_reference(UserId(w), doc).expect("doc exists");
+        }
+        let mut config = merge_config(WriteJournal::new(StableStore::new()));
+        config.shards = 4;
+        let cache = DocumentCache::new(space, config);
+        let mut contributions = Vec::new();
+        let mut writer_seqs = std::collections::HashMap::new();
+        for (seq, (user, op)) in arrivals.into_iter().enumerate() {
+            cache.write_op(user, doc, op.clone()).expect("write buffers");
+            let writer_seq: &mut u64 = writer_seqs.entry(user).or_default();
+            *writer_seq += 1;
+            contributions.push(Contribution {
+                user,
+                writer_seq: *writer_seq,
+                seq: seq as u64,
+                ops: vec![op],
+            });
+        }
+        let report = cache.flush().expect("healthy origin");
+        prop_assert!(report.is_clean(), "{}", report);
+        prop_assert_eq!(report.flushed, writers, "one dirty entry per writer");
+
         let (in_order, rebased_a) = merge_onto(&origin, contributions.clone());
-        let (out_of_order, rebased_b) = merge_onto(&origin, shuffled);
+        prop_assert_eq!(
+            &fs.read("/shared").expect("file exists"),
+            &in_order,
+            "the flush must land the model's bytes"
+        );
+        prop_assert_eq!(rebased_a, writers * edits);
+        let mut reversed = contributions.clone();
+        reversed.reverse();
+        let (out_of_order, rebased_b) = merge_onto(&origin, reversed);
         prop_assert_eq!(&in_order, &out_of_order, "arrival order must not matter");
         prop_assert_eq!(rebased_a, rebased_b);
-        // Duplicate delivery of every contribution changes nothing.
+        // Duplicate delivery of every contribution changes nothing, and
+        // neither does flushing again.
         let mut doubled = contributions.clone();
         doubled.extend(contributions);
         let (deduped, rebased_c) = merge_onto(&origin, doubled);
         prop_assert_eq!(&in_order, &deduped, "replay must be idempotent");
         prop_assert_eq!(rebased_a, rebased_c);
+        prop_assert_eq!(cache.flush().expect("healthy origin").attempted, 0);
+        prop_assert_eq!(&fs.read("/shared").expect("file exists"), &in_order);
     }
 }

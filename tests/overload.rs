@@ -8,8 +8,10 @@ use placeless_cache::{
 };
 use placeless_core::bitprovider::BitProvider;
 use placeless_core::error::{PlacelessError, Result};
+use placeless_core::event::{EventKind, Interests};
 use placeless_core::id::UserId;
-use placeless_core::space::DocumentSpace;
+use placeless_core::property::{ActiveProperty, PathCtx, PathReport};
+use placeless_core::space::{DocumentSpace, Scope};
 use placeless_core::streams::{InputStream, MemoryInput, OutputStream};
 use placeless_core::verifier::Verifier;
 use placeless_simenv::{LatencyModel, SimRng, VirtualClock};
@@ -215,6 +217,77 @@ fn deadline_expired_while_queued_sheds_instead_of_serving_late() {
         "the doomed wait is charged to the queue-wait counter"
     );
     assert_eq!(stats.misses, 1, "only the holder's fill counts as a miss");
+    assert_eq!(cache.queued_fetches(), 0, "no reader left parked");
+}
+
+/// A property whose read-path hook panics on its first run and passes the
+/// stream through afterwards: a buggy extension unwinding mid-fetch.
+struct PanicsOnce {
+    armed: AtomicBool,
+}
+
+impl ActiveProperty for PanicsOnce {
+    fn name(&self) -> &str {
+        "panics-once"
+    }
+
+    fn interests(&self) -> Interests {
+        Interests::of(&[EventKind::GetInputStream])
+    }
+
+    fn wrap_input(
+        &self,
+        _ctx: &PathCtx<'_>,
+        _report: &mut PathReport,
+        inner: Box<dyn InputStream>,
+    ) -> Result<Box<dyn InputStream>> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            panic!("scripted property bug");
+        }
+        Ok(inner)
+    }
+}
+
+/// A fetch that unwinds through a panicking property gives back its
+/// window slot and its place in the running-fetch gauge: the origin's
+/// only slot is free for the next document, and both gauges read zero.
+#[test]
+fn unwinding_fetch_frees_its_window_slot() {
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let doc_buggy = space.create_document(USER, CheapProvider::new(500));
+    let doc_next = space.create_document(USER, CheapProvider::new(500));
+    let buggy = Arc::new(PanicsOnce {
+        armed: AtomicBool::new(true),
+    });
+    space
+        .attach_active(Scope::Universal, doc_buggy, buggy)
+        .expect("doc exists");
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig::builder()
+            .local_latency(LatencyModel::FREE)
+            .max_inflight_per_origin(1)
+            .build(),
+    );
+
+    let unwound =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.read(USER, doc_buggy)));
+    assert!(unwound.is_err(), "the property's panic reaches the caller");
+
+    // A leaked slot parks the next read on this origin forever, so it
+    // runs on its own thread and the test waits with a timeout.
+    let (done, outcome) = std::sync::mpsc::channel();
+    let reader = {
+        let cache = Arc::clone(&cache);
+        std::thread::spawn(move || done.send(cache.read(USER, doc_next)))
+    };
+    let body = outcome
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("the unwound fetch still holds the origin's only slot")
+        .expect("read succeeds");
+    assert_eq!(body, "cheap body");
+    reader.join().unwrap().expect("outcome was received");
+    assert_eq!(cache.inflight_fetches(), 0, "no fetch is running");
     assert_eq!(cache.queued_fetches(), 0, "no reader left parked");
 }
 

@@ -1,19 +1,19 @@
 //! Streaming/buffered parity: the chunked zero-copy walk
 //! ([`StagePipeline`]) must be observationally identical to the buffered
-//! reference walk (`run_stage_buffered` with manual chain-signature
-//! threading, exactly as the cache's old miss loop ran). Property-based
+//! reference walk ([`run_stage_buffered`] below, with manual
+//! chain-signature threading). Property-based
 //! over chain shapes (pass-through, appending, opaque, length-preserving
 //! transforms) and body sizes that straddle the 4 KiB chunk boundary.
 
 use bytes::Bytes;
-use placeless_core::digest::md5;
+use placeless_core::digest::{md5, Signature};
 use placeless_core::error::Result as CoreResult;
 use placeless_core::event::{EventKind, Interests};
 use placeless_core::id::{DocumentId, UserId};
 use placeless_core::plan::{StagePipeline, TransformPlan};
 use placeless_core::prelude::MemoryProvider;
-use placeless_core::property::{ActiveProperty, PathCtx, PathReport, PropsSnapshot};
-use placeless_core::streams::{InputStream, TransformingInput};
+use placeless_core::property::{ActiveProperty, PathCtx, PathReport, PropsSnapshot, StageRecord};
+use placeless_core::streams::{read_all, InputStream, MemoryInput, TransformingInput};
 use placeless_simenv::VirtualClock;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -115,6 +115,94 @@ fn compile(clock: &VirtualClock, body: &[u8], kinds: &[StageKind]) -> TransformP
     )
 }
 
+/// The reference execution of one stage: wraps buffered `input` in the
+/// stage's stream, drains it to the end in one `read_all`, and accounts
+/// for it the way `TransformPlan::wrap_input_stage` does (`signature`, if
+/// the stage has one, is recorded for observability). The streaming walk
+/// must be indistinguishable from a chain of these.
+fn run_stage_buffered(
+    plan: &TransformPlan,
+    clock: &VirtualClock,
+    index: usize,
+    report: &mut PathReport,
+    input: Bytes,
+    signature: Option<Signature>,
+) -> CoreResult<Bytes> {
+    let stage = &plan.stages[index];
+    let ctx = PathCtx {
+        clock,
+        doc: plan.doc,
+        user: plan.user,
+        site: stage.site,
+        props: &plan.snapshot,
+    };
+    clock.advance(stage.cost_micros);
+    report.add_cost(stage.cost_micros);
+    let inner: Box<dyn InputStream> = Box::new(MemoryInput::new(input));
+    let mut wrapped = stage.prop.wrap_input(&ctx, report, inner)?;
+    let out = read_all(wrapped.as_mut())?;
+    report.executed.push(stage.prop.name().to_owned());
+    report.record_stage(StageRecord {
+        name: stage.prop.name().to_owned(),
+        site: stage.site,
+        cost_micros: stage.cost_micros,
+        cached: false,
+        signature,
+        bytes: out.len() as u64,
+    });
+    Ok(out)
+}
+
+#[test]
+fn run_stage_buffered_matches_wrapping_and_charges_clock() {
+    let clock = VirtualClock::new();
+    let plan = compile(&clock, b"body", &[StageKind::AppendSigned]);
+    let mut report = PathReport::default();
+    let out = run_stage_buffered(
+        &plan,
+        &clock,
+        0,
+        &mut report,
+        Bytes::from_static(b"body"),
+        None,
+    )
+    .unwrap();
+    assert_eq!(out, Bytes::from_static(b"body[a]"));
+    assert_eq!(clock.now().0, 10);
+    assert_eq!(report.cost.raw_micros(), 10.0);
+    assert_eq!(report.executed, vec!["parity-0-AppendSigned"]);
+    assert_eq!(report.stages.len(), 1);
+    assert!(!report.stages[0].cached);
+}
+
+#[test]
+fn run_stage_streaming_matches_buffered_output_cost_and_records() {
+    let body = Bytes::from_static(b"body");
+    let root = md5(&body);
+    let plan = compile(&VirtualClock::new(), &body, &[StageKind::AppendSigned]);
+
+    let clock_b = VirtualClock::new();
+    let mut report_b = PathReport::default();
+    let sig = plan.stage_signature(0, root);
+    let buffered =
+        run_stage_buffered(&plan, &clock_b, 0, &mut report_b, body.clone(), sig).unwrap();
+
+    let clock_s = VirtualClock::new();
+    let mut report_s = PathReport::default();
+    let streamed = plan
+        .run_stage_streaming(&clock_s, 0, &mut report_s, body, Some(root), sig)
+        .unwrap();
+
+    assert_eq!(streamed.bytes, buffered);
+    assert_eq!(streamed.content_sig, md5(&buffered));
+    assert_eq!(clock_s.now(), clock_b.now());
+    assert_eq!(report_s.cost.raw_micros(), report_b.cost.raw_micros());
+    assert_eq!(report_s.executed, report_b.executed);
+    assert_eq!(report_s.stages.len(), 1);
+    assert_eq!(report_s.stages[0].signature, sig);
+    assert_eq!(report_s.stages[0].bytes, buffered.len() as u64);
+}
+
 /// Body sizes: zero-length, tiny, and chunk-boundary-straddling (the
 /// streaming chunk size is 4096).
 fn body_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -152,8 +240,7 @@ proptest! {
         let plan = compile(&compile_clock, &body, &kinds);
         let root_sig = md5(&body);
 
-        // Buffered reference walk: thread the chain signature by hand, the
-        // way the cache's miss loop ran before the streaming pipeline.
+        // Buffered reference walk: thread the chain signature by hand.
         let clock_b = VirtualClock::new();
         let mut report_b = plan.seed_report(&clock_b);
         let mut bytes_b = Bytes::from(body.clone());
@@ -161,9 +248,9 @@ proptest! {
         let mut sigs_b = Vec::new();
         for index in 0..plan.len() {
             let stage_sig = plan.stage_signature(index, chain_b);
-            bytes_b = plan
-                .run_stage_buffered(&clock_b, index, &mut report_b, bytes_b, stage_sig)
-                .expect("buffered stage");
+            bytes_b =
+                run_stage_buffered(&plan, &clock_b, index, &mut report_b, bytes_b, stage_sig)
+                    .expect("buffered stage");
             chain_b = stage_sig.unwrap_or_else(|| md5(&bytes_b));
             sigs_b.push(stage_sig);
         }
