@@ -290,17 +290,29 @@ fn run_load() {
         params.write_fraction * 100.0
     );
     println!(
-        "{:<8} {:>12} {:>10} {:>10} {:>8} {:>9} {:>10} {:>9} {:>9}",
-        "shards", "reads/sec", "p50 us", "p99 us", "hit %", "partial", "coalesced", "stale", "peak"
+        "{:<8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>8} {:>9} {:>10} {:>9} {:>9}",
+        "shards",
+        "reads/sec",
+        "p50 us",
+        "p99 us",
+        "w p50 us",
+        "w p99 us",
+        "hit %",
+        "partial",
+        "coalesced",
+        "stale",
+        "peak"
     );
     let results = load::sweep(16, params);
     for r in &results {
         println!(
-            "{:<8} {:>12.0} {:>10.2} {:>10.2} {:>8.1} {:>9} {:>10} {:>9} {:>9}",
+            "{:<8} {:>12.0} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>8.1} {:>9} {:>10} {:>9} {:>9}",
             r.shards,
             r.reads_per_sec(),
             r.p50_nanos as f64 / 1_000.0,
             r.p99_nanos as f64 / 1_000.0,
+            r.write_p50_nanos as f64 / 1_000.0,
+            r.write_p99_nanos as f64 / 1_000.0,
             r.hit_frac() * 100.0,
             r.class(load::HitClass::PartialHit),
             r.class(load::HitClass::CoalescedWait),
@@ -385,7 +397,8 @@ fn load_json(
         out.push_str(&format!(
             "    {{\"shards\": {}, \"threads\": {}, \"reads\": {}, \"writes\": {}, \
              \"write_errors\": {}, \"wall_micros\": {}, \"reads_per_sec\": {:.0}, \
-             \"p50_nanos\": {}, \"p99_nanos\": {}, \"hits\": {}, \"partial_hits\": {}, \
+             \"p50_nanos\": {}, \"p99_nanos\": {}, \"write_p50_nanos\": {}, \
+             \"write_p99_nanos\": {}, \"hits\": {}, \"partial_hits\": {}, \
              \"misses\": {}, \"coalesced_waits\": {}, \"stale_served\": {}, \
              \"stage_hits\": {}, \"inflight_peak\": {}}}{}\n",
             r.shards,
@@ -397,6 +410,8 @@ fn load_json(
             r.reads_per_sec(),
             r.p50_nanos,
             r.p99_nanos,
+            r.write_p50_nanos,
+            r.write_p99_nanos,
             r.class(load::HitClass::Hit),
             r.class(load::HitClass::PartialHit),
             r.class(load::HitClass::Miss),

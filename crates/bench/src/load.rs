@@ -8,8 +8,8 @@
 //! users (Zipf user-activity skew, per-user working-set locality over a
 //! global Zipf document popularity, a configurable write mix) through the
 //! shared cache from many OS threads, and reports **wall-clock** sustained
-//! reads/sec with p50/p99 per-read latency — sharded versus the
-//! single-shard global-lock baseline.
+//! reads/sec with p50/p99 latency per read and per write — sharded versus
+//! the single-shard global-lock baseline.
 //!
 //! Every read goes through [`DocumentCache::read_with`] and is classified
 //! by its [`HitClass`], so the engine observes coalescing directly from
@@ -138,6 +138,10 @@ pub struct LoadResult {
     pub p50_nanos: u64,
     /// 99th-percentile per-read wall latency, nanoseconds.
     pub p99_nanos: u64,
+    /// Median per-write wall latency, nanoseconds (`0` with no writes).
+    pub write_p50_nanos: u64,
+    /// 99th-percentile per-write wall latency, nanoseconds.
+    pub write_p99_nanos: u64,
     /// Reads per [`HitClass`], indexed by `class as usize`.
     pub classes: [u64; 5],
     /// Counter delta across the drive phase (exercises
@@ -244,6 +248,7 @@ pub fn run_one(shards: usize, params: LoadParams) -> LoadResult {
     let writes = AtomicU64::new(0);
     let write_errors = AtomicU64::new(0);
     let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(params.total_ops()));
+    let write_latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
     let started = std::time::Instant::now();
     std::thread::scope(|scope| {
@@ -254,15 +259,20 @@ pub fn run_one(shards: usize, params: LoadParams) -> LoadResult {
             let writes = &writes;
             let write_errors = &write_errors;
             let latencies = &latencies;
+            let write_latencies = &write_latencies;
             scope.spawn(move || {
                 let mut local = Vec::with_capacity(trace.len());
+                let mut local_writes = Vec::new();
                 for (i, e) in trace.iter().enumerate() {
                     let user = UserId(e.user as u64 + 1);
                     let doc = docs[e.doc];
                     if e.is_write {
                         writes.fetch_add(1, Ordering::Relaxed);
                         let body = format!("rev {i} by {}", e.user);
-                        if cache.write(user, doc, body.as_bytes()).is_err() {
+                        let t0 = std::time::Instant::now();
+                        let written = cache.write(user, doc, body.as_bytes());
+                        local_writes.push(t0.elapsed().as_nanos() as u64);
+                        if written.is_err() {
                             write_errors.fetch_add(1, Ordering::Relaxed);
                         }
                         continue;
@@ -276,6 +286,10 @@ pub fn run_one(shards: usize, params: LoadParams) -> LoadResult {
                     classes[outcome.class as usize].fetch_add(1, Ordering::Relaxed);
                 }
                 latencies.lock().unwrap().extend_from_slice(&local);
+                write_latencies
+                    .lock()
+                    .unwrap()
+                    .extend_from_slice(&local_writes);
             });
         }
     });
@@ -283,11 +297,13 @@ pub fn run_one(shards: usize, params: LoadParams) -> LoadResult {
 
     let mut lats = latencies.into_inner().unwrap();
     lats.sort_unstable();
-    let pct = |p: f64| {
-        if lats.is_empty() {
+    let mut write_lats = write_latencies.into_inner().unwrap();
+    write_lats.sort_unstable();
+    let pct = |sorted: &[u64], p: f64| {
+        if sorted.is_empty() {
             0
         } else {
-            lats[((lats.len() - 1) as f64 * p) as usize]
+            sorted[((sorted.len() - 1) as f64 * p) as usize]
         }
     };
 
@@ -299,8 +315,10 @@ pub fn run_one(shards: usize, params: LoadParams) -> LoadResult {
         writes: writes.into_inner(),
         write_errors: write_errors.into_inner(),
         wall_micros,
-        p50_nanos: pct(0.50),
-        p99_nanos: pct(0.99),
+        p50_nanos: pct(&lats, 0.50),
+        p99_nanos: pct(&lats, 0.99),
+        write_p50_nanos: pct(&write_lats, 0.50),
+        write_p99_nanos: pct(&write_lats, 0.99),
         classes: classes.map(AtomicU64::into_inner),
         stats: cache.stats().delta(&before),
     }
@@ -682,6 +700,8 @@ mod tests {
         assert_eq!(r.write_errors, 0, "writes must succeed under load");
         assert!(r.reads_per_sec() > 0.0);
         assert!(r.p50_nanos <= r.p99_nanos);
+        assert!(r.writes > 0 && r.write_p50_nanos > 0, "writes are timed");
+        assert!(r.write_p50_nanos <= r.write_p99_nanos);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Notifier-driven invalidation: the bus subscription, doc-wide sweeps,
-//! and the reaction to dropped notifications.
+//! Notifier-driven invalidation: the bus subscription, document-scoped
+//! invalidation, and the reaction to dropped notifications.
 
 use super::*;
 
@@ -28,9 +28,10 @@ impl DocumentCache {
         }
     }
 
-    /// Drops every resident version of `doc`, sweeping the shards one at
-    /// a time (no two shard locks are ever held together). Returns how
-    /// many entries went.
+    /// Drops every resident version of `doc`, visiting the shards one at
+    /// a time (no two shard locks are ever held together); each visit
+    /// costs the document's versions in that shard. Returns how many
+    /// entries went.
     pub(super) fn invalidate_doc(&self, doc: DocumentId) -> u64 {
         // Hygiene, not correctness: both lease halves self-validate on use
         // (chain epoch, root verifier), but a doc-wide invalidation makes

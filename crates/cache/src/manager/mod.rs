@@ -33,10 +33,12 @@
 //! `impl DocumentCache` blocks over the one struct below.
 //!
 //! Reads, writes, and user-scoped invalidations touch only the target
-//! key's shard; document-scoped invalidations and flushes sweep the
-//! shards one at a time. Statistics are relaxed atomics
-//! ([`AtomicCacheStats`]), so no counter update ever takes a lock it
-//! would not otherwise hold.
+//! key's shard. A document-scoped invalidation visits the shards one at
+//! a time, and each visit costs the versions of that document resident in
+//! that shard (its per-document index), not the shard's population; a
+//! flush visits them the same way to drain each dirty map. Statistics
+//! are relaxed atomics ([`AtomicCacheStats`]), so no counter update ever
+//! takes a lock it would not otherwise hold.
 //!
 //! ## Lock ordering
 //!

@@ -10,6 +10,13 @@
 //! content" holds by construction, beside its replacement-policy instance
 //! and its buffered write-back data.
 //!
+//! A document's versions are spread over the shards by user, so a
+//! document-scoped invalidation visits every shard. Each shard therefore
+//! also keeps, per document, the set of users with a version resident
+//! *there*, moved by the same two private functions that move the table:
+//! a visit costs the versions of that document in that shard (one lock,
+//! one lookup when there are none), never the shard's population.
+//!
 //! Everything that must change together with that map happens here and
 //! nowhere else: taking and dropping content-store references, telling
 //! the replacement policy, and moving the `stage_bytes` and dirty-count
@@ -43,7 +50,8 @@ use placeless_core::id::{DocumentId, UserId};
 use placeless_core::op::DocOp;
 use placeless_core::verifier::Validity;
 use placeless_simenv::{Instant, VirtualClock};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One buffered write-back write: the data plus (journal configured) the
@@ -75,14 +83,48 @@ struct Resident {
 
 /// One lock-striped slice of the entry table.
 pub(crate) struct Shard {
-    /// Boxed so a table slot is a key and a pointer: doc-wide
-    /// invalidation scans every key, and inline entries triple what that
-    /// scan drags through the memory hierarchy.
+    /// Boxed so a table slot is a key and a pointer (32 bytes, a third of
+    /// an inline entry): the table's spare capacity, every rehash on
+    /// growth, and the whole-table walks that remain (`stage_len`,
+    /// `demote_after_gap`) are all paid per slot.
     entries: HashMap<EntryKey, Box<Resident>>,
+    /// The users with a resident version of each document *in this
+    /// shard*: `user ∈ versions[doc]` exactly when `Version(doc, user)` is
+    /// a key of `entries`, and a document with none has no set. Only
+    /// [`Shard::insert`] and [`Shard::take`] change either map. Stage
+    /// entries belong to no document ([`EntryKey::doc`]) and are not
+    /// indexed.
+    versions: HashMap<DocumentId, HashSet<UserId>>,
     policy: Box<dyn ReplacementPolicy>,
     /// Buffered write-back writes. Keyed by `(document, user)`, not by
     /// [`EntryKey`]: only versions are ever written.
     dirty: HashMap<(DocumentId, UserId), DirtyEntry>,
+}
+
+impl Shard {
+    /// Puts `entry` in the table under `key`, which must not be resident.
+    fn insert(&mut self, key: EntryKey, entry: Box<Resident>) {
+        if let EntryKey::Version(doc, user) = key {
+            self.versions.entry(doc).or_default().insert(user);
+        }
+        let displaced = self.entries.insert(key, entry);
+        debug_assert!(displaced.is_none(), "{key:?} was already resident");
+    }
+
+    /// Takes `key`'s entry out of the table. One set removal, whatever the
+    /// number of resident versions of the document.
+    fn take(&mut self, key: EntryKey) -> Option<Box<Resident>> {
+        let entry = self.entries.remove(&key)?;
+        if let EntryKey::Version(doc, user) = key {
+            if let Entry::Occupied(mut users) = self.versions.entry(doc) {
+                users.get_mut().remove(&user);
+                if users.get().is_empty() {
+                    users.remove();
+                }
+            }
+        }
+        Some(entry)
+    }
 }
 
 /// Why an entry leaves the table.
@@ -140,6 +182,7 @@ impl ShardTable {
                 .map(|_| {
                     Mutex::new(Shard {
                         entries: HashMap::new(),
+                        versions: HashMap::new(),
                         policy: policy.build(),
                         dirty: HashMap::new(),
                     })
@@ -365,8 +408,7 @@ impl ShardGuard<'_> {
                     if key.is_stage() {
                         AtomicCacheStats::add(&self.stats.stage_bytes, meta.size);
                     }
-                    let entry = Box::new(Resident { sig, meta });
-                    self.shard.entries.insert(key, entry);
+                    self.shard.insert(key, Box::new(Resident { sig, meta }));
                     return;
                 }
                 Err(NoRoom) => match self.shard.policy.evict() {
@@ -402,7 +444,7 @@ impl ShardGuard<'_> {
         if why == Removal::Invalidated {
             self.shard.policy.on_remove(key);
         }
-        let Some(entry) = self.shard.entries.remove(&key) else {
+        let Some(entry) = self.shard.take(key) else {
             return false;
         };
         self.table.store.release(entry.sig);
@@ -413,19 +455,17 @@ impl ShardGuard<'_> {
     }
 
     /// Invalidates every resident version of `doc` in this shard,
-    /// returning how many there were.
+    /// returning how many there were. Costs those versions, not the
+    /// shard's population.
     pub(crate) fn remove_doc(&mut self, doc: DocumentId) -> u64 {
-        let keys: Vec<EntryKey> = self
-            .shard
-            .entries
-            .keys()
-            .filter(|key| key.doc() == Some(doc))
-            .copied()
-            .collect();
-        for &key in &keys {
-            self.remove(key, Removal::Invalidated);
+        let Some(users) = self.shard.versions.get(&doc) else {
+            return 0;
+        };
+        let users: Vec<UserId> = users.iter().copied().collect();
+        for &user in &users {
+            self.remove(EntryKey::Version(doc, user), Removal::Invalidated);
         }
-        keys.len() as u64
+        users.len() as u64
     }
 
     /// Demotes every version entry to verifier revalidation after an
@@ -535,6 +575,80 @@ impl ShardGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use placeless_core::cacheability::Cacheability;
+
+    /// The per-document index rebuilt by walking the table.
+    fn versions_by_walk(shard: &Shard) -> HashMap<DocumentId, HashSet<UserId>> {
+        let mut walked: HashMap<DocumentId, HashSet<UserId>> = HashMap::new();
+        for key in shard.entries.keys() {
+            if let EntryKey::Version(doc, user) = *key {
+                walked.entry(doc).or_default().insert(user);
+            }
+        }
+        walked
+    }
+
+    #[test]
+    fn version_index_follows_the_table_through_fills_evictions_and_invalidations() {
+        // Room for about forty of the 25-byte bodies over three shards, so
+        // installs evict (own shard and stolen) while invalidations run.
+        let table = ShardTable::new(3, &PolicyFactory::default(), 1_000);
+        let stats = AtomicCacheStats::default();
+        let agree = |step: u64| {
+            for guard in table.lock_each(&stats) {
+                assert_eq!(
+                    guard.shard.versions,
+                    versions_by_walk(&guard.shard),
+                    "after step {step}"
+                );
+            }
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..4_000u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (doc, user) = (DocumentId((state >> 33) % 8), UserId((state >> 40) % 16));
+            let version = EntryKey::Version(doc, user);
+            match (state >> 60) % 8 {
+                0 => {
+                    let removed: u64 = table
+                        .lock_each(&stats)
+                        .map(|mut guard| guard.remove_doc(doc))
+                        .sum();
+                    assert!(removed <= 16);
+                    for guard in table.lock_each(&stats) {
+                        assert!(!guard.shard.versions.contains_key(&doc));
+                    }
+                }
+                1 => {
+                    table
+                        .lock(version, &stats)
+                        .remove(version, Removal::Invalidated);
+                }
+                kind => {
+                    let body = Bytes::from(format!("{doc:?} {user:?} {step:>8}"));
+                    let meta = EntryMeta::new(
+                        Vec::new(),
+                        Cacheability::Unrestricted,
+                        1.0,
+                        body.len() as u64,
+                        Instant::ZERO,
+                    );
+                    // One fill in three is a stage entry, which the index
+                    // must pass over.
+                    let key = if kind == 2 {
+                        EntryKey::Stage(ConcurrentStore::signature_of(&body))
+                    } else {
+                        version
+                    };
+                    table.lock(key, &stats).install(key, body, meta, 0, None);
+                }
+            }
+            agree(step);
+        }
+        assert!(stats.snapshot().evictions > 0, "the budget never bit");
+    }
 
     #[test]
     fn shard_placement_is_deterministic() {

@@ -9,6 +9,7 @@
 use crate::bitprovider::BitProvider;
 use crate::id::{DocumentId, UserId};
 use crate::property::PropertyList;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The shared anchor of a document: its bit-provider plus universal
@@ -25,6 +26,11 @@ pub struct BaseDocument {
     /// of the base half of the chain compare epochs to decide whether the
     /// view is still current without re-walking the property list.
     pub chain_epoch: u64,
+    /// The users holding a reference to this document: the per-document
+    /// index into the space's `(user, document)` reference table, kept in
+    /// step with it by [`crate::space::DocumentSpace`], so reaching every
+    /// reference of one document costs its holders, not the table.
+    pub(crate) holders: BTreeSet<UserId>,
 }
 
 impl BaseDocument {
@@ -35,6 +41,7 @@ impl BaseDocument {
             provider,
             universal: PropertyList::new(),
             chain_epoch: 0,
+            holders: BTreeSet::new(),
         }
     }
 }

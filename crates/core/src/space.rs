@@ -91,7 +91,49 @@ impl Scope {
 
 struct Inner {
     bases: HashMap<DocumentId, BaseDocument>,
+    /// Keyed by `(user, document)` for the read path's single lookup. The
+    /// per-document view is [`BaseDocument::holders`]: `(u, d)` is a key
+    /// here exactly when `u` is in `bases[d].holders`, and only the three
+    /// functions below change either side.
     refs: HashMap<(UserId, DocumentId), DocumentReference>,
+}
+
+impl Inner {
+    /// Gives `user` a reference to `doc` unless one exists. `false` when
+    /// the document does not.
+    fn add_reference(&mut self, user: UserId, doc: DocumentId) -> bool {
+        let Some(base) = self.bases.get_mut(&doc) else {
+            return false;
+        };
+        if base.holders.insert(user) {
+            self.refs
+                .insert((user, doc), DocumentReference::new(user, doc));
+        }
+        true
+    }
+
+    /// Drops `user`'s reference to `doc`. `false` when there was none.
+    fn remove_reference(&mut self, user: UserId, doc: DocumentId) -> bool {
+        if self.refs.remove(&(user, doc)).is_none() {
+            return false;
+        }
+        if let Some(base) = self.bases.get_mut(&doc) {
+            base.holders.remove(&user);
+        }
+        true
+    }
+
+    /// Removes `doc`'s base and the references of exactly its holders.
+    /// `false` when the document does not exist.
+    fn delete_document(&mut self, doc: DocumentId) -> bool {
+        let Some(base) = self.bases.remove(&doc) else {
+            return false;
+        };
+        for user in base.holders {
+            self.refs.remove(&(user, doc));
+        }
+        true
+    }
 }
 
 /// The Placeless Documents middleware.
@@ -189,22 +231,15 @@ impl DocumentSpace {
         let id = self.ids.next_document();
         let mut inner = self.inner.write();
         inner.bases.insert(id, BaseDocument::new(id, provider));
-        inner
-            .refs
-            .insert((owner, id), DocumentReference::new(owner, id));
+        inner.add_reference(owner, id);
         id
     }
 
     /// Gives `user` a reference to an existing document.
     pub fn add_reference(&self, user: UserId, doc: DocumentId) -> Result<()> {
-        let mut inner = self.inner.write();
-        if !inner.bases.contains_key(&doc) {
+        if !self.inner.write().add_reference(user, doc) {
             return Err(PlacelessError::NoSuchDocument(doc));
         }
-        inner
-            .refs
-            .entry((user, doc))
-            .or_insert_with(|| DocumentReference::new(user, doc));
         Ok(())
     }
 
@@ -222,23 +257,17 @@ impl DocumentSpace {
 
     /// Returns the users holding references to `doc`.
     pub fn users_of(&self, doc: DocumentId) -> Vec<UserId> {
-        let mut users: Vec<UserId> = self
-            .inner
-            .read()
-            .refs
-            .keys()
-            .filter(|(_, d)| *d == doc)
-            .map(|(u, _)| *u)
-            .collect();
-        users.sort();
-        users
+        let inner = self.inner.read();
+        inner
+            .bases
+            .get(&doc)
+            .map_or_else(Vec::new, |base| base.holders.iter().copied().collect())
     }
 
     /// Drops `user`'s reference to `doc` (personal properties included).
     /// The user's cached versions are invalidated through the bus.
     pub fn remove_reference(&self, user: UserId, doc: DocumentId) -> Result<()> {
-        let removed = self.inner.write().refs.remove(&(user, doc)).is_some();
-        if !removed {
+        if !self.inner.write().remove_reference(user, doc) {
             return Err(PlacelessError::NoSuchReference(user, doc));
         }
         self.bus
@@ -249,12 +278,8 @@ impl DocumentSpace {
     /// Deletes a document entirely: base, every reference, and collection
     /// memberships. Every cached version is invalidated through the bus.
     pub fn delete_document(&self, doc: DocumentId) -> Result<()> {
-        {
-            let mut inner = self.inner.write();
-            if inner.bases.remove(&doc).is_none() {
-                return Err(PlacelessError::NoSuchDocument(doc));
-            }
-            inner.refs.retain(|(_, d), _| *d != doc);
+        if !self.inner.write().delete_document(doc) {
+            return Err(PlacelessError::NoSuchDocument(doc));
         }
         for name in self.collections.collections_of(doc) {
             self.collections.remove(&name, doc);
@@ -281,18 +306,11 @@ impl DocumentSpace {
             active: slot.prop.as_active().is_some(),
             value: slot.prop.as_static().map(|v| v.to_string()),
         };
-        let mut users: Vec<UserId> = inner
-            .refs
-            .keys()
-            .filter(|(_, d)| *d == doc)
-            .map(|(u, _)| *u)
-            .collect();
-        users.sort();
         Ok(DocumentDescription {
             doc,
             user,
             provider: base.provider.describe(),
-            users,
+            users: base.holders.iter().copied().collect(),
             universal: base.universal.iter().map(info).collect(),
             personal: reference.personal.iter().map(info).collect(),
             collections: self.collections.collections_of(doc),
@@ -1053,10 +1071,11 @@ impl DocumentSpace {
                         targets.extend(r.personal.interested(event.kind));
                     }
                 }
-                // Base-site and site-less events reach every reference.
+                // Base-site and site-less events reach every reference
+                // to this document.
                 _ => {
-                    for ((_, d), r) in inner.refs.iter() {
-                        if *d == event.doc {
+                    for user in &base.holders {
+                        if let Some(r) = inner.refs.get(&(*user, event.doc)) {
                             targets.extend(r.personal.interested(event.kind));
                         }
                     }
@@ -1645,6 +1664,75 @@ mod tests {
         assert_eq!(space.documents(), vec![doc]);
         assert!(space.has_reference(ALICE, doc));
         assert!(!space.has_reference(UserId(9), doc));
+    }
+
+    proptest::proptest! {
+        /// `BaseDocument::holders` follows the reference table: after any
+        /// sequence of creates, reference changes and deletions, the
+        /// holders of every document ever created are the users a walk
+        /// over `has_reference` finds, and `describe` lists the same.
+        #[test]
+        fn holders_match_a_walk_over_the_reference_table(
+            steps in proptest::collection::vec((0u8..4, 0u64..6, 0usize..6), 0..120),
+        ) {
+            let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+            let mut docs: Vec<DocumentId> = Vec::new();
+            for (kind, user, pick) in steps {
+                let user = UserId(user);
+                let doc = docs.get(pick % docs.len().max(1)).copied();
+                match (kind, doc) {
+                    (0, _) | (_, None) => {
+                        docs.push(space.create_document(user, MemoryProvider::new("t", "x", 0)));
+                    }
+                    // Errors are part of the sequence: a reference added
+                    // to a deleted document, or removed twice.
+                    (1, Some(doc)) => drop(space.add_reference(user, doc)),
+                    (2, Some(doc)) => drop(space.remove_reference(user, doc)),
+                    (_, Some(doc)) => drop(space.delete_document(doc)),
+                }
+                for &doc in &docs {
+                    let walked: Vec<UserId> =
+                        (0..6).map(UserId).filter(|&u| space.has_reference(u, doc)).collect();
+                    proptest::prop_assert_eq!(&space.users_of(doc), &walked);
+                    if let Some(&holder) = walked.first() {
+                        proptest::prop_assert_eq!(space.describe(holder, doc).unwrap().users, walked);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn content_written_reaches_exactly_the_written_documents_holders() {
+        let (space, doc) = setup("x");
+        let other = space.create_document(ALICE, MemoryProvider::new("other", "y", 0));
+        let holders = [ALICE, BOB, UserId(3)];
+        let recorders: Vec<Arc<Recorder>> = holders
+            .iter()
+            .map(|&user| {
+                let rec = Recorder::new("rec", Interests::of(&[EventKind::ContentWritten]));
+                for target in [doc, other] {
+                    space.add_reference(user, target).unwrap();
+                }
+                space
+                    .attach_active(Scope::Personal(user), doc, rec.clone())
+                    .unwrap();
+                rec
+            })
+            .collect();
+        let heard = || -> Vec<usize> { recorders.iter().map(|r| r.seen.lock().len()).collect() };
+
+        for &writer in &holders {
+            space.write_document(writer, doc, b"new").unwrap();
+        }
+        assert_eq!(heard(), [3, 3, 3], "one event per write, whoever wrote");
+
+        space.write_document(BOB, other, b"elsewhere").unwrap();
+        assert_eq!(heard(), [3, 3, 3], "another document's write is not heard");
+
+        space.remove_reference(BOB, doc).unwrap();
+        space.write_document(ALICE, doc, b"newer").unwrap();
+        assert_eq!(heard(), [4, 3, 4], "a dropped reference hears nothing more");
     }
 
     #[test]

@@ -37,6 +37,13 @@ cargo test -q "${CARGO_FLAGS[@]}" --workspace
 stage "fault matrix (resilience + fault-injection suite)"
 cargo test -q "${CARGO_FLAGS[@]}" --test fault_matrix
 
+# Wall-clock complexity gates (a 32x population must not show in the cost
+# of one document's write or invalidation). The workspace run above has
+# them in a debug build beside every other test binary; timing is only
+# dependable optimized and alone.
+stage "population independence (release)"
+cargo test -q --release "${CARGO_FLAGS[@]}" --test cache_manager independent_of
+
 # The experiments binary writes BENCH_*.json next to its working
 # directory. The smokes below run reduced parameters, so they run from
 # target/smoke/ and leave the committed full-size files in the repo root
@@ -86,7 +93,8 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
 # The numbers simplicity PRs quote: lines above each file's `#[cfg(test)]`,
 # for all of crates/cache/src (policy/ and manager/ included) and for the
 # per-origin file set (retry driver, flights, overload, origin records and
-# the manager files that call them).
+# the manager files that call them), beside the one core file the cache's
+# write path runs through.
 non_test_lines() {
   for f in "$@"; do
     awk '/^#\[cfg\(test\)\]/{exit} {c++} END{print c+0}' "$f"
@@ -96,6 +104,7 @@ stage "non-test lines"
 echo "crates/cache/src: $(non_test_lines $(find crates/cache/src -name '*.rs'))"
 (cd crates/cache/src && echo "per-origin file set: $(non_test_lines \
   resilience.rs singleflight.rs overload.rs origin.rs manager/{read,flush,mod}.rs)")
+echo "crates/core/src/space.rs: $(non_test_lines crates/core/src/space.rs)"
 
 if [[ -n "${STAGE_OPEN:-}" ]]; then
   echo "::endgroup::"

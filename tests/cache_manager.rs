@@ -726,3 +726,114 @@ fn multi_shard_cache_behaves_like_single_shard() {
     };
     assert_eq!(run(1), run(8));
 }
+
+/// A space holding `references` references spread over 256 documents
+/// with 64-byte bodies, plus one more document held by four users.
+/// Returns the space, the 256 documents, the extra document and its four
+/// holders.
+fn populated_space(
+    references: usize,
+) -> (Arc<DocumentSpace>, Vec<DocumentId>, DocumentId, [UserId; 4]) {
+    const DOCS: usize = 256;
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let docs: Vec<DocumentId> = (0..DOCS)
+        .map(|d| {
+            let body = format!("{d:<64}");
+            space.create_document(UserId(1), MemoryProvider::new(&format!("p{d}"), body, 0))
+        })
+        .collect();
+    for user in 2..=(references / DOCS) as u64 {
+        for &doc in &docs {
+            space
+                .add_reference(UserId(user), doc)
+                .expect("the document exists");
+        }
+    }
+    let holders = [UserId(1), UserId(2), UserId(3), UserId(4)];
+    let probe = space.create_document(holders[0], MemoryProvider::new("probe", "x", 0));
+    for &user in &holders[1..] {
+        space
+            .add_reference(user, probe)
+            .expect("the document exists");
+    }
+    (space, docs, probe, holders)
+}
+
+fn median(mut samples: Vec<std::time::Duration>) -> std::time::Duration {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+/// Median wall time of a document-scoped bus invalidation of a document
+/// with four resident versions, beside `resident` versions of others.
+fn invalidation_median(resident: usize) -> std::time::Duration {
+    let (space, docs, probe, holders) = populated_space(resident);
+    let cache = DocumentCache::new(
+        space.clone(),
+        CacheConfig {
+            capacity_bytes: 1 << 30,
+            ..quiet_config()
+        },
+    );
+    for user in 1..=(resident / docs.len()) as u64 {
+        for &doc in &docs {
+            cache.read(UserId(user), doc).expect("read must succeed");
+        }
+    }
+    assert_eq!(cache.len(), resident);
+    let samples = (0..200)
+        .map(|_| {
+            for &user in &holders {
+                cache.read(user, probe).expect("read must succeed");
+            }
+            let started = std::time::Instant::now();
+            space.bus().post(Invalidation::Document(probe));
+            let elapsed = started.elapsed();
+            assert_eq!(cache.len(), resident, "only the probe's versions went");
+            elapsed
+        })
+        .collect();
+    median(samples)
+}
+
+/// The complexity gate of the per-document shard index: thirty-two times
+/// the resident population must not show in what invalidating one
+/// document costs. The margin is wide on purpose — this checks that no
+/// scan over the population is on the path, not how fast the path is.
+#[test]
+fn document_invalidation_cost_is_independent_of_resident_population() {
+    let (small, large) = (invalidation_median(2_048), invalidation_median(65_536));
+    assert!(
+        large <= small * 4,
+        "invalidating a four-version document: {small:?} beside 2k resident versions, \
+         {large:?} beside 64k"
+    );
+}
+
+/// Median wall time of a `write_document` to a document with four
+/// holders, beside `references` references to other documents.
+fn write_median(references: usize) -> std::time::Duration {
+    let (space, _docs, probe, holders) = populated_space(references);
+    let samples = (0..200)
+        .map(|i| {
+            let started = std::time::Instant::now();
+            space
+                .write_document(holders[i % 4], probe, b"rewritten")
+                .expect("write must succeed");
+            started.elapsed()
+        })
+        .collect();
+    median(samples)
+}
+
+/// The same gate for the space's reference table: `ContentWritten` reaches
+/// the written document's holders without walking everyone else's
+/// references.
+#[test]
+fn write_cost_is_independent_of_other_documents_references() {
+    let (small, large) = (write_median(2_048), write_median(65_536));
+    assert!(
+        large <= small * 4,
+        "writing a four-holder document: {small:?} beside 2k references, {large:?} beside 64k"
+    );
+}

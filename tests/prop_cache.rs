@@ -43,6 +43,9 @@ const BALANCE_USERS: u64 = 3;
 /// About a third of what the world's stage and version entries need, so
 /// most fills evict.
 const BALANCE_CAPACITY: u64 = 250;
+/// Room for everything, so an invalidation finds every version it covers
+/// still resident.
+const ROOMY_CAPACITY: u64 = 1 << 20;
 
 /// Steps the balance test drives through the public cache API.
 #[derive(Debug, Clone)]
@@ -67,9 +70,10 @@ fn cache_op_strategy() -> impl Strategy<Value = CacheOp> {
 
 /// Every document carries one universal signed stage and one signed
 /// personal suffix per user, behind a write-through stage-caching cache
-/// far too small for all of them.
+/// of `capacity` bytes.
 fn staged_chain_world(
     shards: usize,
+    capacity: u64,
 ) -> (
     Arc<DocumentSpace>,
     Arc<DocumentCache>,
@@ -103,7 +107,7 @@ fn staged_chain_world(
     let cache = DocumentCache::new(
         space.clone(),
         CacheConfig::builder()
-            .capacity_bytes(BALANCE_CAPACITY)
+            .capacity_bytes(capacity)
             .local_latency(LatencyModel::FREE)
             .stage_cache(true)
             .shards(shards)
@@ -159,31 +163,58 @@ proptest! {
     /// Store refcounts and the `stage_bytes` gauge stay balanced through
     /// any sequence of fills, evictions and invalidations: the budget is
     /// never overshot, and once every version is invalidated exactly the
-    /// stage entries' references remain.
+    /// stage entries' references remain. Along the way every invalidation
+    /// takes exactly the versions it covers — the per-document index and
+    /// the table agree — with evictions interleaved (tiny budget) and with
+    /// every version resident (roomy budget).
     #[test]
     fn refcounts_and_gauges_balance_through_the_public_api(
         shards in proptest::sample::select(vec![1usize, 4]),
+        capacity in proptest::sample::select(vec![BALANCE_CAPACITY, ROOMY_CAPACITY]),
         ops in proptest::collection::vec(cache_op_strategy(), 0..80),
     ) {
-        let (space, cache, docs, users) = staged_chain_world(shards);
+        let (space, cache, docs, users) = staged_chain_world(shards, capacity);
         for op in ops {
-            match op {
+            let (len, notified) = (cache.len(), cache.stats().notifier_invalidations);
+            let every_user_of = |doc: DocumentId| users.iter().map(move |&user| (user, doc)).collect();
+            // Each step yields the `(user, document)` pairs it must leave
+            // non-resident.
+            let gone: Vec<(UserId, DocumentId)> = match op {
                 CacheOp::Read(d, u) => {
-                    cache.read(users[u as usize], docs[d as usize]).expect("read must succeed");
+                    let (user, doc) = (users[u as usize], docs[d as usize]);
+                    cache.read(user, doc).expect("read must succeed");
+                    if capacity == ROOMY_CAPACITY {
+                        prop_assert!(cache.contains(user, doc));
+                    }
+                    Vec::new()
                 }
                 CacheOp::Write(d, u, v) => {
                     let body = format!("rewritten body number {v}");
                     cache
                         .write(users[u as usize], docs[d as usize], body.as_bytes())
                         .expect("write-through must succeed");
+                    every_user_of(docs[d as usize])
                 }
-                CacheOp::DropUser(d, u) => space
-                    .bus()
-                    .post(Invalidation::UserDocument(docs[d as usize], users[u as usize])),
-                CacheOp::DropDoc(d) => space.bus().post(Invalidation::Document(docs[d as usize])),
+                CacheOp::DropUser(d, u) => {
+                    let (user, doc) = (users[u as usize], docs[d as usize]);
+                    space.bus().post(Invalidation::UserDocument(doc, user));
+                    vec![(user, doc)]
+                }
+                CacheOp::DropDoc(d) => {
+                    space.bus().post(Invalidation::Document(docs[d as usize]));
+                    every_user_of(docs[d as usize])
+                }
+            };
+            for (user, doc) in gone {
+                prop_assert!(!cache.contains(user, doc), "{:?} of {:?} survived", user, doc);
+            }
+            if matches!(op, CacheOp::DropUser(..) | CacheOp::DropDoc(..)) {
+                // A bus post removes what it counts and nothing else.
+                let counted = cache.stats().notifier_invalidations - notified;
+                prop_assert_eq!(len - cache.len(), counted as usize);
             }
             let (physical, logical) = cache.resident_bytes();
-            prop_assert!(physical <= BALANCE_CAPACITY, "{} over budget", physical);
+            prop_assert!(physical <= capacity, "{} over budget", physical);
             prop_assert!(physical <= logical);
         }
         for &doc in &docs {
