@@ -138,7 +138,7 @@ impl DocumentCache {
     /// on the whole group; the group write itself goes through
     /// [`DocumentSpace::write_documents`], which returns one result per
     /// entry. Outcomes stay per entry: successes are acknowledged in the
-    /// journal as a batch (one compaction), transient failures stay
+    /// journal as a batch (one ack frame), transient failures stay
     /// pending for the group's next retry, and non-transient failures
     /// are re-queued immediately. Entries still pending when the driver
     /// gives up are parked or re-queued — each with its own error when
@@ -212,13 +212,10 @@ impl DocumentCache {
                     }
                 }
                 if let Some(journal) = &self.journal {
-                    if !acks.is_empty() {
-                        // Each ack names exactly the record that was
-                        // pushed (a newer write that superseded it
-                        // mid-flush keeps its own); the medium
-                        // compacts once per batch.
-                        journal.ack_batch(&acks);
-                    }
+                    // Each ack names exactly the record that was pushed
+                    // (a newer write that superseded it mid-flush keeps
+                    // its own); the batch costs one ack frame.
+                    journal.ack_batch(&acks);
                 }
                 pending = survivors;
                 // The driver records one breaker strike per batch
@@ -270,6 +267,9 @@ impl DocumentCache {
             return entries;
         }
         let mut kept = Vec::with_capacity(entries.len());
+        // Journal records of the entries dropped below, acknowledged
+        // together once the whole group has been routed.
+        let mut dropped_seqs: Vec<u64> = Vec::new();
         for (doc, user, entry) in entries {
             // The origin's current signature, when it can be probed and
             // differs from the entry's base epoch.
@@ -295,13 +295,14 @@ impl DocumentCache {
                 // overwrite. Either way the entry is still written.
                 None | Some(ConflictResolution::KeepMine) => kept.push((doc, user, entry)),
                 Some(ConflictResolution::KeepTheirs) => {
-                    if let (Some(journal), Some(seq)) = (&self.journal, entry.seq) {
-                        journal.ack(seq);
-                    }
+                    dropped_seqs.extend(entry.seq);
                     self.unpark(doc, user);
                     report.dropped.push((doc, user));
                 }
             }
+        }
+        if let Some(journal) = &self.journal {
+            journal.ack_batch(&dropped_seqs);
         }
         kept
     }

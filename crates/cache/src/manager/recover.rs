@@ -115,6 +115,9 @@ impl DocumentCache {
         let Some(journal) = cache.journal.clone() else {
             return (cache, report);
         };
+        // Records recovery drops (their document is gone, or the origin's
+        // version won), acknowledged together after the replay.
+        let mut dropped_seqs: Vec<u64> = Vec::new();
         for record in journal.live_records() {
             report.replayed += 1;
             AtomicCacheStats::bump(&cache.stats.journal_replays);
@@ -138,7 +141,7 @@ impl DocumentCache {
                     ) => {
                         // The write's target is gone; it can never be
                         // applied. Drop and acknowledge.
-                        journal.ack(record.seq);
+                        dropped_seqs.push(record.seq);
                         report.dropped += 1;
                         continue;
                     }
@@ -186,7 +189,7 @@ impl DocumentCache {
                         Some(ConflictResolution::KeepMine) => report.kept_mine += 1,
                         Some(ConflictResolution::KeepTheirs) => {
                             report.kept_theirs += 1;
-                            journal.ack(record.seq);
+                            dropped_seqs.push(record.seq);
                             continue;
                         }
                     }
@@ -197,6 +200,7 @@ impl DocumentCache {
                 .put_dirty(record.doc, record.user, entry);
             report.requeued += 1;
         }
+        journal.ack_batch(&dropped_seqs);
         (cache, report)
     }
 

@@ -24,6 +24,7 @@ struct StableInner {
     bytes: Vec<u8>,
     appends: u64,
     rewrites: u64,
+    bytes_written: u64,
 }
 
 /// A shared, crash-surviving flat byte device.
@@ -58,6 +59,7 @@ impl StableStore {
         let offset = inner.bytes.len() as u64;
         inner.bytes.extend_from_slice(data);
         inner.appends += 1;
+        inner.bytes_written += data.len() as u64;
         offset
     }
 
@@ -67,6 +69,7 @@ impl StableStore {
         inner.bytes.clear();
         inner.bytes.extend_from_slice(data);
         inner.rewrites += 1;
+        inner.bytes_written += data.len() as u64;
     }
 
     /// Truncates the image to `len` bytes (no-op if already shorter).
@@ -108,6 +111,12 @@ impl StableStore {
     /// Returns how many whole-image rewrites (compactions) it absorbed.
     pub fn rewrite_count(&self) -> u64 {
         self.inner.lock().rewrites
+    }
+
+    /// Returns how many bytes appends and rewrites together put on the
+    /// medium — the numerator of a journal's write amplification.
+    pub fn bytes_written(&self) -> u64 {
+        self.inner.lock().bytes_written
     }
 }
 
@@ -155,6 +164,7 @@ mod tests {
         store.overwrite(b"bbbb");
         assert_eq!(store.contents(), b"bbbb");
         assert_eq!(store.rewrite_count(), 1);
+        assert_eq!(store.bytes_written(), 12, "8 appended + 4 rewritten");
         store.truncate(2);
         assert_eq!(store.contents(), b"bb");
         store.truncate(100);

@@ -38,11 +38,14 @@ stage "fault matrix (resilience + fault-injection suite)"
 cargo test -q "${CARGO_FLAGS[@]}" --test fault_matrix
 
 # Wall-clock complexity gates (a 32x population must not show in the cost
-# of one document's write or invalidation). The workspace run above has
-# them in a debug build beside every other test binary; timing is only
-# dependable optimized and alone.
+# of one document's write or invalidation, nor 128x the live records in
+# the cost of a journal ack; a flush-shaped journal run writes under 3
+# bytes per user byte). The workspace run above has them in a debug build
+# beside every other test binary; timing is only dependable optimized and
+# alone.
 stage "population independence (release)"
 cargo test -q --release "${CARGO_FLAGS[@]}" --test cache_manager independent_of
+cargo test -q --release "${CARGO_FLAGS[@]}" --test journal
 
 # The experiments binary writes BENCH_*.json next to its working
 # directory. The smokes below run reduced parameters, so they run from

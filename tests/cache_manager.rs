@@ -306,6 +306,49 @@ fn recover_replays_journal_into_dirty_queue() {
     assert_eq!(provider.content(), "buffered");
 }
 
+/// Recovery acknowledges the records it drops once, together: fifty
+/// writes whose documents vanished during the outage cost one ack frame,
+/// not fifty passes over the journal.
+#[test]
+fn recover_acknowledges_every_dropped_record_with_one_frame() {
+    let (space, _provider, kept) = setup("v0", 100);
+    let gone: Vec<DocumentId> = (0..50)
+        .map(|i| space.create_document(ALICE, MemoryProvider::new("t", format!("g{i}"), 100)))
+        .collect();
+    let medium = placeless_simenv::StableStore::new();
+    let config = |journal| CacheConfig {
+        write_mode: WriteMode::Back,
+        journal: Some(journal),
+        ..quiet_config()
+    };
+    {
+        let cache = DocumentCache::new(space.clone(), config(WriteJournal::new(medium.clone())));
+        for &doc in gone.iter().chain([&kept]) {
+            // Read first, so the record carries a base epoch and recovery
+            // consults the origin.
+            cache.read(ALICE, doc).expect("read must succeed");
+            cache
+                .write(ALICE, doc, b"buffered")
+                .expect("write must buffer");
+        }
+    } // crash
+    for &doc in &gone {
+        space.delete_document(doc).expect("document exists");
+    }
+    let (journal, outcome) = WriteJournal::open(medium.clone());
+    assert_eq!(outcome.records.len(), 51);
+    let frames = medium.append_count();
+    let (cache, report) = DocumentCache::recover(space, config(journal.clone()), None);
+    assert_eq!((report.dropped, report.requeued), (50, 1));
+    assert_eq!(
+        medium.append_count(),
+        frames + 1,
+        "one ack frame for all 50"
+    );
+    assert_eq!(journal.len(), 1);
+    assert_eq!(cache.dirty_count(), 1);
+}
+
 #[test]
 fn uncacheable_content_is_never_stored() {
     struct LiveProvider;
