@@ -21,8 +21,6 @@ pub struct EntryMeta {
     pub size: u64,
     /// When the entry was filled.
     pub filled_at: Instant,
-    /// Hits served from this entry since the fill.
-    pub hits: u64,
     /// Whether a QoS property pinned this entry (never evicted).
     pub pinned: bool,
     /// Whether the entry was filled by a prefetch rather than a miss.
@@ -49,7 +47,6 @@ impl EntryMeta {
             cost_micros,
             size,
             filled_at,
-            hits: 0,
             pinned: false,
             prefetched: false,
             force_verify: false,
@@ -70,7 +67,6 @@ impl std::fmt::Debug for EntryMeta {
             .field("cost_micros", &self.cost_micros)
             .field("size", &self.size)
             .field("filled_at", &self.filled_at)
-            .field("hits", &self.hits)
             .finish()
     }
 }
@@ -93,7 +89,6 @@ mod tests {
             Instant(5),
         );
         assert_eq!(meta.verify_cost_micros(), 10);
-        assert_eq!(meta.hits, 0);
         assert_eq!(meta.size, 42);
     }
 

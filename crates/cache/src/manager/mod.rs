@@ -92,9 +92,9 @@ use crate::prefetch::PrefetchConfig;
 use crate::resilience::{
     BackoffSchedule, BreakerState, GaveUp, ResilienceConfig, RetryDriver, StalenessBound,
 };
-use crate::shard::{DirtyEntry, Probe, Removal, ShardGuard, ShardTable, Stale};
+use crate::shard::{DirtyEntry, Probe, Removal, ShardGuard, ShardRead, ShardTable, Stale};
 use crate::singleflight::{FlightGroup, FlightResult, Join};
-use crate::stats::{AtomicCacheStats, CacheStats};
+use crate::stats::{AtomicCacheStats, CacheStats, HitCell};
 use crate::store::ConcurrentStore;
 use bytes::Bytes;
 use invalidate::CacheSink;
@@ -110,7 +110,7 @@ use placeless_core::property::PathReport;
 use placeless_core::space::{BaseChainLease, BatchWrite, DocumentSpace, Scope};
 use placeless_core::streams::read_all_digest;
 use placeless_core::verifier::{run_all, Validity, Verifier};
-use placeless_simenv::{Instant, LatencyModel, Link, Stopwatch, VirtualClock};
+use placeless_simenv::{Instant, LatencyModel, Link, VirtualClock};
 use read::{FetchCtx, Fetched};
 use stages::PlanLease;
 use std::cell::OnceCell;
@@ -185,7 +185,7 @@ impl DocumentCache {
             prefetch: config.prefetch,
             access_link: config.access_link,
             table: ShardTable::new(shard_count, &config.policy, config.capacity_bytes),
-            stats: AtomicCacheStats::default(),
+            stats: AtomicCacheStats::new(shard_count),
             resilience: config.resilience,
             stage_cache: config.stage_cache,
             origins: Origins::new(config.max_inflight_per_origin, config.overload.clone()),
@@ -240,12 +240,12 @@ impl DocumentCache {
     /// Returns the number of resident entries — final `(document, user)`
     /// versions plus (with stage caching) intermediate stage entries.
     pub fn len(&self) -> usize {
-        self.lock_each().map(|shard| shard.len()).sum()
+        self.share_each().map(|shard| shard.len()).sum()
     }
 
     /// Returns the number of resident intermediate stage entries.
     pub fn stage_entry_count(&self) -> usize {
-        self.lock_each().map(|shard| shard.stage_len()).sum()
+        self.share_each().map(|shard| shard.stage_len()).sum()
     }
 
     /// Returns `true` if no entries are resident.
@@ -262,18 +262,33 @@ impl DocumentCache {
     /// Returns `true` if `(doc, user)` is resident.
     pub fn contains(&self, user: UserId, doc: DocumentId) -> bool {
         let key = EntryKey::Version(doc, user);
-        self.lock(key).contains(key)
+        self.share(key).contains(key)
     }
 
-    /// Blocks on `key`'s shard lock; the lock is held until the guard
-    /// drops. The caller holds no other cache lock.
+    /// Blocks on `key`'s shard lock, exclusively; the lock is held until
+    /// the guard drops. The caller holds no other cache lock.
     fn lock(&self, key: EntryKey) -> ShardGuard<'_> {
         self.table.lock(key, &self.stats)
+    }
+
+    /// [`Self::lock`], shared: for hits and for looking.
+    fn share(&self, key: EntryKey) -> ShardRead<'_> {
+        self.table.share(key, &self.stats)
     }
 
     /// Locks the shards one at a time (no two are ever held together).
     fn lock_each(&self) -> impl Iterator<Item = ShardGuard<'_>> {
         self.table.lock_each(&self.stats)
+    }
+
+    /// [`Self::lock_each`], shared.
+    fn share_each(&self) -> impl Iterator<Item = ShardRead<'_>> {
+        self.table.share_each(&self.stats)
+    }
+
+    /// The hit counters of `key`'s shard.
+    fn cell(&self, key: EntryKey) -> &HitCell {
+        self.stats.cell(self.table.shard_index(key))
     }
 
     /// Returns how many writes are buffered (write-back mode).

@@ -100,20 +100,25 @@ impl DocOrigin<'_> {
 }
 
 /// What one [`DocumentCache::read_with`] call carries through its steps.
-struct ReadCtx {
+struct ReadCtx<'a> {
     user: UserId,
     doc: DocumentId,
     opts: ReadOptions,
-    clock: VirtualClock,
-    watch: Stopwatch,
+    clock: &'a VirtualClock,
+    started: Instant,
 }
 
-impl ReadCtx {
+impl ReadCtx<'_> {
+    /// Virtual microseconds since the read began.
+    fn elapsed_micros(&self) -> u64 {
+        self.clock.now().since(self.started)
+    }
+
     fn outcome(&self, bytes: Bytes, class: HitClass) -> ReadOutcome {
         ReadOutcome {
             bytes,
             class,
-            latency_micros: self.watch.elapsed_micros(),
+            latency_micros: self.elapsed_micros(),
         }
     }
 }
@@ -148,13 +153,13 @@ impl DocumentCache {
         opts: ReadOptions,
     ) -> Result<ReadOutcome> {
         let key = EntryKey::Version(doc, user);
-        let clock = self.space.clock().clone();
+        let clock = self.space.clock();
         let read = ReadCtx {
             user,
             doc,
             opts,
-            watch: Stopwatch::start(&clock),
             clock,
+            started: clock.now(),
         };
         let stale = match self.lookup(key, &read) {
             Lookup::Dirty(bytes) => return Ok(read.outcome(bytes, HitClass::Hit)),
@@ -177,10 +182,11 @@ impl DocumentCache {
                 // waited; the read was served locally without touching
                 // the origin, so it counts as a hit — plus the
                 // coalescing counter that explains *why* it hit.
-                AtomicCacheStats::bump(&self.stats.hits);
+                let cell = self.cell(key);
+                AtomicCacheStats::bump(&cell.hits);
                 AtomicCacheStats::bump(&self.stats.coalesced_waits);
-                self.local_latency.charge(&read.clock, bytes.len() as u64);
-                AtomicCacheStats::add(&self.stats.hit_micros, read.watch.elapsed_micros());
+                self.local_latency.charge(read.clock, bytes.len() as u64);
+                AtomicCacheStats::add(&cell.hit_micros, read.elapsed_micros());
                 // `CacheableWithEvents` demands an event per read: every
                 // waiter posts its own.
                 return self.deliver(&read, bytes, HitClass::CoalescedWait, forward);
@@ -229,7 +235,7 @@ impl DocumentCache {
         };
         let bytes = fetched.bytes.clone();
         self.fill(key, fetched, false);
-        AtomicCacheStats::add(&self.stats.miss_micros, read.watch.elapsed_micros());
+        AtomicCacheStats::add(&self.stats.miss_micros, read.elapsed_micros());
         if self.prefetch.enabled {
             // Brownout rung 3: sibling prefetch is the most speculative
             // work in the cache, so it is the first whole feature shed.
@@ -242,12 +248,14 @@ impl DocumentCache {
         self.deliver(&read, bytes, class, false)
     }
 
-    /// Looks `key` up under its shard lock: buffered write-back data
-    /// first (the freshest view for its writer), then the resident entry,
-    /// whose verifiers run here and decide what becomes of it.
+    /// Looks `key` up under its shard lock, held shared: buffered
+    /// write-back data first (the freshest view for its writer), then the
+    /// resident entry, whose verifiers run here and decide what becomes
+    /// of it.
     fn lookup(&self, key: EntryKey, read: &ReadCtx) -> Lookup {
-        let clock = &read.clock;
-        let mut shard = self.lock(key);
+        let clock = read.clock;
+        let shard = self.share(key);
+        let cell = shard.cell();
         if let Some(dirty) = shard.dirty(read.doc, read.user) {
             return Lookup::Dirty(dirty.data.clone());
         }
@@ -260,7 +268,7 @@ impl DocumentCache {
             }
             let (verdict, probe_cost) = run_all(&meta.verifiers, clock);
             clock.advance(probe_cost);
-            AtomicCacheStats::add(&self.stats.verify_micros, probe_cost);
+            AtomicCacheStats::add(&cell.verify_micros, probe_cost);
             verdict
         };
         match shard.probe(key, clock, verify) {
@@ -277,8 +285,8 @@ impl DocumentCache {
                     AtomicCacheStats::bump(&self.stats.prefetch_hits);
                 }
                 self.local_latency.charge(clock, bytes.len() as u64);
-                AtomicCacheStats::bump(&self.stats.hits);
-                AtomicCacheStats::add(&self.stats.hit_micros, read.watch.elapsed_micros());
+                AtomicCacheStats::bump(&cell.hits);
+                AtomicCacheStats::add(&cell.hit_micros, read.elapsed_micros());
                 Lookup::Serve(bytes, forward)
             }
             Some(Probe::Invalid) => {
@@ -309,7 +317,7 @@ impl DocumentCache {
             AtomicCacheStats::bump(&self.stats.events_forwarded);
         }
         if let Some(link) = &self.access_link {
-            link.transfer(&read.clock, bytes.len() as u64);
+            link.transfer(read.clock, bytes.len() as u64);
         }
         Ok(read.outcome(bytes, class))
     }
@@ -387,7 +395,7 @@ impl DocumentCache {
         forward: bool,
     ) -> Result<ReadOutcome> {
         AtomicCacheStats::bump(&self.stats.stale_served);
-        self.local_latency.charge(&read.clock, bytes.len() as u64);
+        self.local_latency.charge(read.clock, bytes.len() as u64);
         self.deliver(read, bytes, HitClass::StaleServed, forward)
     }
 
@@ -418,13 +426,13 @@ impl DocumentCache {
             .opts
             .deadline_micros
             .or(self.resilience.fetch_deadline_micros);
-        let ctx = self.fetch_ctx(read.opts.priority, deadline, &read.clock);
+        let ctx = self.fetch_ctx(read.opts.priority, deadline, read.clock);
         self.with_retries(
             read.user,
             read.doc,
             deadline,
             &self.stats.retries,
-            |origin| self.fetch_once(read.user, read.doc, &read.clock, ctx, origin),
+            |origin| self.fetch_once(read.user, read.doc, read.clock, ctx, origin),
         )
     }
 

@@ -147,7 +147,8 @@ impl DocumentCache {
                     let root = lease.root.as_ref().and_then(|root| {
                         let cost = root.verifier.cost_micros();
                         clock.advance(cost);
-                        AtomicCacheStats::add(&self.stats.verify_micros, cost);
+                        let cell = self.cell(EntryKey::Version(doc, user));
+                        AtomicCacheStats::add(&cell.verify_micros, cost);
                         (root.verifier.check(clock) == Validity::Valid).then_some(root.sig)
                     });
                     if root.is_none() {
@@ -346,7 +347,7 @@ impl DocumentCache {
     }
 
     /// Looks up an intermediate stage entry, registering the hit with the
-    /// entry's shard policy. Briefly takes one shard lock. Returns the
+    /// entry's shard policy. Briefly shares one shard lock. Returns the
     /// bytes together with their stored content digest, so the pipeline
     /// can carry the digest forward without re-hashing.
     fn stage_lookup(&self, sig: Signature) -> Option<(Bytes, Signature)> {
@@ -354,7 +355,7 @@ impl DocumentCache {
         // Stage entries are content-addressed and carry no verifiers:
         // a resident one is valid by construction.
         match self
-            .lock(key)
+            .share(key)
             .probe(key, self.space.clock(), |_| Validity::Valid)?
         {
             Probe::Fresh { bytes, sig, .. } => Some((bytes, sig)),

@@ -48,33 +48,3 @@ impl ReplacementPolicy for Fifo {
         self.live.len()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use placeless_core::id::{DocumentId, UserId};
-
-    fn key(i: u64) -> EntryKey {
-        EntryKey::Version(DocumentId(i), UserId(1))
-    }
-
-    #[test]
-    fn evicts_in_insertion_order() {
-        let mut fifo = Fifo::new();
-        fifo.on_insert(key(1), &EntryAttrs::new(1, 1.0));
-        fifo.on_insert(key(2), &EntryAttrs::new(1, 1.0));
-        fifo.on_hit(key(1)); // hits do not matter
-        assert_eq!(fifo.evict(), Some(key(1)));
-        assert_eq!(fifo.evict(), Some(key(2)));
-        assert_eq!(fifo.evict(), None);
-    }
-
-    #[test]
-    fn duplicate_insert_keeps_original_position() {
-        let mut fifo = Fifo::new();
-        fifo.on_insert(key(1), &EntryAttrs::new(1, 1.0));
-        fifo.on_insert(key(2), &EntryAttrs::new(1, 1.0));
-        fifo.on_insert(key(1), &EntryAttrs::new(1, 1.0));
-        assert_eq!(fifo.evict(), Some(key(1)));
-    }
-}

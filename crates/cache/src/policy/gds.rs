@@ -1,18 +1,31 @@
-//! Greedy-Dual-Size [Cao & Irani 1997].
+//! Greedy-Dual-Size [Cao & Irani 1997], and its frequency-aware version.
 //!
 //! Every resident entry carries a credit `H = L + cost / size`, where `L` is
 //! the policy's inflation value. Eviction removes the entry with the lowest
 //! `H` and raises `L` to that value, so recently accessed and
 //! expensive-to-reproduce documents survive. With `cost ≡ 1` this degrades
-//! to GD(1), the cost-blind variant used as an ablation baseline.
+//! to GD(1), the cost-blind variant used as an ablation baseline; with a
+//! hit count multiplying `cost / size` it is GDS-Frequency (`gdsf`).
 //!
-//! Implementation: a binary heap with lazy deletion (each key has a
-//! generation; stale heap nodes are skipped on pop), giving `O(log n)`
-//! inserts/hits and amortized `O(log n)` evictions.
+//! Implementation: a binary heap with lazy deletion holding **one live
+//! node per entry**, ordered by `(H, generation)` — the generation is the
+//! instant of the last insert or hit, so equal credits leave oldest-first.
+//! A hit rewrites the entry's `H` and generation in the map and leaves its
+//! node alone: `L` never falls and a frequency only rises, so between two
+//! inserts of a key its pair only rises and the node stays a lower bound.
+//! `evict` re-pushes a popped node that has fallen behind its entry, so a
+//! node that surfaces *current* is the true minimum: the victim a heap
+//! pushing on every hit would choose, at one map update per hit. Nodes
+//! orphaned by a removal or re-insert are skipped when they surface and
+//! swept once they outnumber the live ones.
 
 use super::{EntryAttrs, EntryKey, ReplacementPolicy, STAGE_COST_DISCOUNT, STAGE_PIN_LEVEL};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+
+/// Dead nodes tolerated beyond one per live entry before the heap is
+/// rebuilt, so a near-empty policy does not rebuild on every removal.
+const DEAD_SLACK: usize = 64;
 
 /// An `f64` with total ordering for use in the heap.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,11 +48,30 @@ impl Ord for OrdF64 {
 struct Tracked {
     size: u64,
     cost: f64,
+    /// Hits since the insert, plus one; stays 1 without `FREQUENCY`.
+    frequency: u64,
+    credit: f64,
     generation: u64,
+    /// The generation on this entry's live heap node; a node of this key
+    /// carrying any other is dead.
+    queued: u64,
 }
 
-/// The Greedy-Dual-Size replacement policy.
-pub struct GreedyDualSize {
+impl Tracked {
+    /// The full credit `L + frequency · cost/size` of a touch now.
+    fn full_credit(&self, inflation: f64, cost_blind: bool) -> f64 {
+        let cost = if cost_blind { 1.0 } else { self.cost };
+        inflation + self.frequency as f64 * cost / self.size.max(1) as f64
+    }
+
+    fn node(&self, key: EntryKey) -> Reverse<(OrdF64, u64, EntryKey)> {
+        Reverse((OrdF64(self.credit), self.generation, key))
+    }
+}
+
+/// The Greedy-Dual replacement policy; `FREQUENCY` makes it GDS-Frequency
+/// ([`super::GdsFrequency`]).
+pub struct GreedyDual<const FREQUENCY: bool> {
     entries: HashMap<EntryKey, Tracked>,
     heap: BinaryHeap<Reverse<(OrdF64, u64, EntryKey)>>,
     inflation: f64,
@@ -47,8 +79,11 @@ pub struct GreedyDualSize {
     cost_blind: bool,
 }
 
-impl GreedyDualSize {
-    /// Creates a cost-aware GDS policy.
+/// The Greedy-Dual-Size replacement policy.
+pub type GreedyDualSize = GreedyDual<false>;
+
+impl<const FREQUENCY: bool> GreedyDual<FREQUENCY> {
+    /// Creates a cost-aware policy.
     pub fn new() -> Self {
         Self {
             entries: HashMap::new(),
@@ -59,6 +94,27 @@ impl GreedyDualSize {
         }
     }
 
+    /// Returns the current inflation value `L`.
+    pub fn inflation(&self) -> f64 {
+        self.inflation
+    }
+
+    /// Rebuilds the heap from the entries once dead nodes outnumber live
+    /// ones: a removal or re-insert orphans one node, and nothing but an
+    /// eviction would ever pop it. Amortised O(1) per orphaned node.
+    fn sweep(&mut self) {
+        if self.heap.len() <= 2 * self.entries.len() + DEAD_SLACK {
+            return;
+        }
+        let live = self.entries.iter_mut().map(|(&key, tracked)| {
+            tracked.queued = tracked.generation;
+            tracked.node(key)
+        });
+        self.heap = live.collect();
+    }
+}
+
+impl GreedyDualSize {
     /// Creates GD(1): every entry costs 1, isolating the size/recency terms.
     pub fn cost_blind() -> Self {
         Self {
@@ -66,49 +122,29 @@ impl GreedyDualSize {
             ..Self::new()
         }
     }
-
-    /// Returns the current inflation value `L`.
-    pub fn inflation(&self) -> f64 {
-        self.inflation
-    }
-
-    fn credit(&self, size: u64, cost: f64) -> f64 {
-        let cost = if self.cost_blind { 1.0 } else { cost };
-        self.inflation + cost / size.max(1) as f64
-    }
-
-    fn push(&mut self, key: EntryKey, size: u64, cost: f64) {
-        let h = self.credit(size, cost);
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        self.entries.insert(
-            key,
-            Tracked {
-                size,
-                cost,
-                generation,
-            },
-        );
-        self.heap.push(Reverse((OrdF64(h), generation, key)));
-    }
 }
 
-impl Default for GreedyDualSize {
+impl<const FREQUENCY: bool> Default for GreedyDual<FREQUENCY> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl ReplacementPolicy for GreedyDualSize {
+impl<const FREQUENCY: bool> ReplacementPolicy for GreedyDual<FREQUENCY> {
     fn name(&self) -> &'static str {
-        if self.cost_blind {
-            "gd1"
-        } else {
-            "gds"
+        match (FREQUENCY, self.cost_blind) {
+            (true, _) => "gdsf",
+            (false, true) => "gd1",
+            (false, false) => "gds",
         }
     }
 
     fn on_insert(&mut self, key: EntryKey, attrs: &EntryAttrs) {
+        // A re-insert of a resident key keeps its earned frequency.
+        let frequency = match self.entries.get(&key) {
+            Some(tracked) if FREQUENCY => tracked.frequency,
+            _ => 1,
+        };
         // Intermediate stage entries are rebuildable from any final read:
         // discount their cost so they lose ties against final versions.
         let cost = if attrs.pin_level == STAGE_PIN_LEVEL {
@@ -116,34 +152,64 @@ impl ReplacementPolicy for GreedyDualSize {
         } else {
             attrs.cost
         };
-        self.push(key, attrs.size, cost);
+        let generation = self.next_generation;
+        self.next_generation += 1;
+        let mut tracked = Tracked {
+            size: attrs.size,
+            cost,
+            frequency,
+            credit: 0.0,
+            generation,
+            queued: generation,
+        };
+        tracked.credit = tracked.full_credit(self.inflation, self.cost_blind);
+        // A re-insert may lower the credit, so an insert always pushes.
+        self.heap.push(tracked.node(key));
+        self.entries.insert(key, tracked);
+        self.sweep();
     }
 
     fn on_hit(&mut self, key: EntryKey) {
-        // Restore the entry's credit to its full L + cost/size.
-        if let Some(t) = self.entries.get(&key) {
-            let (size, cost) = (t.size, t.cost);
-            self.push(key, size, cost);
+        let Some(tracked) = self.entries.get_mut(&key) else {
+            return;
+        };
+        tracked.frequency += u64::from(FREQUENCY);
+        // Restore the entry's credit to its full value, in place.
+        let credit = tracked.full_credit(self.inflation, self.cost_blind);
+        let fell = credit < tracked.credit;
+        (tracked.credit, tracked.generation) = (credit, self.next_generation);
+        self.next_generation += 1;
+        if fell {
+            // A negative cost under a rising frequency: the old node is
+            // no lower bound any more.
+            tracked.queued = tracked.generation;
+            self.heap.push(tracked.node(key));
         }
     }
 
     fn on_remove(&mut self, key: EntryKey) {
         self.entries.remove(&key);
+        self.sweep();
     }
 
     fn evict(&mut self) -> Option<EntryKey> {
         while let Some(Reverse((OrdF64(h), generation, key))) = self.heap.pop() {
-            match self.entries.get(&key) {
-                Some(t) if t.generation == generation => {
-                    self.entries.remove(&key);
-                    // Inflate L to the evicted credit; future entries start
-                    // from here, which is what ages out stale residents.
-                    self.inflation = self.inflation.max(h);
-                    return Some(key);
-                }
-                // Stale heap node (entry re-pushed or removed): skip.
-                _ => continue,
+            let live = self.entries.get_mut(&key);
+            let Some(tracked) = live.filter(|tracked| tracked.queued == generation) else {
+                continue;
+            };
+            if tracked.generation != generation {
+                // Hit since this node was pushed: queue the entry again
+                // where it stands now.
+                tracked.queued = tracked.generation;
+                self.heap.push(tracked.node(key));
+                continue;
             }
+            self.entries.remove(&key);
+            // Inflate L to the evicted credit; future entries start from
+            // here, which is what ages out stale residents.
+            self.inflation = self.inflation.max(h);
+            return Some(key);
         }
         None
     }
@@ -162,109 +228,43 @@ mod tests {
         EntryKey::Version(DocumentId(i), UserId(1))
     }
 
-    #[test]
-    fn evicts_lowest_credit_first() {
-        let mut gds = GreedyDualSize::new();
-        gds.on_insert(key(1), &EntryAttrs::new(100, 1_000.0)); // H = 10
-        gds.on_insert(key(2), &EntryAttrs::new(100, 100.0)); // H = 1
-        gds.on_insert(key(3), &EntryAttrs::new(100, 500.0)); // H = 5
-        assert_eq!(gds.evict(), Some(key(2)));
-        assert_eq!(gds.evict(), Some(key(3)));
-        assert_eq!(gds.evict(), Some(key(1)));
-        assert_eq!(gds.evict(), None);
+    fn heap_is_bounded<const FREQUENCY: bool>(policy: &GreedyDual<FREQUENCY>) {
+        assert!(policy.heap.len() <= 2 * policy.entries.len() + 64);
     }
 
-    #[test]
-    fn size_divides_cost() {
-        let mut gds = GreedyDualSize::new();
-        gds.on_insert(key(1), &EntryAttrs::new(10, 100.0)); // H = 10: small and pricey
-        gds.on_insert(key(2), &EntryAttrs::new(1_000, 100.0)); // H = 0.1: big
-        assert_eq!(gds.evict(), Some(key(2)), "big documents go first");
-    }
-
-    #[test]
-    fn hit_refreshes_credit() {
-        let mut gds = GreedyDualSize::new();
-        gds.on_insert(key(1), &EntryAttrs::new(100, 100.0));
-        gds.on_insert(key(2), &EntryAttrs::new(100, 100.0));
-        // Evicting key(1) raises L to 1.0.
-        assert_eq!(gds.evict(), Some(key(1)));
-        assert_eq!(gds.inflation(), 1.0);
-        // Insert a new entry; its credit is L + 1 = 2.
-        gds.on_insert(key(3), &EntryAttrs::new(100, 100.0));
-        // key(2) still has its old credit 1.0 and goes first...
-        // unless it is hit, which refreshes it to L + 1 = 2.
-        gds.on_hit(key(2));
-        gds.on_insert(key(4), &EntryAttrs::new(1_000_000, 1.0)); // essentially L
-        assert_eq!(gds.evict(), Some(key(4)));
-    }
-
-    #[test]
-    fn inflation_is_monotone() {
-        let mut gds = GreedyDualSize::new();
-        for i in 0..10 {
-            gds.on_insert(key(i), &EntryAttrs::new(10, (i * 100) as f64 + 10.0));
+    // The heap used to take a node per hit and give one back only per
+    // eviction; a cache that hits and never evicts grew without bound.
+    fn hits_do_not_grow_the_heap<const FREQUENCY: bool>() {
+        let mut policy = GreedyDual::<FREQUENCY>::new();
+        for i in 0..100 {
+            policy.on_insert(key(i), &EntryAttrs::new(64 + i, 1_000.0));
         }
-        let mut last = 0.0;
-        while gds.evict().is_some() {
-            assert!(gds.inflation() >= last);
-            last = gds.inflation();
+        for hit in 0..1_000_000 {
+            policy.on_hit(key(hit % 100));
+        }
+        heap_is_bounded(&policy);
+    }
+
+    fn removed_and_superseded_nodes_are_reclaimed<const FREQUENCY: bool>() {
+        let mut policy = GreedyDual::<FREQUENCY>::new();
+        for _ in 0..100_000 {
+            policy.on_insert(key(1), &EntryAttrs::new(64, 1_000.0));
+            policy.on_insert(key(1), &EntryAttrs::new(32, 10.0));
+            heap_is_bounded(&policy);
+            policy.on_remove(key(1));
+            heap_is_bounded(&policy);
         }
     }
 
     #[test]
-    fn cost_blind_ignores_cost() {
-        let mut gd1 = GreedyDualSize::cost_blind();
-        gd1.on_insert(key(1), &EntryAttrs::new(100, 1_000_000.0));
-        gd1.on_insert(key(2), &EntryAttrs::new(10, 1.0));
-        // Cost is ignored; only size matters: 1/100 < 1/10.
-        assert_eq!(gd1.evict(), Some(key(1)));
-        assert_eq!(gd1.name(), "gd1");
+    fn gds_heap_is_bounded_by_its_entries() {
+        hits_do_not_grow_the_heap::<false>();
+        removed_and_superseded_nodes_are_reclaimed::<false>();
     }
 
     #[test]
-    fn remove_then_evict_skips_stale_nodes() {
-        let mut gds = GreedyDualSize::new();
-        gds.on_insert(key(1), &EntryAttrs::new(100, 1.0));
-        gds.on_insert(key(2), &EntryAttrs::new(100, 2.0));
-        gds.on_remove(key(1));
-        assert_eq!(gds.evict(), Some(key(2)));
-        assert_eq!(gds.evict(), None);
-        assert!(gds.is_empty());
-    }
-
-    #[test]
-    fn reinsert_updates_metadata() {
-        let mut gds = GreedyDualSize::new();
-        gds.on_insert(key(1), &EntryAttrs::new(100, 1.0));
-        gds.on_insert(key(2), &EntryAttrs::new(100, 50.0));
-        // Re-insert key(1) with a much higher cost.
-        gds.on_insert(key(1), &EntryAttrs::new(100, 10_000.0));
-        assert_eq!(gds.len(), 2);
-        assert_eq!(gds.evict(), Some(key(2)), "refreshed entry survives");
-    }
-
-    #[test]
-    fn stage_entries_lose_ties_against_final_versions() {
-        let mut gds = GreedyDualSize::new();
-        let stage = EntryKey::Stage(placeless_core::digest::md5(b"stage"));
-        gds.on_insert(key(1), &EntryAttrs::new(100, 1_000.0));
-        gds.on_insert(
-            stage,
-            &EntryAttrs::new(100, 1_000.0).with_pin_level(STAGE_PIN_LEVEL),
-        );
-        assert_eq!(
-            gds.evict(),
-            Some(stage),
-            "equal cost/size: stage goes first"
-        );
-        assert_eq!(gds.evict(), Some(key(1)));
-    }
-
-    #[test]
-    fn zero_size_does_not_divide_by_zero() {
-        let mut gds = GreedyDualSize::new();
-        gds.on_insert(key(1), &EntryAttrs::new(0, 100.0));
-        assert_eq!(gds.evict(), Some(key(1)));
+    fn gdsf_heap_is_bounded_by_its_entries() {
+        hits_do_not_grow_the_heap::<true>();
+        removed_and_superseded_nodes_are_reclaimed::<true>();
     }
 }

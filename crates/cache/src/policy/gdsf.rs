@@ -8,196 +8,6 @@
 //! GDS-Frequency: `H = L + frequency · cost / size`, so repeatedly accessed
 //! documents accumulate credit beyond what one touch grants.
 
-use super::{EntryAttrs, EntryKey, ReplacementPolicy, STAGE_COST_DISCOUNT, STAGE_PIN_LEVEL};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-struct Tracked {
-    size: u64,
-    cost: f64,
-    frequency: u64,
-    generation: u64,
-}
-
-/// The GDS-Frequency replacement policy.
-pub struct GdsFrequency {
-    entries: HashMap<EntryKey, Tracked>,
-    heap: BinaryHeap<Reverse<(OrdF64, u64, EntryKey)>>,
-    inflation: f64,
-    next_generation: u64,
-}
-
-impl GdsFrequency {
-    /// Creates an empty policy.
-    pub fn new() -> Self {
-        Self {
-            entries: HashMap::new(),
-            heap: BinaryHeap::new(),
-            inflation: 0.0,
-            next_generation: 0,
-        }
-    }
-
-    /// Returns the current inflation value `L`.
-    pub fn inflation(&self) -> f64 {
-        self.inflation
-    }
-
-    fn push(&mut self, key: EntryKey, size: u64, cost: f64, frequency: u64) {
-        let h = self.inflation + frequency as f64 * cost / size.max(1) as f64;
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        self.entries.insert(
-            key,
-            Tracked {
-                size,
-                cost,
-                frequency,
-                generation,
-            },
-        );
-        self.heap.push(Reverse((OrdF64(h), generation, key)));
-    }
-}
-
-impl Default for GdsFrequency {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ReplacementPolicy for GdsFrequency {
-    fn name(&self) -> &'static str {
-        "gdsf"
-    }
-
-    fn on_insert(&mut self, key: EntryKey, attrs: &EntryAttrs) {
-        // A re-insert of a resident key keeps its earned frequency.
-        let frequency = self.entries.get(&key).map(|t| t.frequency).unwrap_or(1);
-        // Intermediate stage entries are rebuildable from any final read:
-        // discount their cost so they lose ties against final versions.
-        let cost = if attrs.pin_level == STAGE_PIN_LEVEL {
-            attrs.cost * STAGE_COST_DISCOUNT
-        } else {
-            attrs.cost
-        };
-        self.push(key, attrs.size, cost, frequency);
-    }
-
-    fn on_hit(&mut self, key: EntryKey) {
-        if let Some(t) = self.entries.get(&key) {
-            let (size, cost, frequency) = (t.size, t.cost, t.frequency + 1);
-            self.push(key, size, cost, frequency);
-        }
-    }
-
-    fn on_remove(&mut self, key: EntryKey) {
-        self.entries.remove(&key);
-    }
-
-    fn evict(&mut self) -> Option<EntryKey> {
-        while let Some(Reverse((OrdF64(h), generation, key))) = self.heap.pop() {
-            match self.entries.get(&key) {
-                Some(t) if t.generation == generation => {
-                    self.entries.remove(&key);
-                    self.inflation = self.inflation.max(h);
-                    return Some(key);
-                }
-                _ => continue,
-            }
-        }
-        None
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use placeless_core::id::{DocumentId, UserId};
-
-    fn key(i: u64) -> EntryKey {
-        EntryKey::Version(DocumentId(i), UserId(1))
-    }
-
-    #[test]
-    fn frequency_raises_credit() {
-        let mut gdsf = GdsFrequency::new();
-        gdsf.on_insert(key(1), &EntryAttrs::new(100, 100.0));
-        gdsf.on_insert(key(2), &EntryAttrs::new(100, 100.0));
-        // Hit key(1) three times: its credit triples.
-        gdsf.on_hit(key(1));
-        gdsf.on_hit(key(1));
-        gdsf.on_hit(key(1));
-        assert_eq!(gdsf.evict(), Some(key(2)), "unfrequented entry goes first");
-        assert_eq!(gdsf.evict(), Some(key(1)));
-    }
-
-    #[test]
-    fn frequency_can_outweigh_cost() {
-        let mut gdsf = GdsFrequency::new();
-        gdsf.on_insert(key(1), &EntryAttrs::new(100, 300.0)); // pricey, touched once: H = 3
-        gdsf.on_insert(key(2), &EntryAttrs::new(100, 100.0)); // cheap, hot
-        for _ in 0..4 {
-            gdsf.on_hit(key(2)); // frequency 5: H = 5
-        }
-        assert_eq!(gdsf.evict(), Some(key(1)));
-    }
-
-    #[test]
-    fn cost_still_matters_at_equal_frequency() {
-        let mut gdsf = GdsFrequency::new();
-        gdsf.on_insert(key(1), &EntryAttrs::new(100, 500.0));
-        gdsf.on_insert(key(2), &EntryAttrs::new(100, 50.0));
-        assert_eq!(gdsf.evict(), Some(key(2)));
-    }
-
-    #[test]
-    fn inflation_is_monotone() {
-        let mut gdsf = GdsFrequency::new();
-        for i in 0..12 {
-            gdsf.on_insert(key(i), &EntryAttrs::new(10, (i + 1) as f64 * 10.0));
-            if i % 3 == 0 {
-                gdsf.on_hit(key(i));
-            }
-        }
-        let mut last = 0.0;
-        while gdsf.evict().is_some() {
-            assert!(gdsf.inflation() >= last);
-            last = gdsf.inflation();
-        }
-        assert!(gdsf.is_empty());
-    }
-
-    #[test]
-    fn reinsert_preserves_earned_frequency() {
-        let mut gdsf = GdsFrequency::new();
-        gdsf.on_insert(key(1), &EntryAttrs::new(100, 100.0));
-        gdsf.on_hit(key(1));
-        gdsf.on_hit(key(1)); // frequency 3
-                             // Re-insert (e.g. verifier replaced the content): frequency kept.
-        gdsf.on_insert(key(1), &EntryAttrs::new(100, 100.0));
-        gdsf.on_insert(key(2), &EntryAttrs::new(100, 250.0)); // frequency 1, H = 2.5 < 3
-        assert_eq!(gdsf.evict(), Some(key(2)));
-    }
-}
+/// The GDS-Frequency replacement policy: [`GreedyDual`](super::gds::GreedyDual)
+/// with the hit count in the credit, kept across a re-insert.
+pub type GdsFrequency = super::gds::GreedyDual<true>;

@@ -54,35 +54,3 @@ impl ReplacementPolicy for Lfu {
         self.counts.len()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use placeless_core::id::{DocumentId, UserId};
-
-    fn key(i: u64) -> EntryKey {
-        EntryKey::Version(DocumentId(i), UserId(1))
-    }
-
-    #[test]
-    fn evicts_least_frequent() {
-        let mut lfu = Lfu::new();
-        lfu.on_insert(key(1), &EntryAttrs::new(1, 1.0));
-        lfu.on_insert(key(2), &EntryAttrs::new(1, 1.0));
-        lfu.on_hit(key(1));
-        lfu.on_hit(key(1));
-        lfu.on_hit(key(2));
-        assert_eq!(lfu.evict(), Some(key(2)));
-        assert_eq!(lfu.evict(), Some(key(1)));
-    }
-
-    #[test]
-    fn ties_break_by_recency() {
-        let mut lfu = Lfu::new();
-        lfu.on_insert(key(1), &EntryAttrs::new(1, 1.0));
-        lfu.on_insert(key(2), &EntryAttrs::new(1, 1.0));
-        lfu.on_hit(key(1));
-        lfu.on_hit(key(2)); // both at count 2; key(1) older
-        assert_eq!(lfu.evict(), Some(key(1)));
-    }
-}

@@ -56,36 +56,3 @@ impl ReplacementPolicy for Lru {
         self.stamps.len()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use placeless_core::id::{DocumentId, UserId};
-
-    fn key(i: u64) -> EntryKey {
-        EntryKey::Version(DocumentId(i), UserId(1))
-    }
-
-    #[test]
-    fn evicts_least_recently_used() {
-        let mut lru = Lru::new();
-        lru.on_insert(key(1), &EntryAttrs::new(1, 1.0));
-        lru.on_insert(key(2), &EntryAttrs::new(1, 1.0));
-        lru.on_insert(key(3), &EntryAttrs::new(1, 1.0));
-        lru.on_hit(key(1));
-        assert_eq!(lru.evict(), Some(key(2)));
-        assert_eq!(lru.evict(), Some(key(3)));
-        assert_eq!(lru.evict(), Some(key(1)));
-    }
-
-    #[test]
-    fn hit_order_matters_not_insert_order() {
-        let mut lru = Lru::new();
-        lru.on_insert(key(1), &EntryAttrs::new(1, 1.0));
-        lru.on_insert(key(2), &EntryAttrs::new(1, 1.0));
-        lru.on_hit(key(1));
-        lru.on_hit(key(2));
-        lru.on_hit(key(1));
-        assert_eq!(lru.evict(), Some(key(2)));
-    }
-}

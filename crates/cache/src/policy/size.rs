@@ -49,32 +49,3 @@ impl ReplacementPolicy for SizePolicy {
         self.sizes.len()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use placeless_core::id::{DocumentId, UserId};
-
-    fn key(i: u64) -> EntryKey {
-        EntryKey::Version(DocumentId(i), UserId(1))
-    }
-
-    #[test]
-    fn evicts_largest_first() {
-        let mut policy = SizePolicy::new();
-        policy.on_insert(key(1), &EntryAttrs::new(10, 1.0));
-        policy.on_insert(key(2), &EntryAttrs::new(1_000, 1.0));
-        policy.on_insert(key(3), &EntryAttrs::new(100, 1.0));
-        assert_eq!(policy.evict(), Some(key(2)));
-        assert_eq!(policy.evict(), Some(key(3)));
-        assert_eq!(policy.evict(), Some(key(1)));
-    }
-
-    #[test]
-    fn equal_sizes_evict_oldest_first() {
-        let mut policy = SizePolicy::new();
-        policy.on_insert(key(1), &EntryAttrs::new(10, 1.0));
-        policy.on_insert(key(2), &EntryAttrs::new(10, 1.0));
-        assert_eq!(policy.evict(), Some(key(1)));
-    }
-}

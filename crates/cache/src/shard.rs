@@ -3,8 +3,9 @@
 //! §3 asks for `(document, user) → signature → content`. The second level
 //! is the cache-wide [`ConcurrentStore`]; this module is the first. A
 //! [`ShardTable`] splits the entries over N [`Shard`]s, each behind its own
-//! mutex, with the shard chosen by a *fixed* multiplicative hash of the key
-//! (no per-process hasher seeds, so runs are reproducible). A shard keeps
+//! reader-writer lock, with the shard chosen by a *fixed* multiplicative
+//! hash of the key (no per-process hasher seeds, so runs are
+//! reproducible). A shard keeps
 //! **one** map from key to [`Resident`] — the content signature the key is
 //! bound to together with the entry's metadata — so "a resident entry has
 //! content" holds by construction, beside its replacement-policy instance
@@ -25,16 +26,24 @@
 //!
 //! # Lock ordering (deadlock freedom)
 //!
-//! 1. A thread **blocks** on at most one shard lock, acquired while
-//!    holding no other cache lock: [`ShardTable::lock`] and each step of
-//!    [`ShardTable::lock_each`] are the only blocking acquisitions.
-//! 2. A thread already holding a shard lock probes sibling shards only
-//!    via `try_lock`, which never blocks: `ShardGuard::steal_one`, reached
-//!    from [`ShardGuard::install`] and the reclaim after a replacement.
-//! 3. Content-store stripe locks are **leaves**: taken under a shard lock
-//!    by the methods here, released before they return, never two at
-//!    once. The cache's other leaf locks (journal, parked set, leases,
-//!    writer sequences) are never taken by this module.
+//! 1. A shard lock is held **shared** ([`ShardTable::share`]: a hit, the
+//!    read-only accessors) or **exclusive** ([`ShardTable::lock`]:
+//!    whatever changes the table or the dirty map). Two shared holders of
+//!    one shard run side by side.
+//! 2. A thread **blocks** on at most one shard lock, in either mode,
+//!    while holding no other cache lock. A thread holding one, in either
+//!    mode, never blocks on another: sibling shards are probed with
+//!    `try_write` only (`ShardGuard::steal_one`).
+//! 3. **No upgrade.** A shared holder that finds the table must change
+//!    drops its guard, blocks for the exclusive one, and re-checks what
+//!    it saw ([`ShardGuard::probe`]); two would-be upgraders would
+//!    otherwise wait for each other.
+//! 4. A shard's policy mutex and the content-store stripe locks are
+//!    **leaves**: taken under a shard lock (the policy mutex only under
+//!    the shared one, for `on_hit` alone; an exclusive holder reaches the
+//!    policy through `get_mut`), released before the method returns,
+//!    never two at once. The cache's other leaf locks (journal, parked
+//!    set, leases, writer sequences) are never taken by this module.
 //!
 //! Every blocking edge therefore points from "holding nothing" to a shard
 //! lock, or from a shard lock to a leaf; the wait-for graph is acyclic.
@@ -42,16 +51,17 @@
 use crate::digest::Signature;
 use crate::entry::EntryMeta;
 use crate::policy::{EntryAttrs, EntryKey, PolicyFactory, ReplacementPolicy};
-use crate::stats::AtomicCacheStats;
+use crate::stats::{AtomicCacheStats, HitCell};
 use crate::store::{ConcurrentStore, NoRoom};
 use bytes::Bytes;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use placeless_core::id::{DocumentId, UserId};
 use placeless_core::op::DocOp;
 use placeless_core::verifier::Validity;
 use placeless_simenv::{Instant, VirtualClock};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One buffered write-back write: the data plus (journal configured) the
@@ -81,6 +91,21 @@ struct Resident {
     meta: EntryMeta,
 }
 
+impl Resident {
+    fn forward(&self) -> bool {
+        self.meta.cacheability.requires_event_forwarding()
+    }
+
+    /// The verdict on an entry whose freshness could not be checked.
+    fn unverifiable(&self, store: &ConcurrentStore) -> Option<Probe> {
+        Some(Probe::Unverifiable(Stale {
+            bytes: store.get(self.sig)?,
+            filled_at: self.meta.filled_at,
+            forward: self.forward(),
+        }))
+    }
+}
+
 /// One lock-striped slice of the entry table.
 pub(crate) struct Shard {
     /// Boxed so a table slot is a key and a pointer (32 bytes, a third of
@@ -95,7 +120,9 @@ pub(crate) struct Shard {
     /// entries belong to no document ([`EntryKey::doc`]) and are not
     /// indexed.
     versions: HashMap<DocumentId, HashSet<UserId>>,
-    policy: Box<dyn ReplacementPolicy>,
+    /// Behind a leaf mutex so a hit can tell it under the *shared* shard
+    /// lock; an exclusive holder goes through `get_mut`, no lock.
+    policy: Mutex<Box<dyn ReplacementPolicy>>,
     /// Buffered write-back writes. Keyed by `(document, user)`, not by
     /// [`EntryKey`]: only versions are ever written.
     dirty: HashMap<(DocumentId, UserId), DirtyEntry>,
@@ -166,7 +193,7 @@ pub(crate) struct Stale {
 /// The sharded entry table plus what its bookkeeping needs: the content
 /// store the entries reference, the byte budget, and the dirty gauge.
 pub(crate) struct ShardTable {
-    shards: Box<[Mutex<Shard>]>,
+    shards: Box<[RwLock<Shard>]>,
     store: ConcurrentStore,
     capacity_bytes: u64,
     /// Buffered write-back writes across all shards, so
@@ -180,10 +207,10 @@ impl ShardTable {
         Self {
             shards: (0..shards)
                 .map(|_| {
-                    Mutex::new(Shard {
+                    RwLock::new(Shard {
                         entries: HashMap::new(),
                         versions: HashMap::new(),
-                        policy: policy.build(),
+                        policy: Mutex::new(policy.build()),
                         dirty: HashMap::new(),
                     })
                 })
@@ -201,7 +228,7 @@ impl ShardTable {
     /// Picks the shard for a key with a fixed multiplicative hash, so
     /// placement is identical across runs and machines (std's default
     /// hasher is randomly seeded and would break reproducibility).
-    fn shard_index(&self, key: EntryKey) -> usize {
+    pub(crate) fn shard_index(&self, key: EntryKey) -> usize {
         let mixed = match key {
             EntryKey::Version(DocumentId(doc), UserId(user)) => {
                 doc.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ user.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
@@ -218,20 +245,36 @@ impl ShardTable {
         (mixed >> 32) as usize % self.shards.len()
     }
 
-    /// Blocks on shard `index`'s lock.
+    /// Blocks on shard `index`'s lock, exclusively.
     fn guard<'a>(&'a self, index: usize, stats: &'a AtomicCacheStats) -> ShardGuard<'a> {
         ShardGuard {
-            shard: self.shards[index].lock(),
+            shard: self.shards[index].write(),
             index,
             table: self,
             stats,
         }
     }
 
-    /// Blocks on `key`'s shard lock (lock-order rule 1: the caller holds
-    /// no other cache lock).
+    /// Blocks on `key`'s shard lock, exclusively (the caller holds no
+    /// other cache lock).
     pub(crate) fn lock<'a>(&'a self, key: EntryKey, stats: &'a AtomicCacheStats) -> ShardGuard<'a> {
         self.guard(self.shard_index(key), stats)
+    }
+
+    /// Blocks on shard `index`'s lock, shared.
+    fn shared<'a>(&'a self, index: usize, stats: &'a AtomicCacheStats) -> ShardRead<'a> {
+        ShardGuard {
+            shard: self.shards[index].read(),
+            index,
+            table: self,
+            stats,
+        }
+    }
+
+    /// Blocks on `key`'s shard lock, shared (the caller holds no other
+    /// cache lock).
+    pub(crate) fn share<'a>(&'a self, key: EntryKey, stats: &'a AtomicCacheStats) -> ShardRead<'a> {
+        self.shared(self.shard_index(key), stats)
     }
 
     /// Locks the shards one at a time: each guard is released before the
@@ -241,6 +284,14 @@ impl ShardTable {
         stats: &'a AtomicCacheStats,
     ) -> impl Iterator<Item = ShardGuard<'a>> {
         (0..self.shards.len()).map(move |index| self.guard(index, stats))
+    }
+
+    /// [`Self::lock_each`] with shared guards.
+    pub(crate) fn share_each<'a>(
+        &'a self,
+        stats: &'a AtomicCacheStats,
+    ) -> impl Iterator<Item = ShardRead<'a>> {
+        (0..self.shards.len()).map(move |index| self.shared(index, stats))
     }
 
     /// Returns `(physical, logical)` resident bytes. Lock-free.
@@ -254,16 +305,20 @@ impl ShardTable {
     }
 }
 
-/// A held shard lock. Every method runs under that lock; dropping the
-/// guard releases it.
-pub(crate) struct ShardGuard<'a> {
-    shard: MutexGuard<'a, Shard>,
+/// A held shard lock, exclusive unless `G` says otherwise. Every method
+/// runs under that lock; dropping the guard releases it.
+pub(crate) struct ShardGuard<'a, G = RwLockWriteGuard<'a, Shard>> {
+    shard: G,
     index: usize,
     table: &'a ShardTable,
     stats: &'a AtomicCacheStats,
 }
 
-impl ShardGuard<'_> {
+/// A shard lock held shared.
+pub(crate) type ShardRead<'a> = ShardGuard<'a, RwLockReadGuard<'a, Shard>>;
+
+/// What either mode allows: looking.
+impl<'a, G: Deref<Target = Shard>> ShardGuard<'a, G> {
     /// Returns the number of resident entries in this shard.
     pub(crate) fn len(&self) -> usize {
         self.shard.entries.len()
@@ -290,22 +345,82 @@ impl ShardGuard<'_> {
         Some((self.table.store.get(sig)?, sig))
     }
 
+    /// Returns `user`'s buffered write-back write to `doc`, if any.
+    pub(crate) fn dirty(&self, doc: DocumentId, user: UserId) -> Option<&DirtyEntry> {
+        self.shard.dirty.get(&(doc, user))
+    }
+
+    /// This shard's hit counters.
+    pub(crate) fn cell(&self) -> &'a HitCell {
+        self.stats.cell(self.index)
+    }
+}
+
+impl ShardRead<'_> {
     /// The hit path: asks `verify` for a verdict on `key`'s resident entry
     /// (it sees the entry's metadata) and applies it — registers the hit,
     /// replaces the content in place, drops the entry, or leaves it alone.
     /// `None` when `key` is not resident.
+    ///
+    /// A verdict that leaves the table alone — a plain hit, an absent
+    /// key, `Unverifiable` — is settled under this shared guard. One that
+    /// changes it gives the guard up for the exclusive one (lock-order
+    /// rule 3) and carries the verdict across, so `verify` runs once per
+    /// read; only if `key` was re-bound to other content in between does
+    /// it run again, on the new entry.
     pub(crate) fn probe(
+        self,
+        key: EntryKey,
+        clock: &VirtualClock,
+        verify: impl Fn(&EntryMeta) -> Validity,
+    ) -> Option<Probe> {
+        let entry = self.shard.entries.get(&key)?;
+        let store = &self.table.store;
+        let verdict = match verify(&entry.meta) {
+            Validity::Valid if !entry.meta.force_verify => {
+                let bytes = store.get(entry.sig)?;
+                self.shard.policy.lock().on_hit(key);
+                return Some(Probe::Fresh {
+                    bytes,
+                    sig: entry.sig,
+                    forward: entry.forward(),
+                    was_prefetched: entry.meta.prefetched,
+                    replaced: false,
+                });
+            }
+            Validity::Unverifiable => return entry.unverifiable(store),
+            verdict => verdict,
+        };
+        let (sig, index, table, stats) = (entry.sig, self.index, self.table, self.stats);
+        drop(self);
+        table
+            .guard(index, stats)
+            .settle(key, clock, sig, verdict, verify)
+    }
+}
+
+impl ShardGuard<'_> {
+    /// Applies `verdict`, reached on `key` while it was bound to `sig`
+    /// and before this lock was taken; an entry bound to anything else by
+    /// now is verified afresh.
+    fn settle(
         &mut self,
         key: EntryKey,
         clock: &VirtualClock,
-        verify: impl FnOnce(&EntryMeta) -> Validity,
+        sig: Signature,
+        verdict: Validity,
+        verify: impl Fn(&EntryMeta) -> Validity,
     ) -> Option<Probe> {
         let table = self.table;
         let store = &table.store;
         let shard = &mut *self.shard;
         let entry = shard.entries.get_mut(&key)?;
-        let forward = entry.meta.cacheability.requires_event_forwarding();
-        let (bytes, replaced) = match verify(&entry.meta) {
+        let verdict = if entry.sig == sig {
+            verdict
+        } else {
+            verify(&entry.meta)
+        };
+        let (bytes, replaced) = match verdict {
             Validity::Valid => (store.get(entry.sig)?, false),
             Validity::Replace(bytes) => {
                 store.release(entry.sig);
@@ -321,18 +436,11 @@ impl ShardGuard<'_> {
                 self.remove(key, Removal::Invalidated);
                 return Some(Probe::Invalid);
             }
-            Validity::Unverifiable => {
-                return Some(Probe::Unverifiable(Stale {
-                    bytes: store.get(entry.sig)?,
-                    filled_at: entry.meta.filled_at,
-                    forward,
-                }))
-            }
+            Validity::Unverifiable => return entry.unverifiable(store),
         };
-        entry.meta.hits += 1;
         entry.meta.force_verify = false;
-        let (sig, was_prefetched) = (entry.sig, entry.meta.prefetched);
-        shard.policy.on_hit(key);
+        let (sig, forward, was_prefetched) = (entry.sig, entry.forward(), entry.meta.prefetched);
+        shard.policy.get_mut().on_hit(key);
         if replaced {
             // The replacement may have grown the content past the budget;
             // reclaim, sparing the fresh entry.
@@ -354,7 +462,7 @@ impl ShardGuard<'_> {
     /// ([`ConcurrentStore::try_acquire`], a compare-and-swap bounded by
     /// the budget), evicting until the reservation succeeds — concurrent
     /// fills can never overshoot the budget. The one deliberate exception
-    /// is a verifier's in-place replacement ([`Self::probe`]), which
+    /// is a verifier's in-place replacement ([`ShardGuard::probe`]), which
     /// refreshes the content first and reclaims any overshoot immediately
     /// afterwards.
     ///
@@ -385,7 +493,7 @@ impl ShardGuard<'_> {
             // chosen as eviction victims.
             AtomicCacheStats::bump(&self.stats.pinned_fills);
         } else {
-            self.shard.policy.on_insert(key, &attrs);
+            self.shard.policy.get_mut().on_insert(key, &attrs);
         }
         let sig = match known_sig {
             Some(sig) => {
@@ -411,12 +519,12 @@ impl ShardGuard<'_> {
                     self.shard.insert(key, Box::new(Resident { sig, meta }));
                     return;
                 }
-                Err(NoRoom) => match self.shard.policy.evict() {
+                Err(NoRoom) => match self.shard.policy.get_mut().evict() {
                     Some(victim) if victim == key => {
                         // The incoming entry is its own shard's minimum;
                         // prefer room from a sibling shard.
                         if self.steal_one() {
-                            self.shard.policy.on_insert(key, &attrs);
+                            self.shard.policy.get_mut().on_insert(key, &attrs);
                             continue;
                         }
                         AtomicCacheStats::bump(&self.stats.evictions);
@@ -442,7 +550,7 @@ impl ShardGuard<'_> {
     /// `true` if the entry existed.
     pub(crate) fn remove(&mut self, key: EntryKey, why: Removal) -> bool {
         if why == Removal::Invalidated {
-            self.shard.policy.on_remove(key);
+            self.shard.policy.get_mut().on_remove(key);
         }
         let Some(entry) = self.shard.take(key) else {
             return false;
@@ -491,11 +599,6 @@ impl ShardGuard<'_> {
         }
     }
 
-    /// Returns `user`'s buffered write-back write to `doc`, if any.
-    pub(crate) fn dirty(&self, doc: DocumentId, user: UserId) -> Option<&DirtyEntry> {
-        self.shard.dirty.get(&(doc, user))
-    }
-
     /// Buffers `entry` as `user`'s write to `doc`, superseding any write
     /// already there.
     pub(crate) fn put_dirty(&mut self, doc: DocumentId, user: UserId, entry: DirtyEntry) {
@@ -517,14 +620,14 @@ impl ShardGuard<'_> {
     }
 
     /// Evicts one entry from some *other* shard to make room, probing
-    /// with `try_lock` only (lock-order rule 2: a blocking acquisition
+    /// with `try_write` only (lock-order rule 2: a blocking acquisition
     /// here could deadlock with a concurrent steal in the opposite
     /// direction). Returns `true` if an entry was evicted.
     fn steal_one(&self) -> bool {
         let shards = &self.table.shards;
         for offset in 1..shards.len() {
             let index = (self.index + offset) % shards.len();
-            let Some(shard) = shards[index].try_lock() else {
+            let Some(shard) = shards[index].try_write() else {
                 continue;
             };
             let mut sibling = ShardGuard {
@@ -533,7 +636,7 @@ impl ShardGuard<'_> {
                 table: self.table,
                 stats: self.stats,
             };
-            if let Some(victim) = sibling.shard.policy.evict() {
+            if let Some(victim) = sibling.shard.policy.get_mut().evict() {
                 sibling.remove(victim, Removal::Evicted);
                 AtomicCacheStats::bump(&self.stats.evictions);
                 return true;
@@ -547,12 +650,12 @@ impl ShardGuard<'_> {
     /// verifier replacement, the one path that can overshoot.
     fn reclaim_over_budget(&mut self, spare: EntryKey) {
         while self.table.store.physical_bytes() > self.table.capacity_bytes {
-            match self.shard.policy.evict() {
+            match self.shard.policy.get_mut().evict() {
                 Some(victim) if victim == spare => {
                     let shard = &mut *self.shard;
                     if let Some(entry) = shard.entries.get(&victim) {
                         let attrs = EntryAttrs::new(entry.meta.size, entry.meta.cost_micros);
-                        shard.policy.on_insert(victim, &attrs);
+                        shard.policy.get_mut().on_insert(victim, &attrs);
                     }
                     if !self.steal_one() {
                         return;

@@ -250,16 +250,28 @@ impl Sub for CacheStats {
     }
 }
 
+/// The three counters every hit writes, one cell per shard and one cache
+/// line per cell, so cores hitting different shards write different lines.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct HitCell {
+    pub(crate) hits: AtomicU64,
+    pub(crate) hit_micros: AtomicU64,
+    pub(crate) verify_micros: AtomicU64,
+}
+
 /// Lock-free counters shared by every shard of a sharded cache.
 ///
-/// Each field mirrors one [`CacheStats`] counter. Increments use relaxed
-/// atomics: counters are monotone sums with no cross-field invariant that
-/// readers could observe torn, and [`AtomicCacheStats::snapshot`] is
-/// documented as a moment-in-time approximation under concurrency (exact
-/// whenever the cache is quiescent).
+/// Each field mirrors one [`CacheStats`] counter, except the three hit
+/// counters, which [`AtomicCacheStats::snapshot`] sums over the per-shard
+/// cells. Increments use relaxed atomics: counters are monotone sums with
+/// no cross-field invariant that readers could observe torn, and
+/// [`AtomicCacheStats::snapshot`] is documented as a moment-in-time
+/// approximation under concurrency (exact whenever the cache is
+/// quiescent).
 #[derive(Debug, Default)]
 pub struct AtomicCacheStats {
-    pub(crate) hits: AtomicU64,
+    cells: Box<[HitCell]>,
     pub(crate) misses: AtomicU64,
     pub(crate) uncacheable_reads: AtomicU64,
     pub(crate) notifier_invalidations: AtomicU64,
@@ -268,9 +280,7 @@ pub struct AtomicCacheStats {
     pub(crate) evictions: AtomicU64,
     pub(crate) shared_fills: AtomicU64,
     pub(crate) events_forwarded: AtomicU64,
-    pub(crate) hit_micros: AtomicU64,
     pub(crate) miss_micros: AtomicU64,
-    pub(crate) verify_micros: AtomicU64,
     pub(crate) writes: AtomicU64,
     pub(crate) flushes: AtomicU64,
     pub(crate) prefetches: AtomicU64,
@@ -304,6 +314,19 @@ pub struct AtomicCacheStats {
 }
 
 impl AtomicCacheStats {
+    /// Counters for a cache of `shards` shards.
+    pub(crate) fn new(shards: usize) -> Self {
+        Self {
+            cells: (0..shards).map(|_| HitCell::default()).collect(),
+            ..Self::default()
+        }
+    }
+
+    /// Shard `shard`'s hit counters.
+    pub(crate) fn cell(&self, shard: usize) -> &HitCell {
+        &self.cells[shard]
+    }
+
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
@@ -332,8 +355,15 @@ impl AtomicCacheStats {
 
     /// Returns a plain-old-data copy of the counters.
     pub fn snapshot(&self) -> CacheStats {
+        let hit_sum = |counter: fn(&HitCell) -> &AtomicU64| -> u64 {
+            let loads = self
+                .cells
+                .iter()
+                .map(|cell| counter(cell).load(Ordering::Relaxed));
+            loads.sum()
+        };
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
+            hits: hit_sum(|cell| &cell.hits),
             misses: self.misses.load(Ordering::Relaxed),
             uncacheable_reads: self.uncacheable_reads.load(Ordering::Relaxed),
             notifier_invalidations: self.notifier_invalidations.load(Ordering::Relaxed),
@@ -342,9 +372,9 @@ impl AtomicCacheStats {
             evictions: self.evictions.load(Ordering::Relaxed),
             shared_fills: self.shared_fills.load(Ordering::Relaxed),
             events_forwarded: self.events_forwarded.load(Ordering::Relaxed),
-            hit_micros: self.hit_micros.load(Ordering::Relaxed),
+            hit_micros: hit_sum(|cell| &cell.hit_micros),
             miss_micros: self.miss_micros.load(Ordering::Relaxed),
-            verify_micros: self.verify_micros.load(Ordering::Relaxed),
+            verify_micros: hit_sum(|cell| &cell.verify_micros),
             writes: self.writes.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
             prefetches: self.prefetches.load(Ordering::Relaxed),
@@ -385,11 +415,11 @@ mod tests {
 
     #[test]
     fn atomic_stats_snapshot_round_trips() {
-        let atomic = AtomicCacheStats::default();
-        AtomicCacheStats::bump(&atomic.hits);
-        AtomicCacheStats::bump(&atomic.hits);
+        let atomic = AtomicCacheStats::new(2);
+        AtomicCacheStats::bump(&atomic.cell(0).hits);
+        AtomicCacheStats::bump(&atomic.cell(1).hits);
         AtomicCacheStats::bump(&atomic.misses);
-        AtomicCacheStats::add(&atomic.hit_micros, 6_000);
+        AtomicCacheStats::add(&atomic.cell(1).hit_micros, 6_000);
         let snap = atomic.snapshot();
         assert_eq!(snap.hits, 2);
         assert_eq!(snap.misses, 1);

@@ -79,8 +79,13 @@ impl VirtualClock {
     /// Advances the clock by `micros` microseconds and returns the new time.
     ///
     /// Advancing is how simulated work "takes time": a component that wants
-    /// to charge 3 ms of service time calls `clock.advance(3_000)`.
+    /// to charge 3 ms of service time calls `clock.advance(3_000)`. A zero
+    /// charge (a free latency model) only reads: it must not make every
+    /// core write the clock's cache line.
     pub fn advance(&self, micros: u64) -> Instant {
+        if micros == 0 {
+            return self.now();
+        }
         Instant(self.micros.fetch_add(micros, Ordering::SeqCst) + micros)
     }
 

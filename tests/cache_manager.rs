@@ -6,11 +6,12 @@
 use bytes::Bytes;
 use placeless_bench::support::TagProperty;
 use placeless_cache::{
-    default_shard_count, CacheConfig, DocumentCache, MergePolicy, PrefetchConfig, WriteJournal,
-    WriteMode,
+    default_shard_count, CacheConfig, DocumentCache, HitClass, MergePolicy, PrefetchConfig,
+    ReadOptions, WriteJournal, WriteMode,
 };
 use placeless_core::prelude::*;
 use placeless_simenv::{LatencyModel, VirtualClock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const ALICE: UserId = UserId(1);
@@ -879,4 +880,196 @@ fn write_cost_is_independent_of_other_documents_references() {
         large <= small * 4,
         "writing a four-holder document: {small:?} beside 2k references, {large:?} beside 64k"
     );
+}
+
+/// A read-only origin whose verifier asks `script` for its verdict and
+/// counts how often the cache ran it.
+struct ScriptedOrigin {
+    body: Bytes,
+    script: Arc<dyn Fn() -> Validity + Send + Sync>,
+    checks: Arc<AtomicU64>,
+}
+
+const SCRIPTED_VERIFIER_COST: u64 = 7;
+
+impl ScriptedOrigin {
+    fn new(body: &str, script: impl Fn() -> Validity + Send + Sync + 'static) -> Arc<Self> {
+        Arc::new(Self {
+            body: Bytes::from(body.to_owned()),
+            script: Arc::new(script),
+            checks: Arc::default(),
+        })
+    }
+
+    fn checks(&self) -> u64 {
+        self.checks.load(Ordering::SeqCst)
+    }
+}
+
+impl BitProvider for ScriptedOrigin {
+    fn describe(&self) -> String {
+        "scripted".into()
+    }
+    fn open_input(&self, _clock: &VirtualClock) -> Result<Box<dyn InputStream>> {
+        Ok(Box::new(MemoryInput::new(self.body.clone())))
+    }
+    fn open_output(&self, _clock: &VirtualClock) -> Result<Box<dyn OutputStream>> {
+        Err(PlacelessError::ReadOnly(DocumentId(0)))
+    }
+    fn make_verifier(&self, _clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
+        let (script, checks) = (self.script.clone(), self.checks.clone());
+        Some(ClosureVerifier::new(
+            "scripted",
+            SCRIPTED_VERIFIER_COST,
+            move |_| {
+                checks.fetch_add(1, Ordering::SeqCst);
+                script()
+            },
+        ))
+    }
+    fn fetch_cost_micros(&self) -> u64 {
+        100
+    }
+}
+
+/// Two hits in one shard run side by side: each reader's verifier waits
+/// inside the shard lock for the other reader's to get there too. Under an
+/// exclusive shard lock the second reader waits outside while the first
+/// times out inside.
+#[test]
+fn hit_path_two_readers_of_one_shard_overlap() {
+    use std::time::{Duration, Instant};
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let arrived = Arc::new(AtomicU64::new(0));
+    let alone = Arc::new(AtomicBool::new(false));
+    let docs: Vec<DocumentId> = (0..2)
+        .map(|i| {
+            let (arrived, alone) = (arrived.clone(), alone.clone());
+            let rendezvous = move || {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while arrived.load(Ordering::SeqCst) < 2 {
+                    if Instant::now() > deadline {
+                        alone.store(true, Ordering::SeqCst);
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                Validity::Valid
+            };
+            space.create_document(ALICE, ScriptedOrigin::new(&format!("body {i}"), rendezvous))
+        })
+        .collect();
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig::builder()
+            .local_latency(LatencyModel::FREE)
+            .shards(1)
+            .build(),
+    );
+    for &doc in &docs {
+        cache.read(ALICE, doc).expect("fill");
+    }
+    std::thread::scope(|scope| {
+        for &doc in &docs {
+            let cache = &cache;
+            scope.spawn(move || {
+                let outcome = cache
+                    .read_with(ALICE, doc, ReadOptions::default())
+                    .expect("hit");
+                assert_eq!(outcome.class, HitClass::Hit);
+            });
+        }
+    });
+    assert_eq!(arrived.load(Ordering::SeqCst), 2);
+    assert!(
+        !alone.load(Ordering::SeqCst),
+        "a reader sat in its verifier while the other waited for the shard"
+    );
+    assert_eq!(cache.stats().hits, 2);
+}
+
+/// Verifiers run exactly once per read whatever the verdict, including
+/// the verdicts that are reached under the shared shard lock and applied
+/// under the exclusive one, and their cost is charged exactly once.
+#[test]
+fn hit_path_runs_verifiers_once_per_read_for_every_verdict() {
+    let verdict = Arc::new(parking_lot::Mutex::new(Validity::Valid));
+    let script = {
+        let verdict = verdict.clone();
+        move || verdict.lock().clone()
+    };
+    let origin = ScriptedOrigin::new("origin body", script);
+    let world = |run_verifiers: bool| {
+        let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+        let doc = space.create_document(ALICE, origin.clone());
+        let other = space.create_document(ALICE, MemoryProvider::new("other", "o", 1));
+        let config = CacheConfig::builder()
+            .local_latency(LatencyModel::FREE)
+            .run_verifiers(run_verifiers)
+            .shards(1)
+            .build();
+        (space.clone(), DocumentCache::new(space, config), doc, other)
+    };
+    let (space, cache, doc, _) = world(true);
+    let clock = space.clock().clone();
+    let read = |cache: &DocumentCache, doc, expect: &str, class| {
+        let outcome = cache
+            .read_with(ALICE, doc, ReadOptions::default())
+            .expect("the origin is up");
+        assert_eq!(outcome.bytes, expect);
+        assert_eq!(outcome.class, class);
+    };
+    read(&cache, doc, "origin body", HitClass::Miss);
+    assert_eq!(origin.checks(), 0, "a fill runs no verifier");
+
+    let verdicts = [
+        (Validity::Valid, "origin body", HitClass::Hit),
+        (Validity::Invalid, "origin body", HitClass::Miss),
+        (
+            Validity::Replace(Bytes::from_static(b"replaced")),
+            "replaced",
+            HitClass::Hit,
+        ),
+        (Validity::Unverifiable, "origin body", HitClass::Miss),
+        (Validity::Valid, "origin body", HitClass::Hit),
+    ];
+    for (probed, (verdict_now, body, class)) in (1u64..).zip(verdicts) {
+        *verdict.lock() = verdict_now.clone();
+        let before = clock.now();
+        read(&cache, doc, body, class);
+        assert_eq!(origin.checks(), probed, "after {verdict_now:?}");
+        let stats = cache.stats();
+        assert_eq!(stats.verify_micros, probed * SCRIPTED_VERIFIER_COST);
+        if class == HitClass::Hit {
+            // A hit is the verifier's cost and nothing else on the clock.
+            assert_eq!(clock.now().since(before), SCRIPTED_VERIFIER_COST);
+        }
+    }
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses), (3, 3));
+    assert_eq!(stats.verifier_invalidations, 1);
+    assert_eq!(stats.verifier_replacements, 1);
+
+    // A notifier-only cache runs the verifier of an entry demoted by an
+    // invalidation gap: once on the next read, which clears the flag.
+    *verdict.lock() = Validity::Valid;
+    let (space, cache, doc, other) = world(false);
+    read(&cache, doc, "origin body", HitClass::Miss);
+    let ping = || {
+        space
+            .bus()
+            .post(Invalidation::UserDocument(other, UserId(99)))
+    };
+    ping();
+    space.bus().drop_next_deliveries(1);
+    ping();
+    ping();
+    assert_eq!(cache.stats().notifier_gaps, 1);
+    let checks = origin.checks();
+    read(&cache, doc, "origin body", HitClass::Hit);
+    assert_eq!(origin.checks(), checks + 1, "the demoted entry is verified");
+    read(&cache, doc, "origin body", HitClass::Hit);
+    assert_eq!(origin.checks(), checks + 1, "and trusted again after");
+    assert_eq!(cache.stats().verify_micros, SCRIPTED_VERIFIER_COST);
 }

@@ -202,3 +202,99 @@ fn stress_write_back_flush_races_with_readers() {
     assert!(stats.writes > 0);
     assert!(stats.flushes > 0);
 }
+
+/// Readers, an installer and a document invalidator race on **one**
+/// shard, so shared hits, exclusive installs, verdicts carried from the
+/// shared to the exclusive lock (the installer edits the origin out of
+/// band, leaving every resident version for its verifier to refute) and
+/// index-driven removals all meet on one lock. The race lasts 50 ms and at
+/// least `MIN_ROUNDS` rounds a thread. Every body served is one the origin held;
+/// afterwards every read is accounted once, the per-document index finds
+/// exactly the resident versions, and no content reference is left over.
+#[test]
+fn stress_one_shard_hits_installs_and_invalidations() {
+    const DOCS: usize = 6;
+    const READERS: u64 = 2;
+    const MIN_ROUNDS: u64 = 300;
+    let installer = UserId(READERS + 1);
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let (docs, origins): (Vec<_>, Vec<_>) = (0..DOCS)
+        .map(|i| {
+            let provider = MemoryProvider::new(&format!("d{i}"), format!("doc{i} v0"), 100);
+            let doc = space.create_document(installer, provider.clone());
+            for reader in 1..=READERS {
+                space.add_reference(UserId(reader), doc).unwrap();
+            }
+            (doc, provider)
+        })
+        .unzip();
+    let cache = DocumentCache::new(
+        space.clone(),
+        CacheConfig::builder()
+            .local_latency(LatencyModel::FREE)
+            .shards(1)
+            .build(),
+    );
+    // The newest version the installer has started writing, per document.
+    let latest: Vec<AtomicU64> = (0..DOCS).map(|_| AtomicU64::new(0)).collect();
+    let issued_reads = AtomicU64::new(0);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(50);
+    let running = |round: &mut u64| {
+        *round += 1;
+        *round <= MIN_ROUNDS || std::time::Instant::now() < deadline
+    };
+    let read_checked = |user: UserId, index: usize| {
+        let body = cache.read(user, docs[index]).unwrap();
+        issued_reads.fetch_add(1, Ordering::Relaxed);
+        let body = std::str::from_utf8(&body).unwrap();
+        let version = body
+            .strip_prefix(&format!("doc{index} v"))
+            .unwrap_or_else(|| panic!("doc{index} served {body:?}"));
+        let version: u64 = version.parse().unwrap();
+        assert!(version <= latest[index].load(Ordering::SeqCst), "{body:?}");
+    };
+    thread::scope(|scope| {
+        for reader in 1..=READERS {
+            let read_checked = &read_checked;
+            scope.spawn(move |_| {
+                let (mut rng, mut round) = (Rng(0xC0FFEE + reader), 0);
+                while running(&mut round) {
+                    read_checked(UserId(reader), rng.next() as usize % DOCS);
+                }
+            });
+        }
+        scope.spawn(|_| {
+            let (mut rng, mut round) = (Rng(0xBEEF), 0);
+            while running(&mut round) {
+                let index = rng.next() as usize % DOCS;
+                let version = latest[index].fetch_add(1, Ordering::SeqCst) + 1;
+                origins[index].set_out_of_band(format!("doc{index} v{version}"));
+                read_checked(installer, index);
+            }
+        });
+        scope.spawn(|_| {
+            let (mut rng, mut round) = (Rng(0xD00D), 0);
+            while running(&mut round) {
+                let doc = docs[rng.next() as usize % DOCS];
+                space.bus().post(Invalidation::Document(doc));
+            }
+        });
+    })
+    .unwrap();
+
+    let stats = cache.stats();
+    assert_eq!(
+        stats.hits + stats.misses + stats.uncacheable_reads,
+        issued_reads.load(Ordering::Relaxed),
+        "every read accounted exactly once: {stats:?}"
+    );
+    assert!(stats.hits > 0 && stats.misses > 0 && stats.verifier_invalidations > 0);
+    for &doc in &docs {
+        let (len, notified) = (cache.len(), cache.stats().notifier_invalidations);
+        space.bus().post(Invalidation::Document(doc));
+        let counted = cache.stats().notifier_invalidations - notified;
+        assert_eq!((len - cache.len()) as u64, counted, "index and table agree");
+    }
+    assert!(cache.is_empty(), "the index found every resident version");
+    assert_eq!(cache.resident_bytes(), (0, 0), "no reference left over");
+}
