@@ -61,7 +61,7 @@ pub use merge::{MergePolicy, MergeReport};
 pub use overload::{expected_completion_micros, BrownoutLevel, OverloadConfig, Priority};
 pub use policy::{
     by_name, EntryAttrs, EntryKey, GdsFrequency, GreedyDualSize, PolicyFactory, ReplacementPolicy,
-    UnknownPolicy, ALL_POLICIES, STAGE_COST_DISCOUNT, STAGE_PIN_LEVEL,
+    UnknownPolicy, ALL_POLICIES,
 };
 pub use prefetch::PrefetchConfig;
 pub use resilience::{

@@ -87,7 +87,7 @@ use crate::journal::{WriteJournal, NO_EPOCH};
 use crate::merge::{MergePolicy, MergeReport};
 use crate::origin::{Origin, Origins};
 use crate::overload::{BrownoutLevel, OverloadConfig, OverloadController, Priority};
-use crate::policy::{EntryKey, PolicyFactory, STAGE_PIN_LEVEL};
+use crate::policy::{EntryKey, PolicyFactory};
 use crate::prefetch::PrefetchConfig;
 use crate::resilience::{
     BackoffSchedule, BreakerState, GaveUp, ResilienceConfig, RetryDriver, StalenessBound,

@@ -78,6 +78,9 @@ pub(super) struct Fetched {
     /// The content digest, when the walk already knows it (spares the
     /// install a full re-hash).
     pub(super) content_sig: Option<Signature>,
+    /// The entry's price: the whole path on the opaque read, the marginal
+    /// replacement cost on the staged walk.
+    pub(super) cost_micros: f64,
 }
 
 /// A document's origin record, resolved — one space lookup for the key,
@@ -524,6 +527,7 @@ impl DocumentCache {
                 .read_document(user, doc)
                 .map(|(bytes, report)| Fetched {
                     bytes,
+                    cost_micros: report.cost.effective_micros(),
                     report,
                     stage_partial: false,
                     content_sig: None,
@@ -568,18 +572,19 @@ impl DocumentCache {
             bytes,
             report,
             content_sig,
+            cost_micros,
             ..
         } = fetched;
         let mut meta = EntryMeta::new(
             report.verifiers,
             report.cacheability,
-            report.cost.effective_micros(),
+            cost_micros,
             bytes.len() as u64,
             self.space.clock().now(),
         );
         meta.pinned = report.pinned;
         meta.prefetched = prefetched;
-        self.lock(key).install(key, bytes, meta, 0, content_sig);
+        self.lock(key).install(key, bytes, meta, content_sig);
     }
 
     /// Pulls collection siblings of `doc` into the cache after a miss.

@@ -9,45 +9,21 @@ pub(super) struct PlanLease {
     /// chain, validated against the base document's chain epoch on every
     /// use — reusing it saves one middleware hop per walk.
     chain: Arc<BaseChainLease>,
-    /// The provider rendition last fetched through this lease, when the
-    /// provider could hand out a verifier for it.
-    root: Option<RootLease>,
+    /// The provider rendition last fetched through this lease.
+    root: Option<Root>,
 }
 
-/// A verifier-guarded root content signature: "the provider bytes still
-/// digest to `sig`", as attested by `verifier`. The verifier is captured
-/// *before* the bytes it covers are fetched, so a write landing between
-/// capture and fetch reads as `Invalid` (a wasted refetch) — never as
-/// `Valid` over stale bytes.
-struct RootLease {
-    sig: Signature,
-    verifier: Box<dyn Verifier>,
-}
-
-/// One staged walk in progress: the pipeline, the report it accrues, and
-/// what the walk has learned about the provider root.
-struct Walk<'p> {
-    plan: &'p TransformPlan,
-    pipeline: StagePipeline<'p>,
-    report: PathReport,
-    /// Set once this walk fetched the provider bytes.
-    fetched_root: Option<FetchedRoot>,
-    /// Whether any stage was adopted (resident or coalesced) instead of
-    /// executed.
-    any_hit: bool,
-}
-
-/// What a provider fetch leaves behind besides the bytes: their digest,
-/// and the provider's verifier over them when it hands one out. The
-/// verifier is captured *before* the fetch: a write landing in between
-/// reads as `Invalid` next time (a wasted refetch), never as `Valid` over
-/// stale bytes.
-struct FetchedRoot {
+/// A provider rendition as a walk knows it: the digest of its bytes and
+/// the provider's verifier over them, when it hands one out — "the
+/// provider bytes still digest to `sig`". The verifier is captured
+/// *before* the fetch, so a write landing in between reads as `Invalid`
+/// next time (a wasted refetch), never as `Valid` over stale bytes.
+struct Root {
     sig: Signature,
     verifier: Option<Box<dyn Verifier>>,
 }
 
-impl FetchedRoot {
+impl Root {
     /// Fetches the provider bytes, folding their digest in the same pass.
     fn fetch(plan: &TransformPlan, clock: &VirtualClock) -> Result<(Bytes, Self)> {
         let verifier = plan.provider.make_verifier(clock);
@@ -57,27 +33,55 @@ impl FetchedRoot {
     }
 }
 
+/// One staged walk in progress: the pipeline, the report it accrues, and
+/// what the walk has learned about the provider root.
+struct Walk<'p> {
+    plan: &'p TransformPlan,
+    pipeline: StagePipeline<'p>,
+    report: PathReport,
+    /// The signatures of the signed prefix ([`TransformPlan::signed_prefix`]),
+    /// chained on the root the pipeline is anchored on.
+    sigs: Vec<Signature>,
+    /// Set once this walk fetched the provider bytes.
+    fetched_root: Option<Root>,
+    /// Whether any stage was adopted (resident or coalesced) instead of
+    /// executed.
+    any_hit: bool,
+    /// The marginal replacement cost of the output the pipeline holds:
+    /// what a walk would redo were it missing — every stage since the last
+    /// output left resident, and the provider fetch while there is none.
+    redo_micros: u64,
+}
+
 impl Walk<'_> {
     /// Ensures the pipeline holds real bytes, fetching the provider root
     /// when a lease-anchored walk reaches a point that needs content. The
-    /// pipeline can only be byteless at the chain head (every processed
-    /// stage leaves bytes behind), so when the fetched digest contradicts
-    /// the leased signature — the lease lost its race with a writer
-    /// between the verifier probe and this fetch — rebasing the pipeline
-    /// on the real root is a clean restart of the walk, not a mid-chain
-    /// splice.
+    /// pipeline can only be byteless at the chain head, so when the
+    /// fetched digest contradicts the leased signature — the lease lost
+    /// its race with a writer between the verifier probe and this fetch —
+    /// rebasing on the real root is a clean restart of the walk, prefix
+    /// signatures included, not a mid-chain splice.
     fn materialize_root(&mut self, clock: &VirtualClock) -> Result<()> {
         if self.pipeline.has_bytes() {
             return Ok(());
         }
-        let (bytes, root) = FetchedRoot::fetch(self.plan, clock)?;
+        let (bytes, root) = Root::fetch(self.plan, clock)?;
         if root.sig == self.pipeline.chain_signature() {
             self.pipeline.supply_root(bytes);
         } else {
             self.pipeline = StagePipeline::from_root(self.plan, bytes, root.sig);
+            self.sigs = self.plan.signed_prefix(root.sig);
         }
         self.fetched_root = Some(root);
         Ok(())
+    }
+
+    /// Stage `index`'s addressing signature: read off the prefix, or — past
+    /// the first opaque stage — chained on what the pipeline holds. `None`
+    /// for an opaque stage.
+    fn stage_sig(&self, index: usize) -> Option<Signature> {
+        let known = self.sigs.get(index).copied();
+        known.or_else(|| self.pipeline.stage_signature(index))
     }
 }
 
@@ -86,50 +90,35 @@ impl DocumentCache {
     /// overload control supplied a deadline instant): a walk whose
     /// budget already lapsed is shed instead of computing doomed stages.
     fn check_stage_budget(&self, ctx: FetchCtx, clock: &VirtualClock) -> Result<()> {
-        if ctx
-            .deadline_at
-            .is_some_and(|deadline| clock.now() >= deadline)
-        {
-            return Err(self.shed(ctx.priority));
+        match ctx.deadline_at {
+            Some(deadline) if clock.now() >= deadline => Err(self.shed(ctx.priority)),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
-    /// Walks the compiled [`TransformPlan`] through a
-    /// [`StagePipeline`], streaming each executed stage in one chunked
-    /// pass (output digest folded as the chunks flow) and skipping stages
-    /// whose output is already resident under its stage signature.
+    /// Walks the compiled [`TransformPlan`] through a [`StagePipeline`],
+    /// starting **where the cache already is**: stage signatures chain on
+    /// signatures, not bytes, so the walk knows the signed prefix's up
+    /// front, adopts the deepest stage whose output is resident
+    /// ([`Self::adopt_deepest`]) and executes only what lies after it.
     ///
     /// Two leases make the repeat walk cheap. The **chain lease** is the
-    /// space's compiled view of the base half of the property chain,
-    /// validated against the base document's chain epoch inside
-    /// [`DocumentSpace::read_plan_cached`] — reusing it saves one
-    /// middleware hop. The **root lease** is the provider content
-    /// signature captured at the last fetch, guarded by the provider's
-    /// own verifier: the verifier runs on *every* use (this is the
-    /// lease's soundness condition, not `run_verifiers` freshness
-    /// policy), and only `Valid` lets the walk anchor its signature chain
-    /// on the leased digest without refetching the provider bytes at all.
-    /// A walk that never executes a stage — every signed stage hits —
-    /// then never materializes the root. Stale intermediates are never
-    /// served either way: a stage hit is *proof* that the resident
-    /// intermediate was derived from exactly the attested source bytes by
-    /// exactly this transform prefix. Skipped stages do not charge the
-    /// virtual clock (that is the saving) but still accrue their
-    /// replacement cost and still register their path metadata (votes,
-    /// verifiers, pins) via a lazy dummy wrap.
+    /// space's compiled view of the base half of the chain, validated
+    /// against the document's chain epoch inside
+    /// [`DocumentSpace::read_plan_cached`]. The **root lease** is the
+    /// provider content signature captured at the last fetch; the
+    /// provider's own verifier runs on *every* use (the lease's soundness
+    /// condition, not `run_verifiers` freshness policy), and only `Valid`
+    /// lets the walk anchor on the leased digest without refetching. A
+    /// walk that never executes the chain head never materializes the
+    /// root. Stale intermediates are never served either way: a stage hit
+    /// is *proof* that the resident output was derived from exactly the
+    /// attested source bytes by exactly this transform prefix.
     ///
-    /// A stage that is neither resident nor being computed opens a
-    /// **stage flight** keyed by its signature; threads
-    /// that miss the same `(doc, stage)` signature while it is open wait
-    /// for the leader and account the shared output as a stage hit plus a
-    /// coalesced wait. Identical signatures imply identical input bytes
-    /// and transform prefix, so the leader's output is byte-for-byte what
-    /// every waiter's walk would have computed.
-    ///
-    /// Returns the bytes, the report, whether any stage hit (resident or
-    /// coalesced), and the final content digest when the walk knows it
-    /// (spares the install path a full re-hash).
+    /// A stage that is neither resident nor being computed opens a **stage
+    /// flight** keyed by its signature; threads that miss the same
+    /// signature meanwhile wait for the leader and adopt its output, which
+    /// is byte for byte what their own walk would have computed.
     pub(super) fn read_through_stages(
         &self,
         user: UserId,
@@ -137,56 +126,17 @@ impl DocumentCache {
         clock: &VirtualClock,
         ctx: FetchCtx,
     ) -> Result<Fetched> {
-        // Lease probe. The root half is consumed only if its verifier —
-        // charged to this walk — still vouches for the leased signature.
-        let (chain_lease, root_sig) = {
-            let mut leases = self.leases.lock();
-            match leases.get_mut(&doc) {
-                Some(lease) => {
-                    let chain = Arc::clone(&lease.chain);
-                    let root = lease.root.as_ref().and_then(|root| {
-                        let cost = root.verifier.cost_micros();
-                        clock.advance(cost);
-                        let cell = self.cell(EntryKey::Version(doc, user));
-                        AtomicCacheStats::add(&cell.verify_micros, cost);
-                        (root.verifier.check(clock) == Validity::Valid).then_some(root.sig)
-                    });
-                    if root.is_none() {
-                        lease.root = None;
-                    }
-                    (Some(chain), root)
-                }
-                None => (None, None),
-            }
-        };
+        let (chain_lease, root_sig) = self.probe_lease(user, doc, clock);
         let (plan, chain_lease, _chain_reused) =
             self.space
                 .read_plan_cached(user, doc, chain_lease.as_ref())?;
-        let report = plan.seed_report(clock);
-        // The walk anchors either on the verified root signature (no
-        // fetch, no bytes until a stage actually needs them) or on freshly
-        // fetched provider bytes.
-        let (pipeline, fetched_root) = match root_sig {
-            Some(sig) => {
-                AtomicCacheStats::bump(&self.stats.root_reuses);
-                (StagePipeline::from_signature(&plan, sig), None)
-            }
-            None => {
-                let (bytes, root) = FetchedRoot::fetch(&plan, clock)?;
-                (StagePipeline::from_root(&plan, bytes, root.sig), Some(root))
-            }
-        };
-        let mut walk = Walk {
-            plan: &plan,
-            pipeline,
-            report,
-            fetched_root,
-            any_hit: false,
-        };
-        for index in 0..plan.len() {
-            // Every expensive step checks remaining budget first: a walk
-            // whose deadline lapsed mid-chain is shed before executing
-            // (or even looking up) the next stage.
+        let mut walk = self.anchor(&plan, root_sig, clock)?;
+        // Every expensive step checks remaining budget first: a walk
+        // whose deadline lapsed is shed before executing (or even
+        // looking up) the next stage.
+        self.check_stage_budget(ctx, clock)?;
+        let resume = self.adopt_deepest(&mut walk, clock)?;
+        for index in resume..plan.len() {
             self.check_stage_budget(ctx, clock)?;
             self.walk_stage(&mut walk, clock, index)?;
         }
@@ -196,41 +146,131 @@ impl DocumentCache {
         // A walk whose every stage hit never needed the root — until now:
         // the caller wants the final content.
         walk.materialize_root(clock)?;
+        // Priced like every output of the walk. A chain that ends on a
+        // stage left resident makes the rendition an alias of that entry,
+        // free to lose; a chain with none costs its whole path.
+        let cost_micros = walk.redo_micros as f64 * walk.report.cost.inflation();
         let (bytes, content_sig) = walk.pipeline.finish();
-        let bytes = bytes.expect("pipeline bytes materialized after the walk");
-        // Refresh the lease for the next walk: the chain half always (it
-        // is epoch-validated on use), the root half only when this walk
-        // fetched the provider bytes and could capture a verifier over
-        // them (a fetch with no verifier clears any stale root lease).
-        {
-            let mut leases = self.leases.lock();
-            let lease = leases.entry(doc).or_insert_with(|| PlanLease {
-                chain: Arc::clone(&chain_lease),
-                root: None,
-            });
-            lease.chain = chain_lease;
-            if let Some(FetchedRoot { sig, verifier }) = walk.fetched_root {
-                lease.root = verifier.map(|verifier| RootLease { sig, verifier });
-            }
-        }
+        self.refresh_lease(doc, chain_lease, walk.fetched_root);
         Ok(Fetched {
-            bytes,
+            bytes: bytes.expect("pipeline bytes materialized after the walk"),
             report: walk.report,
             stage_partial: walk.any_hit,
             content_sig,
+            cost_micros,
         })
+    }
+
+    /// Lease probe: `doc`'s chain lease, and its leased root signature if
+    /// the root's verifier — charged to this walk — still vouches for it.
+    /// A root nothing vouches for is dropped.
+    fn probe_lease(
+        &self,
+        user: UserId,
+        doc: DocumentId,
+        clock: &VirtualClock,
+    ) -> (Option<Arc<BaseChainLease>>, Option<Signature>) {
+        let mut leases = self.leases.lock();
+        let Some(lease) = leases.get_mut(&doc) else {
+            return (None, None);
+        };
+        let root = lease.root.as_ref().and_then(|root| {
+            let verifier = root.verifier.as_ref()?;
+            let cost = verifier.cost_micros();
+            clock.advance(cost);
+            let cell = self.cell(EntryKey::Version(doc, user));
+            AtomicCacheStats::add(&cell.verify_micros, cost);
+            (verifier.check(clock) == Validity::Valid).then_some(root.sig)
+        });
+        if root.is_none() {
+            lease.root = None;
+        }
+        (Some(Arc::clone(&lease.chain)), root)
+    }
+
+    /// Anchors a walk either on the verified root signature (no fetch, no
+    /// bytes until a stage actually needs them) or on freshly fetched
+    /// provider bytes, with the prefix signatures chained on that root.
+    fn anchor<'p>(
+        &self,
+        plan: &'p TransformPlan,
+        root_sig: Option<Signature>,
+        clock: &VirtualClock,
+    ) -> Result<Walk<'p>> {
+        let report = plan.seed_report(clock);
+        let (pipeline, fetched_root) = match root_sig {
+            Some(sig) => {
+                AtomicCacheStats::bump(&self.stats.root_reuses);
+                (StagePipeline::from_signature(plan, sig), None)
+            }
+            None => {
+                let (bytes, root) = Root::fetch(plan, clock)?;
+                (StagePipeline::from_root(plan, bytes, root.sig), Some(root))
+            }
+        };
+        Ok(Walk {
+            plan,
+            sigs: plan.signed_prefix(pipeline.chain_signature()),
+            pipeline,
+            report,
+            fetched_root,
+            any_hit: false,
+            redo_micros: plan.provider.fetch_cost_micros(),
+        })
+    }
+
+    /// Probes the signed prefix for residency **deepest stage first** and
+    /// adopts the first output found, so nothing before it is fetched,
+    /// executed, digested or stored only to be thrown away by a hit
+    /// further down. The stages skipped over register their path metadata
+    /// exactly as a hit does ([`TransformPlan::note_stage_hit`]) and count
+    /// as stage hits, but touch no shard, policy or clock: only the
+    /// adopted entry's credit is refreshed. Returns the index the forward
+    /// walk resumes at (0 when nothing is resident).
+    fn adopt_deepest(&self, walk: &mut Walk<'_>, clock: &VirtualClock) -> Result<usize> {
+        let Some((depth, bytes, content_sig)) = (0..walk.sigs.len()).rev().find_map(|depth| {
+            let (bytes, content_sig) = self.stage_lookup(walk.sigs[depth])?;
+            Some((depth, bytes, content_sig))
+        }) else {
+            return Ok(0);
+        };
+        for skipped in 0..depth {
+            walk.plan
+                .note_stage_hit(clock, skipped, &mut walk.report, walk.sigs[skipped], 0)?;
+            AtomicCacheStats::bump(&self.stats.stage_hits);
+        }
+        let sig = walk.sigs[depth];
+        self.adopt_stage(walk, clock, depth, sig, bytes, Some(content_sig))?;
+        Ok(depth + 1)
+    }
+
+    /// Refreshes `doc`'s lease for the next walk: the chain half always
+    /// (it is epoch-validated on use), the root half when this walk
+    /// fetched the provider bytes (a fetch the provider gave no verifier
+    /// for replaces a stale root with one the next probe drops).
+    fn refresh_lease(&self, doc: DocumentId, chain: Arc<BaseChainLease>, root: Option<Root>) {
+        let mut leases = self.leases.lock();
+        if let Some(lease) = leases.get_mut(&doc) {
+            lease.chain = chain;
+            lease.root = root.or(lease.root.take());
+        } else {
+            leases.insert(doc, PlanLease { chain, root });
+        }
     }
 
     /// Advances the walk over stage `index`: adopts its output when it is
     /// resident or another thread is computing it, executes it otherwise.
     fn walk_stage(&self, walk: &mut Walk<'_>, clock: &VirtualClock, index: usize) -> Result<()> {
-        let Some(stage_sig) = walk.pipeline.stage_signature(index) else {
+        let Some(stage_sig) = walk.stage_sig(index) else {
             // Opaque stage: executes on every read; the pipeline restarts
             // the signature chain from its actual output digest, so
             // downstream stages stay cacheable.
             walk.materialize_root(clock)?;
-            walk.pipeline.execute(clock, index, &mut walk.report)?;
-            return Ok(());
+            walk.redo_micros += walk.plan.stages[index].cost_micros;
+            let (pipeline, report) = (&mut walk.pipeline, &mut walk.report);
+            return pipeline
+                .execute_signed(clock, index, report, None)
+                .map(drop);
         };
         if let Some((cached, content_sig)) = self.stage_lookup(stage_sig) {
             return self.adopt_stage(walk, clock, index, stage_sig, cached, Some(content_sig));
@@ -240,38 +280,21 @@ impl DocumentCache {
                 // Re-check residency under leadership: a previous flight
                 // may have filled this signature between our lookup and
                 // now.
-                if let Some((cached, content_sig)) = self.stage_lookup(stage_sig) {
-                    let shared = cached.clone();
-                    self.adopt_stage(walk, clock, index, stage_sig, cached, Some(content_sig))?;
-                    guard.complete(FlightResult::Shared {
-                        bytes: shared,
+                let led = match self.stage_lookup(stage_sig) {
+                    Some((cached, sig)) => self
+                        .adopt_stage(walk, clock, index, stage_sig, cached.clone(), Some(sig))
+                        .map(|()| Some(cached)),
+                    None => self.run_and_fill_stage(walk, clock, index, stage_sig),
+                };
+                guard.complete(match &led {
+                    Ok(Some(bytes)) => FlightResult::Shared {
+                        bytes: bytes.clone(),
                         forward: false,
-                    });
-                    return Ok(());
-                }
-                match self.run_and_fill_stage(walk, clock, index) {
-                    Ok((output, executed_sig)) => {
-                        // Uncacheable content must execute per read; a
-                        // rebased walk (stale root lease) computed
-                        // something else than this flight promised.
-                        // Either way waiters run their own.
-                        let unshared = walk.report.cacheability == Cacheability::Uncacheable
-                            || executed_sig != stage_sig;
-                        guard.complete(if unshared {
-                            FlightResult::Unshared
-                        } else {
-                            FlightResult::Shared {
-                                bytes: output,
-                                forward: false,
-                            }
-                        });
-                        Ok(())
-                    }
-                    Err(error) => {
-                        guard.complete(FlightResult::Failed(error.clone()));
-                        Err(error)
-                    }
-                }
+                    },
+                    Ok(None) => FlightResult::Unshared,
+                    Err(error) => FlightResult::Failed(error.clone()),
+                });
+                led.map(|_| ())
             }
             Join::Waited(Some(FlightResult::Shared { bytes, .. })) => {
                 self.adopt_stage(walk, clock, index, stage_sig, bytes, None)?;
@@ -285,9 +308,9 @@ impl DocumentCache {
                 AtomicCacheStats::bump(&self.stats.coalesced_waits);
                 Err(error)
             }
-            Join::Waited(Some(FlightResult::Unshared)) | Join::Waited(None) => {
-                self.run_and_fill_stage(walk, clock, index).map(|_| ())
-            }
+            Join::Waited(Some(FlightResult::Unshared)) | Join::Waited(None) => self
+                .run_and_fill_stage(walk, clock, index, stage_sig)
+                .map(|_| ()),
         }
     }
 
@@ -302,54 +325,49 @@ impl DocumentCache {
         bytes: Bytes,
         content_sig: Option<Signature>,
     ) -> Result<()> {
-        walk.pipeline.adopt_hit(
-            clock,
-            index,
-            &mut walk.report,
-            stage_sig,
-            bytes,
-            content_sig,
-        )?;
+        let (pipeline, report) = (&mut walk.pipeline, &mut walk.report);
+        pipeline.adopt_hit(clock, index, report, stage_sig, bytes, content_sig)?;
         AtomicCacheStats::bump(&self.stats.stage_hits);
         walk.any_hit = true;
+        walk.redo_micros = 0;
         Ok(())
     }
 
     /// Executes one signed stage through the pipeline and retains its
-    /// output — the plain, uncoalesced stage miss path. Returns the bytes
-    /// and the signature the stage actually executed under; the latter
-    /// differs from the caller's expectation only when materializing the
-    /// root rebased the walk onto a newer provider rendition.
+    /// output — the plain, uncoalesced stage miss path. Returns the output
+    /// when it is what a flight on `stage_sig` may share: not when the
+    /// content is uncacheable (it must execute per read), nor when
+    /// materializing the root rebased the walk onto a newer provider
+    /// rendition, so that the stage ran under another signature.
     fn run_and_fill_stage(
         &self,
         walk: &mut Walk<'_>,
         clock: &VirtualClock,
         index: usize,
-    ) -> Result<(Bytes, Signature)> {
+        stage_sig: Signature,
+    ) -> Result<Option<Bytes>> {
         walk.materialize_root(clock)?;
-        let stage_sig = walk
-            .pipeline
-            .stage_signature(index)
-            .expect("run_and_fill_stage is only called for signed stages");
-        let output = walk.pipeline.execute(clock, index, &mut walk.report)?;
-        if walk.report.cacheability != Cacheability::Uncacheable {
-            // Replacement cost = everything it would take to rebuild this
-            // intermediate: provider fetch plus the chain prefix up to and
-            // including this stage.
-            self.fill_stage(
-                stage_sig,
-                output.bytes.clone(),
-                output.content_sig,
-                walk.report.cost.effective_micros(),
-            );
+        // Only a walk still at the chain head can have been rebased, and
+        // the head of a signed chain lies in the prefix.
+        let executed_sig = walk.sigs.get(index).copied().unwrap_or(stage_sig);
+        let (pipeline, report) = (&mut walk.pipeline, &mut walk.report);
+        let output = pipeline.execute_signed(clock, index, report, Some(executed_sig))?;
+        walk.redo_micros += walk.plan.stages[index].cost_micros;
+        if report.cacheability == Cacheability::Uncacheable {
+            return Ok(None);
         }
-        Ok((output.bytes, stage_sig))
+        // With its input resident, losing this output makes a walk redo
+        // this stage alone (and the fetch, when the input is the root).
+        let cost = walk.redo_micros as f64 * report.cost.inflation();
+        if self.fill_stage(executed_sig, output.bytes.clone(), output.content_sig, cost) {
+            walk.redo_micros = 0;
+        }
+        Ok((executed_sig == stage_sig).then_some(output.bytes))
     }
 
     /// Looks up an intermediate stage entry, registering the hit with the
     /// entry's shard policy. Briefly shares one shard lock. Returns the
-    /// bytes together with their stored content digest, so the pipeline
-    /// can carry the digest forward without re-hashing.
+    /// bytes with their stored content digest, for the pipeline to carry.
     fn stage_lookup(&self, sig: Signature) -> Option<(Bytes, Signature)> {
         let key = EntryKey::Stage(sig);
         // Stage entries are content-addressed and carry no verifiers:
@@ -364,23 +382,21 @@ impl DocumentCache {
     }
 
     /// Inserts an intermediate stage output under its stage signature,
-    /// competing for residency like any other entry but tagged
-    /// [`STAGE_PIN_LEVEL`] so cost-aware policies discount it.
-    /// `content_sig` is the output's already-computed digest (the
-    /// streaming executor folds it as the chunks flow), sparing the
-    /// install a second full pass over the bytes.
-    fn fill_stage(&self, sig: Signature, bytes: Bytes, content_sig: Signature, cost: f64) {
+    /// competing for residency like any other entry at `cost`, its
+    /// marginal replacement cost. `content_sig` is the digest the
+    /// streaming executor folded as the chunks flowed. Returns whether the
+    /// output is resident afterwards.
+    fn fill_stage(&self, sig: Signature, bytes: Bytes, content_sig: Signature, cost: f64) -> bool {
         // Brownout rung 2: under sustained pressure the output is still
-        // computed and served, but not persisted — stage-cache churn is
-        // pure overhead when the cache is fighting for its life.
+        // computed and served, but not persisted.
         if self.brownout_level().skips_stage_fills() {
-            return;
+            return false;
         }
         let key = EntryKey::Stage(sig);
         let mut shard = self.lock(key);
         // Content-addressed: an existing binding is already this content.
         if shard.contains(key) {
-            return;
+            return true;
         }
         let meta = EntryMeta::new(
             Vec::new(),
@@ -389,6 +405,7 @@ impl DocumentCache {
             bytes.len() as u64,
             self.space.clock().now(),
         );
-        shard.install(key, bytes, meta, STAGE_PIN_LEVEL, Some(content_sig));
+        shard.install(key, bytes, meta, Some(content_sig));
+        shard.contains(key)
     }
 }

@@ -19,7 +19,7 @@
 //! orphaned by a removal or re-insert are skipped when they surface and
 //! swept once they outnumber the live ones.
 
-use super::{EntryAttrs, EntryKey, ReplacementPolicy, STAGE_COST_DISCOUNT, STAGE_PIN_LEVEL};
+use super::{EntryAttrs, EntryKey, ReplacementPolicy};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -145,18 +145,11 @@ impl<const FREQUENCY: bool> ReplacementPolicy for GreedyDual<FREQUENCY> {
             Some(tracked) if FREQUENCY => tracked.frequency,
             _ => 1,
         };
-        // Intermediate stage entries are rebuildable from any final read:
-        // discount their cost so they lose ties against final versions.
-        let cost = if attrs.pin_level == STAGE_PIN_LEVEL {
-            attrs.cost * STAGE_COST_DISCOUNT
-        } else {
-            attrs.cost
-        };
         let generation = self.next_generation;
         self.next_generation += 1;
         let mut tracked = Tracked {
             size: attrs.size,
-            cost,
+            cost: attrs.cost,
             frequency,
             credit: 0.0,
             generation,

@@ -61,52 +61,28 @@ impl EntryKey {
     }
 }
 
-/// The [`EntryAttrs::pin_level`] tagging intermediate stage entries, so
-/// cost-aware policies can recognise them and trade them off against final
-/// versions (they are cheaper to lose: any final read can rebuild them).
-pub const STAGE_PIN_LEVEL: u8 = 1;
-
-/// Cost discount the Greedy-Dual policies apply to entries tagged
-/// [`STAGE_PIN_LEVEL`]. Losing an intermediate entry costs one partial
-/// re-execution on the *next* miss, not a user-visible full-chain replay,
-/// so at equal cost/size a stage entry should be evicted before a final
-/// version.
-pub const STAGE_COST_DISCOUNT: f64 = 0.5;
-
 /// Attributes of an entry at insert time, as seen by a replacement policy.
 ///
-/// Marked `#[non_exhaustive]` so new signals (e.g. QoS pin levels) can be
-/// added without breaking policy implementations: construct via
-/// [`EntryAttrs::new`] and read the fields you care about.
+/// Marked `#[non_exhaustive]` so new signals can be added without
+/// breaking policy implementations: construct via [`EntryAttrs::new`] and
+/// read the fields you care about.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EntryAttrs {
     /// Content size in bytes.
     pub size: u64,
     /// Replacement cost: simulated microseconds to re-produce the content
-    /// (bit-provider fetch plus active-property work).
+    /// were this entry alone missing (bit-provider fetch plus
+    /// active-property work on the opaque path; the stages a walk would
+    /// redo on the staged one).
     pub cost: f64,
-    /// QoS pin level; 0 means unpinned. Reserved for collection-level
-    /// quality-of-service: fully pinned entries never reach a policy, but
-    /// intermediate levels may in the future bias eviction order.
-    pub pin_level: u8,
 }
 
 impl EntryAttrs {
-    /// Attributes for an unpinned entry of `size` bytes costing `cost`
-    /// simulated microseconds to reproduce.
+    /// Attributes for an entry of `size` bytes costing `cost` simulated
+    /// microseconds to reproduce.
     pub fn new(size: u64, cost: f64) -> Self {
-        Self {
-            size,
-            cost,
-            pin_level: 0,
-        }
-    }
-
-    /// Sets the QoS pin level.
-    pub fn with_pin_level(mut self, level: u8) -> Self {
-        self.pin_level = level;
-        self
+        Self { size, cost }
     }
 }
 
@@ -284,15 +260,6 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 0, "instances must not share state");
         assert!(PolicyFactory::by_name("nope").is_err());
-    }
-
-    #[test]
-    fn entry_attrs_defaults_unpinned() {
-        let attrs = EntryAttrs::new(64, 2.5);
-        assert_eq!(attrs.size, 64);
-        assert_eq!(attrs.cost, 2.5);
-        assert_eq!(attrs.pin_level, 0);
-        assert_eq!(attrs.with_pin_level(3).pin_level, 3);
     }
 
     /// Every policy must satisfy the basic contract: inserts are tracked,

@@ -110,16 +110,18 @@ impl Resident {
 pub(crate) struct Shard {
     /// Boxed so a table slot is a key and a pointer (32 bytes, a third of
     /// an inline entry): the table's spare capacity, every rehash on
-    /// growth, and the whole-table walks that remain (`stage_len`,
-    /// `demote_after_gap`) are all paid per slot.
+    /// growth, and the one whole-table walk that remains
+    /// (`demote_after_gap`) are all paid per slot.
     entries: HashMap<EntryKey, Box<Resident>>,
     /// The users with a resident version of each document *in this
     /// shard*: `user ∈ versions[doc]` exactly when `Version(doc, user)` is
     /// a key of `entries`, and a document with none has no set. Only
     /// [`Shard::insert`] and [`Shard::take`] change either map. Stage
     /// entries belong to no document ([`EntryKey::doc`]) and are not
-    /// indexed.
+    /// indexed, only counted.
     versions: HashMap<DocumentId, HashSet<UserId>>,
+    /// How many keys of `entries` are stages; moved by the same two.
+    stages: usize,
     /// Behind a leaf mutex so a hit can tell it under the *shared* shard
     /// lock; an exclusive holder goes through `get_mut`, no lock.
     policy: Mutex<Box<dyn ReplacementPolicy>>,
@@ -131,8 +133,11 @@ pub(crate) struct Shard {
 impl Shard {
     /// Puts `entry` in the table under `key`, which must not be resident.
     fn insert(&mut self, key: EntryKey, entry: Box<Resident>) {
-        if let EntryKey::Version(doc, user) = key {
-            self.versions.entry(doc).or_default().insert(user);
+        match key {
+            EntryKey::Version(doc, user) => {
+                self.versions.entry(doc).or_default().insert(user);
+            }
+            EntryKey::Stage(_) => self.stages += 1,
         }
         let displaced = self.entries.insert(key, entry);
         debug_assert!(displaced.is_none(), "{key:?} was already resident");
@@ -142,13 +147,16 @@ impl Shard {
     /// number of resident versions of the document.
     fn take(&mut self, key: EntryKey) -> Option<Box<Resident>> {
         let entry = self.entries.remove(&key)?;
-        if let EntryKey::Version(doc, user) = key {
-            if let Entry::Occupied(mut users) = self.versions.entry(doc) {
-                users.get_mut().remove(&user);
-                if users.get().is_empty() {
-                    users.remove();
+        match key {
+            EntryKey::Version(doc, user) => {
+                if let Entry::Occupied(mut users) = self.versions.entry(doc) {
+                    users.get_mut().remove(&user);
+                    if users.get().is_empty() {
+                        users.remove();
+                    }
                 }
             }
+            EntryKey::Stage(_) => self.stages -= 1,
         }
         Some(entry)
     }
@@ -210,6 +218,7 @@ impl ShardTable {
                     RwLock::new(Shard {
                         entries: HashMap::new(),
                         versions: HashMap::new(),
+                        stages: 0,
                         policy: Mutex::new(policy.build()),
                         dirty: HashMap::new(),
                     })
@@ -326,7 +335,7 @@ impl<'a, G: Deref<Target = Shard>> ShardGuard<'a, G> {
 
     /// Returns the number of resident intermediate stage entries.
     pub(crate) fn stage_len(&self) -> usize {
-        self.shard.entries.keys().filter(|k| k.is_stage()).count()
+        self.shard.stages
     }
 
     pub(crate) fn contains(&self, key: EntryKey) -> bool {
@@ -481,13 +490,12 @@ impl ShardGuard<'_> {
         key: EntryKey,
         bytes: Bytes,
         meta: EntryMeta,
-        pin_level: u8,
         known_sig: Option<Signature>,
     ) {
         // A re-fill over an existing binding releases the old content;
         // the policy keeps the key, and `on_insert` below refreshes it.
         self.remove(key, Removal::Evicted);
-        let attrs = EntryAttrs::new(meta.size, meta.cost_micros).with_pin_level(pin_level);
+        let attrs = EntryAttrs::new(meta.size, meta.cost_micros);
         if meta.pinned {
             // Pinned entries never enter the policy, so they can never be
             // chosen as eviction victims.
@@ -704,6 +712,8 @@ mod tests {
                     versions_by_walk(&guard.shard),
                     "after step {step}"
                 );
+                let stages = guard.shard.entries.keys().filter(|k| k.is_stage());
+                assert_eq!(guard.stage_len(), stages.count(), "after step {step}");
             }
         };
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -745,7 +755,7 @@ mod tests {
                     } else {
                         version
                     };
-                    table.lock(key, &stats).install(key, body, meta, 0, None);
+                    table.lock(key, &stats).install(key, body, meta, None);
                 }
             }
             agree(step);

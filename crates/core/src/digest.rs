@@ -98,7 +98,8 @@ impl Md5 {
         }
     }
 
-    /// Absorbs `data`.
+    /// Absorbs `data`. Whole blocks are compressed where they lie; only a
+    /// trailing partial block is copied, into the context's buffer.
     pub fn update(&mut self, mut data: &[u8]) {
         self.length_bytes = self.length_bytes.wrapping_add(data.len() as u64);
         if self.buffered > 0 {
@@ -106,76 +107,73 @@ impl Md5 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        while let Some((block, rest)) = data.split_first_chunk::<64>() {
+            compress(&mut self.state, block);
+            data = rest;
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        self.buffer[..data.len()].copy_from_slice(data);
+        self.buffered = data.len();
     }
 
     /// Finishes the digest.
     pub fn finalize(mut self) -> Signature {
         let bit_len = self.length_bytes.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 8 bytes remain in the block.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        // Length is appended directly (bypassing the length counter).
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_le_bytes());
-        self.compress(&block.clone());
+        // Padding in one write: 0x80, zeros until 8 bytes remain in a
+        // block, then the message length in bits.
+        let zeros_end = if self.buffered < 56 { 56 } else { 120 } - self.buffered;
+        let mut tail = [0u8; 72];
+        tail[0] = 0x80;
+        tail[zeros_end..zeros_end + 8].copy_from_slice(&bit_len.to_le_bytes());
+        self.update(&tail[..zeros_end + 8]);
+        debug_assert_eq!(self.buffered, 0);
         let mut out = [0u8; 16];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
         }
         Signature(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut m = [0u32; 16];
-        for (i, word) in m.iter_mut().enumerate() {
-            *word = u32::from_le_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+/// One MD5 step: `b += rotl(a + f + k + m, s)`, then the registers rotate.
+#[inline(always)]
+fn step(regs: &mut [u32; 4], f: u32, i: usize, m: u32) {
+    let [a, b, c, d] = *regs;
+    let sum = a.wrapping_add(f).wrapping_add(K[i]).wrapping_add(m);
+    *regs = [d, b.wrapping_add(sum.rotate_left(S[i])), b, c];
+}
+
+/// Folds one 64-byte block into `state`. Four loops of sixteen steps, one
+/// per round function, so each unrolls with its message index constant.
+fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (word, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
+    }
+    let mut regs = *state;
+    for (i, &word) in m.iter().enumerate() {
+        let [_, b, c, d] = regs;
+        step(&mut regs, (b & c) | (!b & d), i, word);
+    }
+    for i in 16..32 {
+        let [_, b, c, d] = regs;
+        step(&mut regs, (d & b) | (!d & c), i, m[(5 * i + 1) % 16]);
+    }
+    for i in 32..48 {
+        let [_, b, c, d] = regs;
+        step(&mut regs, b ^ c ^ d, i, m[(3 * i + 5) % 16]);
+    }
+    for i in 48..64 {
+        let [_, b, c, d] = regs;
+        step(&mut regs, c ^ (b | !d), i, m[(7 * i) % 16]);
+    }
+    for (word, reg) in state.iter_mut().zip(regs) {
+        *word = word.wrapping_add(reg);
     }
 }
 
@@ -219,6 +217,27 @@ mod tests {
                 ctx.update(piece);
             }
             assert_eq!(ctx.finalize(), oneshot, "chunk size {chunk}");
+        }
+    }
+
+    /// Every padding shape (0x80 alone in its block, the length spilling
+    /// into a second block, …) on every buffered/whole-block split of
+    /// `update`, against an absorb that never sees two bytes together.
+    #[test]
+    fn every_short_length_matches_the_byte_at_a_time_path() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..=200 {
+            let data = &data[..len];
+            let by_chunks = |chunk: usize| {
+                let mut ctx = Md5::new();
+                data.chunks(chunk).for_each(|piece| ctx.update(piece));
+                ctx.finalize()
+            };
+            let bytewise = by_chunks(1);
+            assert_eq!(md5(data), bytewise, "len {len}, one shot");
+            for chunk in [63, 64, 65] {
+                assert_eq!(by_chunks(chunk), bytewise, "len {len}, chunks of {chunk}");
+            }
         }
     }
 

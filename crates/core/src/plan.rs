@@ -190,6 +190,22 @@ impl TransformPlan {
         Some(ctx.finalize())
     }
 
+    /// The stage signatures of the *signed prefix* chained on `root`: one
+    /// per leading stage, stopping at the first opaque one (whose successor
+    /// is addressed by its actual output, which only executing it yields).
+    /// The signatures chain on signatures, not on bytes, so a walk knows
+    /// where every stage of the prefix would be resident before it fetches
+    /// or executes anything.
+    pub fn signed_prefix(&self, root: Signature) -> Vec<Signature> {
+        let mut input = root;
+        (0..self.stages.len())
+            .map_while(|index| {
+                input = self.stage_signature(index, input)?;
+                Some(input)
+            })
+            .collect()
+    }
+
     /// Replays stage `index` as a read-path stream wrapper: charge the
     /// clock, accumulate the replacement cost, interpose the property's
     /// stream, record the execution.
@@ -474,11 +490,24 @@ impl<'p> StagePipeline<'p> {
         index: usize,
         report: &mut PathReport,
     ) -> Result<StageOutput> {
+        self.execute_signed(clock, index, report, self.stage_signature(index))
+    }
+
+    /// [`Self::execute`] for a caller that already holds the stage's
+    /// addressing signature (`None` for an opaque stage): the cache's walk
+    /// computes each signature once and looks it up before executing.
+    pub fn execute_signed(
+        &mut self,
+        clock: &VirtualClock,
+        index: usize,
+        report: &mut PathReport,
+        stage_sig: Option<Signature>,
+    ) -> Result<StageOutput> {
+        debug_assert_eq!(stage_sig, self.stage_signature(index));
         let input = self
             .bytes
             .clone()
             .expect("pipeline bytes materialized before execute");
-        let stage_sig = self.stage_signature(index);
         let out = self.plan.run_stage_streaming(
             clock,
             index,

@@ -50,6 +50,15 @@ stage "population independence + shared hit path (release)"
 cargo test -q --release "${CARGO_FLAGS[@]}" --test cache_manager -- independent_of hit_path
 cargo test -q --release "${CARGO_FLAGS[@]}" --test journal
 
+# The count gate of the staged walk: a seeded replay at half-corpus
+# capacity in which no read may execute a stage below a resident one, no
+# eviction may drop a stage name over held content, and stage executions
+# and origin fetches per read stay a quarter below what the front-to-back
+# walk cost. Counts, not time, so it would hold in the debug run above too;
+# it runs here in the build the benchmark measures, and alone.
+stage "staged walk under churn (release)"
+cargo test -q --release "${CARGO_FLAGS[@]}" --test stage_pipeline -- churn_replay
+
 # The experiments binary writes BENCH_*.json next to its working
 # directory. The smokes below run reduced parameters, so they run from
 # target/smoke/ and leave the committed full-size files in the repo root

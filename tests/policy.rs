@@ -4,7 +4,7 @@
 
 use placeless_cache::policy::{
     EntryAttrs, EntryKey, Fifo, GdsFrequency, GreedyDualSize, Lfu, Lru, ReplacementPolicy,
-    SizePolicy, STAGE_COST_DISCOUNT, STAGE_PIN_LEVEL,
+    SizePolicy,
 };
 use placeless_core::id::{DocumentId, UserId};
 use proptest::prelude::*;
@@ -101,20 +101,16 @@ mod gds {
     }
 
     #[test]
-    fn stage_entries_lose_ties_against_final_versions() {
+    fn a_free_alias_goes_before_the_stage_entry_it_aliases() {
+        // A chain that ends on a signed stage prices its rendition at
+        // nothing: whatever the stage cost, the alias is the victim.
         let mut gds = GreedyDualSize::new();
         let stage = EntryKey::Stage(placeless_core::digest::md5(b"stage"));
-        gds.on_insert(key(1), &EntryAttrs::new(100, 1_000.0));
-        gds.on_insert(
-            stage,
-            &EntryAttrs::new(100, 1_000.0).with_pin_level(STAGE_PIN_LEVEL),
-        );
-        assert_eq!(
-            gds.evict(),
-            Some(stage),
-            "equal cost/size: stage goes first"
-        );
+        gds.on_insert(stage, &EntryAttrs::new(100, 1_000.0));
+        gds.on_insert(key(1), &EntryAttrs::new(100, 0.0));
         assert_eq!(gds.evict(), Some(key(1)));
+        assert_eq!(gds.inflation(), 0.0, "losing an alias ages nothing");
+        assert_eq!(gds.evict(), Some(stage));
     }
 
     #[test]
@@ -333,13 +329,7 @@ impl PushPerHit {
             Some(&(_, _, frequency, _)) if self.frequency_aware => frequency,
             _ => 1,
         };
-        let cost = if self.cost_blind {
-            1.0
-        } else if attrs.pin_level == STAGE_PIN_LEVEL {
-            attrs.cost * STAGE_COST_DISCOUNT
-        } else {
-            attrs.cost
-        };
+        let cost = if self.cost_blind { 1.0 } else { attrs.cost };
         self.push(key, attrs.size, cost, frequency);
     }
 
@@ -368,12 +358,7 @@ impl PushPerHit {
 
 #[derive(Debug, Clone)]
 enum Step {
-    Insert {
-        key: u64,
-        size: u64,
-        cost: u32,
-        stage: bool,
-    },
+    Insert { key: u64, size: u64, cost: u32 },
     Hit(u64),
     Remove(u64),
     Evict,
@@ -386,14 +371,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     let cost = proptest::sample::select(vec![0u32, 1, 100, 100, 1_000, 50_000]);
     // Arms repeat as weights: hits outnumber everything, as in a cache.
     prop_oneof![
-        (key.clone(), size, cost, any::<bool>()).prop_map(|(key, size, cost, stage)| {
-            Step::Insert {
-                key,
-                size,
-                cost,
-                stage,
-            }
-        }),
+        (key.clone(), size, cost).prop_map(|(key, size, cost)| Step::Insert { key, size, cost }),
         key.clone().prop_map(Step::Hit),
         key.clone().prop_map(Step::Hit),
         key.clone().prop_map(Step::Hit),
@@ -411,14 +389,8 @@ fn agree_with_reference<P: ReplacementPolicy>(
 ) {
     for (at, step) in steps.into_iter().enumerate() {
         match step {
-            Step::Insert {
-                key: k,
-                size,
-                cost,
-                stage,
-            } => {
-                let level = if stage { STAGE_PIN_LEVEL } else { 0 };
-                let attrs = EntryAttrs::new(size, f64::from(cost)).with_pin_level(level);
+            Step::Insert { key: k, size, cost } => {
+                let attrs = EntryAttrs::new(size, f64::from(cost));
                 policy.on_insert(key(k), &attrs);
                 reference.on_insert(key(k), &attrs);
             }

@@ -68,12 +68,16 @@ fn cache_op_strategy() -> impl Strategy<Value = CacheOp> {
     ]
 }
 
-/// Every document carries one universal signed stage and one signed
-/// personal suffix per user, behind a write-through stage-caching cache
-/// of `capacity` bytes.
+/// Every document carries one universal signed stage and — with
+/// `personal` — one signed personal suffix per user, behind a
+/// write-through stage-caching cache of `capacity` bytes. Without the
+/// suffixes every user's version is the universal stage's output under
+/// another name: one content, one stage entry and up to three aliases
+/// holding it.
 fn staged_chain_world(
     shards: usize,
     capacity: u64,
+    personal: bool,
 ) -> (
     Arc<DocumentSpace>,
     Arc<DocumentCache>,
@@ -93,13 +97,12 @@ fn staged_chain_world(
                 if user != users[0] {
                     space.add_reference(user, doc).expect("doc exists");
                 }
-                space
-                    .attach_active(
-                        Scope::Personal(user),
-                        doc,
-                        TagProperty::new(&format!("u{}", user.0), 100),
-                    )
-                    .expect("reference exists");
+                if personal {
+                    let own = TagProperty::new(&format!("u{}", user.0), 100);
+                    space
+                        .attach_active(Scope::Personal(user), doc, own)
+                        .expect("reference exists");
+                }
             }
             doc
         })
@@ -166,14 +169,17 @@ proptest! {
     /// stage entries' references remain. Along the way every invalidation
     /// takes exactly the versions it covers — the per-document index and
     /// the table agree — with evictions interleaved (tiny budget) and with
-    /// every version resident (roomy budget).
+    /// every version resident (roomy budget), whether each version holds
+    /// content of its own (personal suffixes) or all of a document's
+    /// versions and its stage entry hold one content between them.
     #[test]
     fn refcounts_and_gauges_balance_through_the_public_api(
         shards in proptest::sample::select(vec![1usize, 4]),
         capacity in proptest::sample::select(vec![BALANCE_CAPACITY, ROOMY_CAPACITY]),
+        personal in any::<bool>(),
         ops in proptest::collection::vec(cache_op_strategy(), 0..80),
     ) {
-        let (space, cache, docs, users) = staged_chain_world(shards, capacity);
+        let (space, cache, docs, users) = staged_chain_world(shards, capacity, personal);
         for op in ops {
             let (len, notified) = (cache.len(), cache.stats().notifier_invalidations);
             let every_user_of = |doc: DocumentId| users.iter().map(move |&user| (user, doc)).collect();
@@ -216,6 +222,11 @@ proptest! {
             let (physical, logical) = cache.resident_bytes();
             prop_assert!(physical <= capacity, "{} over budget", physical);
             prop_assert!(physical <= logical);
+            if !personal && capacity == ROOMY_CAPACITY {
+                // Aliases add names, never bytes: what is stored is what
+                // the stage entries hold.
+                prop_assert_eq!(physical, cache.stats().stage_bytes);
+            }
         }
         for &doc in &docs {
             space.bus().post(Invalidation::Document(doc));

@@ -1,40 +1,58 @@
 //! End-to-end tests of the staged read path: byte parity with the plain
 //! path (opaque stages included), content-addressed invalidation via
-//! external epochs, and cacheability enforcement during the staged walk.
+//! external epochs, cacheability enforcement during the staged walk, and
+//! the walk's starting point — the deepest resident stage — with what that
+//! does under churn.
 
 use bytes::Bytes;
 use placeless::prelude::*;
+use placeless_cache::policy::{EntryAttrs, EntryKey, PolicyFactory, ReplacementPolicy};
 use placeless_core::cacheability::Cacheability;
+use placeless_core::digest::{md5, Signature};
 use placeless_core::error::Result as CoreResult;
 use placeless_core::event::{EventKind, Interests};
 use placeless_core::external::SimpleExternal;
 use placeless_core::property::{ActiveProperty, PathCtx, PathReport};
-use placeless_core::streams::{InputStream, TransformingInput};
+use placeless_core::streams::{InputStream, OutputStream, TransformingInput};
+use placeless_core::verifier::{ClosureVerifier, Validity, Verifier};
 use placeless_proplang::{ExtEnv, ScriptProperty};
-use std::sync::Arc;
+use placeless_simenv::trace::{lorem_bytes, TraceBuilder};
+use placeless_simenv::LatencyModel;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-/// Appends a fixed marker; staged (tokened) or opaque on demand.
+/// Appends a fixed marker; staged (tokened) or opaque on demand. Counts
+/// the times its transform actually ran.
 struct Suffix {
     name: String,
     marker: Vec<u8>,
     tokened: bool,
+    cost: u64,
+    runs: Arc<AtomicU64>,
 }
 
 impl Suffix {
-    fn staged(label: &str) -> Arc<Self> {
+    fn new(name: String, label: &str, tokened: bool, cost: u64) -> Arc<Self> {
         Arc::new(Self {
-            name: format!("suffix-{label}"),
+            name,
             marker: format!("[{label}]").into_bytes(),
-            tokened: true,
+            tokened,
+            cost,
+            runs: Arc::default(),
         })
     }
 
+    fn staged(label: &str) -> Arc<Self> {
+        Self::new(format!("suffix-{label}"), label, true, 100)
+    }
+
     fn opaque(label: &str) -> Arc<Self> {
-        Arc::new(Self {
-            name: format!("opaque-{label}"),
-            marker: format!("[{label}]").into_bytes(),
-            tokened: false,
-        })
+        Self::new(format!("opaque-{label}"), label, false, 100)
+    }
+
+    fn runs(&self) -> u64 {
+        self.runs.load(Ordering::Relaxed)
     }
 }
 
@@ -46,7 +64,7 @@ impl ActiveProperty for Suffix {
         Interests::of(&[EventKind::GetInputStream])
     }
     fn execution_cost_micros(&self) -> u64 {
-        100
+        self.cost
     }
     fn wrap_input(
         &self,
@@ -54,10 +72,11 @@ impl ActiveProperty for Suffix {
         _report: &mut PathReport,
         inner: Box<dyn InputStream>,
     ) -> CoreResult<Box<dyn InputStream>> {
-        let marker = self.marker.clone();
+        let (marker, runs) = (self.marker.clone(), self.runs.clone());
         Ok(Box::new(TransformingInput::new(
             inner,
             Box::new(move |bytes| {
+                runs.fetch_add(1, Ordering::Relaxed);
                 let mut out = bytes.to_vec();
                 out.extend_from_slice(&marker);
                 Ok(Bytes::from(out))
@@ -258,4 +277,516 @@ fn uncacheable_vote_blocks_stage_fills() {
         "a token does not override the cacheability vote"
     );
     assert_eq!(stats.stage_bytes, 0);
+}
+
+// ---- Where a walk starts, and what that does under churn ---------------
+
+/// What a [`SpyPolicy`] has seen go by.
+#[derive(Default)]
+struct Spy {
+    /// The keys the shard policies track: the resident unpinned entries,
+    /// whenever no install is in progress.
+    resident: HashSet<EntryKey>,
+    /// Per stage signature, the versions that are that stage's output
+    /// under another name (the test fills this in).
+    aliases: HashMap<Signature, HashSet<EntryKey>>,
+    evictions: u64,
+    /// Evictions of a stage name while one of its aliases was resident:
+    /// the name goes, the bytes stay, nobody else can reach them.
+    names_dropped_over_held_content: u64,
+}
+
+/// The default policy, reporting to a [`Spy`].
+struct SpyPolicy {
+    inner: Box<dyn ReplacementPolicy>,
+    spy: Arc<Mutex<Spy>>,
+}
+
+impl ReplacementPolicy for SpyPolicy {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn on_insert(&mut self, key: EntryKey, attrs: &EntryAttrs) {
+        self.spy.lock().unwrap().resident.insert(key);
+        self.inner.on_insert(key, attrs);
+    }
+    fn on_hit(&mut self, key: EntryKey) {
+        self.inner.on_hit(key);
+    }
+    fn on_remove(&mut self, key: EntryKey) {
+        self.spy.lock().unwrap().resident.remove(&key);
+        self.inner.on_remove(key);
+    }
+    fn evict(&mut self) -> Option<EntryKey> {
+        let victim = self.inner.evict()?;
+        let mut spy = self.spy.lock().unwrap();
+        spy.resident.remove(&victim);
+        spy.evictions += 1;
+        if let EntryKey::Stage(sig) = victim {
+            let held = spy.aliases.get(&sig);
+            if held.is_some_and(|held| held.iter().any(|alias| spy.resident.contains(alias))) {
+                spy.names_dropped_over_held_content += 1;
+            }
+        }
+        Some(victim)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+}
+
+fn spied(spy: &Arc<Mutex<Spy>>) -> PolicyFactory {
+    let spy = spy.clone();
+    PolicyFactory::new("spied", move || {
+        Box::new(SpyPolicy {
+            inner: PolicyFactory::default().build(),
+            spy: spy.clone(),
+        })
+    })
+}
+
+/// A [`MemoryProvider`] that counts the streams opened on it. `late` makes
+/// its verifiers vouch for anything: a root lease over such a provider has
+/// lost its race with every out-of-band writer.
+struct CountingProvider {
+    inner: Arc<MemoryProvider>,
+    opens: AtomicU64,
+    late: bool,
+}
+
+impl CountingProvider {
+    fn new(body: impl Into<Bytes>, fetch_cost: u64, late: bool) -> Arc<Self> {
+        Arc::new(Self {
+            inner: MemoryProvider::new("counted", body, fetch_cost),
+            opens: AtomicU64::new(0),
+            late,
+        })
+    }
+
+    fn opens(&self) -> u64 {
+        self.opens.load(Ordering::Relaxed)
+    }
+}
+
+impl BitProvider for CountingProvider {
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+    fn open_input(&self, clock: &VirtualClock) -> CoreResult<Box<dyn InputStream>> {
+        self.opens.fetch_add(1, Ordering::Relaxed);
+        self.inner.open_input(clock)
+    }
+    fn open_output(&self, clock: &VirtualClock) -> CoreResult<Box<dyn OutputStream>> {
+        self.inner.open_output(clock)
+    }
+    fn make_verifier(&self, clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
+        if self.late {
+            return Some(ClosureVerifier::new("late", 0, |_| Validity::Valid));
+        }
+        self.inner.make_verifier(clock)
+    }
+    fn fetch_cost_micros(&self) -> u64 {
+        self.inner.fetch_cost_micros()
+    }
+}
+
+const READERS: [UserId; 3] = [UserId(1), UserId(2), UserId(3)];
+
+/// One 100-byte document under `[first, second]` — both signed, three
+/// bytes of marker each, `first` cheap and `second` dear — in a one-shard
+/// cache that holds the two outputs and ten bytes more. `READERS[0]` has
+/// read the document and then a chainless filler of `filler_bytes`, dear
+/// enough to stay, which pushed out the cheapest of the document's
+/// entries until it fitted.
+struct SkipWorld {
+    space: Arc<DocumentSpace>,
+    cache: Arc<DocumentCache>,
+    doc: DocumentId,
+    filler: DocumentId,
+    provider: Arc<CountingProvider>,
+    second: Arc<Suffix>,
+    spy: Arc<Mutex<Spy>>,
+}
+
+impl SkipWorld {
+    fn new(first: Arc<dyn ActiveProperty>, filler_bytes: usize, late: bool) -> Self {
+        let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+        let provider = CountingProvider::new(vec![b'x'; 100], 10, late);
+        let doc = space.create_document(UserId(0), provider.clone());
+        let second = Suffix::new("second".into(), "b", true, 10_000);
+        for prop in [first, second.clone() as Arc<dyn ActiveProperty>] {
+            space.attach_active(Scope::Universal, doc, prop).unwrap();
+        }
+        let filler = space.create_document(
+            UserId(0),
+            MemoryProvider::new("filler", vec![b'f'; filler_bytes], 100_000),
+        );
+        for user in READERS {
+            space.add_reference(user, doc).unwrap();
+        }
+        space.add_reference(READERS[0], filler).unwrap();
+        let spy = Arc::new(Mutex::new(Spy::default()));
+        let config = CacheConfig::builder()
+            .capacity_bytes(103 + 106 + 10)
+            .local_latency(LatencyModel::FREE)
+            .stage_cache(true)
+            .shards(1)
+            .policy(spied(&spy));
+        let cache = DocumentCache::new(space.clone(), config.build());
+        cache.read(READERS[0], doc).unwrap();
+        cache.read(READERS[0], filler).unwrap();
+        Self {
+            space,
+            cache,
+            doc,
+            filler,
+            provider,
+            second,
+            spy,
+        }
+    }
+
+    /// Which of the chain's two outputs over `root` are resident.
+    fn stages_resident(&self, root: &[u8]) -> [bool; 2] {
+        let plan = self.space.read_plan(READERS[1], self.doc).unwrap();
+        let sigs = plan.signed_prefix(md5(root));
+        let spy = self.spy.lock().unwrap();
+        [0, 1].map(|index| spy.resident.contains(&EntryKey::Stage(sigs[index])))
+    }
+
+    /// What the uncached middleware serves `user`.
+    fn oracle(&self, user: UserId) -> Bytes {
+        self.space.read_document(user, self.doc).unwrap().0
+    }
+}
+
+#[test]
+fn walk_adopts_the_deepest_resident_stage_and_runs_nothing_before_it() {
+    let first = Suffix::new("first".into(), "a", true, 10);
+    let world = SkipWorld::new(first.clone(), 100, false);
+    assert_eq!(
+        world.stages_resident(&[b'x'; 100]),
+        [false, true],
+        "only the last signed stage is resident"
+    );
+    let (opens, runs) = (world.provider.opens(), first.runs() + world.second.runs());
+    let before = world.cache.stats();
+
+    let outcome = world
+        .cache
+        .read_with(READERS[1], world.doc, ReadOptions::default())
+        .unwrap();
+    assert_eq!(outcome.class, HitClass::PartialHit);
+    assert_eq!(first.runs() + world.second.runs(), runs, "no property ran");
+    assert_eq!(world.provider.opens(), opens, "no provider stream opened");
+    let stats = world.cache.stats().delta(&before);
+    assert_eq!(stats.root_reuses, 1);
+    assert_eq!(stats.stage_hits, 2, "the skipped stage counts as a hit");
+    assert_eq!(stats.evictions, 0, "nothing was stored, so nothing left");
+    assert_eq!(outcome.bytes, world.oracle(READERS[1]));
+}
+
+/// Votes `CacheableWithEvents`, ships a verifier it can turn against the
+/// entry, pins, and appends `[g]`.
+struct Guarded {
+    valid: Arc<AtomicBool>,
+    runs: Arc<AtomicU64>,
+}
+
+impl ActiveProperty for Guarded {
+    fn name(&self) -> &str {
+        "guarded"
+    }
+    fn interests(&self) -> Interests {
+        Interests::of(&[EventKind::GetInputStream])
+    }
+    fn execution_cost_micros(&self) -> u64 {
+        10
+    }
+    fn wrap_input(
+        &self,
+        _ctx: &PathCtx<'_>,
+        report: &mut PathReport,
+        inner: Box<dyn InputStream>,
+    ) -> CoreResult<Box<dyn InputStream>> {
+        report.vote(Cacheability::CacheableWithEvents);
+        let valid = self.valid.clone();
+        report.add_verifier(ClosureVerifier::new("guard", 1, move |_| {
+            if valid.load(Ordering::Relaxed) {
+                Validity::Valid
+            } else {
+                Validity::Invalid
+            }
+        }));
+        report.pin();
+        let runs = self.runs.clone();
+        Ok(Box::new(TransformingInput::new(
+            inner,
+            Box::new(move |bytes| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                Ok(Bytes::from([&bytes[..], b"[g]"].concat()))
+            }),
+        )))
+    }
+    fn transform_token(&self, _ctx: &PathCtx<'_>) -> Option<Vec<u8>> {
+        Some(b"guarded".to_vec())
+    }
+}
+
+#[test]
+fn skipped_stage_still_votes_verifies_and_pins() {
+    let guarded = Arc::new(Guarded {
+        valid: Arc::new(AtomicBool::new(true)),
+        runs: Arc::default(),
+    });
+    let world = SkipWorld::new(guarded.clone(), 100, false);
+    assert_eq!(world.stages_resident(&[b'x'; 100]), [false, true]);
+    let runs = guarded.runs.load(Ordering::Relaxed);
+    let read = |user| {
+        let before = world.cache.stats();
+        let outcome = world
+            .cache
+            .read_with(user, world.doc, ReadOptions::default())
+            .unwrap();
+        (outcome, world.cache.stats().delta(&before))
+    };
+
+    // The guarded stage is skipped, not executed — and its pin still
+    // reaches the version this read installs.
+    let (outcome, stats) = read(READERS[1]);
+    assert_eq!(outcome.class, HitClass::PartialHit);
+    assert_eq!(guarded.runs.load(Ordering::Relaxed), runs);
+    assert_eq!(stats.pinned_fills, 1);
+    assert_eq!(stats.events_forwarded, 0, "a fill is not a cache read");
+    // So does its vote: every hit forwards one event.
+    for _ in 0..2 {
+        let (outcome, stats) = read(READERS[1]);
+        assert_eq!(outcome.class, HitClass::Hit);
+        assert_eq!(stats.events_forwarded, 1);
+    }
+    // And its verifier: once it turns, the entry is refuted.
+    guarded.valid.store(false, Ordering::Relaxed);
+    let (outcome, stats) = read(READERS[1]);
+    assert_eq!(stats.verifier_invalidations, 1);
+    assert_eq!(outcome.class, HitClass::PartialHit);
+    assert_eq!(outcome.bytes, world.oracle(READERS[1]));
+}
+
+#[test]
+fn probing_stops_at_the_first_opaque_stage() {
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let doc = space.create_document(UserId(0), MemoryProvider::new("doc", "body", 1_000));
+    let chain = [
+        Suffix::staged("head"),
+        Suffix::opaque("mid"),
+        Suffix::staged("tail"),
+    ];
+    for prop in &chain {
+        space
+            .attach_active(Scope::Universal, doc, prop.clone())
+            .unwrap();
+    }
+    for user in READERS {
+        space.add_reference(user, doc).unwrap();
+    }
+    let cache = DocumentCache::new(
+        space.clone(),
+        CacheConfig::builder().stage_cache(true).build(),
+    );
+    assert_eq!(
+        cache.read(READERS[0], doc).unwrap(),
+        "body[head][mid][tail]"
+    );
+    let before = cache.stats();
+    let outcome = cache
+        .read_with(READERS[1], doc, ReadOptions::default())
+        .unwrap();
+    assert_eq!(outcome.bytes, "body[head][mid][tail]");
+    assert_eq!(outcome.class, HitClass::PartialHit);
+    // `head` is the whole signed prefix and is adopted from it; `mid`
+    // runs on every read; `tail` is addressed by what `mid` put out and
+    // found by the forward walk.
+    let runs = chain.each_ref().map(|prop| prop.runs());
+    assert_eq!(runs, [1, 2, 1]);
+    assert_eq!(cache.stats().delta(&before).stage_hits, 2);
+    assert_eq!(cache.stage_entry_count(), 2);
+}
+
+#[test]
+fn lease_that_lost_its_race_rebases_a_walk_that_found_nothing_resident() {
+    let first = Suffix::new("first".into(), "a", true, 10);
+    // A filler the size of the cache pushes all of the document out; then
+    // it goes too. The document's lease outlives both.
+    let world = SkipWorld::new(first.clone(), 215, true);
+    world.space.bus().post(Invalidation::Document(world.filler));
+    assert!(world.cache.is_empty());
+    let (old, new) = ([b'x'; 100], [b'y'; 100]);
+    world.provider.inner.set_out_of_band(new.to_vec());
+
+    // The late verifier vouches for the old root, so the walk anchors on
+    // its signature, finds nothing resident, and has to execute the chain
+    // head: the fetch it needs brings the new root, and the walk — its
+    // signatures with it — restarts from there.
+    let before = world.cache.stats();
+    let outcome = world
+        .cache
+        .read_with(READERS[1], world.doc, ReadOptions::default())
+        .unwrap();
+    assert_eq!(outcome.class, HitClass::Miss);
+    assert_eq!(outcome.bytes, [&new[..], b"[a][b]"].concat());
+    assert_eq!(outcome.bytes, world.oracle(READERS[1]));
+    assert_eq!(world.cache.stats().delta(&before).root_reuses, 1);
+    assert_eq!(world.stages_resident(&old), [false, false]);
+    assert_eq!(
+        world.stages_resident(&new),
+        [true, true],
+        "outputs are stored under the root they were computed from"
+    );
+    // The refreshed lease carries the new root: the next user adopts.
+    let (opens, runs) = (world.provider.opens(), first.runs() + world.second.runs());
+    assert_eq!(
+        world.cache.read(READERS[2], world.doc).unwrap(),
+        outcome.bytes
+    );
+    assert_eq!(world.provider.opens(), opens);
+    assert_eq!(first.runs() + world.second.runs(), runs);
+}
+
+/// Stage executions and provider fetches per read that the replay below
+/// cost before the walk started at the deepest resident stage (`5f65dcb`:
+/// front-to-back walk, entries priced at the cumulative path cost). There,
+/// 1 386 of its 6 000 reads executed a stage below a resident one and
+/// 4 587 of 16 271 evictions dropped a stage name over held content.
+const PARENT_STAGE_RUNS_PER_READ: f64 = 1.7860;
+const PARENT_FETCHES_PER_READ: f64 = 0.8597;
+
+/// A seeded Zipf replay against a cache half the size of the corpus, one
+/// thread, judged by counts alone: the `evict_churn` shape of the repo
+/// benchmark, small enough to run everywhere. Documents differ in size, as
+/// documents do, so credits rarely tie; and there is one shard, so a stage
+/// entry and its aliases answer to one policy (across shards a name can
+/// still go while a sibling shard holds its bytes: ROADMAP, churn item).
+#[test]
+fn churn_replay_never_redoes_what_it_holds() {
+    const DOCS: usize = 64;
+    const USERS: usize = 32;
+    const BODY: usize = 1_024;
+    const READS: usize = 6_000;
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let universal = [
+        Suffix::new("scramble".into(), "s", true, 300),
+        Suffix::new("render".into(), "r", true, 2_000),
+    ];
+    // One user in four reads through a personal suffix of their own.
+    let personal: Vec<Option<Arc<Suffix>>> = (0..USERS)
+        .map(|u| (u % 4 == 0).then(|| Suffix::new(format!("own-{u}"), &format!("u{u}"), true, 100)))
+        .collect();
+    let users: Vec<UserId> = (1..=USERS as u64).map(UserId).collect();
+    let mut providers = Vec::new();
+    let docs: Vec<DocumentId> = (0..DOCS)
+        .map(|d| {
+            let provider = CountingProvider::new(lorem_bytes(d as u64, BODY - 32 + d), 200, false);
+            let doc = space.create_document(UserId(0), provider.clone());
+            providers.push(provider);
+            for prop in &universal {
+                space
+                    .attach_active(Scope::Universal, doc, prop.clone())
+                    .unwrap();
+            }
+            for (&user, own) in users.iter().zip(&personal) {
+                space.add_reference(user, doc).unwrap();
+                if let Some(own) = own {
+                    space
+                        .attach_active(Scope::Personal(user), doc, own.clone())
+                        .unwrap();
+                }
+            }
+            doc
+        })
+        .collect();
+    let spy = Arc::new(Mutex::new(Spy::default()));
+    let config = CacheConfig::builder()
+        .capacity_bytes((DOCS * BODY / 2) as u64)
+        .local_latency(LatencyModel::FREE)
+        .stage_cache(true)
+        .shards(1)
+        .policy(spied(&spy));
+    let cache = DocumentCache::new(space.clone(), config.build());
+
+    let stage_runs = || -> Vec<u64> {
+        let personal = personal.iter().flatten();
+        universal.iter().chain(personal).map(|p| p.runs()).collect()
+    };
+    let sampler = TraceBuilder::new(0x5EED)
+        .users(USERS)
+        .documents(DOCS)
+        .doc_theta(0.9)
+        .user_theta(0.6)
+        .locality(0.3)
+        .working_set(8)
+        .build();
+    let mut rng = sampler.stream(0);
+    let total_runs = || stage_runs().iter().sum::<u64>();
+    let fetches = || providers.iter().map(|p| p.opens()).sum::<u64>();
+    let (mut oracle_runs, mut oracle_fetches) = (0, 0);
+    let mut redone_under_a_resident_stage = 0u64;
+    for read in 0..READS {
+        let event = sampler.next_event(&mut rng);
+        let (user, doc) = (users[event.user], docs[event.doc]);
+        let version = EntryKey::Version(doc, user);
+        // Where the cache already is for this pair, before the read.
+        let plan = space.read_plan(user, doc).unwrap();
+        let sigs = plan.signed_prefix(md5(&providers[event.doc].inner.content()));
+        let deepest = {
+            let mut spy = spy.lock().unwrap();
+            let last = *sigs.last().unwrap();
+            spy.aliases.entry(last).or_default().insert(version);
+            let resident = |sig: &Signature| spy.resident.contains(&EntryKey::Stage(*sig));
+            (!spy.resident.contains(&version))
+                .then(|| sigs.iter().rposition(resident))
+                .flatten()
+        };
+        let runs = stage_runs();
+        let bytes = cache.read(user, doc).unwrap();
+        if let Some(deepest) = deepest {
+            // The chain's stages in `stage_runs` order: the two universal
+            // ones, then (at most) this user's own.
+            let own = personal[..event.user].iter().flatten().count();
+            let slots = [0, 1, universal.len() + own];
+            let after = stage_runs();
+            if slots[..=deepest]
+                .iter()
+                .any(|&slot| after[slot] != runs[slot])
+            {
+                redone_under_a_resident_stage += 1;
+            }
+        }
+        if read % 64 == 0 {
+            // The oracle runs the chain itself; that is not the cache's.
+            let before = (total_runs(), fetches());
+            assert_eq!(bytes, space.read_document(user, doc).unwrap().0);
+            oracle_runs += total_runs() - before.0;
+            oracle_fetches += fetches() - before.1;
+        }
+    }
+    let spy = spy.lock().unwrap();
+    let stats = cache.stats();
+    let (runs, fetches) = (total_runs() - oracle_runs, fetches() - oracle_fetches);
+    let (runs_per_read, fetches_per_read) =
+        (runs as f64 / READS as f64, fetches as f64 / READS as f64);
+    println!(
+        "churn replay: {runs_per_read:.4} stage runs and {fetches_per_read:.4} fetches per read, \
+         {} evictions, {} stage names dropped over held content, {} reads redid a stage, \
+         {} hits / {} partial of {READS}",
+        spy.evictions,
+        spy.names_dropped_over_held_content,
+        redone_under_a_resident_stage,
+        stats.hits,
+        stats.stage_partial_hits,
+    );
+    assert!(spy.evictions > READS as u64 / 2, "the budget never bit");
+    assert_eq!(redone_under_a_resident_stage, 0);
+    assert_eq!(spy.names_dropped_over_held_content, 0);
+    assert!(runs_per_read <= 0.75 * PARENT_STAGE_RUNS_PER_READ);
+    assert!(fetches_per_read <= 0.75 * PARENT_FETCHES_PER_READ);
 }
