@@ -6,87 +6,78 @@
 //! cargo run -p placeless-bench --bin experiments -- table1  # one experiment
 //! ```
 //!
-//! Experiments: `table1`, `notifier-verifier`, `replacement`, `sharing`,
-//! `consistency`, `qos`, `collections`, `chain`, `placement`,
-//! `revalidation`, `scale`, `fault`, `stage`, `crash`, `load`, `merge`,
-//! `overload`.
+//! The experiments are the names of [`EXPERIMENTS`]; a name not in it
+//! exits 2 and lists them.
 //!
 //! The `stage`, `crash`, `load`, `merge`, and `overload` experiments
-//! additionally write `BENCH_stage.json` / `BENCH_crash.json` /
-//! `BENCH_load.json` / `BENCH_merge.json` / `BENCH_overload.json` next to
+//! return a [`Report`], which `main` writes as `BENCH_<name>.json` into
 //! the working directory so their numbers are machine-readable run over
-//! run. The `load` experiment honours `E_LOAD_USERS` / `E_LOAD_DOCS` /
-//! `E_LOAD_OPS` / `E_LOAD_THREADS` overrides (and `E_LOAD_WMIX_WRITES` /
-//! `E_LOAD_WMIX_DOCS` / `E_LOAD_WMIX_FLUSH_EVERY` for the write-mix flush
-//! smoke); the `overload` experiment honours `E_OVERLOAD_THREADS` /
-//! `E_OVERLOAD_EVENTS` / `E_OVERLOAD_INTENSITY` /
+//! run; a failed write exits 1. The `load` experiment honours
+//! `E_LOAD_WMIX_WRITES` / `E_LOAD_WMIX_DOCS` / `E_LOAD_WMIX_FLUSH_EVERY`
+//! for the write-mix flush smoke; the `overload` experiment honours
+//! `E_OVERLOAD_THREADS` / `E_OVERLOAD_EVENTS` / `E_OVERLOAD_INTENSITY` /
 //! `E_OVERLOAD_WALL_MICROS` for reduced CI smokes.
 
+use placeless_bench::report::Report;
 use placeless_bench::{
     chain, collections, consistency, crash, fault, load, merge, nv, overload, placement, qos,
-    replacement, revalidation, scale, sharing, stage, table1,
+    replacement, revalidation, sharing, stage, table1,
 };
 use placeless_cache::ALL_POLICIES;
+use std::process::ExitCode;
 
-fn main() {
+/// Prints an experiment's tables; a [`Report`] it returns is written by
+/// `main`.
+type Experiment = fn() -> Option<Report>;
+
+/// Every experiment, in the order a run of everything prints them.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table1", run_table1),
+    ("notifier-verifier", run_nv),
+    ("replacement", run_replacement),
+    ("sharing", run_sharing),
+    ("consistency", run_consistency),
+    ("qos", run_qos),
+    ("collections", run_collections),
+    ("chain", run_chain),
+    ("placement", run_placement),
+    ("revalidation", run_revalidation),
+    ("fault", run_fault),
+    ("stage", run_stage),
+    ("crash", run_crash),
+    ("load", run_load),
+    ("merge", run_merge),
+    ("overload", run_overload),
+];
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let all = args.is_empty();
-    let want = |name: &str| all || args.iter().any(|a| a == name);
-
-    if want("table1") {
-        run_table1();
+    let known = |arg: &String| EXPERIMENTS.iter().any(|(name, _)| name == arg);
+    if let Some(unknown) = args.iter().find(|arg| !known(arg)) {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "unknown experiment `{unknown}`; known: {}",
+            names.join(", ")
+        );
+        return ExitCode::from(2);
     }
-    if want("notifier-verifier") {
-        run_nv();
+    for (name, run) in EXPERIMENTS {
+        if !args.is_empty() && !args.iter().any(|arg| arg == name) {
+            continue;
+        }
+        let Some(report) = run() else { continue };
+        match report.write() {
+            Ok(path) => println!("wrote {}\n", path.display()),
+            Err(e) => {
+                eprintln!("could not write the {} artifact: {e}", report.experiment);
+                return ExitCode::FAILURE;
+            }
+        }
     }
-    if want("replacement") {
-        run_replacement();
-    }
-    if want("sharing") {
-        run_sharing();
-    }
-    if want("consistency") {
-        run_consistency();
-    }
-    if want("qos") {
-        run_qos();
-    }
-    if want("collections") {
-        run_collections();
-    }
-    if want("chain") {
-        run_chain();
-    }
-    if want("placement") {
-        run_placement();
-    }
-    if want("revalidation") {
-        run_revalidation();
-    }
-    if want("scale") {
-        run_scale();
-    }
-    if want("fault") {
-        run_fault();
-    }
-    if want("stage") {
-        run_stage();
-    }
-    if want("crash") {
-        run_crash();
-    }
-    if want("load") {
-        run_load();
-    }
-    if want("merge") {
-        run_merge();
-    }
-    if want("overload") {
-        run_overload();
-    }
+    ExitCode::SUCCESS
 }
 
-fn run_merge() {
+fn run_merge() -> Option<Report> {
     let params = merge::MergeParams::default();
     println!("== E-MERGE: op-based multi-writer merge across crash + partition ==\n");
     println!(
@@ -115,47 +106,10 @@ fn run_merge() {
     println!("\n(op-merge rebases every conflicted edit onto the origin's current content —");
     println!(" zero acknowledged edits lost; the binary modes pick a side and lose the other)\n");
 
-    let json = merge_json(params, &results);
-    match std::fs::write("BENCH_merge.json", &json) {
-        Ok(()) => println!("wrote BENCH_merge.json\n"),
-        Err(e) => eprintln!("could not write BENCH_merge.json: {e}\n"),
-    }
+    Some(merge::report(params, &results))
 }
 
-/// Hand-formats the E-MERGE results as JSON (no serde in the tree).
-fn merge_json(params: merge::MergeParams, results: &[merge::MergeResult]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"merge\",\n");
-    out.push_str(&format!(
-        "  \"params\": {{\"edits_phase1\": {}, \"edits_phase2\": {}, \
-         \"edit_gap_micros\": {}, \"partition_from\": {}, \"partition_until\": {}, \
-         \"torn_tail_bytes\": {}, \"seed\": {}}},\n",
-        params.edits_phase1,
-        params.edits_phase2,
-        params.edit_gap_micros,
-        params.partition_from,
-        params.partition_until,
-        params.torn_tail_bytes,
-        params.seed
-    ));
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"acknowledged\": {}, \"lost\": {}, \
-             \"conflicts_merged\": {}, \"merge_rebases\": {}, \"replayed\": {}}}{}\n",
-            r.mode.label(),
-            r.acknowledged,
-            r.lost,
-            r.conflicts_merged,
-            r.merge_rebases,
-            r.replayed,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn run_overload() {
+fn run_overload() -> Option<Report> {
     let params = overload::OverloadParams::default().from_env();
     println!(
         "== E-OVERLOAD: {}x burst over saturation ({} + {} + {} reads, {} base threads) ==\n",
@@ -212,119 +166,12 @@ fn run_overload() {
     println!("(the protected cell trades explicit sheds for bounded latency; the");
     println!(" unprotected cell admits everything and lets queueing blow the SLO)\n");
 
-    let json = overload_json(params, &cells);
-    match std::fs::write("BENCH_overload.json", &json) {
-        Ok(()) => println!("wrote BENCH_overload.json\n"),
-        Err(e) => eprintln!("could not write BENCH_overload.json: {e}\n"),
-    }
+    Some(overload::report(params, &cells))
 }
 
-/// Hand-formats the E-OVERLOAD results as JSON (no serde in the tree).
-fn overload_json(params: overload::OverloadParams, cells: &[overload::CellResult]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"overload\",\n");
-    out.push_str(&format!(
-        "  \"params\": {{\"base_threads\": {}, \"sat_events\": {}, \"burst_events\": {}, \
-         \"recover_events\": {}, \"burst_intensity\": {}, \"service_virtual_micros\": {}, \
-         \"service_wall_micros\": {}, \"deadline_micros\": {}, \"slo_micros\": {}, \
-         \"seed\": {}}},\n",
-        params.base_threads,
-        params.sat_events,
-        params.burst_events,
-        params.recover_events,
-        params.burst_intensity,
-        params.service_virtual_micros,
-        params.service_wall_micros,
-        params.deadline_micros,
-        params.slo_micros,
-        params.seed
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, cell) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"protected\": {}, \"retained\": {:.4},\n",
-            cell.protected,
-            cell.retained()
-        ));
-        out.push_str(&format!(
-            "     \"sheds_foreground\": {}, \"sheds_refresh\": {}, \"sheds_prefetch\": {}, \
-             \"brownout_shifts\": {},\n",
-            cell.stats.sheds_foreground,
-            cell.stats.sheds_refresh,
-            cell.stats.sheds_prefetch,
-            cell.stats.brownout_shifts
-        ));
-        out.push_str("     \"phases\": [\n");
-        for (j, p) in cell.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"name\": \"{}\", \"intensity\": {}, \"offered\": {}, \
-                 \"admitted\": {}, \"shed\": {}, \"on_time\": {}, \
-                 \"p99_virtual_micros\": {}, \"goodput_per_virtual_sec\": {:.2}}}{}\n",
-                p.name,
-                p.intensity,
-                p.offered,
-                p.admitted,
-                p.shed,
-                p.on_time,
-                p.p99_virtual_micros,
-                p.goodput(),
-                if j + 1 == cell.phases.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!(
-            "     ]}}{}\n",
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn run_load() {
-    let params = load::LoadParams::default().from_env();
-    println!(
-        "== E-LOAD: trace-driven load ({} users, {} docs, {} threads x {} ops, {:.0}% writes) ==\n",
-        params.users,
-        params.documents,
-        params.threads,
-        params.ops_per_thread,
-        params.write_fraction * 100.0
-    );
-    println!(
-        "{:<8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>8} {:>9} {:>10} {:>9} {:>9}",
-        "shards",
-        "reads/sec",
-        "p50 us",
-        "p99 us",
-        "w p50 us",
-        "w p99 us",
-        "hit %",
-        "partial",
-        "coalesced",
-        "stale",
-        "peak"
-    );
-    let results = load::sweep(16, params);
-    for r in &results {
-        println!(
-            "{:<8} {:>12.0} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>8.1} {:>9} {:>10} {:>9} {:>9}",
-            r.shards,
-            r.reads_per_sec(),
-            r.p50_nanos as f64 / 1_000.0,
-            r.p99_nanos as f64 / 1_000.0,
-            r.write_p50_nanos as f64 / 1_000.0,
-            r.write_p99_nanos as f64 / 1_000.0,
-            r.hit_frac() * 100.0,
-            r.class(load::HitClass::PartialHit),
-            r.class(load::HitClass::CoalescedWait),
-            r.class(load::HitClass::StaleServed),
-            r.stats.inflight_peak
-        );
-    }
-    println!("\n(the single-shard row is the global-lock design; the sharded cache must");
-    println!(" sustain more reads/sec under the same trace — on a single-CPU host the");
-    println!(" rows show parity instead)\n");
-
-    let probe = load::coalesce_probe(params.threads.max(2));
+fn run_load() -> Option<Report> {
+    println!("== E-LOAD: single-flight coalescing probe + grouped-flush write mix ==\n");
+    let probe = load::coalesce_probe(8);
     println!(
         "coalesce probe: {} racing cold readers -> {} origin fetch, {} coalesced waits, identical bytes: {}\n",
         probe.threads, probe.provider_fetches, probe.coalesced_waits, probe.identical
@@ -358,122 +205,10 @@ fn run_load() {
          asserts >= 2x)\n"
     );
 
-    let json = load_json(params, &results, probe, wmix_params, &wmix);
-    match std::fs::write("BENCH_load.json", &json) {
-        Ok(()) => println!("wrote BENCH_load.json\n"),
-        Err(e) => eprintln!("could not write BENCH_load.json: {e}\n"),
-    }
+    Some(load::report(probe, wmix_params, &wmix))
 }
 
-/// Hand-formats the E-LOAD results as JSON (no serde in the tree).
-fn load_json(
-    params: load::LoadParams,
-    results: &[load::LoadResult],
-    probe: load::CoalesceReport,
-    wmix_params: load::WriteMixParams,
-    wmix: &[load::WriteMixResult],
-) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"load\",\n");
-    out.push_str(&format!(
-        "  \"params\": {{\"users\": {}, \"documents\": {}, \"doc_bytes\": {}, \
-         \"doc_theta\": {}, \"user_theta\": {}, \"locality\": {}, \"working_set\": {}, \
-         \"write_fraction\": {}, \"base_chain\": {}, \"threads\": {}, \
-         \"ops_per_thread\": {}, \"seed\": {}}},\n",
-        params.users,
-        params.documents,
-        params.doc_bytes,
-        params.doc_theta,
-        params.user_theta,
-        params.locality,
-        params.working_set,
-        params.write_fraction,
-        params.base_chain,
-        params.threads,
-        params.ops_per_thread,
-        params.seed
-    ));
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"threads\": {}, \"reads\": {}, \"writes\": {}, \
-             \"write_errors\": {}, \"wall_micros\": {}, \"reads_per_sec\": {:.0}, \
-             \"p50_nanos\": {}, \"p99_nanos\": {}, \"write_p50_nanos\": {}, \
-             \"write_p99_nanos\": {}, \"hits\": {}, \"partial_hits\": {}, \
-             \"misses\": {}, \"coalesced_waits\": {}, \"stale_served\": {}, \
-             \"stage_hits\": {}, \"inflight_peak\": {}}}{}\n",
-            r.shards,
-            r.threads,
-            r.reads,
-            r.writes,
-            r.write_errors,
-            r.wall_micros,
-            r.reads_per_sec(),
-            r.p50_nanos,
-            r.p99_nanos,
-            r.write_p50_nanos,
-            r.write_p99_nanos,
-            r.class(load::HitClass::Hit),
-            r.class(load::HitClass::PartialHit),
-            r.class(load::HitClass::Miss),
-            r.class(load::HitClass::CoalescedWait),
-            r.class(load::HitClass::StaleServed),
-            r.stats.stage_hits,
-            r.stats.inflight_peak,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"probe\": {{\"threads\": {}, \"provider_fetches\": {}, \
-         \"coalesced_waits\": {}, \"identical\": {}, \"inflight_peak\": {}}},\n",
-        probe.threads,
-        probe.provider_fetches,
-        probe.coalesced_waits,
-        probe.identical,
-        probe.inflight_peak
-    ));
-    out.push_str("  \"write_mix\": {\n");
-    out.push_str(&format!(
-        "    \"params\": {{\"users\": {}, \"documents\": {}, \"writes\": {}, \
-         \"flush_every\": {}, \"doc_theta\": {}, \"user_theta\": {}, \"seed\": {}}},\n",
-        wmix_params.users,
-        wmix_params.documents,
-        wmix_params.writes,
-        wmix_params.flush_every,
-        wmix_params.doc_theta,
-        wmix_params.user_theta,
-        wmix_params.seed
-    ));
-    out.push_str("    \"runs\": [\n");
-    for (i, r) in wmix.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"flush_every\": {}, \"entries_flushed\": {}, \"flush_calls\": {}, \
-             \"flush_batches\": {}, \"origin_ops\": {}, \
-             \"ops_per_entry\": {:.4}, \"flush_micros\": {}}}{}\n",
-            r.flush_every,
-            r.entries_flushed,
-            r.flush_calls,
-            r.flush_batches,
-            r.origin_ops,
-            r.ops_per_entry(),
-            r.flush_micros,
-            if i + 1 == wmix.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("    ],\n");
-    let amortization = if wmix.len() == 2 {
-        wmix[0].ops_per_entry() / wmix[1].ops_per_entry()
-    } else {
-        0.0
-    };
-    out.push_str(&format!(
-        "    \"round_trip_amortization\": {amortization:.4}\n  }}\n"
-    ));
-    out.push_str("}\n");
-    out
-}
-
-fn run_crash() {
+fn run_crash() -> Option<Report> {
     let params = crash::CrashParams::default();
     println!("== E-CRASH: acknowledged-write durability across a scripted crash ==\n");
     println!(
@@ -504,55 +239,10 @@ fn run_crash() {
     println!("\n(the journal replays every acknowledged-but-unflushed write across the");
     println!(" crash — zero loss; the torn in-flight append was never acknowledged)\n");
 
-    let json = crash_json(params, &results);
-    match std::fs::write("BENCH_crash.json", &json) {
-        Ok(()) => println!("wrote BENCH_crash.json\n"),
-        Err(e) => eprintln!("could not write BENCH_crash.json: {e}\n"),
-    }
+    Some(crash::report(params, &results))
 }
 
-/// Hand-formats the E-CRASH results as JSON (no serde in the tree).
-fn crash_json(params: crash::CrashParams, results: &[crash::CrashResult]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"crash\",\n");
-    out.push_str(&format!(
-        "  \"params\": {{\"docs\": {}, \"writes\": {}, \"write_gap_micros\": {}, \
-         \"flush_every\": {}, \"crash_at_micros\": {}, \"torn_tail_bytes\": {}, \
-         \"seed\": {}}},\n",
-        params.docs,
-        params.writes,
-        params.write_gap_micros,
-        params.flush_every,
-        params.crash_at_micros,
-        params.torn_tail_bytes,
-        params.seed
-    ));
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"journaled\": {}, \"acknowledged\": {}, \"flushed_before_crash\": {}, \
-             \"lost_docs\": {}, \"replayed\": {}, \"torn_bytes\": {}, \
-             \"journal_appends\": {}, \"journal_replays\": {}, \"writes_parked\": {}, \
-             \"flush_retries\": {}, \"write_conflicts\": {}, \"flushes\": {}}}{}\n",
-            r.journaled,
-            r.acknowledged,
-            r.flushed_before_crash,
-            r.lost_docs,
-            r.replayed,
-            r.torn_bytes,
-            r.stats.journal_appends,
-            r.stats.journal_replays,
-            r.stats.writes_parked,
-            r.stats.flush_retries,
-            r.stats.write_conflicts,
-            r.stats.flushes,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn run_stage() {
+fn run_stage() -> Option<Report> {
     let params = stage::StageParams::default();
     println!(
         "== E-STAGE: staged transform plans ({} users, {}-stage base chain, {} ms/stage) ==\n",
@@ -607,77 +297,25 @@ fn run_stage() {
         "pass-through chain materialized a copy of the body"
     );
     println!(
-        "zero-copy probe: {} MiB through {} identity stages, {:.3} ns/byte, output is the input slice",
+        "zero-copy probe: {} MiB through {} identity stages, output is the input slice",
         probe.body_bytes >> 20,
-        probe.chain,
-        probe.ns_per_byte
+        probe.chain
     );
 
     // Big-document smoke: a 4 MiB live-feed frame through a three-stage
     // chain (uncacheable, nothing retained; asserts internally).
     let smoke = stage::big_doc_smoke(4 << 20);
     println!(
-        "big-doc smoke: {} MiB live frame + 3 stages, {} uncacheable reads, {} bytes resident, {:.3} ns/byte\n",
+        "big-doc smoke: {} MiB live frame + 3 stages, {} uncacheable reads, {} bytes resident\n",
         smoke.frame_bytes >> 20,
         smoke.uncacheable_reads,
-        smoke.resident_bytes,
-        smoke.ns_per_byte
+        smoke.resident_bytes
     );
 
-    let json = stage_json(params, &results);
-    match std::fs::write("BENCH_stage.json", &json) {
-        Ok(()) => println!("wrote BENCH_stage.json\n"),
-        Err(e) => eprintln!("could not write BENCH_stage.json: {e}\n"),
-    }
+    Some(stage::report(params, &results))
 }
 
-/// Hand-formats the E-STAGE results as JSON (no serde in the tree).
-fn stage_json(params: stage::StageParams, results: &[stage::StageResult]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"stage\",\n");
-    out.push_str(&format!(
-        "  \"params\": {{\"users\": {}, \"base_chain\": {}, \"body_bytes\": {}, \
-         \"per_stage_micros\": {}, \"tag_micros\": {}, \"fetch_micros\": {}}},\n",
-        params.users,
-        params.base_chain,
-        params.body_bytes,
-        params.per_stage_micros,
-        params.tag_micros,
-        params.fetch_micros
-    ));
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let reads = r.stats.hits + r.stats.misses;
-        out.push_str(&format!(
-            "    {{\"stage_cache\": {}, \"first_user_micros\": {}, \
-             \"later_user_mean_micros\": {}, \"repeat_hit_micros\": {}, \
-             \"mean_read_micros\": {:.1}, \"stage_hits\": {}, \
-             \"stage_partial_hits\": {}, \"stage_hit_rate\": {:.4}, \
-             \"stage_entries\": {}, \"stage_bytes\": {}, \
-             \"physical_bytes\": {}, \"logical_bytes\": {}}}{}\n",
-            r.stage_cache,
-            r.first_user_micros,
-            r.later_user_mean_micros,
-            r.repeat_hit_micros,
-            (r.stats.hit_micros + r.stats.miss_micros) as f64 / reads.max(1) as f64,
-            r.stats.stage_hits,
-            r.stats.stage_partial_hits,
-            if r.stats.misses == 0 {
-                0.0
-            } else {
-                r.stats.stage_partial_hits as f64 / r.stats.misses as f64
-            },
-            r.stage_entries,
-            r.stats.stage_bytes,
-            r.physical_bytes,
-            r.logical_bytes,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn run_fault() {
+fn run_fault() -> Option<Report> {
     println!("== E-FAULT: read availability across a scripted origin outage ==\n");
     let params = fault::FaultParams::default();
     println!(
@@ -705,41 +343,10 @@ fn run_fault() {
         );
     }
     println!();
+    None
 }
 
-fn run_scale() {
-    println!("== E-SCALE: sharded-cache read throughput (wall clock, Zipf(0.9) reads) ==\n");
-    println!(
-        "{:<8} {:<8} {:>14} {:>10} {:>10}",
-        "threads", "shards", "reads/sec", "hit %", "speedup"
-    );
-    let params = scale::ScaleParams::default();
-    let shards = 16;
-    for &threads in &[1usize, 2, 4, 8, 16] {
-        let single = scale::run_one(threads, 1, params);
-        let sharded = scale::run_one(threads, shards, params);
-        for r in [&single, &sharded] {
-            println!(
-                "{:<8} {:<8} {:>14.0} {:>10.1} {:>10}",
-                r.threads,
-                r.shards,
-                r.ops_per_sec(),
-                r.hit_rate * 100.0,
-                if r.shards == 1 {
-                    "1.00x".to_string()
-                } else {
-                    format!("{:.2}x", r.ops_per_sec() / single.ops_per_sec())
-                }
-            );
-        }
-        println!();
-    }
-    println!("(the single-shard rows are the old global-lock design; shards should");
-    println!(" scale read throughput with threads while the hit rate stays put —");
-    println!(" a single-CPU host will show parity instead of speedup)\n");
-}
-
-fn run_revalidation() {
+fn run_revalidation() -> Option<Report> {
     println!("== E-REVAL: web consistency — TTL vs conditional GET (200 reads, 60 s TTL) ==\n");
     println!(
         "{:<10} {:>12} {:>12} {:>10}",
@@ -756,9 +363,10 @@ fn run_revalidation() {
     }
     println!("\n(the TTL scheme serves stale pages for the whole window after an origin");
     println!(" edit; the revalidating verifier never does, at one RTT per hit)\n");
+    None
 }
 
-fn run_placement() {
+fn run_placement() -> Option<Report> {
     println!("== E-PLACE: cache placement (8 KiB doc, 30 ms origin, 50 reads) ==\n");
     println!(
         "{:<14} {:>14} {:>14}",
@@ -774,9 +382,10 @@ fn run_placement() {
     }
     println!("\n(an application-level cache serves hits at function-call distance; a");
     println!(" server-co-located cache pays a LAN hop per hit but is shared)\n");
+    None
 }
 
-fn run_collections() {
+fn run_collections() -> Option<Report> {
     println!("== E-COLL: collection prefetch (8 chapters behind a 40 ms store) ==\n");
     println!(
         "{:<10} {:>12} {:>14} {:>12} {:>8}",
@@ -793,9 +402,10 @@ fn run_collections() {
         );
     }
     println!("\n(the first miss absorbs the sibling fetches; the rest of the browse is local)\n");
+    None
 }
 
-fn run_chain() {
+fn run_chain() -> Option<Report> {
     println!("== E-CHAIN: property-chain length vs read latency (2 ms/property) ==\n");
     println!(
         "{:<8} {:>12} {:>10} {:>16}",
@@ -812,9 +422,10 @@ fn run_chain() {
     }
     println!("\n(no-cache latency grows with the chain; hits stay flat — caching hides");
     println!(" active-property execution, the paper's core motivation)\n");
+    None
 }
 
-fn run_table1() {
+fn run_table1() -> Option<Report> {
     println!("== Table 1: document content access times (simulated ms) ==");
     println!("   (paper: parcweb 1,915 B local; two remote sites 10,883 B / 1,104 B;");
     println!("    shape to match: hit << no-cache, miss ~ no-cache + small overhead)\n");
@@ -837,9 +448,10 @@ fn run_table1() {
         "\nshape holds (hit<<no-cache, miss overhead small, remote>>local): {}\n",
         table1::shape_holds(&rows)
     );
+    None
 }
 
-fn run_nv() {
+fn run_nv() -> Option<Report> {
     println!("== E-NV: notifier vs verifier trade-off (500 reads, tick every 10) ==\n");
     println!(
         "{:<8} {:>10} {:>12} {:>10} {:>12} {:>10}",
@@ -858,9 +470,10 @@ fn run_nv() {
     }
     println!("\n(verifier: zero staleness, pays probes on every hit; notifier: stale");
     println!(" between change and tick, pays timer + delivery load middleware-side)\n");
+    None
 }
 
-fn run_replacement() {
+fn run_replacement() -> Option<Report> {
     println!("== E-RP: replacement policies (300 docs, 5000 Zipf(0.8) reads) ==\n");
     let params = replacement::ReplacementParams::default();
     println!(
@@ -881,9 +494,10 @@ fn run_replacement() {
         println!();
     }
     println!("(gds should win mean latency by keeping expensive property chains resident)\n");
+    None
 }
 
-fn run_sharing() {
+fn run_sharing() -> Option<Report> {
     println!("== E-SH: content-signature sharing (16 users x 20 docs) ==\n");
     println!(
         "{:<16} {:>14} {:>14} {:>10} {:>12}",
@@ -900,9 +514,10 @@ fn run_sharing() {
         );
     }
     println!("\n(identical property chains store bytes once; per-user transforms cannot)\n");
+    None
 }
 
-fn run_consistency() {
+fn run_consistency() -> Option<Report> {
     println!("== E-CH: the four invalidation causes ==\n");
     for r in consistency::run() {
         println!(
@@ -913,9 +528,10 @@ fn run_consistency() {
         );
     }
     println!();
+    None
 }
 
-fn run_qos() {
+fn run_qos() -> Option<Report> {
     println!("== E-QoS: QoS cost inflation (200 docs, 10% tagged, uniform reads) ==\n");
     println!(
         "{:<8} {:>14} {:>14} {:>12}",
@@ -932,4 +548,5 @@ fn run_qos() {
         );
     }
     println!("\n(only the cost-aware policy honors the QoS inflation)\n");
+    None
 }

@@ -24,6 +24,8 @@
 //! Fully deterministic over the virtual clock: identical parameters give
 //! identical statistics, which the embedded tests assert.
 
+use crate::fields;
+use crate::report::{Report, Value};
 use placeless_cache::{CacheConfig, CacheStats, DocumentCache, WriteJournal, WriteMode};
 use placeless_core::id::{DocumentId, UserId};
 use placeless_core::space::DocumentSpace;
@@ -206,6 +208,39 @@ pub fn run_one(journaled: bool, params: CrashParams) -> CrashResult {
 /// journal on.
 pub fn sweep(params: CrashParams) -> Vec<CrashResult> {
     vec![run_one(false, params), run_one(true, params)]
+}
+
+/// The `BENCH_crash.json` artifact of one sweep.
+pub fn report(params: CrashParams, results: &[CrashResult]) -> Report {
+    Report {
+        experiment: "crash",
+        deterministic: true,
+        params: fields! {
+            "docs": params.docs,
+            "writes": params.writes,
+            "write_gap_micros": params.write_gap_micros,
+            "flush_every": params.flush_every,
+            "crash_at_micros": params.crash_at_micros,
+            "torn_tail_bytes": params.torn_tail_bytes,
+            "seed": params.seed,
+        },
+        body: fields! {
+            "runs": Value::rows(results, |r| fields! {
+                "journaled": r.journaled,
+                "acknowledged": r.acknowledged,
+                "flushed_before_crash": r.flushed_before_crash,
+                "lost_docs": r.lost_docs,
+                "replayed": r.replayed,
+                "torn_bytes": r.torn_bytes,
+                "journal_appends": r.stats.journal_appends,
+                "journal_replays": r.stats.journal_replays,
+                "writes_parked": r.stats.writes_parked,
+                "flush_retries": r.stats.flush_retries,
+                "write_conflicts": r.stats.write_conflicts,
+                "flushes": r.stats.flushes,
+            }),
+        },
+    }
 }
 
 #[cfg(test)]

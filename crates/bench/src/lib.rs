@@ -1,8 +1,11 @@
-//! # Experiment harness
+//! # Model harness
 //!
-//! Scenario code shared by the `experiments` binary (which prints
-//! paper-style tables in *simulated* milliseconds) and the criterion
-//! benches (which measure *wall-clock* overheads of the implementation).
+//! Scenario code behind the `experiments` binary, which prints
+//! paper-style tables in *simulated* milliseconds and writes the five
+//! `BENCH_*.json` artifacts through [`report`]. Every quantity here is a
+//! count or a virtual-clock time: nothing reads the wall clock, so the
+//! numbers are the *model* and can be diffed between commits. Wall-clock
+//! numbers come from `benchmark/run.sh` only.
 //!
 //! | Module | Experiment | Paper anchor |
 //! |---|---|---|
@@ -16,11 +19,10 @@
 //! | [`chain`] | property-chain length vs latency | §3 motivation |
 //! | [`placement`] | app-level vs server-side cache placement | §4 |
 //! | [`revalidation`] | TTL vs conditional-GET verifiers for web docs | §3 WWW discussion |
-//! | [`scale`] | sharded-cache read-throughput scaling (wall-clock) | §4 implementation |
 //! | [`fault`] | read availability under origin outages | §3 robustness ablation |
 //! | [`stage`] | staged transform plans: partial hits over a shared base prefix | §3 per-user versions |
 //! | [`crash`] | write-journal durability across a scripted crash | §3 write-back robustness |
-//! | [`load`] | trace-driven population load with single-flight coalescing | §4 implementation |
+//! | [`load`] | single-flight coalescing probe and grouped-flush write mix | §4 implementation |
 //! | [`merge`] | op-based multi-writer merge vs binary conflict resolution | §3 write-back robustness |
 //! | [`overload`] | deadline-aware admission and brownout under a 10× burst | §3 robustness ablation |
 
@@ -36,8 +38,8 @@ pub mod overload;
 pub mod placement;
 pub mod qos;
 pub mod replacement;
+pub mod report;
 pub mod revalidation;
-pub mod scale;
 pub mod sharing;
 pub mod stage;
 pub mod support;

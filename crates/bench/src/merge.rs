@@ -33,6 +33,8 @@
 //! Fully deterministic over the virtual clock: identical parameters give
 //! identical statistics, which the embedded tests also assert.
 
+use crate::fields;
+use crate::report::{Report, Value};
 use bytes::Bytes;
 use placeless_cache::{
     CacheConfig, ConflictHook, ConflictResolution, DocumentCache, MergePolicy, WriteJournal,
@@ -296,6 +298,33 @@ pub fn sweep(params: MergeParams) -> Vec<MergeResult> {
         .iter()
         .map(|&mode| run_one(mode, params))
         .collect()
+}
+
+/// The `BENCH_merge.json` artifact of one sweep.
+pub fn report(params: MergeParams, results: &[MergeResult]) -> Report {
+    Report {
+        experiment: "merge",
+        deterministic: true,
+        params: fields! {
+            "edits_phase1": params.edits_phase1,
+            "edits_phase2": params.edits_phase2,
+            "edit_gap_micros": params.edit_gap_micros,
+            "partition_from": params.partition_from,
+            "partition_until": params.partition_until,
+            "torn_tail_bytes": params.torn_tail_bytes,
+            "seed": params.seed,
+        },
+        body: fields! {
+            "runs": Value::rows(results, |r| fields! {
+                "mode": r.mode.label(),
+                "acknowledged": r.acknowledged,
+                "lost": r.lost,
+                "conflicts_merged": r.conflicts_merged,
+                "merge_rebases": r.merge_rebases,
+                "replayed": r.replayed,
+            }),
+        },
+    }
 }
 
 #[cfg(test)]

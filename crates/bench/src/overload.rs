@@ -32,6 +32,8 @@
 //! the unprotected burst collapses below half, and per phase
 //! `admitted + shed == offered` (pinned by `debug_assert!`).
 
+use crate::fields;
+use crate::report::{Report, Value};
 use bytes::Bytes;
 use placeless_cache::{
     CacheConfig, CacheStats, DocumentCache, OverloadConfig, Priority, ReadOptions,
@@ -149,12 +151,8 @@ pub struct PhaseResult {
     pub on_time: u64,
     /// Virtual microseconds the phase consumed.
     pub virtual_micros: u64,
-    /// Wall microseconds the phase consumed.
-    pub wall_micros: u64,
     /// 99th-percentile virtual latency of completed reads, µs.
     pub p99_virtual_micros: u64,
-    /// 99th-percentile wall latency of completed reads, ns.
-    pub p99_wall_nanos: u64,
 }
 
 impl PhaseResult {
@@ -298,10 +296,9 @@ pub fn run_cell(protected: bool, params: OverloadParams) -> CellResult {
 
         let admitted = AtomicU64::new(0);
         let shed = AtomicU64::new(0);
-        // (virtual latency µs, wall latency ns) per completed read.
-        let latencies: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::with_capacity(phase.events));
+        // Virtual latency of each completed read, µs.
+        let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(phase.events));
         let v0 = clock.now();
-        let wall0 = std::time::Instant::now();
         std::thread::scope(|scope| {
             for (t, chunk) in phase_docs
                 .chunks(phase.events.div_ceil(threads))
@@ -319,16 +316,12 @@ pub fn run_cell(protected: bool, params: OverloadParams) -> CellResult {
                         if protected {
                             opts = opts.deadline_micros(params.deadline_micros);
                         }
-                        let t0v = clock.now();
-                        let t0w = std::time::Instant::now();
+                        let t0 = clock.now();
                         match cache.read_with(user, doc, opts) {
                             Ok(outcome) => {
                                 std::hint::black_box(&outcome.bytes);
                                 admitted.fetch_add(1, Ordering::Relaxed);
-                                local.push((
-                                    clock.now().since(t0v),
-                                    t0w.elapsed().as_nanos() as u64,
-                                ));
+                                local.push(clock.now().since(t0));
                             }
                             Err(PlacelessError::Overloaded { .. }) => {
                                 shed.fetch_add(1, Ordering::Relaxed);
@@ -341,20 +334,16 @@ pub fn run_cell(protected: bool, params: OverloadParams) -> CellResult {
             }
         });
         let virtual_micros = clock.now().since(v0);
-        let wall_micros = wall0.elapsed().as_micros() as u64;
 
         let mut lats = latencies.into_inner().unwrap();
         lats.sort_unstable();
-        let p99 = |pick: fn(&(u64, u64)) -> u64| -> u64 {
-            let mut v: Vec<u64> = lats.iter().map(pick).collect();
-            v.sort_unstable();
-            v.get((v.len().saturating_sub(1)) * 99 / 100)
-                .copied()
-                .unwrap_or(0)
-        };
+        let p99_virtual_micros = lats
+            .get(lats.len().saturating_sub(1) * 99 / 100)
+            .copied()
+            .unwrap_or(0);
         let on_time = lats
             .iter()
-            .filter(|(virt, _)| *virt <= params.slo_micros)
+            .filter(|&&virt| virt <= params.slo_micros)
             .count() as u64;
         let result = PhaseResult {
             name: phase_names[phase_index.min(phase_names.len() - 1)],
@@ -364,9 +353,7 @@ pub fn run_cell(protected: bool, params: OverloadParams) -> CellResult {
             shed: shed.into_inner(),
             on_time,
             virtual_micros,
-            wall_micros,
-            p99_virtual_micros: p99(|l| l.0),
-            p99_wall_nanos: p99(|l| l.1),
+            p99_virtual_micros,
         };
         // The overload contract: every offered read is either served or
         // refused with `Overloaded` — nothing vanishes.
@@ -453,6 +440,52 @@ pub fn run_overload(params: OverloadParams) -> [CellResult; 2] {
     [unprotected, protected]
 }
 
+/// The `BENCH_overload.json` artifact of one run. Its quantities are
+/// virtual-clock, but real threads race for the origin's window, so a
+/// rerun may differ by a few reads.
+pub fn report(params: OverloadParams, cells: &[CellResult]) -> Report {
+    let phase = |p: &PhaseResult| {
+        fields! {
+            "name": p.name,
+            "intensity": p.intensity,
+            "offered": p.offered,
+            "admitted": p.admitted,
+            "shed": p.shed,
+            "on_time": p.on_time,
+            "p99_virtual_micros": p.p99_virtual_micros,
+            "goodput_per_virtual_sec": Value::Float(p.goodput(), 2),
+        }
+    };
+    let cell = |c: &CellResult| {
+        fields! {
+            "protected": c.protected,
+            "retained": Value::Float(c.retained(), 4),
+            "sheds_foreground": c.stats.sheds_foreground,
+            "sheds_refresh": c.stats.sheds_refresh,
+            "sheds_prefetch": c.stats.sheds_prefetch,
+            "brownout_shifts": c.stats.brownout_shifts,
+            "phases": Value::rows(&c.phases, phase),
+        }
+    };
+    Report {
+        experiment: "overload",
+        deterministic: false,
+        params: fields! {
+            "base_threads": params.base_threads,
+            "sat_events": params.sat_events,
+            "burst_events": params.burst_events,
+            "recover_events": params.recover_events,
+            "burst_intensity": params.burst_intensity,
+            "service_virtual_micros": params.service_virtual_micros,
+            "service_wall_micros": params.service_wall_micros,
+            "deadline_micros": params.deadline_micros,
+            "slo_micros": params.slo_micros,
+            "seed": params.seed,
+        },
+        body: fields! { "cells": Value::rows(cells, cell) },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,10 +499,9 @@ mod tests {
             println!("protected={protected}");
             for p in &cell.phases {
                 println!(
-                    "  {} i={} offered={} admitted={} shed={} on_time={} p99v={} p99w={}ns vmicros={} wall={} goodput={:.1}",
+                    "  {} i={} offered={} admitted={} shed={} on_time={} p99v={} vmicros={} goodput={:.1}",
                     p.name, p.intensity, p.offered, p.admitted, p.shed, p.on_time,
-                    p.p99_virtual_micros, p.p99_wall_nanos, p.virtual_micros, p.wall_micros,
-                    p.goodput()
+                    p.p99_virtual_micros, p.virtual_micros, p.goodput()
                 );
             }
             println!(

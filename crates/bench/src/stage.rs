@@ -14,6 +14,8 @@
 //! rendition is distinct (the per-user tag defeats whole-version sharing),
 //! so any saving must come from the staged prefix.
 
+use crate::fields;
+use crate::report::{Report, Value};
 use crate::support::TagProperty;
 use bytes::Bytes;
 use placeless_cache::{CacheConfig, CacheStats, DocumentCache};
@@ -165,6 +167,44 @@ pub fn sweep(params: StageParams) -> Vec<StageResult> {
     vec![run_one(false, params), run_one(true, params)]
 }
 
+/// The `BENCH_stage.json` artifact of one sweep.
+pub fn report(params: StageParams, results: &[StageResult]) -> Report {
+    let run = |r: &StageResult| {
+        let reads = r.stats.hits + r.stats.misses;
+        let read_micros = r.stats.hit_micros + r.stats.miss_micros;
+        fields! {
+            "stage_cache": r.stage_cache,
+            "first_user_micros": r.first_user_micros,
+            "later_user_mean_micros": r.later_user_mean_micros,
+            "repeat_hit_micros": r.repeat_hit_micros,
+            "mean_read_micros": Value::Float(read_micros as f64 / reads.max(1) as f64, 1),
+            "stage_hits": r.stats.stage_hits,
+            "stage_partial_hits": r.stats.stage_partial_hits,
+            "stage_hit_rate": Value::Float(
+                r.stats.stage_partial_hits as f64 / r.stats.misses.max(1) as f64,
+                4,
+            ),
+            "stage_entries": r.stage_entries,
+            "stage_bytes": r.stats.stage_bytes,
+            "physical_bytes": r.physical_bytes,
+            "logical_bytes": r.logical_bytes,
+        }
+    };
+    Report {
+        experiment: "stage",
+        deterministic: true,
+        params: fields! {
+            "users": params.users,
+            "base_chain": params.base_chain,
+            "body_bytes": params.body_bytes,
+            "per_stage_micros": params.per_stage_micros,
+            "tag_micros": params.tag_micros,
+            "fetch_micros": params.fetch_micros,
+        },
+        body: fields! { "runs": Value::rows(results, run) },
+    }
+}
+
 /// Result of the zero-copy pass-through probe.
 #[derive(Debug, Clone, Copy)]
 pub struct PassthroughProbe {
@@ -174,8 +214,6 @@ pub struct PassthroughProbe {
     pub chain: usize,
     /// The final output shares the input allocation: no stage copied.
     pub zero_copy: bool,
-    /// Wall-clock nanoseconds per body byte for the full chain walk.
-    pub ns_per_byte: f64,
 }
 
 /// Drives one body through a pass-through (identity) chain with the
@@ -204,14 +242,12 @@ pub fn streaming_passthrough_probe(body_bytes: usize, chain: usize) -> Passthrou
     let plan = space.read_plan(user, doc).expect("plan");
     let input = Bytes::from(body);
     let sig = md5(&input);
-    let started = std::time::Instant::now();
     let mut report = plan.seed_report(&clock);
     let mut pipeline = StagePipeline::from_root(&plan, input.clone(), sig);
     for index in 0..plan.len() {
         pipeline.execute(&clock, index, &mut report).expect("stage");
     }
     let (out, out_sig) = pipeline.finish();
-    let elapsed = started.elapsed();
     let out = out.expect("pipeline bytes");
     let zero_copy =
         out.len() == input.len() && out.as_ptr() == input.as_ptr() && out_sig == Some(sig);
@@ -219,7 +255,6 @@ pub fn streaming_passthrough_probe(body_bytes: usize, chain: usize) -> Passthrou
         body_bytes,
         chain,
         zero_copy,
-        ns_per_byte: elapsed.as_nanos() as f64 / body_bytes.max(1) as f64,
     }
 }
 
@@ -234,8 +269,6 @@ pub struct BigDocSmoke {
     pub uncacheable_reads: u64,
     /// Physical bytes resident afterwards (must be zero).
     pub resident_bytes: u64,
-    /// Wall-clock nanoseconds per output byte across both reads.
-    pub ns_per_byte: f64,
 }
 
 /// Streams a multi-MiB live-feed frame through a three-stage tagging
@@ -270,10 +303,8 @@ pub fn big_doc_smoke(frame_bytes: usize) -> BigDocSmoke {
             .stage_cache(true)
             .build(),
     );
-    let started = std::time::Instant::now();
     let first = cache.read(user, doc).expect("first read");
     let second = cache.read(user, doc).expect("second read");
-    let elapsed = started.elapsed();
     let markers = b"[big-0][big-1][big-2]";
     for rendition in [&first, &second] {
         assert_eq!(
@@ -299,7 +330,6 @@ pub fn big_doc_smoke(frame_bytes: usize) -> BigDocSmoke {
         out_bytes: frame_bytes + markers.len(),
         uncacheable_reads: stats.uncacheable_reads,
         resident_bytes,
-        ns_per_byte: elapsed.as_nanos() as f64 / (2 * (frame_bytes + markers.len())) as f64,
     }
 }
 
@@ -307,7 +337,7 @@ pub fn big_doc_smoke(frame_bytes: usize) -> BigDocSmoke {
 mod tests {
     use super::*;
 
-    /// The acceptance criterion: with stage caching on, a later user's
+    /// The acceptance check: with stage caching on, a later user's
     /// read replays only the per-user suffix, so it costs less than the
     /// full-chain re-execution the plain cache pays.
     #[test]

@@ -15,7 +15,6 @@ use placeless_core::prelude::*;
 use placeless_properties::{ContentWriteNotifier, PropertyChangeNotifier};
 use placeless_repository::{table1_origins, WebProvider};
 use placeless_simenv::{Link, LinkClass, VirtualClock};
-use std::sync::Arc;
 
 /// One row of the reproduced Table 1.
 #[derive(Debug, Clone)]
@@ -112,18 +111,6 @@ pub fn shape_holds(rows: &[Table1Row]) -> bool {
         let local = rows[0].no_cache_micros;
         rows[1..].iter().all(|r| r.no_cache_micros > local * 5)
     }
-}
-
-/// Builds `(space, cache, doc)` for the criterion wall-clock variant.
-pub fn bench_setup() -> (Arc<DocumentSpace>, Arc<DocumentCache>, DocumentId, UserId) {
-    let user = UserId(1);
-    let clock = VirtualClock::new();
-    let [parcweb, _, _] = table1_origins(&clock);
-    let space = DocumentSpace::new(clock);
-    let provider = WebProvider::new(parcweb, "/index.html", Link::of_class(LinkClass::Lan, 7));
-    let doc = space.create_document(user, provider);
-    let cache = DocumentCache::new(space.clone(), CacheConfig::default());
-    (space, cache, doc, user)
 }
 
 #[cfg(test)]
