@@ -28,6 +28,7 @@ pub mod spellcheck;
 pub mod summarize;
 pub mod translate;
 pub mod versioning;
+pub mod wordmap;
 
 #[cfg(test)]
 pub(crate) mod testutil;

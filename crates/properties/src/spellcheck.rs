@@ -5,12 +5,12 @@
 //! and `getOutputStream` (as in Figure 2) and rewrites known misspellings
 //! word by word, preserving capitalization of the first letter.
 
+use crate::wordmap::WordTable;
 use bytes::Bytes;
 use placeless_core::error::Result;
 use placeless_core::event::{EventKind, Interests};
 use placeless_core::property::{ActiveProperty, PathCtx, PathReport};
 use placeless_core::streams::{InputStream, OutputStream, TransformingInput, TransformingOutput};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The default dictionary of misspelling → correction pairs.
@@ -29,73 +29,35 @@ pub const DEFAULT_DICTIONARY: &[(&str, &str)] = &[
 
 /// Dictionary-based spelling correction on the read and write paths.
 pub struct SpellCheck {
-    dictionary: Arc<HashMap<String, String>>,
+    dictionary: Arc<WordTable>,
     cost_micros: u64,
 }
 
 impl SpellCheck {
     /// Creates a corrector with the default dictionary.
     pub fn new() -> Arc<Self> {
-        Self::with_dictionary(DEFAULT_DICTIONARY.iter().map(|&(a, b)| (a, b)))
+        Self::with_dictionary(DEFAULT_DICTIONARY.iter().copied())
     }
 
     /// Creates a corrector with a custom dictionary.
     pub fn with_dictionary<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a str)>) -> Arc<Self> {
+        let pairs = pairs.into_iter().map(|(a, b)| (a.to_lowercase(), b));
         Arc::new(Self {
-            dictionary: Arc::new(
-                pairs
-                    .into_iter()
-                    .map(|(a, b)| (a.to_lowercase(), b.to_owned()))
-                    .collect(),
-            ),
+            dictionary: Arc::new(WordTable::new(pairs)),
             cost_micros: 400,
         })
     }
 
-    /// Corrects a whole buffer.
-    pub fn correct(dictionary: &HashMap<String, String>, text: &[u8]) -> Bytes {
-        let text = String::from_utf8_lossy(text);
-        let mut out = String::with_capacity(text.len());
-        let mut word = String::new();
-        for ch in text.chars() {
-            if ch.is_alphanumeric() || ch == '\'' {
-                word.push(ch);
-            } else {
-                flush_word(dictionary, &mut out, &mut word);
-                out.push(ch);
-            }
-        }
-        flush_word(dictionary, &mut out, &mut word);
-        Bytes::from(out)
+    /// Corrects a whole buffer, preserving a misspelt word's leading
+    /// capital.
+    pub fn correct(dictionary: &WordTable, text: &[u8]) -> Bytes {
+        dictionary.rewrite(text, true)
     }
 
     fn transform(&self) -> impl FnOnce(Bytes) -> Result<Bytes> + Send + 'static {
         let dictionary = self.dictionary.clone();
         move |bytes| Ok(Self::correct(&dictionary, &bytes))
     }
-}
-
-fn flush_word(dictionary: &HashMap<String, String>, out: &mut String, word: &mut String) {
-    if word.is_empty() {
-        return;
-    }
-    let lower = word.to_lowercase();
-    match dictionary.get(&lower) {
-        Some(fix) => {
-            // Preserve a leading capital.
-            if word.chars().next().is_some_and(|c| c.is_uppercase()) {
-                let mut chars = fix.chars();
-                if let Some(first) = chars.next() {
-                    out.extend(first.to_uppercase());
-                    out.push_str(chars.as_str());
-                }
-            } else {
-                out.push_str(fix);
-            }
-        }
-        None => out.push_str(word),
-    }
-    word.clear();
 }
 
 impl ActiveProperty for SpellCheck {

@@ -6,6 +6,7 @@
 //! the latter demonstrates a property depending on *other property values*
 //! (changing `preferredLanguage` is then an invalidation cause).
 
+use crate::wordmap::WordTable;
 use bytes::Bytes;
 use placeless_core::error::Result;
 use placeless_core::event::{EventKind, Interests};
@@ -61,91 +62,53 @@ enum Target {
 /// Word-map translation on the read path.
 pub struct Translate {
     target: Target,
-    tables: Arc<HashMap<String, HashMap<String, String>>>,
+    /// One compiled table per language, built here once: `wrap_input`
+    /// (which runs on every stage hit too) only clones an `Arc`.
+    tables: HashMap<&'static str, Arc<WordTable>>,
     cost_micros: u64,
 }
 
-fn builtin_tables() -> Arc<HashMap<String, HashMap<String, String>>> {
-    let mut tables = HashMap::new();
-    for (lang, pairs) in [("fr", EN_FR), ("es", EN_ES)] {
-        tables.insert(
-            lang.to_owned(),
-            pairs
-                .iter()
-                .map(|&(a, b)| (a.to_owned(), b.to_owned()))
-                .collect(),
-        );
-    }
-    Arc::new(tables)
-}
-
 impl Translate {
-    /// Creates a translator with a fixed target language (`"fr"`, `"es"`).
-    pub fn to(language: &str) -> Arc<Self> {
+    fn with_target(target: Target) -> Arc<Self> {
+        let tables = [("fr", EN_FR), ("es", EN_ES)]
+            .into_iter()
+            .map(|(lang, pairs)| (lang, Arc::new(WordTable::new(pairs.iter().copied()))))
+            .collect();
         Arc::new(Self {
-            target: Target::Fixed(language.to_owned()),
-            tables: builtin_tables(),
+            target,
+            tables,
             cost_micros: 2_000,
         })
+    }
+
+    /// Creates a translator with a fixed target language (`"fr"`, `"es"`).
+    pub fn to(language: &str) -> Arc<Self> {
+        Self::with_target(Target::Fixed(language.to_owned()))
     }
 
     /// Creates a translator that resolves `preferredLanguage` from the
     /// document's properties at read time.
     pub fn from_preferred_language() -> Arc<Self> {
-        Arc::new(Self {
-            target: Target::FromProperty,
-            tables: builtin_tables(),
-            cost_micros: 2_000,
-        })
+        Self::with_target(Target::FromProperty)
     }
 
     /// Resolves the target language for one path.
-    fn resolved_language(&self, ctx: &PathCtx<'_>) -> String {
+    fn resolved_language<'a>(&'a self, ctx: &PathCtx<'a>) -> &'a str {
         match &self.target {
-            Target::Fixed(lang) => lang.clone(),
+            Target::Fixed(lang) => lang,
             Target::FromProperty => ctx
                 .props
                 .get("preferredLanguage")
-                .and_then(|v| v.as_str().map(str::to_owned))
-                .unwrap_or_else(|| "en".to_owned()),
+                .and_then(|v| v.as_str())
+                .unwrap_or("en"),
         }
     }
 
-    /// Translates a whole buffer to `language`, leaving unknown words
-    /// untouched. An unknown language leaves the text unchanged.
-    pub fn translate(
-        tables: &HashMap<String, HashMap<String, String>>,
-        language: &str,
-        text: &[u8],
-    ) -> Bytes {
-        let Some(table) = tables.get(language) else {
-            return Bytes::copy_from_slice(text);
-        };
-        let text = String::from_utf8_lossy(text);
-        let mut out = String::with_capacity(text.len());
-        let mut word = String::new();
-        for ch in text.chars() {
-            if ch.is_alphanumeric() || ch == '\'' {
-                word.push(ch);
-            } else {
-                flush(table, &mut out, &mut word);
-                out.push(ch);
-            }
-        }
-        flush(table, &mut out, &mut word);
-        Bytes::from(out)
+    /// Translates a whole buffer through `table`, leaving unknown words
+    /// untouched.
+    pub fn translate(table: &WordTable, text: &[u8]) -> Bytes {
+        table.rewrite(text, false)
     }
-}
-
-fn flush(table: &HashMap<String, String>, out: &mut String, word: &mut String) {
-    if word.is_empty() {
-        return;
-    }
-    match table.get(&word.to_lowercase()) {
-        Some(t) => out.push_str(t),
-        None => out.push_str(word),
-    }
-    word.clear();
 }
 
 impl ActiveProperty for Translate {
@@ -167,11 +130,16 @@ impl ActiveProperty for Translate {
         _report: &mut PathReport,
         inner: Box<dyn InputStream>,
     ) -> Result<Box<dyn InputStream>> {
-        let language = self.resolved_language(ctx);
-        let tables = self.tables.clone();
+        // No table for the resolved language means no translation: hand
+        // back `inner` itself, so the executor sees a pass-through stage
+        // and carries the input's digest instead of hashing a copy.
+        let Some(table) = self.tables.get(self.resolved_language(ctx)) else {
+            return Ok(inner);
+        };
+        let table = table.clone();
         Ok(Box::new(TransformingInput::new(
             inner,
-            Box::new(move |bytes| Ok(Self::translate(&tables, &language, &bytes))),
+            Box::new(move |bytes| Ok(Self::translate(&table, &bytes))),
         )))
     }
 

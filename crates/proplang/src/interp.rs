@@ -8,6 +8,7 @@ use crate::ast::{Cond, Program, Stage};
 use parking_lot::RwLock;
 use placeless_core::error::{PlacelessError, Result};
 use placeless_core::external::ExternalSource;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -42,20 +43,39 @@ pub type PropLookup<'a> = &'a dyn Fn(&str) -> Option<String>;
 
 /// Runs `program` over `input`, using `props` for property lookups and
 /// `env` for external sources.
-pub fn run(
+///
+/// Stages work on text, validated as UTF-8 (lossily; borrowed where valid)
+/// when the first one runs. If none runs — none written, or every `if`
+/// false — the program is the identity on *bytes*: `input` comes back.
+pub fn run<'a>(
     program: &Program,
-    input: &[u8],
+    input: &'a [u8],
     props: PropLookup<'_>,
     env: &ExtEnv,
-) -> Result<Vec<u8>> {
-    let mut text = String::from_utf8_lossy(input).into_owned();
+) -> Result<Cow<'a, [u8]>> {
+    let mut text: Option<Cow<'a, str>> = None;
     for stage in &program.stages {
-        text = run_stage(stage, text, props, env)?;
+        if !runs(stage, props) {
+            continue;
+        }
+        let current = text.get_or_insert_with(|| String::from_utf8_lossy(input));
+        text = Some(Cow::Owned(run_stage(stage, current, props, env)?));
     }
-    Ok(text.into_bytes())
+    Ok(match text {
+        None => Cow::Borrowed(input),
+        Some(text) => Cow::Owned(text.into_owned().into_bytes()),
+    })
 }
 
-fn run_stage(stage: &Stage, text: String, props: PropLookup<'_>, env: &ExtEnv) -> Result<String> {
+/// Whether every `if` guarding `stage` holds.
+fn runs(stage: &Stage, props: PropLookup<'_>) -> bool {
+    match stage {
+        Stage::If(cond, inner) => eval_cond(cond, props) && runs(inner, props),
+        _ => true,
+    }
+}
+
+fn run_stage(stage: &Stage, text: &str, props: PropLookup<'_>, env: &ExtEnv) -> Result<String> {
     Ok(match stage {
         Stage::Upper => text.to_uppercase(),
         Stage::Lower => text.to_lowercase(),
@@ -90,7 +110,7 @@ fn run_stage(stage: &Stage, text: String, props: PropLookup<'_>, env: &ExtEnv) -
             .take(*n as usize)
             .collect::<Vec<_>>()
             .join("\n"),
-        Stage::Wrap(width) => wrap_text(&text, *width as usize),
+        Stage::Wrap(width) => wrap_text(text, *width as usize),
         Stage::NumberLines => text
             .lines()
             .enumerate()
@@ -114,14 +134,9 @@ fn run_stage(stage: &Stage, text: String, props: PropLookup<'_>, env: &ExtEnv) -
             })?;
             format!("{text}{}", String::from_utf8_lossy(&source.read()))
         }
-        Stage::Subst => substitute(&text, props, env)?,
-        Stage::If(cond, inner) => {
-            if eval_cond(cond, props) {
-                run_stage(inner, text, props, env)?
-            } else {
-                text
-            }
-        }
+        Stage::Subst => substitute(text, props, env)?,
+        Stage::If(cond, inner) if eval_cond(cond, props) => run_stage(inner, text, props, env)?,
+        Stage::If(..) => text.to_owned(),
     })
 }
 
@@ -200,8 +215,8 @@ mod tests {
 
     fn run_src(src: &str, input: &str) -> String {
         let program = parse(src).unwrap();
-        String::from_utf8(run(&program, input.as_bytes(), &no_props, &ExtEnv::new()).unwrap())
-            .unwrap()
+        let out = run(&program, input.as_bytes(), &no_props, &ExtEnv::new()).unwrap();
+        String::from_utf8(out.into_owned()).unwrap()
     }
 
     #[test]
@@ -270,8 +285,8 @@ mod tests {
         let fr = |name: &str| (name == "lang").then(|| "fr".to_owned());
         let en = |name: &str| (name == "lang").then(|| "en".to_owned());
         let env = ExtEnv::new();
-        assert_eq!(run(&program, b"doc", &fr, &env).unwrap(), b"doc [fr]");
-        assert_eq!(run(&program, b"doc", &en, &env).unwrap(), b"doc");
+        assert_eq!(&*run(&program, b"doc", &fr, &env).unwrap(), b"doc [fr]");
+        assert_eq!(&*run(&program, b"doc", &en, &env).unwrap(), b"doc");
     }
 
     #[test]
@@ -279,8 +294,8 @@ mod tests {
         let program = parse(r#"if(!prop("draft"), prepend("FINAL: "))"#).unwrap();
         let has = |name: &str| (name == "draft").then(|| "yes".to_owned());
         let env = ExtEnv::new();
-        assert_eq!(run(&program, b"x", &has, &env).unwrap(), b"x");
-        assert_eq!(run(&program, b"x", &no_props, &env).unwrap(), b"FINAL: x");
+        assert_eq!(&*run(&program, b"x", &has, &env).unwrap(), b"x");
+        assert_eq!(&*run(&program, b"x", &no_props, &env).unwrap(), b"FINAL: x");
     }
 
     #[test]
@@ -289,7 +304,7 @@ mod tests {
         env.add(SimpleExternal::new("stock:XRX", "42.50"));
         let program = parse(r#"append(" XRX=") | append_ext("stock:XRX")"#).unwrap();
         assert_eq!(
-            run(&program, b"quotes:", &no_props, &env).unwrap(),
+            &*run(&program, b"quotes:", &no_props, &env).unwrap(),
             b"quotes: XRX=42.50"
         );
         let missing = parse(r#"append_ext("nope")"#).unwrap();
@@ -309,7 +324,7 @@ mod tests {
             &env,
         )
         .unwrap();
-        assert_eq!(out, b"by eyal at 9:41 ()");
+        assert_eq!(&*out, b"by eyal at 9:41 ()");
     }
 
     #[test]

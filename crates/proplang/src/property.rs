@@ -19,8 +19,11 @@ use placeless_core::error::{PlacelessError, Result};
 use placeless_core::event::{EventKind, Interests};
 use placeless_core::property::{ActiveProperty, PathCtx, PathReport};
 use placeless_core::registry::PropertyRegistry;
-use placeless_core::streams::{InputStream, OutputStream, TransformingInput, TransformingOutput};
+use placeless_core::streams::{
+    InputStream, OutputStream, TransformFn, TransformingInput, TransformingOutput,
+};
 use placeless_core::verifier::{EpochVerifier, TtlVerifier};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A runtime-authored active property backed by the PropLang interpreter.
@@ -29,7 +32,7 @@ pub struct ScriptProperty {
     /// The program text, retained so the transform token can fingerprint
     /// it: editing a script re-keys every downstream stage signature.
     source: String,
-    program: Program,
+    program: Arc<Program>,
     env: ExtEnv,
 }
 
@@ -39,7 +42,7 @@ impl ScriptProperty {
         Ok(Arc::new(Self {
             name: format!("proplang:{name}"),
             source: source.to_owned(),
-            program: parse(source)?,
+            program: Arc::new(parse(source)?),
             env,
         }))
     }
@@ -47,6 +50,28 @@ impl ScriptProperty {
     /// Returns the parsed program (for inspection).
     pub fn program(&self) -> &Program {
         &self.program
+    }
+
+    /// The lazily-run transform of one path, over a snapshot of the
+    /// property values the (shared) program may consult. Content no stage
+    /// touched is handed on as the buffer it arrived in.
+    fn transform(&self, ctx: &PathCtx<'_>) -> TransformFn {
+        let program = self.program.clone();
+        let env = self.env.clone();
+        let props: Vec<(String, String)> = collect_props(ctx, &program);
+        Box::new(move |bytes| {
+            let lookup = |name: &str| {
+                props
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map(|(_, v)| v.clone())
+            };
+            let rewritten = match run(&program, &bytes, &lookup, &env)? {
+                Cow::Borrowed(_) => None,
+                Cow::Owned(out) => Some(Bytes::from(out)),
+            };
+            Ok(rewritten.unwrap_or(bytes))
+        })
     }
 }
 
@@ -80,23 +105,12 @@ impl ActiveProperty for ScriptProperty {
         _report: &mut PathReport,
         inner: Box<dyn OutputStream>,
     ) -> Result<Box<dyn OutputStream>> {
-        if !self.program.run_on.writes() {
+        if !self.program.run_on.writes() || self.program.stages.is_empty() {
             return Ok(inner);
         }
-        let program = self.program.clone();
-        let env = self.env.clone();
-        let props: Vec<(String, String)> = collect_props(ctx, &program);
         Ok(Box::new(TransformingOutput::new(
             inner,
-            Box::new(move |bytes| {
-                let lookup = |name: &str| {
-                    props
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|(_, v)| v.clone())
-                };
-                Ok(Bytes::from(run(&program, &bytes, &lookup, &env)?))
-            }),
+            self.transform(ctx),
         )))
     }
 
@@ -121,24 +135,12 @@ impl ActiveProperty for ScriptProperty {
             })?;
             report.add_verifier(EpochVerifier::pinned(source));
         }
-
-        // Snapshot the property values the interpreter may consult; the
-        // snapshot outlives the lazily-run transform.
-        let program = self.program.clone();
-        let env = self.env.clone();
-        let props: Vec<(String, String)> = collect_props(ctx, &program);
-        Ok(Box::new(TransformingInput::new(
-            inner,
-            Box::new(move |bytes| {
-                let lookup = |name: &str| {
-                    props
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|(_, v)| v.clone())
-                };
-                Ok(Bytes::from(run(&program, &bytes, &lookup, &env)?))
-            }),
-        )))
+        // A program of directives alone transforms nothing: with them
+        // registered, the stream passes through as it is.
+        if self.program.stages.is_empty() {
+            return Ok(inner);
+        }
+        Ok(Box::new(TransformingInput::new(inner, self.transform(ctx))))
     }
 
     fn transform_token(&self, ctx: &PathCtx<'_>) -> Option<Vec<u8>> {

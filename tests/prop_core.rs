@@ -253,21 +253,21 @@ proptest! {
     ) {
         let program = parse(&format!("replace(\"{from}\", \"{to}\")")).unwrap();
         let out = run(&program, text.as_bytes(), &|_| None, &ExtEnv::new()).unwrap();
-        prop_assert_eq!(String::from_utf8(out).unwrap(), text.replace(&from, &to));
+        prop_assert_eq!(String::from_utf8(out.into_owned()).unwrap(), text.replace(&from, &to));
     }
 
     #[test]
     fn proplang_rot13_is_involution(text in "\\PC{0,200}") {
         let program = parse("rot13 | rot13").unwrap();
         let out = run(&program, text.as_bytes(), &|_| None, &ExtEnv::new()).unwrap();
-        prop_assert_eq!(String::from_utf8(out).unwrap(), text);
+        prop_assert_eq!(String::from_utf8(out.into_owned()).unwrap(), text);
     }
 
     #[test]
     fn proplang_upper_lower(text in "[a-zA-Z0-9 ]{0,200}") {
         let program = parse("upper | lower").unwrap();
         let out = run(&program, text.as_bytes(), &|_| None, &ExtEnv::new()).unwrap();
-        prop_assert_eq!(String::from_utf8(out).unwrap(), text.to_lowercase());
+        prop_assert_eq!(String::from_utf8(out.into_owned()).unwrap(), text.to_lowercase());
     }
 
     /// Stage signatures are stable across independently compiled plans,
@@ -313,7 +313,7 @@ proptest! {
     fn proplang_take_lines_bounds(text in "[a-z\\n]{0,300}", n in 0i64..20) {
         let program = parse(&format!("take_lines({n})")).unwrap();
         let out = run(&program, text.as_bytes(), &|_| None, &ExtEnv::new()).unwrap();
-        let out = String::from_utf8(out).unwrap();
+        let out = String::from_utf8(out.into_owned()).unwrap();
         prop_assert!(out.lines().count() <= n as usize);
     }
 }
