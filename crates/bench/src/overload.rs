@@ -516,6 +516,19 @@ mod tests {
         }
     }
 
+    /// These tests race real threads for an origin's slots on the wall
+    /// clock, forty at a time: run side by side they deschedule each
+    /// other's readers, whose deadlines then lapse on the other readers'
+    /// clock advances (`1x shed 13–29 of 150` in one workspace run in five).
+    /// Each holds this for its whole body, so each runs alone.
+    static ALONE: Mutex<()> = Mutex::new(());
+
+    fn alone() -> std::sync::MutexGuard<'static, ()> {
+        ALONE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn small() -> OverloadParams {
         OverloadParams {
             base_threads: 4,
@@ -529,8 +542,16 @@ mod tests {
 
     #[test]
     fn protected_survives_the_burst_and_unprotected_collapses() {
-        // run_overload() itself asserts the acceptance gates.
-        let [unprotected, protected] = run_overload(small());
+        let _alone = alone();
+        // run_overload() itself asserts the acceptance gates. Its collapse
+        // gate (`< 50 %` retained) wants the slot held for the smoke's
+        // 250 us, as `check.sh` explains: at 150 us the unprotected burst
+        // kept up to 53 % and tripped it about one run in fifteen.
+        let params = OverloadParams {
+            service_wall_micros: 250,
+            ..small()
+        };
+        let [unprotected, protected] = run_overload(params);
         assert!(protected.phase("burst").shed > 0);
         assert_eq!(unprotected.phase("burst").shed, 0);
         assert!(
@@ -539,34 +560,41 @@ mod tests {
         );
     }
 
+    /// `small()` with one thread per unit of intensity and a 40x burst (so
+    /// the burst is the other cells' forty threads): the 1x phases then run
+    /// on one thread, whose clock moves only by its own fetches, and what
+    /// they shed or serve late is a count — not what the host's scheduler
+    /// did to four racing readers, each of which accrues the others' clock
+    /// advances while descheduled, misses its deadline, and narrows the
+    /// AIMD window for the rest (recovery read 132–134 of 150 on time on a
+    /// loaded host where 135 are asked for; saturation shed 13–60 of 150
+    /// in one workspace run in ten).
+    fn one_reader_at_1x() -> OverloadParams {
+        OverloadParams {
+            base_threads: 1,
+            burst_intensity: 40,
+            ..small()
+        }
+    }
+
     #[test]
     fn saturation_phase_is_clean_in_both_cells() {
-        let params = small();
+        let _alone = alone();
         for protected in [false, true] {
-            let cell = run_cell(protected, params);
+            let cell = run_cell(protected, one_reader_at_1x());
             let sat = cell.phase("saturation");
-            // Tolerances absorb host scheduling noise (a descheduled
-            // reader accrues other threads' virtual advances), which can
-            // nudge a couple of 1x reads past the SLO or the admission
-            // estimate when the test host is oversubscribed.
-            assert!(
-                sat.shed <= sat.offered / 20,
-                "1x shed {} of {} (protected={protected})",
-                sat.shed,
-                sat.offered
-            );
-            assert!(
-                sat.on_time as f64 >= sat.admitted as f64 * 0.95,
-                "1x must be on time, got {}/{} (protected={protected})",
-                sat.on_time,
-                sat.admitted
-            );
+            assert_eq!(sat.shed, 0, "1x shed (protected={protected})");
+            assert_eq!(sat.on_time, sat.offered, "1x late (protected={protected})");
         }
     }
 
     #[test]
     fn recovery_returns_to_on_time_service() {
-        let cell = run_cell(true, small());
+        let _alone = alone();
+        let cell = run_cell(true, one_reader_at_1x());
+        assert!(cell.phase("burst").shed > 0, "the burst never overloaded");
+        // The ladder rejects background reads for as long as it holds its
+        // last rung, one dwell; past that every read is served on time.
         let recover = cell.phase("recovery");
         assert!(
             recover.on_time as f64 >= recover.offered as f64 * 0.9,
@@ -578,6 +606,7 @@ mod tests {
 
     #[test]
     fn priority_classes_shed_background_first() {
+        let _alone = alone();
         let cell = run_cell(true, small());
         let background = cell.stats.sheds_prefetch + cell.stats.sheds_refresh;
         assert!(background > 0, "brownout never shed background reads");

@@ -37,11 +37,17 @@ impl Root {
 /// what the walk has learned about the provider root.
 struct Walk<'p> {
     plan: &'p TransformPlan,
+    clock: &'p VirtualClock,
+    ctx: FetchCtx,
     pipeline: StagePipeline<'p>,
     report: PathReport,
-    /// The signatures of the signed prefix ([`TransformPlan::signed_prefix`]),
-    /// chained on the root the pipeline is anchored on.
+    /// The chain signature after each stage: the signed prefix
+    /// ([`TransformPlan::signed_prefix`]) on the root the pipeline is
+    /// anchored on, then — once the opaque stage that ends it has run —
+    /// that stage's output digest and the signed run after it.
     sigs: Vec<Signature>,
+    /// Which outputs are worth a name ([`TransformPlan::named_outputs`]).
+    named: Vec<bool>,
     /// Set once this walk fetched the provider bytes.
     fetched_root: Option<Root>,
     /// Whether any stage was adopted (resident or coalesced) instead of
@@ -61,11 +67,11 @@ impl Walk<'_> {
     /// its race with a writer between the verifier probe and this fetch —
     /// rebasing on the real root is a clean restart of the walk, prefix
     /// signatures included, not a mid-chain splice.
-    fn materialize_root(&mut self, clock: &VirtualClock) -> Result<()> {
+    fn materialize_root(&mut self) -> Result<()> {
         if self.pipeline.has_bytes() {
             return Ok(());
         }
-        let (bytes, root) = Root::fetch(self.plan, clock)?;
+        let (bytes, root) = Root::fetch(self.plan, self.clock)?;
         if root.sig == self.pipeline.chain_signature() {
             self.pipeline.supply_root(bytes);
         } else {
@@ -75,23 +81,15 @@ impl Walk<'_> {
         self.fetched_root = Some(root);
         Ok(())
     }
-
-    /// Stage `index`'s addressing signature: read off the prefix, or — past
-    /// the first opaque stage — chained on what the pipeline holds. `None`
-    /// for an opaque stage.
-    fn stage_sig(&self, index: usize) -> Option<Signature> {
-        let known = self.sigs.get(index).copied();
-        known.or_else(|| self.pipeline.stage_signature(index))
-    }
 }
 
 impl DocumentCache {
     /// Budget check before each expensive stage step (fires only when
     /// overload control supplied a deadline instant): a walk whose
     /// budget already lapsed is shed instead of computing doomed stages.
-    fn check_stage_budget(&self, ctx: FetchCtx, clock: &VirtualClock) -> Result<()> {
-        match ctx.deadline_at {
-            Some(deadline) if clock.now() >= deadline => Err(self.shed(ctx.priority)),
+    fn check_stage_budget(&self, walk: &Walk<'_>) -> Result<()> {
+        match walk.ctx.deadline_at {
+            Some(deadline) if walk.clock.now() >= deadline => Err(self.shed(walk.ctx.priority)),
             _ => Ok(()),
         }
     }
@@ -101,6 +99,12 @@ impl DocumentCache {
     /// signatures, not bytes, so the walk knows the signed prefix's up
     /// front, adopts the deepest stage whose output is resident
     /// ([`Self::adopt_deepest`]) and executes only what lies after it.
+    ///
+    /// It works in **segments that end on a named output**
+    /// ([`TransformPlan::named_outputs`]): only an output a later walk
+    /// would look for, and lose by not finding, is digested, stored or
+    /// given a flight. A cheap intermediate under a dearer successor is
+    /// handed on, its cost accruing to the price of the named output.
     ///
     /// Two leases make the repeat walk cheap. The **chain lease** is the
     /// space's compiled view of the base half of the chain, validated
@@ -115,10 +119,10 @@ impl DocumentCache {
     /// is *proof* that the resident output was derived from exactly the
     /// attested source bytes by exactly this transform prefix.
     ///
-    /// A stage that is neither resident nor being computed opens a **stage
-    /// flight** keyed by its signature; threads that miss the same
-    /// signature meanwhile wait for the leader and adopt its output, which
-    /// is byte for byte what their own walk would have computed.
+    /// A segment whose named output is neither resident nor being computed
+    /// opens a **stage flight** keyed by that output's signature; threads
+    /// that miss it meanwhile wait for the leader and adopt its output,
+    /// byte for byte what their own walk would have computed.
     pub(super) fn read_through_stages(
         &self,
         user: UserId,
@@ -130,22 +134,22 @@ impl DocumentCache {
         let (plan, chain_lease, _chain_reused) =
             self.space
                 .read_plan_cached(user, doc, chain_lease.as_ref())?;
-        let mut walk = self.anchor(&plan, root_sig, clock)?;
+        let mut walk = self.anchor(&plan, root_sig, clock, ctx)?;
         // Every expensive step checks remaining budget first: a walk
         // whose deadline lapsed is shed before executing (or even
         // looking up) the next stage.
-        self.check_stage_budget(ctx, clock)?;
-        let resume = self.adopt_deepest(&mut walk, clock)?;
-        for index in resume..plan.len() {
-            self.check_stage_budget(ctx, clock)?;
-            self.walk_stage(&mut walk, clock, index)?;
+        self.check_stage_budget(&walk)?;
+        let mut index = self.adopt_deepest(&mut walk, 0)?;
+        while index < plan.len() {
+            self.check_stage_budget(&walk)?;
+            index = self.walk_segment(&mut walk, index)?;
         }
         if walk.any_hit {
             AtomicCacheStats::bump(&self.stats.stage_partial_hits);
         }
         // A walk whose every stage hit never needed the root — until now:
         // the caller wants the final content.
-        walk.materialize_root(clock)?;
+        walk.materialize_root()?;
         // Priced like every output of the walk. A chain that ends on a
         // stage left resident makes the rendition an alias of that entry,
         // free to lose; a chain with none costs its whole path.
@@ -195,7 +199,8 @@ impl DocumentCache {
         &self,
         plan: &'p TransformPlan,
         root_sig: Option<Signature>,
-        clock: &VirtualClock,
+        clock: &'p VirtualClock,
+        ctx: FetchCtx,
     ) -> Result<Walk<'p>> {
         let report = plan.seed_report(clock);
         let (pipeline, fetched_root) = match root_sig {
@@ -210,7 +215,10 @@ impl DocumentCache {
         };
         Ok(Walk {
             plan,
+            clock,
+            ctx,
             sigs: plan.signed_prefix(pipeline.chain_signature()),
+            named: plan.named_outputs(),
             pipeline,
             report,
             fetched_root,
@@ -219,28 +227,18 @@ impl DocumentCache {
         })
     }
 
-    /// Probes the signed prefix for residency **deepest stage first** and
-    /// adopts the first output found, so nothing before it is fetched,
-    /// executed, digested or stored only to be thrown away by a hit
-    /// further down. The stages skipped over register their path metadata
-    /// exactly as a hit does ([`TransformPlan::note_stage_hit`]) and count
-    /// as stage hits, but touch no shard, policy or clock: only the
-    /// adopted entry's credit is refreshed. Returns the index the forward
-    /// walk resumes at (0 when nothing is resident).
-    fn adopt_deepest(&self, walk: &mut Walk<'_>, clock: &VirtualClock) -> Result<usize> {
-        let Some((depth, bytes, content_sig)) = (0..walk.sigs.len()).rev().find_map(|depth| {
-            let (bytes, content_sig) = self.stage_lookup(walk.sigs[depth])?;
-            Some((depth, bytes, content_sig))
-        }) else {
-            return Ok(0);
+    /// Probes the signatures of `from..` for residency **deepest first**
+    /// and adopts the first output found, so nothing before it is fetched,
+    /// executed or stored only to be thrown away by a hit further down.
+    /// The walk's one lookup per signature (an unnamed output is there only
+    /// if a walk fell back on it, [`Self::run_segment`]). Returns the index
+    /// to resume at (`from` when nothing is resident).
+    fn adopt_deepest(&self, walk: &mut Walk<'_>, from: usize) -> Result<usize> {
+        let probe = |depth: usize| Some((depth, self.stage_lookup(walk.sigs[depth])?));
+        let Some((depth, (bytes, digest))) = (from..walk.sigs.len()).rev().find_map(probe) else {
+            return Ok(from);
         };
-        for skipped in 0..depth {
-            walk.plan
-                .note_stage_hit(clock, skipped, &mut walk.report, walk.sigs[skipped], 0)?;
-            AtomicCacheStats::bump(&self.stats.stage_hits);
-        }
-        let sig = walk.sigs[depth];
-        self.adopt_stage(walk, clock, depth, sig, bytes, Some(content_sig))?;
+        self.adopt_through(walk, from, depth, bytes, Some(digest))?;
         Ok(depth + 1)
     }
 
@@ -258,111 +256,121 @@ impl DocumentCache {
         }
     }
 
-    /// Advances the walk over stage `index`: adopts its output when it is
-    /// resident or another thread is computing it, executes it otherwise.
-    fn walk_stage(&self, walk: &mut Walk<'_>, clock: &VirtualClock, index: usize) -> Result<()> {
-        let Some(stage_sig) = walk.stage_sig(index) else {
+    /// Advances the walk over the segment starting at stage `start` — up
+    /// to and including the next named output, or one opaque stage — and
+    /// returns the index after it: adopts the named output when another
+    /// thread is computing it, executes the segment otherwise.
+    fn walk_segment(&self, walk: &mut Walk<'_>, start: usize) -> Result<usize> {
+        if start == walk.sigs.len() {
             // Opaque stage: executes on every read; the pipeline restarts
-            // the signature chain from its actual output digest, so
-            // downstream stages stay cacheable.
-            walk.materialize_root(clock)?;
-            walk.redo_micros += walk.plan.stages[index].cost_micros;
+            // the signature chain from its actual output digest, so the
+            // run after it stays cacheable, and is probed like the prefix.
+            walk.materialize_root()?;
+            walk.redo_micros += walk.plan.stages[start].cost_micros;
             let (pipeline, report) = (&mut walk.pipeline, &mut walk.report);
-            return pipeline
-                .execute_signed(clock, index, report, None)
-                .map(drop);
-        };
-        if let Some((cached, content_sig)) = self.stage_lookup(stage_sig) {
-            return self.adopt_stage(walk, clock, index, stage_sig, cached, Some(content_sig));
+            pipeline.execute_signed(walk.clock, start, report, None)?;
+            let restart = pipeline.chain_signature();
+            walk.sigs.push(restart);
+            walk.sigs.extend(walk.plan.signed_run(start + 1, restart));
+            return self.adopt_deepest(walk, start + 1);
         }
-        match self.stage_flights.join(EntryKey::Stage(stage_sig)) {
+        let unnamed = walk.named[start..].iter().take_while(|named| !**named);
+        let end = start + unnamed.count();
+        let flight_sig = walk.sigs[end];
+        match self.stage_flights.join(EntryKey::Stage(flight_sig)) {
             Join::Leader(guard) => {
-                // Re-check residency under leadership: a previous flight
-                // may have filled this signature between our lookup and
-                // now.
-                let led = match self.stage_lookup(stage_sig) {
-                    Some((cached, sig)) => self
-                        .adopt_stage(walk, clock, index, stage_sig, cached.clone(), Some(sig))
-                        .map(|()| Some(cached)),
-                    None => self.run_and_fill_stage(walk, clock, index, stage_sig),
-                };
+                let led = self.run_segment(walk, start, end);
                 guard.complete(match &led {
-                    Ok(Some(bytes)) => FlightResult::Shared {
+                    // Not a walk rebased onto a newer root: other signatures.
+                    Ok(Some(bytes)) if walk.sigs[end] == flight_sig => FlightResult::Shared {
                         bytes: bytes.clone(),
                         forward: false,
                     },
-                    Ok(None) => FlightResult::Unshared,
+                    Ok(_) => FlightResult::Unshared,
                     Err(error) => FlightResult::Failed(error.clone()),
                 });
-                led.map(|_| ())
+                led?;
             }
             Join::Waited(Some(FlightResult::Shared { bytes, .. })) => {
-                self.adopt_stage(walk, clock, index, stage_sig, bytes, None)?;
+                self.adopt_through(walk, start, end, bytes, None)?;
                 AtomicCacheStats::bump(&self.stats.coalesced_waits);
-                Ok(())
             }
             Join::Waited(Some(FlightResult::Failed(error))) => {
                 // Same signature, same computation: the leader's failure
                 // is this walk's failure (the retry driver above may
                 // retry it).
                 AtomicCacheStats::bump(&self.stats.coalesced_waits);
-                Err(error)
+                return Err(error);
             }
-            Join::Waited(Some(FlightResult::Unshared)) | Join::Waited(None) => self
-                .run_and_fill_stage(walk, clock, index, stage_sig)
-                .map(|_| ()),
+            Join::Waited(Some(FlightResult::Unshared)) | Join::Waited(None) => {
+                self.run_segment(walk, start, end)?;
+            }
         }
+        Ok(end + 1)
     }
 
-    /// Adopts `bytes` as stage `index`'s output without executing it and
-    /// counts the stage hit.
-    fn adopt_stage(
+    /// Adopts `bytes` as stage `depth`'s output without executing it or
+    /// the stages `from..depth` skipped over, and counts the stage hits.
+    /// The skipped ones register their path metadata exactly as a hit does
+    /// ([`TransformPlan::note_stage_hit`]) but touch no shard or policy.
+    fn adopt_through(
         &self,
         walk: &mut Walk<'_>,
-        clock: &VirtualClock,
-        index: usize,
-        stage_sig: Signature,
+        from: usize,
+        depth: usize,
         bytes: Bytes,
         content_sig: Option<Signature>,
     ) -> Result<()> {
-        let (pipeline, report) = (&mut walk.pipeline, &mut walk.report);
-        pipeline.adopt_hit(clock, index, report, stage_sig, bytes, content_sig)?;
-        AtomicCacheStats::bump(&self.stats.stage_hits);
+        let (plan, clock, sigs, report) = (walk.plan, walk.clock, &walk.sigs, &mut walk.report);
+        for (skipped, &sig) in sigs.iter().enumerate().take(depth).skip(from) {
+            plan.note_stage_hit(clock, skipped, report, sig, 0)?;
+        }
+        let pipeline = &mut walk.pipeline;
+        pipeline.adopt_hit(clock, depth, report, sigs[depth], bytes, content_sig)?;
+        AtomicCacheStats::add(&self.stats.stage_hits, (depth + 1 - from) as u64);
         walk.any_hit = true;
         walk.redo_micros = 0;
         Ok(())
     }
 
-    /// Executes one signed stage through the pipeline and retains its
-    /// output — the plain, uncoalesced stage miss path. Returns the output
-    /// when it is what a flight on `stage_sig` may share: not when the
-    /// content is uncacheable (it must execute per read), nor when
-    /// materializing the root rebased the walk onto a newer provider
-    /// rendition, so that the stage ran under another signature.
-    fn run_and_fill_stage(
-        &self,
-        walk: &mut Walk<'_>,
-        clock: &VirtualClock,
-        index: usize,
-        stage_sig: Signature,
-    ) -> Result<Option<Bytes>> {
-        walk.materialize_root(clock)?;
-        // Only a walk still at the chain head can have been rebased, and
-        // the head of a signed chain lies in the prefix.
-        let executed_sig = walk.sigs.get(index).copied().unwrap_or(stage_sig);
-        let (pipeline, report) = (&mut walk.pipeline, &mut walk.report);
-        let output = pipeline.execute_signed(clock, index, report, Some(executed_sig))?;
-        walk.redo_micros += walk.plan.stages[index].cost_micros;
-        if report.cacheability == Cacheability::Uncacheable {
-            return Ok(None);
+    /// Executes the segment `start..=end` — the plain, uncoalesced miss
+    /// path — and retains its named output, priced at everything since the
+    /// last output left resident. Should that not be stored (its stage made
+    /// the path uncacheable, a brownout skips fills, it was its own shard's
+    /// victim), the unnamed output before it is digested and stored in its
+    /// place: a walk never leaves behind less than the deepest cacheable
+    /// output it computed. Returns the named output when a flight may share
+    /// it: not when the content is uncacheable (it must execute per read).
+    fn run_segment(&self, walk: &mut Walk<'_>, start: usize, end: usize) -> Result<Option<Bytes>> {
+        // Only a walk still at the chain head can be rebased, `sigs` too.
+        walk.materialize_root()?;
+        let (mut held, mut output) = (None, None);
+        for index in start..=end {
+            if index > start {
+                self.check_stage_budget(walk)?;
+            }
+            let (pipeline, report) = (&mut walk.pipeline, &mut walk.report);
+            let sig = walk.sigs[index];
+            let bytes = pipeline.execute_signed(walk.clock, index, report, Some(sig))?;
+            let own_micros = walk.plan.stages[index].cost_micros;
+            walk.redo_micros += own_micros;
+            // With its input resident, losing an output makes a walk redo
+            // its stage alone (and the fetch, when the input is the root).
+            let cost = walk.redo_micros as f64 * report.cost.inflation();
+            let storable = report.cacheability != Cacheability::Uncacheable;
+            let mut digest = || Some(pipeline.content_signature());
+            if storable && index < end {
+                held = Some((sig, bytes.clone(), cost));
+            } else if storable && self.fill_stage(sig, bytes.clone(), digest(), cost) {
+                walk.redo_micros = 0;
+            } else if let Some((sig, bytes, cost)) = held.take() {
+                if self.fill_stage(sig, bytes, None, cost) {
+                    walk.redo_micros = own_micros;
+                }
+            }
+            output = storable.then_some(bytes);
         }
-        // With its input resident, losing this output makes a walk redo
-        // this stage alone (and the fetch, when the input is the root).
-        let cost = walk.redo_micros as f64 * report.cost.inflation();
-        if self.fill_stage(executed_sig, output.bytes.clone(), output.content_sig, cost) {
-            walk.redo_micros = 0;
-        }
-        Ok((executed_sig == stage_sig).then_some(output.bytes))
+        Ok(output)
     }
 
     /// Looks up an intermediate stage entry, registering the hit with the
@@ -383,10 +391,15 @@ impl DocumentCache {
 
     /// Inserts an intermediate stage output under its stage signature,
     /// competing for residency like any other entry at `cost`, its
-    /// marginal replacement cost. `content_sig` is the digest the
-    /// streaming executor folded as the chunks flowed. Returns whether the
-    /// output is resident afterwards.
-    fn fill_stage(&self, sig: Signature, bytes: Bytes, content_sig: Signature, cost: f64) -> bool {
+    /// marginal replacement cost. `digest` is the content's, when the
+    /// pipeline has it. Returns whether the output is resident afterwards.
+    fn fill_stage(
+        &self,
+        sig: Signature,
+        bytes: Bytes,
+        digest: Option<Signature>,
+        cost: f64,
+    ) -> bool {
         // Brownout rung 2: under sustained pressure the output is still
         // computed and served, but not persisted.
         if self.brownout_level().skips_stage_fills() {
@@ -405,7 +418,7 @@ impl DocumentCache {
             bytes.len() as u64,
             self.space.clock().now(),
         );
-        shard.install(key, bytes, meta, Some(content_sig));
+        shard.install(key, bytes, meta, digest);
         shard.contains(key)
     }
 }

@@ -482,9 +482,16 @@ impl ShardGuard<'_> {
     /// the entry up (with one shard that is "evict the entry just
     /// inserted", statistics included).
     ///
+    /// **A free alias is not admitted while bytes are scarce.** A version
+    /// that costs nothing to lose — its chain ended on an output the walk
+    /// left resident: that entry under a second name — is installed only
+    /// while the store could take an entry of its size without evicting.
+    /// Past that, the next fill that needs bytes would evict it and every
+    /// alias beside it before freeing any. A pin is honoured regardless.
+    ///
     /// `known_sig` is the content digest when the read path already
-    /// computed it in-stream; the store is content-addressed, so a wrong
-    /// digest would corrupt sharing — debug builds re-hash and compare.
+    /// computed it; the store is content-addressed, so a wrong digest
+    /// would corrupt sharing — debug builds re-hash and compare.
     pub(crate) fn install(
         &mut self,
         key: EntryKey,
@@ -496,10 +503,15 @@ impl ShardGuard<'_> {
         // the policy keeps the key, and `on_insert` below refreshes it.
         self.remove(key, Removal::Evicted);
         let attrs = EntryAttrs::new(meta.size, meta.cost_micros);
+        let table = self.table;
+        let scarce = table.store.physical_bytes() + meta.size > table.capacity_bytes;
         if meta.pinned {
             // Pinned entries never enter the policy, so they can never be
             // chosen as eviction victims.
             AtomicCacheStats::bump(&self.stats.pinned_fills);
+        } else if scarce && meta.cost_micros == 0.0 && !key.is_stage() {
+            self.shard.policy.get_mut().on_remove(key);
+            return;
         } else {
             self.shard.policy.get_mut().on_insert(key, &attrs);
         }
@@ -514,7 +526,6 @@ impl ShardGuard<'_> {
             }
             None => ConcurrentStore::signature_of(&bytes),
         };
-        let table = self.table;
         loop {
             match table.store.try_acquire(sig, &bytes, table.capacity_bytes) {
                 Ok(shared) => {
@@ -686,82 +697,6 @@ impl ShardGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use placeless_core::cacheability::Cacheability;
-
-    /// The per-document index rebuilt by walking the table.
-    fn versions_by_walk(shard: &Shard) -> HashMap<DocumentId, HashSet<UserId>> {
-        let mut walked: HashMap<DocumentId, HashSet<UserId>> = HashMap::new();
-        for key in shard.entries.keys() {
-            if let EntryKey::Version(doc, user) = *key {
-                walked.entry(doc).or_default().insert(user);
-            }
-        }
-        walked
-    }
-
-    #[test]
-    fn version_index_follows_the_table_through_fills_evictions_and_invalidations() {
-        // Room for about forty of the 25-byte bodies over three shards, so
-        // installs evict (own shard and stolen) while invalidations run.
-        let table = ShardTable::new(3, &PolicyFactory::default(), 1_000);
-        let stats = AtomicCacheStats::default();
-        let agree = |step: u64| {
-            for guard in table.lock_each(&stats) {
-                assert_eq!(
-                    guard.shard.versions,
-                    versions_by_walk(&guard.shard),
-                    "after step {step}"
-                );
-                let stages = guard.shard.entries.keys().filter(|k| k.is_stage());
-                assert_eq!(guard.stage_len(), stages.count(), "after step {step}");
-            }
-        };
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for step in 0..4_000u64 {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let (doc, user) = (DocumentId((state >> 33) % 8), UserId((state >> 40) % 16));
-            let version = EntryKey::Version(doc, user);
-            match (state >> 60) % 8 {
-                0 => {
-                    let removed: u64 = table
-                        .lock_each(&stats)
-                        .map(|mut guard| guard.remove_doc(doc))
-                        .sum();
-                    assert!(removed <= 16);
-                    for guard in table.lock_each(&stats) {
-                        assert!(!guard.shard.versions.contains_key(&doc));
-                    }
-                }
-                1 => {
-                    table
-                        .lock(version, &stats)
-                        .remove(version, Removal::Invalidated);
-                }
-                kind => {
-                    let body = Bytes::from(format!("{doc:?} {user:?} {step:>8}"));
-                    let meta = EntryMeta::new(
-                        Vec::new(),
-                        Cacheability::Unrestricted,
-                        1.0,
-                        body.len() as u64,
-                        Instant::ZERO,
-                    );
-                    // One fill in three is a stage entry, which the index
-                    // must pass over.
-                    let key = if kind == 2 {
-                        EntryKey::Stage(ConcurrentStore::signature_of(&body))
-                    } else {
-                        version
-                    };
-                    table.lock(key, &stats).install(key, body, meta, None);
-                }
-            }
-            agree(step);
-        }
-        assert!(stats.snapshot().evictions > 0, "the budget never bit");
-    }
 
     #[test]
     fn shard_placement_is_deterministic() {

@@ -192,110 +192,3 @@ impl Default for ConcurrentStore {
         Self::new()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn bytes(s: &str) -> Bytes {
-        Bytes::copy_from_slice(s.as_bytes())
-    }
-
-    #[test]
-    fn dedup_shares_physical_bytes() {
-        let store = ConcurrentStore::new();
-        let content = bytes("hello world");
-        let sig = ConcurrentStore::signature_of(&content);
-        assert_eq!(store.try_acquire(sig, &content, 1_000), Ok(false));
-        assert_eq!(store.try_acquire(sig, &content, 1_000), Ok(true));
-        assert_eq!(store.physical_bytes(), 11);
-        assert_eq!(store.logical_bytes(), 22);
-        store.release(sig);
-        assert_eq!(store.physical_bytes(), 11);
-        assert_eq!(store.get(sig).unwrap(), content);
-        store.release(sig);
-        assert_eq!(store.physical_bytes(), 0);
-        assert_eq!(store.logical_bytes(), 0);
-        assert!(store.get(sig).is_none());
-    }
-
-    #[test]
-    fn try_acquire_respects_budget() {
-        let store = ConcurrentStore::new();
-        let a = bytes("aaaaaaaa");
-        let sig_a = ConcurrentStore::signature_of(&a);
-        assert_eq!(store.try_acquire(sig_a, &a, 10), Ok(false));
-        let b = bytes("bbbbbbbb");
-        let sig_b = ConcurrentStore::signature_of(&b);
-        assert_eq!(store.try_acquire(sig_b, &b, 10), Err(NoRoom));
-        // A shared acquire charges no physical bytes, so it always fits.
-        assert_eq!(store.try_acquire(sig_a, &a, 10), Ok(true));
-        store.release(sig_a);
-        store.release(sig_a);
-        assert_eq!(store.try_acquire(sig_b, &b, 10), Ok(false));
-    }
-
-    #[test]
-    fn concurrent_acquires_never_overshoot() {
-        use std::sync::Arc;
-        let store = Arc::new(ConcurrentStore::new());
-        let budget = 400u64;
-        std::thread::scope(|scope| {
-            for t in 0..8 {
-                let store = Arc::clone(&store);
-                scope.spawn(move || {
-                    for i in 0..200 {
-                        let content = bytes(&format!("content-{t}-{i}-padpadpad"));
-                        let sig = ConcurrentStore::signature_of(&content);
-                        if store.try_acquire(sig, &content, budget).is_ok() {
-                            assert!(store.physical_bytes() <= budget);
-                            store.release(sig);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(store.physical_bytes(), 0);
-    }
-
-    /// Re-pointing a key the way a shard does — release the old binding's
-    /// reference, acquire the new content — must decrement the *old*
-    /// signature's refcount, and orphaned bytes must leave the store at
-    /// once, not linger until some later release.
-    #[test]
-    fn repoint_decrements_old_refcount_and_evicts_orphans() {
-        let store = ConcurrentStore::new();
-        let (v1, v2) = (bytes("v1-bytes"), bytes("v2-bytes!"));
-        let (sig1, sig2) = (
-            ConcurrentStore::signature_of(&v1),
-            ConcurrentStore::signature_of(&v2),
-        );
-        // Two keys share v1; a third holds v2.
-        assert!(!store.acquire(sig1, &v1));
-        assert!(store.acquire(sig1, &v1));
-        assert!(!store.acquire(sig2, &v2));
-        assert_eq!(store.physical_bytes(), 8 + 9);
-
-        // Re-point one v1 holder onto v2: v1 must survive (one ref left)
-        // and the fill must report sharing v2's bytes.
-        store.release(sig1);
-        assert!(store.acquire(sig2, &v2), "v2 bytes were already resident");
-        assert!(store.get(sig1).is_some(), "one v1 reference remains");
-        assert_eq!(store.logical_bytes(), 8 + 9 + 9);
-
-        // Re-point the last v1 holder: the orphaned v1 bytes must go with
-        // the release itself.
-        store.release(sig1);
-        assert!(store.get(sig1).is_none(), "v1 orphan evicted");
-        assert!(store.acquire(sig2, &v2));
-        assert_eq!(store.physical_bytes(), 9);
-
-        // And the refcount actually moved: dropping two of the three v2
-        // holders keeps the bytes, dropping the last frees them.
-        store.release(sig2);
-        store.release(sig2);
-        assert_eq!(store.physical_bytes(), 9, "still one v2 reference");
-        store.release(sig2);
-        assert_eq!((store.physical_bytes(), store.logical_bytes()), (0, 0));
-    }
-}

@@ -26,10 +26,14 @@
 //! A stage whose property declines to produce a token (`None`) is *opaque*:
 //! it executes on every read, and the chain restarts from a digest of its
 //! actual output, so stages downstream of an opaque stage remain cacheable.
+//!
+//! A signature *addresses* a stage whether or not a cache keeps its output
+//! under it: an output is worth that name (a digest, an entry, a lookup) only
+//! where a later walk would miss it ([`TransformPlan::named_outputs`]).
 
 use crate::bitprovider::BitProvider;
 use crate::cacheability::Cacheability;
-use crate::digest::{Md5, Signature};
+use crate::digest::{md5, Md5, Signature};
 use crate::error::Result;
 use crate::event::EventSite;
 use crate::id::{DocumentId, UserId};
@@ -197,13 +201,39 @@ impl TransformPlan {
     /// where every stage of the prefix would be resident before it fetches
     /// or executes anything.
     pub fn signed_prefix(&self, root: Signature) -> Vec<Signature> {
-        let mut input = root;
-        (0..self.stages.len())
+        self.signed_run(0, root)
+    }
+
+    /// [`Self::signed_prefix`] from stage `start` on, chained on `input`:
+    /// the run a walk resumes after executing the opaque stage before it.
+    pub fn signed_run(&self, start: usize, mut input: Signature) -> Vec<Signature> {
+        (start..self.stages.len())
             .map_while(|index| {
                 input = self.stage_signature(index, input)?;
                 Some(input)
             })
             .collect()
+    }
+
+    /// Which stage outputs are **named**: worth a digest, an entry and a
+    /// lookup of their own. A signed stage's output is not when its
+    /// successor is signed, as widely shared (the last base output, where
+    /// chains fan out, is always named) and alone dearer than redoing all
+    /// since the last named output, the fetch included while there is none:
+    /// a cost-aware policy evicts it first, so no walk finds it deepest.
+    pub fn named_outputs(&self) -> Vec<bool> {
+        let mut redo = self.provider.fetch_cost_micros();
+        let named = |(index, stage): (usize, &PlanStage)| {
+            redo += stage.cost_micros;
+            let next = self.stages.get(index + 1);
+            let dearer = next.is_some_and(|next| next.token.is_some() && next.cost_micros > redo);
+            let named = stage.token.is_some() && (index + 1 == self.base_len || !dearer);
+            if named {
+                redo = 0;
+            }
+            named
+        };
+        self.stages.iter().enumerate().map(named).collect()
     }
 
     /// Replays stage `index` as a read-path stream wrapper: charge the
@@ -249,22 +279,19 @@ impl TransformPlan {
     }
 
     /// Executes stage `index` over `input` through the chunked streaming
-    /// path, computing the output's content digest *in the same pass* that
-    /// collects the bytes. Cost accounting and report entries match
+    /// path. Cost accounting and report entries match
     /// [`Self::wrap_input_stage`] (plus the stage's signature and output
     /// size), and the output is what draining that wrapper to the end
     /// would collect — `tests/streaming_parity.rs` holds the buffered
-    /// reference walk. What differs is execution strategy:
+    /// reference walk. A pass-through stage (a wrapper that forwards the
+    /// input slice unchanged) returns the input `Bytes` itself.
     ///
-    /// - pass-through stages (wrappers that forward the input slice
-    ///   unchanged) return the input `Bytes` itself, and when `input_sig`
-    ///   is known the digest is carried forward without re-hashing;
-    /// - transforming stages have their output hashed chunk-by-chunk as it
-    ///   is collected, so no separate `md5(bytes)` pass runs afterwards.
-    ///
-    /// `signature` is the stage's *addressing* signature (recorded for
-    /// observability, `None` for opaque stages); `input_sig` is the content
-    /// digest of `input` when the caller already knows it.
+    /// No MD5 pass runs here: the output's content digest comes back only
+    /// where a pass-through carried `input_sig`, the digest of `input`,
+    /// forward. Whoever *stores* an output digests it
+    /// ([`StagePipeline::content_signature`]). `signature` is the stage's
+    /// *addressing* signature (recorded for observability, `None` for
+    /// opaque stages).
     pub fn run_stage_streaming(
         &self,
         clock: &VirtualClock,
@@ -273,49 +300,25 @@ impl TransformPlan {
         input: Bytes,
         input_sig: Option<Signature>,
         signature: Option<Signature>,
-    ) -> Result<StageOutput> {
+    ) -> Result<(Bytes, Option<Signature>)> {
         let ctx = self.ctx(clock, index);
         let stage = &self.stages[index];
         clock.advance(stage.cost_micros);
         report.add_cost(stage.cost_micros);
-        let input_ptr = input.as_ptr();
-        let input_len = input.len();
         let inner: Box<dyn InputStream> = Box::new(MemoryInput::new(input.clone()));
         let mut wrapped = stage.prop.wrap_input(&ctx, report, inner)?;
         // Drain chunkwise. `input` stays alive for the whole drain, so a
         // chunk aliasing its allocation proves the stage is pass-through.
         let mut chunks: Vec<Bytes> = Vec::new();
-        let mut total = 0usize;
         while let Some(chunk) = wrapped.read_chunk()? {
-            total += chunk.len();
             chunks.push(chunk);
         }
-        let passthrough = total == input_len
-            && match chunks.as_slice() {
-                [] => true,
-                [only] => std::ptr::eq(only.as_ptr(), input_ptr),
-                _ => false,
-            };
-        let (bytes, content_sig) = if chunks.len() <= 1 {
-            let bytes = chunks.pop().unwrap_or_default();
-            let content_sig = match input_sig {
-                Some(sig) if passthrough => sig,
-                _ => {
-                    let mut md5 = Md5::new();
-                    md5.update(&bytes);
-                    md5.finalize()
-                }
-            };
-            (bytes, content_sig)
-        } else {
-            let mut md5 = Md5::new();
-            let mut buf = Vec::with_capacity(total);
-            for chunk in &chunks {
-                md5.update(chunk);
-                buf.extend_from_slice(chunk);
-            }
-            (Bytes::from(buf), md5.finalize())
+        let bytes = match chunks.len() {
+            0 | 1 => chunks.pop().unwrap_or_default(),
+            _ => Bytes::from(chunks.concat()),
         };
+        let passthrough =
+            bytes.len() == input.len() && (bytes.is_empty() || bytes.as_ptr() == input.as_ptr());
         report.executed.push(stage.prop.name().to_owned());
         report.record_stage(StageRecord {
             name: stage.prop.name().to_owned(),
@@ -323,9 +326,9 @@ impl TransformPlan {
             cost_micros: stage.cost_micros,
             cached: false,
             signature,
-            bytes: total as u64,
+            bytes: bytes.len() as u64,
         });
-        Ok(StageOutput { bytes, content_sig })
+        Ok((bytes, input_sig.filter(|_| passthrough)))
     }
 
     /// Registers stage `index`'s path-metadata without executing its
@@ -383,8 +386,8 @@ impl std::fmt::Debug for TransformPlan {
     }
 }
 
-/// One streamed stage execution's result: the output bytes and their MD5,
-/// produced in the same pass (see [`TransformPlan::run_stage_streaming`]).
+/// One stage execution's result: the output bytes and their MD5 (see
+/// [`StagePipeline::execute`]).
 #[derive(Debug, Clone)]
 pub struct StageOutput {
     /// The stage's output content.
@@ -457,7 +460,7 @@ impl<'p> StagePipeline<'p> {
     pub fn supply_root(&mut self, bytes: Bytes) {
         debug_assert!(self.bytes.is_none(), "root already materialized");
         debug_assert_eq!(
-            crate::digest::md5(&bytes),
+            md5(&bytes),
             self.chain_sig,
             "supplied root must match the leased root signature"
         );
@@ -477,8 +480,7 @@ impl<'p> StagePipeline<'p> {
     }
 
     /// Executes stage `index` through the streaming path and advances the
-    /// chain. Returns the stage's output (for cache installs: the bytes
-    /// plus their already-computed content digest).
+    /// chain. Returns the stage's output with its content digest.
     ///
     /// # Panics
     ///
@@ -490,25 +492,28 @@ impl<'p> StagePipeline<'p> {
         index: usize,
         report: &mut PathReport,
     ) -> Result<StageOutput> {
-        self.execute_signed(clock, index, report, self.stage_signature(index))
+        let bytes = self.execute_signed(clock, index, report, self.stage_signature(index))?;
+        let content_sig = self.content_signature();
+        Ok(StageOutput { bytes, content_sig })
     }
 
     /// [`Self::execute`] for a caller that already holds the stage's
-    /// addressing signature (`None` for an opaque stage): the cache's walk
-    /// computes each signature once and looks it up before executing.
+    /// addressing signature (`None` for an opaque stage) and digests only
+    /// what it stores: the cache's walk. Only an opaque stage's output is
+    /// hashed here (its digest addresses the next stage).
     pub fn execute_signed(
         &mut self,
         clock: &VirtualClock,
         index: usize,
         report: &mut PathReport,
         stage_sig: Option<Signature>,
-    ) -> Result<StageOutput> {
+    ) -> Result<Bytes> {
         debug_assert_eq!(stage_sig, self.stage_signature(index));
         let input = self
             .bytes
             .clone()
             .expect("pipeline bytes materialized before execute");
-        let out = self.plan.run_stage_streaming(
+        let (bytes, carried) = self.plan.run_stage_streaming(
             clock,
             index,
             report,
@@ -516,12 +521,20 @@ impl<'p> StagePipeline<'p> {
             self.content_sig,
             stage_sig,
         )?;
+        self.content_sig = carried;
+        self.bytes = Some(bytes.clone());
         // Signed stages chain on their stage signature; opaque stages
         // restart the chain from their actual output digest.
-        self.chain_sig = stage_sig.unwrap_or(out.content_sig);
-        self.content_sig = Some(out.content_sig);
-        self.bytes = Some(out.bytes.clone());
-        Ok(out)
+        self.chain_sig = stage_sig.unwrap_or_else(|| self.content_signature());
+        Ok(bytes)
+    }
+
+    /// The content digest of the bytes the pipeline holds, computed at
+    /// most once per output and only when somebody asks. Panics on a
+    /// pipeline that holds neither bytes nor their digest.
+    pub fn content_signature(&mut self) -> Signature {
+        let digest = || md5(self.bytes.as_ref().expect("pipeline holds bytes"));
+        *self.content_sig.get_or_insert_with(digest)
     }
 
     /// Adopts a cached output for stage `index` (a stage-store hit):
@@ -725,15 +738,16 @@ mod tests {
         let root = md5(&body);
         let mut report = PathReport::default();
         let sig = plan.stage_signature(0, root);
-        let out = plan
+        let (bytes, content_sig) = plan
             .run_stage_streaming(&clock, 0, &mut report, body.clone(), Some(root), sig)
             .unwrap();
         assert!(
-            std::ptr::eq(out.bytes.as_ptr(), body.as_ptr()),
+            std::ptr::eq(bytes.as_ptr(), body.as_ptr()),
             "identity stage must forward the input slice"
         );
         assert_eq!(
-            out.content_sig, root,
+            content_sig,
+            Some(root),
             "digest carried forward, not rehashed"
         );
         assert_eq!(clock.now().0, 7, "execution cost still charged");

@@ -15,7 +15,7 @@ use bytes::Bytes;
 use placeless::prelude::*;
 use placeless_core::digest::{md5, Signature};
 use placeless_core::event::EventSite;
-use placeless_core::plan::TransformPlan;
+use placeless_core::plan::{StagePipeline, TransformPlan};
 use placeless_core::property::{ActiveProperty, PathCtx, PathReport, PropsSnapshot};
 use placeless_core::streams::{
     read_all, write_all, CollectOutput, InputStream, MappingInput, MappingOutput, MemoryInput,
@@ -417,17 +417,8 @@ fn run_single_stage(
         PropsSnapshot::default(),
     );
     let mut report = PathReport::default();
-    let signature = plan.stage_signature(0, carried);
-    let out = plan
-        .run_stage_streaming(
-            &clock,
-            0,
-            &mut report,
-            body.clone(),
-            Some(carried),
-            signature,
-        )
-        .unwrap();
+    let mut pipeline = StagePipeline::from_root(&plan, body.clone(), carried);
+    let out = pipeline.execute(&clock, 0, &mut report).unwrap();
     (out, report)
 }
 

@@ -1,20 +1,22 @@
 //! Property-based tests over the caching layer: the content store against
-//! a reference model, refcount and gauge balance through the public cache
-//! API, replacement-policy contracts under random operation sequences, GDS
-//! invariants, and the simulation substrate.
+//! a reference model (and its budget and refcount examples), refcount and
+//! gauge balance through the public cache API with the entry table held to
+//! what its policies were told, replacement-policy contracts under random
+//! operation sequences, GDS invariants, and the simulation substrate.
 
 use bytes::Bytes;
 use placeless_bench::support::TagProperty;
 use placeless_cache::policy::{
-    by_name, EntryAttrs, EntryKey, GreedyDualSize, ReplacementPolicy, ALL_POLICIES,
+    by_name, EntryAttrs, EntryKey, GreedyDualSize, PolicyFactory, ReplacementPolicy, ALL_POLICIES,
 };
-use placeless_cache::{CacheConfig, ConcurrentStore, DocumentCache};
+use placeless_cache::store::NoRoom;
+use placeless_cache::{CacheConfig, ConcurrentStore, DocumentCache, HitClass, ReadOptions};
 use placeless_core::prelude::*;
 use placeless_simenv::trace::{WorkloadBuilder, ZipfSampler};
 use placeless_simenv::{LatencyModel, SimRng, VirtualClock};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn key_strategy() -> impl Strategy<Value = EntryKey> {
     (0u64..12, 0u64..4).prop_map(|(d, u)| EntryKey::Version(DocumentId(d), UserId(u)))
@@ -68,6 +70,77 @@ fn cache_op_strategy() -> impl Strategy<Value = CacheOp> {
     ]
 }
 
+/// What the shards' policies have been told, which is what their tables
+/// must hold: every unpinned entry enters a policy when it is installed
+/// and leaves it when it is evicted or invalidated.
+type Ledger = Arc<Mutex<HashMap<EntryKey, EntryAttrs>>>;
+
+/// The default policy, keeping a [`Ledger`].
+struct LedgerPolicy {
+    inner: Box<dyn ReplacementPolicy>,
+    ledger: Ledger,
+}
+
+impl ReplacementPolicy for LedgerPolicy {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn on_insert(&mut self, key: EntryKey, attrs: &EntryAttrs) {
+        self.ledger.lock().unwrap().insert(key, *attrs);
+        self.inner.on_insert(key, attrs);
+    }
+    fn on_hit(&mut self, key: EntryKey) {
+        self.inner.on_hit(key);
+    }
+    fn on_remove(&mut self, key: EntryKey) {
+        self.ledger.lock().unwrap().remove(&key);
+        self.inner.on_remove(key);
+    }
+    fn evict(&mut self) -> Option<EntryKey> {
+        let victim = self.inner.evict()?;
+        self.ledger.lock().unwrap().remove(&victim);
+        Some(victim)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+}
+
+fn ledgered(ledger: &Ledger) -> PolicyFactory {
+    let ledger = ledger.clone();
+    PolicyFactory::new("ledgered", move || {
+        Box::new(LedgerPolicy {
+            inner: PolicyFactory::default().build(),
+            ledger: ledger.clone(),
+        })
+    })
+}
+
+/// Holds the entry table to the ledger: the same keys (so each shard's
+/// per-document index finds exactly its versions, and the stage count is
+/// a recount), the same bytes, inside the budget.
+fn table_matches_ledger(
+    cache: &DocumentCache,
+    ledger: &Ledger,
+    pairs: &[(UserId, DocumentId)],
+    capacity: u64,
+) {
+    let ledger = ledger.lock().unwrap();
+    assert_eq!(cache.len(), ledger.len());
+    let stages = ledger.keys().filter(|key| key.is_stage()).count();
+    assert_eq!(cache.stage_entry_count(), stages);
+    for &(user, doc) in pairs {
+        let listed = ledger.contains_key(&EntryKey::Version(doc, user));
+        assert_eq!(cache.contains(user, doc), listed, "{user:?} of {doc:?}");
+    }
+    let (physical, logical) = cache.resident_bytes();
+    assert!(physical <= capacity, "{physical} over budget");
+    assert!(physical <= logical);
+    // One store reference per entry, each counted at the entry's size.
+    let listed: u64 = ledger.values().map(|attrs| attrs.size).sum();
+    assert_eq!(logical, listed);
+}
+
 /// Every document carries one universal signed stage and — with
 /// `personal` — one signed personal suffix per user, behind a
 /// write-through stage-caching cache of `capacity` bytes. Without the
@@ -78,6 +151,7 @@ fn staged_chain_world(
     shards: usize,
     capacity: u64,
     personal: bool,
+    ledger: &Ledger,
 ) -> (
     Arc<DocumentSpace>,
     Arc<DocumentCache>,
@@ -114,6 +188,7 @@ fn staged_chain_world(
             .local_latency(LatencyModel::FREE)
             .stage_cache(true)
             .shards(shards)
+            .policy(ledgered(ledger))
             .build(),
     );
     (space, cache, docs, users)
@@ -166,12 +241,16 @@ proptest! {
     /// Store refcounts and the `stage_bytes` gauge stay balanced through
     /// any sequence of fills, evictions and invalidations: the budget is
     /// never overshot, and once every version is invalidated exactly the
-    /// stage entries' references remain. Along the way every invalidation
-    /// takes exactly the versions it covers — the per-document index and
-    /// the table agree — with evictions interleaved (tiny budget) and with
-    /// every version resident (roomy budget), whether each version holds
-    /// content of its own (personal suffixes) or all of a document's
-    /// versions and its stage entry hold one content between them.
+    /// stage entries' references remain. Along the way the table holds
+    /// what its policies were told ([`table_matches_ledger`]), every
+    /// invalidation takes exactly the versions it covers — the
+    /// per-document index and the table agree — and a version that costs
+    /// nothing to lose is admitted only while the store has room for an
+    /// entry of its size, so under pressure an eviction frees bytes. With
+    /// evictions interleaved (tiny budget) and with every version resident
+    /// (roomy budget), whether each version holds content of its own
+    /// (personal suffixes) or all of a document's versions and its stage
+    /// entry hold one content between them.
     #[test]
     fn refcounts_and_gauges_balance_through_the_public_api(
         shards in proptest::sample::select(vec![1usize, 4]),
@@ -179,7 +258,12 @@ proptest! {
         personal in any::<bool>(),
         ops in proptest::collection::vec(cache_op_strategy(), 0..80),
     ) {
-        let (space, cache, docs, users) = staged_chain_world(shards, capacity, personal);
+        let ledger = Ledger::default();
+        let (space, cache, docs, users) = staged_chain_world(shards, capacity, personal, &ledger);
+        let pairs: Vec<(UserId, DocumentId)> = users
+            .iter()
+            .flat_map(|&user| docs.iter().map(move |&doc| (user, doc)))
+            .collect();
         for op in ops {
             let (len, notified) = (cache.len(), cache.stats().notifier_invalidations);
             let every_user_of = |doc: DocumentId| users.iter().map(move |&user| (user, doc)).collect();
@@ -188,9 +272,16 @@ proptest! {
             let gone: Vec<(UserId, DocumentId)> = match op {
                 CacheOp::Read(d, u) => {
                     let (user, doc) = (users[u as usize], docs[d as usize]);
-                    cache.read(user, doc).expect("read must succeed");
+                    let outcome = cache
+                        .read_with(user, doc, ReadOptions::default())
+                        .expect("read must succeed");
                     if capacity == ROOMY_CAPACITY {
                         prop_assert!(cache.contains(user, doc));
+                    }
+                    // A fill that admitted a free alias left room for it.
+                    let filled = ledger.lock().unwrap().get(&EntryKey::Version(doc, user)).copied();
+                    if let Some(alias) = filled.filter(|a| a.cost == 0.0 && outcome.class != HitClass::Hit) {
+                        prop_assert!(cache.resident_bytes().0 + alias.size <= capacity);
                     }
                     Vec::new()
                 }
@@ -219,9 +310,8 @@ proptest! {
                 let counted = cache.stats().notifier_invalidations - notified;
                 prop_assert_eq!(len - cache.len(), counted as usize);
             }
-            let (physical, logical) = cache.resident_bytes();
-            prop_assert!(physical <= capacity, "{} over budget", physical);
-            prop_assert!(physical <= logical);
+            table_matches_ledger(&cache, &ledger, &pairs, capacity);
+            let physical = cache.resident_bytes().0;
             if !personal && capacity == ROOMY_CAPACITY {
                 // Aliases add names, never bytes: what is stored is what
                 // the stage entries hold.
@@ -379,4 +469,145 @@ proptest! {
             prop_assert!((lo..=hi).contains(&v));
         }
     }
+}
+
+// ---- The content store's budget and refcounts, by example ---------------
+
+fn bytes(s: &str) -> Bytes {
+    Bytes::copy_from_slice(s.as_bytes())
+}
+
+#[test]
+fn dedup_shares_physical_bytes() {
+    let store = ConcurrentStore::new();
+    let content = bytes("hello world");
+    let sig = ConcurrentStore::signature_of(&content);
+    assert_eq!(store.try_acquire(sig, &content, 1_000), Ok(false));
+    assert_eq!(store.try_acquire(sig, &content, 1_000), Ok(true));
+    assert_eq!(store.physical_bytes(), 11);
+    assert_eq!(store.logical_bytes(), 22);
+    store.release(sig);
+    assert_eq!(store.physical_bytes(), 11);
+    assert_eq!(store.get(sig).unwrap(), content);
+    store.release(sig);
+    assert_eq!(store.physical_bytes(), 0);
+    assert_eq!(store.logical_bytes(), 0);
+    assert!(store.get(sig).is_none());
+}
+
+#[test]
+fn try_acquire_respects_budget() {
+    let store = ConcurrentStore::new();
+    let a = bytes("aaaaaaaa");
+    let sig_a = ConcurrentStore::signature_of(&a);
+    assert_eq!(store.try_acquire(sig_a, &a, 10), Ok(false));
+    let b = bytes("bbbbbbbb");
+    let sig_b = ConcurrentStore::signature_of(&b);
+    assert_eq!(store.try_acquire(sig_b, &b, 10), Err(NoRoom));
+    // A shared acquire charges no physical bytes, so it always fits.
+    assert_eq!(store.try_acquire(sig_a, &a, 10), Ok(true));
+    store.release(sig_a);
+    store.release(sig_a);
+    assert_eq!(store.try_acquire(sig_b, &b, 10), Ok(false));
+}
+
+#[test]
+fn concurrent_acquires_never_overshoot() {
+    let store = ConcurrentStore::new();
+    let budget = 400u64;
+    std::thread::scope(|scope| {
+        for t in 0..8 {
+            let store = &store;
+            scope.spawn(move || {
+                for i in 0..200 {
+                    let content = bytes(&format!("content-{t}-{i}-padpadpad"));
+                    let sig = ConcurrentStore::signature_of(&content);
+                    if store.try_acquire(sig, &content, budget).is_ok() {
+                        assert!(store.physical_bytes() <= budget);
+                        store.release(sig);
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(store.physical_bytes(), 0);
+}
+
+/// Re-pointing a key the way a shard does — release the old binding's
+/// reference, acquire the new content — must decrement the *old*
+/// signature's refcount, and orphaned bytes must leave the store at
+/// once, not linger until some later release.
+#[test]
+fn repoint_decrements_old_refcount_and_evicts_orphans() {
+    let store = ConcurrentStore::new();
+    let (v1, v2) = (bytes("v1-bytes"), bytes("v2-bytes!"));
+    let (sig1, sig2) = (
+        ConcurrentStore::signature_of(&v1),
+        ConcurrentStore::signature_of(&v2),
+    );
+    // Two keys share v1; a third holds v2.
+    assert!(!store.acquire(sig1, &v1));
+    assert!(store.acquire(sig1, &v1));
+    assert!(!store.acquire(sig2, &v2));
+    assert_eq!(store.physical_bytes(), 8 + 9);
+
+    // Re-point one v1 holder onto v2: v1 must survive (one ref left)
+    // and the fill must report sharing v2's bytes.
+    store.release(sig1);
+    assert!(store.acquire(sig2, &v2), "v2 bytes were already resident");
+    assert!(store.get(sig1).is_some(), "one v1 reference remains");
+    assert_eq!(store.logical_bytes(), 8 + 9 + 9);
+
+    // Re-point the last v1 holder: the orphaned v1 bytes must go with
+    // the release itself.
+    store.release(sig1);
+    assert!(store.get(sig1).is_none(), "v1 orphan evicted");
+    assert!(store.acquire(sig2, &v2));
+    assert_eq!(store.physical_bytes(), 9);
+
+    // And the refcount actually moved: dropping two of the three v2
+    // holders keeps the bytes, dropping the last frees them.
+    store.release(sig2);
+    store.release(sig2);
+    assert_eq!(store.physical_bytes(), 9, "still one v2 reference");
+    store.release(sig2);
+    assert_eq!((store.physical_bytes(), store.logical_bytes()), (0, 0));
+}
+
+// ---- The entry table under `install`, by a long seeded walk --------------
+
+/// Four thousand seeded steps of fills, user- and document-scoped
+/// invalidations over three shards with room for about a third of what the
+/// walk touches, so installs evict (own shard and stolen) while
+/// invalidations run: after every step the table is what its policies were
+/// told, and a document-scoped invalidation leaves no version of its
+/// document in any shard.
+#[test]
+fn entry_table_follows_its_ledger_through_fills_evictions_and_invalidations() {
+    let ledger = Ledger::default();
+    let (space, cache, docs, users) = staged_chain_world(3, BALANCE_CAPACITY, true, &ledger);
+    let pairs: Vec<(UserId, DocumentId)> = users
+        .iter()
+        .flat_map(|&user| docs.iter().map(move |&doc| (user, doc)))
+        .collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for step in 0..4_000u64 {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let doc = docs[((state >> 33) % BALANCE_DOCS) as usize];
+        let user = users[((state >> 40) % BALANCE_USERS) as usize];
+        match (state >> 60) % 8 {
+            0 => {
+                space.bus().post(Invalidation::Document(doc));
+                let ledger = ledger.lock().unwrap();
+                let left = ledger.keys().filter(|key| key.doc() == Some(doc)).count();
+                assert_eq!(left, 0, "after step {step}");
+            }
+            1 => space.bus().post(Invalidation::UserDocument(doc, user)),
+            _ => drop(cache.read(user, doc).expect("read must succeed")),
+        }
+        table_matches_ledger(&cache, &ledger, &pairs, BALANCE_CAPACITY);
+    }
+    assert!(cache.stats().evictions > 0, "the budget never bit");
 }

@@ -189,9 +189,8 @@ fn run_stage_streaming_matches_buffered_output_cost_and_records() {
 
     let clock_s = VirtualClock::new();
     let mut report_s = PathReport::default();
-    let streamed = plan
-        .run_stage_streaming(&clock_s, 0, &mut report_s, body, Some(root), sig)
-        .unwrap();
+    let mut pipeline = StagePipeline::from_root(&plan, body, root);
+    let streamed = pipeline.execute(&clock_s, 0, &mut report_s).unwrap();
 
     assert_eq!(streamed.bytes, buffered);
     assert_eq!(streamed.content_sig, md5(&buffered));
