@@ -94,7 +94,7 @@ use crate::resilience::{
 };
 use crate::shard::{DirtyEntry, Probe, Removal, ShardGuard, ShardRead, ShardTable, Stale};
 use crate::singleflight::{FlightGroup, FlightResult, Join};
-use crate::stats::{AtomicCacheStats, CacheStats, HitCell};
+use crate::stats::{AtomicCacheStats, CacheStats};
 use crate::store::ConcurrentStore;
 use bytes::Bytes;
 use invalidate::CacheSink;
@@ -185,7 +185,7 @@ impl DocumentCache {
             prefetch: config.prefetch,
             access_link: config.access_link,
             table: ShardTable::new(shard_count, &config.policy, config.capacity_bytes),
-            stats: AtomicCacheStats::new(shard_count),
+            stats: AtomicCacheStats::default(),
             resilience: config.resilience,
             stage_cache: config.stage_cache,
             origins: Origins::new(config.max_inflight_per_origin, config.overload.clone()),
@@ -284,11 +284,6 @@ impl DocumentCache {
     /// [`Self::lock_each`], shared.
     fn share_each(&self) -> impl Iterator<Item = ShardRead<'_>> {
         self.table.share_each(&self.stats)
-    }
-
-    /// The hit counters of `key`'s shard.
-    fn cell(&self, key: EntryKey) -> &HitCell {
-        self.stats.cell(self.table.shard_index(key))
     }
 
     /// Returns how many writes are buffered (write-back mode).

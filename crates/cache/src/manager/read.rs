@@ -185,11 +185,10 @@ impl DocumentCache {
                 // waited; the read was served locally without touching
                 // the origin, so it counts as a hit — plus the
                 // coalescing counter that explains *why* it hit.
-                let cell = self.cell(key);
-                AtomicCacheStats::bump(&cell.hits);
+                AtomicCacheStats::bump(&self.stats.hits);
                 AtomicCacheStats::bump(&self.stats.coalesced_waits);
                 self.local_latency.charge(read.clock, bytes.len() as u64);
-                AtomicCacheStats::add(&cell.hit_micros, read.elapsed_micros());
+                AtomicCacheStats::add(&self.stats.hit_micros, read.elapsed_micros());
                 // `CacheableWithEvents` demands an event per read: every
                 // waiter posts its own.
                 return self.deliver(&read, bytes, HitClass::CoalescedWait, forward);
@@ -258,7 +257,8 @@ impl DocumentCache {
     fn lookup(&self, key: EntryKey, read: &ReadCtx) -> Lookup {
         let clock = read.clock;
         let shard = self.share(key);
-        let cell = shard.cell();
+        // This thread's block of the counters, looked up once.
+        let stats = &*self.stats;
         if let Some(dirty) = shard.dirty(read.doc, read.user) {
             return Lookup::Dirty(dirty.data.clone());
         }
@@ -271,7 +271,7 @@ impl DocumentCache {
             }
             let (verdict, probe_cost) = run_all(&meta.verifiers, clock);
             clock.advance(probe_cost);
-            AtomicCacheStats::add(&cell.verify_micros, probe_cost);
+            AtomicCacheStats::add(&stats.verify_micros, probe_cost);
             verdict
         };
         match shard.probe(key, clock, verify) {
@@ -283,13 +283,13 @@ impl DocumentCache {
                 ..
             }) => {
                 if replaced {
-                    AtomicCacheStats::bump(&self.stats.verifier_replacements);
+                    AtomicCacheStats::bump(&stats.verifier_replacements);
                 } else if was_prefetched {
-                    AtomicCacheStats::bump(&self.stats.prefetch_hits);
+                    AtomicCacheStats::bump(&stats.prefetch_hits);
                 }
                 self.local_latency.charge(clock, bytes.len() as u64);
-                AtomicCacheStats::bump(&cell.hits);
-                AtomicCacheStats::add(&cell.hit_micros, read.elapsed_micros());
+                AtomicCacheStats::bump(&stats.hits);
+                AtomicCacheStats::add(&stats.hit_micros, read.elapsed_micros());
                 Lookup::Serve(bytes, forward)
             }
             Some(Probe::Invalid) => {
@@ -335,7 +335,8 @@ impl DocumentCache {
         let waiters = self.origins.queued() + self.version_flights.waiting();
         if let Some((_, to)) = controller.observe_pressure(read.clock.now(), waiters) {
             AtomicCacheStats::bump(&self.stats.brownout_shifts);
-            AtomicCacheStats::set(&self.stats.brownout_level, u64::from(to.rung()));
+            let level = &self.stats.brownout_level;
+            level.store(u64::from(to.rung()), Ordering::Relaxed);
         }
         let level = controller.level();
         // Rung 4: reject background misses outright — only foreground

@@ -130,7 +130,7 @@ impl DocumentCache {
         clock: &VirtualClock,
         ctx: FetchCtx,
     ) -> Result<Fetched> {
-        let (chain_lease, root_sig) = self.probe_lease(user, doc, clock);
+        let (chain_lease, root_sig) = self.probe_lease(doc, clock);
         let (plan, chain_lease, _chain_reused) =
             self.space
                 .read_plan_cached(user, doc, chain_lease.as_ref())?;
@@ -170,7 +170,6 @@ impl DocumentCache {
     /// A root nothing vouches for is dropped.
     fn probe_lease(
         &self,
-        user: UserId,
         doc: DocumentId,
         clock: &VirtualClock,
     ) -> (Option<Arc<BaseChainLease>>, Option<Signature>) {
@@ -182,8 +181,7 @@ impl DocumentCache {
             let verifier = root.verifier.as_ref()?;
             let cost = verifier.cost_micros();
             clock.advance(cost);
-            let cell = self.cell(EntryKey::Version(doc, user));
-            AtomicCacheStats::add(&cell.verify_micros, cost);
+            AtomicCacheStats::add(&self.stats.verify_micros, cost);
             (verifier.check(clock) == Validity::Valid).then_some(root.sig)
         });
         if root.is_none() {

@@ -332,7 +332,7 @@ impl Origins {
         };
         if fetch {
             let running = self.running.fetch_add(1, Ordering::Relaxed) + 1;
-            AtomicCacheStats::maximize(&stats.inflight_peak, running);
+            stats.inflight_peak.fetch_max(running, Ordering::Relaxed);
         }
         let observe = match (&self.overload, origin) {
             (Some(config), Some(_)) if fetch => Some((config, clock.now())),

@@ -30,6 +30,10 @@ impl ReplacementPolicy for Fifo {
 
     fn on_hit(&mut self, _key: EntryKey) {}
 
+    fn on_hit_shared(&self, _key: EntryKey) -> bool {
+        true
+    }
+
     fn on_remove(&mut self, key: EntryKey) {
         self.live.remove(&key);
     }

@@ -13,6 +13,9 @@
 //! A hit rewrites the entry's `H` and generation in the map and leaves its
 //! node alone: `L` never falls and a frequency only rises, so between two
 //! inserts of a key its pair only rises and the node stays a lower bound.
+//! What a hit rewrites is kept in relaxed atomics, so hits are taken
+//! through `&self`, side by side ([`ReplacementPolicy::on_hit_shared`]):
+//! they touch neither the map's shape, nor the heap, nor `L`.
 //! `evict` re-pushes a popped node that has fallen behind its entry, so a
 //! node that surfaces *current* is the true minimum: the victim a heap
 //! pushing on every hit would choose, at one map update per hit. Nodes
@@ -22,6 +25,7 @@
 use super::{EntryAttrs, EntryKey, ReplacementPolicy};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Dead nodes tolerated beyond one per live entry before the heap is
 /// rebuilt, so a near-empty policy does not rebuild on every removal.
@@ -45,13 +49,20 @@ impl Ord for OrdF64 {
     }
 }
 
+/// The one word that hits of different keys write, on a cache line of its
+/// own, away from `inflation` and the map's header, which the other core's
+/// next hit reads first. One unit with `Shard`'s alignment (DESIGN.md §4.5).
+#[repr(align(64))]
+struct OwnLine(AtomicU64);
+
 struct Tracked {
     size: u64,
     cost: f64,
     /// Hits since the insert, plus one; stays 1 without `FREQUENCY`.
-    frequency: u64,
-    credit: f64,
-    generation: u64,
+    frequency: AtomicU64,
+    /// The credit `H`, as `f64` bits.
+    credit: AtomicU64,
+    generation: AtomicU64,
     /// The generation on this entry's live heap node; a node of this key
     /// carrying any other is dead.
     queued: u64,
@@ -59,13 +70,20 @@ struct Tracked {
 
 impl Tracked {
     /// The full credit `L + frequency · cost/size` of a touch now.
-    fn full_credit(&self, inflation: f64, cost_blind: bool) -> f64 {
+    fn full_credit(&self, frequency: u64, inflation: f64, cost_blind: bool) -> f64 {
         let cost = if cost_blind { 1.0 } else { self.cost };
-        inflation + self.frequency as f64 * cost / self.size.max(1) as f64
+        inflation + frequency as f64 * cost / self.size.max(1) as f64
     }
 
-    fn node(&self, key: EntryKey) -> Reverse<(OrdF64, u64, EntryKey)> {
-        Reverse((OrdF64(self.credit), self.generation, key))
+    fn credit(&self) -> f64 {
+        f64::from_bits(self.credit.load(Relaxed))
+    }
+
+    /// The entry where it stands now, as a heap node, which becomes its
+    /// live one.
+    fn queue(&mut self, key: EntryKey) -> Reverse<(OrdF64, u64, EntryKey)> {
+        self.queued = *self.generation.get_mut();
+        Reverse((OrdF64(self.credit()), self.queued, key))
     }
 }
 
@@ -75,7 +93,7 @@ pub struct GreedyDual<const FREQUENCY: bool> {
     entries: HashMap<EntryKey, Tracked>,
     heap: BinaryHeap<Reverse<(OrdF64, u64, EntryKey)>>,
     inflation: f64,
-    next_generation: u64,
+    next_generation: OwnLine,
     cost_blind: bool,
 }
 
@@ -89,7 +107,7 @@ impl<const FREQUENCY: bool> GreedyDual<FREQUENCY> {
             entries: HashMap::new(),
             heap: BinaryHeap::new(),
             inflation: 0.0,
-            next_generation: 0,
+            next_generation: OwnLine(AtomicU64::new(0)),
             cost_blind: false,
         }
     }
@@ -106,11 +124,8 @@ impl<const FREQUENCY: bool> GreedyDual<FREQUENCY> {
         if self.heap.len() <= 2 * self.entries.len() + DEAD_SLACK {
             return;
         }
-        let live = self.entries.iter_mut().map(|(&key, tracked)| {
-            tracked.queued = tracked.generation;
-            tracked.node(key)
-        });
-        self.heap = live.collect();
+        let live = self.entries.iter_mut();
+        self.heap = live.map(|(&key, tracked)| tracked.queue(key)).collect();
     }
 }
 
@@ -141,43 +156,77 @@ impl<const FREQUENCY: bool> ReplacementPolicy for GreedyDual<FREQUENCY> {
 
     fn on_insert(&mut self, key: EntryKey, attrs: &EntryAttrs) {
         // A re-insert of a resident key keeps its earned frequency.
-        let frequency = match self.entries.get(&key) {
-            Some(tracked) if FREQUENCY => tracked.frequency,
+        let frequency = match self.entries.get_mut(&key) {
+            Some(tracked) if FREQUENCY => *tracked.frequency.get_mut(),
             _ => 1,
         };
-        let generation = self.next_generation;
-        self.next_generation += 1;
+        let generation = *self.next_generation.0.get_mut();
+        *self.next_generation.0.get_mut() += 1;
         let mut tracked = Tracked {
             size: attrs.size,
             cost: attrs.cost,
-            frequency,
-            credit: 0.0,
-            generation,
+            frequency: AtomicU64::new(frequency),
+            credit: AtomicU64::new(0),
+            generation: AtomicU64::new(generation),
             queued: generation,
         };
-        tracked.credit = tracked.full_credit(self.inflation, self.cost_blind);
+        let credit = tracked.full_credit(frequency, self.inflation, self.cost_blind);
+        *tracked.credit.get_mut() = credit.to_bits();
         // A re-insert may lower the credit, so an insert always pushes.
-        self.heap.push(tracked.node(key));
+        self.heap.push(tracked.queue(key));
         self.entries.insert(key, tracked);
         self.sweep();
     }
 
     fn on_hit(&mut self, key: EntryKey) {
+        if self.on_hit_shared(key) {
+            return;
+        }
+        // Declined: a negative cost under a rising frequency, the one hit
+        // that may lower a credit, leaving the old node no lower bound.
         let Some(tracked) = self.entries.get_mut(&key) else {
             return;
         };
-        tracked.frequency += u64::from(FREQUENCY);
-        // Restore the entry's credit to its full value, in place.
-        let credit = tracked.full_credit(self.inflation, self.cost_blind);
-        let fell = credit < tracked.credit;
-        (tracked.credit, tracked.generation) = (credit, self.next_generation);
-        self.next_generation += 1;
+        *tracked.frequency.get_mut() += 1;
+        let frequency = *tracked.frequency.get_mut();
+        let credit = tracked.full_credit(frequency, self.inflation, self.cost_blind);
+        let fell = credit < tracked.credit();
+        *tracked.credit.get_mut() = credit.to_bits();
+        *tracked.generation.get_mut() = *self.next_generation.0.get_mut();
+        *self.next_generation.0.get_mut() += 1;
         if fell {
-            // A negative cost under a rising frequency: the old node is
-            // no lower bound any more.
-            tracked.queued = tracked.generation;
-            self.heap.push(tracked.node(key));
+            self.heap.push(tracked.queue(key));
         }
+    }
+
+    /// The hit, on atomics: the frequency rises, the credit is restored to
+    /// its full value in place, the entry takes the next generation. `L`
+    /// is read plainly, as it moves only under `&mut`. Racing hits on one
+    /// key leave what either serial order leaves: each computes from the
+    /// frequency its own `fetch_add` returned, and both the credit and the
+    /// generation go to the highest offered. Both only ever rise here,
+    /// because the one hit whose credit could fall is declined. Relaxed
+    /// throughout: these words publish nothing but themselves, and whoever
+    /// reads them through `&mut` came by the lock that owns this policy.
+    fn on_hit_shared(&self, key: EntryKey) -> bool {
+        let Some(tracked) = self.entries.get(&key) else {
+            return true;
+        };
+        let frequency = if FREQUENCY {
+            if tracked.cost < 0.0 {
+                return false;
+            }
+            tracked.frequency.fetch_add(1, Relaxed) + 1
+        } else {
+            1
+        };
+        let credit = tracked.full_credit(frequency, self.inflation, self.cost_blind);
+        let raise = |held: u64| (f64::from_bits(held) < credit).then_some(credit.to_bits());
+        // `Err` is "already there": nothing to publish.
+        let _ = tracked.credit.fetch_update(Relaxed, Relaxed, raise);
+        let generation = self.next_generation.0.fetch_add(1, Relaxed);
+        tracked.generation.fetch_max(generation, Relaxed);
+        true
     }
 
     fn on_remove(&mut self, key: EntryKey) {
@@ -191,11 +240,10 @@ impl<const FREQUENCY: bool> ReplacementPolicy for GreedyDual<FREQUENCY> {
             let Some(tracked) = live.filter(|tracked| tracked.queued == generation) else {
                 continue;
             };
-            if tracked.generation != generation {
+            if *tracked.generation.get_mut() != generation {
                 // Hit since this node was pushed: queue the entry again
                 // where it stands now.
-                tracked.queued = tracked.generation;
-                self.heap.push(tracked.node(key));
+                self.heap.push(tracked.queue(key));
                 continue;
             }
             self.entries.remove(&key);

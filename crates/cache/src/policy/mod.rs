@@ -23,6 +23,7 @@ pub use lfu::Lfu;
 pub use lru::Lru;
 pub use size::SizePolicy;
 
+use parking_lot::Mutex;
 use placeless_core::digest::Signature;
 use placeless_core::id::{DocumentId, UserId};
 use std::sync::Arc;
@@ -88,10 +89,14 @@ impl EntryAttrs {
 
 /// A replacement policy tracks entry metadata and chooses eviction victims.
 ///
-/// The cache manager drives it: `on_insert` when an entry is filled,
-/// `on_hit` on every hit, `on_remove` when an entry is invalidated, and
-/// `evict` when space must be reclaimed.
-pub trait ReplacementPolicy: Send {
+/// The cache manager drives it: `on_insert` when an entry is filled, a hit
+/// on every hit, `on_remove` when an entry is invalidated, and `evict`
+/// when space must be reclaimed. Each shard owns one instance and reaches
+/// it through its own lock: `&mut` under the exclusive guard, `&` under
+/// the shared one — which is why the trait asks for `Sync` — where hits
+/// of one shard run side by side and are offered to
+/// [`on_hit_shared`](Self::on_hit_shared) first.
+pub trait ReplacementPolicy: Send + Sync {
     /// Returns the policy's display name.
     fn name(&self) -> &'static str;
 
@@ -100,6 +105,20 @@ pub trait ReplacementPolicy: Send {
 
     /// Records a hit on an existing entry.
     fn on_hit(&mut self, key: EntryKey);
+
+    /// Records a hit on an existing entry while other threads may be
+    /// recording hits too, and returns `true`; or records nothing and
+    /// returns `false`, and the cache takes the shard exclusively and
+    /// calls [`on_hit`](Self::on_hit) (the default). An implementation
+    /// must leave what serial `on_hit`s would have left, and should write
+    /// only what a hit on the same key writes: a hit that writes nothing
+    /// else is what lets a second core serve hits at all.
+    ///
+    /// A policy handed to [`PolicyFactory::new`] need not implement this:
+    /// the factory serialises its hits on a mutex of their own.
+    fn on_hit_shared(&self, _key: EntryKey) -> bool {
+        false
+    }
 
     /// Records that an entry left the cache for a non-eviction reason
     /// (invalidation).
@@ -157,6 +176,44 @@ pub fn by_name(name: &str) -> Result<Box<dyn ReplacementPolicy>, UnknownPolicy> 
 /// All policy names, for sweeps.
 pub const ALL_POLICIES: [&str; 7] = ["gdsf", "gds", "gd1", "lru", "lfu", "size", "fifo"];
 
+/// A caller's policy, its hits serialised on a leaf mutex: a policy that
+/// knows `on_hit` only still takes every hit under the shared shard lock,
+/// exactly once, and hits of one shard queue here instead of escalating
+/// to the exclusive guard one by one. Of the cache's own policies only
+/// `lru` and `lfu`, which reorder a list on every hit, are built behind it.
+struct HitsSerialised(Mutex<Box<dyn ReplacementPolicy>>);
+
+impl ReplacementPolicy for HitsSerialised {
+    fn name(&self) -> &'static str {
+        self.0.lock().name()
+    }
+
+    fn on_insert(&mut self, key: EntryKey, attrs: &EntryAttrs) {
+        self.0.get_mut().on_insert(key, attrs);
+    }
+
+    fn on_hit(&mut self, key: EntryKey) {
+        self.0.get_mut().on_hit(key);
+    }
+
+    fn on_hit_shared(&self, key: EntryKey) -> bool {
+        self.0.lock().on_hit(key);
+        true
+    }
+
+    fn on_remove(&mut self, key: EntryKey) {
+        self.0.get_mut().on_remove(key);
+    }
+
+    fn evict(&mut self) -> Option<EntryKey> {
+        self.0.get_mut().evict()
+    }
+
+    fn len(&self) -> usize {
+        self.0.lock().len()
+    }
+}
+
 /// A cloneable recipe for constructing [`ReplacementPolicy`] instances.
 ///
 /// The sharded cache needs one policy instance per shard; a bare
@@ -171,7 +228,18 @@ pub struct PolicyFactory {
 
 impl PolicyFactory {
     /// Creates a factory from a display name and a constructor closure.
+    /// What `make` builds has its hits serialised (it may predate
+    /// [`ReplacementPolicy::on_hit_shared`], or forward to a policy that
+    /// does), so implementing `on_hit` is enough.
     pub fn new<F>(name: &str, make: F) -> Self
+    where
+        F: Fn() -> Box<dyn ReplacementPolicy> + Send + Sync + 'static,
+    {
+        Self::native(name, move || Box::new(HitsSerialised(Mutex::new(make()))))
+    }
+
+    /// A factory for one of this crate's policies, handed out as built.
+    fn native<F>(name: &str, make: F) -> Self
     where
         F: Fn() -> Box<dyn ReplacementPolicy> + Send + Sync + 'static,
     {
@@ -187,9 +255,13 @@ impl PolicyFactory {
         by_name(name)?;
         let canonical = name.to_ascii_lowercase();
         let captured = canonical.clone();
-        Ok(Self::new(&canonical, move || {
-            by_name(&captured).expect("validated above")
-        }))
+        let make = move || by_name(&captured).expect("validated above");
+        Ok(match canonical.as_str() {
+            // The two that keep the default `on_hit_shared`: serialised
+            // like a caller's policy, so their hits stay shared too.
+            "lru" | "lfu" => Self::new(&canonical, make),
+            _ => Self::native(&canonical, make),
+        })
     }
 
     /// Constructs a fresh policy instance.
@@ -214,92 +286,6 @@ impl std::fmt::Debug for PolicyFactory {
 impl Default for PolicyFactory {
     /// The paper's choice: Greedy-Dual-Size over replacement cost.
     fn default() -> Self {
-        Self::new("gds", || Box::new(GreedyDualSize::new()))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn by_name_knows_all_policies() {
-        for name in ALL_POLICIES {
-            let policy = by_name(name).unwrap_or_else(|_| panic!("missing {name}"));
-            assert!(policy.is_empty());
-        }
-        assert!(by_name("random").is_err());
-    }
-
-    #[test]
-    fn by_name_is_case_insensitive() {
-        assert_eq!(by_name("GDSF").unwrap().name(), "gdsf");
-        assert_eq!(by_name("Lru").unwrap().name(), "lru");
-    }
-
-    #[test]
-    fn unknown_policy_error_lists_alternatives() {
-        let err = by_name("random").err().expect("unknown name must fail");
-        assert_eq!(err.requested, "random");
-        let message = err.to_string();
-        for name in ALL_POLICIES {
-            assert!(message.contains(name), "error should list {name}");
-        }
-    }
-
-    #[test]
-    fn factory_builds_independent_instances() {
-        let factory = PolicyFactory::by_name("LRU").unwrap();
-        assert_eq!(factory.name(), "lru");
-        let mut a = factory.build();
-        let b = factory.build();
-        a.on_insert(
-            EntryKey::Version(DocumentId(1), UserId(1)),
-            &EntryAttrs::new(1, 1.0),
-        );
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 0, "instances must not share state");
-        assert!(PolicyFactory::by_name("nope").is_err());
-    }
-
-    /// Every policy must satisfy the basic contract: inserts are tracked,
-    /// evictions drain exactly the tracked keys, removals are honored.
-    #[test]
-    fn contract_insert_evict_drains() {
-        for name in ALL_POLICIES {
-            let mut policy = by_name(name).unwrap();
-            let keys: Vec<EntryKey> = (0..5)
-                .map(|i| EntryKey::Version(DocumentId(i), UserId(1)))
-                .collect();
-            for (i, &k) in keys.iter().enumerate() {
-                policy.on_insert(k, &EntryAttrs::new(100 + i as u64, 1_000.0));
-            }
-            assert_eq!(policy.len(), 5, "{name}");
-            let mut evicted = Vec::new();
-            while let Some(victim) = policy.evict() {
-                evicted.push(victim);
-            }
-            assert_eq!(evicted.len(), 5, "{name}");
-            let mut sorted = evicted.clone();
-            sorted.sort();
-            let mut expected = keys.clone();
-            expected.sort();
-            assert_eq!(sorted, expected, "{name} must evict exactly what it tracks");
-        }
-    }
-
-    #[test]
-    fn contract_remove_prevents_eviction() {
-        for name in ALL_POLICIES {
-            let mut policy = by_name(name).unwrap();
-            let a = EntryKey::Version(DocumentId(1), UserId(1));
-            let b = EntryKey::Version(DocumentId(2), UserId(1));
-            policy.on_insert(a, &EntryAttrs::new(10, 1.0));
-            policy.on_insert(b, &EntryAttrs::new(10, 1.0));
-            policy.on_remove(a);
-            assert_eq!(policy.len(), 1, "{name}");
-            assert_eq!(policy.evict(), Some(b), "{name}");
-            assert_eq!(policy.evict(), None, "{name}");
-        }
+        Self::native("gds", || Box::new(GreedyDualSize::new()))
     }
 }

@@ -7,9 +7,9 @@
 //! hash of the key (no per-process hasher seeds, so runs are
 //! reproducible). A shard keeps
 //! **one** map from key to [`Resident`] — the content signature the key is
-//! bound to together with the entry's metadata — so "a resident entry has
-//! content" holds by construction, beside its replacement-policy instance
-//! and its buffered write-back data.
+//! bound to, the store's bytes for it, and the entry's metadata — so "a
+//! resident entry has content" holds by construction, beside its
+//! replacement-policy instance and its buffered write-back data.
 //!
 //! A document's versions are spread over the shards by user, so a
 //! document-scoped invalidation visits every shard. Each shard therefore
@@ -23,6 +23,16 @@
 //! the replacement policy, and moving the `stage_bytes` and dirty-count
 //! gauges. The rest of the cache works through [`ShardGuard`]'s methods,
 //! and a shard lock is held exactly as long as a guard is alive.
+//!
+//! # What a hit writes
+//!
+//! Only what hits of the same key, or of the same thread, write — so two
+//! cores serving hits do not trade cache lines for state neither needs:
+//! the entry carries its bytes (no store stripe is locked, no signature
+//! hashed), the policy takes the hit through `&self` into the key's own
+//! record ([`ReplacementPolicy::on_hit_shared`]), the counters are
+//! striped by thread. What remains shared is the shard's lock word, the
+//! policy's generation counter, and the clock.
 //!
 //! # Lock ordering (deadlock freedom)
 //!
@@ -38,12 +48,16 @@
 //!    drops its guard, blocks for the exclusive one, and re-checks what
 //!    it saw ([`ShardGuard::probe`]); two would-be upgraders would
 //!    otherwise wait for each other.
-//! 4. A shard's policy mutex and the content-store stripe locks are
-//!    **leaves**: taken under a shard lock (the policy mutex only under
-//!    the shared one, for `on_hit` alone; an exclusive holder reaches the
-//!    policy through `get_mut`), released before the method returns,
-//!    never two at once. The cache's other leaf locks (journal, parked
-//!    set, leases, writer sequences) are never taken by this module.
+//! 4. The content-store stripe locks are **leaves**: taken under an
+//!    exclusive shard lock (a fill, a release; never by a hit), released
+//!    before the method returns, never two at once. Nothing else is
+//!    locked under a shard lock: the policy is a plain field, `&` through
+//!    the shared guard and `&mut` through the exclusive one. (A caller's
+//!    own policy, and `lru`/`lfu` by name, serialise their shared hits on
+//!    a mutex inside themselves, [`PolicyFactory::new`], a leaf by the
+//!    same argument.) The cache's
+//!    other leaf locks (journal, parked set, leases, writer sequences)
+//!    are never taken by this module.
 //!
 //! Every blocking edge therefore points from "holding nothing" to a shard
 //! lock, or from a shard lock to a leaf; the wait-for graph is acyclic.
@@ -51,10 +65,10 @@
 use crate::digest::Signature;
 use crate::entry::EntryMeta;
 use crate::policy::{EntryAttrs, EntryKey, PolicyFactory, ReplacementPolicy};
-use crate::stats::{AtomicCacheStats, HitCell};
+use crate::stats::AtomicCacheStats;
 use crate::store::{ConcurrentStore, NoRoom};
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use placeless_core::id::{DocumentId, UserId};
 use placeless_core::op::DocOp;
 use placeless_core::verifier::Validity;
@@ -85,9 +99,12 @@ pub(crate) struct DirtyEntry {
 
 /// A resident entry: the content it is bound to, and everything else the
 /// read path shipped with it. Holds one content-store reference on `sig`
-/// for as long as it sits in a shard's table.
+/// for as long as it sits in a shard's table, and `bytes` is what that
+/// reference returned: the store's own allocation for `sig`, 32 bytes an
+/// entry, so that serving it takes no stripe lock.
 struct Resident {
     sig: Signature,
+    bytes: Bytes,
     meta: EntryMeta,
 }
 
@@ -97,16 +114,30 @@ impl Resident {
     }
 
     /// The verdict on an entry whose freshness could not be checked.
-    fn unverifiable(&self, store: &ConcurrentStore) -> Option<Probe> {
-        Some(Probe::Unverifiable(Stale {
-            bytes: store.get(self.sig)?,
+    fn unverifiable(&self) -> Probe {
+        Probe::Unverifiable(Stale {
+            bytes: self.bytes.clone(),
             filled_at: self.meta.filled_at,
             forward: self.forward(),
-        }))
+        })
+    }
+
+    /// The verdict on an entry that is good to serve.
+    fn fresh(&self, replaced: bool) -> Probe {
+        Probe::Fresh {
+            bytes: self.bytes.clone(),
+            sig: self.sig,
+            forward: self.forward(),
+            was_prefetched: self.meta.prefetched,
+            replaced,
+        }
     }
 }
 
-/// One lock-striped slice of the entry table.
+/// One lock-striped slice of the entry table. Aligned to a cache line, so
+/// wherever its `RwLock` lays the lock word, that word (a hit writes it)
+/// shares no line with the maps' headers (every hit reads them).
+#[repr(align(64))]
 pub(crate) struct Shard {
     /// Boxed so a table slot is a key and a pointer (32 bytes, a third of
     /// an inline entry): the table's spare capacity, every rehash on
@@ -122,9 +153,9 @@ pub(crate) struct Shard {
     versions: HashMap<DocumentId, HashSet<UserId>>,
     /// How many keys of `entries` are stages; moved by the same two.
     stages: usize,
-    /// Behind a leaf mutex so a hit can tell it under the *shared* shard
-    /// lock; an exclusive holder goes through `get_mut`, no lock.
-    policy: Mutex<Box<dyn ReplacementPolicy>>,
+    /// Told of a hit through `&`, under the *shared* shard lock; of
+    /// everything else through `&mut`, under the exclusive one.
+    policy: Box<dyn ReplacementPolicy>,
     /// Buffered write-back writes. Keyed by `(document, user)`, not by
     /// [`EntryKey`]: only versions are ever written.
     dirty: HashMap<(DocumentId, UserId), DirtyEntry>,
@@ -219,7 +250,7 @@ impl ShardTable {
                         entries: HashMap::new(),
                         versions: HashMap::new(),
                         stages: 0,
-                        policy: Mutex::new(policy.build()),
+                        policy: policy.build(),
                         dirty: HashMap::new(),
                     })
                 })
@@ -350,18 +381,13 @@ impl<'a, G: Deref<Target = Shard>> ShardGuard<'a, G> {
     /// Returns `key`'s resident content and its signature without
     /// registering a hit.
     pub(crate) fn content(&self, key: EntryKey) -> Option<(Bytes, Signature)> {
-        let sig = self.signature(key)?;
-        Some((self.table.store.get(sig)?, sig))
+        let entry = self.shard.entries.get(&key)?;
+        Some((entry.bytes.clone(), entry.sig))
     }
 
     /// Returns `user`'s buffered write-back write to `doc`, if any.
     pub(crate) fn dirty(&self, doc: DocumentId, user: UserId) -> Option<&DirtyEntry> {
         self.shard.dirty.get(&(doc, user))
-    }
-
-    /// This shard's hit counters.
-    pub(crate) fn cell(&self) -> &'a HitCell {
-        self.stats.cell(self.index)
     }
 }
 
@@ -373,10 +399,11 @@ impl ShardRead<'_> {
     ///
     /// A verdict that leaves the table alone — a plain hit, an absent
     /// key, `Unverifiable` — is settled under this shared guard. One that
-    /// changes it gives the guard up for the exclusive one (lock-order
-    /// rule 3) and carries the verdict across, so `verify` runs once per
-    /// read; only if `key` was re-bound to other content in between does
-    /// it run again, on the new entry.
+    /// changes it, or a hit the policy will not take through `&`, gives
+    /// the guard up for the exclusive one (lock-order rule 3) and carries
+    /// the verdict across, so `verify` runs once per read; only if `key`
+    /// was re-bound to other content in between does it run again, on the
+    /// new entry.
     pub(crate) fn probe(
         self,
         key: EntryKey,
@@ -384,20 +411,14 @@ impl ShardRead<'_> {
         verify: impl Fn(&EntryMeta) -> Validity,
     ) -> Option<Probe> {
         let entry = self.shard.entries.get(&key)?;
-        let store = &self.table.store;
         let verdict = match verify(&entry.meta) {
             Validity::Valid if !entry.meta.force_verify => {
-                let bytes = store.get(entry.sig)?;
-                self.shard.policy.lock().on_hit(key);
-                return Some(Probe::Fresh {
-                    bytes,
-                    sig: entry.sig,
-                    forward: entry.forward(),
-                    was_prefetched: entry.meta.prefetched,
-                    replaced: false,
-                });
+                if self.shard.policy.on_hit_shared(key) {
+                    return Some(entry.fresh(false));
+                }
+                Validity::Valid
             }
-            Validity::Unverifiable => return entry.unverifiable(store),
+            Validity::Unverifiable => return Some(entry.unverifiable()),
             verdict => verdict,
         };
         let (sig, index, table, stats) = (entry.sig, self.index, self.table, self.stats);
@@ -429,39 +450,35 @@ impl ShardGuard<'_> {
         } else {
             verify(&entry.meta)
         };
-        let (bytes, replaced) = match verdict {
-            Validity::Valid => (store.get(entry.sig)?, false),
+        let replaced = match verdict {
+            Validity::Valid => false,
             Validity::Replace(bytes) => {
                 store.release(entry.sig);
                 entry.sig = ConcurrentStore::signature_of(&bytes);
-                if store.acquire(entry.sig, &bytes) {
+                let (stored, shared) = store.acquire(entry.sig, &bytes);
+                if shared {
                     AtomicCacheStats::bump(&self.stats.shared_fills);
                 }
+                entry.bytes = stored;
                 entry.meta.size = bytes.len() as u64;
                 entry.meta.filled_at = clock.now();
-                (bytes, true)
+                true
             }
             Validity::Invalid => {
                 self.remove(key, Removal::Invalidated);
                 return Some(Probe::Invalid);
             }
-            Validity::Unverifiable => return entry.unverifiable(store),
+            Validity::Unverifiable => return Some(entry.unverifiable()),
         };
         entry.meta.force_verify = false;
-        let (sig, forward, was_prefetched) = (entry.sig, entry.forward(), entry.meta.prefetched);
-        shard.policy.get_mut().on_hit(key);
+        let fresh = entry.fresh(replaced);
+        shard.policy.on_hit(key);
         if replaced {
             // The replacement may have grown the content past the budget;
             // reclaim, sparing the fresh entry.
             self.reclaim_over_budget(key);
         }
-        Some(Probe::Fresh {
-            bytes,
-            sig,
-            forward,
-            was_prefetched,
-            replaced,
-        })
+        Some(fresh)
     }
 
     /// Inserts a filled entry, updating sharing stats, pinning, the
@@ -510,10 +527,10 @@ impl ShardGuard<'_> {
             // chosen as eviction victims.
             AtomicCacheStats::bump(&self.stats.pinned_fills);
         } else if scarce && meta.cost_micros == 0.0 && !key.is_stage() {
-            self.shard.policy.get_mut().on_remove(key);
+            self.shard.policy.on_remove(key);
             return;
         } else {
-            self.shard.policy.get_mut().on_insert(key, &attrs);
+            self.shard.policy.on_insert(key, &attrs);
         }
         let sig = match known_sig {
             Some(sig) => {
@@ -528,22 +545,23 @@ impl ShardGuard<'_> {
         };
         loop {
             match table.store.try_acquire(sig, &bytes, table.capacity_bytes) {
-                Ok(shared) => {
+                Ok((bytes, shared)) => {
                     if shared {
                         AtomicCacheStats::bump(&self.stats.shared_fills);
                     }
                     if key.is_stage() {
                         AtomicCacheStats::add(&self.stats.stage_bytes, meta.size);
                     }
-                    self.shard.insert(key, Box::new(Resident { sig, meta }));
+                    let entry = Resident { sig, bytes, meta };
+                    self.shard.insert(key, Box::new(entry));
                     return;
                 }
-                Err(NoRoom) => match self.shard.policy.get_mut().evict() {
+                Err(NoRoom) => match self.shard.policy.evict() {
                     Some(victim) if victim == key => {
                         // The incoming entry is its own shard's minimum;
                         // prefer room from a sibling shard.
                         if self.steal_one() {
-                            self.shard.policy.get_mut().on_insert(key, &attrs);
+                            self.shard.policy.on_insert(key, &attrs);
                             continue;
                         }
                         AtomicCacheStats::bump(&self.stats.evictions);
@@ -569,14 +587,16 @@ impl ShardGuard<'_> {
     /// `true` if the entry existed.
     pub(crate) fn remove(&mut self, key: EntryKey, why: Removal) -> bool {
         if why == Removal::Invalidated {
-            self.shard.policy.get_mut().on_remove(key);
+            self.shard.policy.on_remove(key);
         }
         let Some(entry) = self.shard.take(key) else {
             return false;
         };
         self.table.store.release(entry.sig);
         if key.is_stage() {
-            AtomicCacheStats::sub(&self.stats.stage_bytes, entry.meta.size);
+            self.stats
+                .stage_bytes
+                .fetch_sub(entry.meta.size, Ordering::Relaxed);
         }
         true
     }
@@ -655,7 +675,7 @@ impl ShardGuard<'_> {
                 table: self.table,
                 stats: self.stats,
             };
-            if let Some(victim) = sibling.shard.policy.get_mut().evict() {
+            if let Some(victim) = sibling.shard.policy.evict() {
                 sibling.remove(victim, Removal::Evicted);
                 AtomicCacheStats::bump(&self.stats.evictions);
                 return true;
@@ -669,12 +689,12 @@ impl ShardGuard<'_> {
     /// verifier replacement, the one path that can overshoot.
     fn reclaim_over_budget(&mut self, spare: EntryKey) {
         while self.table.store.physical_bytes() > self.table.capacity_bytes {
-            match self.shard.policy.get_mut().evict() {
+            match self.shard.policy.evict() {
                 Some(victim) if victim == spare => {
                     let shard = &mut *self.shard;
                     if let Some(entry) = shard.entries.get(&victim) {
                         let attrs = EntryAttrs::new(entry.meta.size, entry.meta.cost_micros);
-                        shard.policy.get_mut().on_insert(victim, &attrs);
+                        shard.policy.on_insert(victim, &attrs);
                     }
                     if !self.steal_one() {
                         return;
@@ -716,5 +736,46 @@ mod tests {
             "64 docs hit only {} of 8 shards",
             spread.len()
         );
+    }
+
+    /// The one hit a policy of this crate declines through `&` (GDSF, a
+    /// negative cost: the credit falls) is carried to the exclusive guard
+    /// and told there exactly once, the verifier having run once.
+    #[test]
+    fn a_declined_hit_is_settled_exclusively_and_once() {
+        use placeless_core::cacheability::Cacheability::Unrestricted;
+        let policy = PolicyFactory::by_name("gdsf").expect("known");
+        let (table, stats) = (
+            ShardTable::new(1, &policy, 1_024),
+            AtomicCacheStats::default(),
+        );
+        let clock = VirtualClock::new();
+        let key = |doc| EntryKey::Version(DocumentId(doc), UserId(1));
+        // Credits −1 000, −1 500, −2 500: one hit on the first makes it
+        // −2 000 (second out), none leaves it last, two would put it first.
+        for (doc, cost) in [(1, -1_000.0), (2, -1_500.0), (3, -2_500.0)] {
+            let meta = EntryMeta::new(Vec::new(), Unrestricted, cost, 1, clock.now());
+            let body = Bytes::from(vec![doc as u8]);
+            table
+                .lock(key(doc), &stats)
+                .install(key(doc), body, meta, None);
+        }
+        let verified = AtomicU64::new(0);
+        let verify = |_: &EntryMeta| {
+            verified.fetch_add(1, Ordering::Relaxed);
+            Validity::Valid
+        };
+        let probe = table.share(key(1), &stats).probe(key(1), &clock, verify);
+        assert!(matches!(
+            probe,
+            Some(Probe::Fresh {
+                replaced: false,
+                ..
+            })
+        ));
+        assert_eq!(verified.into_inner(), 1);
+        let mut guard = table.guard(0, &stats);
+        let victims: Vec<_> = std::iter::from_fn(|| guard.shard.policy.evict()).collect();
+        assert_eq!(victims, [key(3), key(1), key(2)]);
     }
 }

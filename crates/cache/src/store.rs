@@ -16,7 +16,10 @@
 //! The `(document, user) → Signature` binding does *not* live here: cache
 //! shards own their slice of that map (the crate-private `shard` module),
 //! because a key's binding must change atomically with its entry metadata.
-//! The store only counts references; each bound key holds exactly one.
+//! The store only counts references; each bound key holds exactly one, and
+//! with it a clone of the stored [`Bytes`] that taking the reference
+//! handed back — every holder of a signature shares the one allocation,
+//! and serving the content asks the store nothing.
 //!
 //! # Lock ordering
 //!
@@ -85,20 +88,26 @@ impl ConcurrentStore {
 
     /// Adds one reference to `bytes` under `sig`, charging physical bytes
     /// only if this signature is new, and failing if that charge would
-    /// exceed `budget`. Returns whether the content was already resident
-    /// (a shared fill).
+    /// exceed `budget`. Returns the stored content — `bytes` itself, or
+    /// the identical bytes already filed under `sig` — and whether it was
+    /// already resident (a shared fill).
     ///
     /// The capacity check and the insert are atomic with respect to other
     /// store operations on the same signature (stripe lock held), and the
     /// physical counter is raised with a compare-and-swap loop, so the
     /// budget can never be overshot by concurrent acquires.
-    pub fn try_acquire(&self, sig: Signature, bytes: &Bytes, budget: u64) -> Result<bool, NoRoom> {
+    pub fn try_acquire(
+        &self,
+        sig: Signature,
+        bytes: &Bytes,
+        budget: u64,
+    ) -> Result<(Bytes, bool), NoRoom> {
         let size = bytes.len() as u64;
         let mut stripe = self.stripe_of(&sig).lock();
         if let Some(stored) = stripe.get_mut(&sig) {
             stored.refs += 1;
             self.logical.fetch_add(size, Ordering::Relaxed);
-            return Ok(true);
+            return Ok((stored.content.clone(), true));
         }
         // New content: reserve the physical bytes before publishing.
         let mut current = self.physical.load(Ordering::Relaxed);
@@ -124,20 +133,20 @@ impl ConcurrentStore {
                 refs: 1,
             },
         );
-        Ok(false)
+        Ok((bytes.clone(), false))
     }
 
     /// Adds one reference to `bytes` under `sig` without a budget check.
     /// Used by the verifier replace path, which (as in the original
     /// single-lock cache) refreshes content in place and leaves capacity
-    /// enforcement to the caller. Returns whether the content was shared.
-    pub fn acquire(&self, sig: Signature, bytes: &Bytes) -> bool {
+    /// enforcement to the caller. Returns what [`Self::try_acquire`] does.
+    pub fn acquire(&self, sig: Signature, bytes: &Bytes) -> (Bytes, bool) {
         let size = bytes.len() as u64;
         let mut stripe = self.stripe_of(&sig).lock();
         self.logical.fetch_add(size, Ordering::Relaxed);
         if let Some(stored) = stripe.get_mut(&sig) {
             stored.refs += 1;
-            true
+            (stored.content.clone(), true)
         } else {
             self.physical.fetch_add(size, Ordering::Relaxed);
             stripe.insert(
@@ -147,7 +156,7 @@ impl ConcurrentStore {
                     refs: 1,
                 },
             );
-            false
+            (bytes.clone(), false)
         }
     }
 

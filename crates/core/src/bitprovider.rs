@@ -12,7 +12,7 @@
 use crate::cacheability::Cacheability;
 use crate::error::Result;
 use crate::streams::{CollectOutput, InputStream, MemoryInput, OutputStream};
-use crate::verifier::{ClosureVerifier, Validity, Verifier};
+use crate::verifier::{Validity, Verifier};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use placeless_simenv::VirtualClock;
@@ -93,8 +93,36 @@ type VersionedCell = Arc<Mutex<(u64, Bytes)>>;
 /// counter backs the mtime-style verifier.
 pub struct MemoryProvider {
     label: String,
+    /// What its verifiers call themselves, `mtime(<label>)`: one
+    /// allocation for the provider's lifetime, shared by all of them.
+    verifier_label: Arc<str>,
     state: VersionedCell,
     fetch_cost: u64,
+}
+
+/// Polls the provider's modification epoch, like polling a file's mtime.
+struct MtimeVerifier {
+    state: VersionedCell,
+    seen: u64,
+    label: Arc<str>,
+}
+
+impl Verifier for MtimeVerifier {
+    fn check(&self, _clock: &VirtualClock) -> Validity {
+        if self.state.lock().0 == self.seen {
+            Validity::Valid
+        } else {
+            Validity::Invalid
+        }
+    }
+
+    fn cost_micros(&self) -> u64 {
+        2
+    }
+
+    fn describe(&self) -> String {
+        self.label.to_string()
+    }
 }
 
 impl MemoryProvider {
@@ -103,6 +131,7 @@ impl MemoryProvider {
     pub fn new(label: &str, content: impl Into<Bytes>, fetch_cost: u64) -> Arc<Self> {
         Arc::new(Self {
             label: label.to_owned(),
+            verifier_label: format!("mtime({label})").into(),
             state: Arc::new(Mutex::new((0, content.into()))),
             fetch_cost,
         })
@@ -171,20 +200,11 @@ impl BitProvider for MemoryProvider {
     }
 
     fn make_verifier(&self, _clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
-        // Poll the modification epoch, like polling a file's mtime.
-        let seen = self.epoch();
-        let state = self.state.clone();
-        Some(ClosureVerifier::new(
-            &format!("mtime({})", self.label),
-            2,
-            move |_| {
-                if state.lock().0 == seen {
-                    Validity::Valid
-                } else {
-                    Validity::Invalid
-                }
-            },
-        ))
+        Some(Box::new(MtimeVerifier {
+            state: self.state.clone(),
+            seen: self.epoch(),
+            label: self.verifier_label.clone(),
+        }))
     }
 
     fn fetch_cost_micros(&self) -> u64 {
@@ -241,6 +261,8 @@ mod tests {
         let clock = VirtualClock::new();
         let provider = MemoryProvider::new("t", "v1", 10);
         let verifier = provider.make_verifier(&clock).unwrap();
+        assert_eq!(verifier.describe(), "mtime(t)");
+        assert_eq!(verifier.cost_micros(), 2);
         assert_eq!(verifier.check(&clock), Validity::Valid);
         provider.set_out_of_band("v2");
         assert_eq!(verifier.check(&clock), Validity::Invalid);

@@ -42,10 +42,12 @@ cargo test -q "${CARGO_FLAGS[@]}" --test fault_matrix
 # the cost of a journal ack; a flush-shaped journal run writes under 3
 # bytes per user byte). The workspace run above has them in a debug build
 # beside every other test binary; timing is only dependable optimized and
-# alone. The two hit-path tests ride along, so that they hold in the build
-# the benchmark measures: two hits of one shard overlap inside their
-# verifiers, and a verdict reached under the shared shard lock is applied
-# under the exclusive one without running the verifiers again.
+# alone. The three hit-path tests ride along, so that they hold in the
+# build the benchmark measures: two hits of one shard overlap inside their
+# verifiers; a verdict reached under the shared shard lock is applied under
+# the exclusive one without running the verifiers again; and a hit returns
+# while another reader is parked in its verifier on the same shard, under
+# the default policy and under a caller's (`PolicyFactory::new`) alike.
 stage "population independence + shared hit path (release)"
 cargo test -q --release "${CARGO_FLAGS[@]}" --test cache_manager -- independent_of hit_path
 cargo test -q --release "${CARGO_FLAGS[@]}" --test journal
@@ -142,6 +144,13 @@ non_test_lines() {
 }
 stage "non-test lines"
 echo "crates/cache/src: $(non_test_lines $(find crates/cache/src -name '*.rs'))"
+echo "crates/cache/src/stats.rs: $(non_test_lines crates/cache/src/stats.rs)"
+# A hit tells the policy through `&`; a mutex around it would put every hit
+# of a shard back on one lock word.
+if grep -n 'policy: Mutex' crates/cache/src/shard.rs; then
+  echo "shard.rs: the policy is a plain field, not behind a mutex" >&2
+  exit 1
+fi
 (cd crates/cache/src && echo "per-origin file set: $(non_test_lines \
   resilience.rs singleflight.rs overload.rs origin.rs manager/{read,flush,mod}.rs)")
 echo "walk + table + policies + plan: $(non_test_lines crates/cache/src/manager/stages.rs \

@@ -5,6 +5,7 @@
 
 use bytes::Bytes;
 use placeless_bench::support::TagProperty;
+use placeless_cache::policy::{EntryAttrs, EntryKey, PolicyFactory, ReplacementPolicy};
 use placeless_cache::{
     default_shard_count, CacheConfig, DocumentCache, HitClass, MergePolicy, PrefetchConfig,
     ReadOptions, WriteJournal, WriteMode,
@@ -989,11 +990,118 @@ fn hit_path_two_readers_of_one_shard_overlap() {
     assert_eq!(cache.stats().hits, 2);
 }
 
+/// The default policy as a caller's own, written before `on_hit_shared`
+/// existed: it forwards the methods it knew.
+struct OnHitOnly(Box<dyn ReplacementPolicy>);
+
+impl ReplacementPolicy for OnHitOnly {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn on_insert(&mut self, key: EntryKey, attrs: &EntryAttrs) {
+        self.0.on_insert(key, attrs);
+    }
+    fn on_hit(&mut self, key: EntryKey) {
+        self.0.on_hit(key);
+    }
+    fn on_remove(&mut self, key: EntryKey) {
+        self.0.on_remove(key);
+    }
+    fn evict(&mut self) -> Option<EntryKey> {
+        self.0.evict()
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+fn callers_policy() -> PolicyFactory {
+    PolicyFactory::new("callers", || {
+        Box::new(OnHitOnly(PolicyFactory::default().build()))
+    })
+}
+
+/// A reader parked inside its verifier holds its shard shared, for as long
+/// as the origin takes to answer. A second reader's hit on that shard
+/// returns meanwhile, whether the policy is the cache's default, one of
+/// its own that knows `on_hit` only (LRU), or a caller's: telling the
+/// policy takes no lock the parked reader could be holding up.
+/// (A hit that escalated to the exclusive guard would wait for the parked
+/// reader, which here gives up after 5 s and fails the test.)
+#[test]
+fn hit_path_a_parked_reader_does_not_stall_the_policy() {
+    use std::time::{Duration, Instant};
+    let lru = PolicyFactory::by_name("lru").expect("known");
+    for policy in [PolicyFactory::default(), lru, callers_policy()] {
+        let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+        let parked = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        let gave_up = Arc::new(AtomicBool::new(false));
+        let park = {
+            let (parked, release, gave_up) = (parked.clone(), release.clone(), gave_up.clone());
+            move || {
+                parked.store(true, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while !release.load(Ordering::SeqCst) {
+                    if Instant::now() > deadline {
+                        gave_up.store(true, Ordering::SeqCst);
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                Validity::Valid
+            }
+        };
+        let slow = space.create_document(ALICE, ScriptedOrigin::new("slow origin", park));
+        let quick = space.create_document(ALICE, MemoryProvider::new("quick", "quick body", 1));
+        let cache = DocumentCache::new(
+            space,
+            CacheConfig::builder()
+                .local_latency(LatencyModel::FREE)
+                .shards(1)
+                .policy(policy.clone())
+                .build(),
+        );
+        for doc in [slow, quick] {
+            cache.read(ALICE, doc).expect("fill");
+        }
+        let hit = |doc| {
+            let outcome = cache
+                .read_with(ALICE, doc, ReadOptions::default())
+                .expect("hit");
+            assert_eq!(outcome.class, HitClass::Hit, "{}", policy.name());
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| hit(slow));
+            while !parked.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            hit(quick);
+            release.store(true, Ordering::SeqCst);
+        });
+        assert!(
+            !gave_up.load(Ordering::SeqCst),
+            "{}: the second hit waited for the parked reader",
+            policy.name()
+        );
+        assert_eq!(cache.stats().hits, 2);
+    }
+}
+
 /// Verifiers run exactly once per read whatever the verdict, including
 /// the verdicts that are reached under the shared shard lock and applied
-/// under the exclusive one, and their cost is charged exactly once.
+/// under the exclusive one, for a policy that takes hits through `&` and
+/// for one whose hits are serialised (LRU), and their cost is charged
+/// exactly once. After a `Replace` the entry holds the new content and
+/// the store has let the old go.
 #[test]
 fn hit_path_runs_verifiers_once_per_read_for_every_verdict() {
+    for policy in ["gds", "lru"] {
+        verifiers_run_once_per_read(PolicyFactory::by_name(policy).expect("known"));
+    }
+}
+
+fn verifiers_run_once_per_read(policy: PolicyFactory) {
     let verdict = Arc::new(parking_lot::Mutex::new(Validity::Valid));
     let script = {
         let verdict = verdict.clone();
@@ -1008,6 +1116,7 @@ fn hit_path_runs_verifiers_once_per_read_for_every_verdict() {
             .local_latency(LatencyModel::FREE)
             .run_verifiers(run_verifiers)
             .shards(1)
+            .policy(policy.clone())
             .build();
         (space.clone(), DocumentCache::new(space, config), doc, other)
     };
@@ -1031,6 +1140,8 @@ fn hit_path_runs_verifiers_once_per_read_for_every_verdict() {
             "replaced",
             HitClass::Hit,
         ),
+        // The entry now holds what replaced it.
+        (Validity::Valid, "replaced", HitClass::Hit),
         (Validity::Unverifiable, "origin body", HitClass::Miss),
         (Validity::Valid, "origin body", HitClass::Hit),
     ];
@@ -1045,9 +1156,12 @@ fn hit_path_runs_verifiers_once_per_read_for_every_verdict() {
             // A hit is the verifier's cost and nothing else on the clock.
             assert_eq!(clock.now().since(before), SCRIPTED_VERIFIER_COST);
         }
+        // One entry, one reference, on the content just served.
+        let size = body.len() as u64;
+        assert_eq!(cache.resident_bytes(), (size, size), "{verdict_now:?}");
     }
     let stats = cache.stats();
-    assert_eq!((stats.hits, stats.misses), (3, 3));
+    assert_eq!((stats.hits, stats.misses), (4, 3));
     assert_eq!(stats.verifier_invalidations, 1);
     assert_eq!(stats.verifier_replacements, 1);
 

@@ -1,18 +1,233 @@
-//! The replacement policies through their public API: each policy's
-//! victim order, and the Greedy-Dual policies against the push-per-hit
-//! heaps they replaced.
+//! The replacement policies through their public API: the contract every
+//! policy keeps, each policy's victim order, hits taken through `&self`
+//! (by the Greedy-Dual policies side by side, by a caller's policy one at
+//! a time), and the Greedy-Dual policies against the push-per-hit heaps
+//! they replaced.
 
 use placeless_cache::policy::{
-    EntryAttrs, EntryKey, Fifo, GdsFrequency, GreedyDualSize, Lfu, Lru, ReplacementPolicy,
-    SizePolicy,
+    by_name, EntryAttrs, EntryKey, Fifo, GdsFrequency, GreedyDualSize, Lfu, Lru, PolicyFactory,
+    ReplacementPolicy, SizePolicy, ALL_POLICIES,
 };
 use placeless_core::id::{DocumentId, UserId};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn key(i: u64) -> EntryKey {
     EntryKey::Version(DocumentId(i), UserId(1))
+}
+
+mod contract {
+    use super::*;
+
+    #[test]
+    fn by_name_knows_all_policies() {
+        for name in ALL_POLICIES {
+            let policy = by_name(name).unwrap_or_else(|_| panic!("missing {name}"));
+            assert!(policy.is_empty());
+        }
+        assert!(by_name("random").is_err());
+    }
+
+    #[test]
+    fn by_name_is_case_insensitive() {
+        assert_eq!(by_name("GDSF").unwrap().name(), "gdsf");
+        assert_eq!(by_name("Lru").unwrap().name(), "lru");
+    }
+
+    #[test]
+    fn unknown_policy_error_lists_alternatives() {
+        let err = by_name("random").err().expect("unknown name must fail");
+        assert_eq!(err.requested, "random");
+        let message = err.to_string();
+        for name in ALL_POLICIES {
+            assert!(message.contains(name), "error should list {name}");
+        }
+    }
+
+    #[test]
+    fn factory_builds_independent_instances() {
+        let factory = PolicyFactory::by_name("LRU").unwrap();
+        assert_eq!(factory.name(), "lru");
+        let mut a = factory.build();
+        let b = factory.build();
+        a.on_insert(
+            EntryKey::Version(DocumentId(1), UserId(1)),
+            &EntryAttrs::new(1, 1.0),
+        );
+        assert_eq!(a.len(), 1);
+        assert_eq!(b.len(), 0, "instances must not share state");
+        assert!(PolicyFactory::by_name("nope").is_err());
+    }
+
+    /// Every policy must satisfy the basic contract: inserts are tracked,
+    /// evictions drain exactly the tracked keys, removals are honored.
+    #[test]
+    fn contract_insert_evict_drains() {
+        for name in ALL_POLICIES {
+            let mut policy = by_name(name).unwrap();
+            let keys: Vec<EntryKey> = (0..5)
+                .map(|i| EntryKey::Version(DocumentId(i), UserId(1)))
+                .collect();
+            for (i, &k) in keys.iter().enumerate() {
+                policy.on_insert(k, &EntryAttrs::new(100 + i as u64, 1_000.0));
+            }
+            assert_eq!(policy.len(), 5, "{name}");
+            let mut evicted = Vec::new();
+            while let Some(victim) = policy.evict() {
+                evicted.push(victim);
+            }
+            assert_eq!(evicted.len(), 5, "{name}");
+            let mut sorted = evicted.clone();
+            sorted.sort();
+            let mut expected = keys.clone();
+            expected.sort();
+            assert_eq!(sorted, expected, "{name} must evict exactly what it tracks");
+        }
+    }
+
+    #[test]
+    fn contract_remove_prevents_eviction() {
+        for name in ALL_POLICIES {
+            let mut policy = by_name(name).unwrap();
+            let a = EntryKey::Version(DocumentId(1), UserId(1));
+            let b = EntryKey::Version(DocumentId(2), UserId(1));
+            policy.on_insert(a, &EntryAttrs::new(10, 1.0));
+            policy.on_insert(b, &EntryAttrs::new(10, 1.0));
+            policy.on_remove(a);
+            assert_eq!(policy.len(), 1, "{name}");
+            assert_eq!(policy.evict(), Some(b), "{name}");
+            assert_eq!(policy.evict(), None, "{name}");
+        }
+    }
+}
+
+mod shared_hits {
+    use super::*;
+
+    /// A policy as a caller would have written it before `on_hit_shared`
+    /// existed: hits arrive through `&mut self` and nowhere else.
+    struct OnHitOnly {
+        inner: Box<dyn ReplacementPolicy>,
+        /// Counted without synchronisation of its own, mirrored out.
+        hits: u64,
+        seen: Arc<AtomicU64>,
+    }
+
+    impl ReplacementPolicy for OnHitOnly {
+        fn name(&self) -> &'static str {
+            "on-hit-only"
+        }
+        fn on_insert(&mut self, key: EntryKey, attrs: &EntryAttrs) {
+            self.inner.on_insert(key, attrs);
+        }
+        fn on_hit(&mut self, key: EntryKey) {
+            self.hits += 1;
+            self.seen.store(self.hits, Ordering::Relaxed);
+            self.inner.on_hit(key);
+        }
+        fn on_remove(&mut self, key: EntryKey) {
+            self.inner.on_remove(key);
+        }
+        fn evict(&mut self) -> Option<EntryKey> {
+            self.inner.evict()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    /// The factory serialises a caller's hits: every shared hit is taken,
+    /// and reaches `on_hit` exactly once.
+    #[test]
+    fn a_callers_policy_receives_each_shared_hit_exactly_once() {
+        const THREADS: u64 = 4;
+        const HITS: u64 = 10_000;
+        let seen = Arc::new(AtomicU64::new(0));
+        let factory = {
+            let seen = seen.clone();
+            PolicyFactory::new("on-hit-only", move || {
+                Box::new(OnHitOnly {
+                    inner: Box::new(Lru::new()),
+                    hits: 0,
+                    seen: seen.clone(),
+                })
+            })
+        };
+        let mut policy = factory.build();
+        for i in 0..THREADS {
+            policy.on_insert(key(i), &EntryAttrs::new(1, 1.0));
+        }
+        let policy = &*policy;
+        std::thread::scope(|scope| {
+            for i in 0..THREADS {
+                scope.spawn(move || {
+                    for _ in 0..HITS {
+                        assert!(policy.on_hit_shared(key(i)), "the hit must be taken");
+                    }
+                });
+            }
+        });
+        assert_eq!(seen.load(Ordering::Relaxed), THREADS * HITS);
+        assert_eq!(policy.len(), THREADS as usize);
+        assert_eq!(policy.name(), "on-hit-only");
+    }
+
+    /// Bare, the two list-reordering baselines decline a hit through `&`;
+    /// as a cache is given them (`PolicyFactory::by_name`) every policy
+    /// takes it, so no configured cache escalates a plain hit.
+    #[test]
+    fn which_policies_take_a_hit_through_a_shared_reference() {
+        for name in ALL_POLICIES {
+            let mut policy = by_name(name).unwrap();
+            policy.on_insert(key(1), &EntryAttrs::new(10, 1.0));
+            let taken = policy.on_hit_shared(key(1));
+            assert_eq!(taken, !matches!(name, "lru" | "lfu"), "{name}");
+            let mut built = PolicyFactory::by_name(name).unwrap().build();
+            assert_eq!(built.name(), name);
+            built.on_insert(key(1), &EntryAttrs::new(10, 1.0));
+            assert!(built.on_hit_shared(key(1)), "{name} as configured");
+        }
+    }
+
+    /// Two threads hit one key two thousand times each, at once (they
+    /// start from a spin barrier: a blocking one wakes the second thread
+    /// after the first is done). Whatever the interleaving, the entry ends
+    /// where any serial order leaves it: at the credit of 4 001 touches —
+    /// a lost hit would let `below` outlive it — and at a generation the
+    /// hits handed out, so it leaves after an entry of its credit inserted
+    /// before the hits and before one inserted after.
+    #[test]
+    fn racing_hits_on_one_key_leave_a_serial_outcome() {
+        const HITS: u64 = 2_000;
+        let touches = (2 * HITS + 1) as f64;
+        let (hot, before, below, after) = (key(1), key(2), key(3), key(4));
+        for _ in 0..100 {
+            let mut gdsf = GdsFrequency::new();
+            gdsf.on_insert(hot, &EntryAttrs::new(100, 100.0));
+            gdsf.on_insert(before, &EntryAttrs::new(100, 100.0 * touches));
+            gdsf.on_insert(below, &EntryAttrs::new(100, 100.0 * touches - 50.0));
+            let arrived = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        while arrived.load(Ordering::SeqCst) < 2 {
+                            std::hint::spin_loop();
+                        }
+                        for _ in 0..HITS {
+                            assert!(gdsf.on_hit_shared(hot));
+                        }
+                    });
+                }
+            });
+            gdsf.on_insert(after, &EntryAttrs::new(100, 100.0 * touches));
+            let order: Vec<_> = std::iter::from_fn(|| gdsf.evict()).collect();
+            assert_eq!(order, [below, before, hot, after]);
+        }
+    }
 }
 
 mod gds {
@@ -297,10 +512,16 @@ struct PushPerHit {
     cost_blind: bool,
     /// `(size, cost, frequency, generation)` per tracked key.
     entries: HashMap<EntryKey, (u64, f64, u64, u64)>,
-    /// Credits are never negative, so their bit patterns order as they do.
-    heap: BinaryHeap<Reverse<(u64, u64, EntryKey)>>,
+    /// Credits as [`ordered`] keys.
+    heap: BinaryHeap<Reverse<(i64, u64, EntryKey)>>,
     inflation: f64,
     next_generation: u64,
+}
+
+/// An `f64`'s bits as an integer that orders as `f64::total_cmp` does,
+/// negative credits included. Its own inverse.
+fn ordered(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 impl PushPerHit {
@@ -321,7 +542,8 @@ impl PushPerHit {
         self.next_generation += 1;
         self.entries
             .insert(key, (size, cost, frequency, generation));
-        self.heap.push(Reverse((h.to_bits(), generation, key)));
+        let h = ordered(h.to_bits() as i64);
+        self.heap.push(Reverse((h, generation, key)));
     }
 
     fn on_insert(&mut self, key: EntryKey, attrs: &EntryAttrs) {
@@ -348,7 +570,8 @@ impl PushPerHit {
         while let Some(Reverse((h, generation, key))) = self.heap.pop() {
             if self.entries.get(&key).map(|t| t.3) == Some(generation) {
                 self.entries.remove(&key);
-                self.inflation = self.inflation.max(f64::from_bits(h));
+                let h = f64::from_bits(ordered(h) as u64);
+                self.inflation = self.inflation.max(h);
                 return Some(key);
             }
         }
@@ -358,17 +581,18 @@ impl PushPerHit {
 
 #[derive(Debug, Clone)]
 enum Step {
-    Insert { key: u64, size: u64, cost: u32 },
+    Insert { key: u64, size: u64, cost: i32 },
     Hit(u64),
     Remove(u64),
     Evict,
 }
 
-/// Few keys, sizes and costs, so steps collide on keys and credits tie.
+/// Few keys, sizes and costs, so steps collide on keys and credits tie;
+/// some costs negative, so a GDSF credit can fall on a hit.
 fn step_strategy() -> impl Strategy<Value = Step> {
     let key = 0u64..10;
     let size = proptest::sample::select(vec![0u64, 1, 64, 64, 100, 4096]);
-    let cost = proptest::sample::select(vec![0u32, 1, 100, 100, 1_000, 50_000]);
+    let cost = proptest::sample::select(vec![-1_000i32, -1, 0, 1, 100, 100, 1_000, 50_000]);
     // Arms repeat as weights: hits outnumber everything, as in a cache.
     prop_oneof![
         (key.clone(), size, cost).prop_map(|(key, size, cost)| Step::Insert { key, size, cost }),
@@ -380,12 +604,15 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Drives `policy` and `reference` through `steps` side by side.
+/// Drives `policy` and `reference` through `steps` side by side: with
+/// `shared`, every hit offered through `&` first, as the cache offers it;
+/// without, through `on_hit` alone, as a caller's wrapper forwards it.
 fn agree_with_reference<P: ReplacementPolicy>(
     mut policy: P,
     inflation: fn(&P) -> f64,
     mut reference: PushPerHit,
     steps: Vec<Step>,
+    shared: bool,
 ) {
     for (at, step) in steps.into_iter().enumerate() {
         match step {
@@ -395,7 +622,9 @@ fn agree_with_reference<P: ReplacementPolicy>(
                 reference.on_insert(key(k), &attrs);
             }
             Step::Hit(k) => {
-                policy.on_hit(key(k));
+                if !(shared && policy.on_hit_shared(key(k))) {
+                    policy.on_hit(key(k));
+                }
                 reference.on_hit(key(k));
             }
             Step::Remove(k) => {
@@ -427,25 +656,31 @@ proptest! {
         flavor in proptest::sample::select(vec!["gds", "gd1", "gdsf"]),
         steps in proptest::collection::vec(step_strategy(), 0..400),
     ) {
-        match flavor {
-            "gds" => agree_with_reference(
-                GreedyDualSize::new(),
-                GreedyDualSize::inflation,
-                PushPerHit::new(false, false),
-                steps,
-            ),
-            "gd1" => agree_with_reference(
-                GreedyDualSize::cost_blind(),
-                GreedyDualSize::inflation,
-                PushPerHit::new(false, true),
-                steps,
-            ),
-            _ => agree_with_reference(
-                GdsFrequency::new(),
-                GdsFrequency::inflation,
-                PushPerHit::new(true, false),
-                steps,
-            ),
+        for shared in [true, false] {
+            let steps = steps.clone();
+            match flavor {
+                "gds" => agree_with_reference(
+                    GreedyDualSize::new(),
+                    GreedyDualSize::inflation,
+                    PushPerHit::new(false, false),
+                    steps,
+                    shared,
+                ),
+                "gd1" => agree_with_reference(
+                    GreedyDualSize::cost_blind(),
+                    GreedyDualSize::inflation,
+                    PushPerHit::new(false, true),
+                    steps,
+                    shared,
+                ),
+                _ => agree_with_reference(
+                    GdsFrequency::new(),
+                    GdsFrequency::inflation,
+                    PushPerHit::new(true, false),
+                    steps,
+                    shared,
+                ),
+            }
         }
     }
 }

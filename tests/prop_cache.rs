@@ -141,6 +141,26 @@ fn table_matches_ledger(
     assert_eq!(logical, listed);
 }
 
+/// Every resident entry's bytes are the store's bytes for its signature:
+/// the store keeps one allocation per content, so the resident versions
+/// (each read is a hit, which hands out the entry's own bytes) show one
+/// address per distinct content.
+fn resident_bytes_are_the_stores(cache: &DocumentCache, pairs: &[(UserId, DocumentId)]) {
+    let mut held: HashMap<Bytes, *const u8> = HashMap::new();
+    for &(user, doc) in pairs {
+        if !cache.contains(user, doc) {
+            continue;
+        }
+        let outcome = cache
+            .read_with(user, doc, ReadOptions::default())
+            .expect("a hit");
+        assert_eq!(outcome.class, HitClass::Hit, "{user:?} of {doc:?}");
+        let at = outcome.bytes.as_ptr();
+        let first = *held.entry(outcome.bytes).or_insert(at);
+        assert_eq!(first, at, "{user:?} of {doc:?} holds a copy of its own");
+    }
+}
+
 /// Every document carries one universal signed stage and — with
 /// `personal` — one signed personal suffix per user, behind a
 /// write-through stage-caching cache of `capacity` bytes. Without the
@@ -212,8 +232,12 @@ proptest! {
                     if let Some(old) = model.remove(&key) {
                         store.release(sig(old));
                     }
-                    let shared = store.try_acquire(sig(v), &content(v), u64::MAX);
-                    prop_assert_eq!(shared, Ok(model.values().any(|&other| other == v)));
+                    let (stored, shared) = store
+                        .try_acquire(sig(v), &content(v), u64::MAX)
+                        .expect("no budget to exceed");
+                    prop_assert_eq!(shared, model.values().any(|&other| other == v));
+                    // What comes back is what the store keeps.
+                    prop_assert_eq!(stored.as_ptr(), store.get(sig(v)).expect("held").as_ptr());
                     model.insert(key, v);
                 }
                 Op::Remove(key) => {
@@ -250,7 +274,8 @@ proptest! {
     /// evictions interleaved (tiny budget) and with every version resident
     /// (roomy budget), whether each version holds content of its own
     /// (personal suffixes) or all of a document's versions and its stage
-    /// entry hold one content between them.
+    /// entry hold one content between them — and then one allocation
+    /// ([`resident_bytes_are_the_stores`]).
     #[test]
     fn refcounts_and_gauges_balance_through_the_public_api(
         shards in proptest::sample::select(vec![1usize, 4]),
@@ -311,6 +336,7 @@ proptest! {
                 prop_assert_eq!(len - cache.len(), counted as usize);
             }
             table_matches_ledger(&cache, &ledger, &pairs, capacity);
+            resident_bytes_are_the_stores(&cache, &pairs);
             let physical = cache.resident_bytes().0;
             if !personal && capacity == ROOMY_CAPACITY {
                 // Aliases add names, never bytes: what is stored is what
@@ -482,8 +508,16 @@ fn dedup_shares_physical_bytes() {
     let store = ConcurrentStore::new();
     let content = bytes("hello world");
     let sig = ConcurrentStore::signature_of(&content);
-    assert_eq!(store.try_acquire(sig, &content, 1_000), Ok(false));
-    assert_eq!(store.try_acquire(sig, &content, 1_000), Ok(true));
+    assert_eq!(
+        store.try_acquire(sig, &content, 1_000),
+        Ok((content.clone(), false))
+    );
+    // A second holder is handed the first one's allocation, not its own.
+    let same_text = bytes("hello world");
+    let (stored, shared) = store.try_acquire(sig, &same_text, 1_000).unwrap();
+    assert!(shared);
+    assert_eq!(stored.as_ptr(), content.as_ptr());
+    assert_ne!(stored.as_ptr(), same_text.as_ptr());
     assert_eq!(store.physical_bytes(), 11);
     assert_eq!(store.logical_bytes(), 22);
     store.release(sig);
@@ -500,15 +534,15 @@ fn try_acquire_respects_budget() {
     let store = ConcurrentStore::new();
     let a = bytes("aaaaaaaa");
     let sig_a = ConcurrentStore::signature_of(&a);
-    assert_eq!(store.try_acquire(sig_a, &a, 10), Ok(false));
+    assert_eq!(store.try_acquire(sig_a, &a, 10), Ok((a.clone(), false)));
     let b = bytes("bbbbbbbb");
     let sig_b = ConcurrentStore::signature_of(&b);
     assert_eq!(store.try_acquire(sig_b, &b, 10), Err(NoRoom));
     // A shared acquire charges no physical bytes, so it always fits.
-    assert_eq!(store.try_acquire(sig_a, &a, 10), Ok(true));
+    assert_eq!(store.try_acquire(sig_a, &a, 10), Ok((a.clone(), true)));
     store.release(sig_a);
     store.release(sig_a);
-    assert_eq!(store.try_acquire(sig_b, &b, 10), Ok(false));
+    assert_eq!(store.try_acquire(sig_b, &b, 10), Ok((b.clone(), false)));
 }
 
 #[test]
@@ -546,15 +580,15 @@ fn repoint_decrements_old_refcount_and_evicts_orphans() {
         ConcurrentStore::signature_of(&v2),
     );
     // Two keys share v1; a third holds v2.
-    assert!(!store.acquire(sig1, &v1));
-    assert!(store.acquire(sig1, &v1));
-    assert!(!store.acquire(sig2, &v2));
+    assert!(!store.acquire(sig1, &v1).1);
+    assert!(store.acquire(sig1, &v1).1);
+    assert!(!store.acquire(sig2, &v2).1);
     assert_eq!(store.physical_bytes(), 8 + 9);
 
     // Re-point one v1 holder onto v2: v1 must survive (one ref left)
     // and the fill must report sharing v2's bytes.
     store.release(sig1);
-    assert!(store.acquire(sig2, &v2), "v2 bytes were already resident");
+    assert!(store.acquire(sig2, &v2).1, "v2 bytes were already resident");
     assert!(store.get(sig1).is_some(), "one v1 reference remains");
     assert_eq!(store.logical_bytes(), 8 + 9 + 9);
 
@@ -562,7 +596,7 @@ fn repoint_decrements_old_refcount_and_evicts_orphans() {
     // the release itself.
     store.release(sig1);
     assert!(store.get(sig1).is_none(), "v1 orphan evicted");
-    assert!(store.acquire(sig2, &v2));
+    assert!(store.acquire(sig2, &v2).1);
     assert_eq!(store.physical_bytes(), 9);
 
     // And the refcount actually moved: dropping two of the three v2
@@ -572,6 +606,62 @@ fn repoint_decrements_old_refcount_and_evicts_orphans() {
     assert_eq!(store.physical_bytes(), 9, "still one v2 reference");
     store.release(sig2);
     assert_eq!((store.physical_bytes(), store.logical_bytes()), (0, 0));
+}
+
+// ---- One content, one allocation, however many names hold it ------------
+
+/// Two users' versions of one content and the stage entry they alias serve
+/// the very same allocation — the first reader's computed bytes, which the
+/// store kept — and the store counts it once. So do two users' versions in
+/// a cache without stage entries, where each miss computed a copy of its
+/// own: the second fill keeps the store's bytes, not the copy it brought.
+#[test]
+fn every_holder_of_one_content_serves_one_allocation() {
+    for staged in [true, false] {
+        let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+        let (ann, ben) = (UserId(1), UserId(2));
+        let doc = space.create_document(ann, MemoryProvider::new("d", "one shared body", 100));
+        space.add_reference(ben, doc).expect("doc exists");
+        space
+            .attach_active(Scope::Universal, doc, TagProperty::new("all", 100))
+            .expect("doc exists");
+        let config = CacheConfig::builder()
+            .local_latency(LatencyModel::FREE)
+            .stage_cache(staged)
+            .build();
+        let cache = DocumentCache::new(space, config);
+        let read = |user, class| {
+            let outcome = cache
+                .read_with(user, doc, ReadOptions::default())
+                .expect("the origin is up");
+            assert_eq!(outcome.class, class, "staged: {staged}");
+            outcome.bytes
+        };
+        let filled = read(ann, HitClass::Miss);
+        let second_fill = if staged {
+            HitClass::PartialHit
+        } else {
+            HitClass::Miss
+        };
+        let served = [
+            read(ben, second_fill),
+            read(ann, HitClass::Hit),
+            read(ben, HitClass::Hit),
+        ];
+        if staged {
+            // The walk adopted the stage entry's bytes: the store's.
+            assert_eq!(served[0].as_ptr(), filled.as_ptr());
+        }
+        for bytes in &served[1..] {
+            assert_eq!(bytes.as_ptr(), filled.as_ptr(), "staged: {staged}");
+        }
+        let (versions, stage_entries) = (2, u64::from(staged));
+        let size = filled.len() as u64;
+        assert_eq!(
+            cache.resident_bytes(),
+            (size, size * (versions + stage_entries))
+        );
+    }
 }
 
 // ---- The entry table under `install`, by a long seeded walk --------------

@@ -303,6 +303,94 @@ fn stress_one_shard_hits_installs_and_invalidations() {
     assert_eq!(cache.resident_bytes(), (0, 0), "no reference left over");
 }
 
+/// Eight threads, ten thousand reads each — hits, partial hits over shared
+/// stage entries, whole misses — counted into per-thread blocks. Every
+/// read is a hit or a miss exactly once in the sum; `inflight_peak`, which
+/// every thread raises, is the most fetches that ran at once (two, the
+/// origin's window) and not a sum over threads; and `stage_bytes`, raised
+/// and lowered by whichever thread fills or evicts, is what the resident
+/// stage entries hold — nothing, once they have all been evicted.
+#[test]
+fn stress_counters_add_up_across_threads() {
+    const DOCS: usize = 24;
+    const READS: u64 = 10_000;
+    const WINDOW: u32 = 2;
+    const CAPACITY: u64 = 64 * 1024;
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let users: Vec<UserId> = (1..=THREADS).map(UserId).collect();
+    // One label, so one origin and one window for all of them.
+    let document = |body: String, fetch_cost| {
+        let doc = space.create_document(users[0], MemoryProvider::new("origin", body, fetch_cost));
+        for &user in &users[1..] {
+            space.add_reference(user, doc).unwrap();
+        }
+        doc
+    };
+    let docs: Vec<DocumentId> = (0..DOCS)
+        .map(|i| {
+            let doc = document(format!("document {i} {}", "x".repeat(40 + i)), 100);
+            let shared = TagProperty::new("all", 100);
+            space.attach_active(Scope::Universal, doc, shared).unwrap();
+            for &user in &users {
+                let own = TagProperty::new(&format!("u{}", user.0), 100);
+                space
+                    .attach_active(Scope::Personal(user), doc, own)
+                    .unwrap();
+            }
+            doc
+        })
+        .collect();
+    let cache = DocumentCache::new(
+        space.clone(),
+        CacheConfig::builder()
+            .capacity_bytes(CAPACITY)
+            .local_latency(LatencyModel::FREE)
+            .stage_cache(true)
+            .max_inflight_per_origin(WINDOW)
+            .shards(4)
+            .build(),
+    );
+    thread::scope(|scope| {
+        for &user in &users {
+            let (cache, space, docs) = (&cache, &space, &docs);
+            scope.spawn(move |_| {
+                let mut rng = Rng(0xFACADE + user.0);
+                for read in 0..READS {
+                    let doc = docs[rng.next() as usize % DOCS];
+                    if read % 64 == 63 {
+                        // Keeps misses coming once everything is resident.
+                        space.bus().post(Invalidation::UserDocument(doc, user));
+                    }
+                    cache.read(user, doc).unwrap();
+                }
+            });
+        }
+    })
+    .unwrap();
+
+    let stats = cache.stats();
+    assert_eq!(stats.hits + stats.misses, THREADS * READS, "{stats:?}");
+    assert!(stats.hits > stats.misses && stats.stage_partial_hits > 0);
+    assert!(
+        (1..=u64::from(WINDOW)).contains(&stats.inflight_peak),
+        "a peak of {} through a window of {WINDOW}",
+        stats.inflight_peak
+    );
+    for &doc in &docs {
+        space.bus().post(Invalidation::Document(doc));
+    }
+    assert!(cache.stage_entry_count() > 0);
+    assert_eq!(cache.len(), cache.stage_entry_count());
+    assert_eq!(cache.resident_bytes().1, cache.stats().stage_bytes);
+    // Entries no stage entry can outbid, a cache's worth of them.
+    for i in 0..64 {
+        let doc = document(format!("pricey {i} {}", "y".repeat(2_000)), 1_000_000_000);
+        cache.read(users[0], doc).unwrap();
+    }
+    assert_eq!(cache.stage_entry_count(), 0);
+    assert_eq!(cache.stats().stage_bytes, 0);
+}
+
 /// What one [`drive_trace`] run saw: reads per [`HitClass`] (indexed by
 /// `class as usize`), and the cache's counters across the run.
 struct TraceRun {
