@@ -585,7 +585,8 @@ impl DocumentCache {
         );
         meta.pinned = report.pinned;
         meta.prefetched = prefetched;
-        self.lock(key).install(key, bytes, meta, content_sig);
+        let sig = content_sig.unwrap_or_else(|| ConcurrentStore::signature_of(&bytes));
+        self.lock(key).install(key, bytes, meta, sig);
     }
 
     /// Pulls collection siblings of `doc` into the cache after a miss.

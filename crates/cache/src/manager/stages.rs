@@ -389,8 +389,8 @@ impl DocumentCache {
 
     /// Inserts an intermediate stage output under its stage signature,
     /// competing for residency like any other entry at `cost`, its
-    /// marginal replacement cost. `digest` is the content's, when the
-    /// pipeline has it. Returns whether the output is resident afterwards.
+    /// marginal replacement cost. `digest` is the content's (taken here, no
+    /// shard held, if `None`). Returns whether the output is resident afterwards.
     fn fill_stage(
         &self,
         sig: Signature,
@@ -404,6 +404,7 @@ impl DocumentCache {
             return false;
         }
         let key = EntryKey::Stage(sig);
+        let digest = digest.unwrap_or_else(|| ConcurrentStore::signature_of(&bytes));
         let mut shard = self.lock(key);
         // Content-addressed: an existing binding is already this content.
         if shard.contains(key) {

@@ -401,7 +401,8 @@ impl Origins {
 /// One admitted origin operation; leaving is `Drop`, so the slot is freed
 /// however the operation ends. Under the gate lock that owns the window
 /// width, leaving also feeds a fetch's service time to AIMD, and then
-/// wakes the readers parked on *this* origin. The observation is
+/// wakes the readers parked on *this* origin, if any: each counted itself
+/// in `queued` under that lock before it waited. The observation is
 /// virtual-clock time, which under concurrency includes advances charged
 /// by other threads; AIMD only needs the signal to rise under load and
 /// fall when it drains, and it does.
@@ -416,21 +417,32 @@ pub(crate) struct Slot<'a> {
     observe: Option<(&'a OverloadConfig, Instant)>,
 }
 
-impl Drop for Slot<'_> {
-    fn drop(&mut self) {
-        if let Some(running) = self.running {
+impl Slot<'_> {
+    /// Leaves (once); returns whether a parked reader was there to wake.
+    fn release(&mut self) -> bool {
+        if let Some(running) = self.running.take() {
             running.fetch_sub(1, Ordering::Relaxed);
         }
-        let Some(origin) = self.origin else {
-            return;
+        let Some(origin) = self.origin.take() else {
+            return false;
         };
         let mut gate = lock(&origin.gate);
         gate.inflight = gate.inflight.saturating_sub(1);
         if let Some((config, admitted_at)) = self.observe {
             gate.observe(config, self.clock.now().since(admitted_at));
         }
+        let parked = gate.queued > 0;
         drop(gate);
-        origin.freed.notify_all();
+        if parked {
+            origin.freed.notify_all();
+        }
+        parked
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.release();
     }
 }
 
@@ -708,6 +720,29 @@ mod tests {
             "queue wait is accounted"
         );
         assert_eq!(origins.queued(), 0);
+    }
+
+    #[test]
+    fn a_release_wakes_only_a_queued_reader() {
+        let origins = Origins::new(Some(1), None);
+        let o = origins.get("o".into());
+        let (clock, stats) = (VirtualClock::new(), AtomicCacheStats::default());
+        let mut alone = enter(&origins, &o, &clock, &stats);
+        assert!(!alone.release(), "nobody queued, nobody to wake");
+        assert!(!alone.release(), "and a slot leaves once");
+        assert_eq!(lock(&o.gate).inflight, 0);
+
+        let mut holder = enter(&origins, &o, &clock, &stats);
+        thread::scope(|scope| {
+            let parked = scope.spawn(|| drop(enter(&origins, &o, &clock, &stats)));
+            while origins.queued() < 1 {
+                thread::sleep(Duration::from_millis(1));
+            }
+            assert!(holder.release(), "the queued reader is woken");
+            parked.join().expect("and admitted: no deadline, no poll");
+        });
+        assert_eq!((origins.running(), origins.queued()), (0, 0));
+        assert_eq!(lock(&o.gate).inflight, 0);
     }
 
     #[test]

@@ -506,16 +506,15 @@ impl ShardGuard<'_> {
     /// Past that, the next fill that needs bytes would evict it and every
     /// alias beside it before freeing any. A pin is honoured regardless.
     ///
-    /// `known_sig` is the content digest when the read path already
-    /// computed it; the store is content-addressed, so a wrong digest
-    /// would corrupt sharing — debug builds re-hash and compare.
-    pub(crate) fn install(
-        &mut self,
-        key: EntryKey,
-        bytes: Bytes,
-        meta: EntryMeta,
-        known_sig: Option<Signature>,
-    ) {
+    /// `sig` is the content digest, computed before this shard was
+    /// locked; the store is content-addressed, so a wrong digest would
+    /// corrupt sharing — debug builds re-hash and compare.
+    pub(crate) fn install(&mut self, key: EntryKey, bytes: Bytes, meta: EntryMeta, sig: Signature) {
+        debug_assert_eq!(
+            sig,
+            ConcurrentStore::signature_of(&bytes),
+            "the content signature must match the bytes being installed"
+        );
         // A re-fill over an existing binding releases the old content;
         // the policy keeps the key, and `on_insert` below refreshes it.
         self.remove(key, Removal::Evicted);
@@ -532,17 +531,6 @@ impl ShardGuard<'_> {
         } else {
             self.shard.policy.on_insert(key, &attrs);
         }
-        let sig = match known_sig {
-            Some(sig) => {
-                debug_assert_eq!(
-                    sig,
-                    ConcurrentStore::signature_of(&bytes),
-                    "known content signature must match the bytes being installed"
-                );
-                sig
-            }
-            None => ConcurrentStore::signature_of(&bytes),
-        };
         loop {
             match table.store.try_acquire(sig, &bytes, table.capacity_bytes) {
                 Ok((bytes, shared)) => {
@@ -756,9 +744,10 @@ mod tests {
         for (doc, cost) in [(1, -1_000.0), (2, -1_500.0), (3, -2_500.0)] {
             let meta = EntryMeta::new(Vec::new(), Unrestricted, cost, 1, clock.now());
             let body = Bytes::from(vec![doc as u8]);
+            let sig = ConcurrentStore::signature_of(&body);
             table
                 .lock(key(doc), &stats)
-                .install(key(doc), body, meta, None);
+                .install(key(doc), body, meta, sig);
         }
         let verified = AtomicU64::new(0);
         let verify = |_: &EntryMeta| {

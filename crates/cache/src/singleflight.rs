@@ -28,8 +28,14 @@
 //! back-pressure mechanism for the misses a flight cannot merge (distinct
 //! keys, one origin).
 //!
-//! Locks here are `std::sync` primitives (the flight wait needs a
-//! condvar) and are **leaves** in the manager's lock order: no shard lock
+//! **A flight wakes only its waiters** (DESIGN.md §4.5). A waiter counts
+//! itself under the flight's state mutex before it first waits; the leader
+//! publishes and reads that count under the same mutex, so a waiter is
+//! counted or sees the outcome, and a leader nobody joined — nearly every
+//! miss — makes no `notify_all`, a system call in `std`, waiter or not.
+//! That state is `std`'s mutex and condvar; the two flight tables are the
+//! facade's mutex (a short wait spins). All are **leaves** in the
+//! manager's lock order: no shard lock
 //! is ever taken while one is held, and the manager only joins flights
 //! while holding no shard lock. Waiting
 //! threads hold no lock at all while blocked. Leader/waiter waits cannot
@@ -64,7 +70,9 @@ pub(crate) enum FlightResult {
     Failed(PlacelessError),
 }
 
+#[derive(Default)]
 enum FlightState {
+    #[default]
     Pending,
     Done(FlightResult),
     /// The leader unwound without completing (panic in a transform).
@@ -72,24 +80,21 @@ enum FlightState {
     Abandoned,
 }
 
+#[derive(Default)]
 struct Flight {
-    state: Mutex<FlightState>,
+    /// The outcome, and how many waiters registered while it was pending.
+    state: Mutex<(FlightState, u32)>,
     done: Condvar,
 }
 
 impl Flight {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(FlightState::Pending),
-            done: Condvar::new(),
-        }
-    }
-
     /// Blocks until the leader publishes; `None` means abandoned.
     fn wait(&self) -> Option<FlightResult> {
         let mut state = lock(&self.state);
+        // Counted before the first wait; after the outcome, read by nobody.
+        state.1 += 1;
         loop {
-            match &*state {
+            match &state.0 {
                 FlightState::Pending => {
                     state = self
                         .done
@@ -102,9 +107,17 @@ impl Flight {
         }
     }
 
-    fn finish(&self, state: FlightState) {
-        *lock(&self.state) = state;
-        self.done.notify_all();
+    /// Publishes `outcome` and wakes the registered waiters, if any;
+    /// returns whether there were any.
+    fn finish(&self, outcome: FlightState) -> bool {
+        let mut state = lock(&self.state);
+        state.0 = outcome;
+        let waiters = state.1 > 0;
+        drop(state);
+        if waiters {
+            self.done.notify_all();
+        }
+        waiters
     }
 }
 
@@ -129,7 +142,7 @@ pub(crate) enum Join<'a> {
 /// One in-flight computation per key; see the module docs.
 #[derive(Default)]
 pub(crate) struct FlightGroup {
-    flights: Mutex<HashMap<EntryKey, Arc<Flight>>>,
+    flights: parking_lot::Mutex<HashMap<EntryKey, Arc<Flight>>>,
     /// Threads currently blocked inside [`FlightGroup::join`] as waiters
     /// (a gauge, exposed for experiments and tests).
     waiting: AtomicU64,
@@ -145,17 +158,17 @@ impl FlightGroup {
     /// Waiters block (holding no lock) until the leader publishes.
     pub(crate) fn join(&self, key: EntryKey) -> Join<'_> {
         let flight = {
-            let mut flights = lock(&self.flights);
+            let mut flights = self.flights.lock();
             match flights.get(&key) {
                 Some(flight) => Arc::clone(flight),
                 None => {
-                    let flight = Arc::new(Flight::new());
+                    let flight = Arc::<Flight>::default();
                     flights.insert(key, Arc::clone(&flight));
                     return Join::Leader(FlightGuard {
                         group: self,
                         key,
                         flight,
-                        completed: false,
+                        closed: false,
                     });
                 }
             }
@@ -171,10 +184,6 @@ impl FlightGroup {
     pub(crate) fn waiting(&self) -> u64 {
         self.waiting.load(Ordering::SeqCst)
     }
-
-    fn remove(&self, key: EntryKey) {
-        lock(&self.flights).remove(&key);
-    }
 }
 
 /// The leader's obligation to publish; see [`Join::Leader`].
@@ -182,26 +191,29 @@ pub(crate) struct FlightGuard<'a> {
     group: &'a FlightGroup,
     key: EntryKey,
     flight: Arc<Flight>,
-    completed: bool,
+    closed: bool,
 }
 
 impl FlightGuard<'_> {
-    /// Publishes the leader's outcome to every waiter and closes the
-    /// flight. The flight leaves the table *before* the outcome lands,
-    /// so later arrivals start a fresh flight (a failure is shared with
-    /// the threads that waited on it, never with the next read).
+    /// Publishes the leader's outcome to every waiter and closes the flight.
     pub(crate) fn complete(mut self, result: FlightResult) {
-        self.group.remove(self.key);
-        self.flight.finish(FlightState::Done(result));
-        self.completed = true;
+        self.close(FlightState::Done(result));
+    }
+
+    /// The flight leaves the table *before* the outcome lands, so later
+    /// arrivals start a fresh flight (a failure is shared with the threads
+    /// that waited on it, never with the next read). Whether it woke any.
+    fn close(&mut self, outcome: FlightState) -> bool {
+        self.closed = true;
+        self.group.flights.lock().remove(&self.key);
+        self.flight.finish(outcome)
     }
 }
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
-        if !self.completed {
-            self.group.remove(self.key);
-            self.flight.finish(FlightState::Abandoned);
+        if !self.closed {
+            self.close(FlightState::Abandoned);
         }
     }
 }
@@ -297,6 +309,42 @@ mod tests {
         }
         drop(guard);
         assert!(waiter.join().expect("no panic"), "waiter saw abandonment");
+    }
+
+    fn lead(group: &FlightGroup, n: u64) -> FlightGuard<'_> {
+        match group.join(key(n)) {
+            Join::Leader(guard) => guard,
+            Join::Waited(_) => panic!("first joiner must lead"),
+        }
+    }
+
+    /// A leader nobody joined wakes nobody — on the `complete` path and on
+    /// the path a dropped guard takes — and one with a parked waiter does.
+    #[test]
+    fn a_flight_wakes_only_its_waiters() {
+        let group = Arc::new(FlightGroup::new());
+        let done = || FlightState::Done(FlightResult::Unshared);
+        assert!(!lead(&group, 1).close(done()), "sole leader, completed");
+        assert!(
+            !lead(&group, 1).close(FlightState::Abandoned),
+            "and dropped"
+        );
+
+        for outcome in [done(), FlightState::Abandoned] {
+            let mut guard = lead(&group, 2);
+            let waiter = {
+                let group = Arc::clone(&group);
+                thread::spawn(move || matches!(group.join(key(2)), Join::Waited(_)))
+            };
+            // Registered under the flight's own mutex, not merely counted
+            // by the group's gauge: only then may the leader rely on it.
+            while lock(&guard.flight.state).1 < 1 {
+                thread::sleep(Duration::from_millis(1));
+            }
+            assert!(guard.close(outcome), "one parked waiter is woken");
+            assert!(waiter.join().expect("no panic"), "and it returns");
+        }
+        assert_eq!(group.waiting(), 0);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::verifier::{Validity, Verifier};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use placeless_simenv::VirtualClock;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The repository link of a base document.
@@ -82,9 +83,6 @@ pub trait BitProvider: Send + Sync {
     }
 }
 
-/// Shared `(epoch, content)` cell backing [`MemoryProvider`].
-type VersionedCell = Arc<Mutex<(u64, Bytes)>>;
-
 /// An in-memory bit-provider used by tests and as the simplest repository.
 ///
 /// Content changes through [`BitProvider::open_output`] model updates
@@ -96,20 +94,31 @@ pub struct MemoryProvider {
     /// What its verifiers call themselves, `mtime(<label>)`: one
     /// allocation for the provider's lifetime, shared by all of them.
     verifier_label: Arc<str>,
-    state: VersionedCell,
+    content: Arc<Mutex<Bytes>>,
+    /// The modification epoch, bumped (`Release`) by every writer while
+    /// it holds the content lock. Apart from the content, so that a
+    /// verifier polls it (`Acquire`) without taking that lock: every hit
+    /// of every user of the document runs one.
+    epoch: Arc<AtomicU64>,
     fetch_cost: u64,
 }
 
 /// Polls the provider's modification epoch, like polling a file's mtime.
 struct MtimeVerifier {
-    state: VersionedCell,
+    epoch: Arc<AtomicU64>,
     seen: u64,
     label: Arc<str>,
 }
 
+/// Commits `bytes` through the held content lock, then bumps the epoch.
+fn commit(content: &mut Bytes, epoch: &AtomicU64, bytes: Bytes) {
+    *content = bytes;
+    epoch.fetch_add(1, Ordering::Release);
+}
+
 impl Verifier for MtimeVerifier {
     fn check(&self, _clock: &VirtualClock) -> Validity {
-        if self.state.lock().0 == self.seen {
+        if self.epoch.load(Ordering::Acquire) == self.seen {
             Validity::Valid
         } else {
             Validity::Invalid
@@ -132,27 +141,26 @@ impl MemoryProvider {
         Arc::new(Self {
             label: label.to_owned(),
             verifier_label: format!("mtime({label})").into(),
-            state: Arc::new(Mutex::new((0, content.into()))),
+            content: Arc::new(Mutex::new(content.into())),
+            epoch: Arc::default(),
             fetch_cost,
         })
     }
 
     /// Returns the current content.
     pub fn content(&self) -> Bytes {
-        self.state.lock().1.clone()
+        self.content.lock().clone()
     }
 
     /// Replaces the content *outside* Placeless control: no events fire and
     /// no notifiers run — only the provider's verifier can catch it.
     pub fn set_out_of_band(&self, content: impl Into<Bytes>) {
-        let mut state = self.state.lock();
-        state.0 += 1;
-        state.1 = content.into();
+        commit(&mut self.content.lock(), &self.epoch, content.into());
     }
 
     /// Returns the provider's modification epoch (its "mtime").
     pub fn epoch(&self) -> u64 {
-        self.state.lock().0
+        self.epoch.load(Ordering::Acquire)
     }
 }
 
@@ -169,14 +177,12 @@ impl BitProvider for MemoryProvider {
     fn open_output(&self, clock: &VirtualClock) -> Result<Box<dyn OutputStream>> {
         let clock = clock.clone();
         let cost = self.fetch_cost;
-        let state = self.state.clone();
+        let (content, epoch) = (self.content.clone(), self.epoch.clone());
         // The sink buffers the new content and commits it (bumping the
         // epoch) on close, charging the store latency then.
         Ok(Box::new(CollectOutput::new(move |bytes| {
             clock.advance(cost);
-            let mut state = state.lock();
-            state.0 += 1;
-            state.1 = bytes;
+            commit(&mut content.lock(), &epoch, bytes);
             Ok(())
         })))
     }
@@ -186,13 +192,12 @@ impl BitProvider for MemoryProvider {
         // the whole batch, then each payload commits (bumping the epoch)
         // in order, so the last payload is the surviving content.
         clock.advance(self.fetch_cost);
-        let mut state = self.state.lock();
+        let mut content = self.content.lock();
         Some(
             payloads
                 .iter()
                 .map(|bytes| {
-                    state.0 += 1;
-                    state.1 = bytes.clone();
+                    commit(&mut content, &self.epoch, bytes.clone());
                     Ok(())
                 })
                 .collect(),
@@ -201,7 +206,7 @@ impl BitProvider for MemoryProvider {
 
     fn make_verifier(&self, _clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
         Some(Box::new(MtimeVerifier {
-            state: self.state.clone(),
+            epoch: self.epoch.clone(),
             seen: self.epoch(),
             label: self.verifier_label.clone(),
         }))
@@ -212,7 +217,7 @@ impl BitProvider for MemoryProvider {
     }
 
     fn content_len_hint(&self) -> Option<u64> {
-        Some(self.state.lock().1.len() as u64)
+        Some(self.content.lock().len() as u64)
     }
 }
 

@@ -48,8 +48,13 @@ cargo test -q "${CARGO_FLAGS[@]}" --test fault_matrix
 # the exclusive one without running the verifiers again; and a hit returns
 # while another reader is parked in its verifier on the same shard, under
 # the default policy and under a caller's (`PolicyFactory::new`) alike.
+# The lost-wake-up stress rides along for the same reason: a flight wakes
+# only the waiters it counted, and the window in which a waiter could go
+# uncounted is narrowest in the optimized build. It fails after 30 s
+# instead of hanging.
 stage "population independence + shared hit path (release)"
 cargo test -q --release "${CARGO_FLAGS[@]}" --test cache_manager -- independent_of hit_path
+cargo test -q --release "${CARGO_FLAGS[@]}" --test singleflight -- loses_no_wake_up
 cargo test -q --release "${CARGO_FLAGS[@]}" --test journal
 
 # The count gate of the staged walk: a seeded replay at half-corpus
@@ -149,6 +154,19 @@ echo "crates/cache/src/stats.rs: $(non_test_lines crates/cache/src/stats.rs)"
 # of a shard back on one lock word.
 if grep -n 'policy: Mutex' crates/cache/src/shard.rs; then
   echo "shard.rs: the policy is a plain field, not behind a mutex" >&2
+  exit 1
+fi
+# A thread makes a futex call only when another is doing work it needs:
+# the cache wakes sleepers in two places (a flight's waiters, a window's
+# queued readers), each inside an `if` on its waiter count.
+echo "vendor/parking_lot/src/lib.rs: $(non_test_lines vendor/parking_lot/src/lib.rs)"
+echo "crates/cache/src/singleflight.rs: $(non_test_lines crates/cache/src/singleflight.rs)"
+wakes=$(for f in $(find crates/cache/src -name '*.rs'); do
+  awk '/^#\[cfg\(test\)\]/{exit} /\.notify_all\(\)/{print FILENAME ":" FNR ": " $0}' "$f"
+done)
+if [[ $(grep -c . <<<"$wakes") != 2 ]]; then
+  echo "crates/cache/src: expected exactly two notify_all calls (singleflight.rs, origin.rs):" >&2
+  echo "$wakes" >&2
   exit 1
 fi
 (cd crates/cache/src && echo "per-origin file set: $(non_test_lines \

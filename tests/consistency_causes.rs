@@ -64,6 +64,47 @@ fn cause1_source_modified_outside_placeless() {
     assert_eq!(stats.notifier_invalidations, 0);
 }
 
+/// The mtime verifier polls the provider's epoch without the content lock;
+/// every kind of write must still reach it. A verifier made before an
+/// out-of-band edit, a sink commit or a batch commit reads `Invalid` after
+/// it and one made after reads `Valid` — polled from a second thread as
+/// well, where only the epoch's release/acquire pairing carries the write.
+#[test]
+fn cause1_every_kind_of_write_reaches_the_lock_free_verifier() {
+    let clock = VirtualClock::new();
+    let provider = MemoryProvider::new("doc", "v0", 0);
+    type Write = fn(&MemoryProvider, &VirtualClock);
+    let writes: [(&str, Write); 3] = [
+        ("out of band", |provider, _| provider.set_out_of_band("oob")),
+        ("sink", |provider, clock| {
+            let mut sink = provider.open_output(clock).unwrap();
+            write_all(sink.as_mut(), b"sunk").unwrap();
+            sink.close().unwrap();
+        }),
+        ("batch", |provider, clock| {
+            let payloads = ["b1".into(), "b2".into()];
+            let results = provider.commit_batch(clock, &payloads).unwrap();
+            assert!(results.iter().all(|result| result.is_ok()));
+        }),
+    ];
+    for (kind, write) in writes {
+        let (before, epoch) = (provider.make_verifier(&clock).unwrap(), provider.epoch());
+        assert_eq!(before.check(&clock), Validity::Valid, "{kind}: nothing yet");
+        write(&provider, &clock);
+        assert!(provider.epoch() > epoch, "{kind}: the epoch moved");
+        let after = provider.make_verifier(&clock).unwrap();
+        let verdicts = || (before.check(&clock), after.check(&clock));
+        assert_eq!(verdicts(), (Validity::Invalid, Validity::Valid), "{kind}");
+        let elsewhere = std::thread::scope(|scope| scope.spawn(verdicts).join().unwrap());
+        assert_eq!(elsewhere, (Validity::Invalid, Validity::Valid), "{kind}");
+        assert_eq!(
+            (before.describe(), before.cost_micros()),
+            ("mtime(doc)".into(), 2)
+        );
+    }
+    assert_eq!((provider.content(), provider.epoch()), ("b2".into(), 4));
+}
+
 #[test]
 fn cause2_property_added_removed_modified() {
     let r = rig("hello world");

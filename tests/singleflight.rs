@@ -3,11 +3,12 @@
 //! the origin saw exactly one fetch.
 
 use bytes::Bytes;
+use placeless_bench::support::TagProperty;
 use placeless_cache::{CacheConfig, DocumentCache, HitClass, ReadOptions, ResilienceConfig};
 use placeless_core::bitprovider::BitProvider;
 use placeless_core::error::{PlacelessError, Result};
 use placeless_core::id::UserId;
-use placeless_core::space::DocumentSpace;
+use placeless_core::space::{DocumentSpace, Scope};
 use placeless_core::streams::{InputStream, MemoryInput, OutputStream};
 use placeless_core::verifier::Verifier;
 use placeless_repository::{FsProvider, MemFs};
@@ -177,6 +178,120 @@ fn leader_failure_is_shared_but_not_sticky() {
     );
     assert_eq!(provider.fetches(), 2);
     assert_eq!(cache.stats().misses, 1, "only the successful fill counts");
+}
+
+/// A provider that costs nothing and yields the processor inside every
+/// fetch, so that a leader is routinely descheduled mid-flight and the
+/// other threads join it — on one core as on many.
+struct YieldingProvider(Bytes);
+
+impl BitProvider for YieldingProvider {
+    fn describe(&self) -> String {
+        "yielding:test".to_owned()
+    }
+
+    fn open_input(&self, _clock: &VirtualClock) -> Result<Box<dyn InputStream>> {
+        std::thread::yield_now();
+        Ok(Box::new(MemoryInput::new(self.0.clone())))
+    }
+
+    fn open_output(&self, _clock: &VirtualClock) -> Result<Box<dyn OutputStream>> {
+        Err(PlacelessError::Repository("read-only".to_owned()))
+    }
+
+    fn make_verifier(&self, _clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
+        None
+    }
+
+    fn fetch_cost_micros(&self) -> u64 {
+        0
+    }
+}
+
+/// Lost-wake-up stress. A flight notifies only when a waiter registered, so
+/// a waiter the leader failed to count would sleep for ever. Four threads
+/// read eight documents that are never resident (the capacity is below one
+/// document, so every read is a miss) and keep leading and joining each
+/// other's flights: two threads a user, so version flights (same user) and
+/// stage flights (same document, other user) both coalesce. A hang fails
+/// the test after 30 s instead of stalling the suite.
+#[test]
+fn a_cold_stampede_loses_no_wake_up() {
+    const THREADS: u64 = 4;
+    const READS: u64 = 20_000;
+    const DOCS: u64 = 8;
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let users = [UserId(1), UserId(2)];
+    let docs: Vec<_> = (0..DOCS)
+        .map(|d| {
+            let body = Bytes::from(format!("cold document {d}"));
+            let doc = space.create_document(users[0], Arc::new(YieldingProvider(body)));
+            space.add_reference(users[1], doc).expect("doc exists");
+            space
+                .attach_active(Scope::Universal, doc, TagProperty::new("t", 0))
+                .expect("attach");
+            doc
+        })
+        .collect();
+    // What the uncached middleware serves: the oracle for every read.
+    let oracle: Vec<Bytes> = docs
+        .iter()
+        .map(|&doc| space.read_document(users[0], doc).expect("uncached").0)
+        .collect();
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig::builder()
+            .capacity_bytes(1)
+            .stage_cache(true)
+            .local_latency(LatencyModel::FREE)
+            .build(),
+    );
+
+    let (done, finished) = std::sync::mpsc::channel();
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (cache, docs, oracle, done) =
+                (cache.clone(), docs.clone(), oracle.clone(), done.clone());
+            std::thread::spawn(move || {
+                let user = users[(t % 2) as usize];
+                let mut x = 0x9E37_79B9_7F4A_7C15_u64 + t;
+                for _ in 0..READS {
+                    // xorshift64: a different walk of the same keys a thread.
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let d = (x % DOCS) as usize;
+                    assert_eq!(cache.read(user, docs[d]).expect("read"), oracle[d]);
+                }
+                done.send(()).expect("the watchdog outlives the workers");
+            })
+        })
+        .collect();
+    drop(done);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    for _ in 0..THREADS {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        // `Disconnected` is a worker that panicked: its join below says why.
+        if finished.recv_timeout(left) == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+            panic!(
+                "a reader is still parked after 30 s: waiting_reads {}, inflight_fetches {}",
+                cache.waiting_reads(),
+                cache.inflight_fetches()
+            );
+        }
+    }
+    for worker in workers {
+        worker
+            .join()
+            .expect("every read returned the oracle's bytes");
+    }
+
+    let stats = cache.stats();
+    assert_eq!(stats.hits + stats.misses, THREADS * READS, "accounting");
+    assert!(stats.coalesced_waits > 0, "no flight was ever joined");
+    assert_eq!(cache.waiting_reads(), 0, "no waiter left behind");
+    assert_eq!(cache.inflight_fetches(), 0, "no fetch left running");
+    assert_eq!(cache.resident_bytes(), (0, 0), "the keys stayed cold");
 }
 
 /// `read()` is a thin wrapper: it returns exactly `read_with(..)`'s bytes
