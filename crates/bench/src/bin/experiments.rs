@@ -133,7 +133,7 @@ fn run_overload() -> Option<Report> {
             if cell.protected {
                 "protected (deadlines + overload control)"
             } else {
-                "unprotected (overload: None)"
+                "unprotected (no overload control)"
             }
         );
         println!(

@@ -21,7 +21,7 @@
 //! [`CacheStats::read_availability`]: placeless_cache::CacheStats::read_availability
 
 use placeless_cache::{
-    BreakerConfig, CacheConfig, CacheStats, DocumentCache, ResilienceConfig, StalenessBound,
+    BreakerConfig, CacheConfig, CacheStats, DocumentCache, OriginConfig, StalenessBound,
 };
 use placeless_core::id::{DocumentId, UserId};
 use placeless_core::space::DocumentSpace;
@@ -111,8 +111,8 @@ impl FaultResult {
     }
 }
 
-fn config_for(mode: ResilienceMode, params: &FaultParams) -> ResilienceConfig {
-    let retries = ResilienceConfig::builder()
+fn config_for(mode: ResilienceMode, params: &FaultParams) -> OriginConfig {
+    let retries = OriginConfig::default()
         .max_retries(2)
         .backoff_base_micros(500)
         .backoff_jitter_frac(64)
@@ -123,15 +123,14 @@ fn config_for(mode: ResilienceMode, params: &FaultParams) -> ResilienceConfig {
             half_open_probes: 1,
         });
     match mode {
-        ResilienceMode::Off => ResilienceConfig::default(),
-        ResilienceMode::Breaker => retries.build(),
+        ResilienceMode::Off => OriginConfig::default(),
+        ResilienceMode::Breaker => retries,
         ResilienceMode::BreakerAndStale => retries
             // Entries are warmed just before t=0 and the outage ends well
             // inside the timeline, so this bound always covers the window.
             .serve_stale(StalenessBound::micros(
                 params.outage_until + params.read_gap_micros,
-            ))
-            .build(),
+            )),
     }
 }
 
@@ -159,7 +158,7 @@ pub fn run_one(mode: ResilienceMode, params: FaultParams) -> FaultResult {
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
             .shards(1)
-            .resilience(config_for(mode, &params))
+            .origin(config_for(mode, &params))
             .build(),
     );
 

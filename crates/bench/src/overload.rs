@@ -13,11 +13,11 @@
 //! The same schedule runs twice:
 //!
 //! * **unprotected** — the inflight window alone
-//!   ([`CacheConfig::max_inflight_per_origin`]). Nothing is ever refused,
+//!   ([`WindowConfig`] of width 4). Nothing is ever refused,
 //!   so the queue grows with the burst and every read eventually
 //!   completes — *late*. Classic congestion collapse: the origin stays
 //!   busy but almost nothing finishes inside its latency objective.
-//! * **protected** — the same window plus [`CacheConfig::overload`] and a
+//! * **protected** — the same window under [`OverloadControl`] and a
 //!   per-read deadline. Arrivals whose remaining budget cannot cover the
 //!   expected queue delay are shed at admission with
 //!   [`PlacelessError::Overloaded`]; AIMD adapts the window width to the
@@ -36,7 +36,8 @@ use crate::fields;
 use crate::report::{Report, Value};
 use bytes::Bytes;
 use placeless_cache::{
-    CacheConfig, CacheStats, DocumentCache, OverloadConfig, Priority, ReadOptions,
+    CacheConfig, CacheStats, DocumentCache, OriginConfig, OverloadControl, Priority, ReadOptions,
+    WindowConfig,
 };
 use placeless_core::prelude::*;
 use placeless_simenv::trace::{lorem_bytes, BurstSchedule};
@@ -171,7 +172,7 @@ impl PhaseResult {
 /// One configuration's run over the full schedule.
 #[derive(Debug, Clone)]
 pub struct CellResult {
-    /// Whether [`CacheConfig::overload`] (and per-read deadlines) were on.
+    /// Whether [`OverloadControl`] (and per-read deadlines) were on.
     pub protected: bool,
     /// Per-phase measurements, in schedule order.
     pub phases: Vec<PhaseResult>,
@@ -266,21 +267,22 @@ pub fn run_cell(protected: bool, params: OverloadParams) -> CellResult {
         })
         .collect();
 
-    let mut config = CacheConfig::builder()
+    let mut window = WindowConfig::new(4);
+    if protected {
+        window = window.control(OverloadControl {
+            target_fetch_micros: 5 * params.service_virtual_micros,
+            expected_service_micros: params.service_virtual_micros,
+            brownout_enter_waiters: 8,
+            brownout_exit_waiters: 2,
+            brownout_dwell_micros: 10 * params.service_virtual_micros,
+            retry_after_micros: params.deadline_micros,
+            ..OverloadControl::default()
+        });
+    }
+    let config = CacheConfig::builder()
         .capacity_bytes(1 << 30)
         .local_latency(LatencyModel::FREE)
-        .max_inflight_per_origin(4);
-    if protected {
-        config = config.overload(
-            OverloadConfig::default()
-                .target_fetch_micros(5 * params.service_virtual_micros)
-                .inflight_bounds(1, 4)
-                .expected_service_micros(params.service_virtual_micros)
-                .brownout_waiters(8, 2)
-                .brownout_dwell_micros(10 * params.service_virtual_micros)
-                .retry_after_micros(params.deadline_micros),
-        );
-    }
+        .origin(OriginConfig::default().window(window));
     let cache = DocumentCache::new(space.clone(), config.build());
     let clock = space.clock().clone();
     let before = cache.stats();

@@ -14,9 +14,11 @@
 //!   second level of the paper's `(document, user) → signature → content`
 //!   map; the first level is the cache's sharded entry table (the
 //!   crate-private `shard` module).
-//! * the crate-private `origin` module — one record per origin (its
-//!   circuit breaker, its window of running fetches, its AIMD state)
-//!   behind an RAII slot.
+//! * the crate-private `origin` module — origin health: one record per
+//!   origin (its circuit breaker, its window of running operations, its
+//!   AIMD state), the retry loop, and the brownout ladder, configured by
+//!   one [`OriginConfig`] and all off by default. An origin operation is
+//!   one admission and one settlement of the slot it was admitted to.
 //! * [`digest`] — in-tree MD5 (RFC 1321) content signatures (re-exported
 //!   from `placeless_core`, where the plan compiler also derives per-stage
 //!   signatures from them).
@@ -24,13 +26,6 @@
 //!   costs, plus LRU / LFU / SIZE / FIFO / GD(1) baselines; policies are
 //!   built per shard from a cloneable [`policy::PolicyFactory`] and fed
 //!   [`policy::EntryAttrs`] at insert time.
-//! * [`resilience::ResilienceConfig`] — the resilient-fetch policy:
-//!   bounded retries with deterministic backoff, per-origin circuit
-//!   breakers, and serve-stale degradation within a
-//!   [`resilience::StalenessBound`]; all off by default.
-//! * [`overload::OverloadConfig`] — overload control: deadline-aware
-//!   admission against per-origin queues, AIMD concurrency limits,
-//!   priority-class shedding, and a brownout ladder; off by default.
 //! * [`stats::CacheStats`] — the counters every experiment reports
 //!   (accumulated lock-free in [`stats::AtomicCacheStats`]).
 
@@ -41,10 +36,8 @@ pub mod journal;
 pub mod manager;
 pub mod merge;
 mod origin;
-pub mod overload;
 pub mod policy;
 pub mod prefetch;
-pub mod resilience;
 mod shard;
 pub mod singleflight;
 pub mod stats;
@@ -54,19 +47,17 @@ pub use digest::{md5, Md5, Signature};
 pub use journal::{JournalRecord, ReplayOutcome, WriteJournal, NO_EPOCH};
 pub use manager::{
     default_shard_count, CacheConfig, CacheConfigBuilder, ConflictHook, ConflictResolution,
-    DocumentCache, FlushReport, HitClass, ReadOptions, ReadOutcome, RecoveryReport, WriteConflict,
-    WriteMode,
+    DocumentCache, FlushReport, HitClass, ReadOptions, ReadOutcome, RecoveryReport, StalenessBound,
+    WriteConflict, WriteMode,
 };
 pub use merge::{MergePolicy, MergeReport};
-pub use overload::{expected_completion_micros, BrownoutLevel, OverloadConfig, Priority};
+pub use origin::{
+    BreakerConfig, BreakerState, OriginConfig, OverloadControl, Priority, WindowConfig,
+};
 pub use policy::{
     by_name, EntryAttrs, EntryKey, GdsFrequency, GreedyDualSize, PolicyFactory, ReplacementPolicy,
     UnknownPolicy, ALL_POLICIES,
 };
 pub use prefetch::PrefetchConfig;
-pub use resilience::{
-    retry_floor, BreakerConfig, BreakerState, ResilienceConfig, ResilienceConfigBuilder,
-    StalenessBound,
-};
 pub use stats::CacheStats;
 pub use store::ConcurrentStore;

@@ -46,10 +46,11 @@ pub struct CacheConfig {
     /// Number of lock shards; `0` means one per available CPU. `1` is a
     /// single global lock over one replacement-policy instance.
     pub shards: usize,
-    /// Resilient-fetch policy: retries, circuit breakers, serve-stale
-    /// degradation. The default enables none of it: every origin
-    /// operation is one attempt and fails with that attempt's error.
-    pub resilience: ResilienceConfig,
+    /// Origin health: retries, circuit breakers, stale service, and the
+    /// per-origin window with its optional overload control. The default
+    /// enables none of it: every origin operation is one attempt that
+    /// fails with its own error, runs unbounded and is never shed.
+    pub origin: OriginConfig,
     /// Retain intermediate stage outputs from the compiled transform plan,
     /// content-addressed by stage signature, so the user-independent base
     /// prefix of a property chain is computed once and shared across
@@ -65,11 +66,6 @@ pub struct CacheConfig {
     /// `None` (the default) buffered writes live in memory only, and a
     /// failed flush re-queues the entry and reports its error.
     pub journal: Option<WriteJournal>,
-    /// Bound the number of concurrently in-flight origin fetches per
-    /// origin. Excess misses block at the cache until a slot frees,
-    /// queueing a miss storm instead of stampeding the origin. `None`
-    /// (the default) leaves fetch concurrency unbounded.
-    pub max_inflight_per_origin: Option<u32>,
     /// Operation-based conflict resolution. When set, write conflicts
     /// detected during recovery *and* flush are routed through the merge
     /// policy first: a conflicted write whose journal record carries
@@ -81,15 +77,6 @@ pub struct CacheConfig {
     /// hooks exist: a flush never probes the origin, nothing is rebased,
     /// and every flush payload is the writer's full body.
     pub merge: Option<MergePolicy>,
-    /// Overload control: deadline-aware admission against the per-origin
-    /// in-flight windows, AIMD concurrency limits driven by observed
-    /// fetch latency, priority-class shedding, and the brownout ladder
-    /// (see [`crate::overload`]). Requires an in-flight window: when
-    /// `max_inflight_per_origin` is unset, the window is created with
-    /// the overload config's `max_inflight` ceiling. With `None` (the
-    /// default) no read is ever shed: a miss parks on a full window for
-    /// as long as it takes, and deadlines bound retry scheduling only.
-    pub overload: Option<OverloadConfig>,
 }
 
 impl Default for CacheConfig {
@@ -103,12 +90,10 @@ impl Default for CacheConfig {
             prefetch: PrefetchConfig::OFF,
             access_link: None,
             shards: 0,
-            resilience: ResilienceConfig::default(),
+            origin: OriginConfig::default(),
             stage_cache: false,
             journal: None,
-            max_inflight_per_origin: None,
             merge: None,
-            overload: None,
         }
     }
 }
@@ -187,10 +172,9 @@ impl CacheConfigBuilder {
         self
     }
 
-    /// Sets the resilient-fetch policy (retries, circuit breakers,
-    /// serve-stale degradation); see [`ResilienceConfig::builder`].
-    pub fn resilience(mut self, resilience: ResilienceConfig) -> Self {
-        self.config.resilience = resilience;
+    /// Sets the origin-health policy (see [`CacheConfig::origin`]).
+    pub fn origin(mut self, origin: OriginConfig) -> Self {
+        self.config.origin = origin;
         self
     }
 
@@ -218,13 +202,6 @@ impl CacheConfigBuilder {
         self
     }
 
-    /// Bounds concurrently in-flight origin fetches per origin (see
-    /// [`CacheConfig::max_inflight_per_origin`]).
-    pub fn max_inflight_per_origin(mut self, limit: u32) -> Self {
-        self.config.max_inflight_per_origin = Some(limit);
-        self
-    }
-
     /// Per-origin flush grouping is always on; kept until `benchmark/`
     /// is next re-cut.
     #[doc(hidden)]
@@ -237,12 +214,6 @@ impl CacheConfigBuilder {
     /// [`CacheConfig::merge`]).
     pub fn merge(mut self, policy: MergePolicy) -> Self {
         self.config.merge = Some(policy);
-        self
-    }
-
-    /// Enables overload control (see [`CacheConfig::overload`]).
-    pub fn overload(mut self, overload: OverloadConfig) -> Self {
-        self.config.overload = Some(overload);
         self
     }
 
@@ -270,24 +241,25 @@ impl CacheConfigBuilder {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadOptions {
     /// Overrides the configured fetch deadline
-    /// ([`ResilienceConfig::fetch_deadline_micros`]) for this read only.
+    /// ([`OriginConfig::fetch_deadline_micros`]) for this read only.
     /// Like the configured deadline it bounds retry *scheduling* — a
     /// backoff the remaining budget cannot cover fails the read with
-    /// [`PlacelessError::Timeout`] instead of sleeping. With the default
-    /// resilience config there are no retries to bound and the override
-    /// has no effect.
+    /// [`PlacelessError::Timeout`] instead of sleeping — and under
+    /// overload control it is the deadline the fetch is admitted by. With
+    /// the default origin config there is nothing to bound and the
+    /// override has no effect.
     pub deadline_micros: Option<u64>,
     /// Permits serving resident-but-unverifiable bytes when the origin is
     /// unreachable, even if the cache has no configured
-    /// [`ResilienceConfig::serve_stale`] bound (the per-read bound is
+    /// [`OriginConfig::serve_stale`] bound (the per-read bound is
     /// [`StalenessBound::UNBOUNDED`]). A configured bound still applies
     /// to every read regardless of this flag.
     pub allow_stale: bool,
     /// Scheduling class for overload control: under pressure the cache
     /// sheds [`Priority::Prefetch`] first, [`Priority::Refresh`] next,
-    /// and [`Priority::Foreground`] (the default) last. Without
-    /// [`CacheConfig::overload`] the class is recorded but never acted
-    /// on.
+    /// and [`Priority::Foreground`] (the default) last. Without overload
+    /// control ([`WindowConfig::control`](crate::WindowConfig::control))
+    /// the class is recorded but never acted on.
     pub priority: Priority,
 }
 

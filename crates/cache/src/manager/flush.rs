@@ -156,13 +156,18 @@ impl DocumentCache {
         if pending.is_empty() {
             return;
         }
-        let deadline = self.resilience.fetch_deadline_micros;
-        let outcome = self.retry_driver(deadline, &self.stats.flush_retries).run(
+        let driver = RetryDriver {
+            origins: &self.origins,
+            stats: &self.stats,
+            op: Op::Write,
+            deadline: self.origins.config.fetch_deadline_micros,
+        };
+        // One grouped origin operation per attempt, in one slot of the
+        // origin's window (when configured), its jitter salted by origin.
+        let outcome = driver.run(
             || origin,
-            || BackoffSchedule::for_origin(&self.resilience, origin.key()),
+            None,
             || {
-                // One grouped origin operation per attempt, behind one
-                // per-origin window slot (when configured).
                 AtomicCacheStats::bump(&self.stats.flush_batches);
                 let writes: Vec<BatchWrite> = pending
                     .iter()
@@ -182,13 +187,7 @@ impl DocumentCache {
                         },
                     })
                     .collect();
-                // With no deadline the claim parks but is never shed.
-                let clock = self.space.clock();
-                let slot = self
-                    .origins
-                    .enter(|| origin, clock, None, false, &self.stats);
                 let results = self.space.write_documents(&writes);
-                drop(slot);
                 debug_assert_eq!(results.len(), pending.len());
                 let mut acks: Vec<u64> = Vec::new();
                 // The entries a retry would write again, and (index

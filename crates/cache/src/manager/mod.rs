@@ -45,7 +45,7 @@
 //! The shard-lock rules live with the table in `crate::shard`. On top of
 //! them, the write-journal, parked-set, writer-sequence and lease locks,
 //! and the origin locks of `crate::origin` (the table of records, each
-//! record's breaker and its window gate), are **leaves**: released before
+//! record's health, the brownout ladder), are **leaves**: released before
 //! returning, never two at once, and no shard lock is ever requested
 //! while one of them is held. A read parked on a full origin window holds
 //! no lock at all. Miss fetches, flush writes, and event forwarding run
@@ -61,8 +61,8 @@
 //! leads and computes; the rest block (holding no cache lock) and share
 //! the leader's cloneable outcome — bytes or error. Flight waits never
 //! cycle: a version leader may wait on a stage flight, but a stage leader
-//! only executes its transform. [`CacheConfig::max_inflight_per_origin`]
-//! adds per-origin back-pressure for the misses coalescing cannot merge
+//! only executes its transform. An [`OriginConfig::window`] adds
+//! per-origin back-pressure for the misses coalescing cannot merge
 //! (distinct keys, one origin; the `origin` module). See the
 //! `singleflight` module docs for the full argument.
 
@@ -76,7 +76,7 @@ mod write;
 
 pub use config::{default_shard_count, CacheConfig, CacheConfigBuilder, ReadOptions, WriteMode};
 pub use flush::FlushReport;
-pub use read::{HitClass, ReadOutcome};
+pub use read::{HitClass, ReadOutcome, StalenessBound};
 pub use recover::{ConflictHook, ConflictResolution, RecoveryReport, WriteConflict};
 
 // The child modules are `impl DocumentCache` blocks over the struct below
@@ -85,13 +85,11 @@ use crate::digest::Signature;
 use crate::entry::EntryMeta;
 use crate::journal::{WriteJournal, NO_EPOCH};
 use crate::merge::{MergePolicy, MergeReport};
-use crate::origin::{Origin, Origins};
-use crate::overload::{BrownoutLevel, OverloadConfig, OverloadController, Priority};
+use crate::origin::{
+    BreakerState, FetchCtx, GaveUp, Op, Origin, OriginConfig, Origins, Priority, RetryDriver, Rung,
+};
 use crate::policy::{EntryKey, PolicyFactory};
 use crate::prefetch::PrefetchConfig;
-use crate::resilience::{
-    BackoffSchedule, BreakerState, GaveUp, ResilienceConfig, RetryDriver, StalenessBound,
-};
 use crate::shard::{DirtyEntry, Probe, Removal, ShardGuard, ShardRead, ShardTable, Stale};
 use crate::singleflight::{FlightGroup, FlightResult, Join};
 use crate::stats::{AtomicCacheStats, CacheStats};
@@ -111,7 +109,7 @@ use placeless_core::space::{BaseChainLease, BatchWrite, DocumentSpace, Scope};
 use placeless_core::streams::read_all;
 use placeless_core::verifier::{run_all, Validity, Verifier};
 use placeless_simenv::{Instant, LatencyModel, Link, VirtualClock};
-use read::{FetchCtx, Fetched};
+use read::Fetched;
 use stages::PlanLease;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -132,9 +130,9 @@ pub struct DocumentCache {
     /// The sharded entry table and the content store behind it.
     table: ShardTable,
     stats: AtomicCacheStats,
-    resilience: ResilienceConfig,
     stage_cache: bool,
-    /// One record per origin: its breaker and its fetch window.
+    /// Origin health: one record per origin, the policy over them, and
+    /// the brownout ladder.
     origins: Origins,
     journal: Option<WriteJournal>,
     /// Keys whose flush exhausted its retries and now sit in the journal
@@ -149,9 +147,6 @@ pub struct DocumentCache {
     version_flights: FlightGroup,
     /// Open stage executions keyed by stage signature.
     stage_flights: FlightGroup,
-    /// Overload control's brownout ladder and tuning, when configured;
-    /// its per-origin half (admission, AIMD widths) lives in `origins`.
-    overload: Option<OverloadController>,
     /// Mirror of `parked.len()`, so [`DocumentCache::parked_count`] does
     /// not take the parked lock.
     parked_gauge: AtomicU64,
@@ -176,6 +171,7 @@ impl DocumentCache {
         } else {
             config.shards
         };
+        let origins = Origins::new(config.origin, space.clock().clone());
         let cache = Arc::new(Self {
             id: CacheId(NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed)),
             space,
@@ -186,15 +182,13 @@ impl DocumentCache {
             access_link: config.access_link,
             table: ShardTable::new(shard_count, &config.policy, config.capacity_bytes),
             stats: AtomicCacheStats::default(),
-            resilience: config.resilience,
             stage_cache: config.stage_cache,
-            origins: Origins::new(config.max_inflight_per_origin, config.overload.clone()),
+            origins,
             journal: config.journal,
             parked: Mutex::new(HashSet::new()),
             last_seq: AtomicU64::new(0),
             version_flights: FlightGroup::new(),
             stage_flights: FlightGroup::new(),
-            overload: config.overload.map(OverloadController::new),
             parked_gauge: AtomicU64::new(0),
             merge: config.merge,
             writer_seqs: Mutex::new(HashMap::new()),
@@ -232,9 +226,7 @@ impl DocumentCache {
     /// by [`placeless_core::bitprovider::BitProvider::origin_key`]);
     /// `Closed` if the origin has never failed.
     pub fn breaker_state(&self, origin: &str) -> BreakerState {
-        self.origins
-            .peek(origin)
-            .map_or(BreakerState::Closed, |origin| origin.breaker_state())
+        self.origins.breaker_state(origin)
     }
 
     /// Returns the number of resident entries — final `(document, user)`
@@ -318,8 +310,8 @@ impl DocumentCache {
 
     /// Returns how many readers are currently parked waiting for a
     /// per-origin window slot — the brownout ladder's pressure gauge.
-    /// Zero without a configured [`CacheConfigBuilder::max_inflight_per_origin`]
-    /// window, and zero whenever the cache is quiescent.
+    /// Zero without an [`OriginConfig::window`], and zero whenever the
+    /// cache is quiescent.
     pub fn queued_fetches(&self) -> u64 {
         self.origins.queued()
     }

@@ -1,5 +1,5 @@
-//! The read path: hit, stale service, overload gates, miss coalescing,
-//! the resilient origin fetch, and collection prefetch.
+//! The read path: hit, stale service, miss coalescing, the origin fetch
+//! through the retry driver, and collection prefetch.
 
 use super::*;
 
@@ -57,16 +57,38 @@ pub struct ReadOutcome {
     pub latency_micros: u64,
 }
 
-/// Per-fetch overload context threaded from [`DocumentCache::read_with`]
-/// through retries, window admission, and stage computation: the read's
-/// priority class and the virtual instant its deadline budget expires.
-/// `deadline_at` is only ever `Some` when overload control is configured
-/// — without it a deadline bounds retry scheduling only, and neither the
-/// window claim nor the stage walk checks it.
-#[derive(Clone, Copy)]
-pub(super) struct FetchCtx {
-    pub(super) priority: Priority,
-    pub(super) deadline_at: Option<Instant>,
+/// How long a resident entry may be served past a freshness check that
+/// could not run ([`OriginConfig::serve_stale`]).
+///
+/// Age is measured from the entry's fill time. `StalenessBound::ZERO`
+/// permits nothing; use [`StalenessBound::micros`] for a window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StalenessBound {
+    /// Maximum entry age, in virtual microseconds, at which stale service
+    /// is still acceptable.
+    pub max_age_micros: u64,
+}
+
+impl StalenessBound {
+    /// No stale service at all.
+    pub const ZERO: Self = Self { max_age_micros: 0 };
+
+    /// Any age is acceptable (used by per-read `allow_stale` opt-ins that
+    /// name no window of their own).
+    pub const UNBOUNDED: Self = Self {
+        max_age_micros: u64::MAX,
+    };
+
+    /// Allows serving entries up to `max_age_micros` old.
+    pub fn micros(max_age_micros: u64) -> Self {
+        Self { max_age_micros }
+    }
+
+    /// Returns `true` if an entry filled at `filled_at` may still be
+    /// served at `now`.
+    pub fn permits(&self, filled_at: Instant, now: Instant) -> bool {
+        now.since(filled_at) <= self.max_age_micros
+    }
 }
 
 /// What one origin fetch produced.
@@ -173,8 +195,19 @@ impl DocumentCache {
             }
             Lookup::Miss(stale) => stale,
         };
-        if let Some(served) = self.overload_gate(&read, stale.as_ref()) {
-            return served;
+        // One pressure sample per miss feeds the brownout ladder. From its
+        // first rung a resident copy within the staleness bound is served
+        // without fetching: a hit the origin never sees is capacity
+        // reclaimed.
+        let rung = self
+            .origins
+            .sample(|| self.version_flights.waiting(), &self.stats);
+        let widened = rung >= Rung::WidenStale;
+        if let (true, Some(stale), Some(bound)) = (widened, &stale, self.origins.config.serve_stale)
+        {
+            if bound.permits(stale.filled_at, clock.now()) {
+                return self.serve_stale_candidate(&read, stale.bytes.clone(), stale.forward);
+            }
         }
 
         // Miss path. Coalesce concurrent misses on this key into one
@@ -241,13 +274,7 @@ impl DocumentCache {
         self.fill(key, fetched, false);
         AtomicCacheStats::add(&self.stats.miss_micros, read.elapsed_micros());
         if self.prefetch.enabled {
-            // Brownout rung 3: sibling prefetch is the most speculative
-            // work in the cache, so it is the first whole feature shed.
-            if self.brownout_level().sheds_prefetch() {
-                self.count_shed(Priority::Prefetch);
-            } else {
-                self.prefetch_collection_siblings(user, doc);
-            }
+            self.prefetch_collection_siblings(user, doc);
         }
         self.deliver(&read, bytes, class, false)
     }
@@ -327,49 +354,13 @@ impl DocumentCache {
         Ok(read.outcome(bytes, class))
     }
 
-    /// Overload gates on the miss path: feeds the brownout ladder one
-    /// pressure sample, then applies its rungs before any fetch work.
-    /// `Some` ends the read here.
-    fn overload_gate(&self, read: &ReadCtx, stale: Option<&Stale>) -> Option<Result<ReadOutcome>> {
-        let controller = self.overload.as_ref()?;
-        // The pressure sample: readers parked on origin windows plus
-        // readers blocked on miss flights.
-        let waiters = self.origins.queued() + self.version_flights.waiting();
-        if let Some((_, to)) = controller.observe_pressure(read.clock.now(), waiters) {
-            AtomicCacheStats::bump(&self.stats.brownout_shifts);
-            let level = &self.stats.brownout_level;
-            level.store(u64::from(to.rung()), Ordering::Relaxed);
-        }
-        let level = controller.level();
-        // Rung 4: reject background misses outright — only foreground
-        // reads still compete for origin capacity (each remains subject
-        // to deadline-aware admission below).
-        if level.rejects_background() && read.opts.priority < Priority::Foreground {
-            return Some(Err(self.shed(read.opts.priority)));
-        }
-        // Rung 1: serve the resident stale candidate without fetching at
-        // all, within the brownout staleness bound (or the resilience
-        // bound when none is configured). A hit the origin never sees is
-        // capacity reclaimed.
-        let stale = stale.filter(|_| level.widens_stale())?;
-        let bound = controller
-            .config()
-            .brownout_stale
-            .or(self.resilience.serve_stale)?;
-        bound
-            .permits(stale.filled_at, read.clock.now())
-            .then(|| self.serve_stale_candidate(read, stale.bytes.clone(), stale.forward))
-    }
-
     /// Terminal miss-path failure handling: a transient error may still
     /// be served stale — resident bytes whose freshness is merely
     /// *unknown* stand in for the unreachable origin within the effective
-    /// staleness bound (the configured [`ResilienceConfig::serve_stale`],
-    /// or an unbounded per-read window when `opts.allow_stale` is set).
+    /// staleness bound (the configured [`OriginConfig::serve_stale`], or
+    /// an unbounded per-read window when `opts.allow_stale` is set).
     /// Verifier-rejected entries were dropped before the fetch and can
     /// never be served here. Everything else propagates the error.
-    ///
-    /// [`ResilienceConfig::serve_stale`]: crate::ResilienceConfig::serve_stale
     fn stale_or_degraded(
         &self,
         read: &ReadCtx,
@@ -378,7 +369,8 @@ impl DocumentCache {
     ) -> Result<ReadOutcome> {
         if error.is_transient() {
             let bound = self
-                .resilience
+                .origins
+                .config
                 .serve_stale
                 .or_else(|| read.opts.allow_stale.then_some(StalenessBound::UNBOUNDED));
             if let (Some(bound), Some(stale)) = (bound, stale) {
@@ -405,24 +397,6 @@ impl DocumentCache {
         self.deliver(read, bytes, HitClass::StaleServed, forward)
     }
 
-    /// The overload context for a fetch of class `priority` with
-    /// `deadline` microseconds of budget. The budget instant exists only
-    /// under overload control; without it the deadline bounds retry
-    /// scheduling alone.
-    fn fetch_ctx(
-        &self,
-        priority: Priority,
-        deadline: Option<u64>,
-        clock: &VirtualClock,
-    ) -> FetchCtx {
-        FetchCtx {
-            priority,
-            deadline_at: deadline
-                .filter(|_| self.overload.is_some())
-                .map(|budget| clock.now().plus(budget)),
-        }
-    }
-
     /// Executes the middleware read through the retry driver
     /// ([`RetryDriver::run`]); the read's options may override the
     /// configured deadline. Runs with no cache lock held (the middleware
@@ -431,54 +405,37 @@ impl DocumentCache {
         let deadline = read
             .opts
             .deadline_micros
-            .or(self.resilience.fetch_deadline_micros);
-        let ctx = self.fetch_ctx(read.opts.priority, deadline, read.clock);
-        self.with_retries(
-            read.user,
-            read.doc,
-            deadline,
-            &self.stats.retries,
-            |origin| self.fetch_once(read.user, read.doc, read.clock, ctx, origin),
-        )
-    }
-
-    /// The retry driver over this cache's policy and stats. `retries`
-    /// names the counter a waited-out backoff is charged to.
-    pub(super) fn retry_driver<'a>(
-        &'a self,
-        deadline: Option<u64>,
-        retries: &'a AtomicU64,
-    ) -> RetryDriver<'a> {
-        RetryDriver {
-            config: &self.resilience,
-            clock: self.space.clock(),
-            deadline,
-            trips: &self.stats.breaker_trips,
-            retries,
-        }
+            .or(self.origins.config.fetch_deadline_micros);
+        let ctx = self.origins.fetch_ctx(read.opts.priority, deadline);
+        self.with_retries(read.user, read.doc, Op::Fetch(ctx), deadline, || {
+            self.fetch_once(read.user, read.doc, read.clock, ctx)
+        })
     }
 
     /// Runs a single-key origin operation — a miss fetch, a write-through
-    /// write — through the retry driver. `op` is handed the origin record
-    /// the driver works on, still unresolved unless something needed it.
+    /// write — through the retry driver, `doc`'s origin record resolved
+    /// only if admission asks for it.
     pub(super) fn with_retries<T>(
         &self,
         user: UserId,
         doc: DocumentId,
+        op: Op,
         deadline: Option<u64>,
-        retries: &AtomicU64,
-        mut op: impl FnMut(&DocOrigin<'_>) -> Result<T>,
+        mut attempt: impl FnMut() -> Result<T>,
     ) -> Result<T> {
         let origin = self.doc_origin(doc);
-        self.retry_driver(deadline, retries)
-            .run(
-                || origin.get(),
-                // Salting the jitter stream with the key keeps concurrent
-                // operations from sharing one schedule while staying
-                // deterministic per key.
-                || BackoffSchedule::new(&self.resilience, doc.0 ^ user.0.rotate_left(32)),
-                || op(&origin).map_err(|error| [error]),
-            )
+        let driver = RetryDriver {
+            origins: &self.origins,
+            stats: &self.stats,
+            op,
+            deadline,
+        };
+        // Salting the jitter stream with the key keeps concurrent
+        // operations from sharing one schedule while staying
+        // deterministic per key.
+        let salt = doc.0 ^ user.0.rotate_left(32);
+        driver
+            .run(|| origin.get(), Some(salt), || attempt().map_err(|e| [e]))
             .map_err(GaveUp::into_error)
     }
 
@@ -499,30 +456,17 @@ impl DocumentCache {
             .unwrap_or_else(|| format!("doc:{}", doc.0))
     }
 
-    /// Executes one middleware read attempt: the compiled-plan walk with
-    /// intermediate-result lookups when stage caching is on, the plain
-    /// opaque-stream read otherwise. The attempt runs inside a
-    /// [`Slot`](crate::origin::Slot): counted in the running-fetch gauge
-    /// behind `inflight_peak` and, when a window is configured, holding
-    /// one of its origin's slots until it returns or unwinds. Without
-    /// overload control the claim parks until a slot frees; with it the
-    /// claim is deadline-aware, and an attempt whose remaining budget
-    /// cannot cover the expected queue wait plus service time — or whose
-    /// deadline lapses while parked — is shed with
-    /// [`PlacelessError::Overloaded`] and counted against its priority
-    /// class. Runs with no cache lock held.
+    /// Executes one middleware read attempt, inside the slot admission
+    /// gave it: the compiled-plan walk with intermediate-result lookups
+    /// when stage caching is on, the plain opaque-stream read otherwise.
+    /// Runs with no cache lock held.
     fn fetch_once(
         &self,
         user: UserId,
         doc: DocumentId,
         clock: &VirtualClock,
         ctx: FetchCtx,
-        origin: &DocOrigin<'_>,
     ) -> Result<Fetched> {
-        let _slot = self
-            .origins
-            .enter(|| origin.get(), clock, ctx.deadline_at, true, &self.stats)
-            .map_err(|_shed| self.shed(ctx.priority))?;
         if self.stage_cache {
             self.read_through_stages(user, doc, clock, ctx)
         } else {
@@ -537,36 +481,6 @@ impl DocumentCache {
                     stage: None,
                 })
         }
-    }
-
-    /// Sheds a read of class `priority`: counts it and builds the
-    /// [`PlacelessError::Overloaded`] it fails with.
-    pub(super) fn shed(&self, priority: Priority) -> PlacelessError {
-        self.count_shed(priority);
-        PlacelessError::Overloaded {
-            retry_after: self
-                .overload
-                .as_ref()
-                .map_or(0, |controller| controller.config().retry_after_micros),
-        }
-    }
-
-    /// Bumps the shed counter for `priority`.
-    pub(super) fn count_shed(&self, priority: Priority) {
-        AtomicCacheStats::bump(match priority {
-            Priority::Foreground => &self.stats.sheds_foreground,
-            Priority::Refresh => &self.stats.sheds_refresh,
-            Priority::Prefetch => &self.stats.sheds_prefetch,
-        });
-    }
-
-    /// Current brownout rung ([`BrownoutLevel::Normal`] without overload
-    /// control).
-    pub(super) fn brownout_level(&self) -> BrownoutLevel {
-        self.overload
-            .as_ref()
-            .map(|controller| controller.level())
-            .unwrap_or(BrownoutLevel::Normal)
     }
 
     /// Installs a fetched version under `key`, digested with no lock held
@@ -603,23 +517,21 @@ impl DocumentCache {
 
     /// Pulls collection siblings of `doc` into the cache after a miss.
     ///
-    /// Sibling fetches carry [`Priority::Prefetch`], so with overload
-    /// control they are the first work deadline-aware admission sheds —
-    /// and one `Overloaded` verdict abandons the rest of the batch
-    /// rather than hammering a window that just refused speculative
-    /// work. A sibling whose origin's breaker is not `Closed` is skipped:
-    /// an open breaker means the origin is not to be contacted, and
-    /// speculative work never spends a half-open probe.
+    /// Each sibling is one admission ([`Op::Prefetch`]), one attempt and
+    /// no retry. Under overload control a prefetch is the first work the
+    /// brownout ladder and deadline-aware admission shed, and one
+    /// `Overloaded` verdict abandons the rest of the batch rather than
+    /// hammering a window that just refused speculative work. A sibling
+    /// whose origin's breaker is not `Closed` is skipped: an open breaker
+    /// means the origin is not to be contacted, and speculative work never
+    /// spends a half-open probe.
     fn prefetch_collection_siblings(&self, user: UserId, doc: DocumentId) {
         let clock = self.space.clock();
         // Speculative work gets the configured fetch budget as its
         // deadline: a prefetch the origin cannot serve inside the budget
         // a demand read would get is not worth queueing for.
-        let ctx = self.fetch_ctx(
-            Priority::Prefetch,
-            self.resilience.fetch_deadline_micros,
-            clock,
-        );
+        let deadline = self.origins.config.fetch_deadline_micros;
+        let ctx = self.origins.fetch_ctx(Priority::Prefetch, deadline);
         let mut budget = self.prefetch.max_per_miss;
         for collection in self.space.collections_of(doc) {
             for sibling in self.space.collection_members(&collection) {
@@ -633,13 +545,16 @@ impl DocumentCache {
                     continue;
                 }
                 let origin = self.doc_origin(sibling);
-                if self.resilience.breaker.is_some()
-                    && origin.get().breaker_state() != BreakerState::Closed
-                {
-                    continue;
-                }
+                let admitted = self
+                    .origins
+                    .admit(|| origin.get(), Op::Prefetch(ctx), &self.stats);
                 // Fetch through the full property path, as a miss would.
-                let fetched = match self.fetch_once(user, sibling, clock, ctx, &origin) {
+                let fetched = admitted.and_then(|slot| {
+                    let fetched = self.fetch_once(user, sibling, clock, ctx);
+                    slot.settle(&fetched.as_ref().map_err(std::slice::from_ref));
+                    fetched
+                });
+                let fetched = match fetched {
                     Ok(fetched) => fetched,
                     Err(PlacelessError::Overloaded { .. }) => return,
                     Err(_) => continue,

@@ -101,7 +101,9 @@ impl DocumentCache {
     /// budget already lapsed is shed instead of computing doomed stages.
     fn check_stage_budget(&self, walk: &Walk<'_>) -> Result<()> {
         match walk.ctx.deadline_at {
-            Some(deadline) if walk.clock.now() >= deadline => Err(self.shed(walk.ctx.priority)),
+            Some(deadline) if walk.clock.now() >= deadline => {
+                Err(self.origins.shed(walk.ctx.priority, &self.stats))
+            }
             _ => Ok(()),
         }
     }
@@ -448,7 +450,7 @@ impl DocumentCache {
     ) -> bool {
         // Brownout rung 2: under sustained pressure the output is still
         // computed and served, but not persisted.
-        if self.brownout_level().skips_stage_fills() {
+        if self.origins.rung() >= Rung::SkipStageFills {
             return false;
         }
         let key = EntryKey::Stage(sig);

@@ -1,106 +1,424 @@
-//! Per-origin state: one record per origin, one table of them per cache.
+//! Origin health: whether each repository the cache fronts is failing (its
+//! breaker), how many operations may run against it (its window) and how
+//! slow it is (its latency estimate and AIMD width). Every origin operation
+//! is one [`Origins::admit`] and one [`Slot::settle`]; [`RetryDriver::run`]
+//! wraps the two in the retry loop. Every decision is a function of the
+//! virtual clock, the windows' counters and the configuration, so it
+//! replays exactly under a fixed fault plan.
 //!
-//! The cache fronts many repositories at once, and everything it knows
-//! *about* one of them — is it failing, how many operations may run
-//! against it, how slow is it — lives in that origin's [`Origin`] record:
-//! the circuit breaker the retry driver consults, and the **gate**, a
-//! bounded window of concurrently running operations whose width AIMD
-//! adapts to the observed fetch latency under overload control. A miss
-//! storm that single-flight cannot coalesce (distinct keys, one origin)
-//! queues at the gate instead of stampeding the origin.
-//!
-//! [`Origins`] maps an origin key to its record. A caller resolves the
-//! `Arc<Origin>` once and then works on `&Origin`: no later step hashes
-//! or allocates the key again. [`Origins::enter`] is the only way into a
-//! window, and the [`Slot`] it returns leaves on `Drop` — so a fetch that
-//! unwinds through a panicking property still frees its slot.
-//!
-//! Every lock here is a **leaf** in the manager's lock order: the table
-//! lock covers one map lookup, a breaker lock one state transition, a
-//! gate lock one counter update; no shard lock and no second origin lock
-//! is ever requested while one is held, and a reader parked on a full
-//! window holds no lock at all. A slot is held for a single origin
-//! attempt, never across a flight wait for another key's leader, so slot
-//! waits always terminate.
-//!
-//! Every decision is a function of the virtual clock, the gate's counters
-//! and the configuration, so breaker transitions and shed verdicts replay
-//! exactly under a fixed fault plan.
+//! Every lock here is a **leaf** of the manager's lock order: the table
+//! lock covers one lookup, an origin's lock one admission or settlement,
+//! the ladder lock one step. A reader parked on a full window holds no
+//! lock, and a slot is held for one origin attempt, never across a flight
+//! wait, so slot waits always terminate.
 
-use crate::overload::{expected_completion_micros, OverloadConfig};
-use crate::resilience::{BreakerConfig, BreakerState};
+use crate::manager::StalenessBound;
 use crate::singleflight::lock;
 use crate::stats::AtomicCacheStats;
-use placeless_simenv::{Instant, VirtualClock};
+use placeless_core::error::PlacelessError;
+use placeless_simenv::{Instant, SimRng, VirtualClock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// One origin's breaker bookkeeping.
-#[derive(Debug)]
-struct Breaker {
-    state: BreakerState,
-    consecutive_failures: u32,
-    opened_at: Instant,
-    half_open_successes: u32,
+/// Scheduling class of a read, from most to least sheddable: ordered by
+/// importance, so "shed lowest first" is a plain `<`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub enum Priority {
+    /// Speculative work (collection sibling prefetch): first to shed.
+    Prefetch,
+    /// Freshness maintenance (background revalidation): shed next.
+    Refresh,
+    /// An interactive user is waiting on this read: shed last.
+    #[default]
+    Foreground,
 }
 
-/// The breaker's answer to "may an operation contact this origin now?".
+impl Priority {
+    /// Stable lower-case label, used in stats tables and JSON output.
+    pub fn label(self) -> &'static str {
+        match self {
+            Priority::Prefetch => "prefetch",
+            Priority::Refresh => "refresh",
+            Priority::Foreground => "foreground",
+        }
+    }
+}
+
+/// Per-origin circuit breaker tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Admission {
-    /// Contact the origin normally.
-    Allow,
-    /// Contact the origin as a half-open probe.
-    Probe,
-    /// Do not contact the origin; `retry_after` is the remaining
-    /// cool-down in virtual µs.
-    Reject { retry_after: u64 },
+pub struct BreakerConfig {
+    /// Consecutive transient failures that trip the breaker open.
+    pub failure_threshold: u32,
+    /// How long (virtual µs) an open breaker rejects without probing.
+    pub open_micros: u64,
+    /// Successful half-open probes required to close again.
+    pub half_open_probes: u32,
 }
 
-/// One origin's window of concurrently running operations.
+impl Default for BreakerConfig {
+    fn default() -> Self {
+        Self {
+            failure_threshold: 3,
+            open_micros: 500_000,
+            half_open_probes: 1,
+        }
+    }
+}
+
+/// A circuit breaker's externally visible state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BreakerState {
+    /// Normal operation; failures are counted.
+    #[default]
+    Closed,
+    /// Operations are rejected until the cool-down elapses.
+    Open,
+    /// Probes go through; enough successes close it, a failure re-opens it.
+    HalfOpen,
+}
+
+/// What the cache does about its origins' health
+/// ([`CacheConfig::origin`](crate::CacheConfig::origin)). The [`Default`]
+/// enables none of it: every origin operation is one attempt that fails
+/// with its own error, runs unbounded and is never shed.
+///
+/// ```
+/// use placeless_cache::{BreakerConfig, OriginConfig, OverloadControl, WindowConfig};
+///
+/// let config = OriginConfig::default()
+///     .max_retries(2)
+///     .breaker(BreakerConfig::default())
+///     .window(WindowConfig::new(4).control(OverloadControl::default()));
+/// assert_eq!(config.window.map(|window| window.width), Some(4));
+/// ```
+#[derive(Debug, Clone)]
+pub struct OriginConfig {
+    /// Retries after the first failed attempt (0 = fail fast).
+    pub max_retries: u32,
+    /// The backoff before retry *n* is `backoff_base_micros << n`.
+    pub backoff_base_micros: u64,
+    /// Jitter added per backoff: up to this many 256ths of the delay.
+    pub backoff_jitter_frac: u8,
+    /// Seed of the jitter RNG; same seed, same schedule.
+    pub retry_seed: u64,
+    /// Virtual-time budget of one operation, backoffs included (a backoff
+    /// it cannot cover fails with `Timeout`); under overload control, also
+    /// the deadline a fetch is admitted by.
+    pub fetch_deadline_micros: Option<u64>,
+    /// Per-origin circuit breaker, or `None` to always contact origins.
+    pub breaker: Option<BreakerConfig>,
+    /// How old an entry whose freshness check cannot reach its origin may
+    /// be and still be served: after a failed fetch, or without fetching
+    /// from the brownout ladder's first rung.
+    pub serve_stale: Option<StalenessBound>,
+    /// Bound on the operations running against one origin at once.
+    pub window: Option<WindowConfig>,
+}
+
+impl Default for OriginConfig {
+    fn default() -> Self {
+        Self {
+            max_retries: 0,
+            backoff_base_micros: 1_000,
+            backoff_jitter_frac: 0,
+            retry_seed: 0,
+            fetch_deadline_micros: None,
+            breaker: None,
+            serve_stale: None,
+            window: None,
+        }
+    }
+}
+
+impl OriginConfig {
+    /// Sets the retries after the first failed attempt.
+    pub fn max_retries(mut self, n: u32) -> Self {
+        self.max_retries = n;
+        self
+    }
+
+    /// Sets the base backoff (doubled per retry), in virtual µs.
+    pub fn backoff_base_micros(mut self, micros: u64) -> Self {
+        self.backoff_base_micros = micros;
+        self
+    }
+
+    /// Sets the jitter per backoff, in 256ths of the delay.
+    pub fn backoff_jitter_frac(mut self, frac: u8) -> Self {
+        self.backoff_jitter_frac = frac;
+        self
+    }
+
+    /// Seeds the jitter RNG.
+    pub fn retry_seed(mut self, seed: u64) -> Self {
+        self.retry_seed = seed;
+        self
+    }
+
+    /// Caps one operation, backoffs included, at `micros` of virtual time.
+    pub fn fetch_deadline_micros(mut self, micros: u64) -> Self {
+        self.fetch_deadline_micros = Some(micros);
+        self
+    }
+
+    /// Enables per-origin circuit breakers.
+    pub fn breaker(mut self, breaker: BreakerConfig) -> Self {
+        self.breaker = Some(breaker);
+        self
+    }
+
+    /// Permits stale service within `bound`.
+    pub fn serve_stale(mut self, bound: StalenessBound) -> Self {
+        self.serve_stale = Some(bound);
+        self
+    }
+
+    /// Bounds each origin's concurrently running operations.
+    pub fn window(mut self, window: WindowConfig) -> Self {
+        self.window = Some(window);
+        self
+    }
+
+    /// The longest backoff the schedule could grant: a provider hint beyond
+    /// it means no wait the loop would make reaches recovery.
+    fn hint_horizon_micros(&self) -> u64 {
+        let exp = self.max_retries.saturating_sub(1).min(20);
+        let base = self.backoff_base_micros.saturating_mul(1 << exp);
+        base.saturating_add(base * u64::from(self.backoff_jitter_frac) / 256)
+    }
+}
+
+/// One origin's window: at most `width` operations run against it at
+/// once; the rest queue.
+#[derive(Debug, Clone)]
+pub struct WindowConfig {
+    /// Slots per origin (at least 1), and the AIMD width's ceiling.
+    pub width: u32,
+    /// Overload control, or `None` for a fixed width that sheds nothing.
+    pub control: Option<OverloadControl>,
+}
+
+impl WindowConfig {
+    /// A fixed window of `width` slots per origin.
+    pub fn new(width: u32) -> Self {
+        Self {
+            width,
+            control: None,
+        }
+    }
+
+    /// Puts the window under overload control.
+    pub fn control(mut self, control: OverloadControl) -> Self {
+        self.control = Some(control);
+        self
+    }
+}
+
+/// Overload control's tuning, in virtual µs: deadline-aware admission, the
+/// AIMD width and the brownout ladder.
+#[derive(Debug, Clone)]
+pub struct OverloadControl {
+    /// AIMD latency target: a slower fetch halves the origin's width, a
+    /// faster one adds a slot.
+    pub target_fetch_micros: u64,
+    /// Floor of the AIMD width (at least 1, at most the window's width).
+    pub min_inflight: u32,
+    /// A fetch's expected service time before the origin has a sample.
+    pub expected_service_micros: u64,
+    /// Pressure (readers parked on windows or flights) at or above which
+    /// the brownout ladder climbs a rung.
+    pub brownout_enter_waiters: u64,
+    /// Pressure at or below which it steps down (below `enter`: hysteresis).
+    pub brownout_exit_waiters: u64,
+    /// Minimum virtual time between ladder moves.
+    pub brownout_dwell_micros: u64,
+    /// `retry_after` hint attached to `Overloaded` rejections.
+    pub retry_after_micros: u64,
+}
+
+impl Default for OverloadControl {
+    fn default() -> Self {
+        Self {
+            target_fetch_micros: 5_000,
+            min_inflight: 1,
+            expected_service_micros: 2_000,
+            brownout_enter_waiters: 8,
+            brownout_exit_waiters: 2,
+            brownout_dwell_micros: 10_000,
+            retry_after_micros: 10_000,
+        }
+    }
+}
+
+/// A fetch's class and, under overload control, when its deadline lapses.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FetchCtx {
+    pub(crate) priority: Priority,
+    pub(crate) deadline_at: Option<Instant>,
+}
+
+/// An origin operation, as admission sees it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Op {
+    /// Shed by class and deadline; counted behind `inflight_peak`; timed.
+    Fetch(FetchCtx),
+    /// A sibling prefetch: admitted only by a closed breaker, which it
+    /// tells nothing, and the first work the ladder sheds.
+    Prefetch(FetchCtx),
+    /// A write-through write or a flush group: never shed, never timed.
+    Write,
+}
+
+impl Op {
+    fn fetch(self) -> Option<FetchCtx> {
+        match self {
+            Op::Fetch(fetch) | Op::Prefetch(fetch) => Some(fetch),
+            Op::Write => None,
+        }
+    }
+
+    /// The lowest brownout rung that sheds this operation, if any does.
+    fn shed_at(self) -> Option<Rung> {
+        match self {
+            Op::Prefetch(_) => Some(Rung::ShedPrefetch),
+            Op::Fetch(fetch) if fetch.priority < Priority::Foreground => Some(Rung::Reject),
+            Op::Fetch(_) | Op::Write => None,
+        }
+    }
+}
+
+/// One operation's backoff schedule: before retry *n*, `base << n` plus a
+/// jitter of up to `jitter_frac`/256 of it from the seeded RNG.
+#[derive(Debug)]
+struct BackoffSchedule {
+    base: u64,
+    jitter_frac: u8,
+    rng: SimRng,
+}
+
+impl BackoffSchedule {
+    fn new(config: &OriginConfig, salt: u64) -> Self {
+        Self {
+            base: config.backoff_base_micros,
+            jitter_frac: config.backoff_jitter_frac,
+            rng: SimRng::seeded(config.retry_seed ^ salt ^ 0xBAC0_FF5E_BAC0_FF5E),
+        }
+    }
+
+    fn delay_micros(&mut self, attempt: u32) -> u64 {
+        let exp = attempt.min(20); // cap the shift; delays beyond 2^20×base are academic
+        let base = self.base.saturating_mul(1 << exp);
+        let span = base * u64::from(self.jitter_frac) / 256;
+        if span == 0 {
+            return base;
+        }
+        base + self.rng.next_below(span + 1)
+    }
+}
+
+/// A flush group's jitter salt: FNV-1a of its origin key, stable across
+/// processes as same-seed replay needs (the std hasher is not).
+fn origin_salt(key: &str) -> u64 {
+    key.bytes().fold(0xcbf2_9ce4_8422_2325, |salt, byte| {
+        (salt ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The provider's `retry_after` hint (0 when none): retrying sooner than
+/// the origin said it could recover is a wasted attempt.
+fn retry_floor(error: &PlacelessError) -> u64 {
+    match error {
+        PlacelessError::Unavailable {
+            retry_after: Some(hint),
+            ..
+        } => *hint,
+        _ => 0,
+    }
+}
+
+/// One origin's breaker and window, behind the origin's one lock.
 #[derive(Debug, Default)]
-struct Gate {
-    /// Operations currently holding a slot.
+struct Health {
+    breaker: BreakerState,
+    opened_at: Instant,
+    /// Consecutive failures while `Closed`, successful probes while
+    /// `HalfOpen`.
+    streak: u32,
+    /// Operations holding a window slot.
     inflight: u32,
-    /// Operations parked waiting for a slot (admission math).
+    /// Operations parked waiting for one.
     queued: u32,
-    /// The AIMD width; `None` until the first observed fetch, and the
-    /// configured static width applies until then.
-    limit: Option<u32>,
-    /// EWMA of observed fetch latency (µs); 0 means "no samples yet".
+    /// The window's width: the configured one until AIMD steps it.
+    limit: u32,
+    /// EWMA of observed fetch latency (µs); 0 until the first sample.
     ewma_micros: u64,
 }
 
-impl Gate {
-    /// The current window width, given the static `width`.
-    fn width(&self, width: u32) -> u32 {
-        self.limit.unwrap_or(width)
+impl Health {
+    /// Whether an operation may contact the origin at `now` (`Err`: the rest
+    /// of the cool-down). An `Open` breaker past its cool-down admits a
+    /// probe, turning `HalfOpen`; a `speculative` caller needs `Closed`.
+    fn ask(&mut self, config: &BreakerConfig, now: Instant, speculative: bool) -> Result<(), u64> {
+        let cool_down = config.open_micros.saturating_sub(now.since(self.opened_at));
+        match self.breaker {
+            BreakerState::Closed => Ok(()),
+            _ if speculative => Err(cool_down),
+            BreakerState::HalfOpen => Ok(()),
+            BreakerState::Open if cool_down == 0 => {
+                (self.breaker, self.streak) = (BreakerState::HalfOpen, 0);
+                Ok(())
+            }
+            BreakerState::Open => Err(cool_down),
+        }
     }
 
-    /// Claims a slot if one is free.
-    fn try_claim(&mut self, width: u32) -> bool {
-        let free = self.inflight < self.width(width);
-        if free {
-            self.inflight += 1;
+    /// Records one operation's success (`ok`) or transient failure at
+    /// `now`; returns whether it tripped the breaker open.
+    fn record(&mut self, config: &BreakerConfig, now: Instant, ok: bool) -> bool {
+        let trips = match self.breaker {
+            // An operation admitted before the trip changes nothing.
+            BreakerState::Open => false,
+            BreakerState::Closed => {
+                self.streak = if ok { 0 } else { self.streak + 1 };
+                !ok && self.streak >= config.failure_threshold
+            }
+            BreakerState::HalfOpen if ok => {
+                self.streak += 1;
+                if self.streak >= config.half_open_probes {
+                    (self.breaker, self.streak) = (BreakerState::Closed, 0);
+                }
+                false
+            }
+            // A failed probe re-opens and restarts the cool-down.
+            BreakerState::HalfOpen => true,
+        };
+        if trips {
+            (self.breaker, self.opened_at) = (BreakerState::Open, now);
         }
+        trips
+    }
+
+    fn try_claim(&mut self) -> bool {
+        let free = self.inflight < self.limit;
+        self.inflight += u32::from(free);
         free
     }
 
-    /// Expected service time of one fetch: the EWMA, or the configured
-    /// prior before any sample lands.
-    fn expected_service_micros(&self, config: &OverloadConfig) -> u64 {
-        let expected = match self.ewma_micros {
-            0 => config.expected_service_micros,
+    /// When an arrival now would complete: a service (the estimate, or the
+    /// prior) per full width queued ahead of it, plus its own.
+    fn expected_completion_micros(&self, control: &OverloadControl) -> u64 {
+        let service = match self.ewma_micros {
+            0 => control.expected_service_micros,
             ewma => ewma,
         };
-        expected.max(1)
+        let rounds = u64::from(self.queued) / u64::from(self.limit.max(1)) + 1;
+        rounds.saturating_mul(service.max(1))
     }
 
-    /// Records one completed fetch and returns the new AIMD width,
-    /// stepping from `max_inflight` on the first observation:
-    /// multiplicative decrease when the observation exceeds the latency
-    /// target, additive increase otherwise.
-    fn observe(&mut self, config: &OverloadConfig, observed_micros: u64) -> u32 {
+    /// Records a completed fetch: slower than the target halves the width
+    /// (down to `min_inflight`), else it gains a slot (up to `width`).
+    fn observe(&mut self, control: &OverloadControl, width: u32, observed_micros: u64) {
         self.ewma_micros = if self.ewma_micros == 0 {
             observed_micros.max(1)
         } else {
@@ -108,158 +426,112 @@ impl Gate {
             // fast enough to track a regime change within a few fetches.
             ((self.ewma_micros * 3 + observed_micros) / 4).max(1)
         };
-        let limit = self.limit.unwrap_or(config.max_inflight);
-        let limit = if observed_micros > config.target_fetch_micros {
-            (limit / 2).max(config.min_inflight)
+        self.limit = if observed_micros > control.target_fetch_micros {
+            (self.limit / 2).max(control.min_inflight)
         } else {
-            (limit + 1).min(config.max_inflight)
+            (self.limit + 1).min(width)
         };
-        self.limit = Some(limit);
-        limit
     }
 }
 
-/// Everything the cache knows about one origin; see the module docs.
+/// Everything the cache knows about one origin.
 #[derive(Debug)]
 pub(crate) struct Origin {
     key: String,
-    breaker: parking_lot::Mutex<Breaker>,
-    gate: Mutex<Gate>,
-    /// Signalled when this origin's window gains a free slot.
+    health: Mutex<Health>,
+    /// Signalled when the window gains a free slot.
     freed: Condvar,
 }
 
-impl Origin {
-    fn new(key: String) -> Self {
-        Self {
-            key,
-            breaker: parking_lot::Mutex::new(Breaker {
-                state: BreakerState::Closed,
-                consecutive_failures: 0,
-                opened_at: Instant(0),
-                half_open_successes: 0,
-            }),
-            gate: Mutex::new(Gate::default()),
-            freed: Condvar::new(),
+/// Rungs of the brownout ladder; each implies the ones below it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub(crate) enum Rung {
+    #[default]
+    Normal,
+    /// Misses with a resident copy within `serve_stale` are served it.
+    WidenStale,
+    /// Stage outputs are computed and served but not stored.
+    SkipStageFills,
+    /// Collection prefetch is shed.
+    ShedPrefetch,
+    /// Every background fetch is shed; foreground reads still queue.
+    Reject,
+}
+
+#[derive(Debug, Default)]
+struct Ladder {
+    rung: Rung,
+    shifted_at: Instant,
+}
+
+impl Ladder {
+    const RUNGS: [Rung; 5] = [
+        Rung::Normal,
+        Rung::WidenStale,
+        Rung::SkipStageFills,
+        Rung::ShedPrefetch,
+        Rung::Reject,
+    ];
+
+    /// Feeds one `pressure` sample: a rung up at or above the enter
+    /// threshold, down at or below the exit one, at most one move per dwell.
+    fn step(&mut self, control: &OverloadControl, now: Instant, pressure: u64) -> Option<Rung> {
+        let dwelled = now.since(self.shifted_at) >= control.brownout_dwell_micros;
+        if !dwelled && self.shifted_at.as_micros() != 0 {
+            return None;
         }
-    }
-
-    /// The key this origin goes by (`BitProvider::origin_key`).
-    pub(crate) fn key(&self) -> &str {
-        &self.key
-    }
-
-    /// Returns the breaker's current state.
-    pub(crate) fn breaker_state(&self) -> BreakerState {
-        self.breaker.lock().state
-    }
-
-    /// Asks whether an operation against this origin may proceed at `now`.
-    ///
-    /// An `Open` breaker whose cool-down has elapsed transitions to
-    /// `HalfOpen` here and admits the caller as a probe.
-    pub(crate) fn admit(&self, config: &BreakerConfig, now: Instant) -> Admission {
-        let mut breaker = self.breaker.lock();
-        match breaker.state {
-            BreakerState::Closed => Admission::Allow,
-            BreakerState::HalfOpen => Admission::Probe,
-            BreakerState::Open => {
-                let elapsed = now
-                    .as_micros()
-                    .saturating_sub(breaker.opened_at.as_micros());
-                if elapsed >= config.open_micros {
-                    breaker.state = BreakerState::HalfOpen;
-                    breaker.half_open_successes = 0;
-                    Admission::Probe
-                } else {
-                    Admission::Reject {
-                        retry_after: config.open_micros - elapsed,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Records a successful operation against this origin.
-    pub(crate) fn record_success(&self, config: &BreakerConfig) {
-        let mut breaker = self.breaker.lock();
-        match breaker.state {
-            BreakerState::Closed => breaker.consecutive_failures = 0,
-            BreakerState::HalfOpen => {
-                breaker.half_open_successes += 1;
-                if breaker.half_open_successes >= config.half_open_probes {
-                    breaker.state = BreakerState::Closed;
-                    breaker.consecutive_failures = 0;
-                }
-            }
-            // A success while open can only come from an operation
-            // admitted before the breaker tripped; it closes nothing.
-            BreakerState::Open => {}
-        }
-    }
-
-    /// Records a transient failure against this origin at `now`. Returns
-    /// `true` if this failure tripped the breaker open.
-    pub(crate) fn record_failure(&self, config: &BreakerConfig, now: Instant) -> bool {
-        let mut breaker = self.breaker.lock();
-        let trips = match breaker.state {
-            BreakerState::Closed => {
-                breaker.consecutive_failures += 1;
-                breaker.consecutive_failures >= config.failure_threshold
-            }
-            // A failed probe re-opens immediately and restarts the
-            // cool-down.
-            BreakerState::HalfOpen => true,
-            BreakerState::Open => false,
+        let at = self.rung as usize;
+        let to = if pressure >= control.brownout_enter_waiters {
+            Self::RUNGS[(at + 1).min(Self::RUNGS.len() - 1)]
+        } else if pressure <= control.brownout_exit_waiters {
+            Self::RUNGS[at.saturating_sub(1)]
+        } else {
+            self.rung
         };
-        if trips {
-            breaker.state = BreakerState::Open;
-            breaker.opened_at = now;
+        if to == self.rung {
+            return None;
         }
-        trips
+        self.rung = to;
+        self.shifted_at = now;
+        Some(to)
     }
 }
 
-/// [`Origins::enter`] refused the operation: its remaining deadline
-/// budget could not cover the expected queue wait plus service time, or
-/// the deadline lapsed while it was parked. No slot is held.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Shed;
-
-/// The table of origin records, the window configuration they share, and
-/// the cache-wide gauges over them.
+/// The origin records, the configuration they share, the brownout ladder
+/// over them, and the cache-wide gauges.
 pub(crate) struct Origins {
+    /// As configured, with a window at least one wide and an AIMD floor
+    /// within it.
+    pub(crate) config: OriginConfig,
+    clock: VirtualClock,
     table: parking_lot::Mutex<HashMap<String, Arc<Origin>>>,
-    /// Static window width; `None` means no window: operations run
-    /// unbounded and [`Origins::enter`] resolves no origin.
-    width: Option<u32>,
-    /// Overload control's AIMD and admission tuning, when configured.
-    overload: Option<OverloadConfig>,
-    /// Operations parked on any origin's window (the brownout pressure
-    /// gauge; atomic so sampling takes no gate lock).
+    /// `Some` exactly under overload control.
+    ladder: Option<parking_lot::Mutex<Ladder>>,
+    /// Operations parked on any window: the brownout pressure gauge.
     queued: AtomicU64,
-    /// Origin fetches currently running (gauge feeding `inflight_peak`).
+    /// Origin fetches running: the gauge behind `inflight_peak`.
     running: AtomicU64,
 }
 
 impl Origins {
-    /// How long a parked reader sleeps between deadline re-checks.
-    /// Wall-clock, not virtual: the virtual clock only moves when some
-    /// thread advances it, so parked readers must poll it to notice a
-    /// deadline that lapsed without a slot being freed.
+    /// How long (wall time) a parked reader with a deadline sleeps between
+    /// looks at the virtual clock: it can lapse with no slot freed.
     const QUEUE_POLL: std::time::Duration = std::time::Duration::from_millis(1);
 
-    /// Creates an empty table. `max_inflight` bounds each origin's
-    /// window (clamped to at least 1 — a zero-wide window would admit
-    /// nothing and hang the first fetch); overload control needs a window
-    /// to meter admission through, so without a static bound its
-    /// `max_inflight` ceiling is the width.
-    pub(crate) fn new(max_inflight: Option<u32>, overload: Option<OverloadConfig>) -> Self {
-        let width = max_inflight.or_else(|| overload.as_ref().map(|config| config.max_inflight));
+    pub(crate) fn new(mut config: OriginConfig, clock: VirtualClock) -> Self {
+        if let Some(window) = &mut config.window {
+            // A zero-wide window would admit nothing and hang a fetch.
+            window.width = window.width.max(1);
+            if let Some(control) = &mut window.control {
+                control.min_inflight = control.min_inflight.clamp(1, window.width);
+            }
+        }
+        let controlled = config.window.as_ref().is_some_and(|w| w.control.is_some());
         Self {
+            config,
+            clock,
             table: parking_lot::Mutex::new(HashMap::new()),
-            width: width.map(|width| width.max(1)),
-            overload,
+            ladder: controlled.then(parking_lot::Mutex::default),
             queued: AtomicU64::new(0),
             running: AtomicU64::new(0),
         }
@@ -268,171 +540,249 @@ impl Origins {
     /// Returns `key`'s record, creating it on first sight.
     pub(crate) fn get(&self, key: String) -> Arc<Origin> {
         let mut table = self.table.lock();
-        if let Some(origin) = table.get(&key) {
-            return Arc::clone(origin);
-        }
-        let origin = Arc::new(Origin::new(key.clone()));
-        table.insert(key, Arc::clone(&origin));
-        origin
+        let limit = self.config.window.as_ref().map_or(0, |window| window.width);
+        let origin = table.entry(key).or_insert_with_key(|key| {
+            let health = Mutex::new(Health {
+                limit,
+                ..Health::default()
+            });
+            let (key, freed) = (key.clone(), Condvar::new());
+            Arc::new(Origin { key, health, freed })
+        });
+        Arc::clone(origin)
     }
 
-    /// Returns `key`'s record if any operation ever resolved it.
-    pub(crate) fn peek(&self, key: &str) -> Option<Arc<Origin>> {
-        self.table.lock().get(key).cloned()
+    /// The breaker state of `key`'s origin: `Closed` if no operation ever
+    /// resolved it.
+    pub(crate) fn breaker_state(&self, key: &str) -> BreakerState {
+        let table = self.table.lock();
+        table
+            .get(key)
+            .map_or(BreakerState::Closed, |origin| lock(&origin.health).breaker)
     }
 
-    /// Operations currently parked on any origin's window.
     pub(crate) fn queued(&self) -> u64 {
         self.queued.load(Ordering::SeqCst)
     }
 
-    /// Origin fetches currently running.
     pub(crate) fn running(&self) -> u64 {
         self.running.load(Ordering::Relaxed)
     }
 
-    /// Admits one origin operation. With a window configured this claims
-    /// a slot of `origin`'s window first, parking (holding no lock) while
-    /// the window is full; without one, `origin` is never called.
-    ///
-    /// `deadline_at` makes the claim deadline-aware. On arrival at a full
-    /// window the expected completion time (queue depth ÷ window width ×
-    /// expected service time, see [`expected_completion_micros`]) is
-    /// compared against the budget remaining until `deadline_at`, and a
-    /// doomed operation is shed without queueing. While parked, the
-    /// operation re-checks the virtual clock (woken by a leaving slot, or
-    /// every [`Self::QUEUE_POLL`] of wall time otherwise) and sheds the
-    /// moment its deadline lapses — never served late. `None` never
-    /// sheds. The virtual time spent parked is charged to
-    /// `queue_wait_micros` either way.
-    ///
-    /// `fetch` marks a miss fetch, as opposed to a flush write: fetches
-    /// are counted in the running gauge behind `inflight_peak`, and under
-    /// overload control their service time is the AIMD observation. A
-    /// group write's duration says nothing about `target_fetch_micros`.
-    pub(crate) fn enter<'a>(
+    fn control(&self) -> Option<&OverloadControl> {
+        self.config.window.as_ref()?.control.as_ref()
+    }
+
+    /// A fetch of class `priority` with `deadline` µs of budget from now.
+    /// The budget is an admission deadline only under overload control;
+    /// without it a deadline bounds retry scheduling alone.
+    pub(crate) fn fetch_ctx(&self, priority: Priority, deadline: Option<u64>) -> FetchCtx {
+        FetchCtx {
+            priority,
+            deadline_at: deadline
+                .filter(|_| self.control().is_some())
+                .map(|budget| self.clock.now().plus(budget)),
+        }
+    }
+
+    /// Feeds the ladder a miss's pressure sample — readers parked on
+    /// windows plus `waiting()` — and returns its rung (`Normal`, reading
+    /// nothing, without overload control).
+    pub(crate) fn sample(&self, waiting: impl FnOnce() -> u64, stats: &AtomicCacheStats) -> Rung {
+        let (Some(ladder), Some(control)) = (&self.ladder, self.control()) else {
+            return Rung::Normal;
+        };
+        let pressure = self.queued() + waiting();
+        let mut ladder = ladder.lock();
+        if let Some(to) = ladder.step(control, self.clock.now(), pressure) {
+            AtomicCacheStats::bump(&stats.brownout_shifts);
+            stats.brownout_level.store(to as u64, Ordering::Relaxed);
+        }
+        ladder.rung
+    }
+
+    /// The brownout ladder's rung (`Normal` without one).
+    pub(crate) fn rung(&self) -> Rung {
+        self.ladder
+            .as_ref()
+            .map_or(Rung::Normal, |ladder| ladder.lock().rung)
+    }
+
+    /// Counts a shed of class `priority`; returns the `Overloaded` it
+    /// fails with.
+    pub(crate) fn shed(&self, priority: Priority, stats: &AtomicCacheStats) -> PlacelessError {
+        AtomicCacheStats::bump(match priority {
+            Priority::Foreground => &stats.sheds_foreground,
+            Priority::Refresh => &stats.sheds_refresh,
+            Priority::Prefetch => &stats.sheds_prefetch,
+        });
+        PlacelessError::Overloaded {
+            retry_after: self
+                .control()
+                .map_or(0, |control| control.retry_after_micros),
+        }
+    }
+
+    /// Admits one operation, or refuses it `Overloaded` (shed by its rung or
+    /// deadline) or `Unavailable` (an open breaker). A fetch with a deadline
+    /// is shed on arrival at a full window if its budget cannot cover the
+    /// expected wait, and once parked, the moment the deadline lapses: it is
+    /// never served late. `origin` is called at most once, and only when a
+    /// breaker or a window needs the record: the default config resolves
+    /// none.
+    pub(crate) fn admit<'a>(
         &'a self,
         origin: impl FnOnce() -> &'a Origin,
-        clock: &'a VirtualClock,
-        deadline_at: Option<Instant>,
-        fetch: bool,
-        stats: &AtomicCacheStats,
-    ) -> Result<Slot<'a>, Shed> {
-        let origin = match self.width {
-            None => None,
-            Some(width) => {
-                let origin = origin();
-                let (admitted, queued_micros) = self.claim(origin, width, clock, deadline_at);
+        op: Op,
+        stats: &'a AtomicCacheStats,
+    ) -> Result<Slot<'a>, PlacelessError> {
+        let fetch = op.fetch();
+        let priority = fetch.map_or(Priority::Foreground, |fetch| fetch.priority);
+        if op.shed_at().is_some_and(|shed_at| self.rung() >= shed_at) {
+            return Err(self.shed(priority, stats));
+        }
+        let record = (self.config.breaker.is_some() || self.config.window.is_some()).then(origin);
+        let speculative = matches!(op, Op::Prefetch(_));
+        if let Some(origin) = record {
+            let mut health = lock(&origin.health);
+            if let Some(config) = &self.config.breaker {
+                if let Err(cool_down) = health.ask(config, self.clock.now(), speculative) {
+                    return Err(PlacelessError::Unavailable {
+                        source: origin.key.clone(),
+                        retry_after: Some(cool_down),
+                    });
+                }
+            }
+            if self.config.window.is_some() {
+                let deadline_at = fetch.and_then(|fetch| fetch.deadline_at);
+                let (admitted, queued_micros) = self.claim(origin, health, deadline_at);
                 AtomicCacheStats::add(&stats.queue_wait_micros, queued_micros);
                 if !admitted {
-                    return Err(Shed);
+                    return Err(self.shed(priority, stats));
                 }
-                Some(origin)
             }
-        };
-        if fetch {
+        }
+        if fetch.is_some() {
             let running = self.running.fetch_add(1, Ordering::Relaxed) + 1;
             stats.inflight_peak.fetch_max(running, Ordering::Relaxed);
         }
-        let observe = match (&self.overload, origin) {
-            (Some(config), Some(_)) if fetch => Some((config, clock.now())),
-            _ => None,
-        };
+        let timed = fetch.is_some() && record.is_some() && self.control().is_some();
         Ok(Slot {
-            origin,
-            clock,
-            running: fetch.then_some(&self.running),
-            observe,
+            origins: self,
+            stats,
+            origin: record,
+            speculative,
+            running: fetch.is_some(),
+            admitted_at: timed.then(|| self.clock.now()),
         })
     }
 
-    /// Claims a slot of `origin`'s window, parking until one is free or
-    /// the deadline rules it out. Returns whether a slot is now held, and
-    /// the virtual time spent parked (0 when decided on arrival).
+    /// Claims a slot, parking until one frees or the deadline rules it out;
+    /// returns whether it holds one, and the virtual time spent parked.
     fn claim(
         &self,
         origin: &Origin,
-        width: u32,
-        clock: &VirtualClock,
+        mut health: MutexGuard<'_, Health>,
         deadline_at: Option<Instant>,
     ) -> (bool, u64) {
+        let clock = &self.clock;
         let arrived = clock.now();
-        let mut gate = lock(&origin.gate);
-        if gate.try_claim(width) {
+        if health.try_claim() {
             return (true, 0);
         }
-        if let (Some(deadline_at), Some(config)) = (deadline_at, &self.overload) {
+        if let (Some(deadline_at), Some(control)) = (deadline_at, self.control()) {
             let remaining = deadline_at.since(arrived);
-            let expected = expected_completion_micros(
-                u64::from(gate.queued),
-                gate.width(width),
-                gate.expected_service_micros(config),
-            );
-            if remaining == 0 || expected > remaining {
+            if remaining == 0 || health.expected_completion_micros(control) > remaining {
                 return (false, 0);
             }
         }
-        gate.queued += 1;
+        health.queued += 1;
         self.queued.fetch_add(1, Ordering::SeqCst);
         let admitted = loop {
-            if gate.try_claim(width) {
+            if health.try_claim() {
                 break true;
             }
             if deadline_at.is_some_and(|deadline_at| clock.now() >= deadline_at) {
                 break false;
             }
             let freed = &origin.freed;
-            gate = match deadline_at {
+            health = match deadline_at {
                 Some(_) => {
                     freed
-                        .wait_timeout(gate, Self::QUEUE_POLL)
+                        .wait_timeout(health, Self::QUEUE_POLL)
                         .unwrap_or_else(PoisonError::into_inner)
                         .0
                 }
-                None => freed.wait(gate).unwrap_or_else(PoisonError::into_inner),
+                None => freed.wait(health).unwrap_or_else(PoisonError::into_inner),
             };
         };
-        gate.queued -= 1;
+        health.queued -= 1;
         self.queued.fetch_sub(1, Ordering::SeqCst);
         (admitted, clock.now().since(arrived))
     }
 }
 
-/// One admitted origin operation; leaving is `Drop`, so the slot is freed
-/// however the operation ends. Under the gate lock that owns the window
-/// width, leaving also feeds a fetch's service time to AIMD, and then
-/// wakes the readers parked on *this* origin, if any: each counted itself
-/// in `queued` under that lock before it waited. The observation is
-/// virtual-clock time, which under concurrency includes advances charged
-/// by other threads; AIMD only needs the signal to rise under load and
-/// fall when it drains, and it does.
+/// One admitted operation. Leaving is `Drop`, so the slot is freed however
+/// the operation ends.
 pub(crate) struct Slot<'a> {
-    /// The origin whose window slot this holds; `None` without a window.
+    origins: &'a Origins,
+    stats: &'a AtomicCacheStats,
+    /// The record whose breaker hears the outcome and whose window holds
+    /// the slot, as configured.
     origin: Option<&'a Origin>,
-    clock: &'a VirtualClock,
-    /// The running gauge a fetch is counted in; `None` for a flush write.
-    running: Option<&'a AtomicU64>,
-    /// The AIMD observation a fetch owes its origin's window on leaving:
-    /// the tuning, and when the fetch was admitted.
-    observe: Option<(&'a OverloadConfig, Instant)>,
+    /// A prefetch, which tells the breaker nothing.
+    speculative: bool,
+    /// Counted in the running gauge (a fetch).
+    running: bool,
+    /// When the fetch was admitted, if AIMD is owed its service time.
+    admitted_at: Option<Instant>,
 }
 
 impl Slot<'_> {
-    /// Leaves (once); returns whether a parked reader was there to wake.
-    fn release(&mut self) -> bool {
-        if let Some(running) = self.running.take() {
-            running.fetch_sub(1, Ordering::Relaxed);
+    /// Settles the attempt: a success, or a failure all of whose errors are
+    /// transient, is one breaker record, and a fetch's service time feeds
+    /// AIMD. That time is virtual, including other threads' charges; AIMD
+    /// needs only a signal that rises under load and falls as it drains.
+    pub(crate) fn settle<T, E: AsRef<[PlacelessError]>>(mut self, result: &Result<T, E>) {
+        let ok = match result {
+            Ok(_) => Some(true),
+            Err(errors) if errors.as_ref().iter().all(PlacelessError::is_transient) => Some(false),
+            Err(_) => None,
+        };
+        let breaker = self.origins.config.breaker.as_ref();
+        if let (Some(ok), Some(origin), Some(config)) = (ok, self.origin, breaker) {
+            let tripped = !self.speculative
+                && lock(&origin.health).record(config, self.origins.clock.now(), ok);
+            if tripped {
+                AtomicCacheStats::bump(&self.stats.breaker_trips);
+            }
         }
-        let Some(origin) = self.origin.take() else {
+        self.release(true);
+    }
+
+    /// Leaves (once), feeding AIMD if `settled`; returns whether a parked
+    /// reader — counted in `queued` under the lock before it waited — was
+    /// there to wake.
+    fn release(&mut self, settled: bool) -> bool {
+        if std::mem::take(&mut self.running) {
+            self.origins.running.fetch_sub(1, Ordering::Relaxed);
+        }
+        let (Some(origin), Some(window)) = (self.origin.take(), &self.origins.config.window) else {
             return false;
         };
-        let mut gate = lock(&origin.gate);
-        gate.inflight = gate.inflight.saturating_sub(1);
-        if let Some((config, admitted_at)) = self.observe {
-            gate.observe(config, self.clock.now().since(admitted_at));
+        let mut health = lock(&origin.health);
+        health.inflight = health.inflight.saturating_sub(1);
+        if let (true, Some(admitted_at), Some(control)) =
+            (settled, self.admitted_at, &window.control)
+        {
+            health.observe(
+                control,
+                window.width,
+                self.origins.clock.now().since(admitted_at),
+            );
         }
-        let parked = gate.queued > 0;
-        drop(gate);
+        let parked = health.queued > 0;
+        drop(health);
         if parked {
             origin.freed.notify_all();
         }
@@ -442,20 +792,143 @@ impl Slot<'_> {
 
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        self.release();
+        self.release(false);
+    }
+}
+
+/// Why [`RetryDriver::run`] stopped without a success.
+pub(crate) enum GaveUp<E> {
+    /// The last attempt's errors stand: one was not transient, the retries
+    /// ran out, or a provider hint lay beyond the backoff horizon.
+    Own(E),
+    /// Admission refused, or the deadline could not cover the next backoff:
+    /// one verdict for everything still pending.
+    Shared(PlacelessError),
+}
+
+impl GaveUp<[PlacelessError; 1]> {
+    /// The error a single-entry operation fails with.
+    pub(crate) fn into_error(self) -> PlacelessError {
+        match self {
+            GaveUp::Own([error]) | GaveUp::Shared(error) => error,
+        }
+    }
+}
+
+/// The retry loop behind every origin operation but a prefetch.
+pub(crate) struct RetryDriver<'a> {
+    pub(crate) origins: &'a Origins,
+    pub(crate) stats: &'a AtomicCacheStats,
+    /// A fetch's waited-out backoffs count in `retries`, a write's in
+    /// `flush_retries`.
+    pub(crate) op: Op,
+    /// Virtual-time budget for the whole operation, backoffs included.
+    pub(crate) deadline: Option<u64>,
+}
+
+impl RetryDriver<'_> {
+    /// Runs `attempt` — one admission and one settlement each — until it
+    /// succeeds or the policy gives up: at most `max_retries` retries, each
+    /// after the scheduled backoff or the longest provider hint among the
+    /// attempt's errors, whichever is longer. An attempt fails with every
+    /// error it has left; unless all are transient the loop stops at once.
+    /// Jitter is salted with `salt`, or the origin's key when `None`.
+    pub(crate) fn run<'o, T, E: AsRef<[PlacelessError]>>(
+        &self,
+        origin: impl Fn() -> &'o Origin,
+        salt: Option<u64>,
+        mut attempt: impl FnMut() -> Result<T, E>,
+    ) -> Result<T, GaveUp<E>> {
+        let config = &self.origins.config;
+        let clock = &self.origins.clock;
+        let started = clock.now();
+        let mut schedule: Option<BackoffSchedule> = None;
+        let mut retry = 0u32;
+        loop {
+            let slot = self
+                .origins
+                .admit(|| origin(), self.op, self.stats)
+                .map_err(GaveUp::Shared)?;
+            let result = attempt();
+            slot.settle(&result);
+            let failure = match result {
+                Ok(value) => return Ok(value),
+                Err(failure) => failure,
+            };
+            let errors = failure.as_ref();
+            if !errors.iter().all(PlacelessError::is_transient) || retry >= config.max_retries {
+                return Err(GaveUp::Own(failure));
+            }
+            let floor = errors
+                .iter()
+                .fold(0, |floor, error| floor.max(retry_floor(error)));
+            if floor > config.hint_horizon_micros() {
+                return Err(GaveUp::Own(failure));
+            }
+            let delay = schedule
+                .get_or_insert_with(|| {
+                    BackoffSchedule::new(config, salt.unwrap_or_else(|| origin_salt(&origin().key)))
+                })
+                .delay_micros(retry)
+                .max(floor);
+            if let Some(budget) = self.deadline {
+                // Don't start a backoff the deadline can't cover — but the
+                // caller did wait out the rest of its budget discovering
+                // that, so charge it before reporting the `Timeout`.
+                let elapsed = clock.now().since(started);
+                if elapsed + delay > budget {
+                    clock.advance(budget.saturating_sub(elapsed));
+                    return Err(GaveUp::Shared(PlacelessError::Timeout {
+                        source: origin().key.clone(),
+                        elapsed_micros: clock.now().since(started),
+                    }));
+                }
+            }
+            clock.advance(delay);
+            AtomicCacheStats::bump(match self.op {
+                Op::Write => &self.stats.flush_retries,
+                Op::Fetch(_) | Op::Prefetch(_) => &self.stats.retries,
+            });
+            retry += 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overload::OverloadController;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
     use std::thread;
     use std::time::Duration;
 
-    fn origin(key: &str) -> Origin {
-        Origin::new(key.to_owned())
+    fn origin(key: &str) -> Arc<Origin> {
+        Origins::new(OriginConfig::default(), VirtualClock::new()).get(key.to_owned())
+    }
+
+    fn windowed(width: u32, control: Option<OverloadControl>) -> Origins {
+        let window = WindowConfig { width, control };
+        Origins::new(OriginConfig::default().window(window), VirtualClock::new())
+    }
+
+    fn fetch(deadline_at: Option<Instant>) -> Op {
+        Op::Fetch(FetchCtx {
+            priority: Priority::Foreground,
+            deadline_at,
+        })
+    }
+
+    const OK: Result<(), [PlacelessError; 1]> = Ok(());
+
+    /// Admits a foreground fetch with no deadline against `origin`.
+    fn enter<'a>(
+        origins: &'a Origins,
+        origin: &'a Origin,
+        stats: &'a AtomicCacheStats,
+    ) -> Slot<'a> {
+        origins
+            .admit(|| origin, fetch(None), stats)
+            .expect("no deadline never sheds")
     }
 
     #[test]
@@ -466,26 +939,32 @@ mod tests {
             half_open_probes: 1,
         };
         let web = origin("web");
-        assert_eq!(web.admit(&config, Instant(0)), Admission::Allow);
-        assert!(!web.record_failure(&config, Instant(10)));
+        assert_eq!(lock(&web.health).ask(&config, Instant(0), false), Ok(()));
+        assert!(!lock(&web.health).record(&config, Instant(10), false));
         assert!(
-            web.record_failure(&config, Instant(20)),
+            lock(&web.health).record(&config, Instant(20), false),
             "second failure trips"
         );
-        assert_eq!(web.breaker_state(), BreakerState::Open);
+        assert_eq!(lock(&web.health).breaker, BreakerState::Open);
 
-        // While open, fetches are rejected with the remaining cool-down.
+        // While open, operations are rejected with the remaining cool-down.
         assert_eq!(
-            web.admit(&config, Instant(120)),
-            Admission::Reject { retry_after: 900 }
+            lock(&web.health).ask(&config, Instant(120), false),
+            Err(900)
         );
 
         // After the cool-down, one probe is admitted.
-        assert_eq!(web.admit(&config, Instant(1_020)), Admission::Probe);
-        assert_eq!(web.breaker_state(), BreakerState::HalfOpen);
-        web.record_success(&config);
-        assert_eq!(web.breaker_state(), BreakerState::Closed);
-        assert_eq!(web.admit(&config, Instant(1_030)), Admission::Allow);
+        assert_eq!(
+            lock(&web.health).ask(&config, Instant(1_020), false),
+            Ok(())
+        );
+        assert_eq!(lock(&web.health).breaker, BreakerState::HalfOpen);
+        lock(&web.health).record(&config, Instant(0), true);
+        assert_eq!(lock(&web.health).breaker, BreakerState::Closed);
+        assert_eq!(
+            lock(&web.health).ask(&config, Instant(1_030), false),
+            Ok(())
+        );
     }
 
     #[test]
@@ -496,17 +975,20 @@ mod tests {
             half_open_probes: 1,
         };
         let dms = origin("dms");
-        assert!(dms.record_failure(&config, Instant(0)));
-        assert_eq!(dms.admit(&config, Instant(100)), Admission::Probe);
-        assert!(dms.record_failure(&config, Instant(110)), "probe failed");
-        assert_eq!(dms.breaker_state(), BreakerState::Open);
+        assert!(lock(&dms.health).record(&config, Instant(0), false));
+        assert_eq!(lock(&dms.health).ask(&config, Instant(100), false), Ok(()));
+        assert!(
+            lock(&dms.health).record(&config, Instant(110), false),
+            "probe failed"
+        );
+        assert_eq!(lock(&dms.health).breaker, BreakerState::Open);
         assert_eq!(
-            dms.admit(&config, Instant(150)),
-            Admission::Reject { retry_after: 60 },
+            lock(&dms.health).ask(&config, Instant(150), false),
+            Err(60),
             "cool-down restarted at the failed probe"
         );
         assert!(
-            !dms.record_failure(&config, Instant(160)),
+            !lock(&dms.health).record(&config, Instant(160), false),
             "an open breaker cannot trip again"
         );
     }
@@ -518,14 +1000,18 @@ mod tests {
             open_micros: 1_000,
             half_open_probes: 1,
         };
-        let origins = Origins::new(None, None);
+        let origins = Origins::new(OriginConfig::default(), VirtualClock::new());
         let a = origins.get("web-a".into());
-        a.record_failure(&config, Instant(0));
-        assert_eq!(a.breaker_state(), BreakerState::Open);
-        assert!(origins.peek("web-b").is_none(), "never seen, so Closed");
+        lock(&a.health).record(&config, Instant(0), false);
+        assert_eq!(lock(&a.health).breaker, BreakerState::Open);
+        assert_eq!(
+            origins.breaker_state("web-b"),
+            BreakerState::Closed,
+            "never seen"
+        );
         let b = origins.get("web-b".into());
-        assert_eq!(b.breaker_state(), BreakerState::Closed);
-        assert_eq!(b.admit(&config, Instant(1)), Admission::Allow);
+        assert_eq!(lock(&b.health).breaker, BreakerState::Closed);
+        assert_eq!(lock(&b.health).ask(&config, Instant(1), false), Ok(()));
         assert!(Arc::ptr_eq(&a, &origins.get("web-a".into())), "one record");
     }
 
@@ -537,13 +1023,13 @@ mod tests {
             half_open_probes: 1,
         };
         let web = origin("web");
-        web.record_failure(&config, Instant(0));
-        web.record_success(&config);
+        lock(&web.health).record(&config, Instant(0), false);
+        lock(&web.health).record(&config, Instant(0), true);
         assert!(
-            !web.record_failure(&config, Instant(10)),
+            !lock(&web.health).record(&config, Instant(10), false),
             "streak restarted after the success"
         );
-        assert_eq!(web.breaker_state(), BreakerState::Closed);
+        assert_eq!(lock(&web.health).breaker, BreakerState::Closed);
     }
 
     #[test]
@@ -554,41 +1040,77 @@ mod tests {
             half_open_probes: 2,
         };
         let web = origin("web");
-        web.record_failure(&config, Instant(0));
-        assert_eq!(web.admit(&config, Instant(100)), Admission::Probe);
-        web.record_success(&config);
+        lock(&web.health).record(&config, Instant(0), false);
+        assert_eq!(lock(&web.health).ask(&config, Instant(100), false), Ok(()));
+        lock(&web.health).record(&config, Instant(0), true);
         assert_eq!(
-            web.breaker_state(),
+            lock(&web.health).breaker,
             BreakerState::HalfOpen,
             "one probe is not enough"
         );
-        web.record_success(&config);
-        assert_eq!(web.breaker_state(), BreakerState::Closed);
+        lock(&web.health).record(&config, Instant(0), true);
+        assert_eq!(lock(&web.health).breaker, BreakerState::Closed);
     }
 
-    /// Enters `origin`'s window as a fetch with no deadline.
-    fn enter<'a>(
-        origins: &'a Origins,
-        origin: &'a Origin,
-        clock: &'a VirtualClock,
-        stats: &AtomicCacheStats,
-    ) -> Slot<'a> {
-        origins
-            .enter(|| origin, clock, None, true, stats)
-            .expect("no deadline never sheds")
+    #[test]
+    fn settle_records_the_breaker_outcome_except_for_a_prefetch() {
+        let breaker = BreakerConfig {
+            failure_threshold: 1,
+            open_micros: 1_000,
+            half_open_probes: 1,
+        };
+        let origins = Origins::new(
+            OriginConfig::default().breaker(breaker),
+            VirtualClock::new(),
+        );
+        let web = origins.get("web".into());
+        let (clock, stats) = (&origins.clock, AtomicCacheStats::default());
+        let prefetch = Op::Prefetch(FetchCtx {
+            priority: Priority::Prefetch,
+            deadline_at: None,
+        });
+        let dark: Result<(), _> = Err([PlacelessError::Unavailable {
+            source: "web".into(),
+            retry_after: None,
+        }]);
+        let slot = origins.admit(|| &web, prefetch, &stats);
+        slot.expect("closed").settle(&dark);
+        assert_eq!(
+            lock(&web.health).breaker,
+            BreakerState::Closed,
+            "told nothing"
+        );
+        let slot = origins.admit(|| &web, fetch(None), &stats);
+        slot.expect("closed").settle(&dark);
+        assert_eq!(lock(&web.health).breaker, BreakerState::Open);
+        assert_eq!(stats.snapshot().breaker_trips, 1);
+        // Past the cool-down a read may probe; a prefetch may not.
+        clock.advance(1_000);
+        assert!(matches!(
+            origins.admit(|| &web, prefetch, &stats),
+            Err(PlacelessError::Unavailable { .. })
+        ));
+        assert_eq!(
+            lock(&web.health).breaker,
+            BreakerState::Open,
+            "no probe spent"
+        );
+        let slot = origins.admit(|| &web, fetch(None), &stats);
+        slot.expect("the probe").settle(&OK);
+        assert_eq!(lock(&web.health).breaker, BreakerState::Closed);
     }
 
     #[test]
     fn window_bounds_concurrency_per_origin() {
-        let origins = Origins::new(Some(2), None);
+        let origins = windowed(2, None);
         let a = origins.get("origin-a".into());
-        let (clock, stats) = (VirtualClock::new(), AtomicCacheStats::default());
+        let stats = AtomicCacheStats::default();
         let running = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    let _slot = enter(&origins, &a, &clock, &stats);
+                    let _slot = enter(&origins, &a, &stats);
                     let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
                     thread::sleep(Duration::from_millis(2));
@@ -603,117 +1125,135 @@ mod tests {
 
     #[test]
     fn window_is_per_origin() {
-        let origins = Origins::new(Some(1), None);
+        let origins = windowed(1, None);
         let (a, b) = (
             origins.get("origin-a".into()),
             origins.get("origin-b".into()),
         );
-        let (clock, stats) = (VirtualClock::new(), AtomicCacheStats::default());
-        let _a = enter(&origins, &a, &clock, &stats);
+        let stats = AtomicCacheStats::default();
+        let _a = enter(&origins, &a, &stats);
         // A different origin is admitted immediately even though
         // origin-a's window is full.
-        let _b = enter(&origins, &b, &clock, &stats);
+        let _b = enter(&origins, &b, &stats);
     }
 
     #[test]
     fn no_window_resolves_no_origin() {
-        let origins = Origins::new(None, None);
-        let (clock, stats) = (VirtualClock::new(), AtomicCacheStats::default());
+        let origins = Origins::new(OriginConfig::default(), VirtualClock::new());
+        let stats = AtomicCacheStats::default();
         let slot = origins
-            .enter(
+            .admit(
                 || -> &Origin { panic!("no window, so no origin is needed") },
-                &clock,
-                None,
-                true,
+                fetch(None),
                 &stats,
             )
             .expect("admitted");
         assert_eq!(origins.running(), 1, "the fetch is still counted");
-        drop(slot);
+        slot.settle(&OK);
         assert_eq!(origins.running(), 0);
     }
 
     #[test]
-    fn observed_width_overrides_one_origin_and_persists_when_idle() {
-        let config = OverloadConfig::default().inflight_bounds(1, 2);
-        let origins = Origins::new(Some(1), Some(config));
+    fn observed_width_stays_within_its_bounds_and_persists_when_idle() {
+        let control = OverloadControl {
+            target_fetch_micros: 1_000,
+            min_inflight: 2,
+            ..OverloadControl::default()
+        };
+        let origins = windowed(4, Some(control));
         let (a, b) = (
             origins.get("origin-a".into()),
             origins.get("origin-b".into()),
         );
-        let (clock, stats) = (VirtualClock::new(), AtomicCacheStats::default());
-        // One fast fetch steps origin-a's width from `max_inflight`.
-        drop(enter(&origins, &a, &clock, &stats));
-        assert_eq!(lock(&a.gate).width(1), 2);
-        assert_eq!(lock(&b.gate).width(1), 1, "others keep the static width");
-        let first = enter(&origins, &a, &clock, &stats);
-        let second = enter(&origins, &a, &clock, &stats);
+        let (clock, stats) = (&origins.clock, AtomicCacheStats::default());
+        let width = |origin: &Origin| lock(&origin.health).limit;
+        // Fast fetches grow no window past its configured width.
+        for _ in 0..3 {
+            enter(&origins, &a, &stats).settle(&OK);
+            assert_eq!(width(&a), 4);
+        }
+        // Slow ones halve it down to the floor, and no further.
+        for expected in [2, 2] {
+            let slot = enter(&origins, &a, &stats);
+            clock.advance(5_000);
+            slot.settle(&OK);
+            assert_eq!(width(&a), expected);
+        }
+        assert_eq!(width(&b), 4, "others keep the configured width");
+        let first = enter(&origins, &a, &stats);
+        let second = enter(&origins, &a, &stats);
         drop((first, second));
-        // The override survives the origin going idle.
-        assert_eq!(lock(&a.gate).width(1), 2);
-        assert_eq!(lock(&a.gate).inflight, 0);
+        // Unsettled slots feed nothing, and the width survives the origin
+        // going idle.
+        assert_eq!(width(&a), 2);
+        assert_eq!(lock(&a.health).inflight, 0);
     }
 
     #[test]
-    fn flush_writes_hold_a_slot_but_feed_neither_aimd_nor_the_gauge() {
-        let origins = Origins::new(Some(1), Some(OverloadConfig::default()));
+    fn writes_hold_a_slot_but_feed_neither_aimd_nor_the_gauge() {
+        let origins = windowed(1, Some(OverloadControl::default()));
         let a = origins.get("origin-a".into());
-        let (clock, stats) = (VirtualClock::new(), AtomicCacheStats::default());
+        let stats = AtomicCacheStats::default();
         let slot = origins
-            .enter(|| &a, &clock, None, false, &stats)
-            .expect("no deadline never sheds");
-        assert_eq!(lock(&a.gate).inflight, 1);
+            .admit(|| &a, Op::Write, &stats)
+            .expect("a write is never shed");
+        assert_eq!(lock(&a.health).inflight, 1);
         assert_eq!(origins.running(), 0);
-        drop(slot);
-        assert_eq!(lock(&a.gate).inflight, 0);
-        assert_eq!(lock(&a.gate).limit, None, "no observation was fed");
+        slot.settle(&OK);
+        assert_eq!(lock(&a.health).inflight, 0);
+        assert_eq!(lock(&a.health).ewma_micros, 0, "no observation was fed");
     }
 
     #[test]
-    fn acquire_until_sheds_doomed_arrivals_without_queueing() {
-        let config = OverloadConfig::default()
-            .expected_service_micros(5_000)
-            .inflight_bounds(1, 1);
-        let origins = Origins::new(Some(1), Some(config));
+    fn doomed_arrivals_are_shed_without_queueing() {
+        let control = OverloadControl {
+            expected_service_micros: 5_000,
+            ..OverloadControl::default()
+        };
+        let origins = windowed(1, Some(control));
         let o = origins.get("o".into());
-        let (clock, stats) = (VirtualClock::new(), AtomicCacheStats::default());
-        let holder = enter(&origins, &o, &clock, &stats);
+        let (clock, stats) = (&origins.clock, AtomicCacheStats::default());
+        let holder = enter(&origins, &o, &stats);
         // Budget 1000µs, expected service 5000µs: doomed on arrival.
         let deadline = Some(clock.now().plus(1_000));
         assert!(matches!(
-            origins.enter(|| &o, &clock, deadline, true, &stats),
-            Err(Shed)
+            origins.admit(|| &o, fetch(deadline), &stats),
+            Err(PlacelessError::Overloaded {
+                retry_after: 10_000
+            })
         ));
         assert_eq!(origins.queued(), 0, "shed arrivals never park");
-        // Without a deadline the same arrival would have queued; with a
-        // generous budget and a free slot it is admitted instantly.
+        assert_eq!(stats.snapshot().sheds_foreground, 1);
+        // With a free slot the same arrival is admitted instantly.
         drop(holder);
-        assert!(origins.enter(|| &o, &clock, deadline, true, &stats).is_ok());
+        assert!(origins.admit(|| &o, fetch(deadline), &stats).is_ok());
         assert_eq!(stats.snapshot().queue_wait_micros, 0);
     }
 
     #[test]
     fn queued_reader_sheds_when_virtual_deadline_lapses() {
-        let config = OverloadConfig::default().expected_service_micros(5_000);
-        let origins = Origins::new(Some(1), Some(config));
+        let control = OverloadControl {
+            expected_service_micros: 5_000,
+            ..OverloadControl::default()
+        };
+        let origins = windowed(1, Some(control));
         let o = origins.get("o".into());
-        let (clock, stats) = (VirtualClock::new(), AtomicCacheStats::default());
-        let _holder = enter(&origins, &o, &clock, &stats);
+        let (clock, stats) = (&origins.clock, AtomicCacheStats::default());
+        let _holder = enter(&origins, &o, &stats);
         thread::scope(|scope| {
             let parked = scope.spawn(|| {
                 // Budget 10000µs covers one expected service, so the
                 // reader queues rather than shedding on arrival.
                 let deadline = Some(clock.now().plus(10_000));
-                origins
-                    .enter(|| &o, &clock, deadline, true, &stats)
-                    .map(drop)
+                origins.admit(|| &o, fetch(deadline), &stats).map(drop)
             });
             while origins.queued() < 1 {
                 thread::sleep(Duration::from_millis(1));
             }
             // The slot never frees; the virtual clock passes the deadline.
             clock.advance(20_000);
-            assert_eq!(parked.join().expect("no panic"), Err(Shed));
+            let shed = parked.join().expect("no panic");
+            assert!(matches!(shed, Err(PlacelessError::Overloaded { .. })));
         });
         assert!(
             stats.snapshot().queue_wait_micros >= 10_000,
@@ -724,81 +1264,433 @@ mod tests {
 
     #[test]
     fn a_release_wakes_only_a_queued_reader() {
-        let origins = Origins::new(Some(1), None);
+        let origins = windowed(1, None);
         let o = origins.get("o".into());
-        let (clock, stats) = (VirtualClock::new(), AtomicCacheStats::default());
-        let mut alone = enter(&origins, &o, &clock, &stats);
-        assert!(!alone.release(), "nobody queued, nobody to wake");
-        assert!(!alone.release(), "and a slot leaves once");
-        assert_eq!(lock(&o.gate).inflight, 0);
+        let stats = AtomicCacheStats::default();
+        let mut alone = enter(&origins, &o, &stats);
+        assert!(!alone.release(false), "nobody queued, nobody to wake");
+        assert!(!alone.release(false), "and a slot leaves once");
+        assert_eq!(lock(&o.health).inflight, 0);
 
-        let mut holder = enter(&origins, &o, &clock, &stats);
+        let mut holder = enter(&origins, &o, &stats);
         thread::scope(|scope| {
-            let parked = scope.spawn(|| drop(enter(&origins, &o, &clock, &stats)));
+            let parked = scope.spawn(|| drop(enter(&origins, &o, &stats)));
             while origins.queued() < 1 {
                 thread::sleep(Duration::from_millis(1));
             }
-            assert!(holder.release(), "the queued reader is woken");
+            assert!(holder.release(false), "the queued reader is woken");
             parked.join().expect("and admitted: no deadline, no poll");
         });
         assert_eq!((origins.running(), origins.queued()), (0, 0));
-        assert_eq!(lock(&o.gate).inflight, 0);
+        assert_eq!(lock(&o.health).inflight, 0);
+    }
+
+    #[test]
+    fn the_ladder_sheds_background_fetches_by_rung() {
+        let control = OverloadControl {
+            brownout_enter_waiters: 1,
+            brownout_exit_waiters: 0,
+            brownout_dwell_micros: 0,
+            ..OverloadControl::default()
+        };
+        let origins = windowed(1, Some(control));
+        let o = origins.get("o".into());
+        let stats = AtomicCacheStats::default();
+        let class = |priority| FetchCtx {
+            priority,
+            deadline_at: None,
+        };
+        let admits = |op| origins.admit(|| &o, op, &stats).is_ok();
+        for rung in [Rung::WidenStale, Rung::SkipStageFills, Rung::ShedPrefetch] {
+            assert_eq!(origins.sample(|| 1, &stats), rung);
+        }
+        assert!(!admits(Op::Prefetch(class(Priority::Prefetch))));
+        assert!(admits(Op::Fetch(class(Priority::Refresh))));
+        assert_eq!(origins.sample(|| 1, &stats), Rung::Reject);
+        assert!(!admits(Op::Fetch(class(Priority::Refresh))));
+        assert!(!admits(Op::Fetch(class(Priority::Prefetch))));
+        assert!(admits(Op::Fetch(class(Priority::Foreground))));
+        assert!(admits(Op::Write));
+        let snapshot = stats.snapshot();
+        assert_eq!((snapshot.sheds_prefetch, snapshot.sheds_refresh), (2, 1));
+        assert_eq!((snapshot.brownout_shifts, snapshot.brownout_level), (4, 4));
+    }
+
+    #[test]
+    fn no_control_means_no_ladder() {
+        let origins = windowed(1, None);
+        let stats = AtomicCacheStats::default();
+        let pressure = || -> u64 { panic!("nothing to sample without control") };
+        assert_eq!(origins.sample(pressure, &stats), Rung::Normal);
+        assert_eq!(origins.rung(), Rung::Normal);
     }
 
     #[test]
     fn aimd_shrinks_on_slow_and_grows_on_fast() {
-        let config = OverloadConfig::default()
-            .target_fetch_micros(1_000)
-            .inflight_bounds(1, 8);
-        let mut gate = Gate::default();
-        assert_eq!(gate.observe(&config, 5_000), 4, "8/2 on a slow fetch");
-        assert_eq!(gate.observe(&config, 5_000), 2);
-        assert_eq!(gate.observe(&config, 5_000), 1);
-        assert_eq!(gate.observe(&config, 5_000), 1, "floored at min");
-        assert_eq!(gate.observe(&config, 100), 2, "+1 on a fast fetch");
+        let control = OverloadControl {
+            target_fetch_micros: 1_000,
+            ..OverloadControl::default()
+        };
+        let mut gate = Health {
+            limit: 8,
+            ..Health::default()
+        };
+        let mut observe = |micros| {
+            gate.observe(&control, 8, micros);
+            gate.limit
+        };
+        assert_eq!(observe(5_000), 4, "8/2 on a slow fetch");
+        assert_eq!(observe(5_000), 2);
+        assert_eq!(observe(5_000), 1);
+        assert_eq!(observe(5_000), 1, "floored at min");
+        assert_eq!(observe(100), 2, "+1 on a fast fetch");
         for _ in 0..10 {
-            gate.observe(&config, 100);
+            observe(100);
         }
-        assert_eq!(gate.observe(&config, 100), 8, "capped at max");
+        assert_eq!(observe(100), 8, "capped at the width");
     }
 
     #[test]
     fn ewma_warms_from_prior_then_tracks() {
-        let config = OverloadConfig::default().expected_service_micros(2_000);
-        let mut gate = Gate::default();
-        assert_eq!(gate.expected_service_micros(&config), 2_000, "prior");
-        gate.observe(&config, 10_000);
+        let control = OverloadControl {
+            expected_service_micros: 2_000,
+            ..OverloadControl::default()
+        };
+        let mut gate = Health {
+            limit: 4,
+            ..Health::default()
+        };
+        assert_eq!(gate.expected_completion_micros(&control), 2_000, "prior");
+        gate.observe(&control, 4, 10_000);
         assert_eq!(
-            gate.expected_service_micros(&config),
+            gate.expected_completion_micros(&control),
             10_000,
             "first sample"
         );
-        gate.observe(&config, 2_000);
+        gate.observe(&control, 4, 2_000);
         assert_eq!(
-            gate.expected_service_micros(&config),
+            gate.expected_completion_micros(&control),
             8_000,
             "(3·10k + 2k)/4"
         );
     }
 
     #[test]
+    fn expected_completion_counts_drain_rounds() {
+        let control = OverloadControl {
+            expected_service_micros: 1_000,
+            ..OverloadControl::default()
+        };
+        let mut gate = Health {
+            limit: 4,
+            ..Health::default()
+        };
+        // Empty queue: one service time.
+        assert_eq!(gate.expected_completion_micros(&control), 1_000);
+        // 7 ahead, 4 slots: one full round ahead of us, then ours.
+        gate.queued = 7;
+        assert_eq!(gate.expected_completion_micros(&control), 2_000);
+        // A zero width is clamped rather than divided by.
+        (gate.queued, gate.limit) = (3, 0);
+        assert_eq!(gate.expected_completion_micros(&control), 4_000);
+    }
+
+    #[test]
+    fn ladder_has_hysteresis_and_dwell() {
+        let control = OverloadControl {
+            brownout_enter_waiters: 8,
+            brownout_exit_waiters: 2,
+            brownout_dwell_micros: 1_000,
+            ..OverloadControl::default()
+        };
+        let mut ladder = Ladder::default();
+        // First sample may move immediately (nothing to dwell from).
+        assert_eq!(
+            ladder.step(&control, Instant(10), 9),
+            Some(Rung::WidenStale)
+        );
+        // Within the dwell: no move even under pressure.
+        assert_eq!(ladder.step(&control, Instant(500), 100), None);
+        // After the dwell: one rung at a time.
+        assert_eq!(
+            ladder.step(&control, Instant(1_100), 100),
+            Some(Rung::SkipStageFills)
+        );
+        // Pressure between exit and enter thresholds: hold steady.
+        assert_eq!(ladder.step(&control, Instant(3_000), 5), None);
+        assert_eq!(ladder.rung, Rung::SkipStageFills);
+        // Pressure drains: step back down.
+        assert_eq!(
+            ladder.step(&control, Instant(5_000), 0),
+            Some(Rung::WidenStale)
+        );
+        for _ in 0..10 {
+            ladder.step(&control, Instant(u64::MAX), 0);
+        }
+        assert_eq!(ladder.rung, Rung::Normal, "saturates at the bottom");
+    }
+
+    #[test]
     fn decisions_replay_identically() {
         let run = || {
-            let config = OverloadConfig::default();
-            let ctrl = OverloadController::new(config.clone());
-            let mut gate = Gate::default();
+            let control = OverloadControl::default();
+            let mut gate = Health {
+                limit: 8,
+                ..Health::default()
+            };
+            let mut ladder = Ladder::default();
             let mut log = Vec::new();
             for i in 0..200u64 {
                 let observed = (i * 37) % 9_000;
-                log.push(gate.observe(&config, observed));
-                log.push(u32::from(
-                    ctrl.observe_pressure(Instant(i * 700), (i * 13) % 16)
-                        .map(|(_, to)| to.rung())
-                        .unwrap_or(99),
-                ));
+                gate.observe(&control, 8, observed);
+                log.push(gate.limit);
+                let moved = ladder.step(&control, Instant(i * 700), (i * 13) % 16);
+                log.push(moved.map_or(99, |to| to as u32));
             }
             log
         };
         assert_eq!(run(), run(), "controller is a pure function of inputs");
+    }
+
+    #[test]
+    fn priority_orders_by_importance() {
+        assert!(Priority::Prefetch < Priority::Refresh);
+        assert!(Priority::Refresh < Priority::Foreground);
+        assert_eq!(Priority::default(), Priority::Foreground);
+        assert_eq!(Priority::Prefetch.label(), "prefetch");
+    }
+
+    /// A scripted operation for [`RetryDriver::run`]: fails with
+    /// `script`'s errors in turn, then succeeds. Returns the driver's
+    /// verdict, how many attempts ran, and the virtual time charged.
+    fn drive<'o>(
+        origins: &Origins,
+        deadline: Option<u64>,
+        origin: impl Fn() -> &'o Origin,
+        script: Vec<PlacelessError>,
+    ) -> (Result<(), PlacelessError>, usize, u64) {
+        let (clock, stats) = (&origins.clock, AtomicCacheStats::default());
+        let started = clock.now();
+        let driver = RetryDriver {
+            origins,
+            stats: &stats,
+            op: fetch(None),
+            deadline,
+        };
+        let mut script = script.into_iter();
+        let mut attempts = 0;
+        let verdict = driver
+            .run(origin, Some(0), || {
+                attempts += 1;
+                script.next().map_or(Ok(()), |error| Err([error]))
+            })
+            .map_err(GaveUp::into_error);
+        (verdict, attempts, clock.now().since(started))
+    }
+
+    fn unavailable(retry_after: Option<u64>) -> PlacelessError {
+        PlacelessError::Unavailable {
+            source: "web".into(),
+            retry_after,
+        }
+    }
+
+    #[test]
+    fn default_config_is_one_attempt_and_the_attempts_own_error() {
+        let origins = Origins::new(OriginConfig::default(), VirtualClock::new());
+        let no_origin =
+            || -> &'static Origin { panic!("the default config must not resolve the origin") };
+        let (verdict, attempts, waited) = drive(&origins, None, no_origin, vec![unavailable(None)]);
+        assert_eq!(verdict, Err(unavailable(None)));
+        assert_eq!((attempts, waited), (1, 0));
+        let (verdict, attempts, waited) = drive(&origins, None, no_origin, Vec::new());
+        assert_eq!(verdict, Ok(()));
+        assert_eq!((attempts, waited), (1, 0));
+    }
+
+    #[test]
+    fn deadline_shorter_than_the_backoff_charges_exactly_the_budget() {
+        let config = OriginConfig::default()
+            .max_retries(3)
+            .backoff_base_micros(1_000);
+        let origins = Origins::new(config, VirtualClock::new());
+        let web = origins.get("web".into());
+        let (verdict, attempts, waited) = drive(
+            &origins,
+            Some(400),
+            || &web,
+            vec![unavailable(None), unavailable(None)],
+        );
+        assert_eq!(
+            verdict,
+            Err(PlacelessError::Timeout {
+                source: "web".into(),
+                elapsed_micros: 400,
+            })
+        );
+        assert_eq!((attempts, waited), (1, 400));
+    }
+
+    #[test]
+    fn hint_beyond_the_horizon_gives_up_with_the_original_error() {
+        let config = OriginConfig::default()
+            .max_retries(3)
+            .backoff_base_micros(1_000);
+        let hinted = unavailable(Some(config.hint_horizon_micros() + 1));
+        let origins = Origins::new(config, VirtualClock::new());
+        let web = origins.get("web".into());
+        let (verdict, attempts, waited) = drive(
+            &origins,
+            None,
+            || &web,
+            vec![hinted.clone(), hinted.clone()],
+        );
+        assert_eq!(verdict, Err(hinted));
+        assert_eq!((attempts, waited), (1, 0));
+    }
+
+    #[test]
+    fn open_breaker_rejects_without_an_attempt() {
+        let breaker = BreakerConfig {
+            failure_threshold: 1,
+            open_micros: 1_000,
+            half_open_probes: 1,
+        };
+        let origins = Origins::new(
+            OriginConfig::default().breaker(breaker),
+            VirtualClock::new(),
+        );
+        let web = origins.get("web".into());
+        lock(&web.health).record(&breaker, Instant(0), false);
+        let (verdict, attempts, waited) = drive(&origins, None, || &web, Vec::new());
+        assert_eq!(verdict, Err(unavailable(Some(1_000))));
+        assert_eq!((attempts, waited), (0, 0));
+    }
+
+    #[test]
+    fn retry_floor_reads_only_unavailable_hints() {
+        let timeout = PlacelessError::Timeout {
+            source: "o".into(),
+            elapsed_micros: 9,
+        };
+        assert_eq!(retry_floor(&unavailable(Some(7_500))), 7_500);
+        assert_eq!(retry_floor(&unavailable(None)), 0);
+        assert_eq!(retry_floor(&timeout), 0, "timeouts carry no hint");
+    }
+
+    #[test]
+    fn hint_horizon_is_the_final_attempts_maximum_delay() {
+        let config = OriginConfig::default()
+            .max_retries(3)
+            .backoff_base_micros(1_000);
+        // Final (0-based) retry is attempt 2: 1_000 << 2, no jitter.
+        assert_eq!(config.hint_horizon_micros(), 4_000);
+        let jittered = config.backoff_jitter_frac(64);
+        assert_eq!(jittered.hint_horizon_micros(), 5_000, "max jitter included");
+        let fail_fast = OriginConfig::default().backoff_base_micros(1_000);
+        assert_eq!(
+            fail_fast.hint_horizon_micros(),
+            1_000,
+            "zero retries still report the base horizon"
+        );
+    }
+
+    #[test]
+    fn staleness_bound_measures_from_fill() {
+        let bound = StalenessBound::micros(1_000);
+        assert!(bound.permits(Instant(500), Instant(1_500)));
+        assert!(!bound.permits(Instant(500), Instant(1_501)));
+        assert!(StalenessBound::ZERO.permits(Instant(5), Instant(5)));
+        assert!(!StalenessBound::ZERO.permits(Instant(5), Instant(6)));
+    }
+
+    #[test]
+    fn backoff_doubles_and_is_deterministic() {
+        let config = OriginConfig::default()
+            .max_retries(3)
+            .backoff_base_micros(1_000)
+            .retry_seed(42);
+        let mut sched = BackoffSchedule::new(&config, 7);
+        assert_eq!(sched.delay_micros(0), 1_000);
+        assert_eq!(sched.delay_micros(1), 2_000);
+        assert_eq!(sched.delay_micros(2), 4_000);
+
+        let jittered = config.backoff_jitter_frac(64);
+        let mut a = BackoffSchedule::new(&jittered, 7);
+        let mut b = BackoffSchedule::new(&jittered, 7);
+        for attempt in 0..4 {
+            let da = a.delay_micros(attempt);
+            assert_eq!(da, b.delay_micros(attempt), "same seed, same schedule");
+            let base = 1_000u64 << attempt;
+            assert!(
+                da >= base && da < base + base / 4 + 1,
+                "jitter within +25%: {da}"
+            );
+        }
+        let mut c = BackoffSchedule::new(&jittered, 8);
+        let schedules_differ =
+            (0..4).any(|n| BackoffSchedule::new(&jittered, 7).delay_micros(n) != c.delay_micros(n));
+        assert!(schedules_differ, "different salt, different jitter");
+    }
+
+    #[test]
+    fn origin_salted_backoff_is_stable_per_origin() {
+        let jittered = OriginConfig::default()
+            .backoff_base_micros(1_000)
+            .backoff_jitter_frac(64)
+            .retry_seed(42);
+        let schedule = |key| BackoffSchedule::new(&jittered, origin_salt(key));
+        let (mut a, mut b) = (schedule("fs"), schedule("fs"));
+        for attempt in 0..4 {
+            assert_eq!(
+                a.delay_micros(attempt),
+                b.delay_micros(attempt),
+                "same origin, same schedule"
+            );
+        }
+        let mut other = schedule("dms");
+        let schedules_differ =
+            (0..4).any(|n| schedule("fs").delay_micros(n) != other.delay_micros(n));
+        assert!(schedules_differ, "different origin, different jitter");
+        assert_eq!(
+            origin_salt(""),
+            0xcbf2_9ce4_8422_2325,
+            "FNV-1a offset basis"
+        );
+    }
+
+    #[test]
+    fn backoff_shift_is_capped() {
+        let config = OriginConfig::default().backoff_base_micros(1);
+        let mut sched = BackoffSchedule::new(&config, 0);
+        assert_eq!(sched.delay_micros(63), 1 << 20, "shift capped, no overflow");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The backoff schedule is a pure function of (config, salt).
+        #[test]
+        fn backoff_schedule_replays_exactly(
+            seed in any::<u64>(),
+            salt in any::<u64>(),
+            jitter in any::<u8>(),
+            base in 1u64..100_000,
+        ) {
+            let config = OriginConfig::default()
+                .backoff_base_micros(base)
+                .backoff_jitter_frac(jitter)
+                .retry_seed(seed);
+            let mut a = BackoffSchedule::new(&config, salt);
+            let mut b = BackoffSchedule::new(&config, salt);
+            for attempt in 0..12 {
+                let da = a.delay_micros(attempt);
+                prop_assert_eq!(da, b.delay_micros(attempt));
+                // Jitter never exceeds the documented fraction of the base.
+                let floor = base.saturating_mul(1 << attempt.min(20));
+                prop_assert!(da >= floor);
+                prop_assert!(da <= floor + floor * u64::from(jitter) / 256 + 1);
+            }
+        }
     }
 }

@@ -122,7 +122,7 @@ impl Flight {
 }
 
 /// A mutex lock that shrugs off poisoning: flight state transitions (and
-/// `crate::origin`'s gate updates) are trivial stores, so state is
+/// `crate::origin`'s breaker and window updates) are trivial stores, so state is
 /// coherent even if a panicking thread was interrupted holding the lock.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)

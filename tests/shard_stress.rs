@@ -13,7 +13,7 @@
 //!   must hold under contention, not just at quiescence.
 
 use crossbeam::thread;
-use placeless::cache::{CacheStats, HitClass, ReadOptions};
+use placeless::cache::{CacheStats, HitClass, OriginConfig, ReadOptions, WindowConfig};
 use placeless::prelude::*;
 use placeless_bench::support::TagProperty;
 use placeless_simenv::trace::{lorem_bytes, AccessEvent, TraceBuilder};
@@ -346,7 +346,7 @@ fn stress_counters_add_up_across_threads() {
             .capacity_bytes(CAPACITY)
             .local_latency(LatencyModel::FREE)
             .stage_cache(true)
-            .max_inflight_per_origin(WINDOW)
+            .origin(OriginConfig::default().window(WindowConfig::new(WINDOW)))
             .shards(4)
             .build(),
     );

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use placeless_bench::support::TagProperty;
-use placeless_cache::{CacheConfig, DocumentCache, HitClass, ReadOptions, ResilienceConfig};
+use placeless_cache::{CacheConfig, DocumentCache, HitClass, OriginConfig, ReadOptions};
 use placeless_core::bitprovider::BitProvider;
 use placeless_core::error::{PlacelessError, Result};
 use placeless_core::id::UserId;
@@ -378,12 +378,11 @@ fn deadline_override_bounds_retries() {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .resilience(
-                ResilienceConfig::builder()
+            .origin(
+                OriginConfig::default()
                     .max_retries(3)
                     .backoff_base_micros(10_000)
-                    .backoff_jitter_frac(0)
-                    .build(),
+                    .backoff_jitter_frac(0),
             )
             .build(),
     );
