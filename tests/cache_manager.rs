@@ -881,6 +881,44 @@ fn write_cost_is_independent_of_other_documents_references() {
     );
 }
 
+/// Median wall time of a `write_document` to a document with `holders`
+/// holders, each carrying a personal read-path property (as the
+/// benchmark's suffix users do) and none registered for `ContentWritten`.
+fn silent_holders_write_median(holders: u64) -> std::time::Duration {
+    let (space, _provider, doc) = setup("x", 0);
+    for user in (1..=holders).map(UserId) {
+        space.add_reference(user, doc).expect("the document exists");
+        space
+            .attach_active(Scope::Personal(user), doc, TagProperty::new("suffix", 0))
+            .expect("the reference exists");
+    }
+    let samples = (0..200u64)
+        .map(|i| {
+            let started = std::time::Instant::now();
+            space
+                .write_document(UserId(1 + i % 4), doc, b"rewritten")
+                .expect("write must succeed");
+            started.elapsed()
+        })
+        .collect();
+    median(samples)
+}
+
+/// The same gate for the written document's own holders: `ContentWritten`
+/// reaches the references registered for it, and a thousand times as many
+/// that are not must not show in the cost of a write.
+#[test]
+fn write_cost_is_independent_of_silent_holders() {
+    let (small, large) = (
+        silent_holders_write_median(4),
+        silent_holders_write_median(4_096),
+    );
+    assert!(
+        large <= small * 4,
+        "writing a document: {small:?} with 4 silent holders, {large:?} with 4k"
+    );
+}
+
 /// A read-only origin whose verifier asks `script` for its verdict and
 /// counts how often the cache ran it.
 struct ScriptedOrigin {
