@@ -321,3 +321,10 @@ impl DocumentCache {
         self.journal.as_ref()
     }
 }
+
+/// Whether `verifier` still stands for content fetched after it was made:
+/// one that attests content is re-checked (uncharged: its probe paid),
+/// any other stands as it is.
+fn still_attests(verifier: &dyn Verifier, clock: &VirtualClock) -> bool {
+    !verifier.attests_content() || verifier.check(clock) == Validity::Valid
+}

@@ -245,8 +245,20 @@ impl DocumentCache {
         // (lock-order rule: no cache lock across middleware calls).
         let fetched = self.fetch_with_resilience(&read);
         if let Some(guard) = guard {
-            guard.complete(match &fetched {
+            guard.complete(|| match &fetched {
                 Ok(fetched) if fetched.report.cacheability == Cacheability::Uncacheable => {
+                    FlightResult::Unshared
+                }
+                // A waiter may have joined after a write this fetch missed:
+                // the bytes are shared only if the verifiers that attest
+                // content still vouch for them, now that nobody can join.
+                Ok(fetched)
+                    if !fetched
+                        .report
+                        .verifiers
+                        .iter()
+                        .all(|v| still_attests(&**v, read.clock)) =>
+                {
                     FlightResult::Unshared
                 }
                 Ok(fetched) => FlightResult::Shared {

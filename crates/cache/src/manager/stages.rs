@@ -217,6 +217,14 @@ impl DocumentCache {
         ctx: FetchCtx,
     ) -> Result<Walk<'p>> {
         let report = plan.seed_report(clock);
+        // The walk's version is filed under the verifier just made: a write
+        // that landed since the lease probe is in its epoch but not in the
+        // leased root, so the root must still stand, or the walk fetches.
+        let leased = leased.filter(|root| {
+            root.verifier
+                .as_ref()
+                .is_some_and(|v| still_attests(&**v, clock))
+        });
         let (pipeline, fetched_root) = match &leased {
             Some(root) => {
                 AtomicCacheStats::bump(&self.stats.root_reuses);
@@ -295,7 +303,7 @@ impl DocumentCache {
         match self.stage_flights.join(EntryKey::Stage(flight_sig)) {
             Join::Leader(guard) => {
                 let led = self.run_segment(walk, start, end);
-                guard.complete(match &led {
+                guard.complete(|| match &led {
                     // Not a walk rebased onto a newer root: other signatures.
                     Ok(Some(bytes)) if walk.sigs[end] == flight_sig => FlightResult::Shared {
                         bytes: bytes.clone(),

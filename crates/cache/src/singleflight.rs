@@ -13,7 +13,10 @@
 //! The flight is removed from the table *before* its outcome is
 //! published, so a thread arriving after completion starts a fresh
 //! flight: a failed flight is never sticky, and the next read retries
-//! against the origin.
+//! against the origin. The leader makes its outcome only then, so a
+//! version leader shares its bytes only if the verifiers that attest
+//! content still vouch for them: a reader that joined after a write the
+//! fetch missed fetches for itself.
 //!
 //! Both layers of the read path use the same group type:
 //!
@@ -195,25 +198,28 @@ pub(crate) struct FlightGuard<'a> {
 }
 
 impl FlightGuard<'_> {
-    /// Publishes the leader's outcome to every waiter and closes the flight.
-    pub(crate) fn complete(mut self, result: FlightResult) {
-        self.close(FlightState::Done(result));
+    /// Closes the flight and publishes `result()` to every waiter. It runs
+    /// once no thread can join any more, so a freshness check made in it
+    /// covers the read of every waiter.
+    pub(crate) fn complete(mut self, result: impl FnOnce() -> FlightResult) {
+        self.close(|| FlightState::Done(result()));
     }
 
-    /// The flight leaves the table *before* the outcome lands, so later
-    /// arrivals start a fresh flight (a failure is shared with the threads
-    /// that waited on it, never with the next read). Whether it woke any.
-    fn close(&mut self, outcome: FlightState) -> bool {
+    /// The flight leaves the table *before* the outcome is made and lands,
+    /// so later arrivals start a fresh flight (a failure is shared with the
+    /// threads that waited on it, never with the next read). Whether it
+    /// woke any.
+    fn close(&mut self, outcome: impl FnOnce() -> FlightState) -> bool {
         self.closed = true;
         self.group.flights.lock().remove(&self.key);
-        self.flight.finish(outcome)
+        self.flight.finish(outcome())
     }
 }
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
         if !self.closed {
-            self.close(FlightState::Abandoned);
+            self.close(|| FlightState::Abandoned);
         }
     }
 }
@@ -233,7 +239,7 @@ mod tests {
     fn sole_joiner_is_leader() {
         let group = FlightGroup::new();
         match group.join(key(1)) {
-            Join::Leader(guard) => guard.complete(FlightResult::Unshared),
+            Join::Leader(guard) => guard.complete(|| FlightResult::Unshared),
             Join::Waited(_) => panic!("first joiner must lead"),
         }
         // The flight closed: the next joiner leads a fresh one.
@@ -259,7 +265,7 @@ mod tests {
         while group.waiting() < 4 {
             thread::sleep(Duration::from_millis(1));
         }
-        guard.complete(FlightResult::Shared {
+        guard.complete(|| FlightResult::Shared {
             bytes: Bytes::from_static(b"payload"),
             forward: false,
         });
@@ -285,10 +291,12 @@ mod tests {
         while group.waiting() < 1 {
             thread::sleep(Duration::from_millis(1));
         }
-        guard.complete(FlightResult::Failed(PlacelessError::Unavailable {
-            source: "origin-x".into(),
-            retry_after: None,
-        }));
+        guard.complete(|| {
+            FlightResult::Failed(PlacelessError::Unavailable {
+                source: "origin-x".into(),
+                retry_after: None,
+            })
+        });
         let error = waiter.join().expect("no panic");
         assert!(matches!(error, PlacelessError::Unavailable { .. }));
     }
@@ -324,13 +332,13 @@ mod tests {
     fn a_flight_wakes_only_its_waiters() {
         let group = Arc::new(FlightGroup::new());
         let done = || FlightState::Done(FlightResult::Unshared);
-        assert!(!lead(&group, 1).close(done()), "sole leader, completed");
+        assert!(!lead(&group, 1).close(done), "sole leader, completed");
         assert!(
-            !lead(&group, 1).close(FlightState::Abandoned),
+            !lead(&group, 1).close(|| FlightState::Abandoned),
             "and dropped"
         );
 
-        for outcome in [done(), FlightState::Abandoned] {
+        for abandon in [false, true] {
             let mut guard = lead(&group, 2);
             let waiter = {
                 let group = Arc::clone(&group);
@@ -341,6 +349,13 @@ mod tests {
             while lock(&guard.flight.state).1 < 1 {
                 thread::sleep(Duration::from_millis(1));
             }
+            let outcome = || {
+                if abandon {
+                    FlightState::Abandoned
+                } else {
+                    done()
+                }
+            };
             assert!(guard.close(outcome), "one parked waiter is woken");
             assert!(waiter.join().expect("no panic"), "and it returns");
         }
@@ -356,9 +371,9 @@ mod tests {
         };
         // A different key must not wait on key 1's flight.
         match group.join(key(2)) {
-            Join::Leader(guard) => guard.complete(FlightResult::Unshared),
+            Join::Leader(guard) => guard.complete(|| FlightResult::Unshared),
             Join::Waited(_) => panic!("key 2 must lead its own flight"),
         }
-        a.complete(FlightResult::Unshared);
+        a.complete(|| FlightResult::Unshared);
     }
 }

@@ -226,9 +226,11 @@ fn web_ttl_bounds_staleness_for_unannounced_origin_edits() {
 /// A [`MemoryProvider`] whose next stream open commits an out-of-band edit
 /// first, so the stream hands back bytes no verifier made before it has
 /// seen; `ttl` swaps its mtime verifier for a TTL, which attests nothing.
+/// `verify_edit` lands its edit in the next verifier made instead.
 struct RacingProvider {
     inner: Arc<MemoryProvider>,
     edit: std::sync::Mutex<Option<&'static str>>,
+    verify_edit: std::sync::Mutex<Option<&'static str>>,
     ttl: bool,
 }
 
@@ -246,6 +248,9 @@ impl BitProvider for RacingProvider {
         self.inner.open_output(clock)
     }
     fn make_verifier(&self, clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
+        if let Some(edit) = self.verify_edit.lock().unwrap().take() {
+            self.inner.set_out_of_band(edit);
+        }
         if self.ttl {
             return Some(TtlVerifier::for_ttl(clock.now(), 1_000_000));
         }
@@ -269,6 +274,7 @@ fn lease_raced_by_an_edit(ttl: bool) {
     let provider = Arc::new(RacingProvider {
         inner: MemoryProvider::new("doc", "v1", 500),
         edit: Default::default(),
+        verify_edit: Default::default(),
         ttl,
     });
     let doc = space.create_document(USER, provider.clone());
@@ -304,6 +310,39 @@ fn cause1_edit_racing_an_attested_root_lease_is_caught_by_its_recheck() {
 #[test]
 fn cause1_edit_racing_a_ttl_root_lease_is_served_fresh() {
     lease_raced_by_an_edit(true);
+}
+
+/// The edit lands after the lease probe but before the walk makes the
+/// verifier its version is filed under, and no stream open follows: the
+/// walk adopts the resident stage output of the leased root. A version
+/// filed from the old root under a verifier that has seen the edit would
+/// be served on every later hit, so the walk must not anchor on the lease.
+#[test]
+fn cause1_edit_between_lease_probe_and_walk_verifier_is_not_filed_as_fresh() {
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let provider = Arc::new(RacingProvider {
+        inner: MemoryProvider::new("doc", "v1", 500),
+        edit: Default::default(),
+        verify_edit: Default::default(),
+        ttl: false,
+    });
+    let doc = space.create_document(USER, provider.clone());
+    space.add_reference(OTHER, doc).unwrap();
+    space
+        .attach_active(Scope::Universal, doc, Rot13AtRest::new())
+        .unwrap();
+    let cache = DocumentCache::new(
+        space.clone(),
+        CacheConfig {
+            local_latency: LatencyModel::FREE,
+            stage_cache: true,
+            ..CacheConfig::default()
+        },
+    );
+    assert_eq!(cache.read(USER, doc).unwrap(), "i1");
+    *provider.verify_edit.lock().unwrap() = Some("v2");
+    cache.read(OTHER, doc).unwrap();
+    assert_eq!(cache.read(OTHER, doc).unwrap(), "i2");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use placeless_bench::support::TagProperty;
 use placeless_cache::{CacheConfig, DocumentCache, HitClass, OriginConfig, ReadOptions};
-use placeless_core::bitprovider::BitProvider;
+use placeless_core::bitprovider::{BitProvider, MemoryProvider};
 use placeless_core::error::{PlacelessError, Result};
 use placeless_core::id::UserId;
 use placeless_core::space::{DocumentSpace, Scope};
@@ -13,7 +13,7 @@ use placeless_core::streams::{InputStream, MemoryInput, OutputStream};
 use placeless_core::verifier::Verifier;
 use placeless_repository::{FsProvider, MemFs};
 use placeless_simenv::{FaultPlan, Instant, LatencyModel, Link, VirtualClock};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 const USER: UserId = UserId(1);
@@ -178,6 +178,88 @@ fn leader_failure_is_shared_but_not_sticky() {
     );
     assert_eq!(provider.fetches(), 2);
     assert_eq!(cache.stats().misses, 1, "only the successful fill counts");
+}
+
+/// A provider whose first fetch takes its bytes, then lands an out-of-band
+/// edit and parks until a reader has joined the fetch's flight: that
+/// reader's read starts after the edit the leader's bytes predate.
+struct EditBehindFlight {
+    inner: Arc<MemoryProvider>,
+    cache: Arc<OnceLock<Arc<DocumentCache>>>,
+    armed: AtomicBool,
+    /// Set once a reader joined while the first fetch was parked.
+    joined: AtomicBool,
+}
+
+impl BitProvider for EditBehindFlight {
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+
+    fn open_input(&self, clock: &VirtualClock) -> Result<Box<dyn InputStream>> {
+        let stream = self.inner.open_input(clock)?;
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.inner.set_out_of_band("v2");
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            let cache = self.cache.get().expect("cache set before any read");
+            while cache.waiting_reads() < 1 && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            self.joined
+                .store(cache.waiting_reads() >= 1, Ordering::SeqCst);
+        }
+        Ok(stream)
+    }
+
+    fn open_output(&self, clock: &VirtualClock) -> Result<Box<dyn OutputStream>> {
+        self.inner.open_output(clock)
+    }
+
+    fn make_verifier(&self, clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
+        self.inner.make_verifier(clock)
+    }
+
+    fn fetch_cost_micros(&self) -> u64 {
+        self.inner.fetch_cost_micros()
+    }
+}
+
+/// A read that begins after an edit must not be served the bytes of a
+/// flight that fetched before it: the leader's verifier, re-checked once
+/// the flight is closed to joiners, sees the edit, so the waiter fetches
+/// for itself.
+#[test]
+fn a_waiter_that_joins_after_an_edit_is_not_served_the_older_bytes() {
+    let handle: Arc<OnceLock<Arc<DocumentCache>>> = Arc::new(OnceLock::new());
+    let provider = Arc::new(EditBehindFlight {
+        inner: MemoryProvider::new("edit", "v1", 100),
+        cache: handle.clone(),
+        armed: AtomicBool::new(true),
+        joined: AtomicBool::new(false),
+    });
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let doc = space.create_document(USER, provider.clone());
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig::builder()
+            .local_latency(LatencyModel::FREE)
+            .build(),
+    );
+    handle.set(cache.clone()).ok().expect("handle set once");
+
+    let (led, joined) = std::thread::scope(|scope| {
+        let leader = scope.spawn(|| cache.read(USER, doc).expect("leader read"));
+        while provider.inner.epoch() == 0 {
+            std::thread::yield_now();
+        }
+        let waiter = scope.spawn(|| cache.read_with(USER, doc, ReadOptions::default()));
+        let led = leader.join().unwrap();
+        (led, waiter.join().unwrap().expect("waiter read"))
+    });
+    assert!(provider.joined.load(Ordering::SeqCst), "the waiter joined");
+    assert_eq!(led, "v1", "the leader's read began before the edit");
+    assert_eq!(joined.bytes, "v2");
+    assert_ne!(joined.class, HitClass::CoalescedWait);
 }
 
 /// A provider that costs nothing and yields the processor inside every
