@@ -32,7 +32,7 @@
 //!
 //! `epoch` is the content signature of the rendition the writer last read
 //! for `(doc, user)` — [`NO_EPOCH`] when the writer never read the
-//! document. Recovery compares it against the origin's current rendition
+//! document. Recovery compares it against the writer's current rendition
 //! signature to detect write/invalidation conflicts (the origin moved on
 //! while the write sat buffered across a crash). `writer_seq` is the
 //! per-`(doc, user)` causal sequence: together with the epoch it orders

@@ -79,25 +79,18 @@ impl DocumentCache {
     /// Pushes all buffered write-back data to the middleware.
     ///
     /// Dirty data is drained holding one shard lock at a time, sorted
-    /// into a deterministic order, and written with no cache lock held.
-    /// The drained entries are grouped by origin and each group is
-    /// written as one grouped origin operation — one breaker admission
-    /// decision, one backoff schedule, and one pair of middleware hops
-    /// per group attempt instead of per entry — while every per-entry
-    /// outcome below still holds, because the batch write returns one
-    /// result per entry. A failed write does not abandon the remaining
-    /// entries: the failed entry and every entry not yet attempted are
-    /// re-queued into their shards' dirty maps (a concurrent newer write
-    /// for the same key wins over the re-queue), and the returned
+    /// into a deterministic order, grouped by origin, and written with no
+    /// cache lock held, one grouped origin operation per group attempt
+    /// (`flush_group`). A failed write abandons no other entry: what
+    /// failed is re-queued into its shard's dirty map (a concurrent newer
+    /// write for the same key wins over the re-queue), and the returned
     /// [`FlushReport`] names exactly what remains dirty.
     ///
-    /// With a journal configured, a flushed record is acknowledged (and
-    /// the journal pruned) only after its origin write succeeded, and an
-    /// entry whose write exhausted its retries on a transient failure is
-    /// *parked*: it stays dirty and journaled, without failing the flush,
-    /// until a later flush finds the origin's breaker admitting probes
-    /// again. Non-transient failures are re-queued and reported either
-    /// way.
+    /// With a journal configured, a flushed record is acknowledged only
+    /// after its origin write succeeded, and an entry whose write exhausted
+    /// its retries on a transient failure is *parked*: it stays dirty and
+    /// journaled, without failing the flush, until a later flush finds the
+    /// origin's breaker admitting probes again.
     pub fn flush(&self) -> Result<FlushReport> {
         let mut dirty: Vec<(DocumentId, UserId, DirtyEntry)> = Vec::new();
         for mut shard in self.lock_each() {
@@ -242,10 +235,10 @@ impl DocumentCache {
         }
     }
 
-    /// Probes each entry's base epoch against the origin's current
-    /// rendition and routes every conflict through the merge policy
-    /// (without one, every entry passes through). Returns the entries
-    /// that should still be written:
+    /// Probes each entry's base epoch against the writer's current
+    /// rendition ([`Self::current_rendition`]) and routes every conflict
+    /// through the merge policy (without one, every entry passes through).
+    /// Returns the entries that should still be written:
     ///
     /// * rebasable conflicts stay — their ops travel server-side and are
     ///   rebased onto the origin's current content by `write_documents`;
@@ -270,13 +263,11 @@ impl DocumentCache {
         // together once the whole group has been routed.
         let mut dropped_seqs: Vec<u64> = Vec::new();
         for (doc, user, entry) in entries {
-            // The origin's current signature, when it can be probed and
+            // The writer's current signature, when it can be probed and
             // differs from the entry's base epoch.
-            let moved = (entry.epoch != NO_EPOCH)
-                .then(|| self.space.read_document(user, doc).ok())
-                .flatten()
-                .map(|(bytes, _)| ConcurrentStore::signature_of(&bytes))
-                .filter(|origin_sig| *origin_sig != entry.epoch);
+            let probe = || self.current_rendition(user, doc).ok().map(|(_, sig)| sig);
+            let moved = (entry.epoch != NO_EPOCH).then(probe).flatten();
+            let moved = moved.filter(|origin_sig| *origin_sig != entry.epoch);
             let Some(origin_signature) = moved else {
                 kept.push((doc, user, entry));
                 continue;

@@ -495,9 +495,41 @@ impl DocumentCache {
         }
     }
 
-    /// Installs a fetched version under `key`, digested with no lock held
-    /// unless the alias rule ([`ShardGuard::install`]) will turn it away.
-    fn fill(&self, key: EntryKey, fetched: Fetched, prefetched: bool) {
+    /// `user`'s rendition of `doc` as this cache would serve it, and its
+    /// digest, the writer's own buffered write aside. A resident version
+    /// answers only if a verifier of it attests content and all pass now —
+    /// run whatever `run_verifiers` says, as the root lease's are. Else one
+    /// [`Self::fetch_once`], without admission or retry, installed as a
+    /// miss's fetch is and hashed only if the walk knows no digest.
+    pub(super) fn current_rendition(
+        &self,
+        user: UserId,
+        doc: DocumentId,
+    ) -> Result<(Bytes, Signature)> {
+        let (key, clock) = (EntryKey::Version(doc, user), self.space.clock());
+        let attested = |meta: &EntryMeta| {
+            meta.verifiers.iter().any(|v| v.attests_content()) && {
+                let (verdict, probe_cost) = run_all(&meta.verifiers, clock);
+                clock.advance(probe_cost);
+                AtomicCacheStats::add(&self.stats.verify_micros, probe_cost);
+                verdict == Validity::Valid
+            }
+        };
+        if let Some(resident) = self.share(key).content(key, attested) {
+            return Ok(resident);
+        }
+        let ctx = self.origins.fetch_ctx(Priority::Foreground, None);
+        let fetched = self.fetch_once(user, doc, clock, ctx)?;
+        let bytes = fetched.bytes.clone();
+        let cacheable = fetched.report.cacheability != Cacheability::Uncacheable;
+        let sig = cacheable.then(|| self.fill(key, fetched, false)).flatten();
+        let sig = sig.unwrap_or_else(|| ConcurrentStore::signature_of(&bytes));
+        Ok((bytes, sig))
+    }
+
+    /// Installs a fetched version under `key` and returns its digest, taken
+    /// with no lock held — `None` if the alias rule ([`ShardGuard::install`]) turns it away.
+    fn fill(&self, key: EntryKey, fetched: Fetched, prefetched: bool) -> Option<Signature> {
         let Fetched {
             bytes,
             report,
@@ -510,7 +542,7 @@ impl DocumentCache {
         if content_sig.is_none() && free && self.table.scarce(bytes.len() as u64) {
             // Turned away as `install` would, the old binding with it.
             self.lock(key).remove(key, Removal::Invalidated);
-            return;
+            return None;
         }
         // What this version aliases is found by content from now on.
         let sig = content_sig
@@ -525,6 +557,7 @@ impl DocumentCache {
         meta.pinned = report.pinned;
         meta.prefetched = prefetched;
         self.lock(key).install(key, bytes, meta, sig);
+        Some(sig)
     }
 
     /// Pulls collection siblings of `doc` into the cache after a miss.

@@ -25,7 +25,7 @@ pub struct WriteConflict {
     pub user: UserId,
     /// Signature of the rendition the writer based the write on.
     pub journal_epoch: Signature,
-    /// Signature of the origin's current rendition.
+    /// Signature of the writer's current rendition of the document.
     pub origin_signature: Signature,
 }
 
@@ -91,17 +91,16 @@ impl DocumentCache {
     ///
     /// Open the journal over the surviving [`placeless_simenv::StableStore`]
     /// first — [`WriteJournal::open`] truncates any torn tail the crash
-    /// left — then pass it in `config.journal`. Each intact record is
-    /// checked against the origin: if the record carries a base-version
-    /// epoch and the origin's current rendition no longer matches it, the
-    /// origin changed while the write sat buffered across the crash. That
-    /// is a [`WriteConflict`], resolved through `hook` (default:
+    /// left — then pass it in `config.journal`. A record that carries a
+    /// base-version epoch is checked against the writer's current
+    /// rendition ([`Self::current_rendition`]: one fetch through the new
+    /// cache, installed there). If that no longer matches, the origin
+    /// changed while the write sat buffered across the crash: a
+    /// [`WriteConflict`], resolved through `hook` (default:
     /// [`ConflictResolution::KeepMine`]) and *reported*, never silently
-    /// last-writer-wins. Records whose origin is unreachable during
-    /// recovery are re-queued unchecked — the conflict check re-runs
-    /// implicitly when a human inspects the report, and the write itself
-    /// is preserved either way. Records whose document no longer exists
-    /// are dropped and acknowledged.
+    /// last-writer-wins. A record whose origin is unreachable is
+    /// re-queued unchecked; one whose document no longer exists is
+    /// dropped and acknowledged.
     ///
     /// Without a journal in `config`, this is exactly [`Self::new`] plus
     /// an empty report.
@@ -128,28 +127,26 @@ impl DocumentCache {
                 let counter = seqs.entry((record.doc, record.user)).or_insert(0);
                 *counter = (*counter).max(record.writer_seq);
             }
-            // The origin's current rendition, fetched only when the record
+            // The writer's current rendition, taken only when the record
             // names a base version to compare it with (the writer may
             // never have read the document).
-            let origin = if record.epoch == NO_EPOCH {
-                None
-            } else {
-                match cache.space.read_document(record.user, record.doc) {
-                    Ok((bytes, _)) => Some(bytes),
-                    Err(
-                        PlacelessError::NoSuchDocument(_) | PlacelessError::NoSuchReference(..),
-                    ) => {
-                        // The write's target is gone; it can never be
-                        // applied. Drop and acknowledge.
-                        dropped_seqs.push(record.seq);
-                        report.dropped += 1;
-                        continue;
-                    }
-                    // Origin unreachable (or any other read failure):
-                    // re-queue unchecked — losing the write would be worse
-                    // than flushing it unverified.
-                    Err(_) => None,
+            let probed = (record.epoch != NO_EPOCH)
+                .then(|| cache.current_rendition(record.user, record.doc));
+            let moved = match probed {
+                Some(Ok(rendition)) => Some(rendition).filter(|(_, sig)| *sig != record.epoch),
+                Some(Err(
+                    PlacelessError::NoSuchDocument(_) | PlacelessError::NoSuchReference(..),
+                )) => {
+                    // The write's target is gone; it can never be applied.
+                    // Drop and acknowledge.
+                    dropped_seqs.push(record.seq);
+                    report.dropped += 1;
+                    continue;
                 }
+                // No epoch, or the origin unreachable (or any other read
+                // failure): re-queue unchecked — losing the write would be
+                // worse than flushing it unverified.
+                _ => None,
             };
             let mut entry = DirtyEntry {
                 data: record.data.clone(),
@@ -158,40 +155,32 @@ impl DocumentCache {
                 epoch: record.epoch,
                 writer_seq: record.writer_seq,
             };
-            let origin_signature = origin.as_deref().map(ConcurrentStore::signature_of);
-            if let (Some(origin), Some(origin_signature)) = (origin, origin_signature) {
-                if origin_signature != record.epoch {
-                    let conflict = WriteConflict {
-                        doc: record.doc,
-                        user: record.user,
-                        journal_epoch: record.epoch,
-                        origin_signature,
-                    };
-                    let resolution = cache.settle_conflict(
-                        &conflict,
-                        &record.ops,
-                        hook.as_ref(),
-                        &mut report.merge,
-                    );
-                    report.conflicts.push(conflict);
-                    match resolution {
-                        None => {
-                            // Re-apply the writer's typed ops onto the
-                            // origin's *current* content, so both the
-                            // crashed writer's edits and whatever landed at
-                            // the origin meanwhile survive. The re-queued
-                            // entry's epoch advances to the rebased base so
-                            // the flush does not re-detect the same
-                            // conflict.
-                            entry.data = apply_all(&origin, &record.ops);
-                            entry.epoch = origin_signature;
-                        }
-                        Some(ConflictResolution::KeepMine) => report.kept_mine += 1,
-                        Some(ConflictResolution::KeepTheirs) => {
-                            report.kept_theirs += 1;
-                            dropped_seqs.push(record.seq);
-                            continue;
-                        }
+            if let Some((origin, origin_signature)) = moved {
+                let conflict = WriteConflict {
+                    doc: record.doc,
+                    user: record.user,
+                    journal_epoch: record.epoch,
+                    origin_signature,
+                };
+                let resolution =
+                    cache.settle_conflict(&conflict, &record.ops, hook.as_ref(), &mut report.merge);
+                report.conflicts.push(conflict);
+                match resolution {
+                    None => {
+                        // Re-apply the writer's typed ops onto the origin's
+                        // *current* content, so both the crashed writer's
+                        // edits and whatever landed at the origin meanwhile
+                        // survive. The re-queued entry's epoch advances to
+                        // the rebased base so the flush does not re-detect
+                        // the same conflict.
+                        entry.data = apply_all(&origin, &record.ops);
+                        entry.epoch = origin_signature;
+                    }
+                    Some(ConflictResolution::KeepMine) => report.kept_mine += 1,
+                    Some(ConflictResolution::KeepTheirs) => {
+                        report.kept_theirs += 1;
+                        dropped_seqs.push(record.seq);
+                        continue;
                     }
                 }
             }

@@ -24,30 +24,19 @@ impl DocumentCache {
             WriteMode::Back => {
                 let key = EntryKey::Version(doc, user);
                 let shard = self.lock(key);
-                // The epoch is the signature of the rendition this writer
-                // last saw — recovery and the flush-time merge probe
-                // compare it against the origin to detect conflicts. A
-                // writer with a buffered write has been served only that
-                // write since, so its epoch still stands; otherwise it is
-                // the resident rendition.
+                // The epoch, which recovery and the flush's probe compare
+                // with, is the rendition this writer last saw: its buffered
+                // write's (served only that since), else the resident one.
                 let epoch = shard
                     .dirty(doc, user)
                     .map(|entry| entry.epoch)
-                    .or_else(|| shard.signature(key))
+                    .or_else(|| shard.content(key, |_| true).map(|(_, sig)| sig))
                     .unwrap_or(NO_EPOCH);
-                let seq = self.journal.as_ref().map(|journal| {
-                    // Write-ahead: the record reaches stable storage
-                    // before the dirty map changes, so a crash between
-                    // the two loses nothing.
-                    let seq = journal.append(doc, user, epoch, data);
-                    AtomicCacheStats::bump(&self.stats.journal_appends);
-                    seq
-                });
                 // A full-body write supersedes any accumulated op
                 // delta: the entry reverts to an opaque snapshot.
                 let entry = DirtyEntry {
                     data: Bytes::copy_from_slice(data),
-                    seq,
+                    seq: None,
                     ops: Vec::new(),
                     epoch,
                     writer_seq: 0,
@@ -60,16 +49,16 @@ impl DocumentCache {
     /// Applies one typed operation ([`DocOp`]) to a document — the
     /// op-based write API that makes buffered writes *mergeable*.
     ///
-    /// In write-through mode the op is applied to the origin's current
-    /// content and written immediately ([`DocOp::SetProperty`] attaches
-    /// the property directly). In write-back mode the op is folded into
-    /// the entry's accumulated delta: the dirty entry keeps both the
-    /// materialized view (what a read of the buffered write returns, and
-    /// what a binary keep-mine resolution would flush) *and* the op list
-    /// since the base epoch, journaled together via
-    /// [`WriteJournal::append_op`], so crash recovery and flush can
-    /// rebase the delta onto a origin that moved on concurrently — see
-    /// [`CacheConfig::merge`].
+    /// In write-through mode the op is applied to the writer's current
+    /// rendition ([`Self::current_rendition`]) and written immediately
+    /// ([`DocOp::SetProperty`] attaches the property directly). In
+    /// write-back mode it is folded into the entry's delta, based on the
+    /// buffered write, the resident version, or that rendition: the entry
+    /// keeps the materialized view (what a read of it returns, and what a
+    /// keep-mine resolution would flush) *and* the op list since the base
+    /// epoch, journaled together via [`WriteJournal::append_op`], so
+    /// recovery and flush can rebase the delta onto an origin that moved
+    /// on concurrently — see [`CacheConfig::merge`].
     pub fn write_op(&self, user: UserId, doc: DocumentId, op: DocOp) -> Result<()> {
         if self.write_mode == WriteMode::Through {
             if let DocOp::SetProperty { name, value } = &op {
@@ -78,51 +67,46 @@ impl DocumentCache {
                 AtomicCacheStats::bump(&self.stats.writes);
                 return Ok(());
             }
-            let (base, _) = self.space.read_document(user, doc)?;
+            let (base, _) = self.current_rendition(user, doc)?;
             return self.write(user, doc, &op.apply(&base));
         }
         let key = EntryKey::Version(doc, user);
-        // Resolve the base view without holding the shard lock across a
-        // middleware read: if neither a buffered write nor a resident
-        // rendition provides the base, read the origin first and re-take
-        // the lock (a buffered write that lands in between wins).
-        let mut origin_base: Option<(Bytes, Signature)> = None;
+        // The base, with no shard lock held across a fetch: without a
+        // buffered write or a resident version, take the current rendition
+        // and re-take the lock (a buffered write landing in between wins).
+        let mut current: Option<(Bytes, Signature)> = None;
         loop {
             let shard = self.lock(key);
-            let (base, epoch, mut ops, prior_writer_seq) = if let Some(entry) =
-                shard.dirty(doc, user)
-            {
-                // A pending plain write is an opaque snapshot: represent
-                // it as a full-body op so the combined delta stays honest
-                // (it pins the body and is therefore unmergeable, exactly
-                // like the plain write itself).
-                let prior = if entry.ops.is_empty() {
-                    vec![DocOp::Replace(entry.data.clone())]
+            let (base, epoch, mut ops, prior_writer_seq) =
+                if let Some(entry) = shard.dirty(doc, user) {
+                    // A pending plain write is an opaque snapshot: represent
+                    // it as a full-body op so the combined delta stays honest
+                    // (it pins the body and is therefore unmergeable, exactly
+                    // like the plain write itself).
+                    let prior = if entry.ops.is_empty() {
+                        vec![DocOp::Replace(entry.data.clone())]
+                    } else {
+                        entry.ops.clone()
+                    };
+                    (entry.data.clone(), entry.epoch, prior, entry.writer_seq)
+                } else if let Some((bytes, sig)) = shard.content(key, |_| true).or(current.take()) {
+                    (bytes, sig, Vec::new(), 0)
                 } else {
-                    entry.ops.clone()
+                    drop(shard);
+                    current = Some(match self.current_rendition(user, doc) {
+                        Ok(rendition) => rendition,
+                        Err(
+                            error @ (PlacelessError::NoSuchDocument(_)
+                            | PlacelessError::NoSuchReference(..)),
+                        ) => return Err(error),
+                        // Origin unreachable: the op must still not be lost.
+                        // Start the delta from an empty base with no epoch;
+                        // the flush applies the ops server-side onto whatever
+                        // the origin holds by then.
+                        Err(_) => (Bytes::new(), NO_EPOCH),
+                    });
+                    continue;
                 };
-                (entry.data.clone(), entry.epoch, prior, entry.writer_seq)
-            } else if let Some((bytes, sig)) = shard.content(key).or_else(|| origin_base.take()) {
-                (bytes, sig, Vec::new(), 0)
-            } else {
-                drop(shard);
-                origin_base = Some(match self.space.read_document(user, doc) {
-                    Ok((bytes, _)) => {
-                        let sig = ConcurrentStore::signature_of(&bytes);
-                        (bytes, sig)
-                    }
-                    Err(
-                        error @ (PlacelessError::NoSuchDocument(_)
-                        | PlacelessError::NoSuchReference(..)),
-                    ) => return Err(error),
-                    // Origin unreachable: the op must still not be lost.
-                    // Start the delta from an empty base with no epoch;
-                    // the flush applies the ops server-side onto whatever
-                    // the origin holds by then.
-                    Err(_) => (Bytes::new(), NO_EPOCH),
-                });
-                continue;
-            };
             let view = op.apply(&base);
             ops.push(op);
             let writer_seq = {
@@ -133,14 +117,9 @@ impl DocumentCache {
                 *counter = (*counter).max(prior_writer_seq) + 1;
                 *counter
             };
-            let seq = self.journal.as_ref().map(|journal| {
-                let seq = journal.append_op(doc, user, epoch, &view, ops.clone(), writer_seq);
-                AtomicCacheStats::bump(&self.stats.journal_appends);
-                seq
-            });
             let entry = DirtyEntry {
                 data: view,
-                seq,
+                seq: None,
                 ops,
                 epoch,
                 writer_seq,
@@ -149,18 +128,26 @@ impl DocumentCache {
         }
     }
 
-    /// The tail every buffered write-back write shares: puts `entry` in
-    /// the dirty map under the still-held shard lock, releases the lock,
-    /// counts the write, and forwards the operation event when a
-    /// write-path property must see every write (§3: write-path
-    /// properties register their own cacheability requirements).
+    /// The tail every buffered write-back write shares: journals `entry`
+    /// (when a journal is configured) and puts it in the dirty map under
+    /// the still-held shard lock, releases the lock, counts the write, and
+    /// forwards the operation event when a write-path property must see
+    /// every write (§3: write-path properties register their own
+    /// cacheability requirements).
     fn buffer_write(
         &self,
         mut shard: ShardGuard<'_>,
         user: UserId,
         doc: DocumentId,
-        entry: DirtyEntry,
+        mut entry: DirtyEntry,
     ) -> Result<()> {
+        // Write-ahead: the record reaches stable storage before the dirty
+        // map changes, so a crash between the two loses nothing.
+        entry.seq = self.journal.as_ref().map(|journal| {
+            AtomicCacheStats::bump(&self.stats.journal_appends);
+            let (data, ops) = (&entry.data, entry.ops.clone());
+            journal.append_op(doc, user, entry.epoch, data, ops, entry.writer_seq)
+        });
         shard.put_dirty(doc, user, entry);
         drop(shard);
         AtomicCacheStats::bump(&self.stats.writes);

@@ -91,7 +91,7 @@ pub(crate) struct DirtyEntry {
     pub(crate) ops: Vec<DocOp>,
     /// Content signature of the base rendition the buffered write was
     /// authored against ([`crate::NO_EPOCH`] when unknown). The flush-time
-    /// conflict probe compares it against the origin's current rendition.
+    /// conflict probe compares it against the writer's current rendition.
     pub(crate) epoch: Signature,
     /// Per-`(doc, user)` causal sequence; `0` for plain writes.
     pub(crate) writer_seq: u64,
@@ -379,15 +379,14 @@ impl<'a, G: Deref<Target = Shard>> ShardGuard<'a, G> {
         self.shard.entries.contains_key(&key)
     }
 
-    /// Returns the content signature `key` is bound to.
-    pub(crate) fn signature(&self, key: EntryKey) -> Option<Signature> {
-        self.shard.entries.get(&key).map(|entry| entry.sig)
-    }
-
-    /// Returns `key`'s resident content and its signature without
-    /// registering a hit.
-    pub(crate) fn content(&self, key: EntryKey) -> Option<(Bytes, Signature)> {
-        let entry = self.shard.entries.get(&key)?;
+    /// Returns `key`'s resident content and its signature, if `keep`
+    /// accepts the entry's metadata, without registering a hit.
+    pub(crate) fn content(
+        &self,
+        key: EntryKey,
+        keep: impl FnOnce(&EntryMeta) -> bool,
+    ) -> Option<(Bytes, Signature)> {
+        let entry = self.shard.entries.get(&key).filter(|e| keep(&e.meta))?;
         Some((entry.bytes.clone(), entry.sig))
     }
 

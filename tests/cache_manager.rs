@@ -7,8 +7,8 @@ use bytes::Bytes;
 use placeless_bench::support::TagProperty;
 use placeless_cache::policy::{EntryAttrs, EntryKey, PolicyFactory, ReplacementPolicy};
 use placeless_cache::{
-    default_shard_count, CacheConfig, DocumentCache, HitClass, MergePolicy, PrefetchConfig,
-    ReadOptions, WriteJournal, WriteMode,
+    default_shard_count, CacheConfig, ConflictHook, ConflictResolution, DocumentCache, HitClass,
+    MergePolicy, PrefetchConfig, ReadOptions, WriteJournal, WriteMode,
 };
 use placeless_core::prelude::*;
 use placeless_simenv::{LatencyModel, VirtualClock};
@@ -655,6 +655,39 @@ fn write_op_buffers_a_mergeable_delta_and_flushes_it() {
     assert!(journal.is_empty(), "flush acks the op record");
 }
 
+/// The flush's conflict probe takes the writer's rendition from the cache
+/// only while the rendition's verifier vouches for it, and runs that
+/// verifier even in a cache that trusts notifiers and skips verifiers on
+/// hits: an origin edited out of band still conflicts with the buffered
+/// write.
+#[test]
+fn flush_probe_runs_the_verifier_a_notifier_cache_skips() {
+    let (space, provider, doc) = setup("v1", 100);
+    let hook: ConflictHook = Arc::new(|_| ConflictResolution::KeepTheirs);
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig {
+            run_verifiers: false,
+            write_mode: WriteMode::Back,
+            merge: Some(MergePolicy::new().on_unmergeable(hook)),
+            ..quiet_config()
+        },
+    );
+    cache.read(ALICE, doc).expect("read must succeed");
+    cache
+        .write(ALICE, doc, b"mine")
+        .expect("write-back must buffer");
+    provider.set_out_of_band("theirs");
+    assert!(
+        cache.contains(ALICE, doc),
+        "the stale rendition is resident"
+    );
+    let report = cache.flush().expect("flush must run");
+    assert_eq!(report.merge.examined, 1, "{report}");
+    assert_eq!(report.dropped, vec![(doc, ALICE)], "{report}");
+    assert_eq!(provider.content(), "theirs");
+}
+
 #[test]
 fn plain_write_supersedes_the_op_delta() {
     use placeless_core::op::DocOp;
@@ -917,6 +950,65 @@ fn write_cost_is_independent_of_silent_holders() {
         large <= small * 4,
         "writing a document: {small:?} with 4 silent holders, {large:?} with 4k"
     );
+}
+
+/// A memory origin that counts how often its bytes were read.
+struct CountedOrigin {
+    inner: Arc<MemoryProvider>,
+    reads: AtomicU64,
+}
+
+impl BitProvider for CountedOrigin {
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+    fn open_input(&self, clock: &VirtualClock) -> Result<Box<dyn InputStream>> {
+        self.reads.fetch_add(1, Ordering::SeqCst);
+        self.inner.open_input(clock)
+    }
+    fn open_output(&self, clock: &VirtualClock) -> Result<Box<dyn OutputStream>> {
+        self.inner.open_output(clock)
+    }
+    fn make_verifier(&self, clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
+        self.inner.make_verifier(clock)
+    }
+    fn fetch_cost_micros(&self) -> u64 {
+        self.inner.fetch_cost_micros()
+    }
+}
+
+/// What a write-back write costs the origin's readers: with the writer's
+/// rendition resident and attested by its verifier, neither the op's base
+/// nor the flush's conflict probe reads the document again.
+#[test]
+fn flush_cost_reads_no_attested_rendition_again() {
+    use placeless_core::op::DocOp;
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let origin = Arc::new(CountedOrigin {
+        inner: MemoryProvider::new("counted", "base", 100),
+        reads: AtomicU64::new(0),
+    });
+    let doc = space.create_document(ALICE, origin.clone());
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig {
+            stage_cache: true,
+            write_mode: WriteMode::Back,
+            merge: Some(MergePolicy::new()),
+            ..quiet_config()
+        },
+    );
+    cache.read(ALICE, doc).expect("read must succeed");
+    let reads = origin.reads.load(Ordering::SeqCst);
+    // A full-body op: it travels as bytes, so the group write reads
+    // nothing either.
+    cache
+        .write_op(ALICE, doc, DocOp::Replace(Bytes::from("mine")))
+        .expect("op write must buffer");
+    let report = cache.flush().expect("flush must run");
+    assert_eq!((report.flushed, report.merge.examined), (1, 0), "{report}");
+    assert_eq!(origin.inner.content(), "mine");
+    assert_eq!(origin.reads.load(Ordering::SeqCst), reads, "no chain read");
 }
 
 /// A read-only origin whose verifier asks `script` for its verdict and

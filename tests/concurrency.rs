@@ -2,7 +2,6 @@
 //! services; readers, writers, property mutators, and invalidators must be
 //! able to run from multiple threads without deadlock or corruption.
 
-use crossbeam::thread;
 use placeless::prelude::*;
 use placeless_simenv::LatencyModel;
 use std::sync::Arc;
@@ -37,11 +36,11 @@ fn setup(docs: usize) -> (Arc<DocumentSpace>, Arc<DocumentCache>, Vec<DocumentId
 #[test]
 fn concurrent_readers_converge() {
     let (_space, cache, docs) = setup(8);
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for user in 1..=4u64 {
             let cache = &cache;
             let docs = &docs;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for round in 0..200 {
                     let doc = docs[(round + user as usize) % docs.len()];
                     let bytes = cache.read(UserId(user), doc).unwrap();
@@ -49,8 +48,7 @@ fn concurrent_readers_converge() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let stats = cache.stats();
     assert_eq!(stats.hits + stats.misses, 800);
     assert!(stats.hit_rate().unwrap() > 0.9);
@@ -59,12 +57,12 @@ fn concurrent_readers_converge() {
 #[test]
 fn readers_and_writers_race_without_corruption() {
     let (space, cache, docs) = setup(4);
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // Three reader threads.
         for user in 2..=4u64 {
             let cache = &cache;
             let docs = &docs;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for round in 0..150 {
                     let doc = docs[round % docs.len()];
                     let bytes = cache.read(UserId(user), doc).unwrap();
@@ -81,7 +79,7 @@ fn readers_and_writers_race_without_corruption() {
         // One writer thread mutating through the middleware.
         let space = &space;
         let docs = &docs;
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for round in 0..100 {
                 let doc = docs[round % docs.len()];
                 space
@@ -89,8 +87,7 @@ fn readers_and_writers_race_without_corruption() {
                     .unwrap();
             }
         });
-    })
-    .unwrap();
+    });
     // After the dust settles, a fresh read sees the final write.
     let last = cache.read(UserId(2), docs[3]).unwrap();
     let text = String::from_utf8_lossy(&last);
@@ -103,16 +100,16 @@ fn property_mutations_race_with_reads() {
     space
         .attach_active(Scope::Universal, docs[0], PropertyChangeNotifier::any())
         .unwrap();
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let cache = &cache;
         let doc = docs[0];
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for _ in 0..150 {
                 let _ = cache.read(UserId(2), doc).unwrap();
             }
         });
         let space = &space;
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for i in 0..50 {
                 let id = space
                     .attach_active(Scope::Personal(UserId(2)), doc, Translate::to("fr"))
@@ -123,8 +120,7 @@ fn property_mutations_race_with_reads() {
                     .unwrap();
             }
         });
-    })
-    .unwrap();
+    });
     // Terminal state: no translator attached, original text served.
     let bytes = cache.read(UserId(2), docs[0]).unwrap();
     assert_eq!(bytes, "content 0");
@@ -136,24 +132,23 @@ fn invalidations_race_with_hits() {
     for &doc in &docs {
         cache.read(UserId(1), doc).unwrap();
     }
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let cache = &cache;
         let docs = &docs;
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for round in 0..300 {
                 let _ = cache.read(UserId(1), docs[round % docs.len()]).unwrap();
             }
         });
         let space = &space;
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for round in 0..300 {
                 space
                     .bus()
                     .post(Invalidation::Document(docs[round % docs.len()]));
             }
         });
-    })
-    .unwrap();
+    });
     let stats = cache.stats();
     assert!(stats.notifier_invalidations > 0);
     assert_eq!(stats.hits + stats.misses, 300 + 4);
@@ -164,10 +159,10 @@ fn concurrent_nfs_clients() {
     let (space, _cache, docs) = setup(1);
     let nfs = NfsServer::new(DirectBackend::new(space));
     nfs.export("/shared.txt", docs[0]);
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for user in 1..=4u64 {
             let nfs = nfs.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..50 {
                     let h = nfs
                         .open(UserId(user), "/shared.txt", OpenMode::Read)
@@ -177,7 +172,6 @@ fn concurrent_nfs_clients() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(nfs.open_count(), 0, "every handle closed");
 }

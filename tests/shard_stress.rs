@@ -12,7 +12,6 @@
 //!   threads are still running* — the reserve-before-publish fill path
 //!   must hold under contention, not just at quiescence.
 
-use crossbeam::thread;
 use placeless::cache::{CacheStats, HitClass, OriginConfig, ReadOptions, WindowConfig};
 use placeless::prelude::*;
 use placeless_bench::support::TagProperty;
@@ -80,13 +79,13 @@ fn build_world() -> (Arc<DocumentSpace>, Arc<DocumentCache>, Vec<DocumentId>) {
 fn stress_mixed_ops_hold_invariants() {
     let (space, cache, docs) = build_world();
     let issued_reads = AtomicU64::new(0);
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..THREADS {
             let cache = &cache;
             let space = &space;
             let docs = &docs;
             let issued_reads = &issued_reads;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let user = UserId(t + 1);
                 let mut rng = Rng(0x9E37_79B9 + t);
                 for _ in 0..OPS_PER_THREAD {
@@ -130,8 +129,7 @@ fn stress_mixed_ops_hold_invariants() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let stats = cache.stats();
     let issued = issued_reads.load(Ordering::Relaxed);
@@ -173,11 +171,11 @@ fn stress_write_back_flush_races_with_readers() {
             .shards(4)
             .build(),
     );
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..3u64 {
             let cache = &cache;
             let docs = &docs;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let user = UserId(t + 2);
                 let mut rng = Rng(7 + t);
                 for round in 0..200 {
@@ -193,13 +191,12 @@ fn stress_write_back_flush_races_with_readers() {
             });
         }
         let cache = &cache;
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for _ in 0..20 {
                 let _ = cache.flush().unwrap();
             }
         });
-    })
-    .unwrap();
+    });
     let _ = cache.flush().unwrap();
     assert_eq!(cache.dirty_count(), 0, "final flush drained everything");
     let stats = cache.stats();
@@ -257,17 +254,17 @@ fn stress_one_shard_hits_installs_and_invalidations() {
         let version: u64 = version.parse().unwrap();
         assert!(version <= latest[index].load(Ordering::SeqCst), "{body:?}");
     };
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for reader in 1..=READERS {
             let read_checked = &read_checked;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let (mut rng, mut round) = (Rng(0xC0FFEE + reader), 0);
                 while running(&mut round) {
                     read_checked(UserId(reader), rng.next() as usize % DOCS);
                 }
             });
         }
-        scope.spawn(|_| {
+        scope.spawn(|| {
             let (mut rng, mut round) = (Rng(0xBEEF), 0);
             while running(&mut round) {
                 let index = rng.next() as usize % DOCS;
@@ -276,15 +273,14 @@ fn stress_one_shard_hits_installs_and_invalidations() {
                 read_checked(installer, index);
             }
         });
-        scope.spawn(|_| {
+        scope.spawn(|| {
             let (mut rng, mut round) = (Rng(0xD00D), 0);
             while running(&mut round) {
                 let doc = docs[rng.next() as usize % DOCS];
                 space.bus().post(Invalidation::Document(doc));
             }
         });
-    })
-    .unwrap();
+    });
 
     let stats = cache.stats();
     assert_eq!(
@@ -350,10 +346,10 @@ fn stress_counters_add_up_across_threads() {
             .shards(4)
             .build(),
     );
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for &user in &users {
             let (cache, space, docs) = (&cache, &space, &docs);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut rng = Rng(0xFACADE + user.0);
                 for read in 0..READS {
                     let doc = docs[rng.next() as usize % DOCS];
@@ -365,8 +361,7 @@ fn stress_counters_add_up_across_threads() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let stats = cache.stats();
     assert_eq!(stats.hits + stats.misses, THREADS * READS, "{stats:?}");
@@ -452,10 +447,10 @@ fn drive_trace(trace: &TraceBuilder, base_chain: usize, shards: usize, capacity:
 
     let before = cache.stats();
     let classes: [AtomicU64; 5] = std::array::from_fn(|_| AtomicU64::new(0));
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for stream in &streams {
             let (cache, docs, classes) = (&cache, &docs, &classes);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (i, e) in stream.iter().enumerate() {
                     let (user, doc) = (UserId(e.user as u64 + 1), docs[e.doc]);
                     if e.is_write {
@@ -468,8 +463,7 @@ fn drive_trace(trace: &TraceBuilder, base_chain: usize, shards: usize, capacity:
                 }
             });
         }
-    })
-    .unwrap();
+    });
     TraceRun {
         classes: classes.map(AtomicU64::into_inner),
         stats: cache.stats().delta(&before),
