@@ -388,6 +388,16 @@ fn slice_kernel(mut map: impl FnMut(u8) -> u8 + Send + 'static) -> SliceKernel {
     })
 }
 
+/// Gathers the low bit of each of 64 bytes into one integer: byte kernels
+/// flag bytes in a branch-free loop the compiler vectorises, then visit
+/// the set bits.
+pub fn gather(flags: &[u8; 64]) -> u64 {
+    flags.chunks_exact(8).rev().fold(0, |bits, eight| {
+        let eight = u64::from_le_bytes(eight.try_into().expect("chunks of eight"));
+        bits << 8 | eight.wrapping_mul(0x0102_0408_1020_4080) >> 56
+    })
+}
+
 /// A streaming (non-buffering) byte-wise input transform, for per-byte
 /// transforms like case folding or ROT13 that do not need the whole
 /// document.

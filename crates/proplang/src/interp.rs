@@ -8,6 +8,7 @@ use crate::ast::{Cond, Program, Stage};
 use parking_lot::RwLock;
 use placeless_core::error::{PlacelessError, Result};
 use placeless_core::external::ExternalSource;
+use placeless_core::streams::gather;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -88,7 +89,7 @@ fn run_stage(stage: &Stage, text: &str, props: PropLookup<'_>, env: &ExtEnv) -> 
                 other => other,
             })
             .collect(),
-        Stage::Replace(from, to) => text.replace(from.as_str(), to),
+        Stage::Replace(from, to) => replace(text, from, to),
         Stage::Prepend(s) => format!("{s}{text}"),
         Stage::Append(s) => format!("{text}{s}"),
         Stage::FirstSentences(n) => {
@@ -117,10 +118,7 @@ fn run_stage(stage: &Stage, text: &str, props: PropLookup<'_>, env: &ExtEnv) -> 
             .map(|(i, line)| format!("{:>4}  {line}", i + 1))
             .collect::<Vec<_>>()
             .join("\n"),
-        Stage::Redact(word) => {
-            let mask: String = std::iter::repeat_n('█', word.chars().count()).collect();
-            text.replace(word.as_str(), &mask)
-        }
+        Stage::Redact(word) => replace(text, word, &"█".repeat(word.chars().count())),
         Stage::HeadBytes(n) => {
             let mut end = (*n as usize).min(text.len());
             while end > 0 && !text.is_char_boundary(end) {
@@ -138,6 +136,41 @@ fn run_stage(stage: &Stage, text: &str, props: PropLookup<'_>, env: &ExtEnv) -> 
         Stage::If(cond, inner) if eval_cond(cond, props) => run_stage(inner, text, props, env)?,
         Stage::If(..) => text.to_owned(),
     })
+}
+
+/// `text.replace(from, to)`, its output reserved up front (to at most
+/// twice `text`) and the needle found 64 places at a time: a place that
+/// starts with the needle's first byte and has its last byte
+/// `from.len() - 1` on is a candidate, compared whole. A match is whole
+/// UTF-8 characters, so it begins and ends on character boundaries.
+pub fn replace(text: &str, from: &str, to: &str) -> String {
+    let (hay, needle, n) = (text.as_bytes(), from.as_bytes(), from.len());
+    if n < 2 || hay.len() < n {
+        return text.replace(from, to);
+    }
+    let growth = hay.len() / n * to.len().saturating_sub(n);
+    let mut out = String::with_capacity(hay.len() + growth.min(hay.len()));
+    // `text[copied..]` is what has not reached `out` yet.
+    let mut copied = 0;
+    for block in (0..=hay.len() - n).step_by(64) {
+        let mut flags = [0u8; 64];
+        let ends = hay[block..].iter().zip(&hay[block + n - 1..]);
+        for (flag, (&head, &tail)) in flags.iter_mut().zip(ends) {
+            *flag = u8::from(head == needle[0]) & u8::from(tail == needle[n - 1]);
+        }
+        let mut candidates = gather(&flags);
+        while candidates != 0 {
+            let at = block + candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            if at >= copied && hay[at..].starts_with(needle) {
+                out.push_str(&text[copied..at]);
+                out.push_str(to);
+                copied = at + n;
+            }
+        }
+    }
+    out.push_str(&text[copied..]);
+    out
 }
 
 /// Replaces `${prop:NAME}` and `${ext:NAME}` placeholders; unknown names
