@@ -93,7 +93,7 @@ impl DocumentCache {
     /// origin's breaker admitting probes again.
     pub fn flush(&self) -> Result<FlushReport> {
         let mut dirty: Vec<(DocumentId, UserId, DirtyEntry)> = Vec::new();
-        for mut shard in self.lock_each() {
+        for mut shard in self.table.lock_each() {
             shard.drain_dirty(&mut dirty);
         }
         // HashMap drain order depends on the process hasher seed; sorting
@@ -151,7 +151,7 @@ impl DocumentCache {
         }
         let driver = RetryDriver {
             origins: &self.origins,
-            stats: &self.stats,
+            stats: &self.table.stats,
             op: Op::Write,
             deadline: self.origins.config.fetch_deadline_micros,
         };
@@ -161,7 +161,7 @@ impl DocumentCache {
             || origin,
             None,
             || {
-                AtomicCacheStats::bump(&self.stats.flush_batches);
+                AtomicCacheStats::bump(&self.table.stats.flush_batches);
                 let writes: Vec<BatchWrite> = pending
                     .iter()
                     .map(|(doc, user, entry)| BatchWrite {
@@ -187,13 +187,13 @@ impl DocumentCache {
                 // for index) the transient error each just met.
                 let mut survivors = Vec::new();
                 let mut errors = Vec::new();
-                for ((doc, user, entry), result) in pending.drain(..).zip(results) {
+                for ((doc, user, mut entry), result) in pending.drain(..).zip(results) {
                     match result {
                         Ok(()) => {
-                            AtomicCacheStats::bump(&self.stats.flushes);
+                            AtomicCacheStats::bump(&self.table.stats.flushes);
                             report.flushed += 1;
                             acks.extend(entry.seq);
-                            self.unpark(doc, user);
+                            self.table.mark(&mut entry, false);
                             self.invalidate_doc(doc);
                         }
                         Err(error) if error.is_transient() => {
@@ -262,7 +262,7 @@ impl DocumentCache {
         // Journal records of the entries dropped below, acknowledged
         // together once the whole group has been routed.
         let mut dropped_seqs: Vec<u64> = Vec::new();
-        for (doc, user, entry) in entries {
+        for (doc, user, mut entry) in entries {
             // The writer's current signature, when it can be probed and
             // differs from the entry's base epoch.
             let probe = || self.current_rendition(user, doc).ok().map(|(_, sig)| sig);
@@ -286,7 +286,7 @@ impl DocumentCache {
                 None | Some(ConflictResolution::KeepMine) => kept.push((doc, user, entry)),
                 Some(ConflictResolution::KeepTheirs) => {
                     dropped_seqs.extend(entry.seq);
-                    self.unpark(doc, user);
+                    self.table.mark(&mut entry, false);
                     report.dropped.push((doc, user));
                 }
             }
@@ -312,28 +312,16 @@ impl DocumentCache {
     ) {
         // Put the drained entry back without clobbering a newer write
         // that landed while the flush held no lock.
-        let mut shard = self.lock(EntryKey::Version(doc, user));
-        if shard.dirty(doc, user).is_none() {
-            shard.put_dirty(doc, user, entry);
+        let park = self.journal.is_some() && error.is_transient();
+        let mut shard = self.table.lock(EntryKey::Version(doc, user));
+        let queued = shard.put_dirty(doc, user, entry, true);
+        if park && self.table.mark(queued, true) {
+            AtomicCacheStats::bump(&self.table.stats.writes_parked);
         }
-        drop(shard);
-        if self.journal.is_some() && error.is_transient() {
-            if self.parked.lock().insert((doc, user)) {
-                self.parked_gauge.fetch_add(1, Ordering::Relaxed);
-                AtomicCacheStats::bump(&self.stats.writes_parked);
-            }
+        if park {
             report.parked.push((doc, user));
         } else {
             report.requeued.push((doc, user, error));
-        }
-    }
-
-    /// Forgets that `user`'s write to `doc` was parked: the entry left
-    /// the dirty set for good (flushed, or dropped by a `KeepTheirs`
-    /// resolution).
-    pub(super) fn unpark(&self, doc: DocumentId, user: UserId) {
-        if self.parked.lock().remove(&(doc, user)) {
-            self.parked_gauge.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }

@@ -22,22 +22,19 @@ impl DocumentCache {
         if prev == 0 || seq <= prev + 1 {
             return;
         }
-        AtomicCacheStats::bump(&self.stats.notifier_gaps);
-        for mut shard in self.lock_each() {
+        AtomicCacheStats::bump(&self.table.stats.notifier_gaps);
+        for mut shard in self.table.lock_each() {
             shard.demote_after_gap();
         }
     }
 
-    /// Drops every resident version of `doc`, visiting the shards one at
-    /// a time (no two shard locks are ever held together); each visit
-    /// costs the document's versions in that shard. Returns how many
-    /// entries went.
+    /// Drops every resident version of `doc`, and its lease, visiting the
+    /// shards one at a time (no two shard locks are ever held together);
+    /// each visit costs the document's versions in that shard. Returns how
+    /// many entries went.
     pub(super) fn invalidate_doc(&self, doc: DocumentId) -> u64 {
-        // Hygiene, not correctness: both lease halves self-validate on use
-        // (chain epoch, root verifier), but a doc-wide invalidation makes
-        // them unlikely to validate again — free the memory now.
-        self.leases.lock().remove(&doc);
-        self.lock_each()
+        self.table
+            .lock_each()
             .map(|mut shard| shard.remove_doc(doc))
             .sum()
     }
@@ -48,11 +45,11 @@ impl DocumentCache {
             // only that key's shard is locked.
             Invalidation::UserDocument(doc, user) => {
                 let key = EntryKey::Version(doc, user);
-                u64::from(self.lock(key).remove(key, Removal::Invalidated))
+                u64::from(self.table.lock(key).remove(key, Removal::Invalidated))
             }
             Invalidation::Document(doc) => self.invalidate_doc(doc),
         };
-        AtomicCacheStats::add(&self.stats.notifier_invalidations, dropped);
+        AtomicCacheStats::add(&self.table.stats.notifier_invalidations, dropped);
     }
 }
 

@@ -42,15 +42,15 @@
 //!
 //! ## Lock ordering
 //!
-//! The shard-lock rules live with the table in `crate::shard`. On top of
-//! them, the write-journal, parked-set, writer-sequence and lease locks,
-//! and the origin locks of `crate::origin` (the table of records, each
-//! record's health, the brownout ladder), are **leaves**: released before
-//! returning, never two at once, and no shard lock is ever requested
-//! while one of them is held. A read parked on a full origin window holds
-//! no lock at all. Miss fetches, flush writes, and event forwarding run
-//! with **no** cache lock held, because the middleware path may re-enter
-//! the cache through the invalidation bus.
+//! The shard-lock rules live with the table in `crate::shard`, which also
+//! holds all per-key state. On top of them, the write-journal lock, the two
+//! flight tables and the origin locks of `crate::origin` (the table of
+//! records, each record's health, the brownout ladder) are **leaves**:
+//! released before returning, never two at once, and no shard lock is
+//! ever requested while one of them is held. A read parked on a full
+//! origin window holds no lock at all. Miss fetches, flush writes, and
+//! event forwarding run with **no** cache lock held, because the
+//! middleware path may re-enter the cache through the invalidation bus.
 //!
 //! ## Single-flight coalescing
 //!
@@ -90,13 +90,12 @@ use crate::origin::{
 };
 use crate::policy::{EntryKey, PolicyFactory};
 use crate::prefetch::PrefetchConfig;
-use crate::shard::{DirtyEntry, Probe, Removal, ShardGuard, ShardRead, ShardTable, Stale};
+use crate::shard::{DirtyEntry, PlanLease, Probe, Removal, Root, ShardGuard, ShardTable, Stale};
 use crate::singleflight::{FlightGroup, FlightResult, Join};
 use crate::stats::{AtomicCacheStats, CacheStats};
 use crate::store::ConcurrentStore;
 use bytes::Bytes;
 use invalidate::CacheSink;
-use parking_lot::Mutex;
 use placeless_core::cacheability::Cacheability;
 use placeless_core::error::{PlacelessError, Result};
 use placeless_core::event::EventKind;
@@ -110,9 +109,8 @@ use placeless_core::streams::read_all;
 use placeless_core::verifier::{run_all, Validity, Verifier};
 use placeless_simenv::{Instant, LatencyModel, Link, VirtualClock};
 use read::Fetched;
-use stages::PlanLease;
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -129,16 +127,11 @@ pub struct DocumentCache {
     access_link: Option<Link>,
     /// The sharded entry table and the content store behind it.
     table: ShardTable,
-    stats: AtomicCacheStats,
     stage_cache: bool,
     /// Origin health: one record per origin, the policy over them, and
     /// the brownout ladder.
     origins: Origins,
     journal: Option<WriteJournal>,
-    /// Keys whose flush exhausted its retries and now sit in the journal
-    /// awaiting a breaker probe. Bookkeeping only (stats and reports);
-    /// the data itself stays in the dirty maps and the journal. Leaf lock.
-    parked: Mutex<HashSet<(DocumentId, UserId)>>,
     /// Highest invalidation-bus sequence number seen; `0` until the first
     /// delivery. Gaps mean dropped notifications (see
     /// [`DocumentCache::note_sequence`]).
@@ -147,19 +140,9 @@ pub struct DocumentCache {
     version_flights: FlightGroup,
     /// Open stage executions keyed by stage signature.
     stage_flights: FlightGroup,
-    /// Mirror of `parked.len()`, so [`DocumentCache::parked_count`] does
-    /// not take the parked lock.
-    parked_gauge: AtomicU64,
     /// Operation-based conflict resolution, when configured (see
     /// [`CacheConfig::merge`]).
     merge: Option<MergePolicy>,
-    /// Per-`(doc, user)` causal sequence counters for op-based writes,
-    /// seeded from replayed journal records on recovery. Leaf lock.
-    writer_seqs: Mutex<HashMap<(DocumentId, UserId), u64>>,
-    /// Per-document staged-read leases (see [`PlanLease`]). Leaf lock; the
-    /// root verifier runs under it, but verifiers touch only provider
-    /// internals, never cache state.
-    leases: Mutex<HashMap<DocumentId, PlanLease>>,
 }
 
 impl DocumentCache {
@@ -181,18 +164,13 @@ impl DocumentCache {
             prefetch: config.prefetch,
             access_link: config.access_link,
             table: ShardTable::new(shard_count, &config.policy, config.capacity_bytes),
-            stats: AtomicCacheStats::default(),
             stage_cache: config.stage_cache,
             origins,
             journal: config.journal,
-            parked: Mutex::new(HashSet::new()),
             last_seq: AtomicU64::new(0),
             version_flights: FlightGroup::new(),
             stage_flights: FlightGroup::new(),
-            parked_gauge: AtomicU64::new(0),
             merge: config.merge,
-            writer_seqs: Mutex::new(HashMap::new()),
-            leases: Mutex::new(HashMap::new()),
         });
         cache.space.bus().subscribe(Arc::new(CacheSink {
             cache: Arc::downgrade(&cache),
@@ -219,7 +197,7 @@ impl DocumentCache {
     /// Returns a snapshot of the statistics. Exact when the cache is
     /// quiescent; a moment-in-time approximation under concurrent load.
     pub fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
+        self.table.stats.snapshot()
     }
 
     /// Returns the circuit-breaker state for an origin key (as reported
@@ -232,12 +210,12 @@ impl DocumentCache {
     /// Returns the number of resident entries — final `(document, user)`
     /// versions plus (with stage caching) intermediate stage entries.
     pub fn len(&self) -> usize {
-        self.share_each().map(|shard| shard.len()).sum()
+        self.table.share_each().map(|shard| shard.len()).sum()
     }
 
     /// Returns the number of resident intermediate stage entries.
     pub fn stage_entry_count(&self) -> usize {
-        self.share_each().map(|shard| shard.stage_len()).sum()
+        self.table.share_each().map(|shard| shard.stage_len()).sum()
     }
 
     /// Returns `true` if no entries are resident.
@@ -254,28 +232,7 @@ impl DocumentCache {
     /// Returns `true` if `(doc, user)` is resident.
     pub fn contains(&self, user: UserId, doc: DocumentId) -> bool {
         let key = EntryKey::Version(doc, user);
-        self.share(key).contains(key)
-    }
-
-    /// Blocks on `key`'s shard lock, exclusively; the lock is held until
-    /// the guard drops. The caller holds no other cache lock.
-    fn lock(&self, key: EntryKey) -> ShardGuard<'_> {
-        self.table.lock(key, &self.stats)
-    }
-
-    /// [`Self::lock`], shared: for hits and for looking.
-    fn share(&self, key: EntryKey) -> ShardRead<'_> {
-        self.table.share(key, &self.stats)
-    }
-
-    /// Locks the shards one at a time (no two are ever held together).
-    fn lock_each(&self) -> impl Iterator<Item = ShardGuard<'_>> {
-        self.table.lock_each(&self.stats)
-    }
-
-    /// [`Self::lock_each`], shared.
-    fn share_each(&self) -> impl Iterator<Item = ShardRead<'_>> {
-        self.table.share_each(&self.stats)
+        self.table.share(key).contains(key)
     }
 
     /// Returns how many writes are buffered (write-back mode).
@@ -285,14 +242,14 @@ impl DocumentCache {
     /// never perturbs readers. Like [`Self::stats`], a moment-in-time
     /// approximation under concurrency, exact at quiescence.
     pub fn dirty_count(&self) -> usize {
-        self.table.dirty_count()
+        self.table.dirty_gauge.load(Ordering::Relaxed) as usize
     }
 
     /// Returns how many dirty entries are currently parked (their last
     /// flush exhausted its retries against an unreachable origin).
     /// Lock-free; see [`Self::dirty_count`] for the precision contract.
     pub fn parked_count(&self) -> usize {
-        self.parked_gauge.load(Ordering::Relaxed) as usize
+        self.table.parked_gauge.load(Ordering::Relaxed) as usize
     }
 
     /// Returns how many reads are currently blocked waiting on another

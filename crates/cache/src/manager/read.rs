@@ -201,7 +201,7 @@ impl DocumentCache {
         // reclaimed.
         let rung = self
             .origins
-            .sample(|| self.version_flights.waiting(), &self.stats);
+            .sample(|| self.version_flights.waiting(), &self.table.stats);
         let widened = rung >= Rung::WidenStale;
         if let (true, Some(stale), Some(bound)) = (widened, &stale, self.origins.config.serve_stale)
         {
@@ -220,10 +220,10 @@ impl DocumentCache {
                 // waited; the read was served locally without touching
                 // the origin, so it counts as a hit — plus the
                 // coalescing counter that explains *why* it hit.
-                AtomicCacheStats::bump(&self.stats.hits);
-                AtomicCacheStats::bump(&self.stats.coalesced_waits);
+                AtomicCacheStats::bump(&self.table.stats.hits);
+                AtomicCacheStats::bump(&self.table.stats.coalesced_waits);
                 self.local_latency.charge(read.clock, bytes.len() as u64);
-                AtomicCacheStats::add(&self.stats.hit_micros, read.elapsed_micros());
+                AtomicCacheStats::add(&self.table.stats.hit_micros, read.elapsed_micros());
                 // `CacheableWithEvents` demands an event per read: every
                 // waiter posts its own.
                 return self.deliver(&read, bytes, HitClass::CoalescedWait, forward);
@@ -231,7 +231,7 @@ impl DocumentCache {
             Join::Waited(Some(FlightResult::Failed(error))) => {
                 // The flight's one fetch failed; every waiter shares
                 // the error (and its own stale fallback, if any).
-                AtomicCacheStats::bump(&self.stats.coalesced_waits);
+                AtomicCacheStats::bump(&self.table.stats.coalesced_waits);
                 return self.stale_or_degraded(&read, error, stale);
             }
             // The leader's result may not be shared (uncacheable
@@ -273,10 +273,10 @@ impl DocumentCache {
             Err(error) => return self.stale_or_degraded(&read, error, stale),
         };
         if fetched.report.cacheability == Cacheability::Uncacheable {
-            AtomicCacheStats::bump(&self.stats.uncacheable_reads);
+            AtomicCacheStats::bump(&self.table.stats.uncacheable_reads);
             return Ok(read.outcome(fetched.bytes, HitClass::Miss));
         }
-        AtomicCacheStats::bump(&self.stats.misses);
+        AtomicCacheStats::bump(&self.table.stats.misses);
         let class = if fetched.stage_partial {
             HitClass::PartialHit
         } else {
@@ -284,8 +284,8 @@ impl DocumentCache {
         };
         let bytes = fetched.bytes.clone();
         self.fill(key, fetched, false);
-        AtomicCacheStats::add(&self.stats.miss_micros, read.elapsed_micros());
-        if self.prefetch.enabled {
+        AtomicCacheStats::add(&self.table.stats.miss_micros, read.elapsed_micros());
+        if self.prefetch.max_per_miss > 0 {
             self.prefetch_collection_siblings(user, doc);
         }
         self.deliver(&read, bytes, class, false)
@@ -297,9 +297,9 @@ impl DocumentCache {
     /// of it.
     fn lookup(&self, key: EntryKey, read: &ReadCtx) -> Lookup {
         let clock = read.clock;
-        let shard = self.share(key);
+        let shard = self.table.share(key);
         // This thread's block of the counters, looked up once.
-        let stats = &*self.stats;
+        let stats = &*self.table.stats;
         if let Some(dirty) = shard.dirty(read.doc, read.user) {
             return Lookup::Dirty(dirty.data.clone());
         }
@@ -334,7 +334,7 @@ impl DocumentCache {
                 Lookup::Serve(bytes, forward)
             }
             Some(Probe::Invalid) => {
-                AtomicCacheStats::bump(&self.stats.verifier_invalidations);
+                AtomicCacheStats::bump(&self.table.stats.verifier_invalidations);
                 Lookup::Miss(None)
             }
             // Neither fresh nor refuted. The entry stays; the miss path
@@ -358,7 +358,7 @@ impl DocumentCache {
         if forward {
             self.space
                 .post_cache_event(read.user, read.doc, EventKind::CacheRead)?;
-            AtomicCacheStats::bump(&self.stats.events_forwarded);
+            AtomicCacheStats::bump(&self.table.stats.events_forwarded);
         }
         if let Some(link) = &self.access_link {
             link.transfer(read.clock, bytes.len() as u64);
@@ -390,7 +390,7 @@ impl DocumentCache {
                     return self.serve_stale_candidate(read, stale.bytes, stale.forward);
                 }
             }
-            AtomicCacheStats::bump(&self.stats.degraded_errors);
+            AtomicCacheStats::bump(&self.table.stats.degraded_errors);
         }
         Err(error)
     }
@@ -404,7 +404,7 @@ impl DocumentCache {
         bytes: Bytes,
         forward: bool,
     ) -> Result<ReadOutcome> {
-        AtomicCacheStats::bump(&self.stats.stale_served);
+        AtomicCacheStats::bump(&self.table.stats.stale_served);
         self.local_latency.charge(read.clock, bytes.len() as u64);
         self.deliver(read, bytes, HitClass::StaleServed, forward)
     }
@@ -438,7 +438,7 @@ impl DocumentCache {
         let origin = self.doc_origin(doc);
         let driver = RetryDriver {
             origins: &self.origins,
-            stats: &self.stats,
+            stats: &self.table.stats,
             op,
             deadline,
         };
@@ -511,11 +511,11 @@ impl DocumentCache {
             meta.verifiers.iter().any(|v| v.attests_content()) && {
                 let (verdict, probe_cost) = run_all(&meta.verifiers, clock);
                 clock.advance(probe_cost);
-                AtomicCacheStats::add(&self.stats.verify_micros, probe_cost);
+                AtomicCacheStats::add(&self.table.stats.verify_micros, probe_cost);
                 verdict == Validity::Valid
             }
         };
-        if let Some(resident) = self.share(key).content(key, attested) {
+        if let Some(resident) = self.table.share(key).content(key, attested) {
             return Ok(resident);
         }
         let ctx = self.origins.fetch_ctx(Priority::Foreground, None);
@@ -541,7 +541,7 @@ impl DocumentCache {
         let free = cost_micros == 0.0 && !report.pinned;
         if content_sig.is_none() && free && self.table.scarce(bytes.len() as u64) {
             // Turned away as `install` would, the old binding with it.
-            self.lock(key).remove(key, Removal::Invalidated);
+            self.table.lock(key).remove(key, Removal::Invalidated);
             return None;
         }
         // What this version aliases is found by content from now on.
@@ -556,7 +556,7 @@ impl DocumentCache {
         );
         meta.pinned = report.pinned;
         meta.prefetched = prefetched;
-        self.lock(key).install(key, bytes, meta, sig);
+        self.table.lock(key).install(key, bytes, meta, sig);
         Some(sig)
     }
 
@@ -590,9 +590,9 @@ impl DocumentCache {
                     continue;
                 }
                 let origin = self.doc_origin(sibling);
-                let admitted = self
-                    .origins
-                    .admit(|| origin.get(), Op::Prefetch(ctx), &self.stats);
+                let admitted =
+                    self.origins
+                        .admit(|| origin.get(), Op::Prefetch(ctx), &self.table.stats);
                 // Fetch through the full property path, as a miss would.
                 let fetched = admitted.and_then(|slot| {
                     let fetched = self.fetch_once(user, sibling, clock, ctx);
@@ -608,7 +608,7 @@ impl DocumentCache {
                     continue;
                 }
                 self.fill(EntryKey::Version(sibling, user), fetched, true);
-                AtomicCacheStats::bump(&self.stats.prefetches);
+                AtomicCacheStats::bump(&self.table.stats.prefetches);
                 budget -= 1;
             }
         }

@@ -119,13 +119,13 @@ impl DocumentCache {
         let mut dropped_seqs: Vec<u64> = Vec::new();
         for record in journal.live_records() {
             report.replayed += 1;
-            AtomicCacheStats::bump(&cache.stats.journal_replays);
+            AtomicCacheStats::bump(&cache.table.stats.journal_replays);
             // Seed the causal counter so post-recovery ops continue this
             // writer's sequence instead of restarting it.
             if record.writer_seq > 0 {
-                let mut seqs = cache.writer_seqs.lock();
-                let counter = seqs.entry((record.doc, record.user)).or_insert(0);
-                *counter = (*counter).max(record.writer_seq);
+                let mut shard = cache.table.lock(EntryKey::Version(record.doc, record.user));
+                let last = shard.writer_seq(record.doc, record.user);
+                *last = (*last).max(record.writer_seq);
             }
             // The writer's current rendition, taken only when the record
             // names a base version to compare it with (the writer may
@@ -148,13 +148,9 @@ impl DocumentCache {
                 // worse than flushing it unverified.
                 _ => None,
             };
-            let mut entry = DirtyEntry {
-                data: record.data.clone(),
-                seq: Some(record.seq),
-                ops: record.ops.clone(),
-                epoch: record.epoch,
-                writer_seq: record.writer_seq,
-            };
+            let (data, ops) = (record.data.clone(), record.ops.clone());
+            let mut entry = DirtyEntry::new(data, record.epoch, ops, record.writer_seq);
+            entry.seq = Some(record.seq);
             if let Some((origin, origin_signature)) = moved {
                 let conflict = WriteConflict {
                     doc: record.doc,
@@ -185,8 +181,9 @@ impl DocumentCache {
                 }
             }
             cache
+                .table
                 .lock(EntryKey::Version(record.doc, record.user))
-                .put_dirty(record.doc, record.user, entry);
+                .put_dirty(record.doc, record.user, entry, false);
             report.requeued += 1;
         }
         journal.ack_batch(&dropped_seqs);
@@ -207,7 +204,7 @@ impl DocumentCache {
         hook: Option<&ConflictHook>,
         tally: &mut MergeReport,
     ) -> Option<ConflictResolution> {
-        AtomicCacheStats::bump(&self.stats.write_conflicts);
+        AtomicCacheStats::bump(&self.table.stats.write_conflicts);
         let mut unreported = MergeReport::default();
         let tally = if self.merge.is_some() {
             tally
@@ -216,8 +213,8 @@ impl DocumentCache {
         };
         tally.examined += 1;
         if self.merge.is_some() && rebasable(ops) {
-            AtomicCacheStats::bump(&self.stats.conflicts_merged);
-            AtomicCacheStats::add(&self.stats.merge_rebases, ops.len() as u64);
+            AtomicCacheStats::bump(&self.table.stats.conflicts_merged);
+            AtomicCacheStats::add(&self.table.stats.merge_rebases, ops.len() as u64);
             tally.merged += 1;
             tally.rebases += ops.len() as u64;
             return None;

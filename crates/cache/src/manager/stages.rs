@@ -2,28 +2,6 @@
 
 use super::*;
 
-/// Fast-path state for one document's staged read walk (see
-/// [`DocumentCache::read_through_stages`]).
-pub(super) struct PlanLease {
-    /// The space-issued compiled view of the base half of the property
-    /// chain, validated against the base document's chain epoch on every
-    /// use — reusing it saves one middleware hop per walk.
-    chain: Arc<BaseChainLease>,
-    /// The provider rendition last fetched through this lease.
-    root: Option<Root>,
-}
-
-/// A provider rendition as a walk knows it: the digest of its bytes and
-/// the provider's verifier over them, when it hands one out — "the
-/// provider bytes still digest to `sig`". The verifier is captured
-/// *before* the fetch, so a write landing in between reads as `Invalid`
-/// next time (a wasted refetch), never as `Valid` over stale bytes.
-#[derive(Clone)]
-struct Root {
-    sig: Signature,
-    verifier: Option<Arc<dyn Verifier>>,
-}
-
 impl Root {
     /// Fetches the provider bytes and digests them — or takes the `held`
     /// lease's digest when its verifier attests content and, re-checked once
@@ -102,7 +80,7 @@ impl DocumentCache {
     fn check_stage_budget(&self, walk: &Walk<'_>) -> Result<()> {
         match walk.ctx.deadline_at {
             Some(deadline) if walk.clock.now() >= deadline => {
-                Err(self.origins.shed(walk.ctx.priority, &self.stats))
+                Err(self.origins.shed(walk.ctx.priority, &self.table.stats))
             }
             _ => Ok(()),
         }
@@ -120,18 +98,13 @@ impl DocumentCache {
     /// given a flight. A cheap intermediate under a dearer successor is
     /// handed on, its cost accruing to the price of the named output.
     ///
-    /// Two leases make the repeat walk cheap. The **chain lease** is the
-    /// space's compiled view of the base half of the chain, validated
-    /// against the document's chain epoch inside
-    /// [`DocumentSpace::read_plan_cached`]. The **root lease** is the
-    /// provider content signature captured at the last fetch; the
-    /// provider's own verifier runs on *every* use (the lease's soundness
-    /// condition, not `run_verifiers` freshness policy), and only `Valid`
-    /// lets the walk anchor on the leased digest without refetching. A
-    /// walk that never executes the chain head never materializes the
-    /// root. Stale intermediates are never served either way: a stage hit
-    /// is *proof* that the resident output was derived from exactly the
-    /// attested source bytes by exactly this transform prefix.
+    /// The document's [`PlanLease`] makes the repeat walk cheap: its root's
+    /// verifier runs on *every* use (the lease's soundness condition, not
+    /// `run_verifiers` policy), and only `Valid` lets the walk anchor on the
+    /// leased digest without refetching. Stale intermediates are never
+    /// served either way: a stage hit is *proof* that the resident output
+    /// was derived from exactly the attested source bytes by exactly this
+    /// transform prefix.
     ///
     /// A segment whose named output is neither resident nor being computed
     /// opens a **stage flight** keyed by that output's signature; threads
@@ -145,7 +118,7 @@ impl DocumentCache {
         ctx: FetchCtx,
     ) -> Result<Fetched> {
         let (chain_lease, root) = self.probe_lease(doc, clock);
-        let (plan, chain_lease, _chain_reused) =
+        let (plan, chain_lease, chain_reused) =
             self.space
                 .read_plan_cached(user, doc, chain_lease.as_ref())?;
         let mut walk = self.anchor(&plan, root, clock, ctx)?;
@@ -159,7 +132,7 @@ impl DocumentCache {
             index = self.walk_segment(&mut walk, index)?;
         }
         if walk.any_hit {
-            AtomicCacheStats::bump(&self.stats.stage_partial_hits);
+            AtomicCacheStats::bump(&self.table.stats.stage_partial_hits);
         }
         // A walk whose every stage hit never needed the root — until now:
         // the caller wants the final content.
@@ -170,7 +143,16 @@ impl DocumentCache {
         let cost_micros = walk.redo_micros as f64 * walk.report.cost.inflation();
         let stage = walk.pipeline.chain_signature();
         let (bytes, content_sig) = walk.pipeline.finish();
-        self.refresh_lease(doc, chain_lease, walk.fetched_root);
+        // Lease what this walk learned: a new chain half, or the root it
+        // fetched (one without a verifier replaces a stale root with one
+        // the next probe drops).
+        if !chain_reused || walk.fetched_root.is_some() {
+            let lease = PlanLease {
+                chain: chain_lease,
+                root: walk.fetched_root,
+            };
+            self.table.guard(self.table.home(doc)).put_lease(doc, lease);
+        }
         Ok(Fetched {
             bytes: bytes.expect("pipeline bytes materialized after the walk"),
             report: walk.report,
@@ -181,29 +163,37 @@ impl DocumentCache {
         })
     }
 
-    /// Lease probe: `doc`'s chain lease, and its leased root if the root's
-    /// verifier — charged to this walk — still vouches for it. A root
-    /// nothing vouches for is dropped.
+    /// Lease probe, under the shared guard of `doc`'s home shard, as a hit
+    /// runs its verifiers: `doc`'s chain lease, and its leased root if the
+    /// root's verifier — charged to this walk — still vouches for it. A
+    /// root nothing vouches for is dropped under the exclusive guard.
     fn probe_lease(
         &self,
         doc: DocumentId,
         clock: &VirtualClock,
     ) -> (Option<Arc<BaseChainLease>>, Option<Root>) {
-        let mut leases = self.leases.lock();
-        let Some(lease) = leases.get_mut(&doc) else {
+        let home = self.table.shared(self.table.home(doc));
+        let Some(lease) = home.lease(doc) else {
             return (None, None);
         };
-        let root = lease.root.as_ref().and_then(|root| {
-            let verifier = root.verifier.as_ref()?;
+        let (chain, root) = (Some(Arc::clone(&lease.chain)), lease.root.clone());
+        let verifier = root.as_ref().and_then(|root| root.verifier.as_ref());
+        let vouched = verifier.is_some_and(|verifier| {
             let cost = verifier.cost_micros();
             clock.advance(cost);
-            AtomicCacheStats::add(&self.stats.verify_micros, cost);
-            (verifier.check(clock) == Validity::Valid).then(|| root.clone())
+            AtomicCacheStats::add(&self.table.stats.verify_micros, cost);
+            verifier.check(clock) == Validity::Valid
         });
-        if root.is_none() {
-            lease.root = None;
+        match root {
+            Some(stale) if !vouched => {
+                drop(home);
+                self.table
+                    .guard(self.table.home(doc))
+                    .drop_root(doc, stale.sig);
+                (chain, None)
+            }
+            root => (chain, root),
         }
-        (Some(Arc::clone(&lease.chain)), root)
     }
 
     /// Anchors a walk either on the verified root's signature (no fetch, no
@@ -227,7 +217,7 @@ impl DocumentCache {
         });
         let (pipeline, fetched_root) = match &leased {
             Some(root) => {
-                AtomicCacheStats::bump(&self.stats.root_reuses);
+                AtomicCacheStats::bump(&self.table.stats.root_reuses);
                 (StagePipeline::from_signature(plan, root.sig), None)
             }
             None => {
@@ -263,20 +253,6 @@ impl DocumentCache {
         };
         self.adopt_through(walk, from, depth, bytes, digest)?;
         Ok(depth + 1)
-    }
-
-    /// Refreshes `doc`'s lease for the next walk: the chain half always
-    /// (it is epoch-validated on use), the root half when this walk
-    /// fetched the provider bytes (a fetch the provider gave no verifier
-    /// for replaces a stale root with one the next probe drops).
-    fn refresh_lease(&self, doc: DocumentId, chain: Arc<BaseChainLease>, root: Option<Root>) {
-        let mut leases = self.leases.lock();
-        if let Some(lease) = leases.get_mut(&doc) {
-            lease.chain = chain;
-            lease.root = root.or(lease.root.take());
-        } else {
-            leases.insert(doc, PlanLease { chain, root });
-        }
     }
 
     /// Advances the walk over the segment starting at stage `start` — up
@@ -316,13 +292,13 @@ impl DocumentCache {
             }
             Join::Waited(Some(FlightResult::Shared { bytes, .. })) => {
                 self.adopt_through(walk, start, end, bytes, None)?;
-                AtomicCacheStats::bump(&self.stats.coalesced_waits);
+                AtomicCacheStats::bump(&self.table.stats.coalesced_waits);
             }
             Join::Waited(Some(FlightResult::Failed(error))) => {
                 // Same signature, same computation: the leader's failure
                 // is this walk's failure (the retry driver above may
                 // retry it).
-                AtomicCacheStats::bump(&self.stats.coalesced_waits);
+                AtomicCacheStats::bump(&self.table.stats.coalesced_waits);
                 return Err(error);
             }
             Join::Waited(Some(FlightResult::Unshared)) | Join::Waited(None) => {
@@ -350,7 +326,7 @@ impl DocumentCache {
         }
         let pipeline = &mut walk.pipeline;
         pipeline.adopt_hit(clock, depth, report, sigs[depth], bytes, content_sig)?;
-        AtomicCacheStats::add(&self.stats.stage_hits, (depth + 1 - from) as u64);
+        AtomicCacheStats::add(&self.table.stats.stage_hits, (depth + 1 - from) as u64);
         walk.any_hit = true;
         walk.redo_micros = 0;
         Ok(())
@@ -424,7 +400,7 @@ impl DocumentCache {
     /// Re-files under `digest` what stage `name` may hold by name; returns it.
     pub(super) fn refile(&self, name: Option<Signature>, digest: Signature) -> Signature {
         if let Some(name) = name {
-            self.lock(EntryKey::Stage(name)).refile(name, digest);
+            self.table.lock(EntryKey::Stage(name)).refile(name, digest);
         }
         digest
     }
@@ -437,6 +413,7 @@ impl DocumentCache {
         // Stage entries are content-addressed and carry no verifiers:
         // a resident one is valid by construction.
         match self
+            .table
             .share(key)
             .probe(key, self.space.clock(), |_| Validity::Valid)?
         {
@@ -462,7 +439,7 @@ impl DocumentCache {
             return false;
         }
         let key = EntryKey::Stage(sig);
-        let mut shard = self.lock(key);
+        let mut shard = self.table.lock(key);
         // Content-addressed: an existing binding is already this content.
         if shard.contains(key) {
             return true;

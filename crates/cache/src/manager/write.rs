@@ -15,7 +15,7 @@ impl DocumentCache {
                 self.with_retries(user, doc, Op::Write, deadline, || {
                     self.space.write_document(user, doc, data)
                 })?;
-                AtomicCacheStats::bump(&self.stats.writes);
+                AtomicCacheStats::bump(&self.table.stats.writes);
                 // The source changed: every locally cached version of this
                 // document is stale, whatever notifiers may also say.
                 self.invalidate_doc(doc);
@@ -23,7 +23,7 @@ impl DocumentCache {
             }
             WriteMode::Back => {
                 let key = EntryKey::Version(doc, user);
-                let shard = self.lock(key);
+                let shard = self.table.lock(key);
                 // The epoch, which recovery and the flush's probe compare
                 // with, is the rendition this writer last saw: its buffered
                 // write's (served only that since), else the resident one.
@@ -34,13 +34,7 @@ impl DocumentCache {
                     .unwrap_or(NO_EPOCH);
                 // A full-body write supersedes any accumulated op
                 // delta: the entry reverts to an opaque snapshot.
-                let entry = DirtyEntry {
-                    data: Bytes::copy_from_slice(data),
-                    seq: None,
-                    ops: Vec::new(),
-                    epoch,
-                    writer_seq: 0,
-                };
+                let entry = DirtyEntry::new(Bytes::copy_from_slice(data), epoch, Vec::new(), 0);
                 self.buffer_write(shard, user, doc, entry)
             }
         }
@@ -64,7 +58,7 @@ impl DocumentCache {
             if let DocOp::SetProperty { name, value } = &op {
                 self.space
                     .attach_static(Scope::Personal(user), doc, name, value.clone())?;
-                AtomicCacheStats::bump(&self.stats.writes);
+                AtomicCacheStats::bump(&self.table.stats.writes);
                 return Ok(());
             }
             let (base, _) = self.current_rendition(user, doc)?;
@@ -76,54 +70,42 @@ impl DocumentCache {
         // and re-take the lock (a buffered write landing in between wins).
         let mut current: Option<(Bytes, Signature)> = None;
         loop {
-            let shard = self.lock(key);
-            let (base, epoch, mut ops, prior_writer_seq) =
-                if let Some(entry) = shard.dirty(doc, user) {
-                    // A pending plain write is an opaque snapshot: represent
-                    // it as a full-body op so the combined delta stays honest
-                    // (it pins the body and is therefore unmergeable, exactly
-                    // like the plain write itself).
-                    let prior = if entry.ops.is_empty() {
-                        vec![DocOp::Replace(entry.data.clone())]
-                    } else {
-                        entry.ops.clone()
-                    };
-                    (entry.data.clone(), entry.epoch, prior, entry.writer_seq)
-                } else if let Some((bytes, sig)) = shard.content(key, |_| true).or(current.take()) {
-                    (bytes, sig, Vec::new(), 0)
+            let mut shard = self.table.lock(key);
+            let (base, epoch, mut ops) = if let Some(entry) = shard.dirty(doc, user) {
+                // A pending plain write is an opaque snapshot: represent
+                // it as a full-body op so the combined delta stays honest
+                // (it pins the body and is therefore unmergeable, exactly
+                // like the plain write itself).
+                let prior = if entry.ops.is_empty() {
+                    vec![DocOp::Replace(entry.data.clone())]
                 } else {
-                    drop(shard);
-                    current = Some(match self.current_rendition(user, doc) {
-                        Ok(rendition) => rendition,
-                        Err(
-                            error @ (PlacelessError::NoSuchDocument(_)
-                            | PlacelessError::NoSuchReference(..)),
-                        ) => return Err(error),
-                        // Origin unreachable: the op must still not be lost.
-                        // Start the delta from an empty base with no epoch;
-                        // the flush applies the ops server-side onto whatever
-                        // the origin holds by then.
-                        Err(_) => (Bytes::new(), NO_EPOCH),
-                    });
-                    continue;
+                    entry.ops.clone()
                 };
+                (entry.data.clone(), entry.epoch, prior)
+            } else if let Some((bytes, sig)) = shard.content(key, |_| true).or(current.take()) {
+                (bytes, sig, Vec::new())
+            } else {
+                drop(shard);
+                current = Some(match self.current_rendition(user, doc) {
+                    Ok(rendition) => rendition,
+                    Err(
+                        error @ (PlacelessError::NoSuchDocument(_)
+                        | PlacelessError::NoSuchReference(..)),
+                    ) => return Err(error),
+                    // Origin unreachable: the op must still not be lost.
+                    // Start the delta from an empty base with no epoch;
+                    // the flush applies the ops server-side onto whatever
+                    // the origin holds by then.
+                    Err(_) => (Bytes::new(), NO_EPOCH),
+                });
+                continue;
+            };
             let view = op.apply(&base);
             ops.push(op);
-            let writer_seq = {
-                let mut seqs = self.writer_seqs.lock();
-                let counter = seqs.entry((doc, user)).or_insert(0);
-                // Monotone past both this cache's counter and whatever a
-                // recovered entry carried.
-                *counter = (*counter).max(prior_writer_seq) + 1;
-                *counter
-            };
-            let entry = DirtyEntry {
-                data: view,
-                seq: None,
-                ops,
-                epoch,
-                writer_seq,
-            };
+            // Recovery seeds the counter, so it is past every queued entry's.
+            let writer_seq = shard.writer_seq(doc, user);
+            *writer_seq += 1;
+            let entry = DirtyEntry::new(view, epoch, ops, *writer_seq);
             return self.buffer_write(shard, user, doc, entry);
         }
     }
@@ -144,13 +126,13 @@ impl DocumentCache {
         // Write-ahead: the record reaches stable storage before the dirty
         // map changes, so a crash between the two loses nothing.
         entry.seq = self.journal.as_ref().map(|journal| {
-            AtomicCacheStats::bump(&self.stats.journal_appends);
+            AtomicCacheStats::bump(&self.table.stats.journal_appends);
             let (data, ops) = (&entry.data, entry.ops.clone());
             journal.append_op(doc, user, entry.epoch, data, ops, entry.writer_seq)
         });
-        shard.put_dirty(doc, user, entry);
+        shard.put_dirty(doc, user, entry, false);
         drop(shard);
-        AtomicCacheStats::bump(&self.stats.writes);
+        AtomicCacheStats::bump(&self.table.stats.writes);
         let forward = self
             .space
             .write_cacheability(user, doc)?
@@ -158,7 +140,7 @@ impl DocumentCache {
         if forward {
             self.space
                 .post_cache_event(user, doc, EventKind::CacheWrite)?;
-            AtomicCacheStats::bump(&self.stats.events_forwarded);
+            AtomicCacheStats::bump(&self.table.stats.events_forwarded);
         }
         Ok(())
     }

@@ -7,28 +7,21 @@
 //! per member. [`PrefetchConfig`] bounds how many siblings a single miss
 //! may drag in.
 
-/// How the cache handles collection siblings on a miss.
+/// How the cache handles collection siblings on a miss: prefetch is on
+/// exactly when `max_per_miss` is above zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetchConfig {
-    /// Whether collection prefetch is enabled.
-    pub enabled: bool,
     /// Maximum sibling documents fetched per triggering miss.
     pub max_per_miss: usize,
 }
 
 impl PrefetchConfig {
     /// Prefetch disabled.
-    pub const OFF: PrefetchConfig = PrefetchConfig {
-        enabled: false,
-        max_per_miss: 0,
-    };
+    pub const OFF: PrefetchConfig = PrefetchConfig { max_per_miss: 0 };
 
     /// Prefetch up to `max_per_miss` siblings per miss.
     pub fn up_to(max_per_miss: usize) -> Self {
-        Self {
-            enabled: max_per_miss > 0,
-            max_per_miss,
-        }
+        Self { max_per_miss }
     }
 }
 
@@ -45,14 +38,13 @@ mod tests {
     #[test]
     fn off_is_disabled() {
         let off = PrefetchConfig::OFF;
-        assert!(!off.enabled);
+        assert_eq!(off.max_per_miss, 0);
         assert_eq!(PrefetchConfig::default(), off);
     }
 
     #[test]
     fn up_to_zero_is_disabled() {
-        assert!(!PrefetchConfig::up_to(0).enabled);
-        assert!(PrefetchConfig::up_to(4).enabled);
+        assert_eq!(PrefetchConfig::up_to(0), PrefetchConfig::OFF);
         assert_eq!(PrefetchConfig::up_to(4).max_per_miss, 4);
     }
 }

@@ -20,9 +20,12 @@
 //!
 //! Everything that must change together with that map happens here and
 //! nowhere else: taking and dropping content-store references, telling
-//! the replacement policy, and moving the `stage_bytes` and dirty-count
-//! gauges. The rest of the cache works through [`ShardGuard`]'s methods,
-//! and a shard lock is held exactly as long as a guard is alive.
+//! the replacement policy, and moving the `stage_bytes`, dirty and parked
+//! gauges. So does the cache's other per-key state: a key's buffered
+//! write, parked mark and writer sequence, and a document's [`PlanLease`]
+//! in its *home* shard ([`ShardTable::home`]). The rest of the cache works
+//! through [`ShardGuard`]'s methods, and a shard lock is held exactly as
+//! long as a guard is alive.
 //!
 //! # What a hit writes
 //!
@@ -56,7 +59,7 @@
 //!    own policy, and `lru`/`lfu` by name, serialise their shared hits on
 //!    a mutex inside themselves, [`PolicyFactory::new`], a leaf by the
 //!    same argument.) The cache's
-//!    other leaf locks (journal, parked set, leases, writer sequences)
+//!    other leaf locks (the journal, the flight tables, the origin locks)
 //!    are never taken by this module.
 //!
 //! Every blocking edge therefore points from "holding nothing" to a shard
@@ -71,12 +74,14 @@ use bytes::Bytes;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use placeless_core::id::{DocumentId, UserId};
 use placeless_core::op::DocOp;
-use placeless_core::verifier::Validity;
+use placeless_core::space::BaseChainLease;
+use placeless_core::verifier::{Validity, Verifier};
 use placeless_simenv::{Instant, VirtualClock};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One buffered write-back write: the data plus (journal configured) the
 /// sequence number of its journal record, so a flush acknowledges exactly
@@ -95,6 +100,41 @@ pub(crate) struct DirtyEntry {
     pub(crate) epoch: Signature,
     /// Per-`(doc, user)` causal sequence; `0` for plain writes.
     pub(crate) writer_seq: u64,
+    /// A flush of the key exhausted its retries; it waits in the journal
+    /// for a breaker probe. Bookkeeping only (stats and reports).
+    pub(crate) parked: bool,
+}
+
+impl DirtyEntry {
+    /// A write not yet journaled nor parked.
+    pub(crate) fn new(data: Bytes, epoch: Signature, ops: Vec<DocOp>, writer_seq: u64) -> Self {
+        Self {
+            data,
+            seq: None,
+            ops,
+            epoch,
+            writer_seq,
+            parked: false,
+        }
+    }
+}
+
+/// One document's staged-read fast path: the space's compiled base half of
+/// the chain (epoch-checked on use; reusing it saves a middleware hop) and
+/// the provider rendition last fetched through it.
+pub(crate) struct PlanLease {
+    pub(crate) chain: Arc<BaseChainLease>,
+    pub(crate) root: Option<Root>,
+}
+
+/// A provider rendition as a walk knows it: its digest, and the provider's
+/// verifier that the bytes still digest to `sig`, captured *before* the
+/// fetch, so a write landing in between reads as `Invalid` next time (a
+/// wasted refetch), never as `Valid` over stale bytes.
+#[derive(Clone)]
+pub(crate) struct Root {
+    pub(crate) sig: Signature,
+    pub(crate) verifier: Option<Arc<dyn Verifier>>,
 }
 
 /// A resident entry: the content it is bound to, and everything else the
@@ -160,6 +200,11 @@ pub(crate) struct Shard {
     /// Buffered write-back writes. Keyed by `(document, user)`, not by
     /// [`EntryKey`]: only versions are ever written.
     dirty: HashMap<(DocumentId, UserId), DirtyEntry>,
+    /// The last writer sequence of each key's op-based writes, seeded from
+    /// replayed journal records on recovery.
+    writer_seqs: HashMap<(DocumentId, UserId), u64>,
+    /// The staged-read leases of the documents whose home this shard is.
+    leases: HashMap<DocumentId, PlanLease>,
 }
 
 impl Shard {
@@ -231,14 +276,19 @@ pub(crate) struct Stale {
 }
 
 /// The sharded entry table plus what its bookkeeping needs: the content
-/// store the entries reference, the byte budget, and the dirty gauge.
+/// store the entries reference, the byte budget, and the dirty and parked
+/// gauges.
 pub(crate) struct ShardTable {
     shards: Box<[RwLock<Shard>]>,
     store: ConcurrentStore,
     capacity_bytes: u64,
-    /// Buffered write-back writes across all shards, so
-    /// [`ShardTable::dirty_count`] does not sweep the shard locks.
-    dirty_gauge: AtomicU64,
+    /// Buffered write-back writes across all shards, so counting them
+    /// sweeps no shard lock.
+    pub(crate) dirty_gauge: AtomicU64,
+    /// Parked marks across all shards, drained or in a flush's hands.
+    pub(crate) parked_gauge: AtomicU64,
+    /// The cache's counters, this table's bookkeeping among them.
+    pub(crate) stats: AtomicCacheStats,
 }
 
 impl ShardTable {
@@ -253,12 +303,16 @@ impl ShardTable {
                         stages: 0,
                         policy: policy.build(),
                         dirty: HashMap::new(),
+                        writer_seqs: HashMap::new(),
+                        leases: HashMap::new(),
                     })
                 })
                 .collect(),
             store: ConcurrentStore::new(),
             capacity_bytes,
             dirty_gauge: AtomicU64::new(0),
+            parked_gauge: AtomicU64::new(0),
+            stats: AtomicCacheStats::default(),
         }
     }
 
@@ -286,53 +340,51 @@ impl ShardTable {
         (mixed >> 32) as usize % self.shards.len()
     }
 
+    /// The home shard of `doc`, where its lease lives: user 0's, whose
+    /// term of the hash vanishes, so the document alone places it.
+    pub(crate) fn home(&self, doc: DocumentId) -> usize {
+        self.shard_index(EntryKey::Version(doc, UserId(0)))
+    }
+
     /// Blocks on shard `index`'s lock, exclusively.
-    fn guard<'a>(&'a self, index: usize, stats: &'a AtomicCacheStats) -> ShardGuard<'a> {
+    pub(crate) fn guard(&self, index: usize) -> ShardGuard<'_> {
         ShardGuard {
             shard: self.shards[index].write(),
             index,
             table: self,
-            stats,
         }
     }
 
     /// Blocks on `key`'s shard lock, exclusively (the caller holds no
     /// other cache lock).
-    pub(crate) fn lock<'a>(&'a self, key: EntryKey, stats: &'a AtomicCacheStats) -> ShardGuard<'a> {
-        self.guard(self.shard_index(key), stats)
+    pub(crate) fn lock(&self, key: EntryKey) -> ShardGuard<'_> {
+        self.guard(self.shard_index(key))
     }
 
     /// Blocks on shard `index`'s lock, shared.
-    fn shared<'a>(&'a self, index: usize, stats: &'a AtomicCacheStats) -> ShardRead<'a> {
+    pub(crate) fn shared(&self, index: usize) -> ShardRead<'_> {
         ShardGuard {
             shard: self.shards[index].read(),
             index,
             table: self,
-            stats,
         }
     }
 
     /// Blocks on `key`'s shard lock, shared (the caller holds no other
     /// cache lock).
-    pub(crate) fn share<'a>(&'a self, key: EntryKey, stats: &'a AtomicCacheStats) -> ShardRead<'a> {
-        self.shared(self.shard_index(key), stats)
+    pub(crate) fn share(&self, key: EntryKey) -> ShardRead<'_> {
+        self.shared(self.shard_index(key))
     }
 
     /// Locks the shards one at a time: each guard is released before the
     /// iterator blocks on the next lock, so no two are ever held together.
-    pub(crate) fn lock_each<'a>(
-        &'a self,
-        stats: &'a AtomicCacheStats,
-    ) -> impl Iterator<Item = ShardGuard<'a>> {
-        (0..self.shards.len()).map(move |index| self.guard(index, stats))
+    pub(crate) fn lock_each(&self) -> impl Iterator<Item = ShardGuard<'_>> {
+        (0..self.shards.len()).map(|index| self.guard(index))
     }
 
     /// [`Self::lock_each`] with shared guards.
-    pub(crate) fn share_each<'a>(
-        &'a self,
-        stats: &'a AtomicCacheStats,
-    ) -> impl Iterator<Item = ShardRead<'a>> {
-        (0..self.shards.len()).map(move |index| self.shared(index, stats))
+    pub(crate) fn share_each(&self) -> impl Iterator<Item = ShardRead<'_>> {
+        (0..self.shards.len()).map(|index| self.shared(index))
     }
 
     /// Returns `(physical, logical)` resident bytes. Lock-free.
@@ -345,9 +397,16 @@ impl ShardTable {
         self.store.physical_bytes() + size > self.capacity_bytes
     }
 
-    /// Returns how many writes are buffered. Lock-free.
-    pub(crate) fn dirty_count(&self) -> usize {
-        self.dirty_gauge.load(Ordering::Relaxed) as usize
+    /// Sets a write's parked mark, or clears it as the write leaves the queue
+    /// for good (flushed, or dropped by `KeepTheirs`); returns if it changed.
+    pub(crate) fn mark(&self, entry: &mut DirtyEntry, parked: bool) -> bool {
+        let changed = std::mem::replace(&mut entry.parked, parked) != parked;
+        match (changed, parked) {
+            (true, true) => self.parked_gauge.fetch_add(1, Ordering::Relaxed),
+            (true, false) => self.parked_gauge.fetch_sub(1, Ordering::Relaxed),
+            (false, _) => 0,
+        };
+        changed
     }
 }
 
@@ -357,7 +416,6 @@ pub(crate) struct ShardGuard<'a, G = RwLockWriteGuard<'a, Shard>> {
     shard: G,
     index: usize,
     table: &'a ShardTable,
-    stats: &'a AtomicCacheStats,
 }
 
 /// A shard lock held shared.
@@ -394,6 +452,11 @@ impl<'a, G: Deref<Target = Shard>> ShardGuard<'a, G> {
     pub(crate) fn dirty(&self, doc: DocumentId, user: UserId) -> Option<&DirtyEntry> {
         self.shard.dirty.get(&(doc, user))
     }
+
+    /// Returns `doc`'s lease, if this is its home shard and holds one.
+    pub(crate) fn lease(&self, doc: DocumentId) -> Option<&PlanLease> {
+        self.shard.leases.get(&doc)
+    }
 }
 
 impl ShardRead<'_> {
@@ -426,7 +489,7 @@ impl ShardRead<'_> {
             Validity::Unverifiable => return Some(entry.unverifiable()),
             verdict => verdict,
         };
-        let (sig, index, table, stats) = (entry.sig, self.index, self.table, self.stats);
+        let (sig, index, table) = (entry.sig, self.index, self.table);
         drop(self);
         // Between the guards: no MD5 pass under the exclusive one.
         let digest = match &verdict {
@@ -434,7 +497,7 @@ impl ShardRead<'_> {
             _ => None,
         };
         table
-            .guard(index, stats)
+            .guard(index)
             .settle(key, clock, sig, verdict, digest, verify)
     }
 }
@@ -468,7 +531,7 @@ impl ShardGuard<'_> {
                 entry.sig = digest.unwrap_or_else(|| ConcurrentStore::signature_of(&bytes));
                 let (stored, shared) = store.acquire(entry.sig, &bytes);
                 if shared {
-                    AtomicCacheStats::bump(&self.stats.shared_fills);
+                    AtomicCacheStats::bump(&self.table.stats.shared_fills);
                 }
                 entry.bytes = stored;
                 entry.meta.size = bytes.len() as u64;
@@ -533,7 +596,7 @@ impl ShardGuard<'_> {
         if meta.pinned {
             // Pinned entries never enter the policy, so they can never be
             // chosen as eviction victims.
-            AtomicCacheStats::bump(&self.stats.pinned_fills);
+            AtomicCacheStats::bump(&self.table.stats.pinned_fills);
         } else if table.scarce(meta.size) && meta.cost_micros == 0.0 && !key.is_stage() {
             self.shard.policy.on_remove(key);
             return;
@@ -544,10 +607,10 @@ impl ShardGuard<'_> {
             match table.store.try_acquire(sig, &bytes, table.capacity_bytes) {
                 Ok((bytes, shared)) => {
                     if shared {
-                        AtomicCacheStats::bump(&self.stats.shared_fills);
+                        AtomicCacheStats::bump(&self.table.stats.shared_fills);
                     }
                     if key.is_stage() {
-                        AtomicCacheStats::add(&self.stats.stage_bytes, meta.size);
+                        AtomicCacheStats::add(&self.table.stats.stage_bytes, meta.size);
                     }
                     let entry = Resident { sig, bytes, meta };
                     self.shard.insert(key, Box::new(entry));
@@ -561,12 +624,12 @@ impl ShardGuard<'_> {
                             self.shard.policy.on_insert(key, &attrs);
                             continue;
                         }
-                        AtomicCacheStats::bump(&self.stats.evictions);
+                        AtomicCacheStats::bump(&self.table.stats.evictions);
                         return;
                     }
                     Some(victim) => {
                         self.remove(victim, Removal::Evicted);
-                        AtomicCacheStats::bump(&self.stats.evictions);
+                        AtomicCacheStats::bump(&self.table.stats.evictions);
                     }
                     None => {
                         // Nothing evictable anywhere (everything pinned):
@@ -584,7 +647,7 @@ impl ShardGuard<'_> {
     /// the MD5 of its bytes ([`ConcurrentStore::refile`]), for an alias to
     /// share. A no-op on an output filed by content, or gone.
     pub(crate) fn refile(&mut self, name: Signature, digest: Signature) {
-        let (store, stats) = (&self.table.store, self.stats);
+        let (store, stats) = (&self.table.store, &self.table.stats);
         let entry = self.shard.entries.get_mut(&EntryKey::Stage(name));
         if let Some(entry) = entry.filter(|entry| entry.sig == name) {
             debug_assert_eq!(digest, ConcurrentStore::signature_of(&entry.bytes));
@@ -605,7 +668,8 @@ impl ShardGuard<'_> {
         };
         self.table.store.release(entry.sig);
         if key.is_stage() {
-            self.stats
+            self.table
+                .stats
                 .stage_bytes
                 .fetch_sub(entry.meta.size, Ordering::Relaxed);
         }
@@ -616,6 +680,10 @@ impl ShardGuard<'_> {
     /// returning how many there were. Costs those versions, not the
     /// shard's population.
     pub(crate) fn remove_doc(&mut self, doc: DocumentId) -> u64 {
+        // Hygiene: a lease self-validates on use, but rarely would again.
+        if self.index == self.table.home(doc) {
+            self.shard.leases.remove(&doc);
+        }
         let Some(users) = self.shard.versions.get(&doc) else {
             return 0;
         };
@@ -649,11 +717,52 @@ impl ShardGuard<'_> {
         }
     }
 
-    /// Buffers `entry` as `user`'s write to `doc`, superseding any write
-    /// already there.
-    pub(crate) fn put_dirty(&mut self, doc: DocumentId, user: UserId, entry: DirtyEntry) {
-        if self.shard.dirty.insert((doc, user), entry).is_none() {
-            self.table.dirty_gauge.fetch_add(1, Ordering::Relaxed);
+    /// Queues `entry` as `user`'s write to `doc`. Of it and one queued, the
+    /// newer stays (`entry`, unless a drained write is put back: `requeue`)
+    /// with either's parked mark. Returns the write that stays.
+    pub(crate) fn put_dirty(
+        &mut self,
+        doc: DocumentId,
+        user: UserId,
+        mut entry: DirtyEntry,
+        requeue: bool,
+    ) -> &mut DirtyEntry {
+        let table = self.table;
+        let queued = match self.shard.dirty.entry((doc, user)) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                table.dirty_gauge.fetch_add(1, Ordering::Relaxed);
+                return slot.insert(entry);
+            }
+        };
+        if !requeue {
+            std::mem::swap(queued, &mut entry);
+        }
+        // `entry` is the older write now: its mark, if any, passes on.
+        if table.mark(&mut entry, false) {
+            table.mark(queued, true);
+        }
+        queued
+    }
+
+    /// The last writer sequence of `user`'s op-based writes to `doc`.
+    pub(crate) fn writer_seq(&mut self, doc: DocumentId, user: UserId) -> &mut u64 {
+        self.shard.writer_seqs.entry((doc, user)).or_default()
+    }
+
+    /// Refreshes `doc`'s lease in its home shard: the chain half always,
+    /// the root half when `lease` has one.
+    pub(crate) fn put_lease(&mut self, doc: DocumentId, mut lease: PlanLease) {
+        let held = self.shard.leases.remove(&doc);
+        lease.root = lease.root.or(held.and_then(|held| held.root));
+        self.shard.leases.insert(doc, lease);
+    }
+
+    /// Drops `doc`'s leased root if it still digests to `stale`: a walk may
+    /// have leased a newer one since a shared guard found this one refuted.
+    pub(crate) fn drop_root(&mut self, doc: DocumentId, stale: Signature) {
+        if let Some(lease) = self.shard.leases.get_mut(&doc) {
+            lease.root = lease.root.take().filter(|root| root.sig != stale);
         }
     }
 
@@ -684,11 +793,10 @@ impl ShardGuard<'_> {
                 shard,
                 index,
                 table: self.table,
-                stats: self.stats,
             };
             if let Some(victim) = sibling.shard.policy.evict() {
                 sibling.remove(victim, Removal::Evicted);
-                AtomicCacheStats::bump(&self.stats.evictions);
+                AtomicCacheStats::bump(&self.table.stats.evictions);
                 return true;
             }
         }
@@ -713,7 +821,7 @@ impl ShardGuard<'_> {
                 }
                 Some(victim) => {
                     self.remove(victim, Removal::Evicted);
-                    AtomicCacheStats::bump(&self.stats.evictions);
+                    AtomicCacheStats::bump(&self.table.stats.evictions);
                 }
                 None => {
                     if !self.steal_one() {
@@ -756,10 +864,7 @@ mod tests {
     fn a_declined_hit_is_settled_exclusively_and_once() {
         use placeless_core::cacheability::Cacheability::Unrestricted;
         let policy = PolicyFactory::by_name("gdsf").expect("known");
-        let (table, stats) = (
-            ShardTable::new(1, &policy, 1_024),
-            AtomicCacheStats::default(),
-        );
+        let table = ShardTable::new(1, &policy, 1_024);
         let clock = VirtualClock::new();
         let key = |doc| EntryKey::Version(DocumentId(doc), UserId(1));
         // Credits −1 000, −1 500, −2 500: one hit on the first makes it
@@ -768,16 +873,14 @@ mod tests {
             let meta = EntryMeta::new(Vec::new(), Unrestricted, cost, 1, clock.now());
             let body = Bytes::from(vec![doc as u8]);
             let sig = ConcurrentStore::signature_of(&body);
-            table
-                .lock(key(doc), &stats)
-                .install(key(doc), body, meta, sig);
+            table.lock(key(doc)).install(key(doc), body, meta, sig);
         }
         let verified = AtomicU64::new(0);
         let verify = |_: &EntryMeta| {
             verified.fetch_add(1, Ordering::Relaxed);
             Validity::Valid
         };
-        let probe = table.share(key(1), &stats).probe(key(1), &clock, verify);
+        let probe = table.share(key(1)).probe(key(1), &clock, verify);
         assert!(matches!(
             probe,
             Some(Probe::Fresh {
@@ -786,8 +889,50 @@ mod tests {
             })
         ));
         assert_eq!(verified.into_inner(), 1);
-        let mut guard = table.guard(0, &stats);
+        let mut guard = table.guard(0);
         let victims: Vec<_> = std::iter::from_fn(|| guard.shard.policy.evict()).collect();
         assert_eq!(victims, [key(3), key(1), key(2)]);
+    }
+
+    /// Every user's walk finds a document's lease in the one home shard,
+    /// and `remove_doc` drops it there — only there, and even when that
+    /// shard holds none of the document's versions.
+    #[test]
+    fn a_lease_lives_in_its_documents_home_shard() {
+        use placeless_core::bitprovider::MemoryProvider;
+        use placeless_core::cacheability::Cacheability::Unrestricted;
+        use placeless_core::space::DocumentSpace;
+        let table = ShardTable::new(8, &PolicyFactory::default(), 1 << 20);
+        let space = DocumentSpace::new(VirtualClock::new());
+        let owner = UserId(1);
+        let doc = space.create_document(owner, MemoryProvider::new("t", "body", 0));
+        let (_, chain, _) = space.read_plan_cached(owner, doc, None).expect("plan");
+        let home = table.home(doc);
+        table
+            .guard(home)
+            .put_lease(doc, PlanLease { chain, root: None });
+        // Sixteen users' versions, none in the home shard.
+        let away = |user: &UserId| table.shard_index(EntryKey::Version(doc, *user)) != home;
+        let users: Vec<UserId> = (1..256).map(UserId).filter(away).take(16).collect();
+        for &user in &users {
+            let (key, body) = (EntryKey::Version(doc, user), Bytes::from_static(b"v"));
+            let meta = EntryMeta::new(Vec::new(), Unrestricted, 1.0, 1, Instant(0));
+            let sig = ConcurrentStore::signature_of(&body);
+            table.lock(key).install(key, body, meta, sig);
+        }
+        let holders = |table: &ShardTable| -> Vec<usize> {
+            (0..8)
+                .filter(|&index| table.shared(index).lease(doc).is_some())
+                .collect()
+        };
+        assert_eq!(holders(&table), [home]);
+        let mut dropped = 0;
+        for index in (0..8).filter(|&index| index != home) {
+            dropped += table.guard(index).remove_doc(doc);
+        }
+        assert_eq!(dropped, users.len() as u64);
+        assert_eq!(holders(&table), [home], "only the home shard drops it");
+        assert_eq!(table.guard(home).remove_doc(doc), 0);
+        assert!(holders(&table).is_empty());
     }
 }

@@ -70,6 +70,19 @@ impl std::fmt::Debug for BaseChainLease {
     }
 }
 
+/// What [`DocumentSpace::compile_plan`] compiles, and where it takes the
+/// base half of the chain from.
+#[derive(Clone, Copy)]
+enum Compile<'a> {
+    /// A write path's chain, uncharged: the caller charges its hops.
+    Write,
+    /// A read path's chain, from the space: two hops.
+    Read,
+    /// A read path's chain, its base half from the lease while that is
+    /// current (one hop), else from the space with a lease issued (two).
+    Leased(Option<&'a Arc<BaseChainLease>>),
+}
+
 /// Where a property operation targets: the base (universal) or a user's
 /// reference (personal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -614,10 +627,7 @@ impl DocumentSpace {
     /// Caches use this to walk the chain stage-by-stage with
     /// intermediate-result lookups instead of opening an opaque stream.
     pub fn read_plan(&self, user: UserId, doc: DocumentId) -> Result<TransformPlan> {
-        // Two middleware hops: the reference's server and the base's.
-        self.charge_op(0);
-        self.charge_op(0);
-        self.compile_plan(user, doc, EventKind::GetInputStream)
+        Ok(self.compile_plan(user, doc, Compile::Read)?.0)
     }
 
     /// Compiles the read-path plan, reusing a previously issued
@@ -644,76 +654,10 @@ impl DocumentSpace {
         doc: DocumentId,
         lease: Option<&Arc<BaseChainLease>>,
     ) -> Result<(TransformPlan, Arc<BaseChainLease>, bool)> {
-        let (provider, base_props, ref_props, snapshot, fresh_lease) = {
-            let inner = self.inner.read();
-            let base = inner
-                .bases
-                .get(&doc)
-                .ok_or(PlacelessError::NoSuchDocument(doc))?;
-            let reference = inner
-                .refs
-                .get(&(user, doc))
-                .ok_or(PlacelessError::NoSuchReference(user, doc))?;
-            // Personal values shadow universal ones, so they come first.
-            let personal_pairs = reference.personal.static_pairs();
-            let ref_props = reference.personal.interested(EventKind::GetInputStream);
-            match lease {
-                Some(l) if l.doc == doc && l.epoch == base.chain_epoch => {
-                    let mut pairs = personal_pairs;
-                    pairs.extend(l.universal_pairs.iter().cloned());
-                    (
-                        l.provider.clone(),
-                        l.base_props.clone(),
-                        ref_props,
-                        PropsSnapshot::from_pairs(pairs),
-                        None,
-                    )
-                }
-                _ => {
-                    let universal_pairs = base.universal.static_pairs();
-                    let base_props = base.universal.interested(EventKind::GetInputStream);
-                    let mut pairs = personal_pairs;
-                    pairs.extend(universal_pairs.iter().cloned());
-                    let fresh = Arc::new(BaseChainLease {
-                        doc,
-                        epoch: base.chain_epoch,
-                        provider: base.provider.clone(),
-                        base_props: base_props.clone(),
-                        universal_pairs,
-                    });
-                    (
-                        base.provider.clone(),
-                        base_props,
-                        ref_props,
-                        PropsSnapshot::from_pairs(pairs),
-                        Some(fresh),
-                    )
-                }
-            }
-        };
-        let reused = fresh_lease.is_none();
-        // One hop (the reference server) on lease reuse; the usual two
-        // when the base server had to re-send its half of the chain.
-        self.charge_op(0);
-        if !reused {
-            self.charge_op(0);
-        }
-        // Tokens are captured outside the space lock, fresh on every
-        // compile — exactly as in `compile_plan`.
-        let plan = TransformPlan::compile(
-            &self.clock,
-            doc,
-            user,
-            provider,
-            base_props,
-            ref_props,
-            snapshot,
-        );
-        let lease_out = match fresh_lease {
-            Some(fresh) => fresh,
-            None => Arc::clone(lease.expect("reused implies a lease was passed")),
-        };
-        Ok((plan, lease_out, reused))
+        let (plan, used) = self.compile_plan(user, doc, Compile::Leased(lease))?;
+        let used = used.expect("a leased compile returns its lease");
+        let reused = lease.is_some_and(|lease| Arc::ptr_eq(lease, &used));
+        Ok((plan, used, reused))
     }
 
     /// Returns the origin key of `doc`'s bit-provider — the grouping key
@@ -750,7 +694,7 @@ impl DocumentSpace {
         self.charge_op(0);
         self.charge_op(0);
 
-        let plan = self.compile_plan(user, doc, EventKind::GetOutputStream)?;
+        let plan = self.compile_plan(user, doc, Compile::Write)?.0;
         if !plan.provider.writable() {
             return Err(PlacelessError::ReadOnly(doc));
         }
@@ -801,7 +745,7 @@ impl DocumentSpace {
         user: UserId,
         doc: DocumentId,
     ) -> Result<crate::cacheability::Cacheability> {
-        let plan = self.compile_plan(user, doc, EventKind::GetOutputStream)?;
+        let plan = self.compile_plan(user, doc, Compile::Write)?.0;
         Ok(plan.write_cacheability())
     }
 
@@ -852,8 +796,8 @@ impl DocumentSpace {
         let mut batch_view: HashMap<DocumentId, Bytes> = HashMap::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(writes.len());
         for w in writes {
-            let plan = match self.compile_plan(w.user, w.doc, EventKind::GetOutputStream) {
-                Ok(plan) => plan,
+            let plan = match self.compile_plan(w.user, w.doc, Compile::Write) {
+                Ok((plan, _)) => plan,
                 Err(error) => {
                     slots.push(Slot::Failed(error));
                     continue;
@@ -982,19 +926,30 @@ impl DocumentSpace {
         Ok(bytes.unwrap_or_default())
     }
 
-    /// The shared chain-assembly helper: snapshots the base and reference
-    /// halves of the property chain under the space lock, then compiles
-    /// them into a [`TransformPlan`] (base stages first, then the user's
-    /// reference stages). `open_read`, `open_write`, `write_cacheability`,
-    /// and [`Self::read_plan`] all derive their chains here — the single
-    /// place the base-then-reference iteration is spelled out.
+    /// The one chain compiler: snapshots the base and reference halves of
+    /// the property chain under the space lock — the base half from a
+    /// current lease when `how` offers one — then compiles them into a
+    /// [`TransformPlan`] (base stages first, then the user's reference
+    /// stages). Every read and write path derives its chain here. A read
+    /// compile charges its middleware hops before the plan captures tokens;
+    /// a write path charges its own. A [`Compile::Leased`] compile returns
+    /// the lease it used: the one offered, or a fresh one.
     fn compile_plan(
         &self,
         user: UserId,
         doc: DocumentId,
-        kind: EventKind,
-    ) -> Result<TransformPlan> {
-        let (provider, base_props, ref_props, snapshot) = {
+        how: Compile<'_>,
+    ) -> Result<(TransformPlan, Option<Arc<BaseChainLease>>)> {
+        let kind = match how {
+            Compile::Write => EventKind::GetOutputStream,
+            Compile::Read | Compile::Leased(_) => EventKind::GetInputStream,
+        };
+        if let Compile::Read = how {
+            // Two middleware hops: the reference's server and the base's.
+            self.charge_op(0);
+            self.charge_op(0);
+        }
+        let (provider, base_props, ref_props, pairs, leased) = {
             let inner = self.inner.read();
             let base = inner
                 .bases
@@ -1004,27 +959,54 @@ impl DocumentSpace {
                 .refs
                 .get(&(user, doc))
                 .ok_or(PlacelessError::NoSuchReference(user, doc))?;
+            // One hop (the reference server) on lease reuse; the usual two
+            // when the base server has to re-send its half of the chain.
+            let leased = match how {
+                Compile::Leased(Some(l)) if l.doc == doc && l.epoch == base.chain_epoch => {
+                    Some((Arc::clone(l), 1))
+                }
+                Compile::Leased(_) => Some((
+                    Arc::new(BaseChainLease {
+                        doc,
+                        epoch: base.chain_epoch,
+                        provider: base.provider.clone(),
+                        base_props: base.universal.interested(kind),
+                        universal_pairs: base.universal.static_pairs(),
+                    }),
+                    2,
+                )),
+                Compile::Read | Compile::Write => None,
+            };
             // Personal values shadow universal ones, so they come first.
             let mut pairs = reference.personal.static_pairs();
-            pairs.extend(base.universal.static_pairs());
-            (
-                base.provider.clone(),
-                base.universal.interested(kind),
-                reference.personal.interested(kind),
-                PropsSnapshot::from_pairs(pairs),
-            )
+            let (provider, base_props) = match &leased {
+                Some((l, _)) => {
+                    pairs.extend(l.universal_pairs.iter().cloned());
+                    (l.provider.clone(), l.base_props.clone())
+                }
+                None => {
+                    pairs.extend(base.universal.static_pairs());
+                    (base.provider.clone(), base.universal.interested(kind))
+                }
+            };
+            let ref_props = reference.personal.interested(kind);
+            (provider, base_props, ref_props, pairs, leased)
         };
+        for _ in 0..leased.as_ref().map_or(0, |(_, hops)| *hops) {
+            self.charge_op(0);
+        }
         // Tokens are captured outside the space lock: a transform token may
         // consult external sources, and properties must never run under it.
-        Ok(TransformPlan::compile(
+        let plan = TransformPlan::compile(
             &self.clock,
             doc,
             user,
             provider,
             base_props,
             ref_props,
-            snapshot,
-        ))
+            PropsSnapshot::from_pairs(pairs),
+        );
+        Ok((plan, leased.map(|(lease, _)| lease)))
     }
 
     // ------------------------------------------------------------------

@@ -31,7 +31,7 @@ cargo fmt --all -- --check
 # The design record and the experiment log only shrink: a docs PR lowers a
 # ceiling here, no other PR raises one.
 stage "docs ceilings"
-for ceiling in DESIGN.md:86205 EXPERIMENTS.md:109439; do
+for ceiling in DESIGN.md:85584 EXPERIMENTS.md:108027; do
   doc=${ceiling%%:*} max=${ceiling#*:}
   size=$(wc -c <"$doc")
   echo "$doc: $size of $max bytes"
@@ -203,6 +203,12 @@ echo "crates/cache/src/stats.rs: $(non_test_lines crates/cache/src/stats.rs)"
 # of a shard back on one lock word.
 if grep -n 'policy: Mutex' crates/cache/src/shard.rs; then
   echo "shard.rs: the policy is a plain field, not behind a mutex" >&2
+  exit 1
+fi
+# Per-key state (dirty writes, parked marks, writer sequences, plan leases)
+# lives in the shard that owns the key, under the lock it already takes.
+if grep -nE '^\s+\w+: Mutex<Hash(Map|Set)' crates/cache/src/manager/mod.rs; then
+  echo "manager/mod.rs: per-key state belongs to the shard, not a global map" >&2
   exit 1
 fi
 # A thread makes a futex call only when another is doing work it needs:

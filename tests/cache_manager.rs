@@ -579,7 +579,7 @@ fn builder_mirrors_struct_config() {
     assert!(!config.run_verifiers);
     assert_eq!(config.write_mode, WriteMode::Back);
     assert_eq!(config.shards, 2);
-    assert!(config.prefetch.enabled);
+    assert_eq!(config.prefetch.max_per_miss, 3);
     assert!(config.merge.is_some());
     // Exhaustive on purpose: a thirteenth field stops this compiling,
     // so adding an option is a decision, not an accident.
@@ -597,7 +597,7 @@ fn builder_mirrors_struct_config() {
         journal,
         merge,
     } = CacheConfig::default();
-    assert!(run_verifiers && !stage_cache && !prefetch.enabled);
+    assert!(run_verifiers && !stage_cache && prefetch.max_per_miss == 0);
     assert_eq!((write_mode, shards), (WriteMode::Through, 0));
     assert_eq!((origin.max_retries, origin.breaker), (0, None));
     assert!(access_link.is_none() && journal.is_none() && merge.is_none());
@@ -622,15 +622,13 @@ fn write_op_buffers_a_mergeable_delta_and_flushes_it() {
     use placeless_core::op::DocOp;
     let (space, provider, doc) = setup("base;", 100);
     let journal = WriteJournal::new(placeless_simenv::StableStore::new());
-    let cache = DocumentCache::new(
-        space,
-        CacheConfig {
-            write_mode: WriteMode::Back,
-            journal: Some(journal.clone()),
-            merge: Some(MergePolicy::new()),
-            ..quiet_config()
-        },
-    );
+    let config = |journal| CacheConfig {
+        write_mode: WriteMode::Back,
+        journal: Some(journal),
+        merge: Some(MergePolicy::new()),
+        ..quiet_config()
+    };
+    let cache = DocumentCache::new(space.clone(), config(journal.clone()));
     cache.read(ALICE, doc).expect("read must succeed");
     cache
         .write_op(ALICE, doc, DocOp::Append(Bytes::from("a1;")))
@@ -653,6 +651,25 @@ fn write_op_buffers_a_mergeable_delta_and_flushes_it() {
     assert!(report.is_clean(), "{report}");
     assert_eq!(provider.content(), "base;a1;a2;");
     assert!(journal.is_empty(), "flush acks the op record");
+
+    // The writer sequence continues across the flush, and across a crash
+    // whose replayed record has flushed too.
+    let append = |cache: &DocumentCache, op: &'static str| {
+        cache
+            .write_op(ALICE, doc, DocOp::Append(Bytes::from(op)))
+            .expect("op write must buffer");
+    };
+    append(&cache, "a3;");
+    assert_eq!(journal.live_records()[0].writer_seq, 3);
+    drop(cache);
+    let (journal, _) = WriteJournal::open(journal.store().clone());
+    let (cache, report) = DocumentCache::recover(space, config(journal.clone()), None);
+    assert_eq!(report.requeued, 1);
+    assert!(cache.flush().expect("flush must run").is_clean());
+    append(&cache, "a4;");
+    assert_eq!(journal.live_records()[0].writer_seq, 4);
+    assert!(cache.flush().expect("flush must run").is_clean());
+    assert_eq!(provider.content(), "base;a1;a2;a3;a4;");
 }
 
 /// The flush's conflict probe takes the writer's rendition from the cache

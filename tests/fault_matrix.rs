@@ -943,6 +943,49 @@ fn batched_flush_straddling_outage_parks_only_failed_entries() {
     assert_eq!(fs.read("/c").expect("file exists"), "new c");
 }
 
+/// A parked key rewritten during the outage stays one parked key: the new
+/// write supersedes the parked one and inherits its mark, so flushing it
+/// into the outage again parks nothing new. Both gauges drain once the
+/// origin is back.
+#[test]
+fn a_parked_key_rewritten_and_flushed_again_is_parked_once() {
+    let clock = VirtualClock::new();
+    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
+    let fs = MemFs::new(clock.clone());
+    let dark = lan(23);
+    dark.set_fault_plan(FaultPlan::builder(23).outage(0, 300_000).build());
+    fs.create("/p", "old");
+    let doc = space.create_document(USER, FsProvider::new(fs.clone(), "/p", dark));
+    let journal = WriteJournal::new(StableStore::new());
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig::builder()
+            .local_latency(LatencyModel::FREE)
+            .write_mode(WriteMode::Back)
+            .journal(journal.clone())
+            .build(),
+    );
+    cache.write(USER, doc, b"first").expect("buffers");
+    let report = cache.flush().expect("flush reports, not errors");
+    assert_eq!(report.parked, vec![(doc, USER)]);
+    assert_eq!((cache.stats().writes_parked, cache.parked_count()), (1, 1));
+
+    cache.write(USER, doc, b"second").expect("buffers");
+    assert_eq!(cache.parked_count(), 1, "the rewrite keeps the key parked");
+    let report = cache.flush().expect("flush reports, not errors");
+    assert_eq!(report.parked, vec![(doc, USER)]);
+    assert_eq!(cache.stats().writes_parked, 1, "the key parked once");
+    assert_eq!((cache.dirty_count(), cache.parked_count()), (1, 1));
+
+    clock.advance_to(Instant(500_000));
+    let report = cache.flush().expect("flush succeeds");
+    assert!(report.is_clean(), "{report}");
+    assert_eq!((cache.dirty_count(), cache.parked_count()), (0, 0));
+    assert_eq!(cache.stats().writes_parked, 1);
+    assert!(journal.is_empty());
+    assert_eq!(fs.read("/p").expect("file exists"), "second");
+}
+
 /// Grouping never merges origins: a dark filesystem origin trips its own
 /// breaker while a healthy web origin in the same flush keeps flushing,
 /// and the open breaker rejects only its own group on the next pass.
