@@ -233,8 +233,7 @@ impl CacheConfigBuilder {
 /// ```
 /// use placeless_cache::ReadOptions;
 ///
-/// let opts = ReadOptions::new().allow_stale(true).deadline_micros(5_000);
-/// assert!(opts.allow_stale);
+/// let opts = ReadOptions::new().deadline_micros(5_000);
 /// assert_eq!(opts.deadline_micros, Some(5_000));
 /// ```
 #[non_exhaustive]
@@ -249,12 +248,6 @@ pub struct ReadOptions {
     /// the default origin config there is nothing to bound and the
     /// override has no effect.
     pub deadline_micros: Option<u64>,
-    /// Permits serving resident-but-unverifiable bytes when the origin is
-    /// unreachable, even if the cache has no configured
-    /// [`OriginConfig::serve_stale`] bound (the per-read bound is
-    /// [`StalenessBound::UNBOUNDED`]). A configured bound still applies
-    /// to every read regardless of this flag.
-    pub allow_stale: bool,
     /// Scheduling class for overload control: under pressure the cache
     /// sheds [`Priority::Prefetch`] first, [`Priority::Refresh`] next,
     /// and [`Priority::Foreground`] (the default) last. Without overload
@@ -272,12 +265,6 @@ impl ReadOptions {
     /// Sets the per-read fetch deadline override.
     pub fn deadline_micros(mut self, micros: u64) -> Self {
         self.deadline_micros = Some(micros);
-        self
-    }
-
-    /// Sets the per-read stale-service opt-in.
-    pub fn allow_stale(mut self, allow: bool) -> Self {
-        self.allow_stale = allow;
         self
     }
 

@@ -277,6 +277,35 @@ impl DocumentCache {
     pub fn journal(&self) -> Option<&WriteJournal> {
         self.journal.as_ref()
     }
+
+    /// Recounts every shard's table, one shard lock at a time, for a test
+    /// to hold beside its own model. Exact only while the cache is quiescent.
+    #[doc(hidden)]
+    pub fn recount(&self) -> Recount {
+        let mut recount = Recount::default();
+        for shard in self.table.share_each() {
+            shard.recount(self.space.clock(), &mut recount);
+        }
+        let gauges = [&self.table.dirty_gauge, &self.table.parked_gauge];
+        recount.gauges = gauges.map(|gauge| gauge.load(Ordering::Relaxed));
+        recount
+    }
+}
+
+/// What [`DocumentCache::recount`] found.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct Recount {
+    /// Every resident entry: its key, the signature it is filed under, its bytes.
+    pub entries: Vec<(EntryKey, Signature, Bytes)>,
+    /// Every buffered write: its key, view, base epoch and parked mark.
+    pub dirty: Vec<(DocumentId, UserId, Bytes, Signature, bool)>,
+    /// Every lease, with the digest of its root while the root's verifier passes.
+    pub leases: Vec<(DocumentId, Option<Signature>)>,
+    /// Each shard and item of its bookkeeping that disagrees with the recount.
+    pub mismatches: Vec<(usize, &'static str)>,
+    /// The dirty and parked gauges.
+    pub gauges: [u64; 2],
 }
 
 /// Whether `verifier` still stands for content fetched after it was made:

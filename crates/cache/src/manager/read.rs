@@ -73,12 +73,6 @@ impl StalenessBound {
     /// No stale service at all.
     pub const ZERO: Self = Self { max_age_micros: 0 };
 
-    /// Any age is acceptable (used by per-read `allow_stale` opt-ins that
-    /// name no window of their own).
-    pub const UNBOUNDED: Self = Self {
-        max_age_micros: u64::MAX,
-    };
-
     /// Allows serving entries up to `max_age_micros` old.
     pub fn micros(max_age_micros: u64) -> Self {
         Self { max_age_micros }
@@ -368,9 +362,8 @@ impl DocumentCache {
 
     /// Terminal miss-path failure handling: a transient error may still
     /// be served stale — resident bytes whose freshness is merely
-    /// *unknown* stand in for the unreachable origin within the effective
-    /// staleness bound (the configured [`OriginConfig::serve_stale`], or
-    /// an unbounded per-read window when `opts.allow_stale` is set).
+    /// *unknown* stand in for the unreachable origin within the configured
+    /// staleness bound, [`OriginConfig::serve_stale`].
     /// Verifier-rejected entries were dropped before the fetch and can
     /// never be served here. Everything else propagates the error.
     fn stale_or_degraded(
@@ -380,12 +373,7 @@ impl DocumentCache {
         stale: Option<Stale>,
     ) -> Result<ReadOutcome> {
         if error.is_transient() {
-            let bound = self
-                .origins
-                .config
-                .serve_stale
-                .or_else(|| read.opts.allow_stale.then_some(StalenessBound::UNBOUNDED));
-            if let (Some(bound), Some(stale)) = (bound, stale) {
+            if let (Some(bound), Some(stale)) = (self.origins.config.serve_stale, stale) {
                 if bound.permits(stale.filled_at, read.clock.now()) {
                     return self.serve_stale_candidate(read, stale.bytes, stale.forward);
                 }

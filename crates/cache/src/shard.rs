@@ -67,6 +67,7 @@
 
 use crate::digest::Signature;
 use crate::entry::EntryMeta;
+use crate::manager::Recount;
 use crate::policy::{EntryAttrs, EntryKey, PolicyFactory, ReplacementPolicy};
 use crate::stats::AtomicCacheStats;
 use crate::store::{ConcurrentStore, NoRoom};
@@ -456,6 +457,40 @@ impl<'a, G: Deref<Target = Shard>> ShardGuard<'a, G> {
     /// Returns `doc`'s lease, if this is its home shard and holds one.
     pub(crate) fn lease(&self, doc: DocumentId) -> Option<&PlanLease> {
         self.shard.leases.get(&doc)
+    }
+
+    /// Adds this shard's entries, buffered writes and leases to `into`,
+    /// with each piece of bookkeeping that disagrees with a recount of them.
+    pub(crate) fn recount(&self, clock: &VirtualClock, into: &mut Recount) {
+        let (shard, index) = (&*self.shard, self.index);
+        let mut versions: HashMap<DocumentId, HashSet<UserId>> = HashMap::new();
+        let (mut stages, mut tracked) = (0, 0);
+        for (&key, entry) in &shard.entries {
+            match key {
+                EntryKey::Version(doc, user) => versions.entry(doc).or_default().extend([user]),
+                EntryKey::Stage(_) => stages += 1,
+            }
+            tracked += usize::from(!entry.meta.pinned);
+            into.entries.push((key, entry.sig, entry.bytes.clone()));
+        }
+        let homed = |doc: &DocumentId| self.table.home(*doc) == index;
+        for (item, agrees) in [
+            ("versions", versions == shard.versions),
+            ("stages", stages == shard.stages),
+            ("policy", tracked == shard.policy.len()),
+            ("leases", shard.leases.keys().all(homed)),
+        ] {
+            into.mismatches.extend((!agrees).then_some((index, item)));
+        }
+        for (&(doc, user), e) in &shard.dirty {
+            into.dirty
+                .push((doc, user, e.data.clone(), e.epoch, e.parked));
+        }
+        let passes = |v: &Arc<dyn Verifier>| v.check(clock) == Validity::Valid;
+        for (&doc, PlanLease { root, .. }) in &shard.leases {
+            let root = root.as_ref().filter(|r| r.verifier.iter().all(passes));
+            into.leases.push((doc, root.map(|root| root.sig)));
+        }
     }
 }
 

@@ -282,8 +282,8 @@ impl TransformPlan {
     /// path. Cost accounting and report entries match
     /// [`Self::wrap_input_stage`] (plus the stage's signature and output
     /// size), and the output is what draining that wrapper to the end
-    /// would collect — `tests/streaming_parity.rs` holds the buffered
-    /// reference walk. A pass-through stage (a wrapper that forwards the
+    /// would collect — `tests/model.rs` holds walks to a sequential
+    /// reference. A pass-through stage (a wrapper that forwards the
     /// input slice unchanged) returns the input `Bytes` itself.
     ///
     /// No MD5 pass runs here: the output's content digest comes back only

@@ -3,16 +3,17 @@
 //!
 //! `translate`, `spell-corrector`, `rot13-at-rest` and PropLang's
 //! interpreter used to work a `char` (or a boxed call) at a time; they now
-//! run slice kernels. The old loops survive here, as the references the
-//! new code must agree with byte for byte on arbitrary input: ASCII, valid
+//! run slice kernels. The old loops survive, here and in `tests/reference`
+//! (which `tests/model.rs` shares), as the references the new code must
+//! agree with byte for byte on arbitrary input: ASCII, valid
 //! and invalid UTF-8, characters whose lowercase form changes length or
 //! lands in ASCII, and tables whose keys the packed lookup cannot hold.
 //! Random tables, the shipped ones and one large enough to make the
 //! direct-mapped table grow are held to the same references, and the
 //! `replace` finder to `str::replace`. The two pass-through tests pin
 //! what an identity transform costs (the input allocation and its digest
-//! are handed on), and the last test is the release-only cost gate
-//! `scripts/check.sh` runs.
+//! are handed on, through a chain of them too) and what a walk charges,
+//! and the last test is the release-only cost gate `scripts/check.sh` runs.
 
 use bytes::Bytes;
 use placeless::prelude::*;
@@ -36,36 +37,13 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex};
 
+mod reference;
+
+use reference::{reference_rot13, reference_translate};
+
 const USER: UserId = UserId(1);
 
 // ---- the retained char-domain references --------------------------------
-
-/// `Translate::translate` as it stood before the word-map kernel.
-fn reference_translate(table: &HashMap<String, String>, text: &[u8]) -> Vec<u8> {
-    fn flush(table: &HashMap<String, String>, out: &mut String, word: &mut String) {
-        if word.is_empty() {
-            return;
-        }
-        match table.get(&word.to_lowercase()) {
-            Some(t) => out.push_str(t),
-            None => out.push_str(word),
-        }
-        word.clear();
-    }
-    let text = String::from_utf8_lossy(text);
-    let mut out = String::with_capacity(text.len());
-    let mut word = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() || ch == '\'' {
-            word.push(ch);
-        } else {
-            flush(table, &mut out, &mut word);
-            out.push(ch);
-        }
-    }
-    flush(table, &mut out, &mut word);
-    out.into_bytes()
-}
 
 /// `SpellCheck::correct` as it stood before the word-map kernel.
 fn reference_correct(dictionary: &HashMap<String, String>, text: &[u8]) -> Vec<u8> {
@@ -104,15 +82,6 @@ fn reference_correct(dictionary: &HashMap<String, String>, text: &[u8]) -> Vec<u
     }
     flush_word(dictionary, &mut out, &mut word);
     out.into_bytes()
-}
-
-/// `rot13_byte` as it stood before it went branch-free on case.
-fn reference_rot13(b: u8) -> u8 {
-    match b {
-        b'a'..=b'z' => (b - b'a' + 13) % 26 + b'a',
-        b'A'..=b'Z' => (b - b'A' + 13) % 26 + b'A',
-        _ => b,
-    }
 }
 
 // ---- tables and inputs ----------------------------------------------------
@@ -579,10 +548,12 @@ proptest! {
 
 // ---- identity transforms are pass-throughs --------------------------------
 
-/// Runs `prop` as the only stage of a plan over `body`, carrying `carried`
-/// as the input's digest.
-fn run_single_stage(
-    prop: Arc<dyn ActiveProperty>,
+/// Runs `props` as the stages of one plan over `body`, carrying `carried`
+/// as the input's digest, and returns the last stage's output. The walk
+/// charges each stage's cost once, to the clock and to the report, and
+/// records each stage's output at its size.
+fn run_stages(
+    props: Vec<Arc<dyn ActiveProperty>>,
     body: &Bytes,
     carried: Signature,
 ) -> (placeless_core::plan::StageOutput, PathReport) {
@@ -592,14 +563,21 @@ fn run_single_stage(
         DocumentId(1),
         USER,
         MemoryProvider::new("p", "unused", 0),
-        vec![prop],
+        props,
         Vec::new(),
         PropsSnapshot::default(),
     );
-    let mut report = PathReport::default();
+    let (start, mut report, mut out) = (clock.now(), PathReport::default(), None);
     let mut pipeline = StagePipeline::from_root(&plan, body.clone(), carried);
-    let out = pipeline.execute(&clock, 0, &mut report).unwrap();
-    (out, report)
+    for index in 0..plan.len() {
+        let stage = pipeline.execute(&clock, index, &mut report).unwrap();
+        assert_eq!(report.stages[index].bytes, stage.bytes.len() as u64);
+        out = Some(stage);
+    }
+    let cost: u64 = plan.stages.iter().map(|stage| stage.cost_micros).sum();
+    let charged = (clock.now().since(start), report.cost.raw_micros());
+    assert_eq!(charged, (cost, cost as f64), "each stage charged once");
+    (out.expect("a stage"), report)
 }
 
 /// A digest no content has: if it comes back, it was carried, not computed.
@@ -608,11 +586,15 @@ const CARRIED: Signature = Signature([0xAB; 16]);
 #[test]
 fn translate_without_a_table_is_a_pass_through() {
     let body = Bytes::from_static(b"hello world, the workshop paper");
-    for prop in [
-        Translate::from_preferred_language(),
-        Translate::to("klingon"),
+    let preferred: Arc<dyn ActiveProperty> = Translate::from_preferred_language();
+    let klingon: Arc<dyn ActiveProperty> = Translate::to("klingon");
+    // Each alone, and a chain of them: the walk hands the buffer on.
+    for chain in [
+        vec![preferred.clone()],
+        vec![klingon.clone()],
+        vec![preferred, klingon],
     ] {
-        let (out, _) = run_single_stage(prop, &body, CARRIED);
+        let (out, _) = run_stages(chain, &body, CARRIED);
         assert!(
             std::ptr::eq(out.bytes.as_ptr(), body.as_ptr()),
             "no table: the output chunk must be the input allocation"
@@ -621,7 +603,7 @@ fn translate_without_a_table_is_a_pass_through() {
         assert_eq!(out.content_sig, CARRIED, "digest carried, not recomputed");
     }
     // With a table the stage transforms and is hashed.
-    let (out, _) = run_single_stage(Translate::to("fr"), &body, CARRIED);
+    let (out, _) = run_stages(vec![Translate::to("fr")], &body, CARRIED);
     assert_eq!(out.bytes, "bonjour monde, le atelier papier");
     assert_eq!(out.content_sig, md5(&out.bytes));
 }
@@ -647,7 +629,7 @@ fn proplang_program_in_which_no_stage_runs_is_the_identity_on_bytes() {
 
     // The same script as a stage: the executor sees a pass-through.
     let body = Bytes::copy_from_slice(binary);
-    let (out, report) = run_single_stage(ttl_only, &body, CARRIED);
+    let (out, report) = run_stages(vec![ttl_only], &body, CARRIED);
     assert!(std::ptr::eq(out.bytes.as_ptr(), body.as_ptr()));
     assert_eq!(out.content_sig, CARRIED);
     assert_eq!(report.verifiers.len(), 1, "directives still register");
@@ -659,7 +641,7 @@ fn proplang_program_in_which_no_stage_runs_is_the_identity_on_bytes() {
         ExtEnv::new(),
     )
     .unwrap();
-    let (out, _) = run_single_stage(all_false, &body, CARRIED);
+    let (out, _) = run_stages(vec![all_false], &body, CARRIED);
     assert!(std::ptr::eq(out.bytes.as_ptr(), body.as_ptr()));
     assert_eq!(out.content_sig, CARRIED);
 }

@@ -1,7 +1,7 @@
 //! Overload-control integration tests: deadline-aware admission on the
 //! per-origin window, the window's one width, the brownout ladder's rungs,
-//! deterministic shed decisions, and the parity contract of a window
-//! without control — all end to end through [`DocumentCache`].
+//! and deterministic shed decisions — all end to end through
+//! [`DocumentCache`].
 
 use bytes::Bytes;
 use placeless_cache::{
@@ -586,62 +586,4 @@ proptest! {
         prop_assert_eq!(first_stats.sheds_total(), 8);
         prop_assert_eq!(first_trace.len(), 17);
     }
-}
-
-/// One fixed single-threaded workload over six shared-origin documents:
-/// each is read cold (miss) and then warm (hit).
-fn parity_workload(control: Option<OverloadControl>, with_opts: bool) -> (Vec<Bytes>, CacheStats) {
-    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
-    let docs: Vec<_> = (0..6)
-        .map(|_| space.create_document(USER, CheapProvider::new(500)))
-        .collect();
-    let window = WindowConfig { width: 2, control };
-    let config = CacheConfig::builder()
-        .local_latency(LatencyModel::FREE)
-        .origin(OriginConfig::default().window(window));
-    let cache = DocumentCache::new(space, config.build());
-
-    let priorities = [Priority::Foreground, Priority::Refresh, Priority::Prefetch];
-    let mut bodies = Vec::new();
-    for round in 0..2 {
-        for (i, &doc) in docs.iter().enumerate() {
-            let opts = if with_opts {
-                ReadOptions::default()
-                    .deadline_micros(50_000)
-                    .priority(priorities[(round + i) % priorities.len()])
-            } else {
-                ReadOptions::default()
-            };
-            bodies.push(cache.read_with(USER, doc, opts).expect("read").bytes);
-        }
-    }
-    (bodies, cache.stats())
-}
-
-/// The parity contract, both halves. With `overload: None` the new
-/// `ReadOptions` fields are inert — priorities and deadlines change
-/// nothing observable. And an *uncontended* workload under overload
-/// control is byte-for-byte identical to the unprotected cache: the
-/// subsystem only becomes visible under pressure.
-#[test]
-fn overload_none_parity_and_uncontended_transparency() {
-    let (baseline_bodies, baseline) = parity_workload(None, false);
-    let (opted_bodies, opted) = parity_workload(None, true);
-    let (protected_bodies, protected) = parity_workload(Some(OverloadControl::default()), true);
-
-    assert_eq!(baseline_bodies, opted_bodies);
-    assert_eq!(
-        baseline, opted,
-        "priorities and deadlines must be inert without the subsystem"
-    );
-    assert_eq!(baseline_bodies, protected_bodies);
-    assert_eq!(
-        baseline, protected,
-        "an uncontended read stream must not observe overload control"
-    );
-    assert_eq!(baseline.sheds_total(), 0);
-    assert_eq!(baseline.brownout_shifts, 0);
-    assert_eq!(baseline.queue_wait_micros, 0);
-    assert_eq!(baseline.hits, 6);
-    assert_eq!(baseline.misses, 6);
 }

@@ -1,8 +1,8 @@
 //! Property-based tests over the caching layer: the content store against
-//! a reference model (and its budget and refcount examples), refcount and
-//! gauge balance through the public cache API with the entry table held to
-//! what its policies were told, replacement-policy contracts under random
-//! operation sequences, GDS invariants, and the simulation substrate.
+//! a reference model (and its budget and refcount examples), the entry
+//! table held to what its policies were told through fills, evictions and
+//! invalidations, replacement-policy contracts under random operation
+//! sequences, GDS invariants, and the simulation substrate.
 
 use bytes::Bytes;
 use placeless_bench::support::TagProperty;
@@ -45,30 +45,6 @@ const BALANCE_USERS: u64 = 3;
 /// About a third of what the world's stage and version entries need, so
 /// most fills evict.
 const BALANCE_CAPACITY: u64 = 250;
-/// Room for everything, so an invalidation finds every version it covers
-/// still resident.
-const ROOMY_CAPACITY: u64 = 1 << 20;
-
-/// Steps the balance test drives through the public cache API.
-#[derive(Debug, Clone)]
-enum CacheOp {
-    Read(u64, u64),
-    Write(u64, u64, u8),
-    DropUser(u64, u64),
-    DropDoc(u64),
-}
-
-fn cache_op_strategy() -> impl Strategy<Value = CacheOp> {
-    let doc = 0..BALANCE_DOCS;
-    let user = 0..BALANCE_USERS;
-    prop_oneof![
-        (doc.clone(), user.clone()).prop_map(|(d, u)| CacheOp::Read(d, u)),
-        (doc.clone(), user.clone()).prop_map(|(d, u)| CacheOp::Read(d, u)),
-        (doc.clone(), user.clone(), any::<u8>()).prop_map(|(d, u, v)| CacheOp::Write(d, u, v)),
-        (doc.clone(), user).prop_map(|(d, u)| CacheOp::DropUser(d, u)),
-        doc.prop_map(CacheOp::DropDoc),
-    ]
-}
 
 /// What the shards' policies have been told, which is what their tables
 /// must hold: every unpinned entry enters a policy when it is installed
@@ -141,36 +117,12 @@ fn table_matches_ledger(
     assert_eq!(logical, listed);
 }
 
-/// Every resident entry's bytes are the store's bytes for its signature:
-/// the store keeps one allocation per content, so the resident versions
-/// (each read is a hit, which hands out the entry's own bytes) show one
-/// address per distinct content.
-fn resident_bytes_are_the_stores(cache: &DocumentCache, pairs: &[(UserId, DocumentId)]) {
-    let mut held: HashMap<Bytes, *const u8> = HashMap::new();
-    for &(user, doc) in pairs {
-        if !cache.contains(user, doc) {
-            continue;
-        }
-        let outcome = cache
-            .read_with(user, doc, ReadOptions::default())
-            .expect("a hit");
-        assert_eq!(outcome.class, HitClass::Hit, "{user:?} of {doc:?}");
-        let at = outcome.bytes.as_ptr();
-        let first = *held.entry(outcome.bytes).or_insert(at);
-        assert_eq!(first, at, "{user:?} of {doc:?} holds a copy of its own");
-    }
-}
-
-/// Every document carries one universal signed stage and — with
-/// `personal` — one signed personal suffix per user, behind a
-/// write-through stage-caching cache of `capacity` bytes. Without the
-/// suffixes every user's version is the universal stage's output under
-/// another name: one content, one stage entry and up to three aliases
-/// holding it.
+/// Every document carries one universal signed stage and one signed
+/// personal suffix per user, behind a write-through stage-caching cache of
+/// `capacity` bytes.
 fn staged_chain_world(
     shards: usize,
     capacity: u64,
-    personal: bool,
     ledger: &Ledger,
 ) -> (
     Arc<DocumentSpace>,
@@ -191,12 +143,10 @@ fn staged_chain_world(
                 if user != users[0] {
                     space.add_reference(user, doc).expect("doc exists");
                 }
-                if personal {
-                    let own = TagProperty::new(&format!("u{}", user.0), 100);
-                    space
-                        .attach_active(Scope::Personal(user), doc, own)
-                        .expect("reference exists");
-                }
+                let own = TagProperty::new(&format!("u{}", user.0), 100);
+                space
+                    .attach_active(Scope::Personal(user), doc, own)
+                    .expect("reference exists");
             }
             doc
         })
@@ -260,95 +210,6 @@ proptest! {
             store.release(sig(v));
         }
         prop_assert_eq!((store.physical_bytes(), store.logical_bytes()), (0, 0));
-    }
-
-    /// Store refcounts and the `stage_bytes` gauge stay balanced through
-    /// any sequence of fills, evictions and invalidations: the budget is
-    /// never overshot, and once every version is invalidated exactly the
-    /// stage entries' references remain. Along the way the table holds
-    /// what its policies were told ([`table_matches_ledger`]), every
-    /// invalidation takes exactly the versions it covers — the
-    /// per-document index and the table agree — and a version that costs
-    /// nothing to lose is admitted only while the store has room for an
-    /// entry of its size, so under pressure an eviction frees bytes. With
-    /// evictions interleaved (tiny budget) and with every version resident
-    /// (roomy budget), whether each version holds content of its own
-    /// (personal suffixes) or all of a document's versions and its stage
-    /// entry hold one content between them — and then one allocation
-    /// ([`resident_bytes_are_the_stores`]).
-    #[test]
-    fn refcounts_and_gauges_balance_through_the_public_api(
-        shards in proptest::sample::select(vec![1usize, 4]),
-        capacity in proptest::sample::select(vec![BALANCE_CAPACITY, ROOMY_CAPACITY]),
-        personal in any::<bool>(),
-        ops in proptest::collection::vec(cache_op_strategy(), 0..80),
-    ) {
-        let ledger = Ledger::default();
-        let (space, cache, docs, users) = staged_chain_world(shards, capacity, personal, &ledger);
-        let pairs: Vec<(UserId, DocumentId)> = users
-            .iter()
-            .flat_map(|&user| docs.iter().map(move |&doc| (user, doc)))
-            .collect();
-        for op in ops {
-            let (len, notified) = (cache.len(), cache.stats().notifier_invalidations);
-            let every_user_of = |doc: DocumentId| users.iter().map(move |&user| (user, doc)).collect();
-            // Each step yields the `(user, document)` pairs it must leave
-            // non-resident.
-            let gone: Vec<(UserId, DocumentId)> = match op {
-                CacheOp::Read(d, u) => {
-                    let (user, doc) = (users[u as usize], docs[d as usize]);
-                    let outcome = cache
-                        .read_with(user, doc, ReadOptions::default())
-                        .expect("read must succeed");
-                    if capacity == ROOMY_CAPACITY {
-                        prop_assert!(cache.contains(user, doc));
-                    }
-                    // A fill that admitted a free alias left room for it.
-                    let filled = ledger.lock().unwrap().get(&EntryKey::Version(doc, user)).copied();
-                    if let Some(alias) = filled.filter(|a| a.cost == 0.0 && outcome.class != HitClass::Hit) {
-                        prop_assert!(cache.resident_bytes().0 + alias.size <= capacity);
-                    }
-                    Vec::new()
-                }
-                CacheOp::Write(d, u, v) => {
-                    let body = format!("rewritten body number {v}");
-                    cache
-                        .write(users[u as usize], docs[d as usize], body.as_bytes())
-                        .expect("write-through must succeed");
-                    every_user_of(docs[d as usize])
-                }
-                CacheOp::DropUser(d, u) => {
-                    let (user, doc) = (users[u as usize], docs[d as usize]);
-                    space.bus().post(Invalidation::UserDocument(doc, user));
-                    vec![(user, doc)]
-                }
-                CacheOp::DropDoc(d) => {
-                    space.bus().post(Invalidation::Document(docs[d as usize]));
-                    every_user_of(docs[d as usize])
-                }
-            };
-            for (user, doc) in gone {
-                prop_assert!(!cache.contains(user, doc), "{:?} of {:?} survived", user, doc);
-            }
-            if matches!(op, CacheOp::DropUser(..) | CacheOp::DropDoc(..)) {
-                // A bus post removes what it counts and nothing else.
-                let counted = cache.stats().notifier_invalidations - notified;
-                prop_assert_eq!(len - cache.len(), counted as usize);
-            }
-            table_matches_ledger(&cache, &ledger, &pairs, capacity);
-            resident_bytes_are_the_stores(&cache, &pairs);
-            let physical = cache.resident_bytes().0;
-            if !personal && capacity == ROOMY_CAPACITY {
-                // Aliases add names, never bytes: what is stored is what
-                // the stage entries hold.
-                prop_assert_eq!(physical, cache.stats().stage_bytes);
-            }
-        }
-        for &doc in &docs {
-            space.bus().post(Invalidation::Document(doc));
-        }
-        prop_assert_eq!(cache.len(), cache.stage_entry_count());
-        prop_assert_eq!(cache.resident_bytes().1, cache.stats().stage_bytes);
     }
 
     /// Every policy maintains the contract: it tracks exactly the live
@@ -675,7 +536,7 @@ fn every_holder_of_one_content_serves_one_allocation() {
 #[test]
 fn entry_table_follows_its_ledger_through_fills_evictions_and_invalidations() {
     let ledger = Ledger::default();
-    let (space, cache, docs, users) = staged_chain_world(3, BALANCE_CAPACITY, true, &ledger);
+    let (space, cache, docs, users) = staged_chain_world(3, BALANCE_CAPACITY, &ledger);
     let pairs: Vec<(UserId, DocumentId)> = users
         .iter()
         .flat_map(|&user| docs.iter().map(move |&doc| (user, doc)))

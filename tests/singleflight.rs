@@ -12,7 +12,7 @@ use placeless_core::space::{DocumentSpace, Scope};
 use placeless_core::streams::{InputStream, MemoryInput, OutputStream};
 use placeless_core::verifier::Verifier;
 use placeless_repository::{FsProvider, MemFs};
-use placeless_simenv::{FaultPlan, Instant, LatencyModel, Link, VirtualClock};
+use placeless_simenv::{FaultPlan, LatencyModel, Link, VirtualClock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -405,42 +405,6 @@ fn read_delegates_to_read_with() {
         .expect("hit");
     assert_eq!(hit.class, HitClass::Hit);
     assert_eq!(hit.bytes, miss.bytes);
-}
-
-/// Per-read `allow_stale` serves resident bytes across an outage with no
-/// configured serve-stale policy — and only for the reads that opt in.
-#[test]
-fn allow_stale_is_per_read() {
-    let clock = VirtualClock::new();
-    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
-    let fs = MemFs::new(clock.clone());
-    fs.create("/doc", "body");
-    let link = Link::new(1_000, 10_000_000, 0.0, 7);
-    link.set_fault_plan(FaultPlan::builder(7).outage(10_000, 500_000).build());
-    let doc = space.create_document(USER, FsProvider::new(fs, "/doc", link));
-    let cache = DocumentCache::new(
-        space,
-        CacheConfig::builder()
-            .local_latency(LatencyModel::FREE)
-            .build(),
-    );
-
-    assert_eq!(cache.read(USER, doc).expect("warm fill"), "body");
-
-    clock.advance_to(Instant(20_000));
-    cache
-        .read(USER, doc)
-        .expect_err("no stale policy, no opt-in: the outage surfaces");
-
-    let outcome = cache
-        .read_with(USER, doc, ReadOptions::new().allow_stale(true))
-        .expect("opted-in read survives the outage");
-    assert_eq!(outcome.bytes, "body");
-    assert_eq!(outcome.class, HitClass::StaleServed);
-
-    let stats = cache.stats();
-    assert_eq!(stats.stale_served, 1);
-    assert_eq!(stats.degraded_errors, 1);
 }
 
 /// A per-read deadline override cuts retry scheduling short: the same
