@@ -86,7 +86,7 @@ use parking_lot::Mutex;
 use placeless_core::id::{DocumentId, UserId};
 use placeless_core::op::{decode_ops, encode_ops, DocOp};
 use placeless_simenv::StableStore;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The epoch recorded when the writer never read the document: no base
@@ -329,7 +329,7 @@ pub struct ReplayOutcome {
 struct JournalState {
     next_seq: u64,
     live: BTreeMap<u64, LiveRecord>,
-    by_key: HashMap<(DocumentId, UserId), u64>,
+    by_key: placeless_core::keymap::KeyMap<(DocumentId, UserId), u64>,
     appends: u64,
     /// Bytes of the medium that live frames occupy; the rest is dead.
     live_bytes: u64,

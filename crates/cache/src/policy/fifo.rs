@@ -1,13 +1,13 @@
 //! First-in first-out replacement.
 
 use super::{EntryAttrs, EntryKey, ReplacementPolicy};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// FIFO: evicts in insertion order, ignoring hits entirely.
 #[derive(Default)]
 pub struct Fifo {
     order: VecDeque<EntryKey>,
-    live: HashSet<EntryKey>,
+    live: placeless_core::keymap::KeySet<EntryKey>,
 }
 
 impl Fifo {

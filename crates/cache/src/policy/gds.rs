@@ -23,8 +23,9 @@
 //! swept once they outnumber the live ones.
 
 use super::{EntryAttrs, EntryKey, ReplacementPolicy};
+use placeless_core::keymap::KeyMap;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Dead nodes tolerated beyond one per live entry before the heap is
@@ -90,7 +91,7 @@ impl Tracked {
 /// The Greedy-Dual replacement policy; `FREQUENCY` makes it GDS-Frequency
 /// ([`super::GdsFrequency`]).
 pub struct GreedyDual<const FREQUENCY: bool> {
-    entries: HashMap<EntryKey, Tracked>,
+    entries: KeyMap<EntryKey, Tracked>,
     heap: BinaryHeap<Reverse<(OrdF64, u64, EntryKey)>>,
     inflation: f64,
     next_generation: OwnLine,
@@ -104,7 +105,7 @@ impl<const FREQUENCY: bool> GreedyDual<FREQUENCY> {
     /// Creates a cost-aware policy.
     pub fn new() -> Self {
         Self {
-            entries: HashMap::new(),
+            entries: KeyMap::default(),
             heap: BinaryHeap::new(),
             inflation: 0.0,
             next_generation: OwnLine(AtomicU64::new(0)),

@@ -1,12 +1,12 @@
 //! Least-frequently-used replacement.
 
 use super::{EntryAttrs, EntryKey, ReplacementPolicy};
-use std::collections::HashMap;
+use placeless_core::keymap::KeyMap;
 
 /// LFU with an LRU tiebreak among equal frequencies.
 #[derive(Default)]
 pub struct Lfu {
-    counts: HashMap<EntryKey, (u64, u64)>,
+    counts: KeyMap<EntryKey, (u64, u64)>,
     tick: u64,
 }
 

@@ -1,12 +1,12 @@
 //! Least-recently-used replacement.
 
 use super::{EntryAttrs, EntryKey, ReplacementPolicy};
-use std::collections::HashMap;
+use placeless_core::keymap::KeyMap;
 
 /// Classic LRU, tracked with a logical access clock.
 #[derive(Default)]
 pub struct Lru {
-    stamps: HashMap<EntryKey, u64>,
+    stamps: KeyMap<EntryKey, u64>,
     tick: u64,
 }
 

@@ -1,13 +1,13 @@
 //! SIZE replacement: evict the largest entry first.
 
 use super::{EntryAttrs, EntryKey, ReplacementPolicy};
-use std::collections::HashMap;
+use placeless_core::keymap::KeyMap;
 
 /// Evicts the largest resident entry, the classic proxy-cache heuristic
 /// that maximizes object hit rate by keeping many small documents.
 #[derive(Default)]
 pub struct SizePolicy {
-    sizes: HashMap<EntryKey, (u64, u64)>,
+    sizes: KeyMap<EntryKey, (u64, u64)>,
     tick: u64,
 }
 

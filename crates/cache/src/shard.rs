@@ -4,8 +4,7 @@
 //! is the cache-wide [`ConcurrentStore`]; this module is the first. A
 //! [`ShardTable`] splits the entries over N [`Shard`]s, each behind its own
 //! reader-writer lock, with the shard chosen by a *fixed* multiplicative
-//! hash of the key (no per-process hasher seeds, so runs are
-//! reproducible). A shard keeps
+//! hash of the key, so placement is the same in every run. A shard keeps
 //! **one** map from key to [`Resident`] — the content signature the key is
 //! bound to, the store's bytes for it, and the entry's metadata — so "a
 //! resident entry has content" holds by construction, beside its
@@ -27,15 +26,16 @@
 //! through [`ShardGuard`]'s methods, and a shard lock is held exactly as
 //! long as a guard is alive.
 //!
-//! # What a hit writes
+//! # What a hit hashes and writes
 //!
-//! Only what hits of the same key, or of the same thread, write — so two
-//! cores serving hits do not trade cache lines for state neither needs:
-//! the entry carries its bytes (no store stripe is locked, no signature
-//! hashed), the policy takes the hit through `&self` into the key's own
-//! record ([`ReplacementPolicy::on_hit_shared`]), the counters are
-//! striped by thread. What remains shared is the shard's lock word, the
-//! policy's generation counter, and the clock.
+//! A hit hashes its key by the fixed mixer for its shard, then by the seeded
+//! [`KeyMap`] hasher once per map it probes: the dirty map (if not empty),
+//! the entries, the policy's record. It writes only what hits of the same
+//! key or thread write, so cores do not trade lines: the entry carries its
+//! bytes (no store stripe locked, no signature hashed), the policy takes
+//! the hit through `&self` into the key's record
+//! ([`ReplacementPolicy::on_hit_shared`]), the counters are striped by
+//! thread. Still shared: the lock word, the generation counter, the clock.
 //!
 //! # Lock ordering (deadlock freedom)
 //!
@@ -74,12 +74,12 @@ use crate::store::{ConcurrentStore, NoRoom};
 use bytes::Bytes;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use placeless_core::id::{DocumentId, UserId};
+use placeless_core::keymap::{KeyMap, KeySet};
 use placeless_core::op::DocOp;
 use placeless_core::space::BaseChainLease;
 use placeless_core::verifier::{Validity, Verifier};
 use placeless_simenv::{Instant, VirtualClock};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -185,14 +185,14 @@ pub(crate) struct Shard {
     /// an inline entry): the table's spare capacity, every rehash on
     /// growth, and the one whole-table walk that remains
     /// (`demote_after_gap`) are all paid per slot.
-    entries: HashMap<EntryKey, Box<Resident>>,
+    entries: KeyMap<EntryKey, Box<Resident>>,
     /// The users with a resident version of each document *in this
     /// shard*: `user ∈ versions[doc]` exactly when `Version(doc, user)` is
     /// a key of `entries`, and a document with none has no set. Only
     /// [`Shard::insert`] and [`Shard::take`] change either map. Stage
     /// entries belong to no document ([`EntryKey::doc`]) and are not
     /// indexed, only counted.
-    versions: HashMap<DocumentId, HashSet<UserId>>,
+    versions: KeyMap<DocumentId, KeySet<UserId>>,
     /// How many keys of `entries` are stages; moved by the same two.
     stages: usize,
     /// Told of a hit through `&`, under the *shared* shard lock; of
@@ -200,12 +200,12 @@ pub(crate) struct Shard {
     policy: Box<dyn ReplacementPolicy>,
     /// Buffered write-back writes. Keyed by `(document, user)`, not by
     /// [`EntryKey`]: only versions are ever written.
-    dirty: HashMap<(DocumentId, UserId), DirtyEntry>,
+    dirty: KeyMap<(DocumentId, UserId), DirtyEntry>,
     /// The last writer sequence of each key's op-based writes, seeded from
     /// replayed journal records on recovery.
-    writer_seqs: HashMap<(DocumentId, UserId), u64>,
+    writer_seqs: KeyMap<(DocumentId, UserId), u64>,
     /// The staged-read leases of the documents whose home this shard is.
-    leases: HashMap<DocumentId, PlanLease>,
+    leases: KeyMap<DocumentId, PlanLease>,
 }
 
 impl Shard {
@@ -299,13 +299,13 @@ impl ShardTable {
             shards: (0..shards)
                 .map(|_| {
                     RwLock::new(Shard {
-                        entries: HashMap::new(),
-                        versions: HashMap::new(),
+                        entries: KeyMap::default(),
+                        versions: KeyMap::default(),
                         stages: 0,
                         policy: policy.build(),
-                        dirty: HashMap::new(),
-                        writer_seqs: HashMap::new(),
-                        leases: HashMap::new(),
+                        dirty: KeyMap::default(),
+                        writer_seqs: KeyMap::default(),
+                        leases: KeyMap::default(),
                     })
                 })
                 .collect(),
@@ -463,7 +463,7 @@ impl<'a, G: Deref<Target = Shard>> ShardGuard<'a, G> {
     /// with each piece of bookkeeping that disagrees with a recount of them.
     pub(crate) fn recount(&self, clock: &VirtualClock, into: &mut Recount) {
         let (shard, index) = (&*self.shard, self.index);
-        let mut versions: HashMap<DocumentId, HashSet<UserId>> = HashMap::new();
+        let mut versions: KeyMap<DocumentId, KeySet<UserId>> = KeyMap::default();
         let (mut stages, mut tracked) = (0, 0);
         for (&key, entry) in &shard.entries {
             match key {

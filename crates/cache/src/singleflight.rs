@@ -48,7 +48,7 @@
 use crate::policy::EntryKey;
 use bytes::Bytes;
 use placeless_core::error::PlacelessError;
-use std::collections::HashMap;
+use placeless_core::keymap::KeyMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -145,7 +145,7 @@ pub(crate) enum Join<'a> {
 /// One in-flight computation per key; see the module docs.
 #[derive(Default)]
 pub(crate) struct FlightGroup {
-    flights: parking_lot::Mutex<HashMap<EntryKey, Arc<Flight>>>,
+    flights: parking_lot::Mutex<KeyMap<EntryKey, Arc<Flight>>>,
     /// Threads currently blocked inside [`FlightGroup::join`] as waiters
     /// (a gauge, exposed for experiments and tests).
     waiting: AtomicU64,

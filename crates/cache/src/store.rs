@@ -31,7 +31,7 @@
 use crate::digest::{md5, Signature};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use placeless_core::keymap::KeyMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default number of lock stripes. More stripes than shards so that
@@ -50,7 +50,7 @@ pub struct NoRoom;
 
 /// A thread-safe refcounted content store with atomic byte accounting.
 pub struct ConcurrentStore {
-    stripes: Box<[Mutex<HashMap<Signature, Stored>>]>,
+    stripes: Box<[Mutex<KeyMap<Signature, Stored>>]>,
     physical: AtomicU64,
     logical: AtomicU64,
 }
@@ -65,7 +65,7 @@ impl ConcurrentStore {
     pub fn with_stripes(stripes: usize) -> Self {
         let stripes = stripes.max(1);
         Self {
-            stripes: (0..stripes).map(|_| Mutex::new(HashMap::new())).collect(),
+            stripes: (0..stripes).map(|_| Mutex::default()).collect(),
             physical: AtomicU64::new(0),
             logical: AtomicU64::new(0),
         }
@@ -76,10 +76,9 @@ impl ConcurrentStore {
         md5(bytes)
     }
 
-    fn stripe_of(&self, sig: &Signature) -> &Mutex<HashMap<Signature, Stored>> {
-        // The signature is an MD5 digest: any byte slice is uniformly
-        // distributed, so the first 8 bytes make a fine stripe selector
-        // (and a deterministic one — no per-process hasher seeds).
+    fn stripe_of(&self, sig: &Signature) -> &Mutex<KeyMap<Signature, Stored>> {
+        // The signature is an MD5 digest, so its first 8 bytes are uniform:
+        // a stripe selector that is the same in every run.
         let mut raw = [0u8; 8];
         raw.copy_from_slice(&sig.0[..8]);
         let index = u64::from_le_bytes(raw) as usize % self.stripes.len();

@@ -53,6 +53,7 @@ pub mod error;
 pub mod event;
 pub mod external;
 pub mod id;
+pub mod keymap;
 pub mod notifier;
 pub mod op;
 pub mod plan;

@@ -20,6 +20,7 @@ use crate::document::{BaseDocument, DocumentReference};
 use crate::error::{PlacelessError, Result};
 use crate::event::{DocumentEvent, EventKind, EventSite};
 use crate::id::{DocumentId, IdAllocator, PropertyId, UserId};
+use crate::keymap::KeyMap;
 use crate::notifier::InvalidationBus;
 use crate::plan::TransformPlan;
 use crate::property::{
@@ -32,7 +33,6 @@ use crate::streams::{
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use placeless_simenv::{LatencyModel, VirtualClock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -103,12 +103,12 @@ impl Scope {
 }
 
 struct Inner {
-    bases: HashMap<DocumentId, BaseDocument>,
+    bases: KeyMap<DocumentId, BaseDocument>,
     /// Keyed by `(user, document)` for the read path's single lookup. The
     /// per-document view is [`BaseDocument::holders`]: `(u, d)` is a key
     /// here exactly when `u` is in `bases[d].holders`, and only the three
     /// functions below change either side.
-    refs: HashMap<(UserId, DocumentId), DocumentReference>,
+    refs: KeyMap<(UserId, DocumentId), DocumentReference>,
 }
 
 impl Inner {
@@ -182,8 +182,8 @@ impl DocumentSpace {
             registry: PropertyRegistry::new(),
             middleware,
             inner: RwLock::new(Inner {
-                bases: HashMap::new(),
-                refs: HashMap::new(),
+                bases: KeyMap::default(),
+                refs: KeyMap::default(),
             }),
             collections: Collections::new(),
             ops: AtomicU64::new(0),
@@ -793,7 +793,7 @@ impl DocumentSpace {
         // and every later same-document entry composes on the batch's
         // accumulated view, so entries in one group never clobber each
         // other.
-        let mut batch_view: HashMap<DocumentId, Bytes> = HashMap::new();
+        let mut batch_view: KeyMap<DocumentId, Bytes> = KeyMap::default();
         let mut slots: Vec<Slot> = Vec::with_capacity(writes.len());
         for w in writes {
             let plan = match self.compile_plan(w.user, w.doc, Compile::Write) {

@@ -398,6 +398,11 @@ pub fn gather(flags: &[u8; 64]) -> u64 {
     })
 }
 
+/// `String::from_utf8_lossy`, borrowing valid text after `str::from_utf8`'s word-wise check.
+pub fn utf8_lossy(bytes: &[u8]) -> std::borrow::Cow<'_, str> {
+    std::str::from_utf8(bytes).map_or_else(|_| String::from_utf8_lossy(bytes), Into::into)
+}
+
 /// A streaming (non-buffering) byte-wise input transform, for per-byte
 /// transforms like case folding or ROT13 that do not need the whole
 /// document.

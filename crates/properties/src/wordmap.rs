@@ -15,7 +15,7 @@
 //! lookup.
 
 use bytes::Bytes;
-use placeless_core::streams::gather;
+use placeless_core::streams::{gather, utf8_lossy};
 use std::collections::HashMap;
 
 /// Bytes of an ASCII word that pack into one lookup integer.
@@ -139,7 +139,7 @@ impl WordTable {
     /// an entry and leaves all else as it stands. With `keep_capital`, the
     /// replacement of a word that starts uppercase does too.
     pub fn rewrite(&self, text: &[u8], keep_capital: bool) -> Bytes {
-        let text = String::from_utf8_lossy(text);
+        let text = utf8_lossy(text);
         let src = text.as_bytes();
         let mut out = Vec::with_capacity(src.len() + src.len() / 8 + PACK);
         // `src[copied..]` is what has not reached `out` yet.

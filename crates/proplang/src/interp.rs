@@ -8,7 +8,7 @@ use crate::ast::{Cond, Program, Stage};
 use parking_lot::RwLock;
 use placeless_core::error::{PlacelessError, Result};
 use placeless_core::external::ExternalSource;
-use placeless_core::streams::gather;
+use placeless_core::streams::{gather, utf8_lossy};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,7 +59,7 @@ pub fn run<'a>(
         if !runs(stage, props) {
             continue;
         }
-        let current = text.get_or_insert_with(|| String::from_utf8_lossy(input));
+        let current = text.get_or_insert_with(|| utf8_lossy(input));
         text = Some(Cow::Owned(run_stage(stage, current, props, env)?));
     }
     Ok(match text {

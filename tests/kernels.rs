@@ -22,8 +22,8 @@ use placeless_core::event::EventSite;
 use placeless_core::plan::{StagePipeline, TransformPlan};
 use placeless_core::property::{ActiveProperty, PathCtx, PathReport, PropsSnapshot};
 use placeless_core::streams::{
-    read_all, write_all, CollectOutput, InputStream, MappingInput, MappingOutput, MemoryInput,
-    OutputStream,
+    read_all, utf8_lossy, write_all, CollectOutput, InputStream, MappingInput, MappingOutput,
+    MemoryInput, OutputStream,
 };
 use placeless_properties::rot13::rot13_byte;
 use placeless_properties::spellcheck::DEFAULT_DICTIONARY;
@@ -250,6 +250,19 @@ proptest! {
     #[test]
     fn word_kernels_match_the_char_reference_on_ascii(text in "[a-zA-Z0-9' .,\\n-]{0,300}") {
         prop_assert_eq!(check_word_kernels(text.as_bytes()), Ok(()), "text {:?}", text);
+    }
+
+    /// The kernels' validation is `String::from_utf8_lossy` to the byte,
+    /// on valid text, broken sequences and arbitrary bytes, and borrows
+    /// whenever the text is valid.
+    #[test]
+    fn utf8_lossy_is_from_utf8_lossy(text in documents(), raw in arbitrary_bytes()) {
+        for bytes in [&text, &raw] {
+            let got = utf8_lossy(bytes);
+            prop_assert_eq!(&got, &String::from_utf8_lossy(bytes));
+            let borrowed = matches!(got, std::borrow::Cow::Borrowed(_));
+            prop_assert_eq!(borrowed, std::str::from_utf8(bytes).is_ok());
+        }
     }
 
     /// `replace` and `upper` work on the lossily-validated text, as they
@@ -661,9 +674,11 @@ fn time(mut f: impl FnMut()) -> u128 {
 /// takes the next of 256 distinct documents, so no branch predictor learns
 /// one: on one document alone, translating cost half what it costs on
 /// varied text. Over varied text the sorted per-length buckets and
-/// `str::replace` cost 2.5 and 0.75–0.8 passes; the direct-mapped table
-/// and the finder 1.3–1.5 and 0.4–0.55, as the heap lies in a run.
-/// Optimised builds only: `scripts/check.sh` runs it with `--release`.
+/// `str::replace` cost 2.5 and 0.75–0.8 passes. The kernels' UTF-8 check,
+/// `utf8_lossy`, costs at most a quarter of `String::from_utf8_lossy`'s
+/// byte-wise walk over the same document: a ratio of two validations,
+/// which a busy host slows alike, where translate against MD5 moves by a
+/// third. Optimised builds only: `scripts/check.sh` runs it with `--release`.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "wall-clock ratio: release builds only")]
 fn stage_kernels_cost_relative_to_md5() {
@@ -695,9 +710,9 @@ fn stage_kernels_cost_relative_to_md5() {
     let replace =
         ScriptProperty::compile("suffix", "replace(\"placeless\", \"u7\")", ExtEnv::new()).unwrap();
 
-    // Best of many rounds, the four timed back to back in each, so a
+    // Best of many rounds, the six timed back to back in each, so a
     // disturbed stretch of the run costs all of them alike.
-    let mut best = [u128::MAX; 4];
+    let mut best = [u128::MAX; 6];
     for round in 0..2048 {
         let (english, scrambled) = (&english[round % 256], &scrambled[round % 256]);
         let times = [
@@ -707,15 +722,21 @@ fn stage_kernels_cost_relative_to_md5() {
             time(|| stage(rot13.as_ref(), scrambled)),
             time(|| stage(translate.as_ref(), english)),
             time(|| stage(replace.as_ref(), english)),
+            time(|| {
+                std::hint::black_box(utf8_lossy(std::hint::black_box(english)));
+            }),
+            time(|| {
+                std::hint::black_box(String::from_utf8_lossy(std::hint::black_box(english)));
+            }),
         ];
         best.iter_mut()
             .zip(times)
             .for_each(|(best, t)| *best = (*best).min(t));
     }
-    let [md5_ns, rot13_ns, translate_ns, replace_ns] = best;
+    let [md5_ns, rot13_ns, translate_ns, replace_ns, utf8_ns, lossy_ns] = best;
     println!(
         "4 KiB: md5 {md5_ns} ns, rot13-at-rest {rot13_ns} ns, translate {translate_ns} ns, \
-         replace {replace_ns} ns"
+         replace {replace_ns} ns, utf8_lossy {utf8_ns} ns, from_utf8_lossy {lossy_ns} ns"
     );
     assert!(
         2 * rot13_ns <= md5_ns,
@@ -728,5 +749,9 @@ fn stage_kernels_cost_relative_to_md5() {
     assert!(
         100 * replace_ns <= 65 * md5_ns,
         "replace {replace_ns} ns is more than 0.65 MD5 passes ({md5_ns} ns)"
+    );
+    assert!(
+        4 * utf8_ns <= lossy_ns,
+        "utf8_lossy {utf8_ns} ns is more than a quarter of from_utf8_lossy ({lossy_ns} ns)"
     );
 }
