@@ -25,7 +25,7 @@
 //! identical statistics, which the embedded tests assert.
 
 use crate::fields;
-use crate::report::{Report, Value};
+use crate::report::{Fields, Report, Value};
 use placeless_cache::{CacheConfig, CacheStats, DocumentCache, WriteJournal, WriteMode};
 use placeless_core::id::{DocumentId, UserId};
 use placeless_core::space::DocumentSpace;
@@ -89,6 +89,9 @@ pub struct CrashResult {
     pub replayed: u64,
     /// Bytes of torn tail the recovery truncated away.
     pub torn_bytes: u64,
+    /// Counter snapshot of the cache that crashed, taken as it died
+    /// (journal appends, the pre-crash flushes…).
+    pub crashed: CacheStats,
     /// Counter snapshot of the *recovered* cache (journal replays, the
     /// recovery flush, parked writes…).
     pub stats: CacheStats,
@@ -174,6 +177,7 @@ pub fn run_one(journaled: bool, params: CrashParams) -> CrashResult {
             flushed_before_crash += report.flushed;
         }
     }
+    let crashed = cache.stats();
     drop(cache); // the crash: every in-memory structure dies
 
     // Warm restart: reopen the journal over the surviving medium (the
@@ -200,6 +204,7 @@ pub fn run_one(journaled: bool, params: CrashParams) -> CrashResult {
         lost_docs,
         replayed: report.replayed,
         torn_bytes,
+        crashed,
         stats: recovered.stats(),
     }
 }
@@ -210,7 +215,20 @@ pub fn sweep(params: CrashParams) -> Vec<CrashResult> {
     vec![run_one(false, params), run_one(true, params)]
 }
 
-/// The `BENCH_crash.json` artifact of one sweep.
+/// One cache's counters, as a run row reports them.
+fn counters(stats: &CacheStats) -> Fields {
+    fields! {
+        "journal_appends": stats.journal_appends,
+        "journal_replays": stats.journal_replays,
+        "writes_parked": stats.writes_parked,
+        "retries": stats.retries,
+        "write_conflicts": stats.write_conflicts,
+        "flushes": stats.flushes,
+    }
+}
+
+/// The `BENCH_crash.json` artifact of one sweep: each run's outcome, then
+/// the counters of the cache that crashed and of the recovered one.
 pub fn report(params: CrashParams, results: &[CrashResult]) -> Report {
     Report {
         experiment: "crash",
@@ -232,12 +250,8 @@ pub fn report(params: CrashParams, results: &[CrashResult]) -> Report {
                 "lost_docs": r.lost_docs,
                 "replayed": r.replayed,
                 "torn_bytes": r.torn_bytes,
-                "journal_appends": r.stats.journal_appends,
-                "journal_replays": r.stats.journal_replays,
-                "writes_parked": r.stats.writes_parked,
-                "flush_retries": r.stats.flush_retries,
-                "write_conflicts": r.stats.write_conflicts,
-                "flushes": r.stats.flushes,
+                "crashed": counters(&r.crashed),
+                "recovered": counters(&r.stats),
             }),
         },
     }
@@ -271,12 +285,25 @@ mod tests {
     }
 
     #[test]
+    fn the_crashed_cache_journaled_every_acknowledged_write() {
+        let result = run_one(true, CrashParams::default());
+        assert!(
+            result.crashed.journal_appends >= result.acknowledged,
+            "{} appends for {} acknowledged writes",
+            result.crashed.journal_appends,
+            result.acknowledged
+        );
+        assert_eq!(result.stats.journal_appends, 0, "recovery appends nothing");
+    }
+
+    #[test]
     fn identical_params_identical_stats() {
         let params = CrashParams::default();
         for journaled in [false, true] {
             let a = run_one(journaled, params);
             let b = run_one(journaled, params);
             assert_eq!(a.stats, b.stats, "journaled={journaled} must replay");
+            assert_eq!(a.crashed, b.crashed);
             assert_eq!(
                 (a.acknowledged, a.lost_docs, a.replayed, a.torn_bytes),
                 (b.acknowledged, b.lost_docs, b.replayed, b.torn_bytes)

@@ -13,16 +13,19 @@
 //!   unreachable and the freshness probe is [`Validity::Unverifiable`],
 //!   resident entries within the staleness bound are served anyway.
 //!
-//! The headline metric is [`CacheStats::read_availability`]. The scenario
-//! is fully deterministic over the virtual clock: identical parameters
+//! The outage's failures carry a `retry_after` hint past the backoff
+//! horizon, so the retry loop gives up on them at once. A fourth mode,
+//! **flaky+retry**, faces what retries are for instead: no outage, but
+//! [`FLAKY_ERROR_RATE`] of the origin's operations fail transiently and
+//! with no hint, and the cache retries them (no breaker, no stale service).
+//!
+//! The headline metric is [`FaultResult::availability`]. The scenario is
+//! fully deterministic over the virtual clock: identical parameters
 //! produce identical statistics, which `tests/fault_matrix.rs` asserts.
 //!
 //! [`Validity::Unverifiable`]: placeless_core::verifier::Validity::Unverifiable
-//! [`CacheStats::read_availability`]: placeless_cache::CacheStats::read_availability
 
-use placeless_cache::{
-    BreakerConfig, CacheConfig, CacheStats, DocumentCache, OriginConfig, StalenessBound,
-};
+use placeless_cache::{CacheConfig, CacheStats, DocumentCache, OriginConfig, StalenessBound};
 use placeless_core::id::{DocumentId, UserId};
 use placeless_core::space::DocumentSpace;
 use placeless_repository::{FsProvider, MemFs};
@@ -37,14 +40,21 @@ pub enum ResilienceMode {
     Breaker,
     /// Retries + breaker + serve-stale within a generous bound.
     BreakerAndStale,
+    /// Retries alone, against an origin that fails at random with no hint
+    /// instead of the outage.
+    FlakyRetry,
 }
+
+/// The share of origin operations that fail in the flaky mode.
+pub const FLAKY_ERROR_RATE: f64 = 0.2;
 
 impl ResilienceMode {
     /// All modes, in presentation order.
-    pub const ALL: [ResilienceMode; 3] = [
+    pub const ALL: [ResilienceMode; 4] = [
         ResilienceMode::Off,
         ResilienceMode::Breaker,
         ResilienceMode::BreakerAndStale,
+        ResilienceMode::FlakyRetry,
     ];
 
     /// Short label for tables.
@@ -53,6 +63,7 @@ impl ResilienceMode {
             ResilienceMode::Off => "off",
             ResilienceMode::Breaker => "breaker",
             ResilienceMode::BreakerAndStale => "breaker+stale",
+            ResilienceMode::FlakyRetry => "flaky+retry",
         }
     }
 }
@@ -70,7 +81,7 @@ pub struct FaultParams {
     pub outage_from: u64,
     /// Outage window end (exclusive, virtual µs).
     pub outage_until: u64,
-    /// Seed for the fault plan and retry jitter.
+    /// Seed for the fault plan and the link.
     pub seed: u64,
 }
 
@@ -112,18 +123,10 @@ impl FaultResult {
 }
 
 fn config_for(mode: ResilienceMode, params: &FaultParams) -> OriginConfig {
-    let retries = OriginConfig::default()
-        .max_retries(2)
-        .backoff_base_micros(500)
-        .backoff_jitter_frac(64)
-        .retry_seed(params.seed)
-        .breaker(BreakerConfig {
-            failure_threshold: 3,
-            open_micros: 50_000,
-            half_open_probes: 1,
-        });
+    let retries = OriginConfig::default().max_retries(2).breaker(true);
     match mode {
         ResilienceMode::Off => OriginConfig::default(),
+        ResilienceMode::FlakyRetry => OriginConfig::default().max_retries(2),
         ResilienceMode::Breaker => retries,
         ResilienceMode::BreakerAndStale => retries
             // Entries are warmed just before t=0 and the outage ends well
@@ -141,11 +144,11 @@ pub fn run_one(mode: ResilienceMode, params: FaultParams) -> FaultResult {
     let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
     let fs = MemFs::new(clock.clone());
     let link = Link::new(1_000, 10_000_000, 0.0, params.seed);
-    link.set_fault_plan(
-        FaultPlan::builder(params.seed)
-            .outage(params.outage_from, params.outage_until)
-            .build(),
-    );
+    let plan = FaultPlan::builder(params.seed);
+    link.set_fault_plan(match mode {
+        ResilienceMode::FlakyRetry => plan.error_rate(FLAKY_ERROR_RATE).build(),
+        _ => plan.outage(params.outage_from, params.outage_until).build(),
+    });
     let mut docs: Vec<DocumentId> = Vec::new();
     for i in 0..params.docs {
         let path = format!("/srv/doc-{i}");
@@ -242,6 +245,17 @@ mod tests {
         // Once open, fetches fast-fail without consuming retries.
         let unprotected_failures = run_one(ResilienceMode::Off, FaultParams::default()).failed;
         assert!(breaker.failed <= unprotected_failures + breaker.stats.retries);
+    }
+
+    #[test]
+    fn retries_mask_a_flaky_origin() {
+        let result = run_one(ResilienceMode::FlakyRetry, FaultParams::default());
+        assert!(result.stats.retries > 0, "hint-less failures are retried");
+        assert!(
+            result.availability() > 1.0 - FLAKY_ERROR_RATE,
+            "retries buy back more than the failure rate: {}",
+            result.availability()
+        );
     }
 
     #[test]

@@ -272,11 +272,8 @@ pub fn run_cell(protected: bool, params: OverloadParams) -> CellResult {
         window = window.control(OverloadControl {
             target_fetch_micros: 5 * params.service_virtual_micros,
             expected_service_micros: params.service_virtual_micros,
-            brownout_enter_waiters: 8,
-            brownout_exit_waiters: 2,
             brownout_dwell_micros: 10 * params.service_virtual_micros,
             retry_after_micros: params.deadline_micros,
-            ..OverloadControl::default()
         });
     }
     let config = CacheConfig::builder()

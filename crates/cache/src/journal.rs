@@ -6,8 +6,8 @@
 //! the durability half of that contract: every write-back write is
 //! appended here, to a [`StableStore`] (a simulated stable medium that
 //! survives scripted crashes), *before* the in-memory dirty map is
-//! updated; a flush acknowledges ([`WriteJournal::ack`]) and prunes a
-//! record only after the origin write succeeded.
+//! updated; a flush acknowledges ([`WriteJournal::ack_batch`]) and
+//! prunes a record only after the origin write succeeded.
 //!
 //! # Frames
 //!
@@ -20,7 +20,7 @@
 //! |---|---|---|
 //! | record, v1 | `seq: u64` `doc: u64` `user: u64` `epoch: 16 B` `data_len: u32` `data` `md5: 16 B` | [`WriteJournal::append`] |
 //! | record, ops | `seq` `doc` `user` `epoch` `data_len∣OPS_FLAG: u32` `writer_seq: u64` `ops_len: u32` `ops` `data` `md5` | [`WriteJournal::append_op`] |
-//! | ack | `ACK_TAG: u64` `count: u32` `seq: u64` × count `md5` | [`WriteJournal::ack`], [`WriteJournal::ack_batch`] |
+//! | ack | `ACK_TAG: u64` `count: u32` `seq: u64` × count `md5` | [`WriteJournal::ack_batch`] |
 //!
 //! A record that carries typed operations ([`DocOp`]) sets the high bit
 //! of the length field (`OPS_FLAG` — payloads are far below 2 GiB, so the
@@ -135,14 +135,6 @@ pub struct JournalRecord {
     /// Per-`(doc, user)` causal sequence at the time of the write; `0`
     /// for plain writes that never participated in op tracking.
     pub writer_seq: u64,
-}
-
-impl JournalRecord {
-    /// True when the record's ops can be rebased onto a different base
-    /// than they were authored against.
-    pub fn rebasable(&self) -> bool {
-        placeless_core::op::rebasable(&self.ops)
-    }
 }
 
 /// A live record beside the exact bytes that hold it on the medium.
@@ -330,7 +322,6 @@ struct JournalState {
     next_seq: u64,
     live: BTreeMap<u64, LiveRecord>,
     by_key: placeless_core::keymap::KeyMap<(DocumentId, UserId), u64>,
-    appends: u64,
     /// Bytes of the medium that live frames occupy; the rest is dead.
     live_bytes: u64,
 }
@@ -460,16 +451,8 @@ impl WriteJournal {
         let live = LiveRecord::encode(seq, doc, user, epoch, data, ops, writer_seq);
         let end = self.store.append(&live.frame) + live.frame.len() as u64;
         state.insert(live);
-        state.appends += 1;
         self.reclaim(&state, end);
         seq
-    }
-
-    /// Acknowledges a flushed record: removes it from the live set if
-    /// `seq` is still live — a newer write for the same key may have
-    /// superseded it. Returns `true` if the record was live.
-    pub fn ack(&self, seq: u64) -> bool {
-        self.ack_batch(std::slice::from_ref(&seq)) == 1
     }
 
     /// Acknowledges a batch of flushed records with one ack frame naming
@@ -510,11 +493,6 @@ impl WriteJournal {
         }
     }
 
-    /// Returns the live sequence number for `(doc, user)`, if any.
-    pub fn seq_for(&self, doc: DocumentId, user: UserId) -> Option<u64> {
-        self.state.lock().by_key.get(&(doc, user)).copied()
-    }
-
     /// Returns the live records in sequence order.
     pub fn live_records(&self) -> Vec<JournalRecord> {
         self.state.lock().records()
@@ -528,11 +506,5 @@ impl WriteJournal {
     /// Returns `true` if no records are live.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Returns how many appends this handle's journal absorbed (not
-    /// counting records recovered at open).
-    pub fn append_count(&self) -> u64 {
-        self.state.lock().appends
     }
 }

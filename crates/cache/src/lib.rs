@@ -51,9 +51,7 @@ pub use manager::{
     WriteConflict, WriteMode,
 };
 pub use merge::{MergePolicy, MergeReport};
-pub use origin::{
-    BreakerConfig, BreakerState, OriginConfig, OverloadControl, Priority, WindowConfig,
-};
+pub use origin::{BreakerState, OriginConfig, OverloadControl, Priority, WindowConfig};
 pub use policy::{
     by_name, EntryAttrs, EntryKey, GdsFrequency, GreedyDualSize, PolicyFactory, ReplacementPolicy,
     UnknownPolicy, ALL_POLICIES,

@@ -239,14 +239,12 @@ impl CacheConfigBuilder {
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadOptions {
-    /// Overrides the configured fetch deadline
-    /// ([`OriginConfig::fetch_deadline_micros`]) for this read only.
-    /// Like the configured deadline it bounds retry *scheduling* — a
-    /// backoff the remaining budget cannot cover fails the read with
-    /// [`PlacelessError::Timeout`] instead of sleeping — and under
-    /// overload control it is the deadline the fetch is admitted by. With
-    /// the default origin config there is nothing to bound and the
-    /// override has no effect.
+    /// Virtual-time budget of this read's fetch, backoffs included. It
+    /// bounds retry *scheduling* — a backoff the remaining budget cannot
+    /// cover fails the read with [`PlacelessError::Timeout`] instead of
+    /// sleeping — and under overload control it is the deadline the fetch
+    /// is admitted by. With the default origin config there is nothing to
+    /// bound and the deadline has no effect.
     pub deadline_micros: Option<u64>,
     /// Scheduling class for overload control: under pressure the cache
     /// sheds [`Priority::Prefetch`] first, [`Priority::Refresh`] next,
@@ -262,7 +260,7 @@ impl ReadOptions {
         Self::default()
     }
 
-    /// Sets the per-read fetch deadline override.
+    /// Sets the read's fetch deadline.
     pub fn deadline_micros(mut self, micros: u64) -> Self {
         self.deadline_micros = Some(micros);
         self

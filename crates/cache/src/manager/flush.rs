@@ -49,11 +49,6 @@ impl FlushReport {
     pub fn is_clean(&self) -> bool {
         self.parked.is_empty() && self.requeued.is_empty()
     }
-
-    /// Returns how many entries remain dirty after this flush.
-    pub fn remaining(&self) -> u64 {
-        (self.parked.len() + self.requeued.len()) as u64
-    }
 }
 
 impl std::fmt::Display for FlushReport {
@@ -153,7 +148,7 @@ impl DocumentCache {
             origins: &self.origins,
             stats: &self.table.stats,
             op: Op::Write,
-            deadline: self.origins.config.fetch_deadline_micros,
+            deadline: None,
         };
         // One grouped origin operation per attempt, in one slot of the
         // origin's window (when configured), its jitter salted by origin.
@@ -235,10 +230,9 @@ impl DocumentCache {
         }
     }
 
-    /// Probes each entry's base epoch against the writer's current
-    /// rendition ([`Self::current_rendition`]) and routes every conflict
-    /// through the merge policy (without one, every entry passes through).
-    /// Returns the entries that should still be written:
+    /// Probes each entry for a conflict ([`Self::probe_conflict`]) and
+    /// routes it through the merge policy (without one, every entry passes
+    /// through unprobed). Returns the entries that should still be written:
     ///
     /// * rebasable conflicts stay — their ops travel server-side and are
     ///   rebased onto the origin's current content by `write_documents`;
@@ -263,28 +257,16 @@ impl DocumentCache {
         // together once the whole group has been routed.
         let mut dropped_seqs: Vec<u64> = Vec::new();
         for (doc, user, mut entry) in entries {
-            // The writer's current signature, when it can be probed and
-            // differs from the entry's base epoch.
-            let probe = || self.current_rendition(user, doc).ok().map(|(_, sig)| sig);
-            let moved = (entry.epoch != NO_EPOCH).then(probe).flatten();
-            let moved = moved.filter(|origin_sig| *origin_sig != entry.epoch);
-            let Some(origin_signature) = moved else {
-                kept.push((doc, user, entry));
-                continue;
-            };
-            // The origin moved on while the write sat buffered: a flush-
-            // time write conflict.
-            let conflict = WriteConflict {
-                doc,
-                user,
-                journal_epoch: entry.epoch,
-                origin_signature,
-            };
-            match self.settle_conflict(&conflict, &entry.ops, None, &mut report.merge) {
+            match self.probe_conflict(doc, user, &entry, None, &mut report.merge) {
                 // Rebasable ops travel server-side; keep-mine is an informed
-                // overwrite. Either way the entry is still written.
-                None | Some(ConflictResolution::KeepMine) => kept.push((doc, user, entry)),
-                Some(ConflictResolution::KeepTheirs) => {
+                // overwrite. Either way the entry is still written, as is
+                // one the probe found nothing for.
+                Probed::Current
+                | Probed::Gone
+                | Probed::Moved(_, _, None | Some(ConflictResolution::KeepMine)) => {
+                    kept.push((doc, user, entry))
+                }
+                Probed::Moved(_, _, Some(ConflictResolution::KeepTheirs)) => {
                     dropped_seqs.extend(entry.seq);
                     self.table.mark(&mut entry, false);
                     report.dropped.push((doc, user));

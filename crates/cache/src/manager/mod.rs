@@ -109,6 +109,7 @@ use placeless_core::streams::read_all;
 use placeless_core::verifier::{run_all, Validity, Verifier};
 use placeless_simenv::{Instant, LatencyModel, Link, VirtualClock};
 use read::Fetched;
+use recover::Probed;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -182,11 +183,6 @@ impl DocumentCache {
     /// Creates a cache with the default configuration.
     pub fn with_defaults(space: Arc<DocumentSpace>) -> Arc<Self> {
         Self::new(space, CacheConfig::default())
-    }
-
-    /// Returns this cache's id.
-    pub fn id(&self) -> CacheId {
-        self.id
     }
 
     /// Returns the number of shards.

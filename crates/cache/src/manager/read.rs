@@ -398,14 +398,11 @@ impl DocumentCache {
     }
 
     /// Executes the middleware read through the retry driver
-    /// ([`RetryDriver::run`]); the read's options may override the
-    /// configured deadline. Runs with no cache lock held (the middleware
-    /// path may re-enter this cache through the invalidation bus).
+    /// ([`RetryDriver::run`]), bounded by the read's deadline if it has
+    /// one. Runs with no cache lock held (the middleware path may re-enter
+    /// this cache through the invalidation bus).
     fn fetch_with_resilience(&self, read: &ReadCtx) -> Result<Fetched> {
-        let deadline = read
-            .opts
-            .deadline_micros
-            .or(self.origins.config.fetch_deadline_micros);
+        let deadline = read.opts.deadline_micros;
         let ctx = self.origins.fetch_ctx(read.opts.priority, deadline);
         self.with_retries(read.user, read.doc, Op::Fetch(ctx), deadline, || {
             self.fetch_once(read.user, read.doc, read.clock, ctx)
@@ -552,19 +549,15 @@ impl DocumentCache {
     ///
     /// Each sibling is one admission ([`Op::Prefetch`]), one attempt and
     /// no retry. Under overload control a prefetch is the first work the
-    /// brownout ladder and deadline-aware admission shed, and one
-    /// `Overloaded` verdict abandons the rest of the batch rather than
-    /// hammering a window that just refused speculative work. A sibling
+    /// brownout ladder sheds, and one `Overloaded` verdict abandons the
+    /// rest of the batch rather than hammering a window that just refused
+    /// speculative work. A sibling
     /// whose origin's breaker is not `Closed` is skipped: an open breaker
     /// means the origin is not to be contacted, and speculative work never
     /// spends a half-open probe.
     fn prefetch_collection_siblings(&self, user: UserId, doc: DocumentId) {
         let clock = self.space.clock();
-        // Speculative work gets the configured fetch budget as its
-        // deadline: a prefetch the origin cannot serve inside the budget
-        // a demand read would get is not worth queueing for.
-        let deadline = self.origins.config.fetch_deadline_micros;
-        let ctx = self.origins.fetch_ctx(Priority::Prefetch, deadline);
+        let ctx = self.origins.fetch_ctx(Priority::Prefetch, None);
         let mut budget = self.prefetch.max_per_miss;
         for collection in self.space.collections_of(doc) {
             for sibling in self.space.collection_members(&collection) {

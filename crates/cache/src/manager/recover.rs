@@ -54,15 +54,11 @@ pub struct RecoveryReport {
     /// they were resolved. Each surfaces as a non-fatal
     /// [`PlacelessError::Conflict`] via [`WriteConflict::error`].
     pub conflicts: Vec<WriteConflict>,
-    /// Conflicts resolved by keeping the journaled write.
-    pub kept_mine: u64,
-    /// Conflicts resolved by keeping the origin's version.
-    pub kept_theirs: u64,
     /// Records dropped because their document no longer exists (the
     /// write can never be applied).
     pub dropped: u64,
-    /// What the merge policy did with recovery conflicts. Empty (all
-    /// zeros) without a [`crate::MergePolicy`].
+    /// How the conflicts were settled: rebased (with a
+    /// [`crate::MergePolicy`]), kept mine or kept theirs.
     pub merge: MergeReport,
 }
 
@@ -70,18 +66,9 @@ impl std::fmt::Display for RecoveryReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "replayed {}, requeued {}; {} conflict(s) ({} kept mine, {} kept theirs), {} dropped",
-            self.replayed,
-            self.requeued,
-            self.conflicts.len(),
-            self.kept_mine,
-            self.kept_theirs,
-            self.dropped,
-        )?;
-        if !self.merge.is_empty() {
-            write!(f, "; merge: {}", self.merge)?;
-        }
-        Ok(())
+            "replayed {}, requeued {}, {} dropped; {}",
+            self.replayed, self.requeued, self.dropped, self.merge,
+        )
     }
 }
 
@@ -127,56 +114,41 @@ impl DocumentCache {
                 let last = shard.writer_seq(record.doc, record.user);
                 *last = (*last).max(record.writer_seq);
             }
-            // The writer's current rendition, taken only when the record
-            // names a base version to compare it with (the writer may
-            // never have read the document).
-            let probed = (record.epoch != NO_EPOCH)
-                .then(|| cache.current_rendition(record.user, record.doc));
-            let moved = match probed {
-                Some(Ok(rendition)) => Some(rendition).filter(|(_, sig)| *sig != record.epoch),
-                Some(Err(
-                    PlacelessError::NoSuchDocument(_) | PlacelessError::NoSuchReference(..),
-                )) => {
+            let (data, ops) = (record.data.clone(), record.ops.clone());
+            let mut entry = DirtyEntry::new(data, record.epoch, ops, record.writer_seq);
+            entry.seq = Some(record.seq);
+            let (doc, user) = (record.doc, record.user);
+            match cache.probe_conflict(doc, user, &entry, hook.as_ref(), &mut report.merge) {
+                // No epoch, the same one, or the origin unreachable (or any
+                // other read failure): re-queue — losing the write would be
+                // worse than flushing it unverified.
+                Probed::Current => {}
+                Probed::Gone => {
                     // The write's target is gone; it can never be applied.
                     // Drop and acknowledge.
                     dropped_seqs.push(record.seq);
                     report.dropped += 1;
                     continue;
                 }
-                // No epoch, or the origin unreachable (or any other read
-                // failure): re-queue unchecked — losing the write would be
-                // worse than flushing it unverified.
-                _ => None,
-            };
-            let (data, ops) = (record.data.clone(), record.ops.clone());
-            let mut entry = DirtyEntry::new(data, record.epoch, ops, record.writer_seq);
-            entry.seq = Some(record.seq);
-            if let Some((origin, origin_signature)) = moved {
-                let conflict = WriteConflict {
-                    doc: record.doc,
-                    user: record.user,
-                    journal_epoch: record.epoch,
-                    origin_signature,
-                };
-                let resolution =
-                    cache.settle_conflict(&conflict, &record.ops, hook.as_ref(), &mut report.merge);
-                report.conflicts.push(conflict);
-                match resolution {
-                    None => {
-                        // Re-apply the writer's typed ops onto the origin's
-                        // *current* content, so both the crashed writer's
-                        // edits and whatever landed at the origin meanwhile
-                        // survive. The re-queued entry's epoch advances to
-                        // the rebased base so the flush does not re-detect
-                        // the same conflict.
-                        entry.data = apply_all(&origin, &record.ops);
-                        entry.epoch = origin_signature;
-                    }
-                    Some(ConflictResolution::KeepMine) => report.kept_mine += 1,
-                    Some(ConflictResolution::KeepTheirs) => {
-                        report.kept_theirs += 1;
-                        dropped_seqs.push(record.seq);
-                        continue;
+                Probed::Moved(conflict, origin, resolution) => {
+                    let rebased = conflict.origin_signature;
+                    report.conflicts.push(conflict);
+                    match resolution {
+                        None => {
+                            // Re-apply the writer's typed ops onto the
+                            // origin's *current* content, so both the
+                            // crashed writer's edits and whatever landed at
+                            // the origin meanwhile survive. The re-queued
+                            // entry's epoch advances to the rebased base so
+                            // the flush does not re-detect the same conflict.
+                            entry.data = apply_all(&origin, &record.ops);
+                            entry.epoch = rebased;
+                        }
+                        Some(ConflictResolution::KeepMine) => {}
+                        Some(ConflictResolution::KeepTheirs) => {
+                            dropped_seqs.push(record.seq);
+                            continue;
+                        }
                     }
                 }
             }
@@ -190,44 +162,70 @@ impl DocumentCache {
         (cache, report)
     }
 
-    /// Counts one write conflict and decides what becomes of the
-    /// conflicted write, for recovery and flush alike. With a merge
-    /// policy, rebasable typed ops need no resolution — they rebase onto
-    /// the origin's content and both sides' edits survive: `None`.
+    /// The one conflict step of recovery and flush: probes `entry`'s base
+    /// epoch against the writer's current rendition
+    /// ([`Self::current_rendition`]) and, if the origin moved on, counts the
+    /// conflict in `tally` and decides what becomes of the write. With a
+    /// merge policy, rebasable typed ops need no resolution — they rebase
+    /// onto the origin's content and both sides' edits survive: `None`.
     /// Anything else falls back to the binary hooks — the call-site `hook`
-    /// first, then the policy's fallback, then keep-mine. `tally` is
-    /// touched only when a merge policy is configured.
-    pub(super) fn settle_conflict(
+    /// first, then the policy's fallback, then keep-mine.
+    pub(super) fn probe_conflict(
         &self,
-        conflict: &WriteConflict,
-        ops: &[DocOp],
+        doc: DocumentId,
+        user: UserId,
+        entry: &DirtyEntry,
         hook: Option<&ConflictHook>,
         tally: &mut MergeReport,
-    ) -> Option<ConflictResolution> {
-        AtomicCacheStats::bump(&self.table.stats.write_conflicts);
-        let mut unreported = MergeReport::default();
-        let tally = if self.merge.is_some() {
-            tally
-        } else {
-            &mut unreported
+    ) -> Probed {
+        // The writer may never have read the document: nothing to compare.
+        if entry.epoch == NO_EPOCH {
+            return Probed::Current;
+        }
+        let (origin, origin_signature) = match self.current_rendition(user, doc) {
+            Ok(rendition) if rendition.1 != entry.epoch => rendition,
+            Err(PlacelessError::NoSuchDocument(_) | PlacelessError::NoSuchReference(..)) => {
+                return Probed::Gone;
+            }
+            _ => return Probed::Current,
         };
+        let conflict = WriteConflict {
+            doc,
+            user,
+            journal_epoch: entry.epoch,
+            origin_signature,
+        };
+        let ops = &entry.ops;
+        AtomicCacheStats::bump(&self.table.stats.write_conflicts);
         tally.examined += 1;
         if self.merge.is_some() && rebasable(ops) {
             AtomicCacheStats::bump(&self.table.stats.conflicts_merged);
             AtomicCacheStats::add(&self.table.stats.merge_rebases, ops.len() as u64);
             tally.merged += 1;
             tally.rebases += ops.len() as u64;
-            return None;
+            return Probed::Moved(conflict, origin, None);
         }
         let resolution = match (hook, &self.merge) {
-            (Some(hook), _) => hook(conflict),
-            (None, Some(policy)) => policy.resolve_unmergeable(conflict),
+            (Some(hook), _) => hook(&conflict),
+            (None, Some(policy)) => policy.resolve_unmergeable(&conflict),
             (None, None) => ConflictResolution::KeepMine,
         };
         match resolution {
             ConflictResolution::KeepMine => tally.kept_mine += 1,
             ConflictResolution::KeepTheirs => tally.kept_theirs += 1,
         }
-        Some(resolution)
+        Probed::Moved(conflict, origin, Some(resolution))
     }
+}
+
+/// What [`DocumentCache::probe_conflict`] found for one buffered write.
+pub(super) enum Probed {
+    /// Nothing to settle: the write names no base, its base is still the
+    /// writer's rendition, or the origin could not be read.
+    Current,
+    /// The write's document or the writer's reference is gone.
+    Gone,
+    /// The origin moved on: the conflict, the origin's content, and the
+    /// write's resolution (`None`: its ops rebase onto that content).
+    Moved(WriteConflict, Bytes, Option<ConflictResolution>),
 }

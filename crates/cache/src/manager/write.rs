@@ -11,8 +11,7 @@ impl DocumentCache {
                 // Successes and failures land on the *same* per-origin
                 // breakers the read path uses, so a storm of failed
                 // writes opens the breaker for reads too (and vice versa).
-                let deadline = self.origins.config.fetch_deadline_micros;
-                self.with_retries(user, doc, Op::Write, deadline, || {
+                self.with_retries(user, doc, Op::Write, None, || {
                     self.space.write_document(user, doc, data)
                 })?;
                 AtomicCacheStats::bump(&self.table.stats.writes);

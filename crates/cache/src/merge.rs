@@ -91,15 +91,6 @@ impl MergeReport {
     pub fn is_empty(&self) -> bool {
         self == &Self::default()
     }
-
-    /// Folds another report into this one.
-    pub fn absorb(&mut self, other: &MergeReport) {
-        self.examined += other.examined;
-        self.merged += other.merged;
-        self.rebases += other.rebases;
-        self.kept_mine += other.kept_mine;
-        self.kept_theirs += other.kept_theirs;
-    }
 }
 
 impl fmt::Display for MergeReport {
@@ -138,22 +129,14 @@ mod tests {
     }
 
     #[test]
-    fn report_display_and_absorb() {
-        let mut a = MergeReport {
-            examined: 2,
+    fn report_display_and_emptiness() {
+        let a = MergeReport {
+            examined: 3,
             merged: 1,
             rebases: 3,
             kept_mine: 1,
-            kept_theirs: 0,
-        };
-        let b = MergeReport {
-            examined: 1,
-            merged: 0,
-            rebases: 0,
-            kept_mine: 0,
             kept_theirs: 1,
         };
-        a.absorb(&b);
         assert_eq!(
             a.to_string(),
             "3 conflict(s) examined: 1 merged (3 op(s) rebased), 1 kept mine, 1 kept theirs"

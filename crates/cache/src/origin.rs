@@ -45,27 +45,6 @@ impl Priority {
     }
 }
 
-/// Per-origin circuit breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive transient failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long (virtual µs) an open breaker rejects without probing.
-    pub open_micros: u64,
-    /// Successful half-open probes required to close again.
-    pub half_open_probes: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        Self {
-            failure_threshold: 3,
-            open_micros: 500_000,
-            half_open_probes: 1,
-        }
-    }
-}
-
 /// A circuit breaker's externally visible state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
@@ -74,7 +53,7 @@ pub enum BreakerState {
     Closed,
     /// Operations are rejected until the cool-down elapses.
     Open,
-    /// Probes go through; enough successes close it, a failure re-opens it.
+    /// A probe goes through; its success closes it, a failure re-opens it.
     HalfOpen,
 }
 
@@ -84,30 +63,24 @@ pub enum BreakerState {
 /// with its own error, runs unbounded and is never shed.
 ///
 /// ```
-/// use placeless_cache::{BreakerConfig, OriginConfig, OverloadControl, WindowConfig};
+/// use placeless_cache::{OriginConfig, OverloadControl, WindowConfig};
 ///
 /// let config = OriginConfig::default()
 ///     .max_retries(2)
-///     .breaker(BreakerConfig::default())
+///     .breaker(true)
 ///     .window(WindowConfig::new(4).control(OverloadControl::default()));
 /// assert_eq!(config.window.map(|window| window.width), Some(4));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OriginConfig {
-    /// Retries after the first failed attempt (0 = fail fast).
+    /// Retries after the first failed attempt (0 = fail fast), each after
+    /// a backoff of [`Self::BACKOFF_BASE_MICROS`]` << n` plus up to a
+    /// quarter of it in seeded jitter.
     pub max_retries: u32,
-    /// The backoff before retry *n* is `backoff_base_micros << n`.
-    pub backoff_base_micros: u64,
-    /// Jitter added per backoff: up to this many 256ths of the delay.
-    pub backoff_jitter_frac: u8,
-    /// Seed of the jitter RNG; same seed, same schedule.
-    pub retry_seed: u64,
-    /// Virtual-time budget of one operation, backoffs included (a backoff
-    /// it cannot cover fails with `Timeout`); under overload control, also
-    /// the deadline a fetch is admitted by.
-    pub fetch_deadline_micros: Option<u64>,
-    /// Per-origin circuit breaker, or `None` to always contact origins.
-    pub breaker: Option<BreakerConfig>,
+    /// Whether each origin has a circuit breaker: [`Self::BREAKER_THRESHOLD`]
+    /// consecutive transient failures open it for
+    /// [`Self::BREAKER_OPEN_MICROS`], then one successful probe closes it.
+    pub breaker: bool,
     /// How old an entry whose freshness check cannot reach its origin may
     /// be and still be served: after a failed fetch, or without fetching
     /// from the brownout ladder's first rung.
@@ -116,55 +89,27 @@ pub struct OriginConfig {
     pub window: Option<WindowConfig>,
 }
 
-impl Default for OriginConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 0,
-            backoff_base_micros: 1_000,
-            backoff_jitter_frac: 0,
-            retry_seed: 0,
-            fetch_deadline_micros: None,
-            breaker: None,
-            serve_stale: None,
-            window: None,
-        }
-    }
-}
-
 impl OriginConfig {
+    /// Consecutive transient failures that trip a breaker open.
+    pub const BREAKER_THRESHOLD: u32 = 3;
+    /// How long (virtual µs) an open breaker rejects without probing.
+    pub const BREAKER_OPEN_MICROS: u64 = 50_000;
+    /// The backoff before retry *n* is this `<< n`, in virtual µs.
+    pub const BACKOFF_BASE_MICROS: u64 = 500;
+    /// Jitter added per backoff: up to this many 256ths of the delay.
+    const BACKOFF_JITTER_FRAC: u8 = 64;
+    /// Seed of the jitter RNG, salted per key or origin.
+    const RETRY_SEED: u64 = 7;
+
     /// Sets the retries after the first failed attempt.
     pub fn max_retries(mut self, n: u32) -> Self {
         self.max_retries = n;
         self
     }
 
-    /// Sets the base backoff (doubled per retry), in virtual µs.
-    pub fn backoff_base_micros(mut self, micros: u64) -> Self {
-        self.backoff_base_micros = micros;
-        self
-    }
-
-    /// Sets the jitter per backoff, in 256ths of the delay.
-    pub fn backoff_jitter_frac(mut self, frac: u8) -> Self {
-        self.backoff_jitter_frac = frac;
-        self
-    }
-
-    /// Seeds the jitter RNG.
-    pub fn retry_seed(mut self, seed: u64) -> Self {
-        self.retry_seed = seed;
-        self
-    }
-
-    /// Caps one operation, backoffs included, at `micros` of virtual time.
-    pub fn fetch_deadline_micros(mut self, micros: u64) -> Self {
-        self.fetch_deadline_micros = Some(micros);
-        self
-    }
-
-    /// Enables per-origin circuit breakers.
-    pub fn breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = Some(breaker);
+    /// Turns the per-origin circuit breakers on or off.
+    pub fn breaker(mut self, on: bool) -> Self {
+        self.breaker = on;
         self
     }
 
@@ -184,8 +129,8 @@ impl OriginConfig {
     /// it means no wait the loop would make reaches recovery.
     fn hint_horizon_micros(&self) -> u64 {
         let exp = self.max_retries.saturating_sub(1).min(20);
-        let base = self.backoff_base_micros.saturating_mul(1 << exp);
-        base.saturating_add(base * u64::from(self.backoff_jitter_frac) / 256)
+        let base = Self::BACKOFF_BASE_MICROS << exp;
+        base + base * u64::from(Self::BACKOFF_JITTER_FRAC) / 256
     }
 }
 
@@ -219,19 +164,14 @@ impl WindowConfig {
 /// AIMD width and the brownout ladder.
 #[derive(Debug, Clone)]
 pub struct OverloadControl {
-    /// AIMD latency target: a slower fetch halves the origin's width, a
-    /// faster one adds a slot.
+    /// AIMD latency target: a slower fetch halves the origin's width (down
+    /// to one slot), a faster one adds a slot.
     pub target_fetch_micros: u64,
-    /// Floor of the AIMD width (at least 1, at most the window's width).
-    pub min_inflight: u32,
     /// A fetch's expected service time before the origin has a sample.
     pub expected_service_micros: u64,
-    /// Pressure (readers parked on windows or flights) at or above which
-    /// the brownout ladder climbs a rung.
-    pub brownout_enter_waiters: u64,
-    /// Pressure at or below which it steps down (below `enter`: hysteresis).
-    pub brownout_exit_waiters: u64,
-    /// Minimum virtual time between ladder moves.
+    /// Minimum virtual time between ladder moves, up a rung at
+    /// [`Self::BROWNOUT_ENTER_WAITERS`] or down at
+    /// [`Self::BROWNOUT_EXIT_WAITERS`].
     pub brownout_dwell_micros: u64,
     /// `retry_after` hint attached to `Overloaded` rejections.
     pub retry_after_micros: u64,
@@ -241,14 +181,19 @@ impl Default for OverloadControl {
     fn default() -> Self {
         Self {
             target_fetch_micros: 5_000,
-            min_inflight: 1,
             expected_service_micros: 2_000,
-            brownout_enter_waiters: 8,
-            brownout_exit_waiters: 2,
             brownout_dwell_micros: 10_000,
             retry_after_micros: 10_000,
         }
     }
+}
+
+impl OverloadControl {
+    /// Pressure (readers parked on windows or flights) at or above which
+    /// the brownout ladder climbs a rung.
+    pub const BROWNOUT_ENTER_WAITERS: u64 = 8;
+    /// Pressure at or below which it steps down (below `enter`: hysteresis).
+    pub const BROWNOUT_EXIT_WAITERS: u64 = 2;
 }
 
 /// A fetch's class and, under overload control, when its deadline lapses.
@@ -288,31 +233,24 @@ impl Op {
     }
 }
 
-/// One operation's backoff schedule: before retry *n*, `base << n` plus a
-/// jitter of up to `jitter_frac`/256 of it from the seeded RNG.
+/// One operation's backoff schedule: before retry *n*, the base `<< n` plus
+/// a jitter of up to a quarter of it from the seeded RNG.
 #[derive(Debug)]
 struct BackoffSchedule {
-    base: u64,
-    jitter_frac: u8,
     rng: SimRng,
 }
 
 impl BackoffSchedule {
-    fn new(config: &OriginConfig, salt: u64) -> Self {
+    fn new(salt: u64) -> Self {
         Self {
-            base: config.backoff_base_micros,
-            jitter_frac: config.backoff_jitter_frac,
-            rng: SimRng::seeded(config.retry_seed ^ salt ^ 0xBAC0_FF5E_BAC0_FF5E),
+            rng: SimRng::seeded(OriginConfig::RETRY_SEED ^ salt ^ 0xBAC0_FF5E_BAC0_FF5E),
         }
     }
 
     fn delay_micros(&mut self, attempt: u32) -> u64 {
         let exp = attempt.min(20); // cap the shift; delays beyond 2^20×base are academic
-        let base = self.base.saturating_mul(1 << exp);
-        let span = base * u64::from(self.jitter_frac) / 256;
-        if span == 0 {
-            return base;
-        }
+        let base = OriginConfig::BACKOFF_BASE_MICROS << exp;
+        let span = base * u64::from(OriginConfig::BACKOFF_JITTER_FRAC) / 256;
         base + self.rng.next_below(span + 1)
     }
 }
@@ -342,8 +280,7 @@ fn retry_floor(error: &PlacelessError) -> u64 {
 struct Health {
     breaker: BreakerState,
     opened_at: Instant,
-    /// Consecutive failures while `Closed`, successful probes while
-    /// `HalfOpen`.
+    /// Consecutive failures while `Closed`.
     streak: u32,
     /// Operations holding a window slot.
     inflight: u32,
@@ -359,8 +296,8 @@ impl Health {
     /// Whether an operation may contact the origin at `now` (`Err`: the rest
     /// of the cool-down). An `Open` breaker past its cool-down admits a
     /// probe, turning `HalfOpen`; a `speculative` caller needs `Closed`.
-    fn ask(&mut self, config: &BreakerConfig, now: Instant, speculative: bool) -> Result<(), u64> {
-        let cool_down = config.open_micros.saturating_sub(now.since(self.opened_at));
+    fn ask(&mut self, now: Instant, speculative: bool) -> Result<(), u64> {
+        let cool_down = OriginConfig::BREAKER_OPEN_MICROS.saturating_sub(now.since(self.opened_at));
         match self.breaker {
             BreakerState::Closed => Ok(()),
             _ if speculative => Err(cool_down),
@@ -375,19 +312,17 @@ impl Health {
 
     /// Records one operation's success (`ok`) or transient failure at
     /// `now`; returns whether it tripped the breaker open.
-    fn record(&mut self, config: &BreakerConfig, now: Instant, ok: bool) -> bool {
+    fn record(&mut self, now: Instant, ok: bool) -> bool {
         let trips = match self.breaker {
             // An operation admitted before the trip changes nothing.
             BreakerState::Open => false,
             BreakerState::Closed => {
                 self.streak = if ok { 0 } else { self.streak + 1 };
-                !ok && self.streak >= config.failure_threshold
+                !ok && self.streak >= OriginConfig::BREAKER_THRESHOLD
             }
+            // One successful probe closes it.
             BreakerState::HalfOpen if ok => {
-                self.streak += 1;
-                if self.streak >= config.half_open_probes {
-                    (self.breaker, self.streak) = (BreakerState::Closed, 0);
-                }
+                (self.breaker, self.streak) = (BreakerState::Closed, 0);
                 false
             }
             // A failed probe re-opens and restarts the cool-down.
@@ -417,7 +352,7 @@ impl Health {
     }
 
     /// Records a completed fetch: slower than the target halves the width
-    /// (down to `min_inflight`), else it gains a slot (up to `width`).
+    /// (down to one slot), else it gains a slot (up to `width`).
     fn observe(&mut self, control: &OverloadControl, width: u32, observed_micros: u64) {
         self.ewma_micros = if self.ewma_micros == 0 {
             observed_micros.max(1)
@@ -427,7 +362,7 @@ impl Health {
             ((self.ewma_micros * 3 + observed_micros) / 4).max(1)
         };
         self.limit = if observed_micros > control.target_fetch_micros {
-            (self.limit / 2).max(control.min_inflight)
+            (self.limit / 2).max(1)
         } else {
             (self.limit + 1).min(width)
         };
@@ -481,9 +416,9 @@ impl Ladder {
             return None;
         }
         let at = self.rung as usize;
-        let to = if pressure >= control.brownout_enter_waiters {
+        let to = if pressure >= OverloadControl::BROWNOUT_ENTER_WAITERS {
             Self::RUNGS[(at + 1).min(Self::RUNGS.len() - 1)]
-        } else if pressure <= control.brownout_exit_waiters {
+        } else if pressure <= OverloadControl::BROWNOUT_EXIT_WAITERS {
             Self::RUNGS[at.saturating_sub(1)]
         } else {
             self.rung
@@ -500,8 +435,7 @@ impl Ladder {
 /// The origin records, the configuration they share, the brownout ladder
 /// over them, and the cache-wide gauges.
 pub(crate) struct Origins {
-    /// As configured, with a window at least one wide and an AIMD floor
-    /// within it.
+    /// As configured, with a window at least one wide.
     pub(crate) config: OriginConfig,
     clock: VirtualClock,
     table: parking_lot::Mutex<HashMap<String, Arc<Origin>>>,
@@ -522,9 +456,6 @@ impl Origins {
         if let Some(window) = &mut config.window {
             // A zero-wide window would admit nothing and hang a fetch.
             window.width = window.width.max(1);
-            if let Some(control) = &mut window.control {
-                control.min_inflight = control.min_inflight.clamp(1, window.width);
-            }
         }
         let controlled = config.window.as_ref().is_some_and(|w| w.control.is_some());
         Self {
@@ -641,12 +572,12 @@ impl Origins {
         if op.shed_at().is_some_and(|shed_at| self.rung() >= shed_at) {
             return Err(self.shed(priority, stats));
         }
-        let record = (self.config.breaker.is_some() || self.config.window.is_some()).then(origin);
+        let record = (self.config.breaker || self.config.window.is_some()).then(origin);
         let speculative = matches!(op, Op::Prefetch(_));
         if let Some(origin) = record {
             let mut health = lock(&origin.health);
-            if let Some(config) = &self.config.breaker {
-                if let Err(cool_down) = health.ask(config, self.clock.now(), speculative) {
+            if self.config.breaker {
+                if let Err(cool_down) = health.ask(self.clock.now(), speculative) {
                     return Err(PlacelessError::Unavailable {
                         source: origin.key.clone(),
                         retry_after: Some(cool_down),
@@ -749,10 +680,9 @@ impl Slot<'_> {
             Err(errors) if errors.as_ref().iter().all(PlacelessError::is_transient) => Some(false),
             Err(_) => None,
         };
-        let breaker = self.origins.config.breaker.as_ref();
-        if let (Some(ok), Some(origin), Some(config)) = (ok, self.origin, breaker) {
-            let tripped = !self.speculative
-                && lock(&origin.health).record(config, self.origins.clock.now(), ok);
+        if let (Some(ok), Some(origin), true) = (ok, self.origin, self.origins.config.breaker) {
+            let tripped =
+                !self.speculative && lock(&origin.health).record(self.origins.clock.now(), ok);
             if tripped {
                 AtomicCacheStats::bump(&self.stats.breaker_trips);
             }
@@ -819,8 +749,7 @@ impl GaveUp<[PlacelessError; 1]> {
 pub(crate) struct RetryDriver<'a> {
     pub(crate) origins: &'a Origins,
     pub(crate) stats: &'a AtomicCacheStats,
-    /// A fetch's waited-out backoffs count in `retries`, a write's in
-    /// `flush_retries`.
+    /// What is retried; every waited-out backoff counts in `retries`.
     pub(crate) op: Op,
     /// Virtual-time budget for the whole operation, backoffs included.
     pub(crate) deadline: Option<u64>,
@@ -867,7 +796,7 @@ impl RetryDriver<'_> {
             }
             let delay = schedule
                 .get_or_insert_with(|| {
-                    BackoffSchedule::new(config, salt.unwrap_or_else(|| origin_salt(&origin().key)))
+                    BackoffSchedule::new(salt.unwrap_or_else(|| origin_salt(&origin().key)))
                 })
                 .delay_micros(retry)
                 .max(floor);
@@ -885,10 +814,7 @@ impl RetryDriver<'_> {
                 }
             }
             clock.advance(delay);
-            AtomicCacheStats::bump(match self.op {
-                Op::Write => &self.stats.flush_retries,
-                Op::Fetch(_) | Op::Prefetch(_) => &self.stats.retries,
-            });
+            AtomicCacheStats::bump(&self.stats.retries);
             retry += 1;
         }
     }
@@ -931,78 +857,57 @@ mod tests {
             .expect("no deadline never sheds")
     }
 
+    /// Records `n` transient failures at `at`; returns whether the last
+    /// one tripped the breaker.
+    fn fail(origin: &Origin, at: Instant, n: u32) -> bool {
+        (0..n).fold(false, |_, _| lock(&origin.health).record(at, false))
+    }
+
+    const THRESHOLD: u32 = OriginConfig::BREAKER_THRESHOLD;
+    const OPEN: u64 = OriginConfig::BREAKER_OPEN_MICROS;
+
     #[test]
     fn breaker_trips_after_threshold_and_recovers() {
-        let config = BreakerConfig {
-            failure_threshold: 2,
-            open_micros: 1_000,
-            half_open_probes: 1,
-        };
         let web = origin("web");
-        assert_eq!(lock(&web.health).ask(&config, Instant(0), false), Ok(()));
-        assert!(!lock(&web.health).record(&config, Instant(10), false));
-        assert!(
-            lock(&web.health).record(&config, Instant(20), false),
-            "second failure trips"
-        );
+        assert_eq!(lock(&web.health).ask(Instant(0), false), Ok(()));
+        assert!(!fail(&web, Instant(10), THRESHOLD - 1));
+        assert!(fail(&web, Instant(20), 1), "the third failure trips");
         assert_eq!(lock(&web.health).breaker, BreakerState::Open);
 
         // While open, operations are rejected with the remaining cool-down.
-        assert_eq!(
-            lock(&web.health).ask(&config, Instant(120), false),
-            Err(900)
-        );
+        assert_eq!(lock(&web.health).ask(Instant(120), false), Err(OPEN - 100));
 
         // After the cool-down, one probe is admitted.
-        assert_eq!(
-            lock(&web.health).ask(&config, Instant(1_020), false),
-            Ok(())
-        );
+        assert_eq!(lock(&web.health).ask(Instant(OPEN + 20), false), Ok(()));
         assert_eq!(lock(&web.health).breaker, BreakerState::HalfOpen);
-        lock(&web.health).record(&config, Instant(0), true);
+        lock(&web.health).record(Instant(0), true);
         assert_eq!(lock(&web.health).breaker, BreakerState::Closed);
-        assert_eq!(
-            lock(&web.health).ask(&config, Instant(1_030), false),
-            Ok(())
-        );
+        assert_eq!(lock(&web.health).ask(Instant(OPEN + 30), false), Ok(()));
     }
 
     #[test]
     fn failed_probe_reopens_the_breaker() {
-        let config = BreakerConfig {
-            failure_threshold: 1,
-            open_micros: 100,
-            half_open_probes: 1,
-        };
         let dms = origin("dms");
-        assert!(lock(&dms.health).record(&config, Instant(0), false));
-        assert_eq!(lock(&dms.health).ask(&config, Instant(100), false), Ok(()));
-        assert!(
-            lock(&dms.health).record(&config, Instant(110), false),
-            "probe failed"
-        );
+        assert!(fail(&dms, Instant(0), THRESHOLD));
+        assert_eq!(lock(&dms.health).ask(Instant(OPEN), false), Ok(()));
+        assert!(fail(&dms, Instant(OPEN + 10), 1), "probe failed");
         assert_eq!(lock(&dms.health).breaker, BreakerState::Open);
         assert_eq!(
-            lock(&dms.health).ask(&config, Instant(150), false),
-            Err(60),
+            lock(&dms.health).ask(Instant(OPEN + 50), false),
+            Err(OPEN - 40),
             "cool-down restarted at the failed probe"
         );
         assert!(
-            !lock(&dms.health).record(&config, Instant(160), false),
+            !fail(&dms, Instant(OPEN + 60), 1),
             "an open breaker cannot trip again"
         );
     }
 
     #[test]
     fn breakers_are_per_origin() {
-        let config = BreakerConfig {
-            failure_threshold: 1,
-            open_micros: 1_000,
-            half_open_probes: 1,
-        };
         let origins = Origins::new(OriginConfig::default(), VirtualClock::new());
         let a = origins.get("web-a".into());
-        lock(&a.health).record(&config, Instant(0), false);
+        fail(&a, Instant(0), THRESHOLD);
         assert_eq!(lock(&a.health).breaker, BreakerState::Open);
         assert_eq!(
             origins.breaker_state("web-b"),
@@ -1011,58 +916,25 @@ mod tests {
         );
         let b = origins.get("web-b".into());
         assert_eq!(lock(&b.health).breaker, BreakerState::Closed);
-        assert_eq!(lock(&b.health).ask(&config, Instant(1), false), Ok(()));
+        assert_eq!(lock(&b.health).ask(Instant(1), false), Ok(()));
         assert!(Arc::ptr_eq(&a, &origins.get("web-a".into())), "one record");
     }
 
     #[test]
     fn success_resets_the_failure_streak() {
-        let config = BreakerConfig {
-            failure_threshold: 2,
-            open_micros: 1_000,
-            half_open_probes: 1,
-        };
         let web = origin("web");
-        lock(&web.health).record(&config, Instant(0), false);
-        lock(&web.health).record(&config, Instant(0), true);
+        fail(&web, Instant(0), THRESHOLD - 1);
+        lock(&web.health).record(Instant(0), true);
         assert!(
-            !lock(&web.health).record(&config, Instant(10), false),
+            !fail(&web, Instant(10), THRESHOLD - 1),
             "streak restarted after the success"
         );
         assert_eq!(lock(&web.health).breaker, BreakerState::Closed);
     }
 
     #[test]
-    fn multiple_half_open_probes_required_when_configured() {
-        let config = BreakerConfig {
-            failure_threshold: 1,
-            open_micros: 100,
-            half_open_probes: 2,
-        };
-        let web = origin("web");
-        lock(&web.health).record(&config, Instant(0), false);
-        assert_eq!(lock(&web.health).ask(&config, Instant(100), false), Ok(()));
-        lock(&web.health).record(&config, Instant(0), true);
-        assert_eq!(
-            lock(&web.health).breaker,
-            BreakerState::HalfOpen,
-            "one probe is not enough"
-        );
-        lock(&web.health).record(&config, Instant(0), true);
-        assert_eq!(lock(&web.health).breaker, BreakerState::Closed);
-    }
-
-    #[test]
     fn settle_records_the_breaker_outcome_except_for_a_prefetch() {
-        let breaker = BreakerConfig {
-            failure_threshold: 1,
-            open_micros: 1_000,
-            half_open_probes: 1,
-        };
-        let origins = Origins::new(
-            OriginConfig::default().breaker(breaker),
-            VirtualClock::new(),
-        );
+        let origins = Origins::new(OriginConfig::default().breaker(true), VirtualClock::new());
         let web = origins.get("web".into());
         let (clock, stats) = (&origins.clock, AtomicCacheStats::default());
         let prefetch = Op::Prefetch(FetchCtx {
@@ -1073,19 +945,23 @@ mod tests {
             source: "web".into(),
             retry_after: None,
         }]);
-        let slot = origins.admit(|| &web, prefetch, &stats);
-        slot.expect("closed").settle(&dark);
+        for _ in 0..THRESHOLD {
+            let slot = origins.admit(|| &web, prefetch, &stats);
+            slot.expect("closed").settle(&dark);
+        }
         assert_eq!(
             lock(&web.health).breaker,
             BreakerState::Closed,
             "told nothing"
         );
-        let slot = origins.admit(|| &web, fetch(None), &stats);
-        slot.expect("closed").settle(&dark);
+        for _ in 0..THRESHOLD {
+            let slot = origins.admit(|| &web, fetch(None), &stats);
+            slot.expect("closed").settle(&dark);
+        }
         assert_eq!(lock(&web.health).breaker, BreakerState::Open);
         assert_eq!(stats.snapshot().breaker_trips, 1);
         // Past the cool-down a read may probe; a prefetch may not.
-        clock.advance(1_000);
+        clock.advance(OPEN);
         assert!(matches!(
             origins.admit(|| &web, prefetch, &stats),
             Err(PlacelessError::Unavailable { .. })
@@ -1157,7 +1033,6 @@ mod tests {
     fn observed_width_stays_within_its_bounds_and_persists_when_idle() {
         let control = OverloadControl {
             target_fetch_micros: 1_000,
-            min_inflight: 2,
             ..OverloadControl::default()
         };
         let origins = windowed(4, Some(control));
@@ -1173,13 +1048,14 @@ mod tests {
             assert_eq!(width(&a), 4);
         }
         // Slow ones halve it down to the floor, and no further.
-        for expected in [2, 2] {
+        for expected in [2, 1, 1] {
             let slot = enter(&origins, &a, &stats);
             clock.advance(5_000);
             slot.settle(&OK);
             assert_eq!(width(&a), expected);
         }
         assert_eq!(width(&b), 4, "others keep the configured width");
+        enter(&origins, &a, &stats).settle(&OK);
         let first = enter(&origins, &a, &stats);
         let second = enter(&origins, &a, &stats);
         drop((first, second));
@@ -1288,11 +1164,10 @@ mod tests {
     #[test]
     fn the_ladder_sheds_background_fetches_by_rung() {
         let control = OverloadControl {
-            brownout_enter_waiters: 1,
-            brownout_exit_waiters: 0,
             brownout_dwell_micros: 0,
             ..OverloadControl::default()
         };
+        let enter = OverloadControl::BROWNOUT_ENTER_WAITERS;
         let origins = windowed(1, Some(control));
         let o = origins.get("o".into());
         let stats = AtomicCacheStats::default();
@@ -1302,11 +1177,11 @@ mod tests {
         };
         let admits = |op| origins.admit(|| &o, op, &stats).is_ok();
         for rung in [Rung::WidenStale, Rung::SkipStageFills, Rung::ShedPrefetch] {
-            assert_eq!(origins.sample(|| 1, &stats), rung);
+            assert_eq!(origins.sample(|| enter, &stats), rung);
         }
         assert!(!admits(Op::Prefetch(class(Priority::Prefetch))));
         assert!(admits(Op::Fetch(class(Priority::Refresh))));
-        assert_eq!(origins.sample(|| 1, &stats), Rung::Reject);
+        assert_eq!(origins.sample(|| enter, &stats), Rung::Reject);
         assert!(!admits(Op::Fetch(class(Priority::Refresh))));
         assert!(!admits(Op::Fetch(class(Priority::Prefetch))));
         assert!(admits(Op::Fetch(class(Priority::Foreground))));
@@ -1398,8 +1273,6 @@ mod tests {
     #[test]
     fn ladder_has_hysteresis_and_dwell() {
         let control = OverloadControl {
-            brownout_enter_waiters: 8,
-            brownout_exit_waiters: 2,
             brownout_dwell_micros: 1_000,
             ..OverloadControl::default()
         };
@@ -1510,9 +1383,7 @@ mod tests {
 
     #[test]
     fn deadline_shorter_than_the_backoff_charges_exactly_the_budget() {
-        let config = OriginConfig::default()
-            .max_retries(3)
-            .backoff_base_micros(1_000);
+        let config = OriginConfig::default().max_retries(3);
         let origins = Origins::new(config, VirtualClock::new());
         let web = origins.get("web".into());
         let (verdict, attempts, waited) = drive(
@@ -1533,9 +1404,7 @@ mod tests {
 
     #[test]
     fn hint_beyond_the_horizon_gives_up_with_the_original_error() {
-        let config = OriginConfig::default()
-            .max_retries(3)
-            .backoff_base_micros(1_000);
+        let config = OriginConfig::default().max_retries(3);
         let hinted = unavailable(Some(config.hint_horizon_micros() + 1));
         let origins = Origins::new(config, VirtualClock::new());
         let web = origins.get("web".into());
@@ -1551,19 +1420,11 @@ mod tests {
 
     #[test]
     fn open_breaker_rejects_without_an_attempt() {
-        let breaker = BreakerConfig {
-            failure_threshold: 1,
-            open_micros: 1_000,
-            half_open_probes: 1,
-        };
-        let origins = Origins::new(
-            OriginConfig::default().breaker(breaker),
-            VirtualClock::new(),
-        );
+        let origins = Origins::new(OriginConfig::default().breaker(true), VirtualClock::new());
         let web = origins.get("web".into());
-        lock(&web.health).record(&breaker, Instant(0), false);
+        fail(&web, Instant(0), THRESHOLD);
         let (verdict, attempts, waited) = drive(&origins, None, || &web, Vec::new());
-        assert_eq!(verdict, Err(unavailable(Some(1_000))));
+        assert_eq!(verdict, Err(unavailable(Some(OPEN))));
         assert_eq!((attempts, waited), (0, 0));
     }
 
@@ -1580,17 +1441,12 @@ mod tests {
 
     #[test]
     fn hint_horizon_is_the_final_attempts_maximum_delay() {
-        let config = OriginConfig::default()
-            .max_retries(3)
-            .backoff_base_micros(1_000);
-        // Final (0-based) retry is attempt 2: 1_000 << 2, no jitter.
-        assert_eq!(config.hint_horizon_micros(), 4_000);
-        let jittered = config.backoff_jitter_frac(64);
-        assert_eq!(jittered.hint_horizon_micros(), 5_000, "max jitter included");
-        let fail_fast = OriginConfig::default().backoff_base_micros(1_000);
+        // Final (0-based) retry is attempt 2: 500 << 2, plus a quarter.
+        let config = OriginConfig::default().max_retries(3);
+        assert_eq!(config.hint_horizon_micros(), 2_500, "max jitter included");
         assert_eq!(
-            fail_fast.hint_horizon_micros(),
-            1_000,
+            OriginConfig::default().hint_horizon_micros(),
+            625,
             "zero retries still report the base horizon"
         );
     }
@@ -1604,42 +1460,30 @@ mod tests {
         assert!(!StalenessBound::ZERO.permits(Instant(5), Instant(6)));
     }
 
+    /// Whether `delay` is retry `attempt`'s base plus at most a quarter.
+    fn jittered(attempt: u32, delay: u64) -> bool {
+        let base = OriginConfig::BACKOFF_BASE_MICROS << attempt.min(20);
+        (base..=base + base / 4).contains(&delay)
+    }
+
     #[test]
     fn backoff_doubles_and_is_deterministic() {
-        let config = OriginConfig::default()
-            .max_retries(3)
-            .backoff_base_micros(1_000)
-            .retry_seed(42);
-        let mut sched = BackoffSchedule::new(&config, 7);
-        assert_eq!(sched.delay_micros(0), 1_000);
-        assert_eq!(sched.delay_micros(1), 2_000);
-        assert_eq!(sched.delay_micros(2), 4_000);
-
-        let jittered = config.backoff_jitter_frac(64);
-        let mut a = BackoffSchedule::new(&jittered, 7);
-        let mut b = BackoffSchedule::new(&jittered, 7);
+        let mut a = BackoffSchedule::new(7);
+        let mut b = BackoffSchedule::new(7);
         for attempt in 0..4 {
             let da = a.delay_micros(attempt);
-            assert_eq!(da, b.delay_micros(attempt), "same seed, same schedule");
-            let base = 1_000u64 << attempt;
-            assert!(
-                da >= base && da < base + base / 4 + 1,
-                "jitter within +25%: {da}"
-            );
+            assert_eq!(da, b.delay_micros(attempt), "same salt, same schedule");
+            assert!(jittered(attempt, da), "jitter within +25%: {da}");
         }
-        let mut c = BackoffSchedule::new(&jittered, 8);
+        let mut c = BackoffSchedule::new(8);
         let schedules_differ =
-            (0..4).any(|n| BackoffSchedule::new(&jittered, 7).delay_micros(n) != c.delay_micros(n));
+            (0..4).any(|n| BackoffSchedule::new(7).delay_micros(n) != c.delay_micros(n));
         assert!(schedules_differ, "different salt, different jitter");
     }
 
     #[test]
     fn origin_salted_backoff_is_stable_per_origin() {
-        let jittered = OriginConfig::default()
-            .backoff_base_micros(1_000)
-            .backoff_jitter_frac(64)
-            .retry_seed(42);
-        let schedule = |key| BackoffSchedule::new(&jittered, origin_salt(key));
+        let schedule = |key| BackoffSchedule::new(origin_salt(key));
         let (mut a, mut b) = (schedule("fs"), schedule("fs"));
         for attempt in 0..4 {
             assert_eq!(
@@ -1661,35 +1505,23 @@ mod tests {
 
     #[test]
     fn backoff_shift_is_capped() {
-        let config = OriginConfig::default().backoff_base_micros(1);
-        let mut sched = BackoffSchedule::new(&config, 0);
-        assert_eq!(sched.delay_micros(63), 1 << 20, "shift capped, no overflow");
+        let delay = BackoffSchedule::new(0).delay_micros(63);
+        assert!(jittered(20, delay), "shift capped, no overflow: {delay}");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// The backoff schedule is a pure function of (config, salt).
+        /// The backoff schedule is a pure function of its salt.
         #[test]
-        fn backoff_schedule_replays_exactly(
-            seed in any::<u64>(),
-            salt in any::<u64>(),
-            jitter in any::<u8>(),
-            base in 1u64..100_000,
-        ) {
-            let config = OriginConfig::default()
-                .backoff_base_micros(base)
-                .backoff_jitter_frac(jitter)
-                .retry_seed(seed);
-            let mut a = BackoffSchedule::new(&config, salt);
-            let mut b = BackoffSchedule::new(&config, salt);
+        fn backoff_schedule_replays_exactly(salt in any::<u64>()) {
+            let mut a = BackoffSchedule::new(salt);
+            let mut b = BackoffSchedule::new(salt);
             for attempt in 0..12 {
                 let da = a.delay_micros(attempt);
                 prop_assert_eq!(da, b.delay_micros(attempt));
                 // Jitter never exceeds the documented fraction of the base.
-                let floor = base.saturating_mul(1 << attempt.min(20));
-                prop_assert!(da >= floor);
-                prop_assert!(da <= floor + floor * u64::from(jitter) / 256 + 1);
+                prop_assert!(jittered(attempt, da));
             }
         }
     }

@@ -70,7 +70,7 @@ use crate::entry::EntryMeta;
 use crate::manager::Recount;
 use crate::policy::{EntryAttrs, EntryKey, PolicyFactory, ReplacementPolicy};
 use crate::stats::AtomicCacheStats;
-use crate::store::{ConcurrentStore, NoRoom};
+use crate::store::ConcurrentStore;
 use bytes::Bytes;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use placeless_core::id::{DocumentId, UserId};
@@ -249,6 +249,15 @@ pub(crate) enum Removal {
     /// The policy nominated the key as an eviction victim and has already
     /// forgotten it.
     Evicted,
+}
+
+/// Why [`ShardGuard::make_room`] could make no more room.
+enum Spared {
+    /// The policy nominated the spared entry, and no sibling shard had a
+    /// victim: the spared entry is out of the policy.
+    Nominated,
+    /// Nothing was evictable anywhere (everything pinned).
+    Stuck,
 }
 
 /// What [`ShardGuard::probe`] found out about a resident entry.
@@ -581,11 +590,16 @@ impl ShardGuard<'_> {
         };
         entry.meta.force_verify = false;
         let fresh = entry.fresh(replaced);
+        let grown = replaced.then(|| EntryAttrs::new(entry.meta.size, entry.meta.cost_micros));
         shard.policy.on_hit(key);
-        if replaced {
+        if let Some(attrs) = grown {
             // The replacement may have grown the content past the budget;
-            // reclaim, sparing the fresh entry.
-            self.reclaim_over_budget(key);
+            // reclaim, sparing the fresh entry, which stays resident (and
+            // in the policy) even if nothing else could go.
+            let fits = || (store.physical_bytes() <= table.capacity_bytes).then_some(());
+            if let Err(Spared::Nominated) = self.make_room(key, &attrs, fits) {
+                self.shard.policy.on_insert(key, &attrs);
+            }
         }
         Some(fresh)
     }
@@ -638,43 +652,29 @@ impl ShardGuard<'_> {
         } else {
             self.shard.policy.on_insert(key, &attrs);
         }
-        loop {
-            match table.store.try_acquire(sig, &bytes, table.capacity_bytes) {
-                Ok((bytes, shared)) => {
-                    if shared {
-                        AtomicCacheStats::bump(&self.table.stats.shared_fills);
-                    }
-                    if key.is_stage() {
-                        AtomicCacheStats::add(&self.table.stats.stage_bytes, meta.size);
-                    }
-                    let entry = Resident { sig, bytes, meta };
-                    self.shard.insert(key, Box::new(entry));
-                    return;
+        let reserve = || {
+            table
+                .store
+                .try_acquire(sig, &bytes, table.capacity_bytes)
+                .ok()
+        };
+        match self.make_room(key, &attrs, reserve) {
+            Ok((bytes, shared)) => {
+                if shared {
+                    AtomicCacheStats::bump(&self.table.stats.shared_fills);
                 }
-                Err(NoRoom) => match self.shard.policy.evict() {
-                    Some(victim) if victim == key => {
-                        // The incoming entry is its own shard's minimum;
-                        // prefer room from a sibling shard.
-                        if self.steal_one() {
-                            self.shard.policy.on_insert(key, &attrs);
-                            continue;
-                        }
-                        AtomicCacheStats::bump(&self.table.stats.evictions);
-                        return;
-                    }
-                    Some(victim) => {
-                        self.remove(victim, Removal::Evicted);
-                        AtomicCacheStats::bump(&self.table.stats.evictions);
-                    }
-                    None => {
-                        // Nothing evictable anywhere (everything pinned):
-                        // serve without caching rather than overshoot.
-                        if !self.steal_one() {
-                            return;
-                        }
-                    }
-                },
+                if key.is_stage() {
+                    AtomicCacheStats::add(&self.table.stats.stage_bytes, meta.size);
+                }
+                let entry = Resident { sig, bytes, meta };
+                self.shard.insert(key, Box::new(entry));
             }
+            // The incoming entry lost to the shard's other entries: it was
+            // evicted on arrival.
+            Err(Spared::Nominated) => AtomicCacheStats::bump(&self.table.stats.evictions),
+            // Nothing evictable anywhere (everything pinned): serve without
+            // caching rather than overshoot.
+            Err(Spared::Stuck) => {}
         }
     }
 
@@ -838,31 +838,36 @@ impl ShardGuard<'_> {
         false
     }
 
-    /// Evicts until the store fits the budget again, sparing `spare`
-    /// (re-entered into the policy if nominated). Used after an in-place
-    /// verifier replacement, the one path that can overshoot.
-    fn reclaim_over_budget(&mut self, spare: EntryKey) {
-        while self.table.store.physical_bytes() > self.table.capacity_bytes {
+    /// The one make-room loop, for a fill and for a verifier's in-place
+    /// replacement (the one path that can overshoot the budget): evicts
+    /// this shard's victims until `room` succeeds. When the policy nominates
+    /// `spare` — the entry room is being made for — or has nothing left,
+    /// one entry from a sibling shard goes instead (a nominated `spare`
+    /// re-enters the policy with `attrs`). Fails when no sibling had a
+    /// victim either.
+    fn make_room<T>(
+        &mut self,
+        spare: EntryKey,
+        attrs: &EntryAttrs,
+        mut room: impl FnMut() -> Option<T>,
+    ) -> Result<T, Spared> {
+        loop {
+            if let Some(made) = room() {
+                return Ok(made);
+            }
             match self.shard.policy.evict() {
                 Some(victim) if victim == spare => {
-                    let shard = &mut *self.shard;
-                    if let Some(entry) = shard.entries.get(&victim) {
-                        let attrs = EntryAttrs::new(entry.meta.size, entry.meta.cost_micros);
-                        shard.policy.on_insert(victim, &attrs);
-                    }
                     if !self.steal_one() {
-                        return;
+                        return Err(Spared::Nominated);
                     }
+                    self.shard.policy.on_insert(spare, attrs);
                 }
                 Some(victim) => {
                     self.remove(victim, Removal::Evicted);
                     AtomicCacheStats::bump(&self.table.stats.evictions);
                 }
-                None => {
-                    if !self.steal_one() {
-                        return;
-                    }
-                }
+                None if self.steal_one() => {}
+                None => return Err(Spared::Stuck),
             }
         }
     }

@@ -12,7 +12,7 @@
 //! two threads counting — hits included — write different lines; a
 //! snapshot adds the blocks up. A gauge is a level and stays one atomic.
 
-use std::ops::{Deref, Sub};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How many blocks the sums are spread over; more threads than this share
@@ -125,7 +125,8 @@ counters! {
         prefetch_hits,
         /// Fills pinned by a QoS property.
         pinned_fills,
-        /// Fetch attempts repeated after a transient failure.
+        /// Origin attempts repeated after a transient failure: fetches,
+        /// write-through writes and flush groups.
         retries,
         /// Circuit breakers tripped open by consecutive failures.
         breaker_trips,
@@ -154,9 +155,6 @@ counters! {
         /// Dirty entries parked in the journal after a flush exhausted its
         /// retries (drained when the origin's breaker lets probes through).
         writes_parked,
-        /// Write attempts repeated after a transient failure (write-through
-        /// and flush paths; the write-side sibling of `retries`).
-        flush_retries,
         /// Grouped origin write operations issued by `flush` — one per
         /// per-origin group per attempt (a retried group counts again).
         flush_batches,
@@ -213,36 +211,9 @@ impl CacheStats {
         ratio(self.hits, self.hits + self.misses)
     }
 
-    /// Returns the mean hit latency in milliseconds, or `None` without hits.
-    pub fn mean_hit_ms(&self) -> Option<f64> {
-        ratio(self.hit_micros, self.hits).map(|micros| micros / 1_000.0)
-    }
-
-    /// Returns the mean miss latency in milliseconds (`None` without misses).
-    pub fn mean_miss_ms(&self) -> Option<f64> {
-        ratio(self.miss_micros, self.misses).map(|micros| micros / 1_000.0)
-    }
-
-    /// Returns the fraction of cacheable reads that returned bytes — hits,
-    /// misses, and stale-served reads over those plus degraded errors — or
-    /// `None` before any read. The E-FAULT experiment's headline metric.
-    pub fn read_availability(&self) -> Option<f64> {
-        let served = self.hits + self.misses + self.stale_served;
-        ratio(served, served + self.degraded_errors)
-    }
-
     /// Total reads shed under overload across all priority classes.
     pub fn sheds_total(&self) -> u64 {
         self.sheds_foreground + self.sheds_refresh + self.sheds_prefetch
-    }
-}
-
-impl Sub for CacheStats {
-    type Output = CacheStats;
-
-    /// `later - earlier` is shorthand for [`CacheStats::delta`].
-    fn sub(self, earlier: CacheStats) -> CacheStats {
-        self.delta(&earlier)
     }
 }
 
@@ -294,8 +265,6 @@ mod tests {
     fn rates_are_none_before_traffic() {
         let stats = CacheStats::default();
         assert_eq!(stats.hit_rate(), None);
-        assert_eq!(stats.mean_hit_ms(), None);
-        assert_eq!(stats.mean_miss_ms(), None);
     }
 
     #[test]
@@ -303,13 +272,9 @@ mod tests {
         let stats = CacheStats {
             hits: 3,
             misses: 1,
-            hit_micros: 6_000,
-            miss_micros: 10_000,
             ..Default::default()
         };
         assert_eq!(stats.hit_rate(), Some(0.75));
-        assert_eq!(stats.mean_hit_ms(), Some(2.0));
-        assert_eq!(stats.mean_miss_ms(), Some(10.0));
     }
 
     #[test]
@@ -342,8 +307,6 @@ mod tests {
         assert_eq!(d.stage_bytes, 300);
         assert_eq!(d.inflight_peak, 7);
         assert_eq!(d.brownout_level, 1, "the level is a gauge");
-        // The Sub impl is the same operation.
-        assert_eq!(later - earlier, d);
     }
 
     #[test]
@@ -357,18 +320,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(later.delta(&earlier).hits, 0);
-    }
-
-    #[test]
-    fn availability_counts_stale_service_as_served() {
-        assert_eq!(CacheStats::default().read_availability(), None);
-        let stats = CacheStats {
-            hits: 5,
-            misses: 2,
-            stale_served: 2,
-            degraded_errors: 1,
-            ..Default::default()
-        };
-        assert_eq!(stats.read_availability(), Some(0.9));
     }
 }

@@ -27,9 +27,7 @@ use crate::property::{
     ActiveProperty, AttachedProperty, EventCtx, FollowUp, PathReport, PropsSnapshot,
 };
 use crate::registry::PropertyRegistry;
-use crate::streams::{
-    read_all, write_all, write_all_bytes, CollectOutput, InputStream, OutputStream,
-};
+use crate::streams::{read_all, write_all_bytes, CollectOutput, InputStream, OutputStream};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use placeless_simenv::{LatencyModel, VirtualClock};
@@ -681,60 +679,6 @@ impl DocumentSpace {
     // Write path
     // ------------------------------------------------------------------
 
-    /// Assembles the write path for `user` on `doc`.
-    ///
-    /// The returned stream runs the reference's properties first, then the
-    /// base's, then the bit-provider sink. Closing it commits the content
-    /// and fires `ContentWritten`.
-    pub fn open_write(
-        self: &Arc<Self>,
-        user: UserId,
-        doc: DocumentId,
-    ) -> Result<Box<dyn OutputStream>> {
-        self.charge_op(0);
-        self.charge_op(0);
-
-        let plan = self.compile_plan(user, doc, Compile::Write)?.0;
-        if !plan.provider.writable() {
-            return Err(PlacelessError::ReadOnly(doc));
-        }
-
-        // Innermost: fire ContentWritten after the provider commits.
-        let sink = plan.provider.open_output(&self.clock)?;
-        self.wrap_write_stack(&plan, user, doc, sink, true)
-    }
-
-    /// Wraps `sink` with the write-path property stages of `plan` — base
-    /// properties first, then reference properties, each handing its
-    /// custom stream outward, so the application ends up writing into the
-    /// outermost (reference-side) wrapper. With `notify`, the innermost
-    /// layer fires `ContentWritten` after the sink commits.
-    fn wrap_write_stack(
-        self: &Arc<Self>,
-        plan: &TransformPlan,
-        user: UserId,
-        doc: DocumentId,
-        sink: Box<dyn OutputStream>,
-        notify: bool,
-    ) -> Result<Box<dyn OutputStream>> {
-        let mut stream: Box<dyn OutputStream> = if notify {
-            let space = Arc::clone(self);
-            Box::new(NotifyOnClose {
-                inner: Some(sink),
-                hook: Some(Box::new(move || {
-                    space.dispatch(DocumentEvent::new(EventKind::ContentWritten, doc).by(user))
-                })),
-            })
-        } else {
-            sink
-        };
-        let mut report = PathReport::default();
-        for index in 0..plan.len() {
-            stream = plan.wrap_output_stage(&self.clock, index, &mut report, stream)?;
-        }
-        Ok(stream)
-    }
-
     /// Aggregates the write-path cacheability requirements for `user` on
     /// `doc`: the most restrictive vote of every property registered for
     /// `GetOutputStream`, plus the provider's vote. Write-back caches
@@ -749,16 +693,19 @@ impl DocumentSpace {
         Ok(plan.write_cacheability())
     }
 
-    /// Writes a complete document through the full property path.
+    /// Writes a complete document through the full property path: the
+    /// reference's properties first, then the base's, then the
+    /// bit-provider; `ContentWritten` fires once the provider committed.
+    /// A group of [`Self::write_documents`] with one entry.
     pub fn write_document(
         self: &Arc<Self>,
         user: UserId,
         doc: DocumentId,
         data: &[u8],
     ) -> Result<()> {
-        let mut stream = self.open_write(user, doc)?;
-        write_all(stream.as_mut(), data)?;
-        stream.close()
+        let write = BatchWrite::new(user, doc, Bytes::copy_from_slice(data));
+        let mut results = self.write_documents(std::slice::from_ref(&write));
+        results.pop().unwrap_or(Err(PlacelessError::StreamClosed))
     }
 
     /// Writes several complete documents as one *grouped origin
@@ -786,8 +733,7 @@ impl DocumentSpace {
         self.charge_op(0);
         self.charge_op(0);
         // Run each entry's property chain into a collector first, so the
-        // provider sees the post-transform payload exactly as a lone
-        // `write_document` would have committed it. Op-carrying entries
+        // provider sees the post-transform payload. Op-carrying entries
         // resolve their content against a batch-local view map: the first
         // op entry for a document reads the origin's current rendition,
         // and every later same-document entry composes on the batch's
@@ -823,7 +769,7 @@ impl DocumentSpace {
                 crate::op::apply_all(&base, &w.ops)
             };
             batch_view.insert(w.doc, content.clone());
-            match self.run_write_chain(&plan, w.user, w.doc, content) {
+            match self.run_write_chain(&plan, content) {
                 Ok(payload) => slots.push(Slot::Ready(plan, payload)),
                 Err(error) => slots.push(Slot::Failed(error)),
             }
@@ -897,13 +843,7 @@ impl DocumentSpace {
 
     /// Runs one entry's write-path property chain to completion into a
     /// collector, returning the provider-ready payload.
-    fn run_write_chain(
-        self: &Arc<Self>,
-        plan: &TransformPlan,
-        user: UserId,
-        doc: DocumentId,
-        data: Bytes,
-    ) -> Result<Bytes> {
+    fn run_write_chain(&self, plan: &TransformPlan, data: Bytes) -> Result<Bytes> {
         let captured: Arc<Mutex<Option<Bytes>>> = Arc::new(Mutex::new(None));
         let sink = {
             let captured = Arc::clone(&captured);
@@ -912,7 +852,15 @@ impl DocumentSpace {
                 Ok(())
             }))
         };
-        let mut stream = self.wrap_write_stack(plan, user, doc, sink, false)?;
+        // The write-path stages wrap the collector base properties first,
+        // then reference properties, each handing its custom stream
+        // outward, so the payload enters the outermost (reference-side)
+        // wrapper.
+        let mut stream: Box<dyn OutputStream> = sink;
+        let mut report = PathReport::default();
+        for index in 0..plan.len() {
+            stream = plan.wrap_output_stage(&self.clock, index, &mut report, stream)?;
+        }
         // The chunk path: a chain with no transforming stages hands the
         // caller's refcounted buffer straight to the collector, so
         // identity write chains never copy the payload.
@@ -1135,30 +1083,6 @@ impl BatchWrite {
             doc,
             data,
             ops: Vec::new(),
-        }
-    }
-}
-
-/// Output wrapper that runs a hook after the inner sink commits.
-struct NotifyOnClose {
-    inner: Option<Box<dyn OutputStream>>,
-    hook: Option<Box<dyn FnOnce() -> Result<()> + Send>>,
-}
-
-impl OutputStream for NotifyOnClose {
-    fn write(&mut self, buf: &[u8]) -> Result<usize> {
-        match self.inner.as_mut() {
-            Some(inner) => inner.write(buf),
-            None => Err(PlacelessError::StreamClosed),
-        }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        let mut inner = self.inner.take().ok_or(PlacelessError::StreamClosed)?;
-        inner.close()?;
-        match self.hook.take() {
-            Some(hook) => hook(),
-            None => Ok(()),
         }
     }
 }

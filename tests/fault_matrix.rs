@@ -11,8 +11,8 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use placeless_bench::fault::{self, FaultParams, ResilienceMode};
 use placeless_cache::{
-    BreakerConfig, BreakerState, CacheConfig, CacheStats, ConflictHook, ConflictResolution,
-    DocumentCache, MergePolicy, OriginConfig, PrefetchConfig, StalenessBound, WriteConflict,
+    BreakerState, CacheConfig, CacheStats, ConflictHook, ConflictResolution, DocumentCache,
+    MergePolicy, OriginConfig, PrefetchConfig, ReadOptions, StalenessBound, WriteConflict,
     WriteJournal, WriteMode,
 };
 use placeless_core::bitprovider::BitProvider;
@@ -162,7 +162,7 @@ fn timeout_during_revalidation_charges_and_surfaces() {
     assert_eq!(cache.stats().degraded_errors, 1);
 }
 
-/// The per-fetch deadline bounds retry storms: a fetch that would retry
+/// A read's deadline bounds retry storms: a fetch that would retry
 /// past the budget aborts with `Timeout` instead of backing off forever.
 /// (The failures are hint-less — `error_rate`, not an outage window — so
 /// the retry loop keeps backing off instead of honouring a
@@ -180,17 +180,14 @@ fn fetch_deadline_caps_the_retry_budget() {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .origin(
-                OriginConfig::default()
-                    .max_retries(10)
-                    .backoff_base_micros(4_000)
-                    .retry_seed(4)
-                    .fetch_deadline_micros(20_000),
-            )
+            .origin(OriginConfig::default().max_retries(10))
             .build(),
     );
 
-    let err = cache.read(USER, doc).expect_err("deadline must fire");
+    let deadline = ReadOptions::new().deadline_micros(20_000);
+    let err = cache
+        .read_with(USER, doc, deadline)
+        .expect_err("deadline must fire");
     assert!(matches!(err, PlacelessError::Timeout { .. }), "{err}");
     let stats = cache.stats();
     assert!(
@@ -214,7 +211,7 @@ fn retry_after_hint_floors_the_backoff() {
     link.set_fault_plan(
         FaultPlan::builder(5)
             .error_rate(1.0)
-            .retry_hint(6_000)
+            .retry_hint(1_200)
             .build(),
     );
     let doc = space.create_document(USER, FsProvider::new(fs, "/doc", link));
@@ -222,12 +219,7 @@ fn retry_after_hint_floors_the_backoff() {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .origin(
-                OriginConfig::default()
-                    .max_retries(2)
-                    .backoff_base_micros(4_000)
-                    .retry_seed(5),
-            )
+            .origin(OriginConfig::default().max_retries(2))
             .build(),
     );
 
@@ -235,9 +227,9 @@ fn retry_after_hint_floors_the_backoff() {
     assert!(matches!(err, PlacelessError::Unavailable { .. }), "{err}");
     let stats = cache.stats();
     assert_eq!(stats.retries, 2, "hint within horizon keeps the loop going");
-    // Waits were max(backoff, hint): 6_000 then max(8_000, 6_000).
+    // Waits were max(backoff, hint): 1_200 then max(1_000 + jitter, 1_200).
     assert!(
-        clock.now().as_micros() >= 14_000,
+        clock.now().as_micros() >= 2_400,
         "floored backoffs must be charged, now={}µs",
         clock.now().as_micros()
     );
@@ -260,12 +252,7 @@ fn unreachable_retry_hint_fails_fast() {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .origin(
-                OriginConfig::default()
-                    .max_retries(10)
-                    .backoff_base_micros(4_000)
-                    .retry_seed(6),
-            )
+            .origin(OriginConfig::default().max_retries(10))
             .build(),
     );
 
@@ -292,7 +279,7 @@ fn breaker_opens_half_opens_and_recovers() {
     let plan = FaultPlan::builder(5).outage(0, 200_000).build();
     link.set_fault_plan(plan.clone());
     let mut docs = Vec::new();
-    for i in 0..3 {
+    for i in 0..4 {
         let path = format!("/doc-{i}");
         fs.create(&path, "body");
         docs.push(space.create_document(USER, FsProvider::new(fs.clone(), &path, link.clone())));
@@ -301,23 +288,21 @@ fn breaker_opens_half_opens_and_recovers() {
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .origin(OriginConfig::default().breaker(BreakerConfig {
-                failure_threshold: 2,
-                open_micros: 50_000,
-                half_open_probes: 1,
-            }))
+            .origin(OriginConfig::default().breaker(true))
             .build(),
     );
 
-    // Two cold reads fail against the dark origin and trip the breaker.
-    assert!(cache.read(USER, docs[0]).is_err());
-    assert_eq!(cache.breaker_state("fs"), BreakerState::Closed);
-    assert!(cache.read(USER, docs[1]).is_err());
+    // Three cold reads fail against the dark origin and trip the breaker.
+    for &doc in &docs[..2] {
+        assert!(cache.read(USER, doc).is_err());
+        assert_eq!(cache.breaker_state("fs"), BreakerState::Closed);
+    }
+    assert!(cache.read(USER, docs[2]).is_err());
     assert_eq!(cache.breaker_state("fs"), BreakerState::Open);
     let failures_at_trip = plan.counters().failures_injected;
 
     // Open: the next read fast-fails without touching the origin.
-    let err = cache.read(USER, docs[2]).expect_err("breaker rejects");
+    let err = cache.read(USER, docs[3]).expect_err("breaker rejects");
     match err {
         PlacelessError::Unavailable { retry_after, .. } => {
             assert!(retry_after.is_some(), "cool-down is advertised");
@@ -333,17 +318,17 @@ fn breaker_opens_half_opens_and_recovers() {
     // Cool-down elapsed but the outage persists: the half-open probe
     // fails and re-opens the breaker.
     clock.advance_to(Instant(100_000));
-    assert!(cache.read(USER, docs[2]).is_err());
+    assert!(cache.read(USER, docs[3]).is_err());
     assert_eq!(cache.breaker_state("fs"), BreakerState::Open);
 
     // Outage over, cool-down over: the probe succeeds and closes it.
     clock.advance_to(Instant(250_000));
-    assert_eq!(cache.read(USER, docs[2]).expect("recovered"), "body");
+    assert_eq!(cache.read(USER, docs[3]).expect("recovered"), "body");
     assert_eq!(cache.breaker_state("fs"), BreakerState::Closed);
 
     let stats = cache.stats();
     assert_eq!(stats.breaker_trips, 2);
-    assert_eq!(stats.degraded_errors, 4);
+    assert_eq!(stats.degraded_errors, 5);
     assert_eq!(stats.misses, 1, "exactly one read ever got real bytes");
 }
 
@@ -371,17 +356,15 @@ fn prefetch_skips_siblings_behind_an_open_breaker() {
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
             .prefetch(PrefetchConfig::up_to(4))
-            .origin(OriginConfig::default().breaker(BreakerConfig {
-                failure_threshold: 1,
-                open_micros: 500_000,
-                half_open_probes: 1,
-            }))
+            .origin(OriginConfig::default().breaker(true))
             .build(),
     );
 
-    // One failed read trips origin B's breaker; then B comes back while
+    // Three failed reads trip origin B's breaker; then B comes back while
     // the cool-down is still running.
-    assert!(cache.read(USER, doc_b).is_err());
+    for _ in 0..OriginConfig::BREAKER_THRESHOLD {
+        assert!(cache.read(USER, doc_b).is_err());
+    }
     assert_eq!(cache.breaker_state("http://origin-b"), BreakerState::Open);
     clock.advance_to(Instant(20_000));
     let (gets_before, _) = server.counters();
@@ -605,18 +588,16 @@ fn write_through_failures_trip_the_shared_breaker() {
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
             .write_mode(WriteMode::Through)
-            .origin(OriginConfig::default().breaker(BreakerConfig {
-                failure_threshold: 2,
-                open_micros: 50_000,
-                half_open_probes: 1,
-            }))
+            .origin(OriginConfig::default().breaker(true))
             .build(),
     );
 
-    // Two write-through failures against the dark origin trip the breaker.
-    assert!(cache.write(USER, doc, b"w1").is_err());
-    assert_eq!(cache.breaker_state("fs"), BreakerState::Closed);
-    assert!(cache.write(USER, doc, b"w2").is_err());
+    // Three write-through failures against the dark origin trip the breaker.
+    for body in [b"w1", b"w2"] {
+        assert!(cache.write(USER, doc, body).is_err());
+        assert_eq!(cache.breaker_state("fs"), BreakerState::Closed);
+    }
+    assert!(cache.write(USER, doc, b"w3").is_err());
     assert_eq!(cache.breaker_state("fs"), BreakerState::Open);
 
     // The read path fast-fails on the breaker the writes opened.
@@ -631,10 +612,10 @@ fn write_through_failures_trip_the_shared_breaker() {
     // Outage and cool-down over: a write probe succeeds and closes the
     // breaker for reads as well.
     clock.advance_to(Instant(200_000));
-    cache.write(USER, doc, b"w3").expect("origin is back");
+    cache.write(USER, doc, b"w4").expect("origin is back");
     assert_eq!(cache.breaker_state("fs"), BreakerState::Closed);
-    assert_eq!(fs.read("/doc").expect("file exists"), "w3");
-    assert_eq!(cache.read(USER, doc).expect("reads flow again"), "w3");
+    assert_eq!(fs.read("/doc").expect("file exists"), "w4");
+    assert_eq!(cache.read(USER, doc).expect("reads flow again"), "w4");
     assert_eq!(cache.stats().breaker_trips, 1);
 }
 
@@ -853,7 +834,7 @@ fn recovery_conflicts_resolve_keep_mine_and_keep_theirs() {
         DocumentCache::recover(space, config().journal(journal.clone()).build(), Some(hook));
     assert_eq!(report.replayed, 2);
     assert_eq!(report.conflicts.len(), 2, "both divergences were detected");
-    assert_eq!((report.kept_mine, report.kept_theirs), (1, 1));
+    assert_eq!((report.merge.kept_mine, report.merge.kept_theirs), (1, 1));
     for conflict in &report.conflicts {
         assert_ne!(conflict.journal_epoch, conflict.origin_signature);
         assert!(
@@ -1019,11 +1000,7 @@ fn mixed_origin_batches_keep_breaker_isolation() {
             .local_latency(LatencyModel::FREE)
             .write_mode(WriteMode::Back)
             .journal(journal.clone())
-            .origin(OriginConfig::default().breaker(BreakerConfig {
-                failure_threshold: 1,
-                open_micros: 50_000,
-                half_open_probes: 1,
-            }))
+            .origin(OriginConfig::default().breaker(true))
             .build(),
     );
     for (doc, body) in [
@@ -1043,6 +1020,10 @@ fn mixed_origin_batches_keep_breaker_isolation() {
         report.attempted,
         report.flushed + (report.parked.len() + report.requeued.len()) as u64
     );
+    // Each flush is one failed attempt on the dark group; the third trips.
+    for _ in 1..OriginConfig::BREAKER_THRESHOLD {
+        assert_eq!(cache.flush().expect("flush").parked.len(), 2);
+    }
     assert_eq!(cache.breaker_state("fs"), BreakerState::Open);
     assert_eq!(cache.breaker_state("http://origin"), BreakerState::Closed);
     assert_eq!(server.get("/w0").expect("served").body, "new w0");
@@ -1101,18 +1082,7 @@ fn grouped_flush_run(seed: u64, writes: u64) -> (CacheStats, usize, Vec<Bytes>) 
             .write_mode(WriteMode::Back)
             .shards(1)
             .journal(journal.clone())
-            .origin(
-                OriginConfig::default()
-                    .max_retries(2)
-                    .backoff_base_micros(500)
-                    .backoff_jitter_frac(128)
-                    .retry_seed(seed)
-                    .breaker(BreakerConfig {
-                        failure_threshold: 2,
-                        open_micros: 20_000,
-                        half_open_probes: 1,
-                    }),
-            )
+            .origin(OriginConfig::default().max_retries(2).breaker(true))
             .build(),
     );
     for i in 0..writes {
@@ -1172,18 +1142,7 @@ fn parked_drain_run(seed: u64, writes: u64) -> (CacheStats, usize, Vec<Bytes>) {
             .write_mode(WriteMode::Back)
             .shards(1)
             .journal(journal.clone())
-            .origin(
-                OriginConfig::default()
-                    .max_retries(2)
-                    .backoff_base_micros(500)
-                    .backoff_jitter_frac(128)
-                    .retry_seed(seed)
-                    .breaker(BreakerConfig {
-                        failure_threshold: 2,
-                        open_micros: 20_000,
-                        half_open_probes: 1,
-                    }),
-            )
+            .origin(OriginConfig::default().max_retries(2).breaker(true))
             .build(),
     );
     for i in 0..writes {
@@ -1242,14 +1201,7 @@ fn faulted_run(seed: u64, error_rate: f64, reads: u64) -> (Vec<Option<Bytes>>, C
             .origin(
                 OriginConfig::default()
                     .max_retries(2)
-                    .backoff_base_micros(500)
-                    .backoff_jitter_frac(128)
-                    .retry_seed(seed)
-                    .breaker(BreakerConfig {
-                        failure_threshold: 3,
-                        open_micros: 20_000,
-                        half_open_probes: 1,
-                    })
+                    .breaker(true)
                     .serve_stale(StalenessBound::micros(500_000)),
             )
             .build(),
@@ -1389,8 +1341,12 @@ fn two_writers_crash_then_recovery_merges_both_edit_streams() {
     assert_eq!(report.conflicts.len(), 1, "the origin moved under Alice");
     assert_eq!(report.merge.merged, 1);
     assert_eq!(report.merge.rebases, 2, "both appends were rebased");
-    assert_eq!(report.kept_mine + report.kept_theirs, 0, "nobody lost");
-    assert!(report.to_string().contains("merge:"), "{report}");
+    assert_eq!(
+        report.merge.kept_mine + report.merge.kept_theirs,
+        0,
+        "nobody lost"
+    );
+    assert!(report.to_string().contains("1 merged"), "{report}");
     assert!(recovered.flush().expect("healthy origin").is_clean());
 
     assert_eq!(

@@ -8,7 +8,7 @@ use bytes::Bytes;
 use placeless_cache::journal::COMPACTION_FLOOR;
 use placeless_cache::{md5, JournalRecord, WriteJournal, NO_EPOCH};
 use placeless_core::id::{DocumentId, UserId};
-use placeless_core::op::{encode_ops, DocOp};
+use placeless_core::op::{encode_ops, rebasable, DocOp};
 use placeless_simenv::StableStore;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -35,14 +35,14 @@ fn append_ack_roundtrip() {
     assert!(!outcome.truncated);
     let seq = journal.append(DOC, ALICE, NO_EPOCH, b"draft");
     assert_eq!(journal.len(), 1);
-    assert_eq!(journal.seq_for(DOC, ALICE), Some(seq));
-    assert!(journal.ack(seq));
+    assert_eq!(journal.live_records()[0].seq, seq);
+    assert_eq!(journal.ack_batch(&[seq]), 1);
     assert!(journal.is_empty());
     assert!(
         journal.store().is_empty(),
         "an empty live set truncates the medium"
     );
-    assert!(!journal.ack(seq), "double ack is a no-op");
+    assert_eq!(journal.ack_batch(&[seq]), 0, "double ack is a no-op");
 }
 
 #[test]
@@ -64,7 +64,7 @@ fn ack_batch_appends_one_frame_and_skips_superseded_records() {
     );
     assert_eq!(store.rewrite_count(), 0, "an ack rewrites nothing");
     assert_eq!(journal.len(), 1);
-    assert_eq!(journal.seq_for(DocumentId(8), ALICE), Some(keep));
+    assert_eq!(journal.live_records()[0].seq, keep);
     assert_eq!(journal.ack_batch(&[a, b]), 0, "double batch ack is a no-op");
     assert_eq!(
         (store.append_count(), store.len()),
@@ -83,11 +83,12 @@ fn newer_write_supersedes_and_ack_is_seq_precise() {
     let first = journal.append(DOC, ALICE, NO_EPOCH, b"v1");
     let second = journal.append(DOC, ALICE, NO_EPOCH, b"v2");
     assert_eq!(journal.len(), 1, "one live record per key");
-    assert!(
-        !journal.ack(first),
+    assert_eq!(
+        journal.ack_batch(&[first]),
+        0,
         "acking the superseded seq must not drop the newer record"
     );
-    assert_eq!(journal.seq_for(DOC, ALICE), Some(second));
+    assert_eq!(journal.live_records()[0].seq, second);
     assert_eq!(journal.live_records()[0].data, "v2");
 }
 
@@ -141,7 +142,7 @@ fn torn_ack_is_truncated_and_resurrects_what_it_named() {
     let flushed = journal.append(DOC, ALICE, NO_EPOCH, b"flushed");
     journal.append(DOC, BOB, NO_EPOCH, b"still buffered");
     let before = store.len();
-    assert!(journal.ack(flushed));
+    assert_eq!(journal.ack_batch(&[flushed]), 1);
     store.tear_tail(ack_len(1) / 2); // the crash tore the ack mid-append
     drop(journal);
 
@@ -155,7 +156,7 @@ fn torn_ack_is_truncated_and_resurrects_what_it_named() {
         ["flushed", "still buffered"],
         "the record whose ack was torn comes back (a duplicate flush), none is lost"
     );
-    assert!(recovered.ack(flushed), "and can be acknowledged again");
+    assert_eq!(recovered.ack_batch(&[flushed]), 1, "and can be acked again");
 }
 
 /// Flips one byte at `at` of the medium's image.
@@ -189,7 +190,7 @@ fn corrupt_ack_stops_the_scan_like_a_corrupt_record() {
     let first = journal.append(DOC, ALICE, NO_EPOCH, b"first");
     journal.append(DOC, BOB, NO_EPOCH, b"second");
     let before = store.len();
-    journal.ack(first);
+    journal.ack_batch(&[first]);
     journal.append(DocumentId(8), ALICE, NO_EPOCH, b"after the ack");
     // Flip a byte of the sequence number the ack names.
     corrupt(&store, before + 12);
@@ -247,11 +248,11 @@ fn op_records_roundtrip_across_reopen() {
     assert_eq!(alice.data, "base-tail");
     assert_eq!(alice.ops, ops);
     assert_eq!(alice.writer_seq, 3);
-    assert!(alice.rebasable());
+    assert!(rebasable(&alice.ops));
     let bob = &outcome.records[1];
     assert!(bob.ops.is_empty());
     assert_eq!(bob.writer_seq, 0);
-    assert!(!bob.rebasable());
+    assert!(!rebasable(&bob.ops));
 }
 
 #[test]

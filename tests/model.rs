@@ -407,8 +407,9 @@ impl Machine {
             Op::Flush => {
                 let report = cache.flush()?;
                 let (written, merge) = reference.flush(self.setup.merge);
-                let done = (report.attempted, report.flushed, report.remaining());
-                let clean = done == (written, written, 0) && report.dropped.is_empty();
+                let done = (report.attempted, report.flushed);
+                let clean = report.is_clean() && report.dropped.is_empty();
+                let clean = clean && done == (written, written);
                 ensure!(clean, "flush of {written} writes: {report}");
                 let merged = &report.merge;
                 ensure!(*merged == merge, "merged {merged}, not {merge}");

@@ -277,13 +277,14 @@ fn controlled_window_never_exceeds_its_width() {
     );
 }
 
+/// Readers parked behind the held slot: pressure enough for the ladder
+/// to climb a rung per miss.
+const PARKED: u64 = OverloadControl::BROWNOUT_ENTER_WAITERS;
+
 /// One slot per origin under overload control, with a brownout ladder
-/// that climbs a rung per miss while any reader is parked, and a
-/// generous staleness bound.
+/// that moves on every sample, and a generous staleness bound.
 fn ladder_config() -> CacheConfig {
     let control = OverloadControl {
-        brownout_enter_waiters: 1,
-        brownout_exit_waiters: 0,
         brownout_dwell_micros: 0,
         ..OverloadControl::default()
     };
@@ -297,7 +298,7 @@ fn ladder_config() -> CacheConfig {
 }
 
 /// Brownout rung 1 through a real cache: with the origin's only slot held
-/// and a reader parked behind it, the next miss lifts the ladder to its
+/// and readers parked behind it, the next miss lifts the ladder to its
 /// first rung, and a resident entry whose verifier cannot reach the
 /// origin is served stale within `serve_stale` without a fetch.
 #[test]
@@ -305,7 +306,9 @@ fn brownout_rung_one_serves_stale_within_serve_stale_without_fetching() {
     let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
     let holder = HoldProvider::new(500);
     let doc_hold = space.create_document(USER, holder.clone());
-    let doc_parked = space.create_document(USER, CheapProvider::new(500));
+    let parked: Vec<_> = (0..PARKED)
+        .map(|_| space.create_document(USER, CheapProvider::new(500)))
+        .collect();
     let stale_origin = CheapProvider::unverifiable(500);
     let doc_stale = space.create_document(USER, stale_origin.clone());
     let cache = DocumentCache::new(space, ladder_config());
@@ -315,8 +318,11 @@ fn brownout_rung_one_serves_stale_within_serve_stale_without_fetching() {
         let cache = &cache;
         let hold_read = scope.spawn(move || cache.read(USER, doc_hold));
         wait_until("holder to claim the slot", || holder.held());
-        let parked_read = scope.spawn(move || cache.read(USER, doc_parked));
-        wait_until("a reader to park", || cache.queued_fetches() == 1);
+        let parked_reads: Vec<_> = parked
+            .iter()
+            .map(|&doc| scope.spawn(move || cache.read(USER, doc)))
+            .collect();
+        wait_until("readers to park", || cache.queued_fetches() == PARKED);
 
         let outcome = cache
             .read_with(USER, doc_stale, ReadOptions::default())
@@ -326,7 +332,9 @@ fn brownout_rung_one_serves_stale_within_serve_stale_without_fetching() {
 
         holder.release();
         hold_read.join().unwrap().expect("holder read succeeds");
-        parked_read.join().unwrap().expect("parked read succeeds");
+        for read in parked_reads {
+            read.join().unwrap().expect("parked read succeeds");
+        }
     });
     assert_eq!(
         stale_origin.fetches(),
@@ -347,7 +355,9 @@ fn brownout_rung_four_refuses_background_misses_but_queues_foreground() {
     let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
     let holder = HoldProvider::new(500);
     let doc_hold = space.create_document(USER, holder.clone());
-    let doc_parked = space.create_document(USER, CheapProvider::new(500));
+    let parked: Vec<_> = (0..PARKED)
+        .map(|_| space.create_document(USER, CheapProvider::new(500)))
+        .collect();
     let doomed: Vec<_> = (0..4)
         .map(|_| space.create_document(USER, CheapProvider::new(500)))
         .collect();
@@ -360,8 +370,11 @@ fn brownout_rung_four_refuses_background_misses_but_queues_foreground() {
         let cache = &cache;
         let hold_read = scope.spawn(move || cache.read(USER, doc_hold));
         wait_until("holder to claim the slot", || holder.held());
-        let parked_read = scope.spawn(move || cache.read(USER, doc_parked));
-        wait_until("a reader to park", || cache.queued_fetches() == 1);
+        let parked_reads: Vec<_> = parked
+            .iter()
+            .map(|&doc| scope.spawn(move || cache.read(USER, doc)))
+            .collect();
+        wait_until("readers to park", || cache.queued_fetches() == PARKED);
 
         // Each doomed miss is one pressure sample, one rung up.
         for &doc in &doomed {
@@ -386,12 +399,14 @@ fn brownout_rung_four_refuses_background_misses_but_queues_foreground() {
         }
         let foreground_read = scope.spawn(move || cache.read(USER, doc_foreground));
         wait_until("the foreground read to queue", || {
-            cache.queued_fetches() == 2
+            cache.queued_fetches() == PARKED + 1
         });
 
         holder.release();
         hold_read.join().unwrap().expect("holder read succeeds");
-        parked_read.join().unwrap().expect("parked read succeeds");
+        for read in parked_reads {
+            read.join().unwrap().expect("parked read succeeds");
+        }
         foreground_read
             .join()
             .unwrap()

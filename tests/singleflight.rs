@@ -418,25 +418,20 @@ fn deadline_override_bounds_retries() {
     let fs = MemFs::new(clock.clone());
     fs.create("/doc", "body");
     let link = Link::new(1_000, 10_000_000, 0.0, 9);
-    link.set_fault_plan(FaultPlan::builder(9).outage(0, 30_000).build());
+    link.set_fault_plan(FaultPlan::builder(9).outage(0, 2_000).build());
     let doc = space.create_document(USER, FsProvider::new(fs, "/doc", link));
     let cache = DocumentCache::new(
         space,
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
-            .origin(
-                OriginConfig::default()
-                    .max_retries(3)
-                    .backoff_base_micros(10_000)
-                    .backoff_jitter_frac(0),
-            )
+            .origin(OriginConfig::default().max_retries(3))
             .build(),
     );
 
     // Budget below the first backoff delay: fail fast with Timeout, no
     // retries burned.
     let err = cache
-        .read_with(USER, doc, ReadOptions::new().deadline_micros(5_000))
+        .read_with(USER, doc, ReadOptions::new().deadline_micros(100))
         .expect_err("budget exhausted before the first retry");
     assert!(matches!(err, PlacelessError::Timeout { .. }), "{err}");
     assert_eq!(cache.stats().retries, 0);
