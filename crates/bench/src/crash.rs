@@ -233,6 +233,7 @@ pub fn report(params: CrashParams, results: &[CrashResult]) -> Report {
     Report {
         experiment: "crash",
         deterministic: true,
+        clock: "virtual",
         params: fields! {
             "docs": params.docs,
             "writes": params.writes,

@@ -5,7 +5,9 @@
 //! `BENCH_*.json` artifacts through [`report`]. Every quantity here is a
 //! count or a virtual-clock time: nothing reads the wall clock, so the
 //! numbers are the *model* and can be diffed between commits. Wall-clock
-//! numbers come from `benchmark/run.sh` only.
+//! numbers come from `benchmark/run.sh` only, run in pairs by
+//! `scripts/pairs.sh`, which [`pairs`] judges (it counts, and times
+//! nothing).
 //!
 //! | Module | Experiment | Paper anchor |
 //! |---|---|---|
@@ -35,6 +37,7 @@ pub mod load;
 pub mod merge;
 pub mod nv;
 pub mod overload;
+pub mod pairs;
 pub mod placement;
 pub mod qos;
 pub mod replacement;

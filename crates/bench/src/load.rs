@@ -398,6 +398,7 @@ pub fn report(
     Report {
         experiment: "load",
         deterministic: true,
+        clock: "virtual",
         params: fields! { "probe_threads": probe.threads },
         body: fields! {
             "probe": fields! {

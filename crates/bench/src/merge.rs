@@ -305,6 +305,7 @@ pub fn report(params: MergeParams, results: &[MergeResult]) -> Report {
     Report {
         experiment: "merge",
         deterministic: true,
+        clock: "virtual",
         params: fields! {
             "edits_phase1": params.edits_phase1,
             "edits_phase2": params.edits_phase2,

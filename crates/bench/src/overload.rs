@@ -162,11 +162,6 @@ impl PhaseResult {
     pub fn goodput(&self) -> f64 {
         self.on_time as f64 / (self.virtual_micros.max(1) as f64 / 1_000_000.0)
     }
-
-    /// Fraction of offered reads that were shed.
-    pub fn shed_frac(&self) -> f64 {
-        self.shed as f64 / self.offered.max(1) as f64
-    }
 }
 
 /// One configuration's run over the full schedule.
@@ -469,6 +464,7 @@ pub fn report(params: OverloadParams, cells: &[CellResult]) -> Report {
     Report {
         experiment: "overload",
         deterministic: false,
+        clock: "virtual",
         params: fields! {
             "base_threads": params.base_threads,
             "sat_events": params.sat_events,

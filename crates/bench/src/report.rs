@@ -2,8 +2,9 @@
 //!
 //! Every artifact of the model harness is a [`Report`]: the environment it
 //! ran in (the field names of `benchmark/src/env.rs`, with `"clock":
-//! "virtual"` marking every quantity as virtual-clock), the experiment's
-//! parameters and its results. Keys render in insertion order and floats
+//! "virtual"` marking every quantity as virtual-clock, and `"wall"` the
+//! measured pairs of `BENCH_wall.json`), the experiment's parameters and
+//! its results. Keys render in insertion order and floats
 //! with a fixed number of decimals, so a deterministic experiment's
 //! `params` and body are byte-stable and two commits' files can be
 //! diffed.
@@ -140,7 +141,7 @@ fn tool_output(program: &str, args: &[&str]) -> Option<String> {
 /// The environment of this process. An exported checkout has no
 /// repository to ask: `git_rev` is then `"unknown"` and `git_dirty` is
 /// left out.
-fn capture_env() -> Fields {
+fn capture_env(clock: &str) -> Fields {
     let git_rev = tool_output("git", &["rev-parse", "--short=12", "HEAD"]);
     let git_dirty = tool_output("git", &["status", "--porcelain"]).map(|s| !s.is_empty());
     let rustc = tool_output("rustc", &["--version"]);
@@ -152,7 +153,7 @@ fn capture_env() -> Fields {
         "rustc": rustc.as_deref().unwrap_or("unknown"),
         "nproc": std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         "profile": if cfg!(debug_assertions) { "debug" } else { "release" },
-        "clock": "virtual",
+        "clock": clock,
     });
     env
 }
@@ -165,6 +166,8 @@ pub struct Report {
     /// Whether a rerun with the same `params` yields the same `body`.
     /// `false` where real threads interleave.
     pub deterministic: bool,
+    /// What the numbers are timed on: `"virtual"` (the model) or `"wall"`.
+    pub clock: &'static str,
     pub params: Fields,
     /// The results; its entries follow `params` at the top level.
     pub body: Fields,
@@ -175,7 +178,7 @@ impl Report {
     /// then the body's entries.
     pub fn render(&self) -> String {
         let mut top = fields! {
-            "env": capture_env(),
+            "env": capture_env(self.clock),
             "experiment": self.experiment,
             "deterministic": self.deterministic,
             "params": self.params.clone(),

@@ -53,22 +53,6 @@ impl Default for StageParams {
     }
 }
 
-impl StageParams {
-    /// Bytes each `[base-i]` / `[user-u]` marker appends (single-digit
-    /// indices).
-    pub const MARKER_BYTES: usize = 8;
-
-    /// Size of the `i`-th base stage's output (1-based).
-    pub fn base_output_bytes(&self, i: usize) -> usize {
-        self.body_bytes + i * Self::MARKER_BYTES
-    }
-
-    /// Size of one user's final rendition.
-    pub fn final_bytes(&self) -> usize {
-        self.base_output_bytes(self.base_chain) + Self::MARKER_BYTES
-    }
-}
-
 /// The outcome of one run (stage caching on or off).
 #[derive(Debug, Clone)]
 pub struct StageResult {
@@ -193,6 +177,7 @@ pub fn report(params: StageParams, results: &[StageResult]) -> Report {
     Report {
         experiment: "stage",
         deterministic: true,
+        clock: "virtual",
         params: fields! {
             "users": params.users,
             "base_chain": params.base_chain,
@@ -369,6 +354,20 @@ mod tests {
         assert!(on.repeat_hit_micros < params.fetch_micros);
     }
 
+    /// Bytes each `[base-i]` / `[user-u]` marker appends (single-digit
+    /// indices).
+    const MARKER_BYTES: usize = 8;
+
+    /// Size of the `i`-th base stage's output (1-based).
+    fn base_output_bytes(params: &StageParams, i: usize) -> usize {
+        params.body_bytes + i * MARKER_BYTES
+    }
+
+    /// Size of one user's final rendition.
+    fn final_bytes(params: &StageParams) -> usize {
+        base_output_bytes(params, params.base_chain) + MARKER_BYTES
+    }
+
     /// The other acceptance half: the shared base-stage bytes are resident
     /// exactly once across users.
     #[test]
@@ -379,7 +378,7 @@ mod tests {
 
         // Every user's rendition is distinct, so the plain cache holds one
         // copy per user and nothing else.
-        let finals = params.users as u64 * params.final_bytes() as u64;
+        let finals = params.users as u64 * final_bytes(&params) as u64;
         assert_eq!(off.physical_bytes, finals);
         assert_eq!(off.stage_entries, 0);
 
@@ -387,7 +386,7 @@ mod tests {
         // user — and each user's tag-stage output shares bytes with that
         // user's final version entry.
         let base_once: u64 = (1..=params.base_chain)
-            .map(|i| params.base_output_bytes(i) as u64)
+            .map(|i| base_output_bytes(&params, i) as u64)
             .sum();
         assert_eq!(on.physical_bytes, finals + base_once);
         assert_eq!(

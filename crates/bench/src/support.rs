@@ -80,11 +80,6 @@ impl TagProperty {
             cost_micros,
         })
     }
-
-    /// Returns the number of bytes the marker adds to the content.
-    pub fn marker_len(label: &str) -> usize {
-        label.len() + 2
-    }
 }
 
 impl ActiveProperty for TagProperty {
@@ -120,18 +115,4 @@ impl ActiveProperty for TagProperty {
     fn transform_token(&self, _ctx: &PathCtx<'_>) -> Option<Vec<u8>> {
         Some(self.marker.clone())
     }
-}
-
-/// Formats a milliseconds value for table output.
-pub fn fmt_ms(micros: u64) -> String {
-    format!("{:.2}", micros as f64 / 1_000.0)
-}
-
-/// Prints a table row with fixed-width columns.
-pub fn row(cells: &[&str], widths: &[usize]) -> String {
-    let mut out = String::new();
-    for (cell, width) in cells.iter().zip(widths) {
-        out.push_str(&format!("{cell:>width$}  "));
-    }
-    out.trim_end().to_owned()
 }

@@ -52,11 +52,6 @@ impl EntryMeta {
             force_verify: false,
         }
     }
-
-    /// Returns the total verifier probe cost per hit, in microseconds.
-    pub fn verify_cost_micros(&self) -> u64 {
-        self.verifiers.iter().map(|v| v.cost_micros()).sum()
-    }
 }
 
 impl std::fmt::Debug for EntryMeta {
@@ -74,23 +69,6 @@ impl std::fmt::Debug for EntryMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use placeless_core::verifier::{ClosureVerifier, Validity};
-
-    #[test]
-    fn verify_cost_sums_probes() {
-        let meta = EntryMeta::new(
-            vec![
-                ClosureVerifier::new("a", 3, |_| Validity::Valid),
-                ClosureVerifier::new("b", 7, |_| Validity::Valid),
-            ],
-            Cacheability::Unrestricted,
-            1_000.0,
-            42,
-            Instant(5),
-        );
-        assert_eq!(meta.verify_cost_micros(), 10);
-        assert_eq!(meta.size, 42);
-    }
 
     #[test]
     fn debug_does_not_require_verifier_debug() {

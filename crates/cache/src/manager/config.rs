@@ -126,16 +126,6 @@ impl CacheConfigBuilder {
         self
     }
 
-    /// Sets the replacement policy by name (case-insensitive); the error
-    /// lists every known policy.
-    pub fn policy_name(
-        mut self,
-        name: &str,
-    ) -> std::result::Result<Self, crate::policy::UnknownPolicy> {
-        self.config.policy = PolicyFactory::by_name(name)?;
-        Ok(self)
-    }
-
     /// Enables or disables verifier runs on hits.
     pub fn run_verifiers(mut self, run: bool) -> Self {
         self.config.run_verifiers = run;
@@ -157,12 +147,6 @@ impl CacheConfigBuilder {
     /// Sets the collection-prefetch configuration.
     pub fn prefetch(mut self, prefetch: PrefetchConfig) -> Self {
         self.config.prefetch = prefetch;
-        self
-    }
-
-    /// Sets the application-to-cache network link.
-    pub fn access_link(mut self, link: Link) -> Self {
-        self.config.access_link = Some(link);
         self
     }
 
@@ -227,13 +211,13 @@ impl CacheConfigBuilder {
 ///
 /// `ReadOptions::default()` reproduces [`DocumentCache::read`] exactly.
 /// The struct is `#[non_exhaustive]` so later PRs can add knobs without
-/// breaking callers; construct it with [`ReadOptions::new`] (or
-/// `default()`) and the chainable setters:
+/// breaking callers; construct it with `default()` and the chainable
+/// setters:
 ///
 /// ```
 /// use placeless_cache::ReadOptions;
 ///
-/// let opts = ReadOptions::new().deadline_micros(5_000);
+/// let opts = ReadOptions::default().deadline_micros(5_000);
 /// assert_eq!(opts.deadline_micros, Some(5_000));
 /// ```
 #[non_exhaustive]
@@ -255,11 +239,6 @@ pub struct ReadOptions {
 }
 
 impl ReadOptions {
-    /// Returns the defaults ([`DocumentCache::read`] semantics).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Sets the read's fetch deadline.
     pub fn deadline_micros(mut self, micros: u64) -> Self {
         self.deadline_micros = Some(micros);

@@ -29,16 +29,6 @@ pub struct WriteConflict {
     pub origin_signature: Signature,
 }
 
-impl WriteConflict {
-    /// Returns the conflict as the middleware error it surfaces as.
-    pub fn error(&self) -> PlacelessError {
-        PlacelessError::Conflict {
-            doc: self.doc,
-            user: self.user,
-        }
-    }
-}
-
 /// Resolution callback consulted by [`DocumentCache::recover`] for each
 /// [`WriteConflict`]; `None` defaults to [`ConflictResolution::KeepMine`].
 pub type ConflictHook = Arc<dyn Fn(&WriteConflict) -> ConflictResolution + Send + Sync>;
@@ -51,8 +41,7 @@ pub struct RecoveryReport {
     /// Records re-queued into the dirty maps (flushed by the next flush).
     pub requeued: u64,
     /// Conflicts detected (journal epoch vs. origin signature), however
-    /// they were resolved. Each surfaces as a non-fatal
-    /// [`PlacelessError::Conflict`] via [`WriteConflict::error`].
+    /// they were resolved.
     pub conflicts: Vec<WriteConflict>,
     /// Records dropped because their document no longer exists (the
     /// write can never be applied).

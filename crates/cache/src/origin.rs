@@ -34,17 +34,6 @@ pub enum Priority {
     Foreground,
 }
 
-impl Priority {
-    /// Stable lower-case label, used in stats tables and JSON output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Priority::Prefetch => "prefetch",
-            Priority::Refresh => "refresh",
-            Priority::Foreground => "foreground",
-        }
-    }
-}
-
 /// A circuit breaker's externally visible state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
@@ -1330,7 +1319,6 @@ mod tests {
         assert!(Priority::Prefetch < Priority::Refresh);
         assert!(Priority::Refresh < Priority::Foreground);
         assert_eq!(Priority::default(), Priority::Foreground);
-        assert_eq!(Priority::Prefetch.label(), "prefetch");
     }
 
     /// A scripted operation for [`RetryDriver::run`]: fails with

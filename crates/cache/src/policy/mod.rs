@@ -44,18 +44,6 @@ pub enum EntryKey {
 }
 
 impl EntryKey {
-    /// Returns the document this entry renders, for [`EntryKey::Version`]
-    /// keys. Stage entries return `None`: they are content-addressed and
-    /// deliberately *not* tied to a document, so document-scoped
-    /// invalidation passes over them (a stale stage entry is unreachable —
-    /// its signature chain no longer resolves — rather than served).
-    pub fn doc(&self) -> Option<DocumentId> {
-        match self {
-            EntryKey::Version(doc, _) => Some(*doc),
-            EntryKey::Stage(_) => None,
-        }
-    }
-
     /// Returns `true` for intermediate stage entries.
     pub fn is_stage(&self) -> bool {
         matches!(self, EntryKey::Stage(_))

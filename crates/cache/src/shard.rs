@@ -190,7 +190,7 @@ pub(crate) struct Shard {
     /// shard*: `user ∈ versions[doc]` exactly when `Version(doc, user)` is
     /// a key of `entries`, and a document with none has no set. Only
     /// [`Shard::insert`] and [`Shard::take`] change either map. Stage
-    /// entries belong to no document ([`EntryKey::doc`]) and are not
+    /// entries belong to no document ([`EntryKey::Stage`]) and are not
     /// indexed, only counted.
     versions: KeyMap<DocumentId, KeySet<UserId>>,
     /// How many keys of `entries` are stages; moved by the same two.

@@ -42,11 +42,6 @@ impl Cacheability {
         self.min(other)
     }
 
-    /// Returns `true` if a cache may store content under this indicator.
-    pub fn allows_caching(self) -> bool {
-        self != Cacheability::Uncacheable
-    }
-
     /// Returns `true` if the cache must forward operation events.
     pub fn requires_event_forwarding(self) -> bool {
         self == Cacheability::CacheableWithEvents
@@ -124,9 +119,6 @@ mod tests {
 
     #[test]
     fn predicates() {
-        assert!(!Uncacheable.allows_caching());
-        assert!(CacheableWithEvents.allows_caching());
-        assert!(Unrestricted.allows_caching());
         assert!(CacheableWithEvents.requires_event_forwarding());
         assert!(!Unrestricted.requires_event_forwarding());
         assert!(!Uncacheable.requires_event_forwarding());

@@ -67,20 +67,6 @@ impl Collections {
             .map(|(name, _)| name.clone())
             .collect()
     }
-
-    /// Returns all collection names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.by_name.read().keys().cloned().collect()
-    }
-
-    /// Returns the number of members in a collection.
-    pub fn len_of(&self, name: &str) -> usize {
-        self.by_name
-            .read()
-            .get(name)
-            .map(BTreeSet::len)
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +83,6 @@ mod tests {
             collections.members("budget"),
             vec![DocumentId(1), DocumentId(2)]
         );
-        assert_eq!(collections.len_of("budget"), 2);
         assert!(collections.members("other").is_empty());
     }
 
@@ -113,7 +98,6 @@ mod tests {
         );
         assert_eq!(collections.collections_of(DocumentId(2)), vec!["drafts"]);
         assert!(collections.collections_of(DocumentId(3)).is_empty());
-        assert_eq!(collections.names(), vec!["budget", "drafts"]);
     }
 
     #[test]
@@ -122,7 +106,7 @@ mod tests {
         collections.add("tmp", DocumentId(1));
         assert!(collections.remove("tmp", DocumentId(1)));
         assert!(!collections.remove("tmp", DocumentId(1)));
-        assert!(collections.names().is_empty());
+        assert!(collections.members("tmp").is_empty());
         assert!(!collections.remove("ghost", DocumentId(1)));
     }
 }

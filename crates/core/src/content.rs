@@ -47,14 +47,6 @@ impl PropertyValue {
         }
     }
 
-    /// Returns the boolean payload, if this is a [`PropertyValue::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            PropertyValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the float payload, accepting ints as floats too.
     pub fn as_float(&self) -> Option<f64> {
         match self {
@@ -116,9 +108,9 @@ impl fmt::Display for PropertyValue {
 ///
 /// let params = Params::new()
 ///     .with("language", "fr")
-///     .with("aggressive", true);
+///     .with("sentences", 2i64);
 /// assert_eq!(params.get_str("language"), Some("fr"));
-/// assert_eq!(params.get_bool("aggressive"), Some(true));
+/// assert_eq!(params.get_int("sentences"), Some(2));
 /// assert_eq!(params.get_int("missing"), None);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -158,24 +150,9 @@ impl Params {
         self.get(name).and_then(PropertyValue::as_int)
     }
 
-    /// Looks up a boolean parameter.
-    pub fn get_bool(&self, name: &str) -> Option<bool> {
-        self.get(name).and_then(PropertyValue::as_bool)
-    }
-
     /// Looks up a float parameter (ints coerce).
     pub fn get_float(&self, name: &str) -> Option<f64> {
         self.get(name).and_then(|v| v.as_float())
-    }
-
-    /// Returns the number of parameters.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if no parameters are set.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Iterates over `(name, value)` pairs in name order.
@@ -192,7 +169,6 @@ mod tests {
     fn value_accessors_match_variants() {
         assert_eq!(PropertyValue::from("x").as_str(), Some("x"));
         assert_eq!(PropertyValue::from(3i64).as_int(), Some(3));
-        assert_eq!(PropertyValue::from(true).as_bool(), Some(true));
         assert_eq!(PropertyValue::from(2.5).as_float(), Some(2.5));
         assert_eq!(PropertyValue::from(3i64).as_float(), Some(3.0));
         assert_eq!(PropertyValue::from("x").as_int(), None);
@@ -214,7 +190,7 @@ mod tests {
             .with("a", 1i64)
             .with("b", "two")
             .with("c", 0.5);
-        assert_eq!(p.len(), 3);
+        assert_eq!(p.iter().count(), 3);
         assert_eq!(p.get_int("a"), Some(1));
         assert_eq!(p.get_str("b"), Some("two"));
         assert_eq!(p.get_float("c"), Some(0.5));
@@ -233,7 +209,6 @@ mod tests {
     #[test]
     fn empty_params() {
         let p = Params::new();
-        assert!(p.is_empty());
         assert_eq!(p.iter().count(), 0);
     }
 }

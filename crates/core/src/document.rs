@@ -86,7 +86,7 @@ mod tests {
     fn base_document_carries_provider_and_properties() {
         let provider = MemoryProvider::new("p", "content", 0);
         let mut base = BaseDocument::new(DocumentId(1), provider);
-        assert!(base.universal.is_empty());
+        assert_eq!(base.universal.iter().count(), 0);
         base.universal.attach(
             PropertyId(1),
             AttachedProperty::Static {
@@ -94,7 +94,7 @@ mod tests {
                 value: PropertyValue::Bool(true),
             },
         );
-        assert_eq!(base.universal.len(), 1);
+        assert_eq!(base.universal.iter().count(), 1);
         assert!(base.provider.describe().starts_with("memory:"));
     }
 
@@ -104,6 +104,6 @@ mod tests {
         let r2 = DocumentReference::new(UserId(2), DocumentId(9));
         assert_eq!(r1.doc, r2.doc);
         assert_ne!(r1.owner, r2.owner);
-        assert!(r1.personal.is_empty());
+        assert_eq!(r1.personal.iter().count(), 0);
     }
 }

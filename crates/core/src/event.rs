@@ -79,11 +79,6 @@ impl Interests {
         Interests(mask)
     }
 
-    /// Returns an interest set containing every event kind.
-    pub fn all() -> Self {
-        Interests::of(&EventKind::ALL)
-    }
-
     /// Returns `true` if `kind` is in the set.
     pub fn contains(self, kind: EventKind) -> bool {
         self.0 & kind as u16 != 0
@@ -97,18 +92,6 @@ impl Interests {
     /// Adds a kind, builder style.
     pub fn and(self, kind: EventKind) -> Interests {
         Interests(self.0 | kind as u16)
-    }
-
-    /// Returns `true` if the set is empty.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Iterates over the kinds in the set.
-    pub fn iter(self) -> impl Iterator<Item = EventKind> {
-        EventKind::ALL
-            .into_iter()
-            .filter(move |&k| self.contains(k))
     }
 }
 
@@ -193,12 +176,11 @@ mod tests {
 
     #[test]
     fn interests_all_and_none() {
-        assert!(Interests::NONE.is_empty());
-        let all = Interests::all();
+        let all = Interests::of(&EventKind::ALL);
         for k in EventKind::ALL {
             assert!(all.contains(k));
+            assert!(!Interests::NONE.contains(k));
         }
-        assert_eq!(all.iter().count(), EventKind::ALL.len());
     }
 
     #[test]
@@ -220,12 +202,5 @@ mod tests {
         assert_eq!(ev.property, Some(PropertyId(5)));
         assert_eq!(ev.property_name.as_deref(), Some("spell"));
         assert_eq!(ev.site, Some(EventSite::Reference(UserId(2))));
-    }
-
-    #[test]
-    fn interests_iter_matches_contains() {
-        let set = Interests::of(&[EventKind::CacheRead, EventKind::ContentWritten]);
-        let kinds: Vec<EventKind> = set.iter().collect();
-        assert_eq!(kinds, vec![EventKind::ContentWritten, EventKind::CacheRead]);
     }
 }

@@ -59,12 +59,6 @@ impl SimpleExternal {
         state.0 += 1;
         state.1 = value.into();
     }
-
-    /// Bumps the epoch without changing the value (models a refresh that
-    /// still counts as "changed", e.g. a database commit).
-    pub fn touch(&self) {
-        self.state.lock().0 += 1;
-    }
 }
 
 impl ExternalSource for SimpleExternal {
@@ -93,14 +87,6 @@ mod tests {
         src.set("9:01");
         assert_eq!(src.epoch(), 1);
         assert_eq!(&src.read()[..], b"9:01");
-    }
-
-    #[test]
-    fn touch_bumps_epoch_only() {
-        let src = SimpleExternal::new("db", "row");
-        src.touch();
-        assert_eq!(src.epoch(), 1);
-        assert_eq!(&src.read()[..], b"row");
     }
 
     #[test]

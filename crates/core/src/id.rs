@@ -14,13 +14,6 @@ macro_rules! define_id {
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u64);
 
-        impl $name {
-            /// Returns the raw numeric value.
-            pub fn raw(self) -> u64 {
-                self.0
-            }
-        }
-
         impl fmt::Debug for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, concat!($prefix, "{}"), self.0)
@@ -102,7 +95,7 @@ mod tests {
         let a = alloc.next_document();
         let b = alloc.next_document();
         let c = alloc.next_property();
-        assert!(a.raw() < b.raw() && b.raw() < c.raw());
+        assert!(a.0 < b.0 && b.0 < c.0);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! // Read through the (empty) property path.
 //! let (bytes, report) = space.read_document(alice, doc).unwrap();
 //! assert_eq!(bytes, "hello placeless");
-//! assert!(report.cacheability.allows_caching());
+//! assert_eq!(report.cacheability, Cacheability::Unrestricted);
 //! ```
 
 pub mod bitprovider;

@@ -29,23 +29,7 @@ pub enum Invalidation {
     UserDocument(DocumentId, UserId),
 }
 
-impl Invalidation {
-    /// Returns the document this invalidation concerns.
-    pub fn document(&self) -> DocumentId {
-        match self {
-            Invalidation::Document(d) => *d,
-            Invalidation::UserDocument(d, _) => *d,
-        }
-    }
-
-    /// Returns `true` if this invalidation covers `(doc, user)`.
-    pub fn covers(&self, doc: DocumentId, user: UserId) -> bool {
-        match self {
-            Invalidation::Document(d) => *d == doc,
-            Invalidation::UserDocument(d, u) => *d == doc && *u == user,
-        }
-    }
-}
+impl Invalidation {}
 
 /// A cache's subscription endpoint.
 pub trait InvalidationSink: Send + Sync {
@@ -96,7 +80,6 @@ pub struct InvalidationBus {
     posted: AtomicU64,
     delivered: AtomicU64,
     drop_next: AtomicU64,
-    dropped: AtomicU64,
 }
 
 impl InvalidationBus {
@@ -108,11 +91,6 @@ impl InvalidationBus {
     /// Subscribes a cache; it receives every subsequent invalidation.
     pub fn subscribe(&self, sink: Arc<dyn InvalidationSink>) {
         self.sinks.write().push(sink);
-    }
-
-    /// Unsubscribes a cache by id.
-    pub fn unsubscribe(&self, id: CacheId) {
-        self.sinks.write().retain(|s| s.cache_id() != id);
     }
 
     /// Posts an invalidation to every subscribed cache.
@@ -128,7 +106,6 @@ impl InvalidationBus {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
             .is_ok()
         {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let sinks = self.sinks.read();
@@ -145,11 +122,6 @@ impl InvalidationBus {
         self.drop_next.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Returns how many posts were dropped by armed delivery faults.
-    pub fn dropped_count(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
     /// Returns `(invalidations posted, deliveries made)`.
     ///
     /// Each post fans out to every subscriber, so `delivered >= posted` when
@@ -160,11 +132,6 @@ impl InvalidationBus {
             self.posted.load(Ordering::Relaxed),
             self.delivered.load(Ordering::Relaxed),
         )
-    }
-
-    /// Returns the number of subscribed caches.
-    pub fn subscriber_count(&self) -> usize {
-        self.sinks.read().len()
     }
 }
 
@@ -197,20 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn covers_matches_scopes() {
-        let doc = DocumentId(1);
-        let all = Invalidation::Document(doc);
-        assert!(all.covers(doc, UserId(1)));
-        assert!(all.covers(doc, UserId(2)));
-        assert!(!all.covers(DocumentId(2), UserId(1)));
-
-        let one = Invalidation::UserDocument(doc, UserId(1));
-        assert!(one.covers(doc, UserId(1)));
-        assert!(!one.covers(doc, UserId(2)));
-        assert_eq!(one.document(), doc);
-    }
-
-    #[test]
     fn post_fans_out_to_all_subscribers() {
         let bus = InvalidationBus::new();
         let a = Recording::new(1);
@@ -221,18 +174,6 @@ mod tests {
         assert_eq!(a.seen.lock().len(), 1);
         assert_eq!(b.seen.lock().len(), 1);
         assert_eq!(bus.counters(), (1, 2));
-    }
-
-    #[test]
-    fn unsubscribe_stops_delivery() {
-        let bus = InvalidationBus::new();
-        let a = Recording::new(1);
-        bus.subscribe(a.clone());
-        bus.unsubscribe(CacheId(1));
-        bus.post(Invalidation::Document(DocumentId(7)));
-        assert!(a.seen.lock().is_empty());
-        assert_eq!(bus.subscriber_count(), 0);
-        assert_eq!(bus.counters(), (1, 0), "posted but nothing delivered");
     }
 
     #[test]
@@ -263,7 +204,6 @@ mod tests {
         // Seq 2 and 3 were consumed but never delivered: the gap is
         // visible to the subscriber.
         assert_eq!(*sink.seen.lock(), vec![1, 4]);
-        assert_eq!(bus.dropped_count(), 2);
         assert_eq!(bus.counters(), (4, 2), "4 posted, 2 delivered");
     }
 

@@ -76,21 +76,6 @@ impl DocOp {
             DocOp::SetProperty { .. } => base.clone(),
         }
     }
-
-    /// True when the op edits content bytes (as opposed to properties).
-    pub fn is_content(&self) -> bool {
-        !matches!(self, DocOp::SetProperty { .. })
-    }
-
-    /// Short stable label for reports and traces.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            DocOp::Replace(_) => "replace",
-            DocOp::Append(_) => "append",
-            DocOp::ReplaceRange { .. } => "replace-range",
-            DocOp::SetProperty { .. } => "set-property",
-        }
-    }
 }
 
 /// Applies `ops` to `base` in order, returning the final content.
@@ -328,7 +313,6 @@ mod tests {
         };
         let base = b("body");
         assert_eq!(op.apply(&base), base);
-        assert!(!op.is_content());
     }
 
     #[test]

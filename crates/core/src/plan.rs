@@ -70,10 +70,8 @@ impl std::fmt::Debug for PlanStage {
 /// An explicit, compiled property chain for one `(user, document)` path.
 ///
 /// Compiled by [`crate::space::DocumentSpace`] (which owns the chain
-/// assembly) and consumed either by the space itself — replaying the
-/// stages as nested stream wrappers over the provider's stream — or by a
-/// cache walking the stages one at a time with intermediate-result
-/// lookups.
+/// assembly) and walked one stage at a time: by the space's plain read,
+/// and by a cache that looks up intermediate results between stages.
 pub struct TransformPlan {
     /// The base document the plan reads or writes.
     pub doc: DocumentId,
@@ -236,33 +234,6 @@ impl TransformPlan {
         self.stages.iter().enumerate().map(named).collect()
     }
 
-    /// Replays stage `index` as a read-path stream wrapper: charge the
-    /// clock, accumulate the replacement cost, interpose the property's
-    /// stream, record the execution.
-    pub fn wrap_input_stage(
-        &self,
-        clock: &VirtualClock,
-        index: usize,
-        report: &mut PathReport,
-        stream: Box<dyn InputStream>,
-    ) -> Result<Box<dyn InputStream>> {
-        let ctx = self.ctx(clock, index);
-        let stage = &self.stages[index];
-        clock.advance(stage.cost_micros);
-        report.add_cost(stage.cost_micros);
-        let stream = stage.prop.wrap_input(&ctx, report, stream)?;
-        report.executed.push(stage.prop.name().to_owned());
-        report.record_stage(StageRecord {
-            name: stage.prop.name().to_owned(),
-            site: stage.site,
-            cost_micros: stage.cost_micros,
-            cached: false,
-            signature: None,
-            bytes: 0,
-        });
-        Ok(stream)
-    }
-
     /// Replays stage `index` as a write-path stream wrapper (clock charge
     /// plus `wrap_output`).
     pub fn wrap_output_stage(
@@ -278,13 +249,15 @@ impl TransformPlan {
         stage.prop.wrap_output(&ctx, report, stream)
     }
 
-    /// Executes stage `index` over `input` through the chunked streaming
-    /// path. Cost accounting and report entries match
-    /// [`Self::wrap_input_stage`] (plus the stage's signature and output
-    /// size), and the output is what draining that wrapper to the end
-    /// would collect — `tests/model.rs` holds walks to a sequential
-    /// reference. A pass-through stage (a wrapper that forwards the
-    /// input slice unchanged) returns the input `Bytes` itself.
+    /// Executes stage `index` over `input`, the one read-path executor:
+    /// charge the clock, accumulate the replacement cost, interpose the
+    /// property's stream over `input` and drain it chunkwise, then record
+    /// the stage (its signature and output size included). The plain read
+    /// ([`crate::space::DocumentSpace::read_document`]) and the cache's
+    /// walk both run stages here; `tests/model.rs` holds walks to a
+    /// sequential reference. A pass-through stage (a wrapper that
+    /// forwards the input slice unchanged) returns the input `Bytes`
+    /// itself.
     ///
     /// No MD5 pass runs here: the output's content digest comes back only
     /// where a pass-through carried `input_sig`, the digest of `input`,
@@ -319,7 +292,6 @@ impl TransformPlan {
         };
         let passthrough =
             bytes.len() == input.len() && (bytes.is_empty() || bytes.as_ptr() == input.as_ptr());
-        report.executed.push(stage.prop.name().to_owned());
         report.record_stage(StageRecord {
             name: stage.prop.name().to_owned(),
             site: stage.site,
@@ -409,9 +381,8 @@ pub struct StageOutput {
 ///   pass-through stages and cache installs never re-hash content the
 ///   pipeline already digested.
 ///
-/// Callers (the document space's plain path, and the cache's staged miss
-/// walk) interleave [`StagePipeline::execute`] with
-/// [`StagePipeline::adopt_hit`] for stages whose output they already hold.
+/// The cache's staged miss walk interleaves [`StagePipeline::execute`] with
+/// [`StagePipeline::adopt_hit`] for stages whose output it already holds.
 /// A pipeline may also start from a known root *signature* without the
 /// bytes ([`StagePipeline::from_signature`]): as long as every stage hits,
 /// the root content is never materialized, and the first stage that needs
@@ -694,8 +665,8 @@ mod tests {
             10.0,
             "replacement cost still counts the stage"
         );
-        assert!(report.executed.is_empty(), "transform did not execute");
-        assert_eq!(report.stage_hits(), 1);
+        assert_eq!(report.stages.len(), 1);
+        assert!(report.stages[0].cached, "transform did not execute");
         assert_eq!(report.stages[0].signature, Some(sig));
         assert_eq!(report.stages[0].bytes, 5);
     }
@@ -793,7 +764,7 @@ mod tests {
         let (bytes, content) = pipe.finish();
         assert_eq!(bytes.unwrap(), "bodyab");
         assert_eq!(content.unwrap(), md5(b"bodyab"));
-        assert_eq!(report.stage_hits(), 1);
+        assert_eq!(report.stages.iter().filter(|s| s.cached).count(), 1);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl PropertySpec {
             params,
         }
     }
-
-    /// Creates a parameterless spec.
-    pub fn bare(kind: &str) -> Self {
-        Self::new(kind, Params::new())
-    }
 }
 
 /// Renders specs in the profile text format.
@@ -213,17 +208,20 @@ mod tests {
         )
         .unwrap();
         assert_eq!(specs.len(), 4);
-        assert_eq!(specs[0], PropertySpec::bare("spell-corrector"));
+        assert_eq!(
+            specs[0],
+            PropertySpec::new("spell-corrector", Params::new())
+        );
         assert_eq!(specs[1].params.get_str("language"), Some("fr"));
         assert_eq!(specs[2].params.get_float("factor"), Some(10.5));
-        assert_eq!(specs[2].params.get_bool("pin"), Some(true));
+        assert_eq!(specs[2].params.get("pin"), Some(&PropertyValue::Bool(true)));
         assert_eq!(specs[3].params.get_int("micros"), Some(5_000));
     }
 
     #[test]
     fn format_then_parse_round_trips() {
         let specs = vec![
-            PropertySpec::bare("watermark"),
+            PropertySpec::new("watermark", Params::new()),
             PropertySpec::new(
                 "proplang",
                 Params::new()

@@ -47,16 +47,6 @@ impl PropsSnapshot {
     pub fn get(&self, name: &str) -> Option<&PropertyValue> {
         self.pairs.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
-
-    /// Returns the number of visible static properties.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Returns `true` if no static properties are visible.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
 }
 
 /// Context handed to a property while a read or write path is assembled.
@@ -96,9 +86,8 @@ pub struct StageRecord {
     /// The stage signature, when the stage is content-addressable
     /// (`None` for opaque stages that declared no transform token).
     pub signature: Option<Signature>,
-    /// How many bytes the stage produced (its output length). Zero when
-    /// unknown — stream-wrapped replays observe no byte count, and cache
-    /// hits adopt the stored entry's length instead.
+    /// How many bytes the stage produced (its output length); a stage
+    /// served from the cache records the stored entry's length.
     pub bytes: u64,
 }
 
@@ -114,8 +103,6 @@ pub struct PathReport {
     pub cost: ReplacementCost,
     /// Verifiers the cache must run on every hit.
     pub verifiers: Vec<Box<dyn Verifier>>,
-    /// Names of the properties that executed, in execution order.
-    pub executed: Vec<String>,
     /// Per-stage cost/hit breakdown, in execution order (one record per
     /// chain stage when the path was driven by a [`crate::plan::TransformPlan`]).
     pub stages: Vec<StageRecord>,
@@ -131,7 +118,6 @@ impl PathReport {
             cacheability: Cacheability::Unrestricted,
             cost: ReplacementCost::from_fetch(fetch_cost_micros),
             verifiers: Vec::new(),
-            executed: Vec::new(),
             stages: Vec::new(),
             pinned: false,
         }
@@ -166,11 +152,6 @@ impl PathReport {
     pub fn record_stage(&mut self, record: StageRecord) {
         self.stages.push(record);
     }
-
-    /// Returns how many stages were served from the intermediate cache.
-    pub fn stage_hits(&self) -> usize {
-        self.stages.iter().filter(|s| s.cached).count()
-    }
 }
 
 impl Default for PathReport {
@@ -185,7 +166,6 @@ impl std::fmt::Debug for PathReport {
             .field("cacheability", &self.cacheability)
             .field("cost", &self.cost)
             .field("verifiers", &self.verifiers.len())
-            .field("executed", &self.executed)
             .field("stages", &self.stages)
             .field("pinned", &self.pinned)
             .finish()
@@ -453,11 +433,6 @@ impl PropertyList {
         self.slots.iter().find(|s| s.id == id)
     }
 
-    /// Looks up the first property with the given name.
-    pub fn find_by_name(&self, name: &str) -> Option<&PropertySlot> {
-        self.slots.iter().find(|s| s.prop.name() == name)
-    }
-
     /// Returns the value of the first *static* property with this name.
     pub fn static_value(&self, name: &str) -> Option<&PropertyValue> {
         self.slots
@@ -500,16 +475,6 @@ impl PropertyList {
             })
             .collect()
     }
-
-    /// Returns the number of attached properties.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Returns `true` if no properties are attached.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -551,10 +516,10 @@ mod tests {
     fn attach_remove_roundtrip() {
         let mut list = PropertyList::new();
         list.attach(PropertyId(1), stat("budget related", "yes"));
-        assert_eq!(list.len(), 1);
+        assert_eq!(list.iter().count(), 1);
         let removed = list.remove(PropertyId(1)).unwrap();
         assert_eq!(removed.name(), "budget related");
-        assert!(list.is_empty());
+        assert_eq!(list.iter().count(), 0);
         assert_eq!(
             list.remove(PropertyId(1)).unwrap_err(),
             PlacelessError::NoSuchProperty(PropertyId(1))
@@ -639,7 +604,6 @@ mod tests {
         assert_eq!(snap.get("lang").unwrap().as_str(), Some("fr"));
         assert_eq!(snap.get("site").unwrap().as_str(), Some("parc"));
         assert!(snap.get("other").is_none());
-        assert_eq!(snap.len(), 3);
     }
 
     #[test]

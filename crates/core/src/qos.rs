@@ -60,16 +60,6 @@ impl QosProperty {
             pin: true,
         })
     }
-
-    /// Returns `true` if this property pins entries.
-    pub fn pins(&self) -> bool {
-        self.pin
-    }
-
-    /// Returns the inflation factor.
-    pub fn factor(&self) -> f64 {
-        self.factor
-    }
 }
 
 impl ActiveProperty for QosProperty {
@@ -133,19 +123,18 @@ mod tests {
     fn access_time_bound_scales_with_violation() {
         // Re-fetch takes 250 ms, bound is 25 ms: 10x inflation.
         let prop = QosProperty::access_time_bound(25_000, 250_000);
-        assert_eq!(prop.factor(), 10.0);
+        assert_eq!(run_through(prop.as_ref()).cost.effective_micros(), 1_000.0);
         // Re-fetch already within bound: no inflation.
         let cheap = QosProperty::access_time_bound(25_000, 1_000);
-        assert_eq!(cheap.factor(), 1.0);
+        assert_eq!(run_through(cheap.as_ref()).cost.effective_micros(), 100.0);
     }
 
     #[test]
     fn always_available_has_large_factor_and_pins() {
         let prop = QosProperty::always_available();
-        assert!(prop.factor() >= 100.0);
         assert!(prop.name().contains("always-available"));
-        assert!(prop.pins());
         let report = run_through(prop.as_ref());
+        assert!(report.cost.effective_micros() >= 100.0 * 100.0);
         assert!(report.pinned);
         let unpinned = run_through(QosProperty::with_factor("q", 2.0).as_ref());
         assert!(!unpinned.pinned);
@@ -154,7 +143,7 @@ mod tests {
     #[test]
     fn factors_below_one_are_clamped() {
         let prop = QosProperty::with_factor("weak", 0.5);
-        assert_eq!(prop.factor(), 1.0);
+        assert_eq!(run_through(prop.as_ref()).cost.effective_micros(), 100.0);
     }
 
     #[test]

@@ -74,18 +74,6 @@ impl PropertyRegistry {
             .ok_or_else(|| PlacelessError::UnknownPropertyKind(kind.to_owned()))?;
         factory(params)
     }
-
-    /// Returns `true` if a factory is registered under `kind`.
-    pub fn knows(&self, kind: &str) -> bool {
-        self.factories.read().contains_key(kind)
-    }
-
-    /// Returns the registered kind names, sorted.
-    pub fn kinds(&self) -> Vec<String> {
-        let mut kinds: Vec<String> = self.factories.read().keys().cloned().collect();
-        kinds.sort();
-        kinds
-    }
 }
 
 #[cfg(test)]
@@ -114,8 +102,6 @@ mod tests {
     fn register_and_instantiate() {
         let registry = PropertyRegistry::new();
         registry.register("noop", |_| Ok(Arc::new(Noop)));
-        assert!(registry.knows("noop"));
-        assert!(!registry.knows("other"));
         let prop = registry.instantiate("noop", &Params::new()).unwrap();
         assert_eq!(prop.name(), "noop");
     }
@@ -155,13 +141,5 @@ mod tests {
             registry.instantiate("x", &Params::new()).unwrap().name(),
             "v2"
         );
-    }
-
-    #[test]
-    fn kinds_are_sorted() {
-        let registry = PropertyRegistry::new();
-        registry.register("zeta", |_| Ok(Arc::new(Noop)));
-        registry.register("alpha", |_| Ok(Arc::new(Noop)));
-        assert_eq!(registry.kinds(), vec!["alpha", "zeta"]);
     }
 }

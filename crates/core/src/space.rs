@@ -27,7 +27,7 @@ use crate::property::{
     ActiveProperty, AttachedProperty, EventCtx, FollowUp, PathReport, PropsSnapshot,
 };
 use crate::registry::PropertyRegistry;
-use crate::streams::{read_all, write_all_bytes, CollectOutput, InputStream, OutputStream};
+use crate::streams::{read_all, write_all_bytes, CollectOutput, OutputStream};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use placeless_simenv::{LatencyModel, VirtualClock};
@@ -230,12 +230,6 @@ impl DocumentSpace {
         }
     }
 
-    /// Returns `doc`'s current chain epoch — the counter behind
-    /// [`BaseChainLease`] validation.
-    pub fn chain_epoch(&self, doc: DocumentId) -> Option<u64> {
-        self.inner.read().bases.get(&doc).map(|b| b.chain_epoch)
-    }
-
     // ------------------------------------------------------------------
     // Document management
     // ------------------------------------------------------------------
@@ -345,30 +339,6 @@ impl DocumentSpace {
         }
         if self.collections.add(name, doc) {
             self.attach_static(Scope::Universal, doc, "collection", name)?;
-        }
-        Ok(())
-    }
-
-    /// Removes `doc` from the named collection.
-    pub fn remove_from_collection(self: &Arc<Self>, name: &str, doc: DocumentId) -> Result<()> {
-        if self.collections.remove(name, doc) {
-            // Drop the matching `collection` static property, if present.
-            let id = {
-                let inner = self.inner.read();
-                inner.bases.get(&doc).and_then(|base| {
-                    base.universal.iter().find_map(|slot| {
-                        match (&slot.prop.name(), slot.prop.as_static()) {
-                            (&"collection", Some(value)) if value.as_str() == Some(name) => {
-                                Some(slot.id)
-                            }
-                            _ => None,
-                        }
-                    })
-                })
-            };
-            if let Some(id) = id {
-                self.remove_property(Scope::Universal, doc, id)?;
-            }
         }
         Ok(())
     }
@@ -600,30 +570,12 @@ impl DocumentSpace {
     // Read path
     // ------------------------------------------------------------------
 
-    /// Assembles the read path for `user` on `doc`.
-    ///
-    /// Returns the application-side input stream and the [`PathReport`]
-    /// carrying the cacheability indicator, the replacement cost, and the
-    /// verifiers the cache must run on hits.
-    pub fn open_read(
-        &self,
-        user: UserId,
-        doc: DocumentId,
-    ) -> Result<(Box<dyn InputStream>, PathReport)> {
-        let plan = self.read_plan(user, doc)?;
-        let mut report = plan.seed_report(&self.clock);
-        let mut stream = plan.provider.open_input(&self.clock)?;
-        for index in 0..plan.len() {
-            stream = plan.wrap_input_stage(&self.clock, index, &mut report, stream)?;
-        }
-        Ok((stream, report))
-    }
-
     /// Compiles the read-path [`TransformPlan`] for `user` on `doc`,
-    /// charging the same two middleware hops as [`Self::open_read`].
+    /// charging two middleware hops: the user's reference server and the
+    /// base document's.
     ///
     /// Caches use this to walk the chain stage-by-stage with
-    /// intermediate-result lookups instead of opening an opaque stream.
+    /// intermediate-result lookups.
     pub fn read_plan(&self, user: UserId, doc: DocumentId) -> Result<TransformPlan> {
         Ok(self.compile_plan(user, doc, Compile::Read)?.0)
     }
@@ -668,10 +620,18 @@ impl DocumentSpace {
             .map(|base| base.provider.origin_key())
     }
 
-    /// Reads a document to completion through the full property path.
+    /// Reads a document to completion through the full property path: the
+    /// plan's seeded report, the provider's bytes, then every stage through
+    /// [`TransformPlan::run_stage_streaming`], the executor the cache's
+    /// staged walk runs too.
     pub fn read_document(&self, user: UserId, doc: DocumentId) -> Result<(Bytes, PathReport)> {
-        let (mut stream, report) = self.open_read(user, doc)?;
-        let bytes = read_all(stream.as_mut())?;
+        let plan = self.read_plan(user, doc)?;
+        let mut report = plan.seed_report(&self.clock);
+        let mut bytes = read_all(plan.provider.open_input(&self.clock)?.as_mut())?;
+        for index in 0..plan.len() {
+            (bytes, _) =
+                plan.run_stage_streaming(&self.clock, index, &mut report, bytes, None, None)?;
+        }
         Ok((bytes, report))
     }
 
@@ -1095,7 +1055,7 @@ mod tests {
     use crate::event::Interests;
     use crate::notifier::Invalidation;
     use crate::property::PathCtx;
-    use crate::streams::{TransformingInput, TransformingOutput};
+    use crate::streams::{InputStream, TransformingInput, TransformingOutput};
     use parking_lot::Mutex;
 
     const ALICE: UserId = UserId(1);
@@ -1204,6 +1164,12 @@ mod tests {
         }
     }
 
+    /// `doc`'s chain epoch, the counter behind [`BaseChainLease`]
+    /// validation.
+    fn chain_epoch(space: &DocumentSpace, doc: DocumentId) -> Option<u64> {
+        space.inner.read().bases.get(&doc).map(|b| b.chain_epoch)
+    }
+
     fn setup(content: &str) -> (Arc<DocumentSpace>, DocumentId) {
         let clock = VirtualClock::new();
         let space = DocumentSpace::with_middleware_cost(clock, LatencyModel::FREE);
@@ -1219,7 +1185,7 @@ mod tests {
         assert_eq!(bytes, "hello");
         assert_eq!(report.cacheability, Cacheability::Unrestricted);
         assert_eq!(report.verifiers.len(), 1, "provider verifier only");
-        assert!(report.executed.is_empty());
+        assert!(report.stages.is_empty());
     }
 
     #[test]
@@ -1270,7 +1236,13 @@ mod tests {
             .unwrap();
         let (bytes, report) = space.read_document(ALICE, doc).unwrap();
         assert_eq!(bytes, "x-base-ref");
-        assert_eq!(report.executed, vec!["suffix", "suffix"]);
+        // Each stage ran, and recorded the length of what it produced.
+        let stages: Vec<_> = report
+            .stages
+            .iter()
+            .map(|s| (s.name.as_str(), s.cached, s.bytes))
+            .collect();
+        assert_eq!(stages, vec![("suffix", false, 6), ("suffix", false, 10)]);
     }
 
     #[test]
@@ -1742,12 +1714,12 @@ mod tests {
     #[test]
     fn chain_epoch_bumps_on_universal_mutations_only() {
         let (space, doc) = setup("x");
-        assert_eq!(space.chain_epoch(doc), Some(0));
+        assert_eq!(chain_epoch(&space, doc), Some(0));
 
         let id = space
             .attach_static(Scope::Universal, doc, "versioned", true)
             .unwrap();
-        assert_eq!(space.chain_epoch(doc), Some(1));
+        assert_eq!(chain_epoch(&space, doc), Some(1));
 
         // Personal mutations never touch the base half.
         let personal = space
@@ -1756,7 +1728,7 @@ mod tests {
         space
             .remove_property(Scope::Personal(ALICE), doc, personal)
             .unwrap();
-        assert_eq!(space.chain_epoch(doc), Some(1));
+        assert_eq!(chain_epoch(&space, doc), Some(1));
 
         space
             .modify_property(
@@ -1769,18 +1741,18 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(space.chain_epoch(doc), Some(2));
+        assert_eq!(chain_epoch(&space, doc), Some(2));
 
         space
             .attach_active(Scope::Universal, doc, Arc::new(Upper))
             .unwrap();
-        assert_eq!(space.chain_epoch(doc), Some(3));
+        assert_eq!(chain_epoch(&space, doc), Some(3));
         space
             .reorder_property(Scope::Universal, doc, id, 1)
             .unwrap();
-        assert_eq!(space.chain_epoch(doc), Some(4));
+        assert_eq!(chain_epoch(&space, doc), Some(4));
         space.remove_property(Scope::Universal, doc, id).unwrap();
-        assert_eq!(space.chain_epoch(doc), Some(5));
+        assert_eq!(chain_epoch(&space, doc), Some(5));
     }
 
     #[test]
@@ -1839,7 +1811,7 @@ mod tests {
         let (plan, lease2, reused) = space.read_plan_cached(ALICE, doc, Some(&lease)).unwrap();
         assert!(!reused, "stale lease must not be reused");
         assert_eq!(plan.len(), 2, "fresh compile sees the new base stage");
-        assert_eq!(lease2.epoch, space.chain_epoch(doc).unwrap());
+        assert_eq!(lease2.epoch, chain_epoch(&space, doc).unwrap());
 
         let (bytes, _) = space.read_document(ALICE, doc).unwrap();
         assert_eq!(bytes, "HELLO-V1");

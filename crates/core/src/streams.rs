@@ -15,8 +15,7 @@
 //! Beyond the byte-oriented `read`/`write` contract, streams expose a
 //! chunked fast path: [`InputStream::read_chunk`] yields refcounted
 //! [`Bytes`] slices and [`OutputStream::write_bytes`] accepts them, so
-//! in-memory sources ([`MemoryInput`]), observers ([`TapInput`]) and
-//! whole-buffer sinks ([`CollectOutput`]) hand content through without
+//! in-memory sources ([`MemoryInput`]) and whole-buffer sinks ([`CollectOutput`]) hand content through without
 //! copying. [`InputStream::size_hint`] lets collectors preallocate exactly
 //! once. [`read_all`] returns a source's single chunk as-is — a read
 //! through a pass-through chain is zero-copy end to end.
@@ -187,19 +186,6 @@ impl CollectOutput {
     pub fn new(on_close: impl FnOnce(Bytes) -> Result<()> + Send + 'static) -> Self {
         Self {
             buf: Vec::new(),
-            fast: None,
-            on_close: Some(Box::new(on_close)),
-        }
-    }
-
-    /// Like [`CollectOutput::new`], with the buffer preallocated for
-    /// `size_hint` bytes so known-length writers collect in one allocation.
-    pub fn with_size_hint(
-        size_hint: usize,
-        on_close: impl FnOnce(Bytes) -> Result<()> + Send + 'static,
-    ) -> Self {
-        Self {
-            buf: Vec::with_capacity(size_hint),
             fast: None,
             on_close: Some(Box::new(on_close)),
         }
@@ -477,50 +463,6 @@ impl OutputStream for MappingOutput {
 
     fn close(&mut self) -> Result<()> {
         self.inner.close()
-    }
-}
-
-/// An input stream that observes (but does not change) the bytes flowing
-/// through, e.g. for audit-trail properties.
-pub struct TapInput {
-    inner: Box<dyn InputStream>,
-    tap: TapFn,
-}
-
-/// Observer invoked with every chunk a [`TapInput`] reads.
-type TapFn = Box<dyn FnMut(&[u8]) + Send>;
-
-impl TapInput {
-    /// Wraps `inner`; `tap` sees every chunk read.
-    pub fn new(inner: Box<dyn InputStream>, tap: impl FnMut(&[u8]) + Send + 'static) -> Self {
-        Self {
-            inner,
-            tap: Box::new(tap),
-        }
-    }
-}
-
-impl InputStream for TapInput {
-    fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
-        let n = self.inner.read(buf)?;
-        (self.tap)(&buf[..n]);
-        Ok(n)
-    }
-
-    fn size_hint(&self) -> Option<u64> {
-        self.inner.size_hint()
-    }
-
-    fn read_chunk(&mut self) -> Result<Option<Bytes>> {
-        // Observe and forward the inner chunk unchanged — the refcounted
-        // slice passes through without a copy.
-        Ok(match self.inner.read_chunk()? {
-            None => None,
-            Some(chunk) => {
-                (self.tap)(&chunk);
-                Some(chunk)
-            }
-        })
     }
 }
 
@@ -834,31 +776,6 @@ mod tests {
         write_all(&mut m, b"HAL").unwrap();
         m.close().unwrap();
         assert_eq!(captured.lock().unwrap().as_ref().unwrap(), "IBM");
-    }
-
-    #[test]
-    fn tap_input_observes_without_modifying() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let tap_sink = seen.clone();
-        let mut t = TapInput::new(mem(b"watched"), move |chunk| {
-            tap_sink.lock().unwrap().extend_from_slice(chunk);
-        });
-        assert_eq!(read_all(&mut t).unwrap(), "watched");
-        assert_eq!(seen.lock().unwrap().as_slice(), b"watched");
-    }
-
-    #[test]
-    fn tap_input_forwards_chunks_zero_copy() {
-        let source = Bytes::from_static(b"observed");
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let tap_sink = seen.clone();
-        let mut t = TapInput::new(Box::new(MemoryInput::new(source.clone())), move |chunk| {
-            tap_sink.lock().unwrap().extend_from_slice(chunk)
-        });
-        assert_eq!(t.size_hint(), Some(8));
-        let chunk = t.read_chunk().unwrap().unwrap();
-        assert!(std::ptr::eq(chunk.as_ptr(), source.as_ptr()));
-        assert_eq!(seen.lock().unwrap().as_slice(), b"observed");
     }
 
     #[test]

@@ -108,13 +108,6 @@ impl EpochVerifier {
             cost: 20,
         })
     }
-
-    /// Creates a pinned verifier with an explicit probe cost (e.g. a remote
-    /// database poll is pricier than a local mtime check).
-    pub fn pinned_with_cost(source: Arc<dyn ExternalSource>, cost: u64) -> Box<dyn Verifier> {
-        let seen = source.epoch();
-        Box::new(Self { source, seen, cost })
-    }
 }
 
 impl Verifier for EpochVerifier {

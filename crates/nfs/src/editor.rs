@@ -7,7 +7,6 @@
 //! touching the Placeless API directly.
 
 use crate::server::{NfsServer, OpenMode};
-use bytes::Bytes;
 use placeless_core::error::Result;
 use placeless_core::id::UserId;
 use std::sync::Arc;
@@ -19,7 +18,6 @@ pub struct Editor {
     path: String,
     /// The in-memory document buffer, as the application sees it.
     text: String,
-    saves: u64,
 }
 
 impl Editor {
@@ -43,7 +41,6 @@ impl Editor {
             user,
             path: path.to_owned(),
             text: String::from_utf8_lossy(&text).into_owned(),
-            saves: 0,
         })
     }
 
@@ -55,14 +52,6 @@ impl Editor {
     /// Appends text to the buffer (unsaved).
     pub fn type_text(&mut self, text: &str) -> &mut Self {
         self.text.push_str(text);
-        self
-    }
-
-    /// Replaces the first occurrence of `from` in the buffer (unsaved).
-    pub fn edit(&mut self, from: &str, to: &str) -> &mut Self {
-        if let Some(at) = self.text.find(from) {
-            self.text.replace_range(at..at + from.len(), to);
-        }
         self
     }
 
@@ -82,25 +71,7 @@ impl Editor {
             self.nfs.write(handle, 0, b"")?;
         }
         self.nfs.close(handle)?;
-        self.saves += 1;
         Ok(())
-    }
-
-    /// Reloads the buffer from the server (e.g. after another user saved).
-    pub fn reload(&mut self) -> Result<()> {
-        let fresh = Editor::open(self.nfs.clone(), self.user, &self.path)?;
-        self.text = fresh.text;
-        Ok(())
-    }
-
-    /// Returns how many saves this session performed.
-    pub fn save_count(&self) -> u64 {
-        self.saves
-    }
-
-    /// Returns the buffer as bytes.
-    pub fn bytes(&self) -> Bytes {
-        Bytes::copy_from_slice(self.text.as_bytes())
     }
 }
 
@@ -161,26 +132,13 @@ mod tests {
     }
 
     #[test]
-    fn edit_and_reload_across_users() {
-        let (space, nfs, doc) = setup("draft v1");
-        space.add_reference(DOUG, doc).unwrap();
-        let mut eyal = Editor::open(nfs.clone(), EYAL, "/tilde/edelara/hotos.doc").unwrap();
-        let mut doug = Editor::open(nfs, DOUG, "/tilde/edelara/hotos.doc").unwrap();
-        eyal.edit("v1", "v2");
-        eyal.save().unwrap();
-        assert_eq!(doug.text(), "draft v1", "stale until reload");
-        doug.reload().unwrap();
-        assert_eq!(doug.text(), "draft v2");
-    }
-
-    #[test]
-    fn save_counts_and_empty_saves() {
-        let (_space, nfs, _doc) = setup("x");
-        let mut editor = Editor::open(nfs, EYAL, "/tilde/edelara/hotos.doc").unwrap();
-        editor.edit("x", "");
+    fn empty_saves_then_appends() {
+        let (_space, nfs, _doc) = setup("");
+        let mut editor = Editor::open(nfs.clone(), EYAL, "/tilde/edelara/hotos.doc").unwrap();
         editor.save().unwrap();
         editor.type_text("y");
         editor.save().unwrap();
-        assert_eq!(editor.save_count(), 2);
+        let reread = Editor::open(nfs, EYAL, "/tilde/edelara/hotos.doc").unwrap();
+        assert_eq!(reread.text(), "y");
     }
 }

@@ -81,11 +81,6 @@ impl NfsServer {
             .ok_or_else(|| PlacelessError::Repository(format!("NFS: no export {path}")))
     }
 
-    /// Lists the exported paths.
-    pub fn exports(&self) -> Vec<String> {
-        self.exports.lock().keys().cloned().collect()
-    }
-
     /// Returns a file's attributes as seen by `user` (runs the read path).
     pub fn getattr(&self, user: UserId, path: &str) -> Result<FileAttr> {
         let doc = self.lookup(path)?;
@@ -200,7 +195,6 @@ mod tests {
         let attr = nfs.getattr(ALICE, "/docs/file.txt").unwrap();
         assert_eq!(attr.size, 9);
         assert_eq!(attr.doc, doc);
-        assert_eq!(nfs.exports(), vec!["/docs/file.txt"]);
     }
 
     #[test]

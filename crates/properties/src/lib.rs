@@ -7,17 +7,14 @@
 //!   [`rot13::Rot13AtRest`], [`compress::CompressAtRest`],
 //!   [`markers::Watermark`];
 //! * behaviours — [`versioning::Versioning`] (save a version per write),
-//!   [`replication::ReplicateTo`] (timer-driven site copies),
-//!   [`audit::AuditTrail`] (read trail with `CacheableWithEvents`);
+//!   [`replication::ReplicateTo`] (timer-driven site copies);
 //! * caching collaborators — the [`notifiers`] family,
 //!   [`markers::TtlProperty`], [`markers::UncacheableMarker`],
 //!   [`portfolio::Portfolio`] (smart threshold verifier with in-place
 //!   replacement);
 //! * [`register::register_standard`] — attach-by-name registration.
 
-pub mod audit;
 pub mod compress;
-pub mod deadline;
 pub mod markers;
 pub mod notifiers;
 pub mod portfolio;
@@ -33,9 +30,7 @@ pub mod wordmap;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use audit::AuditTrail;
 pub use compress::CompressAtRest;
-pub use deadline::Deadline;
 pub use markers::{TtlProperty, UncacheableMarker, Watermark};
 pub use notifiers::{ContentWriteNotifier, ExternalChangeNotifier, PropertyChangeNotifier};
 pub use portfolio::Portfolio;

@@ -70,40 +70,22 @@ impl ActiveProperty for ContentWriteNotifier {
 ///
 /// Scope-aware: a base-site mutation affects every user's version; a
 /// reference-site mutation affects only that user's version.
-pub struct PropertyChangeNotifier {
-    /// When non-empty, only mutations of properties with these names
-    /// trigger invalidation (content-affecting properties only).
-    watching: Vec<String>,
-    /// Names this notifier never reacts to (its own, typically).
-    ignored: Vec<String>,
-}
+pub struct PropertyChangeNotifier;
+
+/// Properties whose mutations a [`PropertyChangeNotifier`] ignores: the
+/// notifiers, and collection membership, which labels documents but never
+/// changes their content.
+const IGNORED: [&str; 4] = [
+    "notify-on-write",
+    "notify-on-property-change",
+    "notify-on-external-change",
+    "collection",
+];
 
 impl PropertyChangeNotifier {
     /// Notifies on any property mutation (except other notifiers).
     pub fn any() -> Arc<Self> {
-        Arc::new(Self {
-            watching: Vec::new(),
-            ignored: Self::default_ignored(),
-        })
-    }
-
-    /// Notifies only on mutations of the named properties.
-    pub fn watching(names: &[&str]) -> Arc<Self> {
-        Arc::new(Self {
-            watching: names.iter().map(|s| s.to_string()).collect(),
-            ignored: Self::default_ignored(),
-        })
-    }
-
-    fn default_ignored() -> Vec<String> {
-        vec![
-            "notify-on-write".to_owned(),
-            "notify-on-property-change".to_owned(),
-            "notify-on-external-change".to_owned(),
-            // Collection membership labels documents but never changes
-            // their content.
-            "collection".to_owned(),
-        ]
+        Arc::new(Self)
     }
 }
 
@@ -123,10 +105,7 @@ impl ActiveProperty for PropertyChangeNotifier {
 
     fn on_event(&self, ctx: &EventCtx<'_>, event: &DocumentEvent) -> Result<()> {
         let name = event.property_name.as_deref().unwrap_or("");
-        if self.ignored.iter().any(|i| i == name) {
-            return Ok(());
-        }
-        if !self.watching.is_empty() && !self.watching.iter().any(|w| w == name) {
+        if IGNORED.contains(&name) {
             return Ok(());
         }
         let invalidation = match event.site {
@@ -280,26 +259,6 @@ mod tests {
             0,
             "attaching a notifier must not invalidate"
         );
-    }
-
-    #[test]
-    fn watch_list_filters_by_name() {
-        let (space, doc) = setup();
-        space
-            .attach_active(
-                Scope::Universal,
-                doc,
-                PropertyChangeNotifier::watching(&["translate"]),
-            )
-            .unwrap();
-        space
-            .attach_static(Scope::Universal, doc, "harmless-label", "x")
-            .unwrap();
-        assert_eq!(space.bus().counters().0, 0);
-        space
-            .attach_static(Scope::Universal, doc, "translate", "fr")
-            .unwrap();
-        assert_eq!(space.bus().counters().0, 1);
     }
 
     #[test]

@@ -121,7 +121,9 @@ mod tests {
             "notify-on-write",
             "notify-on-property-change",
         ] {
-            assert!(registry.knows(kind), "missing {kind}");
+            let made = registry.instantiate(kind, &Params::new());
+            let unknown = PlacelessError::UnknownPropertyKind(kind.into());
+            assert!(made.err() != Some(unknown), "missing {kind}");
         }
     }
 

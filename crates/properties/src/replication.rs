@@ -39,21 +39,9 @@ impl ReplicateTo {
         })
     }
 
-    /// Seeds the pending revision (e.g. with the document's current
-    /// content at attach time) so the first tick replicates even before a
-    /// write.
-    pub fn seed(&self, content: impl Into<Bytes>) {
-        *self.pending.lock() = Some(content.into());
-    }
-
     /// Returns how many copies have been shipped.
     pub fn copies_made(&self) -> u64 {
         *self.copies_made.lock()
-    }
-
-    /// Returns `true` if a revision awaits the next tick.
-    pub fn has_pending(&self) -> bool {
-        self.pending.lock().is_some()
     }
 }
 
@@ -150,12 +138,10 @@ mod tests {
 
         space.write_document(EYAL, doc, b"draft v2").unwrap();
         assert!(!rice.exists("/rice/hotos.doc"), "not yet shipped");
-        assert!(replicate.has_pending());
 
         space.timer_tick().unwrap();
         assert_eq!(rice.read("/rice/hotos.doc").unwrap(), "draft v2");
         assert_eq!(replicate.copies_made(), 1);
-        assert!(!replicate.has_pending());
     }
 
     #[test]
@@ -193,22 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_replicates_without_a_write() {
-        let clock = VirtualClock::new();
-        let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
-        let provider = MemoryProvider::new("parc", "draft", 0);
-        let doc = space.create_document(EYAL, provider);
-        let rice = MemFs::new(clock.clone());
-        let replicate = ReplicateTo::new(rice.clone(), "/rice/x", wan());
-        replicate.seed("initial");
-        space
-            .attach_active(Scope::Personal(EYAL), doc, replicate.clone())
-            .unwrap();
-        space.timer_tick().unwrap();
-        assert_eq!(rice.read("/rice/x").unwrap(), "initial");
-    }
-
-    #[test]
     fn shipping_charges_the_wan_link() {
         let clock = VirtualClock::new();
         let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
@@ -216,10 +186,10 @@ mod tests {
         let doc = space.create_document(EYAL, provider);
         let rice = MemFs::new(clock.clone());
         let replicate = ReplicateTo::new(rice, "/rice/x", wan());
-        replicate.seed("payload");
         space
             .attach_active(Scope::Personal(EYAL), doc, replicate)
             .unwrap();
+        space.write_document(EYAL, doc, b"payload").unwrap();
         let t0 = clock.now();
         space.timer_tick().unwrap();
         assert!(clock.now().since(t0) >= 80_000, "WAN RTT charged");

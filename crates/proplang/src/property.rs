@@ -47,11 +47,6 @@ impl ScriptProperty {
         }))
     }
 
-    /// Returns the parsed program (for inspection).
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
     /// The lazily-run transform of one path, over a snapshot of the
     /// property values the (shared) program may consult. Content no stage
     /// touched is handed on as the buffer it arrived in.

@@ -46,11 +46,6 @@ impl LiveFeed {
         frame.truncate(self.frame_bytes);
         Bytes::from(frame)
     }
-
-    /// Returns how many frames have been captured.
-    pub fn frames_served(&self) -> u64 {
-        self.state.lock().0
-    }
 }
 
 #[cfg(test)]
@@ -66,7 +61,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a.len(), 256);
         assert_eq!(b.len(), 256);
-        assert_eq!(feed.frames_served(), 2);
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl MailStore {
         Arc::new(Self::default())
     }
 
-    /// Creates an empty folder (idempotent).
-    pub fn create_folder(&self, folder: &str) {
-        self.folders.write().entry(folder.to_owned()).or_default();
-    }
-
     /// Appends a message to a folder, creating the folder if needed.
     /// Returns the message's 1-based sequence number.
     pub fn deliver(&self, folder: &str, from: &str, subject: &str, body: impl Into<Bytes>) -> u64 {
@@ -86,11 +81,6 @@ impl MailStore {
             out.push_str(&format!("{:>4}  {:<24} {}\n", i + 1, m.from, m.subject));
         }
         Ok(Bytes::from(out))
-    }
-
-    /// Lists folder names, sorted.
-    pub fn folders(&self) -> Vec<String> {
-        self.folders.read().keys().cloned().collect()
     }
 }
 
@@ -207,12 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_missing_folders() {
+    fn missing_folders_are_errors() {
         let store = MailStore::new();
-        store.create_folder("empty");
-        assert_eq!(store.count("empty").unwrap(), 0);
+        assert!(store.count("missing").is_err());
         assert!(store.digest("missing", 5).is_err());
-        assert_eq!(store.folders(), vec!["empty"]);
     }
 
     #[test]
@@ -238,7 +226,6 @@ mod tests {
     fn provider_is_read_only() {
         let clock = VirtualClock::new();
         let store = MailStore::new();
-        store.create_folder("inbox");
         let provider = MailDigestProvider::new(store, "inbox", 5, lan());
         assert!(!provider.writable());
         assert!(provider.open_output(&clock).is_err());

@@ -7,7 +7,7 @@
 //! properties changes, outside Placeless control).
 
 use parking_lot::RwLock;
-use placeless_core::external::{ExternalSource, SimpleExternal};
+use placeless_core::external::SimpleExternal;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -43,27 +43,10 @@ impl StockMarket {
             source.set(format_price(cents));
         }
     }
-
-    /// Returns the current price in cents, if listed.
-    pub fn price_cents(&self, symbol: &str) -> Option<u64> {
-        let source = self.quote_source(symbol)?;
-        parse_price(&source.read())
-    }
-
-    /// Returns the listed symbols, sorted.
-    pub fn symbols(&self) -> Vec<String> {
-        self.symbols.read().keys().cloned().collect()
-    }
 }
 
 fn format_price(cents: u64) -> String {
     format!("{}.{:02}", cents / 100, cents % 100)
-}
-
-fn parse_price(bytes: &[u8]) -> Option<u64> {
-    let s = std::str::from_utf8(bytes).ok()?;
-    let (dollars, cents) = s.split_once('.')?;
-    Some(dollars.parse::<u64>().ok()? * 100 + cents.parse::<u64>().ok()?)
 }
 
 /// A travel status board (flight → status), another external source family.
@@ -93,24 +76,19 @@ impl TravelBoard {
             source.set(status.to_owned());
         }
     }
-
-    /// Returns the source for a flight.
-    pub fn status_source(&self, flight: &str) -> Option<Arc<SimpleExternal>> {
-        self.flights.read().get(flight).cloned()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use placeless_core::external::ExternalSource;
 
     #[test]
     fn list_and_quote() {
         let market = StockMarket::new();
         market.list("XRX", 4_250);
-        assert_eq!(market.price_cents("XRX"), Some(4_250));
-        assert_eq!(market.symbols(), vec!["XRX"]);
-        assert!(market.price_cents("IBM").is_none());
+        assert_eq!(&market.quote_source("XRX").unwrap().read()[..], b"42.50");
+        assert!(market.quote_source("IBM").is_none());
     }
 
     #[test]
@@ -120,15 +98,15 @@ mod tests {
         let e0 = source.epoch();
         market.set_price("XRX", 4_300);
         assert!(source.epoch() > e0);
-        assert_eq!(market.price_cents("XRX"), Some(4_300));
+        assert_eq!(&source.read()[..], b"43.00");
     }
 
     #[test]
     fn price_formatting_roundtrips() {
         assert_eq!(format_price(4_205), "42.05");
-        assert_eq!(parse_price(b"42.05"), Some(4_205));
-        assert_eq!(parse_price(b"0.99"), Some(99));
-        assert_eq!(parse_price(b"garbage"), None);
+        assert_eq!(format_price(99), "0.99");
+        let cents = |text: String| text.replace('.', "").parse::<u64>().unwrap();
+        assert_eq!(cents(format_price(4_205)), 4_205);
     }
 
     #[test]
@@ -139,6 +117,5 @@ mod tests {
         board.update("AA100", "delayed 45m");
         assert_eq!(&source.read()[..], b"delayed 45m");
         assert_eq!(source.epoch(), 1);
-        assert!(board.status_source("ZZ999").is_none());
     }
 }

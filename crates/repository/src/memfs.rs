@@ -103,11 +103,6 @@ impl MemFs {
     pub fn exists(&self, path: &str) -> bool {
         self.files.read().contains_key(path)
     }
-
-    /// Returns the shared clock.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
 }
 
 #[cfg(test)]

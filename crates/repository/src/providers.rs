@@ -627,7 +627,7 @@ mod tests {
         let fs = MemFs::new(clock.clone());
         fs.create("/doc", "v1");
         let link = lan();
-        let plan = FaultPlan::none();
+        let plan = FaultPlan::builder(0).build();
         link.set_fault_plan(plan.clone());
         let provider = FsProvider::new(fs.clone(), "/doc", link);
         let verifier = provider.make_verifier(&clock).unwrap();
@@ -654,7 +654,7 @@ mod tests {
         let dms = Dms::new();
         dms.import("spec", "v1");
         let link = lan();
-        let plan = FaultPlan::none();
+        let plan = FaultPlan::builder(0).build();
         link.set_fault_plan(plan.clone());
         let provider = DmsProvider::new(dms.clone(), "spec", "placeless", link);
         plan.drop_next(1);

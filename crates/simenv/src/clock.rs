@@ -22,11 +22,6 @@ impl Instant {
         self.0
     }
 
-    /// Returns this instant expressed in (fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Returns the duration elapsed since `earlier`, saturating at zero.
     pub fn since(self, earlier: Instant) -> u64 {
         self.0.saturating_sub(earlier.0)
@@ -62,13 +57,6 @@ impl VirtualClock {
     /// Creates a new clock at time zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a new clock already advanced to `micros`.
-    pub fn starting_at(micros: u64) -> Self {
-        let clock = Self::new();
-        clock.micros.store(micros, Ordering::SeqCst);
-        clock
     }
 
     /// Returns the current virtual time.
@@ -110,33 +98,6 @@ impl VirtualClock {
     }
 }
 
-/// A stopwatch over a [`VirtualClock`], used to measure simulated spans.
-#[derive(Debug, Clone)]
-pub struct Stopwatch {
-    clock: VirtualClock,
-    started: Instant,
-}
-
-impl Stopwatch {
-    /// Starts a stopwatch at the clock's current time.
-    pub fn start(clock: &VirtualClock) -> Self {
-        Self {
-            clock: clock.clone(),
-            started: clock.now(),
-        }
-    }
-
-    /// Returns the simulated microseconds elapsed since the stopwatch started.
-    pub fn elapsed_micros(&self) -> u64 {
-        self.clock.now().since(self.started)
-    }
-
-    /// Returns the simulated milliseconds elapsed since the stopwatch started.
-    pub fn elapsed_millis_f64(&self) -> f64 {
-        self.elapsed_micros() as f64 / 1_000.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +128,8 @@ mod tests {
 
     #[test]
     fn advance_to_never_moves_backwards() {
-        let clock = VirtualClock::starting_at(100);
+        let clock = VirtualClock::new();
+        clock.advance(100);
         clock.advance_to(Instant(50));
         assert_eq!(clock.now().as_micros(), 100);
         clock.advance_to(Instant(150));
@@ -180,21 +142,5 @@ mod tests {
         assert_eq!(a.plus(500).as_micros(), 1_500);
         assert_eq!(a.since(Instant(400)), 600);
         assert_eq!(Instant(400).since(a), 0, "since saturates at zero");
-        assert!((a.as_millis_f64() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stopwatch_measures_simulated_spans() {
-        let clock = VirtualClock::new();
-        let watch = Stopwatch::start(&clock);
-        clock.advance(2_500);
-        assert_eq!(watch.elapsed_micros(), 2_500);
-        assert!((watch.elapsed_millis_f64() - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn starting_at_sets_origin() {
-        let clock = VirtualClock::starting_at(9_999);
-        assert_eq!(clock.now().as_micros(), 9_999);
     }
 }

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for simulated links.
 //!
 //! A [`FaultPlan`] scripts failures against the virtual clock: error
-//! windows, timeout windows, latency spikes, drop-next-N counters, a
+//! windows, timeout windows, drop-next-N counters, a
 //! partition toggle, scheduled partition windows, scripted process
 //! crashes, and an optional
 //! per-operation error probability. All
@@ -77,8 +77,6 @@ pub struct FaultCounters {
     pub ops_assessed: u64,
     /// Operations failed (any [`FaultErrorKind`]).
     pub failures_injected: u64,
-    /// Operations delayed by a latency spike.
-    pub spikes_applied: u64,
     /// Crash events consumed via [`FaultPlan::take_crash`].
     pub crashes_fired: u64,
 }
@@ -133,7 +131,6 @@ pub struct FaultPlan {
     outages: Arc<[Window]>,
     partitions: Arc<[Window]>,
     timeouts: Arc<[Window]>,
-    spikes: Arc<[(Window, u64)]>,
     crashes: Arc<[CrashEvent]>,
     error_rate: f64,
     retry_hint: Option<u64>,
@@ -148,17 +145,11 @@ impl FaultPlan {
             outages: Vec::new(),
             partitions: Vec::new(),
             timeouts: Vec::new(),
-            spikes: Vec::new(),
             crashes: Vec::new(),
             error_rate: 0.0,
             retry_hint: None,
             seed,
         }
-    }
-
-    /// A plan that never injects anything.
-    pub fn none() -> Self {
-        Self::builder(0).build()
     }
 
     /// Fails the next `n` operations with [`FaultErrorKind::Unavailable`],
@@ -170,21 +161,6 @@ impl FaultPlan {
     /// Toggles a network partition: while set, every operation fails.
     pub fn set_partitioned(&self, partitioned: bool) {
         self.state.lock().partitioned = partitioned;
-    }
-
-    /// Returns `true` if the partition toggle is currently set.
-    ///
-    /// Scheduled [`FaultPlanBuilder::partition`] windows are not
-    /// reflected here; use [`FaultPlan::in_partition_window`] for those.
-    pub fn is_partitioned(&self) -> bool {
-        self.state.lock().partitioned
-    }
-
-    /// Returns `true` if the current virtual time falls inside a
-    /// scheduled [`FaultPlanBuilder::partition`] window.
-    pub fn in_partition_window(&self, clock: &VirtualClock) -> bool {
-        let now = clock.now().as_micros();
-        self.partitions.iter().any(|w| w.contains(now))
     }
 
     /// Returns a snapshot of what the plan has injected so far.
@@ -214,9 +190,8 @@ impl FaultPlan {
 
     /// Assesses one operation at the current virtual time.
     ///
-    /// On success, any scheduled latency spike has already been charged to
-    /// `clock`. On failure the caller decides what the failed attempt
-    /// costs (typically one link round trip).
+    /// On failure the caller decides what the failed attempt costs
+    /// (typically one link round trip).
     pub fn assess(&self, clock: &VirtualClock) -> Result<(), FaultError> {
         let now = clock.now().as_micros();
         let mut state = self.state.lock();
@@ -247,12 +222,6 @@ impl FaultPlan {
         if self.error_rate > 0.0 && state.rng.chance(self.error_rate) {
             return fail(&mut state, FaultErrorKind::Unavailable, self.retry_hint);
         }
-        if let Some((_, extra)) = self.spikes.iter().find(|(w, _)| w.contains(now)) {
-            state.counters.spikes_applied += 1;
-            let extra = *extra;
-            drop(state);
-            clock.advance(extra);
-        }
         Ok(())
     }
 }
@@ -263,7 +232,6 @@ pub struct FaultPlanBuilder {
     outages: Vec<Window>,
     partitions: Vec<Window>,
     timeouts: Vec<Window>,
-    spikes: Vec<(Window, u64)>,
     crashes: Vec<CrashEvent>,
     error_rate: f64,
     retry_hint: Option<u64>,
@@ -294,13 +262,6 @@ impl FaultPlanBuilder {
     /// erroring fast — the slow-failure mode that eats deadline budgets.
     pub fn timeout(mut self, from: u64, until: u64) -> Self {
         self.timeouts.push(Window { from, until });
-        self
-    }
-
-    /// Schedules a latency spike: operations inside `[from, until)` are
-    /// charged `extra_micros` on top of the link's normal cost.
-    pub fn latency_spike(mut self, from: u64, until: u64, extra_micros: u64) -> Self {
-        self.spikes.push((Window { from, until }, extra_micros));
         self
     }
 
@@ -337,7 +298,6 @@ impl FaultPlanBuilder {
             outages: self.outages.into(),
             partitions: self.partitions.into(),
             timeouts: self.timeouts.into(),
-            spikes: self.spikes.into(),
             crashes: self.crashes.into(),
             error_rate: self.error_rate,
             retry_hint: self.retry_hint,
@@ -359,7 +319,7 @@ mod tests {
     #[test]
     fn empty_plan_never_fails() {
         let clock = VirtualClock::new();
-        let plan = FaultPlan::none();
+        let plan = FaultPlan::builder(0).build();
         for _ in 0..100 {
             assert!(plan.assess(&clock).is_ok());
             clock.advance(1_000);
@@ -393,7 +353,7 @@ mod tests {
     #[test]
     fn drop_next_consumes_exactly_n() {
         let clock = VirtualClock::new();
-        let plan = FaultPlan::none();
+        let plan = FaultPlan::builder(0).build();
         plan.drop_next(2);
         assert!(plan.assess(&clock).is_err());
         assert!(plan.assess(&clock).is_err());
@@ -405,7 +365,6 @@ mod tests {
         let clock = VirtualClock::new();
         let plan = FaultPlan::builder(1).retry_hint(500).build();
         plan.set_partitioned(true);
-        assert!(plan.is_partitioned());
         let err = plan.assess(&clock).unwrap_err();
         assert_eq!(err.retry_after, Some(500));
         plan.set_partitioned(false);
@@ -417,29 +376,12 @@ mod tests {
         let clock = VirtualClock::new();
         let plan = FaultPlan::builder(1).partition(200, 600).build();
         assert!(plan.assess(&clock).is_ok(), "before the partition");
-        assert!(!plan.in_partition_window(&clock));
         clock.advance(250);
-        assert!(plan.in_partition_window(&clock));
         let err = plan.assess(&clock).unwrap_err();
         assert_eq!(err.kind, FaultErrorKind::Unavailable);
         assert_eq!(err.retry_after, Some(350), "hint points at the heal");
         clock.advance(350);
         assert!(plan.assess(&clock).is_ok(), "healed at the window end");
-        assert!(!plan.in_partition_window(&clock));
-        assert!(!plan.is_partitioned(), "the manual toggle is untouched");
-    }
-
-    #[test]
-    fn latency_spike_charges_clock() {
-        let clock = VirtualClock::new();
-        let plan = FaultPlan::builder(1).latency_spike(0, 100, 7_000).build();
-        assert!(plan.assess(&clock).is_ok());
-        assert_eq!(clock.now().as_micros(), 7_000);
-        assert_eq!(plan.counters().spikes_applied, 1);
-        clock.advance(100_000);
-        let before = clock.now();
-        assert!(plan.assess(&clock).is_ok());
-        assert_eq!(clock.now(), before.plus(0), "outside the spike window");
     }
 
     #[test]
@@ -460,7 +402,7 @@ mod tests {
     #[test]
     fn clones_share_state() {
         let clock = VirtualClock::new();
-        let plan = FaultPlan::none();
+        let plan = FaultPlan::builder(0).build();
         let other = plan.clone();
         plan.drop_next(1);
         assert!(other.assess(&clock).is_err(), "clone sees the drop counter");

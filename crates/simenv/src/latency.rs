@@ -75,8 +75,6 @@ pub struct Link {
 #[derive(Debug)]
 struct LinkState {
     rng: SimRng,
-    transfers: u64,
-    bytes_moved: u64,
     fault: Option<FaultPlan>,
 }
 
@@ -93,8 +91,6 @@ impl Link {
             jitter_frac: jitter_frac.clamp(0.0, 1.0),
             shared: Arc::new(Mutex::new(LinkState {
                 rng: SimRng::seeded(seed ^ 0xC0FF_EE00_DEAD_BEEF),
-                transfers: 0,
-                bytes_moved: 0,
                 fault: None,
             })),
         }
@@ -127,8 +123,6 @@ impl Link {
         let serialization = bytes.saturating_mul(1_000_000) / self.bytes_per_sec;
         let base = self.rtt_micros + serialization;
         let mut state = self.shared.lock();
-        state.transfers += 1;
-        state.bytes_moved += bytes;
         if self.jitter_frac == 0.0 {
             base
         } else {
@@ -146,25 +140,9 @@ impl Link {
         cost
     }
 
-    /// Charges a zero-payload round trip (e.g. a validation probe).
-    pub fn round_trip(&self, clock: &VirtualClock) -> u64 {
-        self.transfer(clock, 0)
-    }
-
-    /// Returns `(transfers, total bytes)` moved over this link so far.
-    pub fn counters(&self) -> (u64, u64) {
-        let state = self.shared.lock();
-        (state.transfers, state.bytes_moved)
-    }
-
     /// Attaches a [`FaultPlan`]; all clones of this link share it.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         self.shared.lock().fault = Some(plan);
-    }
-
-    /// Detaches the fault plan, restoring a fault-free link.
-    pub fn clear_fault_plan(&self) {
-        self.shared.lock().fault = None;
     }
 
     /// Returns a handle to the attached fault plan, if any.
@@ -177,8 +155,7 @@ impl Link {
     /// On an injected failure the wire time of the doomed attempt — one
     /// round trip (a full timeout window for [`FaultError`] timeouts, when
     /// the window end is known) — is charged to the clock before the error
-    /// returns. Scheduled latency spikes are charged by the plan itself.
-    /// Links with no plan attached always succeed and charge nothing.
+    /// returns. Links with no plan attached always succeed and charge nothing.
     pub fn faulted_op(&self, clock: &VirtualClock) -> Result<(), FaultError> {
         let Some(plan) = self.fault_plan() else {
             return Ok(());
@@ -291,26 +268,6 @@ mod tests {
         let xs: Vec<u64> = (0..16).map(|_| a.transfer(&clock, 100)).collect();
         let ys: Vec<u64> = (0..16).map(|_| b.transfer(&clock, 100)).collect();
         assert_eq!(xs, ys);
-    }
-
-    #[test]
-    fn counters_track_traffic() {
-        let clock = VirtualClock::new();
-        let link = Link::new(100, 1_000_000, 0.0, 4);
-        link.transfer(&clock, 10);
-        link.transfer(&clock, 20);
-        link.round_trip(&clock);
-        assert_eq!(link.counters(), (3, 30));
-    }
-
-    #[test]
-    fn cloned_links_share_counters() {
-        let clock = VirtualClock::new();
-        let link = Link::new(100, 1_000_000, 0.0, 5);
-        let other = link.clone();
-        link.transfer(&clock, 7);
-        other.transfer(&clock, 8);
-        assert_eq!(link.counters(), (2, 15));
     }
 
     #[test]

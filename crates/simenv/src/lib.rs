@@ -13,7 +13,7 @@
 //! * [`rng::SimRng`] — a small, seedable xorshift generator so every
 //!   experiment is reproducible bit-for-bit.
 //! * [`fault::FaultPlan`] — scripted, deterministic failure schedules
-//!   (outages, timeouts, latency spikes, partitions, process crashes)
+//!   (outages, timeouts, partitions, process crashes)
 //!   attachable to links.
 //! * [`stable::StableStore`] — a simulated stable-storage medium whose
 //!   contents survive a scripted process crash (with torn-tail
@@ -31,7 +31,7 @@ pub mod rng;
 pub mod stable;
 pub mod trace;
 
-pub use clock::{Instant, Stopwatch, VirtualClock};
+pub use clock::{Instant, VirtualClock};
 pub use fault::{CrashEvent, FaultError, FaultErrorKind, FaultPlan};
 pub use latency::{LatencyModel, Link, LinkClass};
 pub use rng::SimRng;

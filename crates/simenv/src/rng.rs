@@ -34,14 +34,6 @@ impl SimRng {
         }
     }
 
-    /// Splits off an independent generator, e.g. one per simulated user.
-    ///
-    /// The child is seeded from the parent's stream, so a single top-level
-    /// seed still determines the whole experiment.
-    pub fn split(&mut self) -> SimRng {
-        SimRng::seeded(self.next_u64() | 1)
-    }
-
     /// Returns the next value in the stream.
     pub fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
@@ -88,24 +80,6 @@ impl SimRng {
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
-    }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty.
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        assert!(!items.is_empty(), "cannot pick from an empty slice");
-        &items[self.next_below(items.len() as u64) as usize]
     }
 }
 
@@ -181,33 +155,5 @@ mod tests {
         let mut rng = SimRng::seeded(7);
         let hits = (0..10_000).filter(|_| rng.chance(0.3)).count();
         assert!((2_500..3_500).contains(&hits), "got {hits}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seeded(8);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn split_streams_are_independent() {
-        let mut parent = SimRng::seeded(9);
-        let mut child = parent.split();
-        let a: Vec<u64> = (0..8).map(|_| parent.next_u64()).collect();
-        let b: Vec<u64> = (0..8).map(|_| child.next_u64()).collect();
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn pick_returns_member() {
-        let mut rng = SimRng::seeded(10);
-        let items = [10, 20, 30];
-        for _ in 0..50 {
-            assert!(items.contains(rng.pick(&items)));
-        }
     }
 }

@@ -41,11 +41,6 @@ impl ZipfSampler {
         Self { cdf }
     }
 
-    /// Returns the number of items in the universe.
-    pub fn universe(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Samples a rank in `0..n`.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
         let u = rng.next_f64();
@@ -320,19 +315,9 @@ fn mix64(mut x: u64) -> u64 {
 }
 
 impl TraceSampler {
-    /// Returns the user universe size.
-    pub fn users(&self) -> usize {
-        self.users.universe()
-    }
-
     /// Returns the document universe size.
     pub fn documents(&self) -> usize {
         self.documents
-    }
-
-    /// Returns the write fraction the sampler was built with.
-    pub fn write_fraction(&self) -> f64 {
-        self.write_fraction
     }
 
     /// Returns the deterministic generator for stream `stream_id`
@@ -396,10 +381,8 @@ pub struct BurstPhase {
 /// use placeless_simenv::trace::BurstSchedule;
 ///
 /// let schedule = BurstSchedule::steady(1_000).phase(500, 10).phase(250, 1);
-/// assert_eq!(schedule.total_events(), 1_750);
-/// assert_eq!(schedule.intensity_at(0), 1);
-/// assert_eq!(schedule.intensity_at(1_000), 10);
-/// assert_eq!(schedule.intensity_at(1_600), 1);
+/// let intensities: Vec<u32> = schedule.phases().iter().map(|p| p.intensity).collect();
+/// assert_eq!(intensities, [1, 10, 1]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BurstSchedule {
@@ -429,24 +412,6 @@ impl BurstSchedule {
     /// Returns the phases in order.
     pub fn phases(&self) -> &[BurstPhase] {
         &self.phases
-    }
-
-    /// Total events across all phases.
-    pub fn total_events(&self) -> usize {
-        self.phases.iter().map(|p| p.events).sum()
-    }
-
-    /// Returns the intensity governing event `index` (indices past the end
-    /// keep the final phase's intensity, so open-ended drivers stay valid).
-    pub fn intensity_at(&self, index: usize) -> u32 {
-        let mut cursor = index;
-        for phase in &self.phases {
-            if cursor < phase.events {
-                return phase.intensity;
-            }
-            cursor -= phase.events;
-        }
-        self.phases.last().map(|p| p.intensity).unwrap_or(1)
     }
 }
 
@@ -642,24 +607,18 @@ mod tests {
     #[test]
     fn burst_schedule_maps_indices_to_phases() {
         let schedule = BurstSchedule::steady(100).phase(50, 10).phase(25, 2);
-        assert_eq!(schedule.total_events(), 175);
-        assert_eq!(schedule.phases().len(), 3);
-        assert_eq!(schedule.intensity_at(0), 1);
-        assert_eq!(schedule.intensity_at(99), 1);
-        assert_eq!(schedule.intensity_at(100), 10);
-        assert_eq!(schedule.intensity_at(149), 10);
-        assert_eq!(schedule.intensity_at(150), 2);
-        assert_eq!(
-            schedule.intensity_at(10_000),
-            2,
-            "past the end keeps the final intensity"
-        );
+        let phases: Vec<(usize, u32)> = schedule
+            .phases()
+            .iter()
+            .map(|p| (p.events, p.intensity))
+            .collect();
+        assert_eq!(phases, [(100, 1), (50, 10), (25, 2)]);
     }
 
     #[test]
     fn burst_schedule_floors_intensity_at_one() {
         let schedule = BurstSchedule::steady(10).phase(10, 0);
-        assert_eq!(schedule.intensity_at(15), 1);
+        assert_eq!(schedule.phases()[1].intensity, 1);
     }
 
     #[test]

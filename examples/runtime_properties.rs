@@ -58,7 +58,7 @@ fn main() -> Result<()> {
     println!("\ncomposed view:\n{}\n", String::from_utf8_lossy(&view));
     println!(
         "pipeline executed: {:?}\ncost: {:.0}µs, verifiers: {}",
-        report.executed,
+        report.stages.iter().map(|s| &s.name).collect::<Vec<_>>(),
         report.cost.effective_micros(),
         report.verifiers.len()
     );

@@ -566,8 +566,7 @@ fn cacheable_with_events_forwards_cache_reads() {
 fn builder_mirrors_struct_config() {
     let config = CacheConfig::builder()
         .capacity_bytes(4_096)
-        .policy_name("LFU")
-        .expect("LFU is a known policy")
+        .policy(PolicyFactory::by_name("LFU").expect("LFU is a known policy"))
         .run_verifiers(false)
         .write_mode(WriteMode::Back)
         .local_latency(LatencyModel::FREE)
@@ -603,7 +602,7 @@ fn builder_mirrors_struct_config() {
     assert_eq!((origin.max_retries, origin.breaker), (0, false));
     assert!(access_link.is_none() && journal.is_none() && merge.is_none());
     assert!(origin.window.is_none() && origin.serve_stale.is_none());
-    assert!(CacheConfig::builder().policy_name("bogus").is_err());
+    assert!(PolicyFactory::by_name("bogus").is_err());
 
     let (space, _provider, doc) = setup("built", 100);
     let cache = DocumentCache::new(space, config);

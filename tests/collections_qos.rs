@@ -35,8 +35,6 @@ fn collection_membership_round_trips() {
             .as_str(),
         Some("budget")
     );
-    space.remove_from_collection("budget", docs[1]).unwrap();
-    assert_eq!(space.collection_members("budget"), vec![docs[0]]);
 }
 
 #[test]

@@ -184,7 +184,7 @@ fn fetch_deadline_caps_the_retry_budget() {
             .build(),
     );
 
-    let deadline = ReadOptions::new().deadline_micros(20_000);
+    let deadline = ReadOptions::default().deadline_micros(20_000);
     let err = cache
         .read_with(USER, doc, deadline)
         .expect_err("deadline must fire");
@@ -837,10 +837,6 @@ fn recovery_conflicts_resolve_keep_mine_and_keep_theirs() {
     assert_eq!((report.merge.kept_mine, report.merge.kept_theirs), (1, 1));
     for conflict in &report.conflicts {
         assert_ne!(conflict.journal_epoch, conflict.origin_signature);
-        assert!(
-            matches!(conflict.error(), PlacelessError::Conflict { .. }),
-            "conflicts surface as the non-fatal Conflict error"
-        );
     }
     assert_eq!(cache.stats().write_conflicts, 2);
     assert_eq!(cache.dirty_count(), 1, "only the kept-mine write re-queued");

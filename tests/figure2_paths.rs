@@ -80,7 +80,7 @@ fn read_path_order_is_provider_base_reference() {
     // Base properties execute first (in attachment order), then the
     // reference's.
     assert_eq!(bytes, "raw<r:base1><r:base2><r:ref1>");
-    assert_eq!(report.executed.len(), 3);
+    assert_eq!(report.stages.len(), 3);
 }
 
 #[test]

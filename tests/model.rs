@@ -87,7 +87,7 @@ fn edit(index: usize) -> DocOp {
 /// The options reads draw from: the defaults, or a deadline and the
 /// first class overload control sheds — inert while nothing contends.
 fn read_options(index: usize) -> ReadOptions {
-    let background = ReadOptions::new().deadline_micros(50_000);
+    let background = ReadOptions::default().deadline_micros(50_000);
     [
         ReadOptions::default(),
         background.priority(Priority::Prefetch),

@@ -552,8 +552,7 @@ fn shed_decision_trace(seed: u64) -> (Vec<String>, CacheStats) {
                 .priority(priority);
             match cache.read_with(USER, doc, opts) {
                 Err(PlacelessError::Overloaded { retry_after }) => trace.push(format!(
-                    "shed deadline={deadline} class={} retry_after={retry_after}",
-                    priority.label()
+                    "shed deadline={deadline} class={priority:?} retry_after={retry_after}"
                 )),
                 other => panic!("doomed read must shed, got {other:?}"),
             }

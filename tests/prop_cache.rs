@@ -552,7 +552,10 @@ fn entry_table_follows_its_ledger_through_fills_evictions_and_invalidations() {
             0 => {
                 space.bus().post(Invalidation::Document(doc));
                 let ledger = ledger.lock().unwrap();
-                let left = ledger.keys().filter(|key| key.doc() == Some(doc)).count();
+                let left = ledger
+                    .keys()
+                    .filter(|key| matches!(key, EntryKey::Version(d, _) if *d == doc))
+                    .count();
                 assert_eq!(left, 0, "after step {step}");
             }
             1 => space.bus().post(Invalidation::UserDocument(doc, user)),

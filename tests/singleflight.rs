@@ -431,7 +431,7 @@ fn deadline_override_bounds_retries() {
     // Budget below the first backoff delay: fail fast with Timeout, no
     // retries burned.
     let err = cache
-        .read_with(USER, doc, ReadOptions::new().deadline_micros(100))
+        .read_with(USER, doc, ReadOptions::default().deadline_micros(100))
         .expect_err("budget exhausted before the first retry");
     assert!(matches!(err, PlacelessError::Timeout { .. }), "{err}");
     assert_eq!(cache.stats().retries, 0);
