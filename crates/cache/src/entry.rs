@@ -8,44 +8,62 @@
 use placeless_core::cacheability::Cacheability;
 use placeless_core::verifier::Verifier;
 use placeless_simenv::Instant;
+use std::ops::Deref;
 
-/// Metadata for one resident `(document, user)` entry.
-pub struct EntryMeta {
+/// An entry's verifiers, in the order the read path shipped them. A lone
+/// verifier — the common case, the provider's — is held in place, so a
+/// hit reaches it without loading a buffer first; several sit in a `Vec`.
+pub(crate) enum Verifiers {
+    One([Box<dyn Verifier>; 1]),
+    Many(Vec<Box<dyn Verifier>>),
+}
+
+impl Deref for Verifiers {
+    type Target = [Box<dyn Verifier>];
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Self::One(one) => one,
+            Self::Many(many) => many,
+        }
+    }
+}
+
+/// Metadata for one resident `(document, user)` entry; its size is its bytes' length.
+pub(crate) struct EntryMeta {
     /// Verifiers executed on every hit.
-    pub verifiers: Vec<Box<dyn Verifier>>,
+    pub(crate) verifiers: Verifiers,
     /// How the entry may be served.
-    pub cacheability: Cacheability,
+    pub(crate) cacheability: Cacheability,
     /// Effective replacement cost (µs) supplied by the read path.
-    pub cost_micros: f64,
-    /// Content size in bytes.
-    pub size: u64,
+    pub(crate) cost_micros: f64,
     /// When the entry was filled.
-    pub filled_at: Instant,
+    pub(crate) filled_at: Instant,
     /// Whether a QoS property pinned this entry (never evicted).
-    pub pinned: bool,
+    pub(crate) pinned: bool,
     /// Whether the entry was filled by a prefetch rather than a miss.
-    pub prefetched: bool,
+    pub(crate) prefetched: bool,
     /// Set when a dropped invalidation may have covered this entry: the
     /// notifier guarantee is void, so verifiers must run on the next hit
     /// even if the cache normally skips them. Cleared once a verification
     /// passes.
-    pub force_verify: bool,
+    pub(crate) force_verify: bool,
 }
 
 impl EntryMeta {
     /// Creates entry metadata.
-    pub fn new(
+    pub(crate) fn new(
         verifiers: Vec<Box<dyn Verifier>>,
         cacheability: Cacheability,
         cost_micros: f64,
-        size: u64,
         filled_at: Instant,
     ) -> Self {
         Self {
-            verifiers,
+            verifiers: verifiers
+                .try_into()
+                .map_or_else(Verifiers::Many, Verifiers::One),
             cacheability,
             cost_micros,
-            size,
             filled_at,
             pinned: false,
             prefetched: false,
@@ -60,7 +78,6 @@ impl std::fmt::Debug for EntryMeta {
             .field("verifiers", &self.verifiers.len())
             .field("cacheability", &self.cacheability)
             .field("cost_micros", &self.cost_micros)
-            .field("size", &self.size)
             .field("filled_at", &self.filled_at)
             .finish()
     }
@@ -69,17 +86,62 @@ impl std::fmt::Debug for EntryMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use placeless_core::verifier::{run_all, ClosureVerifier, Validity};
+    use placeless_simenv::VirtualClock;
 
     #[test]
     fn debug_does_not_require_verifier_debug() {
-        let meta = EntryMeta::new(
-            vec![],
-            Cacheability::CacheableWithEvents,
-            0.0,
-            0,
-            Instant(0),
-        );
+        let meta = EntryMeta::new(vec![], Cacheability::CacheableWithEvents, 0.0, Instant(0));
         let s = format!("{meta:?}");
         assert!(s.contains("CacheableWithEvents"));
+    }
+
+    /// Each verifier's heap object, by address: what must survive the move
+    /// into [`Verifiers`] unchanged and in order.
+    fn addresses(verifiers: &[Box<dyn Verifier>]) -> Vec<*const ()> {
+        verifiers
+            .iter()
+            .map(|v| &**v as *const dyn Verifier as *const ())
+            .collect()
+    }
+
+    #[test]
+    fn verifiers_deref_to_the_slice_they_were_built_from() {
+        let valid = |label| ClosureVerifier::new(label, 1, |_| Validity::Valid);
+        for count in 0..3 {
+            let shipped: Vec<_> = ["a", "b"].into_iter().take(count).map(valid).collect();
+            let before = addresses(&shipped);
+            let meta = EntryMeta::new(shipped, Cacheability::Unrestricted, 0.0, Instant(0));
+            assert_eq!(addresses(&meta.verifiers), before, "{count} verifiers");
+            assert_eq!(matches!(meta.verifiers, Verifiers::One(_)), count == 1);
+        }
+        assert_eq!(
+            std::mem::size_of::<Verifiers>(),
+            std::mem::size_of::<Vec<Box<dyn Verifier>>>(),
+            "holding one in place costs the entry no bytes"
+        );
+    }
+
+    #[test]
+    fn run_all_over_an_entrys_verifiers_matches_the_vec() {
+        let clock = VirtualClock::new();
+        let replace = || Validity::Replace(bytes::Bytes::from_static(b"new"));
+        let verdicts: [&[fn() -> Validity]; 5] = [
+            &[],
+            &[|| Validity::Valid],
+            &[|| Validity::Unverifiable],
+            &[replace, || Validity::Valid],
+            &[|| Validity::Valid, || Validity::Invalid, || Validity::Valid],
+        ];
+        for (case, verdicts) in verdicts.into_iter().enumerate() {
+            let shipped: Vec<_> = verdicts
+                .iter()
+                .zip(1..)
+                .map(|(&verdict, cost)| ClosureVerifier::new("v", cost, move |_| verdict()))
+                .collect();
+            let expected = run_all(&shipped, &clock);
+            let meta = EntryMeta::new(shipped, Cacheability::Unrestricted, 0.0, Instant(0));
+            assert_eq!(run_all(&meta.verifiers, &clock), expected, "case {case}");
+        }
     }
 }

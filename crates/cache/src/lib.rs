@@ -31,7 +31,7 @@
 
 pub use placeless_core::digest;
 
-pub mod entry;
+mod entry;
 pub mod journal;
 pub mod manager;
 pub mod merge;

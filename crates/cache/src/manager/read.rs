@@ -536,7 +536,6 @@ impl DocumentCache {
             report.verifiers,
             report.cacheability,
             cost_micros,
-            bytes.len() as u64,
             self.space.clock().now(),
         );
         meta.pinned = report.pinned;

@@ -448,7 +448,6 @@ impl DocumentCache {
             Vec::new(),
             Cacheability::Unrestricted,
             cost,
-            bytes.len() as u64,
             self.space.clock().now(),
         );
         shard.install(key, bytes, meta, digest.unwrap_or(sig));

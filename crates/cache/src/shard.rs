@@ -26,14 +26,17 @@
 //! through [`ShardGuard`]'s methods, and a shard lock is held exactly as
 //! long as a guard is alive.
 //!
-//! # What a hit hashes and writes
+//! # What a hit hashes, reads and writes
 //!
 //! A hit hashes its key by the fixed mixer for its shard, then by the seeded
 //! [`KeyMap`] hasher once per map it probes: the dirty map (if not empty),
-//! the entries, the policy's record. It writes only what hits of the same
-//! key or thread write, so cores do not trade lines: the entry carries its
-//! bytes (no store stripe locked, no signature hashed), the policy takes
-//! the hit through `&self` into the key's record
+//! the entries, the policy's record. It reads its entry in place, from the
+//! slot the probe found: signature, bytes handle and metadata, a lone
+//! verifier's pointer among them, so the first object past the slot is the
+//! verifier itself. It writes only what hits of the same key or thread
+//! write, so cores do not trade lines: the entry carries its bytes (no
+//! store stripe locked, no signature hashed), the policy takes the hit
+//! through `&self` into the key's record
 //! ([`ReplacementPolicy::on_hit_shared`]), the counters are striped by
 //! thread. Still shared: the lock word, the generation counter, the clock.
 //!
@@ -181,11 +184,9 @@ impl Resident {
 /// shares no line with the maps' headers (every hit reads them).
 #[repr(align(64))]
 pub(crate) struct Shard {
-    /// Boxed so a table slot is a key and a pointer (32 bytes, a third of
-    /// an inline entry): the table's spare capacity, every rehash on
-    /// growth, and the one whole-table walk that remains
-    /// (`demote_after_gap`) are all paid per slot.
-    entries: KeyMap<EntryKey, Box<Resident>>,
+    /// Held in place, so a hit reads its entry from the slot its probe
+    /// found (DESIGN.md §4.5): 120 bytes a slot.
+    entries: KeyMap<EntryKey, Resident>,
     /// The users with a resident version of each document *in this
     /// shard*: `user ∈ versions[doc]` exactly when `Version(doc, user)` is
     /// a key of `entries`, and a document with none has no set. Only
@@ -210,7 +211,7 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Puts `entry` in the table under `key`, which must not be resident.
-    fn insert(&mut self, key: EntryKey, entry: Box<Resident>) {
+    fn insert(&mut self, key: EntryKey, entry: Resident) {
         match key {
             EntryKey::Version(doc, user) => {
                 self.versions.entry(doc).or_default().insert(user);
@@ -223,7 +224,7 @@ impl Shard {
 
     /// Takes `key`'s entry out of the table. One set removal, whatever the
     /// number of resident versions of the document.
-    fn take(&mut self, key: EntryKey) -> Option<Box<Resident>> {
+    fn take(&mut self, key: EntryKey) -> Option<Resident> {
         let entry = self.entries.remove(&key)?;
         match key {
             EntryKey::Version(doc, user) => {
@@ -578,7 +579,6 @@ impl ShardGuard<'_> {
                     AtomicCacheStats::bump(&self.table.stats.shared_fills);
                 }
                 entry.bytes = stored;
-                entry.meta.size = bytes.len() as u64;
                 entry.meta.filled_at = clock.now();
                 true
             }
@@ -590,7 +590,8 @@ impl ShardGuard<'_> {
         };
         entry.meta.force_verify = false;
         let fresh = entry.fresh(replaced);
-        let grown = replaced.then(|| EntryAttrs::new(entry.meta.size, entry.meta.cost_micros));
+        let grown =
+            replaced.then(|| EntryAttrs::new(entry.bytes.len() as u64, entry.meta.cost_micros));
         shard.policy.on_hit(key);
         if let Some(attrs) = grown {
             // The replacement may have grown the content past the budget;
@@ -640,13 +641,14 @@ impl ShardGuard<'_> {
         // A re-fill over an existing binding releases the old content;
         // the policy keeps the key, and `on_insert` below refreshes it.
         self.remove(key, Removal::Evicted);
-        let attrs = EntryAttrs::new(meta.size, meta.cost_micros);
+        let size = bytes.len() as u64;
+        let attrs = EntryAttrs::new(size, meta.cost_micros);
         let table = self.table;
         if meta.pinned {
             // Pinned entries never enter the policy, so they can never be
             // chosen as eviction victims.
             AtomicCacheStats::bump(&self.table.stats.pinned_fills);
-        } else if table.scarce(meta.size) && meta.cost_micros == 0.0 && !key.is_stage() {
+        } else if table.scarce(size) && meta.cost_micros == 0.0 && !key.is_stage() {
             self.shard.policy.on_remove(key);
             return;
         } else {
@@ -664,10 +666,9 @@ impl ShardGuard<'_> {
                     AtomicCacheStats::bump(&self.table.stats.shared_fills);
                 }
                 if key.is_stage() {
-                    AtomicCacheStats::add(&self.table.stats.stage_bytes, meta.size);
+                    AtomicCacheStats::add(&self.table.stats.stage_bytes, size);
                 }
-                let entry = Resident { sig, bytes, meta };
-                self.shard.insert(key, Box::new(entry));
+                self.shard.insert(key, Resident { sig, bytes, meta });
             }
             // The incoming entry lost to the shard's other entries: it was
             // evicted on arrival.
@@ -706,7 +707,7 @@ impl ShardGuard<'_> {
             self.table
                 .stats
                 .stage_bytes
-                .fetch_sub(entry.meta.size, Ordering::Relaxed);
+                .fetch_sub(entry.bytes.len() as u64, Ordering::Relaxed);
         }
         true
     }
@@ -910,7 +911,7 @@ mod tests {
         // Credits −1 000, −1 500, −2 500: one hit on the first makes it
         // −2 000 (second out), none leaves it last, two would put it first.
         for (doc, cost) in [(1, -1_000.0), (2, -1_500.0), (3, -2_500.0)] {
-            let meta = EntryMeta::new(Vec::new(), Unrestricted, cost, 1, clock.now());
+            let meta = EntryMeta::new(Vec::new(), Unrestricted, cost, clock.now());
             let body = Bytes::from(vec![doc as u8]);
             let sig = ConcurrentStore::signature_of(&body);
             table.lock(key(doc)).install(key(doc), body, meta, sig);
@@ -932,6 +933,38 @@ mod tests {
         let mut guard = table.guard(0);
         let victims: Vec<_> = std::iter::from_fn(|| guard.shard.policy.evict()).collect();
         assert_eq!(victims, [key(3), key(1), key(2)]);
+    }
+
+    /// A hit on an entry holding its one verifier in place runs that
+    /// verifier exactly once, and the entry sits in its slot unboxed.
+    #[test]
+    fn a_hit_runs_its_entrys_one_verifier_once() {
+        use placeless_core::cacheability::Cacheability::Unrestricted;
+        use placeless_core::verifier::{run_all, ClosureVerifier};
+        assert_eq!(std::mem::size_of::<(EntryKey, Resident)>(), 120);
+        let table = ShardTable::new(1, &PolicyFactory::default(), 1_024);
+        let clock = VirtualClock::new();
+        let key = EntryKey::Version(DocumentId(1), UserId(1));
+        let verified = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&verified);
+        let verifier = ClosureVerifier::new("counted", 0, move |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            Validity::Valid
+        });
+        let meta = EntryMeta::new(vec![verifier], Unrestricted, 1.0, clock.now());
+        let body = Bytes::from_static(b"v");
+        let sig = ConcurrentStore::signature_of(&body);
+        table.lock(key).install(key, body, meta, sig);
+        let verify = |meta: &EntryMeta| run_all(&meta.verifiers, &clock).0;
+        let probe = table.share(key).probe(key, &clock, verify);
+        assert!(matches!(
+            probe,
+            Some(Probe::Fresh {
+                replaced: false,
+                ..
+            })
+        ));
+        assert_eq!(verified.load(Ordering::Relaxed), 1);
     }
 
     /// Every user's walk finds a document's lease in the one home shard,
@@ -956,7 +989,7 @@ mod tests {
         let users: Vec<UserId> = (1..256).map(UserId).filter(away).take(16).collect();
         for &user in &users {
             let (key, body) = (EntryKey::Version(doc, user), Bytes::from_static(b"v"));
-            let meta = EntryMeta::new(Vec::new(), Unrestricted, 1.0, 1, Instant(0));
+            let meta = EntryMeta::new(Vec::new(), Unrestricted, 1.0, Instant(0));
             let sig = ConcurrentStore::signature_of(&body);
             table.lock(key).install(key, body, meta, sig);
         }
