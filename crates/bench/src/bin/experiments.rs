@@ -210,34 +210,45 @@ fn run_load() -> Option<Report> {
 
 fn run_crash() -> Option<Report> {
     let params = crash::CrashParams::default();
-    println!("== E-CRASH: acknowledged-write durability across a scripted crash ==\n");
+    println!("== E-CRASH: every crash state of the journaled write path ==\n");
     println!(
-        "crash at {:.1}s of a {:.1}s write timeline, {} docs, {} writes, flush every {}\n",
-        params.crash_at_micros as f64 / 1e6,
-        (params.writes * params.write_gap_micros) as f64 / 1e6,
+        "{} docs, {} write-back writes (some `write_op` appends, some {} KiB bodies), \
+         flush every {}, seed {}\n",
         params.docs,
         params.writes,
-        params.flush_every
+        crash::BIG_BODY / 1024,
+        params.flush_every,
+        params.seed
     );
     println!(
-        "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "mode", "acked", "pre-flush", "lost docs", "replayed", "torn B", "flushes"
+        "{:<12} {:>7} {:>10} {:>6} {:>15} {:>15} {:>16} {:>8} {:>9}",
+        "mode",
+        "states",
+        "medium ops",
+        "lost",
+        "2nd recovery ≠",
+        "post-write lost",
+        "after compaction",
+        "torn op",
+        "torn ack"
     );
     let results = crash::sweep(params);
     for r in &results {
         println!(
-            "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
+            "{:<12} {:>7} {:>10} {:>6} {:>15} {:>15} {:>16} {:>8} {:>9}",
             r.label(),
-            r.acknowledged,
-            r.flushed_before_crash,
-            r.lost_docs,
-            r.replayed,
-            r.torn_bytes,
-            r.stats.flushes
+            r.states,
+            r.medium_ops,
+            r.lost,
+            r.recover_differs,
+            r.post_write_lost,
+            r.after_compaction,
+            r.torn_op,
+            r.torn_ack
         );
     }
-    println!("\n(the journal replays every acknowledged-but-unflushed write across the");
-    println!(" crash — zero loss; the torn in-flight append was never acknowledged)\n");
+    println!("\n(a state is a cache-op boundary or a medium op with a prefix of it landed;");
+    println!(" with the journal no state loses an acknowledged write)\n");
 
     Some(crash::report(params, &results))
 }

@@ -23,7 +23,7 @@
 //! | [`revalidation`] | TTL vs conditional-GET verifiers for web docs | §3 WWW discussion |
 //! | [`fault`] | read availability under origin outages | §3 robustness ablation |
 //! | [`stage`] | staged transform plans: partial hits over a shared base prefix | §3 per-user versions |
-//! | [`crash`] | write-journal durability across a scripted crash | §3 write-back robustness |
+//! | [`crash`] | every crash state of the journaled write path | §3 write-back robustness |
 //! | [`load`] | single-flight coalescing probe and grouped-flush write mix | §4 implementation |
 //! | [`merge`] | op-based multi-writer merge vs binary conflict resolution | §3 write-back robustness |
 //! | [`overload`] | deadline-aware admission and brownout under a 10× burst | §3 robustness ablation |

@@ -240,7 +240,8 @@ pub fn run_one(mode: MergeMode, params: MergeParams) -> MergeResult {
     }
     let in_flight = medium_a.len() - before;
     if in_flight > 1 {
-        medium_a.tear_tail(params.torn_tail_bytes.clamp(1, in_flight - 1));
+        let torn = params.torn_tail_bytes.clamp(1, in_flight - 1);
+        medium_a.truncate(medium_a.len() - torn);
     }
     drop(a.cache); // the crash: Alice's in-memory state dies
 

@@ -2,8 +2,7 @@
 //!
 //! A [`FaultPlan`] scripts failures against the virtual clock: error
 //! windows, timeout windows, drop-next-N counters, a
-//! partition toggle, scheduled partition windows, scripted process
-//! crashes, and an optional
+//! partition toggle, scheduled partition windows, and an optional
 //! per-operation error probability. All
 //! randomness flows through a [`SimRng`] seeded at plan construction, so a
 //! given plan replays the *exact* same failure sequence on every run —
@@ -77,31 +76,12 @@ pub struct FaultCounters {
     pub ops_assessed: u64,
     /// Operations failed (any [`FaultErrorKind`]).
     pub failures_injected: u64,
-    /// Crash events consumed via [`FaultPlan::take_crash`].
-    pub crashes_fired: u64,
-}
-
-/// A scripted process crash.
-///
-/// Crashes are *process-level* events, not link-level ones, so nothing in
-/// [`FaultPlan::assess`] fires them: the workload driver polls
-/// [`FaultPlan::take_crash`] between operations and, when one fires,
-/// simulates process death itself (drop every in-memory structure, tear
-/// the stable medium's tail by [`CrashEvent::torn_tail_bytes`], restart).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashEvent {
-    /// Virtual time at which the crash is scheduled.
-    pub at_micros: u64,
-    /// How many bytes the crash tears off the stable medium's tail — the
-    /// write that was in flight when the process died.
-    pub torn_tail_bytes: u64,
 }
 
 #[derive(Debug)]
 struct PlanState {
     drop_next: u64,
     partitioned: bool,
-    next_crash: usize,
     rng: SimRng,
     counters: FaultCounters,
 }
@@ -131,7 +111,6 @@ pub struct FaultPlan {
     outages: Arc<[Window]>,
     partitions: Arc<[Window]>,
     timeouts: Arc<[Window]>,
-    crashes: Arc<[CrashEvent]>,
     error_rate: f64,
     retry_hint: Option<u64>,
     state: Arc<Mutex<PlanState>>,
@@ -145,7 +124,6 @@ impl FaultPlan {
             outages: Vec::new(),
             partitions: Vec::new(),
             timeouts: Vec::new(),
-            crashes: Vec::new(),
             error_rate: 0.0,
             retry_hint: None,
             seed,
@@ -166,26 +144,6 @@ impl FaultPlan {
     /// Returns a snapshot of what the plan has injected so far.
     pub fn counters(&self) -> FaultCounters {
         self.state.lock().counters
-    }
-
-    /// Fires the next scheduled crash whose time has arrived, if any.
-    ///
-    /// Each scheduled crash fires exactly once, in schedule order, the
-    /// first time this is called at or after its timestamp. The caller
-    /// (a workload driver) then performs the crash itself: drop the
-    /// in-memory structures, [`crate::stable::StableStore::tear_tail`]
-    /// the stable medium by [`CrashEvent::torn_tail_bytes`], and restart
-    /// through the recovery path.
-    pub fn take_crash(&self, clock: &VirtualClock) -> Option<CrashEvent> {
-        let now = clock.now().as_micros();
-        let mut state = self.state.lock();
-        let crash = *self.crashes.get(state.next_crash)?;
-        if crash.at_micros > now {
-            return None;
-        }
-        state.next_crash += 1;
-        state.counters.crashes_fired += 1;
-        Some(crash)
     }
 
     /// Assesses one operation at the current virtual time.
@@ -232,7 +190,6 @@ pub struct FaultPlanBuilder {
     outages: Vec<Window>,
     partitions: Vec<Window>,
     timeouts: Vec<Window>,
-    crashes: Vec<CrashEvent>,
     error_rate: f64,
     retry_hint: Option<u64>,
     seed: u64,
@@ -279,32 +236,17 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Schedules a process crash at `at_micros`, tearing
-    /// `torn_tail_bytes` off the stable medium's tail (the in-flight
-    /// write). Delivered via [`FaultPlan::take_crash`], never by
-    /// [`FaultPlan::assess`].
-    pub fn crash(mut self, at_micros: u64, torn_tail_bytes: u64) -> Self {
-        self.crashes.push(CrashEvent {
-            at_micros,
-            torn_tail_bytes,
-        });
-        self
-    }
-
     /// Finishes the plan.
-    pub fn build(mut self) -> FaultPlan {
-        self.crashes.sort_by_key(|c| c.at_micros);
+    pub fn build(self) -> FaultPlan {
         FaultPlan {
             outages: self.outages.into(),
             partitions: self.partitions.into(),
             timeouts: self.timeouts.into(),
-            crashes: self.crashes.into(),
             error_rate: self.error_rate,
             retry_hint: self.retry_hint,
             state: Arc::new(Mutex::new(PlanState {
                 drop_next: 0,
                 partitioned: false,
-                next_crash: 0,
                 rng: SimRng::seeded(self.seed ^ 0xFA11_FA11_FA11_FA11),
                 counters: FaultCounters::default(),
             })),
@@ -408,45 +350,6 @@ mod tests {
         assert!(other.assess(&clock).is_err(), "clone sees the drop counter");
         assert!(plan.assess(&clock).is_ok());
         assert_eq!(plan.counters(), other.counters());
-    }
-
-    #[test]
-    fn crashes_fire_once_in_schedule_order() {
-        let clock = VirtualClock::new();
-        let plan = FaultPlan::builder(1)
-            .crash(5_000, 7)
-            .crash(1_000, 3)
-            .build();
-        assert_eq!(plan.take_crash(&clock), None, "nothing scheduled yet");
-        clock.advance(2_000);
-        assert_eq!(
-            plan.take_crash(&clock),
-            Some(CrashEvent {
-                at_micros: 1_000,
-                torn_tail_bytes: 3
-            }),
-            "earliest crash fires first even if added last"
-        );
-        assert_eq!(plan.take_crash(&clock), None, "each crash fires once");
-        clock.advance(10_000);
-        assert_eq!(
-            plan.take_crash(&clock),
-            Some(CrashEvent {
-                at_micros: 5_000,
-                torn_tail_bytes: 7
-            })
-        );
-        assert_eq!(plan.take_crash(&clock), None);
-        assert_eq!(plan.counters().crashes_fired, 2);
-    }
-
-    #[test]
-    fn crashes_do_not_disturb_assess() {
-        let clock = VirtualClock::new();
-        let plan = FaultPlan::builder(1).crash(0, 4).build();
-        assert!(plan.assess(&clock).is_ok(), "assess never fires crashes");
-        assert_eq!(plan.counters().crashes_fired, 0);
-        assert!(plan.take_crash(&clock).is_some());
     }
 
     #[test]

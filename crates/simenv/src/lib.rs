@@ -13,11 +13,11 @@
 //! * [`rng::SimRng`] — a small, seedable xorshift generator so every
 //!   experiment is reproducible bit-for-bit.
 //! * [`fault::FaultPlan`] — scripted, deterministic failure schedules
-//!   (outages, timeouts, partitions, process crashes)
-//!   attachable to links.
+//!   (outages, timeouts, partitions) attachable to links.
 //! * [`stable::StableStore`] — a simulated stable-storage medium whose
-//!   contents survive a scripted process crash (with torn-tail
-//!   truncation), backing the cache's write-ahead journal.
+//!   contents survive a process crash, backing the cache's write-ahead
+//!   journal. Its module doc states the persistence model, and a store
+//!   armed with a [`stable::CrashPoint`] dies at that point.
 //! * [`trace`] — workload generators (Zipf document popularity, read/write
 //!   mixes, user populations) used by the benchmark harness.
 //!
@@ -32,8 +32,8 @@ pub mod stable;
 pub mod trace;
 
 pub use clock::{Instant, VirtualClock};
-pub use fault::{CrashEvent, FaultError, FaultErrorKind, FaultPlan};
+pub use fault::{FaultError, FaultErrorKind, FaultPlan};
 pub use latency::{LatencyModel, Link, LinkClass};
 pub use rng::SimRng;
-pub use stable::StableStore;
+pub use stable::{CrashPoint, MediumOp, StableStore};
 pub use trace::{AccessEvent, TraceBuilder, TraceSampler, WorkloadBuilder, ZipfSampler};

@@ -266,49 +266,6 @@ fn journal_records_writes_and_flush_acks_prune_it() {
     assert_eq!(provider.content(), "draft");
 }
 
-#[test]
-fn recover_replays_journal_into_dirty_queue() {
-    let (space, provider, doc) = setup("v0", 100);
-    let medium = placeless_simenv::StableStore::new();
-    {
-        let cache = DocumentCache::new(
-            space.clone(),
-            CacheConfig {
-                write_mode: WriteMode::Back,
-                journal: Some(WriteJournal::new(medium.clone())),
-                ..quiet_config()
-            },
-        );
-        cache
-            .write(ALICE, doc, b"buffered")
-            .expect("write must buffer");
-        // Crash: every in-memory structure dies unflushed; only the
-        // stable medium survives.
-    }
-    let (journal, outcome) = WriteJournal::open(medium);
-    assert_eq!(outcome.records.len(), 1);
-    let (cache, report) = DocumentCache::recover(
-        space,
-        CacheConfig {
-            write_mode: WriteMode::Back,
-            journal: Some(journal),
-            ..quiet_config()
-        },
-        None,
-    );
-    assert_eq!((report.replayed, report.requeued), (1, 1));
-    assert!(report.conflicts.is_empty());
-    assert_eq!(cache.dirty_count(), 1);
-    assert_eq!(cache.stats().journal_replays, 1);
-    assert_eq!(
-        cache.read(ALICE, doc).expect("read must succeed"),
-        "buffered",
-        "the recovered write is the writer's view again"
-    );
-    let _ = cache.flush().expect("flush must succeed");
-    assert_eq!(provider.content(), "buffered");
-}
-
 /// Recovery acknowledges the records it drops once, together: fifty
 /// writes whose documents vanished during the outage cost one ack frame,
 /// not fifty passes over the journal.

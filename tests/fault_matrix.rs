@@ -720,72 +720,6 @@ fn flush_interrupted_by_timeout_requeues_the_entry() {
     assert_eq!(fs.read("/doc").expect("file exists"), "new");
 }
 
-/// Crash mid-append: the torn last record is truncated away, the intact
-/// prefix is recovered into the dirty queue, and a flush pushes it.
-#[test]
-fn journal_replay_after_crash_truncates_the_torn_tail() {
-    let clock = VirtualClock::new();
-    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
-    let fs = MemFs::new(clock.clone());
-    let link = lan(15);
-    let mut docs = Vec::new();
-    for i in 0..3 {
-        let path = format!("/d{i}");
-        fs.create(&path, format!("old{i}"));
-        docs.push(space.create_document(USER, FsProvider::new(fs.clone(), &path, link.clone())));
-    }
-    let medium = StableStore::new();
-    {
-        let cache = DocumentCache::new(
-            space.clone(),
-            CacheConfig::builder()
-                .local_latency(LatencyModel::FREE)
-                .write_mode(WriteMode::Back)
-                .journal(WriteJournal::new(medium.clone()))
-                .build(),
-        );
-        cache.write(USER, docs[0], b"new0").expect("buffers");
-        cache.write(USER, docs[1], b"new1").expect("buffers");
-        let intact = medium.len();
-        cache.write(USER, docs[2], b"new2").expect("buffers");
-        // The crash tears the append that was in flight.
-        medium.tear_tail((medium.len() - intact) / 2);
-    } // crash: all in-memory cache state dies
-
-    let (journal, outcome) = WriteJournal::open(medium.clone());
-    assert!(outcome.truncated, "the torn tail was detected");
-    assert!(outcome.torn_bytes > 0);
-    assert_eq!(outcome.records.len(), 2, "the intact prefix survived");
-
-    let (cache, report) = DocumentCache::recover(
-        space,
-        CacheConfig::builder()
-            .local_latency(LatencyModel::FREE)
-            .write_mode(WriteMode::Back)
-            .journal(journal)
-            .build(),
-        None,
-    );
-    assert_eq!((report.replayed, report.requeued), (2, 2));
-    assert!(report.conflicts.is_empty());
-    assert_eq!(cache.dirty_count(), 2);
-    assert_eq!(cache.stats().journal_replays, 2);
-
-    let flush = cache.flush().expect("flush succeeds");
-    assert!(flush.is_clean());
-    assert_eq!(fs.read("/d0").expect("file exists"), "new0");
-    assert_eq!(fs.read("/d1").expect("file exists"), "new1");
-    assert_eq!(
-        fs.read("/d2").expect("file exists"),
-        "old2",
-        "the torn write was still in flight at the crash — never durable"
-    );
-    assert!(
-        medium.is_empty(),
-        "every recovered record was flushed, acked, and pruned"
-    );
-}
-
 /// Recovery finds the origin moved on while writes sat buffered across
 /// the crash: each conflict is surfaced (never silent last-writer-wins)
 /// and resolved per the hook — keep-mine re-queues, keep-theirs drops.

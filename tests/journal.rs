@@ -112,53 +112,6 @@ fn reopen_recovers_live_records_in_seq_order() {
     assert!(next >= 3, "sequence numbering resumes past recovery");
 }
 
-#[test]
-fn torn_tail_is_truncated_and_prefix_recovered() {
-    let store = StableStore::new();
-    let journal = WriteJournal::new(store.clone());
-    journal.append(DOC, ALICE, NO_EPOCH, b"intact one");
-    let before = store.len();
-    journal.append(DOC, BOB, NO_EPOCH, b"torn in flight");
-    store.tear_tail((store.len() - before) / 2); // half the last record
-    drop(journal);
-
-    let (recovered, outcome) = WriteJournal::open(store.clone());
-    assert!(outcome.truncated);
-    assert!(outcome.torn_bytes > 0);
-    assert_eq!(outcome.records.len(), 1);
-    assert_eq!(outcome.records[0].data, "intact one");
-    assert_eq!(
-        store.len(),
-        before,
-        "the medium was truncated back to the intact prefix"
-    );
-    assert_eq!(recovered.len(), 1);
-}
-
-#[test]
-fn torn_ack_is_truncated_and_resurrects_what_it_named() {
-    let store = StableStore::new();
-    let journal = WriteJournal::new(store.clone());
-    let flushed = journal.append(DOC, ALICE, NO_EPOCH, b"flushed");
-    journal.append(DOC, BOB, NO_EPOCH, b"still buffered");
-    let before = store.len();
-    assert_eq!(journal.ack_batch(&[flushed]), 1);
-    store.tear_tail(ack_len(1) / 2); // the crash tore the ack mid-append
-    drop(journal);
-
-    let (recovered, outcome) = WriteJournal::open(store.clone());
-    assert!(outcome.truncated);
-    assert_eq!(outcome.torn_bytes, ack_len(1) - ack_len(1) / 2);
-    assert_eq!(store.len(), before);
-    let data: Vec<_> = outcome.records.iter().map(|r| r.data.clone()).collect();
-    assert_eq!(
-        data,
-        ["flushed", "still buffered"],
-        "the record whose ack was torn comes back (a duplicate flush), none is lost"
-    );
-    assert_eq!(recovered.ack_batch(&[flushed]), 1, "and can be acked again");
-}
-
 /// Flips one byte at `at` of the medium's image.
 fn corrupt(store: &StableStore, at: u64) {
     let mut image = store.contents();
@@ -253,29 +206,6 @@ fn op_records_roundtrip_across_reopen() {
     assert!(bob.ops.is_empty());
     assert_eq!(bob.writer_seq, 0);
     assert!(!rebasable(&bob.ops));
-}
-
-#[test]
-fn torn_op_record_is_truncated_like_a_plain_one() {
-    let store = StableStore::new();
-    let journal = WriteJournal::new(store.clone());
-    journal.append(DOC, ALICE, NO_EPOCH, b"intact");
-    let before = store.len();
-    journal.append_op(
-        DOC,
-        BOB,
-        md5(b"base"),
-        b"view",
-        vec![DocOp::Append(Bytes::from("view"))],
-        1,
-    );
-    store.tear_tail((store.len() - before) / 2);
-    drop(journal);
-
-    let (_, outcome) = WriteJournal::open(store);
-    assert!(outcome.truncated);
-    assert_eq!(outcome.records.len(), 1);
-    assert_eq!(outcome.records[0].data, "intact");
 }
 
 #[test]
@@ -536,7 +466,7 @@ impl Machine {
     fn crash(&mut self, tear: u64) {
         let before = self.model.live();
         let medium_len = self.store.len();
-        self.store.tear_tail(tear);
+        self.store.truncate(medium_len.saturating_sub(tear));
         self.model.tear(tear);
         let expected = self.model.live();
         // A torn ack only resurrects: a record that was live and whose

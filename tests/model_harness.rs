@@ -169,7 +169,10 @@ fn check(build: impl Fn() -> Report) {
 
 #[test]
 fn deterministic_reports_rebuild_equal_and_read_back() {
-    let params = crash::CrashParams::default();
+    let params = crash::CrashParams {
+        writes: 20,
+        ..crash::CrashParams::default()
+    };
     check(|| crash::report(params, &crash::sweep(params)));
     let params = merge::MergeParams::default();
     check(|| merge::report(params, &merge::sweep(params)));
