@@ -1,24 +1,25 @@
 //! The write-back flush: drain, group by origin, write through the retry
-//! driver, and settle every entry.
+//! driver, settle every entry, and acknowledge the journal once.
 
 use super::*;
+
+/// A drained dirty entry and its key.
+type Drained = (DocumentId, UserId, DirtyEntry);
 
 /// What a [`DocumentCache::flush`] accomplished — the write-side sibling
 /// of the read path's `PathReport`.
 ///
-/// A flush only returns `Err` for infrastructure failures before any
-/// write is attempted (currently never); per-entry failures are reported
-/// here so one unreachable origin cannot hide the entries that *did*
-/// flush, and nothing is silently dropped — which also makes the report
-/// `#[must_use]`: dropping it unexamined loses the parked/requeued
-/// entries it carries.
+/// Per-entry failures are reported here, never as the flush's `Err`, so
+/// one unreachable origin cannot hide the entries that *did* flush; a
+/// report dropped unexamined loses the parked and requeued entries it
+/// names, hence `#[must_use]`.
 #[must_use = "inspect the report: it may carry parked or requeued writes"]
 #[derive(Debug, Clone, Default)]
 pub struct FlushReport {
     /// Dirty entries the flush attempted to write.
     pub attempted: u64,
     /// Entries whose origin write succeeded (and, with a journal, whose
-    /// journal record was acknowledged and pruned).
+    /// journal record the flush's one ack frame acknowledged and pruned).
     pub flushed: u64,
     /// Entries parked in the journal after exhausting retries against a
     /// transient failure: still dirty, still journaled, drained by a
@@ -73,21 +74,20 @@ impl std::fmt::Display for FlushReport {
 impl DocumentCache {
     /// Pushes all buffered write-back data to the middleware.
     ///
-    /// Dirty data is drained holding one shard lock at a time, sorted
-    /// into a deterministic order, grouped by origin, and written with no
-    /// cache lock held, one grouped origin operation per group attempt
-    /// (`flush_group`). A failed write abandons no other entry: what
-    /// failed is re-queued into its shard's dirty map (a concurrent newer
-    /// write for the same key wins over the re-queue), and the returned
-    /// [`FlushReport`] names exactly what remains dirty.
+    /// Dirty data is drained holding one shard lock at a time, sorted by
+    /// key, grouped by origin, and written with no cache lock held, one
+    /// grouped origin operation per group attempt (`flush_group`). A failed
+    /// write abandons no other entry: it is re-queued into its shard's
+    /// dirty map (a concurrent newer write for the same key wins), and the
+    /// returned [`FlushReport`] names exactly what remains dirty.
     ///
-    /// With a journal configured, a flushed record is acknowledged only
-    /// after its origin write succeeded, and an entry whose write exhausted
-    /// its retries on a transient failure is *parked*: it stays dirty and
-    /// journaled, without failing the flush, until a later flush finds the
-    /// origin's breaker admitting probes again.
+    /// With a journal, one ack frame after the last group acknowledges
+    /// every record the flush wrote or dropped, and an entry whose write
+    /// exhausted its retries on a transient failure is *parked*: it stays
+    /// dirty and journaled until a later flush finds the origin's breaker
+    /// admitting probes again.
     pub fn flush(&self) -> Result<FlushReport> {
-        let mut dirty: Vec<(DocumentId, UserId, DirtyEntry)> = Vec::new();
+        let mut dirty: Vec<Drained> = Vec::new();
         for mut shard in self.table.lock_each() {
             shard.drain_dirty(&mut dirty);
         }
@@ -97,17 +97,26 @@ impl DocumentCache {
         // for same-seed replays.
         dirty.sort_by_key(|(doc, user, _)| (*doc, *user));
         let mut report = FlushReport::default();
-        // Group by origin, preserving the sorted entry order inside each
-        // group; BTreeMap keeps the group order itself deterministic too.
-        let mut groups: BTreeMap<String, Vec<(DocumentId, UserId, DirtyEntry)>> = BTreeMap::new();
+        // Group by origin, keeping the sorted order inside each group (a
+        // document's entries adjacent, its key resolved once); BTreeMap
+        // keeps the group order deterministic too.
+        let mut groups: BTreeMap<String, Vec<Drained>> = BTreeMap::new();
+        let mut resolved = (None, String::new());
         for (doc, user, entry) in dirty {
-            groups
-                .entry(self.origin_key(doc))
-                .or_default()
-                .push((doc, user, entry));
+            if resolved.0 != Some(doc) {
+                resolved = (Some(doc), self.origin_key(doc));
+            }
+            let group = groups.entry(resolved.1.clone()).or_default();
+            group.push((doc, user, entry));
         }
+        let mut acks: Vec<u64> = Vec::new();
         for (origin, group) in groups {
-            self.flush_group(&self.origins.get(origin), group, &mut report);
+            self.flush_group(&self.origins.get(origin), group, &mut acks, &mut report);
+        }
+        if let Some(journal) = &self.journal {
+            // Each ack names exactly the record pushed or dropped: a newer
+            // write that superseded it mid-flush keeps its own.
+            journal.ack_batch(&acks);
         }
         debug_assert_eq!(
             report.attempted,
@@ -121,26 +130,26 @@ impl DocumentCache {
     /// Flushes one per-origin group of drained dirty entries as grouped
     /// origin operations through the retry driver.
     ///
-    /// One breaker admission decision, one origin-salted backoff
-    /// schedule, and one slot of the origin's window cover each *attempt*
-    /// on the whole group; the group write itself goes through
-    /// [`DocumentSpace::write_documents`], which returns one result per
-    /// entry. Outcomes stay per entry: successes are acknowledged in the
-    /// journal as a batch (one ack frame), transient failures stay
-    /// pending for the group's next retry, and non-transient failures
-    /// are re-queued immediately. Entries still pending when the driver
-    /// gives up are parked or re-queued — each with its own error when
-    /// the retries ran out, all with the driver's verdict when the
-    /// breaker or the deadline stopped the group.
+    /// One breaker admission, one origin-salted backoff schedule and one
+    /// window slot cover each *attempt* on the whole group, one
+    /// [`DocumentSpace::write_documents`] call with one result per entry.
+    /// A first attempt rebases op entries onto the renditions the conflict
+    /// probes read ([`BatchWrite::base`]); a retry reads them again. A
+    /// success adds its record to `acks`, and each written document is
+    /// invalidated once; a transient failure waits for the next attempt, a
+    /// non-transient one is re-queued at once. What is pending when the
+    /// driver gives up is parked or re-queued, with its own error when the
+    /// retries ran out, else with the driver's verdict.
     fn flush_group(
         &self,
         origin: &Origin,
-        group: Vec<(DocumentId, UserId, DirtyEntry)>,
+        group: Vec<Drained>,
+        acks: &mut Vec<u64>,
         report: &mut FlushReport,
     ) {
         report.attempted += group.len() as u64;
         report.batches += 1;
-        let mut pending = self.route_conflicts_through_merge(group, report);
+        let (mut pending, mut bases) = self.route_conflicts_through_merge(group, acks, report);
         if pending.is_empty() {
             return;
         }
@@ -157,27 +166,28 @@ impl DocumentCache {
             None,
             || {
                 AtomicCacheStats::bump(&self.table.stats.flush_batches);
+                // The probe's renditions serve the first attempt only.
+                let mut bases = std::mem::take(&mut bases).into_iter();
                 let writes: Vec<BatchWrite> = pending
                     .iter()
                     .map(|(doc, user, entry)| BatchWrite {
                         user: *user,
                         doc: *doc,
                         data: entry.data.clone(),
-                        // With a merge policy, rebasable deltas travel
-                        // as ops and are applied server-side onto the
-                        // origin's current content — concurrent
-                        // writers through other caches are merged, not
-                        // clobbered.
+                        // With a merge policy, rebasable deltas travel as
+                        // ops onto the origin's content: concurrent writers
+                        // through other caches are merged, not clobbered.
                         ops: if self.merge.is_some() && rebasable(&entry.ops) {
                             entry.ops.clone()
                         } else {
                             Vec::new()
                         },
+                        base: bases.next().flatten(),
                     })
                     .collect();
                 let results = self.space.write_documents(&writes);
                 debug_assert_eq!(results.len(), pending.len());
-                let mut acks: Vec<u64> = Vec::new();
+                let mut written = None;
                 // The entries a retry would write again, and (index
                 // for index) the transient error each just met.
                 let mut survivors = Vec::new();
@@ -189,7 +199,11 @@ impl DocumentCache {
                             report.flushed += 1;
                             acks.extend(entry.seq);
                             self.table.mark(&mut entry, false);
-                            self.invalidate_doc(doc);
+                            // A document's entries are adjacent: it is
+                            // invalidated once, however many it has.
+                            if written.replace(doc) != Some(doc) {
+                                self.invalidate_doc(doc);
+                            }
                         }
                         Err(error) if error.is_transient() => {
                             survivors.push((doc, user, entry));
@@ -197,12 +211,6 @@ impl DocumentCache {
                         }
                         Err(error) => self.settle_flush_failure(doc, user, entry, error, report),
                     }
-                }
-                if let Some(journal) = &self.journal {
-                    // Each ack names exactly the record that was pushed
-                    // (a newer write that superseded it mid-flush keeps
-                    // its own); the batch costs one ack frame.
-                    journal.ack_batch(&acks);
                 }
                 pending = survivors;
                 // The driver records one breaker strike per batch
@@ -232,51 +240,50 @@ impl DocumentCache {
 
     /// Probes each entry for a conflict ([`Self::probe_conflict`]) and
     /// routes it through the merge policy (without one, every entry passes
-    /// through unprobed). Returns the entries that should still be written:
+    /// through unprobed). Returns the entries that should still be written,
+    /// and index for index the rendition each probe read (none without a
+    /// merge policy):
     ///
     /// * rebasable conflicts stay — their ops travel server-side and are
-    ///   rebased onto the origin's current content by `write_documents`;
+    ///   rebased onto the origin's content the probe read;
     /// * unmergeable conflicts resolved `KeepMine` stay as full-body
     ///   writes (an informed overwrite);
     /// * unmergeable conflicts resolved `KeepTheirs` are dropped: their
-    ///   journal record is acknowledged and the drop is reported.
+    ///   journal record joins `acks` and the drop is reported.
     ///
     /// Entries with no base epoch, and entries whose origin is currently
     /// unreachable, pass through unassessed — the write attempt itself
-    /// will surface any failure, and ops still rebase server-side.
+    /// will surface any failure, and ops rebase onto a server-side read.
     fn route_conflicts_through_merge(
         &self,
-        entries: Vec<(DocumentId, UserId, DirtyEntry)>,
+        entries: Vec<Drained>,
+        acks: &mut Vec<u64>,
         report: &mut FlushReport,
-    ) -> Vec<(DocumentId, UserId, DirtyEntry)> {
+    ) -> (Vec<Drained>, Vec<Option<Bytes>>) {
         if self.merge.is_none() {
-            return entries;
+            return (entries, Vec::new());
         }
         let mut kept = Vec::with_capacity(entries.len());
-        // Journal records of the entries dropped below, acknowledged
-        // together once the whole group has been routed.
-        let mut dropped_seqs: Vec<u64> = Vec::new();
+        let mut bases = Vec::with_capacity(entries.len());
         for (doc, user, mut entry) in entries {
-            match self.probe_conflict(doc, user, &entry, None, &mut report.merge) {
-                // Rebasable ops travel server-side; keep-mine is an informed
-                // overwrite. Either way the entry is still written, as is
-                // one the probe found nothing for.
-                Probed::Current
-                | Probed::Gone
-                | Probed::Moved(_, _, None | Some(ConflictResolution::KeepMine)) => {
-                    kept.push((doc, user, entry))
-                }
+            // Rebasable ops travel server-side; keep-mine is an informed
+            // overwrite. Either way the entry is still written, as is one
+            // the probe found nothing for.
+            let base = match self.probe_conflict(doc, user, &entry, None, &mut report.merge) {
+                Probed::Current(base) => base,
+                Probed::Moved(_, origin, None) => Some(origin),
+                Probed::Gone | Probed::Moved(_, _, Some(ConflictResolution::KeepMine)) => None,
                 Probed::Moved(_, _, Some(ConflictResolution::KeepTheirs)) => {
-                    dropped_seqs.extend(entry.seq);
+                    acks.extend(entry.seq);
                     self.table.mark(&mut entry, false);
                     report.dropped.push((doc, user));
+                    continue;
                 }
-            }
+            };
+            kept.push((doc, user, entry));
+            bases.push(base);
         }
-        if let Some(journal) = &self.journal {
-            journal.ack_batch(&dropped_seqs);
-        }
-        kept
+        (kept, bases)
     }
 
     /// Settles one failed flush entry: re-queues the data (a concurrent

@@ -111,7 +111,7 @@ impl DocumentCache {
                 // No epoch, the same one, or the origin unreachable (or any
                 // other read failure): re-queue — losing the write would be
                 // worse than flushing it unverified.
-                Probed::Current => {}
+                Probed::Current(_) => {}
                 Probed::Gone => {
                     // The write's target is gone; it can never be applied.
                     // Drop and acknowledge.
@@ -169,14 +169,15 @@ impl DocumentCache {
     ) -> Probed {
         // The writer may never have read the document: nothing to compare.
         if entry.epoch == NO_EPOCH {
-            return Probed::Current;
+            return Probed::Current(None);
         }
         let (origin, origin_signature) = match self.current_rendition(user, doc) {
-            Ok(rendition) if rendition.1 != entry.epoch => rendition,
+            Ok((bytes, sig)) if sig == entry.epoch => return Probed::Current(Some(bytes)),
+            Ok(rendition) => rendition,
             Err(PlacelessError::NoSuchDocument(_) | PlacelessError::NoSuchReference(..)) => {
                 return Probed::Gone;
             }
-            _ => return Probed::Current,
+            Err(_) => return Probed::Current(None),
         };
         let conflict = WriteConflict {
             doc,
@@ -209,9 +210,10 @@ impl DocumentCache {
 
 /// What [`DocumentCache::probe_conflict`] found for one buffered write.
 pub(super) enum Probed {
-    /// Nothing to settle: the write names no base, its base is still the
-    /// writer's rendition, or the origin could not be read.
-    Current,
+    /// Nothing to settle: the write names no base or the origin could not
+    /// be read (`None`), or its base is still the writer's rendition, whose
+    /// bytes the probe carries.
+    Current(Option<Bytes>),
     /// The write's document or the writer's reference is gone.
     Gone,
     /// The origin moved on: the conflict, the origin's content, and the

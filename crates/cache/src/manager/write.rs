@@ -21,6 +21,7 @@ impl DocumentCache {
                 Ok(())
             }
             WriteMode::Back => {
+                let forward = self.forwards_writes(user, doc)?;
                 let key = EntryKey::Version(doc, user);
                 let shard = self.table.lock(key);
                 // The epoch, which recovery and the flush's probe compare
@@ -34,7 +35,7 @@ impl DocumentCache {
                 // A full-body write supersedes any accumulated op
                 // delta: the entry reverts to an opaque snapshot.
                 let entry = DirtyEntry::new(Bytes::copy_from_slice(data), epoch, Vec::new(), 0);
-                self.buffer_write(shard, user, doc, entry)
+                self.buffer_write(shard, user, doc, entry, forward)
             }
         }
     }
@@ -63,6 +64,7 @@ impl DocumentCache {
             let (base, _) = self.current_rendition(user, doc)?;
             return self.write(user, doc, &op.apply(&base));
         }
+        let forward = self.forwards_writes(user, doc)?;
         let key = EntryKey::Version(doc, user);
         // The base, with no shard lock held across a fetch: without a
         // buffered write or a resident version, take the current rendition
@@ -105,22 +107,29 @@ impl DocumentCache {
             let writer_seq = shard.writer_seq(doc, user);
             *writer_seq += 1;
             let entry = DirtyEntry::new(view, epoch, ops, *writer_seq);
-            return self.buffer_write(shard, user, doc, entry);
+            return self.buffer_write(shard, user, doc, entry, forward);
         }
+    }
+
+    /// Whether a write-path property must see every buffered write (§3),
+    /// asked before anything is buffered: a write the space refuses is
+    /// neither journaled nor re-queued by every later flush.
+    fn forwards_writes(&self, user: UserId, doc: DocumentId) -> Result<bool> {
+        let vote = self.space.write_cacheability(user, doc)?;
+        Ok(vote.requires_event_forwarding())
     }
 
     /// The tail every buffered write-back write shares: journals `entry`
     /// (when a journal is configured) and puts it in the dirty map under
     /// the still-held shard lock, releases the lock, counts the write, and
-    /// forwards the operation event when a write-path property must see
-    /// every write (§3: write-path properties register their own
-    /// cacheability requirements).
+    /// forwards the operation event when `forward` says so.
     fn buffer_write(
         &self,
         mut shard: ShardGuard<'_>,
         user: UserId,
         doc: DocumentId,
         mut entry: DirtyEntry,
+        forward: bool,
     ) -> Result<()> {
         // Write-ahead: the record reaches stable storage before the dirty
         // map changes, so a crash between the two loses nothing.
@@ -132,10 +141,6 @@ impl DocumentCache {
         shard.put_dirty(doc, user, entry, false);
         drop(shard);
         AtomicCacheStats::bump(&self.table.stats.writes);
-        let forward = self
-            .space
-            .write_cacheability(user, doc)?
-            .requires_event_forwarding();
         if forward {
             self.space
                 .post_cache_event(user, doc, EventKind::CacheWrite)?;

@@ -695,10 +695,10 @@ impl DocumentSpace {
         // Run each entry's property chain into a collector first, so the
         // provider sees the post-transform payload. Op-carrying entries
         // resolve their content against a batch-local view map: the first
-        // op entry for a document reads the origin's current rendition,
-        // and every later same-document entry composes on the batch's
-        // accumulated view, so entries in one group never clobber each
-        // other.
+        // op entry for a document applies onto its `base`, or reads the
+        // origin's current rendition when it carries none, and every later
+        // same-document entry composes on the batch's accumulated view, so
+        // entries in one group never clobber each other.
         let mut batch_view: KeyMap<DocumentId, Bytes> = KeyMap::default();
         let mut slots: Vec<Slot> = Vec::with_capacity(writes.len());
         for w in writes {
@@ -716,7 +716,7 @@ impl DocumentSpace {
             let content = if w.ops.is_empty() {
                 w.data.clone()
             } else {
-                let base = match batch_view.get(&w.doc) {
+                let base = match batch_view.get(&w.doc).or(w.base.as_ref()) {
                     Some(view) => view.clone(),
                     None => match self.read_document(w.user, w.doc) {
                         Ok((bytes, _)) => bytes,
@@ -1033,6 +1033,11 @@ pub struct BatchWrite {
     /// the content commit succeeds. Empty (the default) commits `data`
     /// verbatim.
     pub ops: Vec<crate::op::DocOp>,
+    /// The writing user's current rendition, when the caller has just read
+    /// it: `ops` apply onto it instead of a fresh read through the full
+    /// chain. An earlier entry of the same group for the same document
+    /// still wins. `None` (the default) reads the rendition.
+    pub base: Option<Bytes>,
 }
 
 impl BatchWrite {
@@ -1043,6 +1048,7 @@ impl BatchWrite {
             doc,
             data,
             ops: Vec::new(),
+            base: None,
         }
     }
 }

@@ -31,7 +31,7 @@ cargo fmt --all -- --check
 # The design record and the experiment log only shrink: a docs PR lowers a
 # ceiling here, no other PR raises one.
 stage "docs ceilings"
-for ceiling in DESIGN.md:82013 EXPERIMENTS.md:102636; do
+for ceiling in DESIGN.md:81979 EXPERIMENTS.md:101965; do
   doc=${ceiling%%:*} max=${ceiling#*:}
   size=$(wc -c <"$doc")
   echo "$doc: $size of $max bytes"

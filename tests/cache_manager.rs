@@ -240,6 +240,41 @@ fn write_back_buffers_until_flush() {
     assert_eq!(cache.stats().flushes, 1);
 }
 
+/// A write-back write the space refuses — the writer holds no reference —
+/// is neither buffered nor journaled: one that stayed dirty would be
+/// re-queued by every later flush, and its record would never be acked.
+#[test]
+fn refused_write_back_write_is_neither_buffered_nor_journaled() {
+    use placeless_core::op::DocOp;
+    let (space, provider, doc) = setup("v0", 100);
+    let journal = WriteJournal::new(placeless_simenv::StableStore::new());
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig {
+            write_mode: WriteMode::Back,
+            journal: Some(journal.clone()),
+            ..quiet_config()
+        },
+    );
+    let refused = [
+        cache.write(BOB, doc, b"intruder"),
+        cache.write_op(BOB, doc, DocOp::Append(Bytes::from("!"))),
+    ];
+    for result in refused {
+        assert!(
+            matches!(result, Err(PlacelessError::NoSuchReference(..))),
+            "{result:?}"
+        );
+    }
+    assert_eq!(cache.dirty_count(), 0);
+    assert!(journal.is_empty());
+    for _ in 0..2 {
+        let report = cache.flush().expect("flush must run");
+        assert!(report.is_clean() && report.attempted == 0, "{report}");
+    }
+    assert_eq!(provider.content(), "v0");
+}
+
 #[test]
 fn journal_records_writes_and_flush_acks_prune_it() {
     let (space, provider, doc) = setup("v0", 100);
@@ -306,6 +341,46 @@ fn recover_acknowledges_every_dropped_record_with_one_frame() {
         "one ack frame for all 50"
     );
     assert_eq!(journal.len(), 1);
+    assert_eq!(cache.dirty_count(), 1);
+}
+
+/// A flush acknowledges every record it wrote with one ack frame after its
+/// last group, however many origins the groups span; the record of an
+/// entry its origin refused stays live, beside its re-queued entry.
+#[test]
+fn flush_acknowledges_every_origin_with_one_frame() {
+    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let written: Vec<DocumentId> = (0..8)
+        .map(|i| space.create_document(ALICE, MemoryProvider::new(&format!("o{i}"), "v0", 100)))
+        .collect();
+    let refusing = space.create_document(ALICE, ScriptedOrigin::new("v0", || Validity::Valid));
+    let medium = placeless_simenv::StableStore::new();
+    let journal = WriteJournal::new(medium.clone());
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig {
+            write_mode: WriteMode::Back,
+            journal: Some(journal.clone()),
+            ..quiet_config()
+        },
+    );
+    for &doc in written.iter().chain([&refusing]) {
+        cache
+            .write(ALICE, doc, b"buffered")
+            .expect("write must buffer");
+    }
+    let frames = medium.append_count();
+    let report = cache.flush().expect("flush must run");
+    assert_eq!((report.batches, report.flushed), (9, 8), "{report}");
+    assert_eq!(report.requeued.len(), 1, "{report}");
+    assert_eq!(
+        medium.append_count(),
+        frames + 1,
+        "one ack frame for eight origins"
+    );
+    let live = journal.live_records();
+    assert_eq!(live.len(), 1);
+    assert_eq!(live[0].doc, refusing);
     assert_eq!(cache.dirty_count(), 1);
 }
 
@@ -627,6 +702,44 @@ fn write_op_buffers_a_mergeable_delta_and_flushes_it() {
     assert_eq!(journal.live_records()[0].writer_seq, 4);
     assert!(cache.flush().expect("flush must run").is_clean());
     assert_eq!(provider.content(), "base;a1;a2;a3;a4;");
+}
+
+/// Two users' op deltas on one document flush in one group: the second
+/// applies onto the first's result, the group's view of the document, not
+/// onto the rendition its own probe read, so both edits survive. A flushed
+/// op entry then costs the space the group's two hops and its
+/// `ContentWritten` dispatch only: its ops apply onto the rendition the
+/// probe read, not onto a second read through the chain.
+#[test]
+fn flushed_op_entries_compose_and_read_no_rendition_again() {
+    use placeless_core::op::DocOp;
+    let (space, provider, doc) = setup("base;", 100);
+    space.add_reference(BOB, doc).expect("document exists");
+    let cache = DocumentCache::new(
+        space.clone(),
+        CacheConfig {
+            write_mode: WriteMode::Back,
+            merge: Some(MergePolicy::new()),
+            ..quiet_config()
+        },
+    );
+    let append = |user, op: &'static str| {
+        cache.read(user, doc).expect("read must succeed");
+        cache
+            .write_op(user, doc, DocOp::Append(Bytes::from(op)))
+            .expect("op write must buffer");
+    };
+    append(ALICE, "a;");
+    append(BOB, "b;");
+    let report = cache.flush().expect("flush must run");
+    assert!(report.is_clean() && report.batches == 1, "{report}");
+    assert_eq!(provider.content(), "base;a;b;");
+
+    append(ALICE, "c;");
+    let hops = space.ops_count();
+    assert!(cache.flush().expect("flush must run").is_clean());
+    assert_eq!(provider.content(), "base;a;b;c;");
+    assert_eq!(space.ops_count() - hops, 3, "no read_document hops");
 }
 
 /// The flush's conflict probe takes the writer's rendition from the cache
