@@ -4,16 +4,23 @@
 //!
 //! ```text
 //! pairs VALUES --parent REV --change REV --seconds S --seeds 1,2,.. \
-//!       --load-before L --load-after L [--faults FILE]
+//!       --load-before L --load-after L [--faults FILE] [--runs FILE]
+//! pairs --md5-load THREADS
 //! ```
 //!
 //! `VALUES` holds one line per run and end-to-end metric:
 //! `workload<TAB>metric<TAB>better<TAB>bound<TAB>side<TAB>pair<TAB>value`,
 //! `side` being `parent` or `change`. `--faults` names a file of runs that
-//! failed, one a line. Prints one line per workload and metric; exits 1
-//! when a median is out of its bound or a run failed.
+//! failed, one a line. `--runs` names each run's bill, one a line:
+//! `workload<TAB>side<TAB>pair<TAB>cpu_s<TAB>one_thread_s<TAB>two_threads_s`,
+//! the last two the kernel's wall times just before the run. A set whose
+//! two revisions are one is an A/A set. Prints one line per workload and metric;
+//! exits 1 when a median is out of its bound or a run failed.
+//!
+//! `--md5-load` runs the fixed kernel `host_eff` is timed on, on one
+//! thread or two, and prints the first thread's digest.
 
-use placeless_bench::pairs::{report, Better, RunSet, Series};
+use placeless_bench::pairs::{host_eff, md5_load, report, Better, Bill, RunSet, Series};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -31,6 +38,14 @@ fn main() -> ExitCode {
 fn run() -> Result<bool, String> {
     let mut args = std::env::args().skip(1);
     let values = args.next().ok_or("usage: pairs VALUES --parent REV ...")?;
+    if values == "--md5-load" {
+        let threads = args
+            .next()
+            .and_then(|t| t.parse().ok())
+            .ok_or("bad thread count")?;
+        println!("{}", md5_load(threads, 64)[0].to_hex());
+        return Ok(true);
+    }
     let mut flags = BTreeMap::new();
     while let Some(flag) = args.next() {
         let value = args.next().ok_or(format!("{flag} needs a value"))?;
@@ -46,6 +61,10 @@ fn run() -> Result<bool, String> {
         Some(path) => read(path)?.lines().map(str::to_owned).collect(),
         None => Vec::new(),
     };
+    let bills = match flags.get("--runs") {
+        Some(path) => parse_bills(&read(path)?)?,
+        None => BTreeMap::new(),
+    };
     let set = RunSet {
         parent_rev: flag("--parent")?,
         change_rev: flag("--change")?,
@@ -54,6 +73,7 @@ fn run() -> Result<bool, String> {
         load_before: flag("--load-before")?,
         load_after: flag("--load-after")?,
         faults,
+        bills,
     };
     let series = parse_values(&read(&values)?)?;
     let mut ok = set.faults.is_empty();
@@ -66,6 +86,7 @@ fn run() -> Result<bool, String> {
         ok &= v.within_bound;
         let verdict = match (v.claim, v.within_bound) {
             (_, false) => "OUT OF BOUND",
+            (true, _) if set.aa() => "would claim",
             (true, _) => "claim met",
             (false, true) => "within bound",
         };
@@ -89,6 +110,31 @@ fn run() -> Result<bool, String> {
         .map_err(|e| format!("writing BENCH_wall.json: {e}"))?;
     println!("wrote {}", path.display());
     Ok(ok)
+}
+
+/// Each run's bill by workload, side (0 the parent, 1 the change) and pair.
+fn parse_bills(text: &str) -> Result<BTreeMap<(String, usize, usize), Bill>, String> {
+    let mut bills = BTreeMap::new();
+    for line in text.lines().filter(|l| !l.is_empty()) {
+        let cells: Vec<&str> = line.split('\t').collect();
+        let [workload, side, pair, cpu_s, one, two] = cells[..] else {
+            return Err(format!("bad line: {line}"));
+        };
+        let number = |cell: &str| {
+            cell.parse::<f64>()
+                .map_err(|_| format!("bad number in: {line}"))
+        };
+        let side = ["parent", "change"].iter().position(|s| *s == side);
+        let side = side.ok_or(format!("bad side: {line}"))?;
+        let pair = pair.parse().map_err(|_| format!("bad pair: {line}"))?;
+        let host_eff = host_eff(number(one)?, number(two)?);
+        let bill = Bill {
+            cpu_s: number(cpu_s)?,
+            host_eff,
+        };
+        bills.insert((workload.to_owned(), side, pair), bill);
+    }
+    Ok(bills)
 }
 
 /// One metric's values by pair: the parent's, then the change's.

@@ -485,32 +485,6 @@ pub fn report(params: OverloadParams, cells: &[CellResult]) -> Report {
 mod tests {
     use super::*;
 
-    #[test]
-    #[ignore = "debug instrumentation"]
-    fn dbg_phases() {
-        let params = small();
-        for protected in [false, true] {
-            let cell = run_cell(protected, params);
-            println!("protected={protected}");
-            for p in &cell.phases {
-                println!(
-                    "  {} i={} offered={} admitted={} shed={} on_time={} p99v={} vmicros={} goodput={:.1}",
-                    p.name, p.intensity, p.offered, p.admitted, p.shed, p.on_time,
-                    p.p99_virtual_micros, p.virtual_micros, p.goodput()
-                );
-            }
-            println!(
-                "  stats: sheds fg/rf/pf = {}/{}/{} shifts={} queue_wait={} retained={:.2}",
-                cell.stats.sheds_foreground,
-                cell.stats.sheds_refresh,
-                cell.stats.sheds_prefetch,
-                cell.stats.brownout_shifts,
-                cell.stats.queue_wait_micros,
-                cell.retained()
-            );
-        }
-    }
-
     /// These tests race real threads for an origin's slots on the wall
     /// clock, forty at a time: run side by side they deschedule each
     /// other's readers, whose deadlines then lapse on the other readers'

@@ -10,9 +10,15 @@
 //!   medians lie further apart than the parent's interquartile range;
 //! - the change is **within bound** unless its median is worse than the
 //!   parent's by more than the metric's `BENCHMARK.json` bound.
+//!
+//! An **A/A set** runs one build on both sides: whatever it claims, the
+//! host claimed. Each run also carries its bill: the CPU seconds it used
+//! and the host's parallel ceiling just before it ([`host_eff`]).
 
 use crate::fields;
 use crate::report::{Fields, Report, Value};
+use placeless_core::digest::{md5, Signature};
+use std::collections::BTreeMap;
 
 /// Which direction of a metric is better.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,6 +115,44 @@ impl Series {
     }
 }
 
+/// The host's parallel ceiling: the wall time of [`md5_load`] on one
+/// thread over its wall time on two, each thread doing the one thread's
+/// work. 1.0 when the second thread ran beside the first unhindered, 0.5
+/// when the two took turns on one core.
+pub fn host_eff(one_thread_s: f64, two_threads_s: f64) -> f64 {
+    one_thread_s / two_threads_s
+}
+
+/// The fixed kernel [`host_eff`] times: `threads` threads, each hashing a
+/// private 1 MiB buffer `rounds` times, a round's digest seeding the next.
+/// Returns each thread's last digest.
+pub fn md5_load(threads: usize, rounds: usize) -> Vec<Signature> {
+    std::thread::scope(|scope| {
+        let hash = move |seed: u8| {
+            let mut buffer = vec![seed; 1 << 20];
+            let mut digest = md5(&buffer);
+            for _ in 0..rounds {
+                buffer[..16].copy_from_slice(&digest.0);
+                digest = md5(&buffer);
+            }
+            digest
+        };
+        let workers: Vec<_> = (0..threads)
+            .map(|t| scope.spawn(move || hash(t as u8)))
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    })
+}
+
+/// What one run cost the host, beside its metrics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bill {
+    /// The run's user plus system CPU seconds, its children's included.
+    pub cpu_s: f64,
+    /// [`host_eff`] measured just before the run.
+    pub host_eff: f64,
+}
+
 /// What the runs of one pair set had beside their metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSet {
@@ -123,11 +167,37 @@ pub struct RunSet {
     /// Runs that printed no result, did not say `correct: true`, or
     /// failed operations, as `rev workload seed`.
     pub faults: Vec<String>,
+    /// Each run's bill by workload, side (0 the parent, 1 the change) and
+    /// pair.
+    pub bills: BTreeMap<(String, usize, usize), Bill>,
+}
+
+impl RunSet {
+    /// One build ran on both sides (an A/A set): a claim is the host's,
+    /// not the code's.
+    pub fn aa(&self) -> bool {
+        self.parent_rev == self.change_rev
+    }
+
+    /// The bills of `workload`'s runs on `side`, in pair order, as two
+    /// lists: CPU seconds and `host_eff`.
+    fn bills(&self, workload: &str, side: usize) -> Fields {
+        let runs = self
+            .bills
+            .iter()
+            .filter(|((w, s, _), _)| w == workload && *s == side);
+        let bills: Vec<&Bill> = runs.map(|(_, bill)| bill).collect();
+        let list =
+            |pick: fn(&Bill) -> f64| floats(&bills.iter().map(|b| pick(b)).collect::<Vec<_>>());
+        fields! { "cpu_s": list(|b| b.cpu_s), "host_eff": list(|b| b.host_eff) }
+    }
 }
 
 /// The `BENCH_wall.json` artifact of one pair set: two rows per workload
-/// (the parent's and the change's, with every run's value), the change's
-/// row carrying the verdicts.
+/// (the parent's and the change's, with every run's value and bill), the
+/// change's row carrying the verdicts. An A/A set's rows are both `role:
+/// aa`, told apart by `side`, and its `claim` is what the rule would have
+/// claimed.
 pub fn report(set: &RunSet, series: &[Series]) -> Report {
     let mut workloads: Vec<&str> = series.iter().map(|s| s.workload.as_str()).collect();
     workloads.dedup();
@@ -141,18 +211,24 @@ pub fn report(set: &RunSet, series: &[Series]) -> Report {
             of().map(|s| (s.metric.clone(), field(&s.verdict())))
                 .collect()
         };
+        let role = |role: &'static str| if set.aa() { "aa" } else { role };
         let mut parent = fields! {
             "rev": set.parent_rev.as_str(),
-            "role": "parent",
+            "role": role("parent"),
             "workload": workload,
         };
-        parent.extend(fields! { "values": values(|s| &s.parent) });
         let mut change = fields! {
             "rev": set.change_rev.as_str(),
-            "role": "change",
+            "role": role("change"),
             "workload": workload,
             "against": set.parent_rev.as_str(),
         };
+        if set.aa() {
+            parent.extend(fields! { "side": "parent" });
+            change.extend(fields! { "side": "change" });
+        }
+        parent.extend(fields! { "values": values(|s| &s.parent) });
+        parent.extend(set.bills(workload, 0));
         change.extend(fields! {
             "values": values(|s| &s.change),
             "ratio": verdicts(|v| Value::Float(v.change_median / v.parent_median, 4)),
@@ -161,6 +237,7 @@ pub fn report(set: &RunSet, series: &[Series]) -> Report {
             "claim": verdicts(|v| Value::Bool(v.claim)),
             "within_bound": verdicts(|v| Value::Bool(v.within_bound)),
         });
+        change.extend(set.bills(workload, 1));
         rows.extend([Value::Map(parent), Value::Map(change)]);
     }
     let seeds = Value::List(set.seeds.iter().map(|&s| Value::Int(s)).collect());
@@ -172,6 +249,7 @@ pub fn report(set: &RunSet, series: &[Series]) -> Report {
         params: fields! {
             "parent": set.parent_rev.as_str(),
             "change": set.change_rev.as_str(),
+            "aa": set.aa(),
             "pairs": set.seeds.len(),
             "seconds": Value::Float(set.seconds, 1),
             "seeds": seeds,
@@ -268,6 +346,7 @@ mod tests {
             load_before: "0.1".into(),
             load_after: "0.2".into(),
             faults: vec![],
+            bills: BTreeMap::new(),
         };
         let mut other = series(Better::Lower, &[2.0, 2.0], &[1.0, 1.0]);
         other.metric = "read_p50_us".into();
@@ -276,9 +355,67 @@ mod tests {
             &[series(Better::Higher, &[1.0, 1.0], &[2.0, 2.0]), other],
         );
         let text = report.render();
+        assert!(!set.aa());
         assert_eq!(text.matches("\"role\": \"parent\"").count(), 1);
         assert_eq!(text.matches("\"role\": \"change\"").count(), 1);
         assert!(text.contains("\"clock\": \"wall\""));
         assert!(text.contains("\"read_p50_us\": 0.5000"));
+    }
+
+    #[test]
+    fn host_eff_is_one_threads_time_over_twos() {
+        assert_eq!(host_eff(0.1, 0.1), 1.0, "two cores, side by side");
+        assert_eq!(host_eff(0.1, 0.2), 0.5, "one core, taking turns");
+        let [one, two] = [1, 2].map(|threads| md5_load(threads, 2));
+        assert_eq!(two.len(), 2);
+        assert_eq!(one[0], two[0], "each thread does the one thread's work");
+        assert_ne!(two[0], two[1], "over a buffer of its own");
+    }
+
+    #[test]
+    fn an_aa_set_reports_what_the_rule_would_claim_on_one_build() {
+        // One build both sides: a drift the pairs' order did not cancel
+        // still wins every pair, and the rule claims it.
+        let parent = [
+            100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0,
+        ];
+        let drifted: Vec<f64> = parent.iter().map(|p| p + 3.0).collect();
+        assert!(series(Better::Higher, &parent, &drifted).verdict().claim);
+        let noise: Vec<f64> = parent.iter().rev().copied().collect();
+        assert!(!series(Better::Higher, &parent, &noise).verdict().claim);
+        let bill = |side, pair, cpu_s| {
+            (
+                ("hit_hot".into(), side, pair),
+                Bill {
+                    cpu_s,
+                    host_eff: 0.9,
+                },
+            )
+        };
+        let set = RunSet {
+            parent_rev: "aaa".into(),
+            change_rev: "aaa".into(),
+            seconds: 8.0,
+            seeds: vec![1, 2],
+            load_before: "0.1".into(),
+            load_after: "0.2".into(),
+            faults: vec![],
+            bills: [
+                bill(0, 0, 15.0),
+                bill(1, 0, 15.5),
+                bill(1, 1, 16.5),
+                bill(0, 1, 16.0),
+            ]
+            .into(),
+        };
+        assert!(set.aa(), "one revision on both sides");
+        let text = report(&set, &[series(Better::Higher, &parent[..2], &drifted[..2])]).render();
+        assert_eq!(text.matches("\"role\": \"aa\"").count(), 2);
+        assert!(!text.contains("\"role\": \"parent\""));
+        assert!(text.contains("\"side\": \"change\""));
+        assert_eq!(text.matches("\"host_eff\"").count(), 2);
+        let change = &text[text.find("\"side\": \"change\"").unwrap()..];
+        let at = |x: &str| change.find(x).unwrap();
+        assert!(at("15.5000") < at("16.5000"), "in pair order");
     }
 }

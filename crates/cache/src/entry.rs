@@ -43,11 +43,6 @@ pub(crate) struct EntryMeta {
     pub(crate) pinned: bool,
     /// Whether the entry was filled by a prefetch rather than a miss.
     pub(crate) prefetched: bool,
-    /// Set when a dropped invalidation may have covered this entry: the
-    /// notifier guarantee is void, so verifiers must run on the next hit
-    /// even if the cache normally skips them. Cleared once a verification
-    /// passes.
-    pub(crate) force_verify: bool,
 }
 
 impl EntryMeta {
@@ -67,7 +62,6 @@ impl EntryMeta {
             filled_at,
             pinned: false,
             prefetched: false,
-            force_verify: false,
         }
     }
 }

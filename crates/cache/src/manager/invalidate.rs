@@ -7,24 +7,20 @@ impl DocumentCache {
     /// Records an invalidation-bus sequence number and reacts to gaps.
     ///
     /// Sequence numbers are dense over every bus post; a jump of more
-    /// than one means notifications were lost, and *any* resident entry
+    /// than one means notifications were lost, and *any* resident version
     /// might have been covered by one of them. The notifier consistency
-    /// guarantee is void, so every entry is demoted to verifier
-    /// revalidation: entries with verifiers are flagged `force_verify`
-    /// (checked on their next hit even in notifier-only configurations),
-    /// and entries with no verifier — nothing could ever catch their
-    /// staleness — are dropped outright.
-    ///
-    /// The first delivery after subscribing (`prev == 0`) establishes the
-    /// baseline and is never treated as a gap.
+    /// guarantee is void, and demoting to verifier revalidation would not
+    /// restore it: a verifier vouches for the provider's bytes and
+    /// external inputs, never for a property set or its order. So every
+    /// version is dropped.
     fn note_sequence(&self, seq: u64) {
         let prev = self.last_seq.swap(seq, Ordering::AcqRel);
-        if prev == 0 || seq <= prev + 1 {
+        if seq <= prev + 1 {
             return;
         }
         AtomicCacheStats::bump(&self.table.stats.notifier_gaps);
         for mut shard in self.table.lock_each() {
-            shard.demote_after_gap();
+            shard.drop_versions_after_gap();
         }
     }
 
@@ -75,6 +71,12 @@ impl InvalidationSink for CacheSink {
         if let Some(cache) = self.cache.upgrade() {
             cache.note_sequence(seq);
             cache.handle_invalidation(invalidation);
+        }
+    }
+
+    fn subscribed(&self, posted: u64) {
+        if let Some(cache) = self.cache.upgrade() {
+            cache.last_seq.store(posted, Ordering::Release);
         }
     }
 }

@@ -133,8 +133,9 @@ pub struct DocumentCache {
     /// the brownout ladder.
     origins: Origins,
     journal: Option<WriteJournal>,
-    /// Highest invalidation-bus sequence number seen; `0` until the first
-    /// delivery. Gaps mean dropped notifications (see
+    /// Highest invalidation-bus sequence number seen, from the bus's post
+    /// count at subscription on: a post lost after it, before the first
+    /// delivery too, is a gap. Gaps mean dropped notifications (see
     /// [`DocumentCache::note_sequence`]).
     last_seq: AtomicU64,
     /// Open miss fetches keyed by version key.

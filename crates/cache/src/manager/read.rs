@@ -298,10 +298,7 @@ impl DocumentCache {
             return Lookup::Dirty(dirty.data.clone());
         }
         let verify = |meta: &EntryMeta| {
-            // `force_verify` (set after an invalidation gap) overrides a
-            // notifier-only configuration: the notifier guarantee is void
-            // for this entry until a verification passes.
-            if !(self.run_verifiers || meta.force_verify) {
+            if !self.run_verifiers {
                 return Validity::Valid;
             }
             let (verdict, probe_cost) = run_all(&meta.verifiers, clock);

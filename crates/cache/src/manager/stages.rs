@@ -4,8 +4,7 @@ use super::*;
 
 impl Root {
     /// Fetches the provider bytes and digests them — or takes the `held`
-    /// lease's digest when its verifier attests content and, re-checked once
-    /// the bytes are read (uncharged: the probe paid), vouches for them.
+    /// lease's digest when it still vouches for them ([`Self::vouches`]).
     fn fetch(
         plan: &TransformPlan,
         clock: &VirtualClock,
@@ -13,11 +12,20 @@ impl Root {
     ) -> Result<(Bytes, Self)> {
         let verifier = plan.provider.make_verifier(clock).map(Arc::from);
         let bytes = read_all(plan.provider.open_input(clock)?.as_mut())?;
-        let sig = match held.and_then(|lease| Some((lease.sig, lease.verifier.as_ref()?))) {
-            Some((sig, v)) if v.attests_content() && v.check(clock) == Validity::Valid => sig,
+        let sig = match held {
+            Some(lease) if lease.vouches(clock) => lease.sig,
             _ => ConcurrentStore::signature_of(&bytes),
         };
         Ok((bytes, Self { sig, verifier }))
+    }
+
+    /// Whether the provider's bytes still digest to `sig`: the verifier
+    /// attests content and, re-checked (uncharged: the probe paid), passes.
+    /// A TTL passing says nothing of what the provider holds now.
+    fn vouches(&self, clock: &VirtualClock) -> bool {
+        self.verifier
+            .as_ref()
+            .is_some_and(|v| v.attests_content() && v.check(clock) == Validity::Valid)
     }
 }
 
@@ -144,12 +152,17 @@ impl DocumentCache {
         let stage = walk.pipeline.chain_signature();
         let (bytes, content_sig) = walk.pipeline.finish();
         // Lease what this walk learned: a new chain half, or the root it
-        // fetched (one without a verifier replaces a stale root with one
-        // the next probe drops).
-        if !chain_reused || walk.fetched_root.is_some() {
+        // fetched. A root whose verifier attests nothing is not leased: a
+        // walk anchored on it would file its version under a verifier made
+        // now, over bytes as old as the root.
+        let root = walk.fetched_root.filter(|root| {
+            let verifier = root.verifier.as_ref();
+            verifier.is_some_and(|v| v.attests_content())
+        });
+        if !chain_reused || root.is_some() {
             let lease = PlanLease {
                 chain: chain_lease,
-                root: walk.fetched_root,
+                root,
             };
             self.table.guard(self.table.home(doc)).put_lease(doc, lease);
         }
@@ -210,11 +223,7 @@ impl DocumentCache {
         // The walk's version is filed under the verifier just made: a write
         // that landed since the lease probe is in its epoch but not in the
         // leased root, so the root must still stand, or the walk fetches.
-        let leased = leased.filter(|root| {
-            root.verifier
-                .as_ref()
-                .is_some_and(|v| still_attests(&**v, clock))
-        });
+        let leased = leased.filter(|root| root.vouches(clock));
         let (pipeline, fetched_root) = match &leased {
             Some(root) => {
                 AtomicCacheStats::bump(&self.table.stats.root_reuses);

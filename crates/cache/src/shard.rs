@@ -525,7 +525,7 @@ impl ShardRead<'_> {
     ) -> Option<Probe> {
         let entry = self.shard.entries.get(&key)?;
         let verdict = match verify(&entry.meta) {
-            Validity::Valid if !entry.meta.force_verify => {
+            Validity::Valid => {
                 if self.shard.policy.on_hit_shared(key) {
                     return Some(entry.fresh(false));
                 }
@@ -588,7 +588,6 @@ impl ShardGuard<'_> {
             }
             Validity::Unverifiable => return Some(entry.unverifiable()),
         };
-        entry.meta.force_verify = false;
         let fresh = entry.fresh(replaced);
         let grown =
             replaced.then(|| EntryAttrs::new(entry.bytes.len() as u64, entry.meta.cost_micros));
@@ -730,25 +729,16 @@ impl ShardGuard<'_> {
         users.len() as u64
     }
 
-    /// Demotes every version entry to verifier revalidation after an
-    /// invalidation gap: entries with verifiers are flagged
-    /// `force_verify`, entries with none — nothing could ever catch their
-    /// staleness — are dropped. Stage entries are exempt: they are
-    /// content-addressed, so a lost invalidation can never make one serve
-    /// stale data — the lookup key itself stops resolving.
-    pub(crate) fn demote_after_gap(&mut self) {
-        let mut unverifiable = Vec::new();
-        for (key, entry) in self.shard.entries.iter_mut() {
-            if key.is_stage() {
-                continue;
-            }
-            if entry.meta.verifiers.is_empty() {
-                unverifiable.push(*key);
-            } else {
-                entry.meta.force_verify = true;
-            }
-        }
-        for key in unverifiable {
+    /// Drops every version entry after an invalidation gap: a lost post
+    /// may have covered any of them, and no verifier vouches for the
+    /// property set or order a version was rendered through. Stage entries
+    /// are exempt: they are content-addressed, so a lost invalidation can
+    /// never make one serve stale data — the lookup key itself stops
+    /// resolving.
+    pub(crate) fn drop_versions_after_gap(&mut self) {
+        let entries = self.shard.entries.keys();
+        let versions: Vec<EntryKey> = entries.filter(|key| !key.is_stage()).copied().collect();
+        for key in versions {
             self.remove(key, Removal::Invalidated);
         }
     }

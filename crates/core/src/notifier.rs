@@ -14,7 +14,7 @@
 //! Placeless system".
 
 use crate::id::{CacheId, DocumentId, UserId};
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -43,12 +43,18 @@ pub trait InvalidationSink: Send + Sync {
     ///
     /// Sequence numbers are dense (1, 2, 3, …) over every *post*, whether
     /// or not it was delivered, so a sink that tracks the last number it
-    /// saw detects dropped notifications as gaps and can demote the
-    /// affected entries from notifier-based consistency to verifier
-    /// revalidation. The default implementation ignores the number.
+    /// saw detects dropped notifications as gaps and can stop trusting
+    /// the affected entries. The default implementation ignores the number.
     fn invalidate_seq(&self, seq: u64, invalidation: &Invalidation) {
         let _ = seq;
         self.invalidate(invalidation);
+    }
+
+    /// Called once, as the sink is subscribed, with the number of posts
+    /// made so far: its first delivery's sequence number follows it. The
+    /// default implementation ignores it.
+    fn subscribed(&self, posted: u64) {
+        let _ = posted;
     }
 }
 
@@ -76,7 +82,10 @@ pub trait InvalidationSink: Send + Sync {
 /// ```
 #[derive(Default)]
 pub struct InvalidationBus {
-    sinks: RwLock<Vec<Arc<dyn InvalidationSink>>>,
+    /// A post takes its sequence number and delivers under this one lock,
+    /// so each sink sees the numbers in order and a subscription falls
+    /// between two posts. A sink must not post from a delivery.
+    sinks: Mutex<Vec<Arc<dyn InvalidationSink>>>,
     posted: AtomicU64,
     delivered: AtomicU64,
     drop_next: AtomicU64,
@@ -90,7 +99,9 @@ impl InvalidationBus {
 
     /// Subscribes a cache; it receives every subsequent invalidation.
     pub fn subscribe(&self, sink: Arc<dyn InvalidationSink>) {
-        self.sinks.write().push(sink);
+        let mut sinks = self.sinks.lock();
+        sink.subscribed(self.posted.load(Ordering::Relaxed));
+        sinks.push(sink);
     }
 
     /// Posts an invalidation to every subscribed cache.
@@ -100,6 +111,7 @@ impl InvalidationBus {
     /// consumed but nothing is delivered — subscribers that track
     /// sequence numbers observe the gap on the next delivery.
     pub fn post(&self, invalidation: Invalidation) {
+        let sinks = self.sinks.lock();
         let seq = self.posted.fetch_add(1, Ordering::Relaxed) + 1;
         if self
             .drop_next
@@ -108,7 +120,6 @@ impl InvalidationBus {
         {
             return;
         }
-        let sinks = self.sinks.read();
         for sink in sinks.iter() {
             sink.invalidate_seq(seq, &invalidation);
             self.delivered.fetch_add(1, Ordering::Relaxed);

@@ -70,7 +70,7 @@ ALLOWED=(
   "cache::WriteJournal::len: tests/journal.rs — live records after acks and compaction"
   "cache::WriteJournal::is_empty: tests/journal.rs — pairs WriteJournal::len (clippy::len_without_is_empty)"
   "cache::WriteJournal::store: tests/cache_manager.rs::journal_records_writes_and_flush_acks_prune_it — reopens the medium"
-  "core::InvalidationBus::drop_next_deliveries: tests/fault_matrix.rs::dropped_invalidation_is_caught_by_demoted_verifiers — fault hook"
+  "core::InvalidationBus::drop_next_deliveries: tests/model.rs::the_cache_agrees_with_the_reference — the DropNext op"
   "core::ReplacementCost::raw_micros: tests/kernels.rs — the cost before QoS inflation"
   "core::TransformPlan::is_empty: clippy::len_without_is_empty — pairs the walk's TransformPlan::len"
   "core::format_profile: tests/prop_core.rs::profile_format_parse_round_trips — generates the parser's inputs"

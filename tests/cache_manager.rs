@@ -1380,8 +1380,8 @@ fn verifiers_run_once_per_read(policy: PolicyFactory) {
     assert_eq!(stats.verifier_invalidations, 1);
     assert_eq!(stats.verifier_replacements, 1);
 
-    // A notifier-only cache runs the verifier of an entry demoted by an
-    // invalidation gap: once on the next read, which clears the flag.
+    // A notifier-only cache runs no verifier, not even after an
+    // invalidation gap: the gap drops the version, and the read refills it.
     *verdict.lock() = Validity::Valid;
     let (space, cache, doc, other) = world(false);
     read(&cache, doc, "origin body", HitClass::Miss);
@@ -1395,12 +1395,30 @@ fn verifiers_run_once_per_read(policy: PolicyFactory) {
     ping();
     ping();
     assert_eq!(cache.stats().notifier_gaps, 1);
+    assert!(!cache.contains(ALICE, doc), "the gap dropped the version");
     let checks = origin.checks();
+    read(&cache, doc, "origin body", HitClass::Miss);
     read(&cache, doc, "origin body", HitClass::Hit);
-    assert_eq!(origin.checks(), checks + 1, "the demoted entry is verified");
-    read(&cache, doc, "origin body", HitClass::Hit);
-    assert_eq!(origin.checks(), checks + 1, "and trusted again after");
-    assert_eq!(cache.stats().verify_micros, SCRIPTED_VERIFIER_COST);
+    assert_eq!(origin.checks(), checks, "no verifier ran");
+    assert_eq!(cache.stats().verify_micros, 0);
+}
+
+/// Racing posts, and a cache subscribing among them, count no gap: a
+/// post's number and its delivery share the bus's one lock.
+#[test]
+fn concurrent_posts_and_a_subscription_among_them_count_no_gap() {
+    let (space, _provider, doc) = setup("content", 1);
+    let early = DocumentCache::new(space.clone(), quiet_config());
+    let post = || (0..2_000).for_each(|_| space.bus().post(Invalidation::Document(doc)));
+    let late = std::thread::scope(|s| {
+        s.spawn(post);
+        s.spawn(post);
+        while space.bus().counters().0 < 200 {}
+        DocumentCache::new(space.clone(), quiet_config())
+    });
+    for cache in [early, late] {
+        assert_eq!(cache.stats().notifier_gaps, 0);
+    }
 }
 
 /// A verifier's replacement is hashed before the exclusive shard lock and

@@ -194,35 +194,6 @@ fn cause4_external_information_changed() {
     assert!(r.cache.stats().verifier_invalidations >= 1);
 }
 
-#[test]
-fn web_ttl_bounds_staleness_for_unannounced_origin_edits() {
-    // The WWW case: within the TTL even an origin edit goes unseen; after
-    // expiry the verifier forces a refill.
-    let clock = VirtualClock::new();
-    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
-    let server = WebServer::new("news.com");
-    server.publish("/front", "headline v1", 10_000);
-    let provider = WebProvider::new(
-        server.clone(),
-        "/front",
-        Link::new(1_000, 1_000_000, 0.0, 5),
-    );
-    let doc = space.create_document(USER, provider);
-    let cache = DocumentCache::new(
-        space,
-        CacheConfig {
-            local_latency: LatencyModel::FREE,
-            ..CacheConfig::default()
-        },
-    );
-    assert_eq!(cache.read(USER, doc).unwrap(), "headline v1");
-    server.edit_origin("/front", "headline v2").unwrap();
-    // Still within the TTL: stale by design.
-    assert_eq!(cache.read(USER, doc).unwrap(), "headline v1");
-    clock.advance(10_001);
-    assert_eq!(cache.read(USER, doc).unwrap(), "headline v2");
-}
-
 /// A [`MemoryProvider`] whose next stream open commits an out-of-band edit
 /// first, so the stream hands back bytes no verifier made before it has
 /// seen; `ttl` swaps its mtime verifier for a TTL, which attests nothing.
@@ -266,9 +237,10 @@ impl BitProvider for RacingProvider {
 /// and the fetch the walk then needs. An mtime verifier attests content, so
 /// the walk re-checks it once the bytes are in: it reads `Invalid`, the
 /// bytes are hashed and the walk rebases on them. A TTL verifier attests
-/// nothing, so the bytes are hashed anyway. Either way the read is what the
-/// uncached middleware serves, and the version it fills is filed by the
-/// digest of those bytes: the epoch a write-back write is journaled with.
+/// nothing, so its root is never leased and the walk fetches. Either way
+/// the read is what the uncached middleware serves, and the version it
+/// fills is filed by the digest of those bytes: the epoch a write-back
+/// write is journaled with.
 fn lease_raced_by_an_edit(ttl: bool) {
     let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
     let provider = Arc::new(RacingProvider {
@@ -292,8 +264,8 @@ fn lease_raced_by_an_edit(ttl: bool) {
     let served = cache.read(OTHER, doc).unwrap();
     assert_eq!(
         cache.stats().delta(&before).root_reuses,
-        1,
-        "the walk was leased"
+        u64::from(!ttl),
+        "only an attested root is leased"
     );
     assert_eq!(served, "v2");
     assert_eq!(served, space.read_document(OTHER, doc).unwrap().0);

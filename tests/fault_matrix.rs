@@ -1,19 +1,20 @@
 //! Fault matrix: scripted repository failures against the resilient fetch
 //! pipeline (retries, circuit breaker, serve-stale degradation) and the
-//! sequence-numbered invalidation bus.
+//! write-back flush, in the shapes `tests/model.rs` cannot reach: timeout
+//! windows and retry hints, prefetch, a batch whose entries part ways, a
+//! flush without a journal, and concurrent writers merged.
 //!
 //! Every scenario runs on the virtual clock with seeded fault plans, so
-//! each test is a deterministic replay — the determinism properties at the
-//! bottom assert that outright by comparing whole `CacheStats` structs
-//! across same-seed runs.
+//! each test is a deterministic replay; the model holds whole runs to
+//! equal `CacheStats` across same-seed replays.
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 use placeless_bench::fault::{self, FaultParams, ResilienceMode};
 use placeless_cache::{
-    BreakerState, CacheConfig, CacheStats, ConflictHook, ConflictResolution, DocumentCache,
-    MergePolicy, OriginConfig, PrefetchConfig, ReadOptions, StalenessBound, WriteConflict,
-    WriteJournal, WriteMode,
+    BreakerState, CacheConfig, ConflictHook, ConflictResolution, DocumentCache, MergePolicy,
+    OriginConfig, PrefetchConfig, ReadOptions, StalenessBound, WriteConflict, WriteJournal,
+    WriteMode,
 };
 use placeless_core::bitprovider::BitProvider;
 use placeless_core::cacheability::Cacheability;
@@ -34,75 +35,6 @@ const USER: UserId = UserId(1);
 
 fn lan(seed: u64) -> Link {
     Link::new(1_000, 10_000_000, 0.0, seed)
-}
-
-/// Outage while an entry is resident: without resilience the read fails;
-/// the entry survives and serves again once the origin returns.
-#[test]
-fn provider_outage_mid_read_surfaces_and_recovers() {
-    let clock = VirtualClock::new();
-    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
-    let fs = MemFs::new(clock.clone());
-    fs.create("/doc", "body");
-    let link = lan(1);
-    link.set_fault_plan(FaultPlan::builder(1).outage(10_000, 60_000).build());
-    let doc = space.create_document(USER, FsProvider::new(fs, "/doc", link));
-    let cache = DocumentCache::new(
-        space,
-        CacheConfig::builder()
-            .local_latency(LatencyModel::FREE)
-            .build(),
-    );
-
-    assert_eq!(cache.read(USER, doc).expect("warm fill"), "body");
-
-    clock.advance_to(Instant(20_000));
-    let err = cache.read(USER, doc).expect_err("origin is dark");
-    assert!(matches!(err, PlacelessError::Unavailable { .. }), "{err}");
-    assert!(cache.contains(USER, doc), "the entry is kept, not poisoned");
-
-    clock.advance_to(Instant(60_000));
-    assert_eq!(cache.read(USER, doc).expect("origin is back"), "body");
-
-    let stats = cache.stats();
-    assert_eq!(stats.degraded_errors, 1);
-    assert_eq!(stats.misses, 1, "only the warm fill went to the origin");
-    assert_eq!(stats.hits, 1, "the post-outage read verified and hit");
-    assert_eq!(stats.stale_served, 0, "no stale service was configured");
-}
-
-/// Serve-stale masks the same outage — but only within the bound.
-#[test]
-fn serve_stale_honors_the_staleness_bound() {
-    let clock = VirtualClock::new();
-    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
-    let fs = MemFs::new(clock.clone());
-    fs.create("/doc", "body");
-    let link = lan(2);
-    link.set_fault_plan(FaultPlan::builder(2).outage(10_000, 500_000).build());
-    let doc = space.create_document(USER, FsProvider::new(fs, "/doc", link));
-    let cache = DocumentCache::new(
-        space,
-        CacheConfig::builder()
-            .local_latency(LatencyModel::FREE)
-            .origin(OriginConfig::default().serve_stale(StalenessBound::micros(50_000)))
-            .build(),
-    );
-
-    assert_eq!(cache.read(USER, doc).expect("warm fill"), "body");
-
-    // Within the bound: the unverifiable entry stands in for the origin.
-    clock.advance_to(Instant(20_000));
-    assert_eq!(cache.read(USER, doc).expect("stale service"), "body");
-
-    // Beyond the bound: the same entry is too old to trust.
-    clock.advance_to(Instant(200_000));
-    let err = cache.read(USER, doc).expect_err("bound exceeded");
-    assert!(err.is_transient());
-
-    let stats = cache.stats();
-    assert_eq!(stats.stale_served, 1);
-    assert_eq!(stats.degraded_errors, 1);
 }
 
 /// Timeout faults: a hung conditional-GET probe charges the whole hang to
@@ -382,59 +314,6 @@ fn prefetch_skips_siblings_behind_an_open_breaker() {
     assert!(!cache.contains(USER, doc_b));
     assert_eq!(cache.stats().prefetches, 0);
     assert_eq!(cache.breaker_state("http://origin-b"), BreakerState::Open);
-}
-
-/// A dropped invalidation opens a consistency hole in a notifier-only
-/// cache; the sequence gap demotes the entries to verifier revalidation,
-/// which catches the stale bytes on the next read.
-#[test]
-fn dropped_invalidation_is_caught_by_demoted_verifiers() {
-    let clock = VirtualClock::new();
-    let space = DocumentSpace::with_middleware_cost(clock, LatencyModel::FREE);
-    let provider = placeless_core::bitprovider::MemoryProvider::new("doc", "v1", 1_000);
-    let doc = space.create_document(USER, provider.clone());
-    let other = space.create_document(
-        USER,
-        placeless_core::bitprovider::MemoryProvider::new("other", "x", 1_000),
-    );
-    // Notifier-only configuration: verifiers are not run on hits.
-    let cache = DocumentCache::new(
-        space.clone(),
-        CacheConfig::builder()
-            .local_latency(LatencyModel::FREE)
-            .run_verifiers(false)
-            .build(),
-    );
-    assert_eq!(cache.read(USER, doc).expect("warm"), "v1");
-    cache.read(USER, other).expect("warm");
-
-    // Baseline delivery so the sink has a sequence number to compare to.
-    space
-        .bus()
-        .post(Invalidation::UserDocument(other, UserId(99)));
-
-    // The source changes and the invalidation for it is lost in flight.
-    provider.set_out_of_band("v2");
-    space.bus().drop_next_deliveries(1);
-    space.bus().post(Invalidation::Document(doc));
-
-    // The hole is real: a notifier-only cache serves the stale bytes.
-    assert_eq!(cache.read(USER, doc).expect("hazard"), "v1");
-    assert_eq!(cache.stats().notifier_gaps, 0, "gap not yet visible");
-
-    // The next delivered notification reveals the gap; every resident
-    // entry is demoted to verifier revalidation.
-    space
-        .bus()
-        .post(Invalidation::UserDocument(other, UserId(99)));
-    assert_eq!(cache.stats().notifier_gaps, 1);
-
-    // The demoted entry's verifier now runs despite run_verifiers(false)
-    // and rejects the stale bytes — the cache never serves them again.
-    assert_eq!(cache.read(USER, doc).expect("refetched"), "v2");
-    let stats = cache.stats();
-    assert_eq!(stats.verifier_invalidations, 1);
-    assert_eq!(stats.misses, 3, "two warm fills + the demoted refetch");
 }
 
 /// An origin whose fetches fail while an out-of-band verifier still works.
@@ -854,49 +733,6 @@ fn batched_flush_straddling_outage_parks_only_failed_entries() {
     assert_eq!(fs.read("/c").expect("file exists"), "new c");
 }
 
-/// A parked key rewritten during the outage stays one parked key: the new
-/// write supersedes the parked one and inherits its mark, so flushing it
-/// into the outage again parks nothing new. Both gauges drain once the
-/// origin is back.
-#[test]
-fn a_parked_key_rewritten_and_flushed_again_is_parked_once() {
-    let clock = VirtualClock::new();
-    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
-    let fs = MemFs::new(clock.clone());
-    let dark = lan(23);
-    dark.set_fault_plan(FaultPlan::builder(23).outage(0, 300_000).build());
-    fs.create("/p", "old");
-    let doc = space.create_document(USER, FsProvider::new(fs.clone(), "/p", dark));
-    let journal = WriteJournal::new(StableStore::new());
-    let cache = DocumentCache::new(
-        space,
-        CacheConfig::builder()
-            .local_latency(LatencyModel::FREE)
-            .write_mode(WriteMode::Back)
-            .journal(journal.clone())
-            .build(),
-    );
-    cache.write(USER, doc, b"first").expect("buffers");
-    let report = cache.flush().expect("flush reports, not errors");
-    assert_eq!(report.parked, vec![(doc, USER)]);
-    assert_eq!((cache.stats().writes_parked, cache.parked_count()), (1, 1));
-
-    cache.write(USER, doc, b"second").expect("buffers");
-    assert_eq!(cache.parked_count(), 1, "the rewrite keeps the key parked");
-    let report = cache.flush().expect("flush reports, not errors");
-    assert_eq!(report.parked, vec![(doc, USER)]);
-    assert_eq!(cache.stats().writes_parked, 1, "the key parked once");
-    assert_eq!((cache.dirty_count(), cache.parked_count()), (1, 1));
-
-    clock.advance_to(Instant(500_000));
-    let report = cache.flush().expect("flush succeeds");
-    assert!(report.is_clean(), "{report}");
-    assert_eq!((cache.dirty_count(), cache.parked_count()), (0, 0));
-    assert_eq!(cache.stats().writes_parked, 1);
-    assert!(journal.is_empty());
-    assert_eq!(fs.read("/p").expect("file exists"), "second");
-}
-
 /// Grouping never merges origins: a dark filesystem origin trips its own
 /// breaker while a healthy web origin in the same flush keeps flushing,
 /// and the open breaker rejects only its own group on the next pass.
@@ -972,244 +808,6 @@ fn mixed_origin_batches_keep_breaker_isolation() {
     );
     assert_eq!(cache.breaker_state("http://origin"), BreakerState::Closed);
     assert_eq!(server.get("/w0").expect("served").body, "newer w0");
-}
-
-/// A grouped-flush lifecycle over two origins (filesystem and web) with
-/// staggered outage windows, returning everything observable so the
-/// replay proptest below can compare runs byte for byte.
-fn grouped_flush_run(seed: u64, writes: u64) -> (CacheStats, usize, Vec<Bytes>) {
-    let clock = VirtualClock::new();
-    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
-    let fs = MemFs::new(clock.clone());
-    let fs_link = lan(seed);
-    fs_link.set_fault_plan(FaultPlan::builder(seed).outage(30_000, 150_000).build());
-    let server = WebServer::new("origin");
-    let web_link = lan(seed.wrapping_add(1));
-    web_link.set_fault_plan(
-        FaultPlan::builder(seed.wrapping_add(1))
-            .outage(80_000, 200_000)
-            .build(),
-    );
-    let mut docs = Vec::new();
-    for i in 0..2 {
-        let path = format!("/d{i}");
-        fs.create(&path, format!("seed {i}"));
-        docs.push(space.create_document(USER, FsProvider::new(fs.clone(), &path, fs_link.clone())));
-    }
-    for i in 2..4 {
-        let path = format!("/d{i}");
-        server.publish(&path, format!("seed {i}"), 60_000_000);
-        docs.push(space.create_document(
-            USER,
-            WebProvider::with_revalidation(server.clone(), &path, web_link.clone()),
-        ));
-    }
-    let journal = WriteJournal::new(StableStore::new());
-    let cache = DocumentCache::new(
-        space,
-        CacheConfig::builder()
-            .local_latency(LatencyModel::FREE)
-            .write_mode(WriteMode::Back)
-            .shards(1)
-            .journal(journal.clone())
-            .origin(OriginConfig::default().max_retries(2).breaker(true))
-            .build(),
-    );
-    for i in 0..writes {
-        let slot = Instant(i * 4_000);
-        if clock.now() < slot {
-            clock.advance_to(slot);
-        }
-        let doc = docs[(i % 4) as usize];
-        cache
-            .write(USER, doc, format!("v{i}").as_bytes())
-            .expect("write-back buffers unconditionally");
-        if i % 4 == 3 {
-            let report = cache.flush().expect("flush reports, not errors");
-            // The batched scheduler is never lossy, whatever the
-            // outage/flush interleaving.
-            assert_eq!(
-                report.attempted,
-                report.flushed + (report.parked.len() + report.requeued.len()) as u64
-            );
-        }
-    }
-    // Past both outages and the breaker cool-downs, everything drains.
-    clock.advance_to(Instant(600_000));
-    let final_report = cache.flush().expect("final flush succeeds");
-    assert!(final_report.is_clean(), "no origin is dark at the end");
-    assert_eq!(cache.dirty_count(), 0);
-    assert_eq!(cache.parked_count(), 0);
-    assert!(journal.is_empty(), "all acknowledged writes reached stable");
-    let mut contents: Vec<Bytes> = (0..2)
-        .map(|i| fs.read(&format!("/d{i}")).expect("file exists"))
-        .collect();
-    for i in 2..4 {
-        contents.push(server.get(&format!("/d{i}")).expect("served").body);
-    }
-    (cache.stats(), cache.len(), contents)
-}
-
-/// A full parked-write lifecycle on the virtual clock, returning
-/// everything observable so the proptest below can compare runs.
-fn parked_drain_run(seed: u64, writes: u64) -> (CacheStats, usize, Vec<Bytes>) {
-    let clock = VirtualClock::new();
-    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
-    let fs = MemFs::new(clock.clone());
-    let link = lan(seed);
-    link.set_fault_plan(FaultPlan::builder(seed).outage(30_000, 150_000).build());
-    let mut docs = Vec::new();
-    for i in 0..3 {
-        let path = format!("/d{i}");
-        fs.create(&path, format!("seed {i}"));
-        docs.push(space.create_document(USER, FsProvider::new(fs.clone(), &path, link.clone())));
-    }
-    let journal = WriteJournal::new(StableStore::new());
-    let cache = DocumentCache::new(
-        space,
-        CacheConfig::builder()
-            .local_latency(LatencyModel::FREE)
-            .write_mode(WriteMode::Back)
-            .shards(1)
-            .journal(journal.clone())
-            .origin(OriginConfig::default().max_retries(2).breaker(true))
-            .build(),
-    );
-    for i in 0..writes {
-        let slot = Instant(i * 4_000);
-        if clock.now() < slot {
-            clock.advance_to(slot);
-        }
-        let doc = docs[(i % 3) as usize];
-        cache
-            .write(USER, doc, format!("v{i}").as_bytes())
-            .expect("write-back buffers unconditionally");
-        if i % 3 == 2 {
-            // Flushes inside the outage window park entries instead of
-            // losing them; flushes outside drain whatever is parked.
-            let _ = cache.flush().expect("flush reports, not errors");
-        }
-    }
-    // Past the outage and the breaker cool-down, everything drains.
-    clock.advance_to(Instant(400_000));
-    let final_report = cache.flush().expect("final flush succeeds");
-    assert!(final_report.is_clean(), "no origin is dark at the end");
-    assert_eq!(cache.dirty_count(), 0);
-    assert_eq!(cache.parked_count(), 0);
-    assert!(journal.is_empty(), "all acknowledged writes reached stable");
-    let contents = (0..3)
-        .map(|i| fs.read(&format!("/d{i}")).expect("file exists"))
-        .collect();
-    (cache.stats(), cache.len(), contents)
-}
-
-/// Deterministic replay of a full cache run under a probabilistic fault
-/// plan: same seed in, byte-for-byte equal stats out.
-fn faulted_run(seed: u64, error_rate: f64, reads: u64) -> (Vec<Option<Bytes>>, CacheStats, u64) {
-    let clock = VirtualClock::new();
-    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
-    let fs = MemFs::new(clock.clone());
-    let link = lan(seed);
-    link.set_fault_plan(
-        FaultPlan::builder(seed)
-            .error_rate(error_rate)
-            .outage(40_000, 80_000)
-            .build(),
-    );
-    let mut docs = Vec::new();
-    for i in 0..4 {
-        let path = format!("/d{i}");
-        fs.create(&path, format!("content {i}"));
-        docs.push(space.create_document(USER, FsProvider::new(fs.clone(), &path, link.clone())));
-    }
-    let plan = link.fault_plan().expect("plan attached");
-    let cache = DocumentCache::new(
-        space,
-        CacheConfig::builder()
-            .local_latency(LatencyModel::FREE)
-            .shards(1)
-            .origin(
-                OriginConfig::default()
-                    .max_retries(2)
-                    .breaker(true)
-                    .serve_stale(StalenessBound::micros(500_000)),
-            )
-            .build(),
-    );
-    let mut outcomes = Vec::new();
-    for i in 0..reads {
-        let slot = Instant(i * 2_000);
-        if clock.now() < slot {
-            clock.advance_to(slot);
-        }
-        outcomes.push(cache.read(USER, docs[(i % 4) as usize]).ok());
-    }
-    (outcomes, cache.stats(), plan.counters().failures_injected)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Whole-cache fault replays: same seed, same outcome sequence, same
-    /// stats struct, same number of injected faults.
-    #[test]
-    fn fault_sequence_is_deterministic(
-        seed in any::<u64>(),
-        error_pct in 0u32..61,
-        reads in 8u64..48,
-    ) {
-        let rate = f64::from(error_pct) / 100.0;
-        let (out_a, stats_a, injected_a) = faulted_run(seed, rate, reads);
-        let (out_b, stats_b, injected_b) = faulted_run(seed, rate, reads);
-        prop_assert_eq!(out_a, out_b);
-        prop_assert_eq!(stats_a, stats_b);
-        prop_assert_eq!(injected_a, injected_b);
-    }
-
-    /// Parked-write drains replay exactly: same seed, same park/retry/
-    /// breaker counters, same final origin contents — and no write is
-    /// ever lost, whatever the outage/flush interleaving.
-    #[test]
-    fn parked_write_drain_replays_exactly(
-        seed in any::<u64>(),
-        writes in 6u64..30,
-    ) {
-        let (stats_a, len_a, contents_a) = parked_drain_run(seed, writes);
-        let (stats_b, len_b, contents_b) = parked_drain_run(seed, writes);
-        prop_assert_eq!(stats_a, stats_b);
-        prop_assert_eq!(len_a, len_b);
-        prop_assert_eq!(&contents_a, &contents_b);
-        // Zero loss: each origin holds exactly the last write it was sent.
-        for (i, content) in contents_a.iter().enumerate() {
-            let last = (0..writes).rev().find(|w| w % 3 == i as u64);
-            if let Some(last) = last {
-                prop_assert_eq!(content, &format!("v{last}"));
-            }
-        }
-    }
-
-    /// Grouped flushing replays exactly: same seed, same batch/park/
-    /// breaker counters, same final contents on both origins — and no
-    /// write is lost to the grouping, whatever the interleaving.
-    #[test]
-    fn grouped_flush_replays_exactly(
-        seed in any::<u64>(),
-        writes in 8u64..40,
-    ) {
-        let (stats_a, len_a, contents_a) = grouped_flush_run(seed, writes);
-        let (stats_b, len_b, contents_b) = grouped_flush_run(seed, writes);
-        prop_assert_eq!(stats_a, stats_b);
-        prop_assert_eq!(len_a, len_b);
-        prop_assert_eq!(&contents_a, &contents_b);
-        // Zero loss through the batched path: each document holds the
-        // last write it was sent.
-        for (i, content) in contents_a.iter().enumerate() {
-            let last = (0..writes).rev().find(|w| w % 4 == i as u64);
-            if let Some(last) = last {
-                prop_assert_eq!(content, &format!("v{last}"));
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -360,8 +360,9 @@ fn spied(spy: &Arc<Mutex<Spy>>) -> PolicyFactory {
 }
 
 /// A [`MemoryProvider`] that counts the streams opened on it. `late` makes
-/// its verifiers vouch for anything: a root lease over such a provider has
-/// lost its race with every out-of-band writer.
+/// its verifiers vouch for anything and attest nothing: a root lease over
+/// such a provider would lose its race with every out-of-band writer, so
+/// none is taken.
 struct CountingProvider {
     inner: Arc<MemoryProvider>,
     opens: AtomicU64,
@@ -637,10 +638,9 @@ fn lease_that_lost_its_race_rebases_a_walk_that_found_nothing_resident() {
     let (old, new) = ([b'x'; 100], [b'y'; 100]);
     world.provider.inner.set_out_of_band(new.to_vec());
 
-    // The late verifier vouches for the old root, so the walk anchors on
-    // its signature, finds nothing resident, and has to execute the chain
-    // head: the fetch it needs brings the new root, and the walk — its
-    // signatures with it — restarts from there.
+    // The late verifier would vouch for the old root, but it attests
+    // nothing, so no lease holds a root: the walk fetches the new one,
+    // finds nothing resident under it, and executes the chain head.
     let before = world.cache.stats();
     let outcome = world
         .cache
@@ -649,7 +649,7 @@ fn lease_that_lost_its_race_rebases_a_walk_that_found_nothing_resident() {
     assert_eq!(outcome.class, HitClass::Miss);
     assert_eq!(outcome.bytes, [&new[..], b"[a][b]"].concat());
     assert_eq!(outcome.bytes, world.oracle(READERS[1]));
-    assert_eq!(world.cache.stats().delta(&before).root_reuses, 1);
+    assert_eq!(world.cache.stats().delta(&before).root_reuses, 0);
     assert_eq!(world.stages_resident(&old), [false, false]);
     // `first` (fetch 10 + 10) is worth no name under `second` (10 000).
     assert_eq!(
@@ -657,13 +657,13 @@ fn lease_that_lost_its_race_rebases_a_walk_that_found_nothing_resident() {
         [false, true],
         "the named output is stored under the root it was computed from"
     );
-    // The refreshed lease carries the new root: the next user adopts.
+    // The next user fetches the root again and adopts what it names.
     let (opens, runs) = (world.provider.opens(), first.runs() + world.second.runs());
     assert_eq!(
         world.cache.read(READERS[2], world.doc).unwrap(),
         outcome.bytes
     );
-    assert_eq!(world.provider.opens(), opens);
+    assert_eq!(world.provider.opens(), opens + 1);
     assert_eq!(first.runs() + world.second.runs(), runs);
 }
 
