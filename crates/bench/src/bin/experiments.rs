@@ -14,9 +14,9 @@
 //! the working directory so their numbers are machine-readable run over
 //! run; a failed write exits 1. The `load` experiment honours
 //! `E_LOAD_WMIX_WRITES` / `E_LOAD_WMIX_DOCS` / `E_LOAD_WMIX_FLUSH_EVERY`
-//! for the write-mix flush smoke; the `overload` experiment honours
-//! `E_OVERLOAD_THREADS` / `E_OVERLOAD_EVENTS` / `E_OVERLOAD_INTENSITY` /
-//! `E_OVERLOAD_WALL_MICROS` for reduced CI smokes.
+//! for the write-mix flush smoke. Every experiment runs on the virtual
+//! clock, E-OVERLOAD's threads under a seeded scheduler, so two runs print
+//! the same bytes and write the same artifact bodies.
 
 use placeless_bench::report::Report;
 use placeless_bench::{
@@ -110,7 +110,7 @@ fn run_merge() -> Option<Report> {
 }
 
 fn run_overload() -> Option<Report> {
-    let params = overload::OverloadParams::default().from_env();
+    let params = overload::OverloadParams::default();
     println!(
         "== E-OVERLOAD: {}x burst over saturation ({} + {} + {} reads, {} base threads) ==\n",
         params.burst_intensity,
@@ -120,11 +120,8 @@ fn run_overload() -> Option<Report> {
         params.base_threads
     );
     println!(
-        "service {} us virtual / {} us wall per fetch, deadline {} us, SLO {} us\n",
-        params.service_virtual_micros,
-        params.service_wall_micros,
-        params.deadline_micros,
-        params.slo_micros
+        "service {} us virtual per fetch, deadline {} us, SLO {} us\n",
+        params.service_virtual_micros, params.deadline_micros, params.slo_micros
     );
     let cells = overload::run_overload(params);
     for cell in &cells {

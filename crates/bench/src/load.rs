@@ -7,10 +7,11 @@
 //! workloads (`benchmark/run.sh`), which report it with the cores, commit
 //! and compiler it ran on. What stays here is what a count decides:
 //!
-//! [`coalesce_probe`] pins the single-flight guarantee: it parks the miss
-//! leader inside the provider until every other thread has queued behind
-//! the same `(doc, stage)` flight, then asserts the fetch ran exactly once
-//! and that `coalesced_waits` accounts for all the waiters.
+//! [`coalesce_probe`] pins the single-flight guarantee: its readers run
+//! under a seeded scheduler, and the miss leader yields inside the
+//! provider until every other thread has queued behind the same
+//! `(doc, stage)` flight; it then asserts the fetch ran exactly once and
+//! that `coalesced_waits` accounts for all the waiters.
 //!
 //! The **write mix** is measured by [`write_mix`]: a Zipf population
 //! ([`placeless_simenv::trace::TraceSampler`]) drives write-back writes,
@@ -25,15 +26,16 @@ use crate::report::{Report, Value};
 use bytes::Bytes;
 use placeless_cache::{CacheConfig, DocumentCache, WriteMode};
 use placeless_core::prelude::*;
+use placeless_simenv::sched::{self, Schedule};
 use placeless_simenv::trace::{lorem_bytes, TraceBuilder};
 use placeless_simenv::{LatencyModel, VirtualClock};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Provider that parks the *first* fetch until the cache reports
-/// `expected_waiters` queued readers (or a wall timeout), counting every
-/// fetch that reaches the origin. The cache handle arrives after
+/// Provider that holds the *first* fetch open, yielding to the scheduler,
+/// until the cache reports `expected_waiters` queued readers, counting
+/// every fetch that reaches the origin. The cache handle arrives after
 /// construction through the [`OnceLock`].
 struct GateProvider {
     body: Bytes,
@@ -62,18 +64,10 @@ impl BitProvider for GateProvider {
         if self.fetches.fetch_add(1, Ordering::SeqCst) == 0 {
             // Leader: hold the miss open until every other thread is
             // queued behind this flight, so the fetches stay concurrent
-            // rather than serialized by timing luck.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            while std::time::Instant::now() < deadline {
-                let waiting = self
-                    .cache
-                    .get()
-                    .map(|cache| cache.waiting_reads())
-                    .unwrap_or(0);
-                if waiting >= self.expected_waiters {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_micros(200));
+            // whatever order the schedule drew.
+            let cache = self.cache.get().expect("set before the first read");
+            while cache.waiting_reads() < self.expected_waiters {
+                sched::yield_now();
             }
         }
         Ok(Box::new(MemoryInput::new(self.body.clone())))
@@ -98,7 +92,7 @@ impl BitProvider for GateProvider {
 /// on one `(doc, stage)` signature.
 #[derive(Debug, Clone, Copy)]
 pub struct CoalesceReport {
-    /// Threads that raced the cold read.
+    /// Threads that read the cold document.
     pub threads: usize,
     /// Fetches that reached the origin provider (must be 1).
     pub provider_fetches: u64,
@@ -110,10 +104,10 @@ pub struct CoalesceReport {
     pub inflight_peak: u64,
 }
 
-/// Races `threads` cold readers at one document and asserts the
-/// single-flight contract: exactly one fetch reaches the origin, every
-/// other reader coalesces onto it, and all readers observe identical
-/// bytes.
+/// Runs `threads` cold readers of one document under a seeded schedule
+/// and asserts the single-flight contract: exactly one fetch reaches the
+/// origin, every other reader coalesces onto it, and all readers observe
+/// identical bytes.
 ///
 /// # Panics
 ///
@@ -128,7 +122,8 @@ pub fn coalesce_probe(threads: usize) -> CoalesceReport {
         threads as u64 - 1,
     ));
 
-    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let clock = VirtualClock::new();
+    let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
     let user = UserId(1);
     let doc = space.create_document(user, provider.clone());
     let cache = DocumentCache::new(
@@ -143,15 +138,16 @@ pub fn coalesce_probe(threads: usize) -> CoalesceReport {
     }
 
     let before = cache.stats();
-    let bodies: Vec<Bytes> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cache = &cache;
-                scope.spawn(move || cache.read(user, doc).expect("probe read"))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let bodies = Mutex::new(Vec::with_capacity(threads));
+    let mut schedule = Schedule::new(threads as u64, &clock);
+    for _ in 0..threads {
+        schedule.spawn(|| {
+            let body = cache.read(user, doc).expect("probe read");
+            bodies.lock().expect("no reader panicked").push(body);
+        });
+    }
+    schedule.run();
+    let bodies = bodies.into_inner().expect("no reader panicked");
     let stats = cache.stats().delta(&before);
 
     let report = CoalesceReport {

@@ -7,8 +7,12 @@
 //! [`placeless_simenv::trace::BurstSchedule`] shapes three phases —
 //! calibrated saturation at 1×, a burst at `burst_intensity`×, and a
 //! recovery tail back at 1× — and each phase drives `base_threads ×
-//! intensity` OS threads of cold-miss reads at a deliberately slow shared
-//! origin, so queues physically form on the per-origin inflight window.
+//! intensity` threads of cold-miss reads at a deliberately slow shared
+//! origin. The threads run under [`placeless_simenv::sched`], one at a
+//! time in an order drawn from the seed, and a fetch holds its window slot
+//! for `service_virtual_micros` of virtual time: queues form on the
+//! per-origin inflight window, the fetches in the window overlap in
+//! virtual time, and a run replays byte for byte.
 //!
 //! The same schedule runs twice:
 //!
@@ -40,6 +44,7 @@ use placeless_cache::{
     WindowConfig,
 };
 use placeless_core::prelude::*;
+use placeless_simenv::sched::{self, Schedule};
 use placeless_simenv::trace::{lorem_bytes, BurstSchedule};
 use placeless_simenv::{LatencyModel, VirtualClock};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,11 +63,8 @@ pub struct OverloadParams {
     pub recover_events: usize,
     /// Offered-load multiplier of the burst phase.
     pub burst_intensity: u32,
-    /// Virtual microseconds one origin fetch charges the clock.
+    /// Virtual microseconds one origin fetch holds its window slot.
     pub service_virtual_micros: u64,
-    /// Wall microseconds one origin fetch holds its window slot, so
-    /// queues physically form across threads.
-    pub service_wall_micros: u64,
     /// Per-read deadline the protected configuration passes in
     /// [`ReadOptions::deadline_micros`] (virtual µs).
     pub deadline_micros: u64,
@@ -83,8 +85,9 @@ impl Default for OverloadParams {
             burst_events: 1_200,
             recover_events: 400,
             burst_intensity: 10,
-            service_virtual_micros: 1_000,
-            service_wall_micros: 250,
+            // Four slots of 4 ms serve one fetch a virtual millisecond,
+            // so forty readers queue for ten times the service time.
+            service_virtual_micros: 4_000,
             deadline_micros: 8_000,
             slo_micros: 15_000,
             doc_bytes: 96,
@@ -94,34 +97,6 @@ impl Default for OverloadParams {
 }
 
 impl OverloadParams {
-    /// Applies `E_OVERLOAD_THREADS` / `E_OVERLOAD_EVENTS` /
-    /// `E_OVERLOAD_INTENSITY` / `E_OVERLOAD_WALL_MICROS` environment
-    /// overrides, so CI can run a reduced smoke without a separate code
-    /// path. `E_OVERLOAD_EVENTS` scales the burst phase; the saturation
-    /// and recovery phases keep a third of it each.
-    pub fn from_env(mut self) -> Self {
-        let get = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-        };
-        if let Some(v) = get("E_OVERLOAD_THREADS") {
-            self.base_threads = v.max(1);
-        }
-        if let Some(v) = get("E_OVERLOAD_EVENTS") {
-            self.burst_events = v.max(3);
-            self.sat_events = (v / 3).max(1);
-            self.recover_events = (v / 3).max(1);
-        }
-        if let Some(v) = get("E_OVERLOAD_INTENSITY") {
-            self.burst_intensity = (v as u32).max(2);
-        }
-        if let Some(v) = get("E_OVERLOAD_WALL_MICROS") {
-            self.service_wall_micros = v as u64;
-        }
-        self
-    }
-
     /// The three-phase offered-load schedule this run drives.
     pub fn schedule(&self) -> BurstSchedule {
         BurstSchedule::steady(self.sat_events)
@@ -194,15 +169,13 @@ impl CellResult {
     }
 }
 
-/// Origin provider that is deliberately slow both ways: each fetch
-/// charges `virtual_micros` to the clock (the deadline currency) and
-/// sleeps `wall_micros` of real time while holding its window slot (so
-/// concurrent arrivals physically queue). All instances share one origin
-/// key, so every document lands on the same inflight window.
+/// Origin provider that is deliberately slow: each fetch holds its window
+/// slot for `virtual_micros` of virtual time, the deadline currency. All
+/// instances share one origin key, so every document lands on the same
+/// inflight window.
 struct SlowOrigin {
     body: Bytes,
     virtual_micros: u64,
-    wall_micros: u64,
 }
 
 impl BitProvider for SlowOrigin {
@@ -211,10 +184,7 @@ impl BitProvider for SlowOrigin {
     }
 
     fn open_input(&self, clock: &VirtualClock) -> Result<Box<dyn InputStream>> {
-        clock.advance(self.virtual_micros);
-        if self.wall_micros > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(self.wall_micros));
-        }
+        sched::sleep(clock, self.virtual_micros);
         Ok(Box::new(MemoryInput::new(self.body.clone())))
     }
 
@@ -256,7 +226,6 @@ pub fn run_cell(protected: bool, params: OverloadParams) -> CellResult {
                 std::sync::Arc::new(SlowOrigin {
                     body: Bytes::from(lorem_bytes(params.seed + d as u64, params.doc_bytes)),
                     virtual_micros: params.service_virtual_micros,
-                    wall_micros: params.service_wall_micros,
                 }),
             )
         })
@@ -293,40 +262,40 @@ pub fn run_cell(protected: bool, params: OverloadParams) -> CellResult {
         // Virtual latency of each completed read, µs.
         let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(phase.events));
         let v0 = clock.now();
-        std::thread::scope(|scope| {
-            for (t, chunk) in phase_docs
-                .chunks(phase.events.div_ceil(threads))
-                .enumerate()
-            {
-                let cache = &cache;
-                let clock = &clock;
-                let admitted = &admitted;
-                let shed = &shed;
-                let latencies = &latencies;
-                scope.spawn(move || {
-                    let mut local = Vec::with_capacity(chunk.len());
-                    for (i, &doc) in chunk.iter().enumerate() {
-                        let mut opts = ReadOptions::default().priority(priority_for(t + i));
-                        if protected {
-                            opts = opts.deadline_micros(params.deadline_micros);
-                        }
-                        let t0 = clock.now();
-                        match cache.read_with(user, doc, opts) {
-                            Ok(outcome) => {
-                                std::hint::black_box(&outcome.bytes);
-                                admitted.fetch_add(1, Ordering::Relaxed);
-                                local.push(clock.now().since(t0));
-                            }
-                            Err(PlacelessError::Overloaded { .. }) => {
-                                shed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(other) => panic!("unexpected read failure: {other}"),
-                        }
+        let mut run = Schedule::new(params.seed + phase_index as u64, &clock);
+        for (t, chunk) in phase_docs
+            .chunks(phase.events.div_ceil(threads))
+            .enumerate()
+        {
+            let cache = &cache;
+            let clock = &clock;
+            let admitted = &admitted;
+            let shed = &shed;
+            let latencies = &latencies;
+            run.spawn(move || {
+                let mut local = Vec::with_capacity(chunk.len());
+                for (i, &doc) in chunk.iter().enumerate() {
+                    let mut opts = ReadOptions::default().priority(priority_for(t + i));
+                    if protected {
+                        opts = opts.deadline_micros(params.deadline_micros);
                     }
-                    latencies.lock().unwrap().extend_from_slice(&local);
-                });
-            }
-        });
+                    let t0 = clock.now();
+                    match cache.read_with(user, doc, opts) {
+                        Ok(outcome) => {
+                            std::hint::black_box(&outcome.bytes);
+                            admitted.fetch_add(1, Ordering::Relaxed);
+                            local.push(clock.now().since(t0));
+                        }
+                        Err(PlacelessError::Overloaded { .. }) => {
+                            shed.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(other) => panic!("unexpected read failure: {other}"),
+                    }
+                }
+                latencies.lock().unwrap().extend_from_slice(&local);
+            });
+        }
+        run.run();
         let virtual_micros = clock.now().since(v0);
 
         let mut lats = latencies.into_inner().unwrap();
@@ -415,10 +384,8 @@ pub fn run_overload(params: OverloadParams) -> [CellResult; 2] {
         "unprotected burst retained {:.0}% — the burst is not overloading",
         collapsed * 100.0
     );
-    // "Bounded p99 vs collapse" is judged comparatively — an absolute
-    // virtual-latency ceiling would be hostage to host scheduling noise
-    // (a descheduled reader accrues other threads' clock advances), but
-    // the unbounded queue must dominate any such noise by a wide margin.
+    // "Bounded p99 vs collapse", judged against the unprotected cell: an
+    // admitted read may still wait out its whole deadline and one service.
     assert!(
         protected.phase("burst").p99_virtual_micros * 2
             <= unprotected.phase("burst").p99_virtual_micros,
@@ -434,9 +401,8 @@ pub fn run_overload(params: OverloadParams) -> [CellResult; 2] {
     [unprotected, protected]
 }
 
-/// The `BENCH_overload.json` artifact of one run. Its quantities are
-/// virtual-clock, but real threads race for the origin's window, so a
-/// rerun may differ by a few reads.
+/// The `BENCH_overload.json` artifact of one run: virtual-clock
+/// quantities of seeded schedules, so a rerun is byte-identical.
 pub fn report(params: OverloadParams, cells: &[CellResult]) -> Report {
     let phase = |p: &PhaseResult| {
         fields! {
@@ -463,7 +429,7 @@ pub fn report(params: OverloadParams, cells: &[CellResult]) -> Report {
     };
     Report {
         experiment: "overload",
-        deterministic: false,
+        deterministic: true,
         clock: "virtual",
         params: fields! {
             "base_threads": params.base_threads,
@@ -472,7 +438,6 @@ pub fn report(params: OverloadParams, cells: &[CellResult]) -> Report {
             "recover_events": params.recover_events,
             "burst_intensity": params.burst_intensity,
             "service_virtual_micros": params.service_virtual_micros,
-            "service_wall_micros": params.service_wall_micros,
             "deadline_micros": params.deadline_micros,
             "slo_micros": params.slo_micros,
             "seed": params.seed,
@@ -485,42 +450,20 @@ pub fn report(params: OverloadParams, cells: &[CellResult]) -> Report {
 mod tests {
     use super::*;
 
-    /// These tests race real threads for an origin's slots on the wall
-    /// clock, forty at a time: run side by side they deschedule each
-    /// other's readers, whose deadlines then lapse on the other readers'
-    /// clock advances (`1x shed 13–29 of 150` in one workspace run in five).
-    /// Each holds this for its whole body, so each runs alone.
-    static ALONE: Mutex<()> = Mutex::new(());
-
-    fn alone() -> std::sync::MutexGuard<'static, ()> {
-        ALONE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     fn small() -> OverloadParams {
         OverloadParams {
             base_threads: 4,
             sat_events: 150,
             burst_events: 600,
             recover_events: 150,
-            service_wall_micros: 150,
             ..OverloadParams::default()
         }
     }
 
     #[test]
     fn protected_survives_the_burst_and_unprotected_collapses() {
-        let _alone = alone();
-        // run_overload() itself asserts the acceptance gates. Its collapse
-        // gate (`< 50 %` retained) wants the slot held for the smoke's
-        // 250 us, as `check.sh` explains: at 150 us the unprotected burst
-        // kept up to 53 % and tripped it about one run in fifteen.
-        let params = OverloadParams {
-            service_wall_micros: 250,
-            ..small()
-        };
-        let [unprotected, protected] = run_overload(params);
+        // run_overload() itself asserts the acceptance gates.
+        let [unprotected, protected] = run_overload(small());
         assert!(protected.phase("burst").shed > 0);
         assert_eq!(unprotected.phase("burst").shed, 0);
         assert!(
@@ -530,14 +473,8 @@ mod tests {
     }
 
     /// `small()` with one thread per unit of intensity and a 40x burst (so
-    /// the burst is the other cells' forty threads): the 1x phases then run
-    /// on one thread, whose clock moves only by its own fetches, and what
-    /// they shed or serve late is a count — not what the host's scheduler
-    /// did to four racing readers, each of which accrues the others' clock
-    /// advances while descheduled, misses its deadline, and narrows the
-    /// AIMD window for the rest (recovery read 132–134 of 150 on time on a
-    /// loaded host where 135 are asked for; saturation shed 13–60 of 150
-    /// in one workspace run in ten).
+    /// the burst is the other cells' forty threads): the 1x phases run on
+    /// one reader, which never queues behind another.
     fn one_reader_at_1x() -> OverloadParams {
         OverloadParams {
             base_threads: 1,
@@ -548,7 +485,6 @@ mod tests {
 
     #[test]
     fn saturation_phase_is_clean_in_both_cells() {
-        let _alone = alone();
         for protected in [false, true] {
             let cell = run_cell(protected, one_reader_at_1x());
             let sat = cell.phase("saturation");
@@ -559,7 +495,6 @@ mod tests {
 
     #[test]
     fn recovery_returns_to_on_time_service() {
-        let _alone = alone();
         let cell = run_cell(true, one_reader_at_1x());
         assert!(cell.phase("burst").shed > 0, "the burst never overloaded");
         // The ladder rejects background reads for as long as it holds its
@@ -575,7 +510,6 @@ mod tests {
 
     #[test]
     fn priority_classes_shed_background_first() {
-        let _alone = alone();
         let cell = run_cell(true, small());
         let background = cell.stats.sheds_prefetch + cell.stats.sheds_refresh;
         assert!(background > 0, "brownout never shed background reads");

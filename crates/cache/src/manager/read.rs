@@ -295,6 +295,7 @@ impl DocumentCache {
         // This thread's block of the counters, looked up once.
         let stats = &*self.table.stats;
         if let Some(dirty) = shard.dirty(read.doc, read.user) {
+            AtomicCacheStats::bump(&stats.hits);
             return Lookup::Dirty(dirty.data.clone());
         }
         let verify = |meta: &EntryMeta| {

@@ -13,13 +13,13 @@
 //! wait, so slot waits always terminate.
 
 use crate::manager::StalenessBound;
-use crate::singleflight::lock;
 use crate::stats::AtomicCacheStats;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use placeless_core::error::PlacelessError;
 use placeless_simenv::{Instant, SimRng, VirtualClock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// Scheduling class of a read, from most to least sheddable: ordered by
 /// importance, so "shed lowest first" is a plain `<`.
@@ -427,9 +427,9 @@ pub(crate) struct Origins {
     /// As configured, with a window at least one wide.
     pub(crate) config: OriginConfig,
     clock: VirtualClock,
-    table: parking_lot::Mutex<HashMap<String, Arc<Origin>>>,
+    table: Mutex<HashMap<String, Arc<Origin>>>,
     /// `Some` exactly under overload control.
-    ladder: Option<parking_lot::Mutex<Ladder>>,
+    ladder: Option<Mutex<Ladder>>,
     /// Operations parked on any window: the brownout pressure gauge.
     queued: AtomicU64,
     /// Origin fetches running: the gauge behind `inflight_peak`.
@@ -437,10 +437,6 @@ pub(crate) struct Origins {
 }
 
 impl Origins {
-    /// How long (wall time) a parked reader with a deadline sleeps between
-    /// looks at the virtual clock: it can lapse with no slot freed.
-    const QUEUE_POLL: std::time::Duration = std::time::Duration::from_millis(1);
-
     pub(crate) fn new(mut config: OriginConfig, clock: VirtualClock) -> Self {
         if let Some(window) = &mut config.window {
             // A zero-wide window would admit nothing and hang a fetch.
@@ -450,8 +446,8 @@ impl Origins {
         Self {
             config,
             clock,
-            table: parking_lot::Mutex::new(HashMap::new()),
-            ladder: controlled.then(parking_lot::Mutex::default),
+            table: Mutex::new(HashMap::new()),
+            ladder: controlled.then(Mutex::default),
             queued: AtomicU64::new(0),
             running: AtomicU64::new(0),
         }
@@ -478,7 +474,7 @@ impl Origins {
         let table = self.table.lock();
         table
             .get(key)
-            .map_or(BreakerState::Closed, |origin| lock(&origin.health).breaker)
+            .map_or(BreakerState::Closed, |origin| origin.health.lock().breaker)
     }
 
     pub(crate) fn queued(&self) -> u64 {
@@ -564,7 +560,7 @@ impl Origins {
         let record = (self.config.breaker || self.config.window.is_some()).then(origin);
         let speculative = matches!(op, Op::Prefetch(_));
         if let Some(origin) = record {
-            let mut health = lock(&origin.health);
+            let mut health = origin.health.lock();
             if self.config.breaker {
                 if let Err(cool_down) = health.ask(self.clock.now(), speculative) {
                     return Err(PlacelessError::Unavailable {
@@ -625,15 +621,10 @@ impl Origins {
             if deadline_at.is_some_and(|deadline_at| clock.now() >= deadline_at) {
                 break false;
             }
-            let freed = &origin.freed;
+            // A deadline can lapse with no slot freed.
             health = match deadline_at {
-                Some(_) => {
-                    freed
-                        .wait_timeout(health, Self::QUEUE_POLL)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
-                }
-                None => freed.wait(health).unwrap_or_else(PoisonError::into_inner),
+                Some(deadline_at) => origin.freed.wait_until(health, deadline_at.as_micros()),
+                None => origin.freed.wait(health),
             };
         };
         health.queued -= 1;
@@ -671,7 +662,7 @@ impl Slot<'_> {
         };
         if let (Some(ok), Some(origin), true) = (ok, self.origin, self.origins.config.breaker) {
             let tripped =
-                !self.speculative && lock(&origin.health).record(self.origins.clock.now(), ok);
+                !self.speculative && origin.health.lock().record(self.origins.clock.now(), ok);
             if tripped {
                 AtomicCacheStats::bump(&self.stats.breaker_trips);
             }
@@ -689,7 +680,7 @@ impl Slot<'_> {
         let (Some(origin), Some(window)) = (self.origin.take(), &self.origins.config.window) else {
             return false;
         };
-        let mut health = lock(&origin.health);
+        let mut health = origin.health.lock();
         health.inflight = health.inflight.saturating_sub(1);
         if let (true, Some(admitted_at), Some(control)) =
             (settled, self.admitted_at, &window.control)
@@ -812,10 +803,12 @@ impl RetryDriver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use placeless_simenv::sched::{self, Schedule};
     use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
-    use std::thread;
-    use std::time::Duration;
+
+    /// The schedules each threaded test runs under.
+    const SEEDS: std::ops::Range<u64> = 0..16;
 
     fn origin(key: &str) -> Arc<Origin> {
         Origins::new(OriginConfig::default(), VirtualClock::new()).get(key.to_owned())
@@ -849,7 +842,7 @@ mod tests {
     /// Records `n` transient failures at `at`; returns whether the last
     /// one tripped the breaker.
     fn fail(origin: &Origin, at: Instant, n: u32) -> bool {
-        (0..n).fold(false, |_, _| lock(&origin.health).record(at, false))
+        (0..n).fold(false, |_, _| origin.health.lock().record(at, false))
     }
 
     const THRESHOLD: u32 = OriginConfig::BREAKER_THRESHOLD;
@@ -858,31 +851,31 @@ mod tests {
     #[test]
     fn breaker_trips_after_threshold_and_recovers() {
         let web = origin("web");
-        assert_eq!(lock(&web.health).ask(Instant(0), false), Ok(()));
+        assert_eq!(web.health.lock().ask(Instant(0), false), Ok(()));
         assert!(!fail(&web, Instant(10), THRESHOLD - 1));
         assert!(fail(&web, Instant(20), 1), "the third failure trips");
-        assert_eq!(lock(&web.health).breaker, BreakerState::Open);
+        assert_eq!(web.health.lock().breaker, BreakerState::Open);
 
         // While open, operations are rejected with the remaining cool-down.
-        assert_eq!(lock(&web.health).ask(Instant(120), false), Err(OPEN - 100));
+        assert_eq!(web.health.lock().ask(Instant(120), false), Err(OPEN - 100));
 
         // After the cool-down, one probe is admitted.
-        assert_eq!(lock(&web.health).ask(Instant(OPEN + 20), false), Ok(()));
-        assert_eq!(lock(&web.health).breaker, BreakerState::HalfOpen);
-        lock(&web.health).record(Instant(0), true);
-        assert_eq!(lock(&web.health).breaker, BreakerState::Closed);
-        assert_eq!(lock(&web.health).ask(Instant(OPEN + 30), false), Ok(()));
+        assert_eq!(web.health.lock().ask(Instant(OPEN + 20), false), Ok(()));
+        assert_eq!(web.health.lock().breaker, BreakerState::HalfOpen);
+        web.health.lock().record(Instant(0), true);
+        assert_eq!(web.health.lock().breaker, BreakerState::Closed);
+        assert_eq!(web.health.lock().ask(Instant(OPEN + 30), false), Ok(()));
     }
 
     #[test]
     fn failed_probe_reopens_the_breaker() {
         let dms = origin("dms");
         assert!(fail(&dms, Instant(0), THRESHOLD));
-        assert_eq!(lock(&dms.health).ask(Instant(OPEN), false), Ok(()));
+        assert_eq!(dms.health.lock().ask(Instant(OPEN), false), Ok(()));
         assert!(fail(&dms, Instant(OPEN + 10), 1), "probe failed");
-        assert_eq!(lock(&dms.health).breaker, BreakerState::Open);
+        assert_eq!(dms.health.lock().breaker, BreakerState::Open);
         assert_eq!(
-            lock(&dms.health).ask(Instant(OPEN + 50), false),
+            dms.health.lock().ask(Instant(OPEN + 50), false),
             Err(OPEN - 40),
             "cool-down restarted at the failed probe"
         );
@@ -897,15 +890,15 @@ mod tests {
         let origins = Origins::new(OriginConfig::default(), VirtualClock::new());
         let a = origins.get("web-a".into());
         fail(&a, Instant(0), THRESHOLD);
-        assert_eq!(lock(&a.health).breaker, BreakerState::Open);
+        assert_eq!(a.health.lock().breaker, BreakerState::Open);
         assert_eq!(
             origins.breaker_state("web-b"),
             BreakerState::Closed,
             "never seen"
         );
         let b = origins.get("web-b".into());
-        assert_eq!(lock(&b.health).breaker, BreakerState::Closed);
-        assert_eq!(lock(&b.health).ask(Instant(1), false), Ok(()));
+        assert_eq!(b.health.lock().breaker, BreakerState::Closed);
+        assert_eq!(b.health.lock().ask(Instant(1), false), Ok(()));
         assert!(Arc::ptr_eq(&a, &origins.get("web-a".into())), "one record");
     }
 
@@ -913,12 +906,12 @@ mod tests {
     fn success_resets_the_failure_streak() {
         let web = origin("web");
         fail(&web, Instant(0), THRESHOLD - 1);
-        lock(&web.health).record(Instant(0), true);
+        web.health.lock().record(Instant(0), true);
         assert!(
             !fail(&web, Instant(10), THRESHOLD - 1),
             "streak restarted after the success"
         );
-        assert_eq!(lock(&web.health).breaker, BreakerState::Closed);
+        assert_eq!(web.health.lock().breaker, BreakerState::Closed);
     }
 
     #[test]
@@ -939,7 +932,7 @@ mod tests {
             slot.expect("closed").settle(&dark);
         }
         assert_eq!(
-            lock(&web.health).breaker,
+            web.health.lock().breaker,
             BreakerState::Closed,
             "told nothing"
         );
@@ -947,7 +940,7 @@ mod tests {
             let slot = origins.admit(|| &web, fetch(None), &stats);
             slot.expect("closed").settle(&dark);
         }
-        assert_eq!(lock(&web.health).breaker, BreakerState::Open);
+        assert_eq!(web.health.lock().breaker, BreakerState::Open);
         assert_eq!(stats.snapshot().breaker_trips, 1);
         // Past the cool-down a read may probe; a prefetch may not.
         clock.advance(OPEN);
@@ -956,36 +949,38 @@ mod tests {
             Err(PlacelessError::Unavailable { .. })
         ));
         assert_eq!(
-            lock(&web.health).breaker,
+            web.health.lock().breaker,
             BreakerState::Open,
             "no probe spent"
         );
         let slot = origins.admit(|| &web, fetch(None), &stats);
         slot.expect("the probe").settle(&OK);
-        assert_eq!(lock(&web.health).breaker, BreakerState::Closed);
+        assert_eq!(web.health.lock().breaker, BreakerState::Closed);
     }
 
     #[test]
     fn window_bounds_concurrency_per_origin() {
-        let origins = windowed(2, None);
-        let a = origins.get("origin-a".into());
-        let stats = AtomicCacheStats::default();
-        let running = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        thread::scope(|scope| {
+        for seed in SEEDS {
+            let origins = windowed(2, None);
+            let a = origins.get("origin-a".into());
+            let stats = AtomicCacheStats::default();
+            let running = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let mut schedule = Schedule::new(seed, &origins.clock);
             for _ in 0..8 {
-                scope.spawn(|| {
+                schedule.spawn(|| {
                     let _slot = enter(&origins, &a, &stats);
                     let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
-                    thread::sleep(Duration::from_millis(2));
+                    sched::sleep(&origins.clock, 2_000);
                     running.fetch_sub(1, Ordering::SeqCst);
                 });
             }
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 2, "window overshot");
-        assert!(stats.snapshot().inflight_peak <= 2);
-        assert_eq!((origins.running(), origins.queued()), (0, 0));
+            schedule.run();
+            assert!(peak.load(Ordering::SeqCst) <= 2, "window overshot");
+            assert!(stats.snapshot().inflight_peak <= 2);
+            assert_eq!((origins.running(), origins.queued()), (0, 0));
+        }
     }
 
     #[test]
@@ -1030,7 +1025,7 @@ mod tests {
             origins.get("origin-b".into()),
         );
         let (clock, stats) = (&origins.clock, AtomicCacheStats::default());
-        let width = |origin: &Origin| lock(&origin.health).limit;
+        let width = |origin: &Origin| origin.health.lock().limit;
         // Fast fetches grow no window past its configured width.
         for _ in 0..3 {
             enter(&origins, &a, &stats).settle(&OK);
@@ -1051,7 +1046,7 @@ mod tests {
         // Unsettled slots feed nothing, and the width survives the origin
         // going idle.
         assert_eq!(width(&a), 2);
-        assert_eq!(lock(&a.health).inflight, 0);
+        assert_eq!(a.health.lock().inflight, 0);
     }
 
     #[test]
@@ -1062,11 +1057,11 @@ mod tests {
         let slot = origins
             .admit(|| &a, Op::Write, &stats)
             .expect("a write is never shed");
-        assert_eq!(lock(&a.health).inflight, 1);
+        assert_eq!(a.health.lock().inflight, 1);
         assert_eq!(origins.running(), 0);
         slot.settle(&OK);
-        assert_eq!(lock(&a.health).inflight, 0);
-        assert_eq!(lock(&a.health).ewma_micros, 0, "no observation was fed");
+        assert_eq!(a.health.lock().inflight, 0);
+        assert_eq!(a.health.lock().ewma_micros, 0, "no observation was fed");
     }
 
     #[test]
@@ -1105,21 +1100,16 @@ mod tests {
         let o = origins.get("o".into());
         let (clock, stats) = (&origins.clock, AtomicCacheStats::default());
         let _holder = enter(&origins, &o, &stats);
-        thread::scope(|scope| {
-            let parked = scope.spawn(|| {
-                // Budget 10000µs covers one expected service, so the
-                // reader queues rather than shedding on arrival.
-                let deadline = Some(clock.now().plus(10_000));
-                origins.admit(|| &o, fetch(deadline), &stats).map(drop)
-            });
-            while origins.queued() < 1 {
-                thread::sleep(Duration::from_millis(1));
-            }
-            // The slot never frees; the virtual clock passes the deadline.
-            clock.advance(20_000);
-            let shed = parked.join().expect("no panic");
+        let mut schedule = Schedule::new(0, clock);
+        schedule.spawn(|| {
+            // Budget 10000µs covers one expected service, so the reader
+            // queues rather than shedding on arrival. The slot never
+            // frees: the scheduler moves the clock to the deadline.
+            let deadline = Some(clock.now().plus(10_000));
+            let shed = origins.admit(|| &o, fetch(deadline), &stats).map(drop);
             assert!(matches!(shed, Err(PlacelessError::Overloaded { .. })));
         });
+        schedule.run();
         assert!(
             stats.snapshot().queue_wait_micros >= 10_000,
             "queue wait is accounted"
@@ -1135,19 +1125,85 @@ mod tests {
         let mut alone = enter(&origins, &o, &stats);
         assert!(!alone.release(false), "nobody queued, nobody to wake");
         assert!(!alone.release(false), "and a slot leaves once");
-        assert_eq!(lock(&o.health).inflight, 0);
+        assert_eq!(o.health.lock().inflight, 0);
 
-        let mut holder = enter(&origins, &o, &stats);
-        thread::scope(|scope| {
-            let parked = scope.spawn(|| drop(enter(&origins, &o, &stats)));
-            while origins.queued() < 1 {
-                thread::sleep(Duration::from_millis(1));
+        for seed in SEEDS {
+            let mut holder = enter(&origins, &o, &stats);
+            let mut schedule = Schedule::new(seed, &origins.clock);
+            schedule
+                // Admitted (no deadline, no poll) once woken: a lost wake-up
+                // fails the run.
+                .spawn(|| drop(enter(&origins, &o, &stats)))
+                .spawn(|| {
+                    while origins.queued() < 1 {
+                        sched::yield_now();
+                    }
+                    assert!(holder.release(false), "the queued reader is woken");
+                });
+            schedule.run();
+            assert_eq!((origins.running(), origins.queued()), (0, 0));
+            assert_eq!(o.health.lock().inflight, 0);
+        }
+    }
+
+    /// Admission under sampled interleavings: six threads contend for a
+    /// two-wide controlled window with fetches that carry a deadline,
+    /// fetches that carry none and writes, each holding its slot for a
+    /// virtual millisecond and then settling or dropping it. Every offered
+    /// operation is admitted or shed, and at the end nothing is queued,
+    /// held or running. A release that forgot its queued readers leaves one
+    /// blocked with no deadline, and the scheduler fails the run naming
+    /// the seed.
+    #[test]
+    fn every_admission_is_settled_or_shed_under_any_schedule() {
+        const THREADS: u64 = 6;
+        const OPS: u64 = 4;
+        let mut queued_micros = 0;
+        for seed in 0..32 {
+            let control = OverloadControl {
+                expected_service_micros: 1_000,
+                ..OverloadControl::default()
+            };
+            let origins = windowed(2, Some(control));
+            let o = origins.get("o".into());
+            let (clock, stats) = (&origins.clock, AtomicCacheStats::default());
+            let (admitted, shed) = (AtomicU64::new(0), AtomicU64::new(0));
+            let mut schedule = Schedule::new(seed, clock);
+            for t in 0..THREADS {
+                let (origins, o, stats, admitted, shed) = (&origins, &o, &stats, &admitted, &shed);
+                schedule.spawn(move || {
+                    for i in 0..OPS {
+                        let op = match (t + i) % 3 {
+                            0 => fetch(Some(clock.now().plus(3_000))),
+                            1 => fetch(None),
+                            _ => Op::Write,
+                        };
+                        match origins.admit(|| o, op, stats) {
+                            Ok(slot) => {
+                                admitted.fetch_add(1, Ordering::SeqCst);
+                                sched::sleep(clock, 1_000);
+                                match i % 2 {
+                                    0 => slot.settle(&OK),
+                                    _ => drop(slot),
+                                }
+                            }
+                            Err(PlacelessError::Overloaded { .. }) => {
+                                shed.fetch_add(1, Ordering::SeqCst);
+                            }
+                            Err(other) => panic!("admission failed: {other}"),
+                        }
+                    }
+                });
             }
-            assert!(holder.release(false), "the queued reader is woken");
-            parked.join().expect("and admitted: no deadline, no poll");
-        });
-        assert_eq!((origins.running(), origins.queued()), (0, 0));
-        assert_eq!(lock(&o.health).inflight, 0);
+            schedule.run();
+            let (admitted, shed) = (admitted.into_inner(), shed.into_inner());
+            assert_eq!(admitted + shed, THREADS * OPS, "seed {seed}: offered");
+            assert_eq!(stats.snapshot().sheds_total(), shed, "seed {seed}");
+            assert_eq!((origins.queued(), origins.running()), (0, 0));
+            assert_eq!(o.health.lock().inflight, 0, "seed {seed}: a slot held");
+            queued_micros += stats.snapshot().queue_wait_micros;
+        }
+        assert!(queued_micros > 0, "no operation ever queued");
     }
 
     #[test]

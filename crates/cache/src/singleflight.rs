@@ -36,9 +36,10 @@
 //! publishes and reads that count under the same mutex, so a waiter is
 //! counted or sees the outcome, and a leader nobody joined — nearly every
 //! miss — makes no `notify_all`, a system call in `std`, waiter or not.
-//! That state is `std`'s mutex and condvar; the two flight tables are the
-//! facade's mutex (a short wait spins). All are **leaves** in the
-//! manager's lock order: no shard lock
+//! That state, its condvar and the two flight tables are the
+//! `parking_lot` facade's, like every lock of the cache (a short wait
+//! spins, and a scheduler can run any interleaving of them). All are
+//! **leaves** in the manager's lock order: no shard lock
 //! is ever taken while one is held, and the manager only joins flights
 //! while holding no shard lock. Waiting
 //! threads hold no lock at all while blocked. Leader/waiter waits cannot
@@ -47,10 +48,11 @@
 
 use crate::policy::EntryKey;
 use bytes::Bytes;
+use parking_lot::{Condvar, Mutex};
 use placeless_core::error::PlacelessError;
 use placeless_core::keymap::KeyMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// What a flight leader publishes to its waiters. Cloneable, so one
 /// computation fans out to any number of waiters — including one
@@ -93,17 +95,12 @@ struct Flight {
 impl Flight {
     /// Blocks until the leader publishes; `None` means abandoned.
     fn wait(&self) -> Option<FlightResult> {
-        let mut state = lock(&self.state);
+        let mut state = self.state.lock();
         // Counted before the first wait; after the outcome, read by nobody.
         state.1 += 1;
         loop {
             match &state.0 {
-                FlightState::Pending => {
-                    state = self
-                        .done
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
+                FlightState::Pending => state = self.done.wait(state),
                 FlightState::Done(result) => return Some(result.clone()),
                 FlightState::Abandoned => return None,
             }
@@ -113,7 +110,7 @@ impl Flight {
     /// Publishes `outcome` and wakes the registered waiters, if any;
     /// returns whether there were any.
     fn finish(&self, outcome: FlightState) -> bool {
-        let mut state = lock(&self.state);
+        let mut state = self.state.lock();
         state.0 = outcome;
         let waiters = state.1 > 0;
         drop(state);
@@ -122,13 +119,6 @@ impl Flight {
         }
         waiters
     }
-}
-
-/// A mutex lock that shrugs off poisoning: flight state transitions (and
-/// `crate::origin`'s breaker and window updates) are trivial stores, so state is
-/// coherent even if a panicking thread was interrupted holding the lock.
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// How [`FlightGroup::join`] classified the caller.
@@ -145,7 +135,7 @@ pub(crate) enum Join<'a> {
 /// One in-flight computation per key; see the module docs.
 #[derive(Default)]
 pub(crate) struct FlightGroup {
-    flights: parking_lot::Mutex<KeyMap<EntryKey, Arc<Flight>>>,
+    flights: Mutex<KeyMap<EntryKey, Arc<Flight>>>,
     /// Threads currently blocked inside [`FlightGroup::join`] as waiters
     /// (a gauge, exposed for experiments and tests).
     waiting: AtomicU64,
@@ -228,8 +218,11 @@ impl Drop for FlightGuard<'_> {
 mod tests {
     use super::*;
     use placeless_core::id::{DocumentId, UserId};
-    use std::thread;
-    use std::time::Duration;
+    use placeless_simenv::sched::{self, Schedule};
+    use placeless_simenv::VirtualClock;
+
+    /// The schedules each threaded test runs under.
+    const SEEDS: std::ops::Range<u64> = 0..16;
 
     fn key(n: u64) -> EntryKey {
         EntryKey::Version(DocumentId(n), UserId(1))
@@ -248,75 +241,80 @@ mod tests {
 
     #[test]
     fn waiters_share_the_leaders_bytes() {
-        let group = Arc::new(FlightGroup::new());
-        let Join::Leader(guard) = group.join(key(7)) else {
-            panic!("first joiner must lead");
-        };
-        let waiters: Vec<_> = (0..4)
-            .map(|_| {
-                let group = Arc::clone(&group);
-                thread::spawn(move || match group.join(key(7)) {
-                    Join::Waited(Some(FlightResult::Shared { bytes, .. })) => bytes,
+        for seed in SEEDS {
+            let group = FlightGroup::new();
+            let guard = lead(&group, 7);
+            let mut schedule = Schedule::new(seed, &VirtualClock::new());
+            for _ in 0..4 {
+                schedule.spawn(|| match group.join(key(7)) {
+                    Join::Waited(Some(FlightResult::Shared { bytes, .. })) => {
+                        assert_eq!(bytes, "payload");
+                    }
                     _ => panic!("expected a shared outcome"),
-                })
-            })
-            .collect();
-        // All four must be blocked inside join before the leader lands.
-        while group.waiting() < 4 {
-            thread::sleep(Duration::from_millis(1));
+                });
+            }
+            schedule.spawn(|| {
+                // All four must be blocked inside join before the leader lands.
+                while group.waiting() < 4 {
+                    sched::yield_now();
+                }
+                guard.complete(|| FlightResult::Shared {
+                    bytes: Bytes::from_static(b"payload"),
+                    forward: false,
+                });
+            });
+            schedule.run();
+            assert_eq!(group.waiting(), 0);
         }
-        guard.complete(|| FlightResult::Shared {
-            bytes: Bytes::from_static(b"payload"),
-            forward: false,
-        });
-        for waiter in waiters {
-            assert_eq!(waiter.join().expect("no panic"), "payload");
-        }
-        assert_eq!(group.waiting(), 0);
     }
 
     #[test]
     fn waiters_share_the_leaders_error() {
-        let group = Arc::new(FlightGroup::new());
-        let Join::Leader(guard) = group.join(key(9)) else {
-            panic!("first joiner must lead");
-        };
-        let waiter = {
-            let group = Arc::clone(&group);
-            thread::spawn(move || match group.join(key(9)) {
-                Join::Waited(Some(FlightResult::Failed(error))) => error,
-                _ => panic!("expected the shared failure"),
-            })
-        };
-        while group.waiting() < 1 {
-            thread::sleep(Duration::from_millis(1));
+        for seed in SEEDS {
+            let group = FlightGroup::new();
+            let guard = lead(&group, 9);
+            let mut schedule = Schedule::new(seed, &VirtualClock::new());
+            schedule
+                .spawn(|| match group.join(key(9)) {
+                    Join::Waited(Some(FlightResult::Failed(error))) => {
+                        assert!(matches!(error, PlacelessError::Unavailable { .. }));
+                    }
+                    _ => panic!("expected the shared failure"),
+                })
+                .spawn(|| {
+                    while group.waiting() < 1 {
+                        sched::yield_now();
+                    }
+                    guard.complete(|| {
+                        FlightResult::Failed(PlacelessError::Unavailable {
+                            source: "origin-x".into(),
+                            retry_after: None,
+                        })
+                    });
+                });
+            schedule.run();
         }
-        guard.complete(|| {
-            FlightResult::Failed(PlacelessError::Unavailable {
-                source: "origin-x".into(),
-                retry_after: None,
-            })
-        });
-        let error = waiter.join().expect("no panic");
-        assert!(matches!(error, PlacelessError::Unavailable { .. }));
     }
 
     #[test]
     fn dropped_guard_abandons_instead_of_hanging() {
-        let group = Arc::new(FlightGroup::new());
-        let guard = match group.join(key(3)) {
-            Join::Leader(guard) => guard,
-            Join::Waited(_) => panic!("first joiner must lead"),
-        };
-        let waiter = {
-            let group = Arc::clone(&group);
-            thread::spawn(move || matches!(group.join(key(3)), Join::Waited(None)))
-        };
-        while group.waiting() < 1 {
-            thread::sleep(Duration::from_millis(1));
+        for seed in SEEDS {
+            let group = FlightGroup::new();
+            let guard = lead(&group, 3);
+            let mut schedule = Schedule::new(seed, &VirtualClock::new());
+            schedule
+                .spawn(|| {
+                    let abandoned = matches!(group.join(key(3)), Join::Waited(None));
+                    assert!(abandoned, "waiter saw abandonment");
+                })
+                .spawn(|| {
+                    while group.waiting() < 1 {
+                        sched::yield_now();
+                    }
+                    drop(guard);
+                });
+            schedule.run();
         }
-        drop(guard);
-        assert!(waiter.join().expect("no panic"), "waiter saw abandonment");
     }
 
     fn lead(group: &FlightGroup, n: u64) -> FlightGuard<'_> {
@@ -330,7 +328,7 @@ mod tests {
     /// the path a dropped guard takes — and one with a parked waiter does.
     #[test]
     fn a_flight_wakes_only_its_waiters() {
-        let group = Arc::new(FlightGroup::new());
+        let group = FlightGroup::new();
         let done = || FlightState::Done(FlightResult::Unshared);
         assert!(!lead(&group, 1).close(done), "sole leader, completed");
         assert!(
@@ -338,26 +336,28 @@ mod tests {
             "and dropped"
         );
 
-        for abandon in [false, true] {
+        for (seed, abandon) in SEEDS.flat_map(|seed| [(seed, false), (seed, true)]) {
             let mut guard = lead(&group, 2);
-            let waiter = {
-                let group = Arc::clone(&group);
-                thread::spawn(move || matches!(group.join(key(2)), Join::Waited(_)))
-            };
-            // Registered under the flight's own mutex, not merely counted
-            // by the group's gauge: only then may the leader rely on it.
-            while lock(&guard.flight.state).1 < 1 {
-                thread::sleep(Duration::from_millis(1));
-            }
-            let outcome = || {
-                if abandon {
-                    FlightState::Abandoned
-                } else {
-                    done()
-                }
-            };
-            assert!(guard.close(outcome), "one parked waiter is woken");
-            assert!(waiter.join().expect("no panic"), "and it returns");
+            let mut schedule = Schedule::new(seed, &VirtualClock::new());
+            schedule
+                .spawn(|| {
+                    let returned = matches!(group.join(key(2)), Join::Waited(_));
+                    assert!(returned, "and it returns");
+                })
+                .spawn(move || {
+                    // Registered under the flight's own mutex, not merely
+                    // counted by the group's gauge: only then may the
+                    // leader rely on it.
+                    while guard.flight.state.lock().1 < 1 {
+                        sched::yield_now();
+                    }
+                    let outcome = || match abandon {
+                        true => FlightState::Abandoned,
+                        false => done(),
+                    };
+                    assert!(guard.close(outcome), "one parked waiter is woken");
+                });
+            schedule.run();
         }
         assert_eq!(group.waiting(), 0);
     }

@@ -77,6 +77,11 @@ impl VirtualClock {
         Instant(self.micros.fetch_add(micros, Ordering::SeqCst) + micros)
     }
 
+    /// Whether `other` is a handle to this clock.
+    pub(crate) fn same(&self, other: &VirtualClock) -> bool {
+        Arc::ptr_eq(&self.micros, &other.micros)
+    }
+
     /// Advances the clock so that it reads at least `target`.
     ///
     /// Returns the resulting time. If the clock is already past `target`

@@ -18,6 +18,10 @@
 //!   contents survive a process crash, backing the cache's write-ahead
 //!   journal. Its module doc states the persistence model, and a store
 //!   armed with a [`stable::CrashPoint`] dies at that point.
+//! * [`sched`] — a seeded scheduler that runs threads one at a time over
+//!   the `parking_lot` facade's switch points, jumping the virtual clock
+//!   when every thread waits on a deadline, so a concurrent run replays
+//!   from its seed.
 //! * [`trace`] — workload generators (Zipf document popularity, read/write
 //!   mixes, user populations) used by the benchmark harness.
 //!
@@ -28,6 +32,7 @@ pub mod clock;
 pub mod fault;
 pub mod latency;
 pub mod rng;
+pub mod sched;
 pub mod stable;
 pub mod trace;
 

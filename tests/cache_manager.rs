@@ -240,6 +240,32 @@ fn write_back_buffers_until_flush() {
     assert_eq!(cache.stats().flushes, 1);
 }
 
+/// A read served from the reader's own buffered write is a hit: the
+/// outcome counters sum to the reads issued under write-back too.
+#[test]
+fn a_read_of_ones_own_buffered_write_counts_as_a_hit() {
+    let (space, _provider, doc) = setup("old", 100);
+    let cache = DocumentCache::new(
+        space,
+        CacheConfig {
+            write_mode: WriteMode::Back,
+            local_latency: LatencyModel::FREE,
+            ..CacheConfig::default()
+        },
+    );
+    cache.write(ALICE, doc, b"buffered").expect("buffered");
+    let before = cache.stats();
+    let outcome = cache
+        .read_with(ALICE, doc, ReadOptions::default())
+        .expect("read");
+    assert_eq!(
+        (outcome.bytes.as_ref(), outcome.class),
+        (&b"buffered"[..], HitClass::Hit)
+    );
+    let moved = cache.stats().delta(&before);
+    assert_eq!((moved.hits, moved.misses), (1, 0));
+}
+
 /// A write-back write the space refuses — the writer holds no reference —
 /// is neither buffered nor journaled: one that stayed dirty would be
 /// re-queued by every later flush, and its record would never be acked.

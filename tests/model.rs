@@ -663,7 +663,10 @@ impl Machine {
         ensure!(!(cold && dark), "served through a dark link");
         let (class, bytes) = (outcome.class, &outcome.bytes);
         match (&buffered, class) {
-            (Some(view), HitClass::Hit) => same("served", bytes, view)?,
+            (Some(view), HitClass::Hit) => {
+                same("served", bytes, view)?;
+                self.reference.served[0] += 1;
+            }
             (Some(_), class) => ensure!(false, "a buffered write served as {class:?}"),
             (None, class) => {
                 let stale = class == HitClass::StaleServed;

@@ -16,10 +16,11 @@ use placeless_core::property::{ActiveProperty, PathCtx, PathReport};
 use placeless_core::space::{DocumentSpace, Scope};
 use placeless_core::streams::{InputStream, MemoryInput, OutputStream};
 use placeless_core::verifier::{ClosureVerifier, Validity, Verifier};
+use placeless_simenv::sched::{self, Schedule};
 use placeless_simenv::{LatencyModel, SimRng, VirtualClock};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const USER: UserId = UserId(1);
 
@@ -27,22 +28,23 @@ const USER: UserId = UserId(1);
 /// competes for the same per-origin inflight window.
 const ORIGIN: &str = "hold:origin";
 
-/// Spin-waits (wall clock) until `ready` holds; panics after 5 seconds so
-/// a broken test fails instead of hanging the suite.
+/// Yields to the other threads of the schedule until `ready` holds; a
+/// broken test fails after a bounded number of turns instead of hanging
+/// the suite.
 fn wait_until(what: &str, ready: impl Fn() -> bool) {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while !ready() {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "timed out waiting for {what}"
-        );
-        std::thread::sleep(std::time::Duration::from_micros(200));
+    for _ in 0..100_000 {
+        if ready() {
+            return;
+        }
+        sched::yield_now();
     }
+    panic!("never saw {what}");
 }
 
-/// A provider whose fetch parks (wall clock) holding its window slot
-/// until the test releases it, then charges `advance_micros` to the
-/// virtual clock. Lets a test keep the origin window provably full.
+/// A provider whose fetch holds its window slot, yielding to the other
+/// scheduled threads, until the test releases it, then charges
+/// `advance_micros` to the virtual clock. Lets a test keep the origin
+/// window provably full.
 struct HoldProvider {
     body: Bytes,
     advance_micros: u64,
@@ -180,45 +182,41 @@ fn deadline_expired_while_queued_sheds_instead_of_serving_late() {
             .build(),
     );
 
-    std::thread::scope(|scope| {
-        let hold_read = {
-            let cache = &cache;
-            scope.spawn(move || cache.read(USER, doc_hold))
-        };
-        // The holder owns the origin's only slot before the victim
-        // arrives, so the victim's admission check sees a full window.
-        wait_until("holder to claim the slot", || holder.held());
-
-        let victim = {
-            let cache = &cache;
-            scope.spawn(move || {
-                cache.read_with(
-                    USER,
-                    doc_victim,
-                    ReadOptions::default().deadline_micros(10_000),
-                )
-            })
-        };
-        // Budget 10_000 covers the expected 1_000 µs service, so the
-        // victim queues rather than shedding on arrival — provably so,
-        // via the window's pressure gauge.
-        wait_until("victim to park on the window", || {
-            cache.queued_fetches() == 1
+    let shed = AtomicBool::new(false);
+    let mut schedule = Schedule::new(0, &clock);
+    schedule
+        .spawn(|| {
+            let body = cache.read(USER, doc_hold).expect("holder read succeeds");
+            assert_eq!(body, "held body");
+        })
+        .spawn(|| {
+            // The holder owns the origin's only slot before the victim
+            // arrives, so the victim's admission check sees a full window.
+            wait_until("holder to claim the slot", || holder.held());
+            let opts = ReadOptions::default().deadline_micros(10_000);
+            let error = cache
+                .read_with(USER, doc_victim, opts)
+                .expect_err("doomed read must shed");
+            match error {
+                PlacelessError::Overloaded { retry_after } => assert_eq!(retry_after, 9_999),
+                other => panic!("expected Overloaded, got {other:?}"),
+            }
+            shed.store(true, Ordering::SeqCst);
+        })
+        .spawn(|| {
+            // Budget 10_000 covers the expected 1_000 µs service, so the
+            // victim queues rather than shedding on arrival — provably so,
+            // via the window's pressure gauge.
+            wait_until("victim to park on the window", || {
+                cache.queued_fetches() == 1
+            });
+            // The deadline lapses while the victim is still parked, which
+            // sheds it at its next turn.
+            clock.advance(20_000);
+            wait_until("the victim to shed", || shed.load(Ordering::SeqCst));
+            holder.release();
         });
-
-        // The deadline lapses while the victim is still parked. The
-        // parked reader notices on its next poll and sheds.
-        clock.advance(20_000);
-        let error = victim.join().unwrap().expect_err("doomed read must shed");
-        match error {
-            PlacelessError::Overloaded { retry_after } => assert_eq!(retry_after, 9_999),
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-
-        holder.release();
-        let body = hold_read.join().unwrap().expect("holder read succeeds");
-        assert_eq!(body, "held body");
-    });
+    schedule.run();
 
     assert_eq!(
         victim_origin.fetches(),
@@ -243,6 +241,7 @@ fn deadline_expired_while_queued_sheds_instead_of_serving_late() {
 #[test]
 fn controlled_window_never_exceeds_its_width() {
     let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let clock = space.clock().clone();
     let doc_fast = space.create_document(USER, CheapProvider::new(500));
     let (first, second) = (HoldProvider::new(500), HoldProvider::new(500));
     let doc_first = space.create_document(USER, first.clone());
@@ -257,19 +256,21 @@ fn controlled_window_never_exceeds_its_width() {
     );
 
     cache.read(USER, doc_fast).expect("one fast fetch");
-    std::thread::scope(|scope| {
-        let cache = &cache;
-        let first_read = scope.spawn(move || cache.read(USER, doc_first));
-        wait_until("first reader to hold the slot", || first.held());
-        let second_read = scope.spawn(move || cache.read(USER, doc_second));
-        wait_until("second reader to queue or run", || {
-            cache.queued_fetches() == 1 || second.held()
+    let mut schedule = Schedule::new(0, &clock);
+    schedule
+        .spawn(|| drop(cache.read(USER, doc_first).expect("first read succeeds")))
+        .spawn(|| {
+            wait_until("first reader to hold the slot", || first.held());
+            cache.read(USER, doc_second).expect("second read succeeds");
+        })
+        .spawn(|| {
+            wait_until("second reader to queue or run", || {
+                first.held() && (cache.queued_fetches() == 1 || second.held())
+            });
+            first.release();
+            second.release();
         });
-        first.release();
-        second.release();
-        first_read.join().unwrap().expect("first read succeeds");
-        second_read.join().unwrap().expect("second read succeeds");
-    });
+    schedule.run();
     assert_eq!(
         cache.stats().inflight_peak,
         1,
@@ -297,6 +298,22 @@ fn ladder_config() -> CacheConfig {
         .build()
 }
 
+/// Adds a reader a thread for each of `docs`, each starting once the
+/// holder owns the origin's only slot, so each parks behind it.
+fn park_behind<'a>(
+    schedule: &mut Schedule<'a>,
+    cache: &'a DocumentCache,
+    holder: &'a HoldProvider,
+    docs: &'a [placeless_core::id::DocumentId],
+) {
+    for &doc in docs {
+        schedule.spawn(move || {
+            wait_until("holder to claim the slot", || holder.held());
+            cache.read(USER, doc).expect("parked read succeeds");
+        });
+    }
+}
+
 /// Brownout rung 1 through a real cache: with the origin's only slot held
 /// and readers parked behind it, the next miss lifts the ladder to its
 /// first rung, and a resident entry whose verifier cannot reach the
@@ -304,6 +321,7 @@ fn ladder_config() -> CacheConfig {
 #[test]
 fn brownout_rung_one_serves_stale_within_serve_stale_without_fetching() {
     let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let clock = space.clock().clone();
     let holder = HoldProvider::new(500);
     let doc_hold = space.create_document(USER, holder.clone());
     let parked: Vec<_> = (0..PARKED)
@@ -314,28 +332,19 @@ fn brownout_rung_one_serves_stale_within_serve_stale_without_fetching() {
     let cache = DocumentCache::new(space, ladder_config());
 
     cache.read(USER, doc_stale).expect("fill");
-    std::thread::scope(|scope| {
-        let cache = &cache;
-        let hold_read = scope.spawn(move || cache.read(USER, doc_hold));
-        wait_until("holder to claim the slot", || holder.held());
-        let parked_reads: Vec<_> = parked
-            .iter()
-            .map(|&doc| scope.spawn(move || cache.read(USER, doc)))
-            .collect();
+    let mut schedule = Schedule::new(0, &clock);
+    schedule.spawn(|| drop(cache.read(USER, doc_hold).expect("holder read succeeds")));
+    park_behind(&mut schedule, &cache, &holder, &parked);
+    schedule.spawn(|| {
         wait_until("readers to park", || cache.queued_fetches() == PARKED);
-
         let outcome = cache
             .read_with(USER, doc_stale, ReadOptions::default())
             .expect("served from the resident copy");
         assert_eq!(outcome.class, HitClass::StaleServed);
         assert_eq!(outcome.bytes, "cheap body");
-
         holder.release();
-        hold_read.join().unwrap().expect("holder read succeeds");
-        for read in parked_reads {
-            read.join().unwrap().expect("parked read succeeds");
-        }
     });
+    schedule.run();
     assert_eq!(
         stale_origin.fetches(),
         1,
@@ -353,6 +362,7 @@ fn brownout_rung_one_serves_stale_within_serve_stale_without_fetching() {
 #[test]
 fn brownout_rung_four_refuses_background_misses_but_queues_foreground() {
     let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let clock = space.clock().clone();
     let holder = HoldProvider::new(500);
     let doc_hold = space.create_document(USER, holder.clone());
     let parked: Vec<_> = (0..PARKED)
@@ -366,52 +376,47 @@ fn brownout_rung_four_refuses_background_misses_but_queues_foreground() {
     let doc_foreground = space.create_document(USER, CheapProvider::new(500));
     let cache = DocumentCache::new(space, ladder_config());
 
-    std::thread::scope(|scope| {
-        let cache = &cache;
-        let hold_read = scope.spawn(move || cache.read(USER, doc_hold));
-        wait_until("holder to claim the slot", || holder.held());
-        let parked_reads: Vec<_> = parked
-            .iter()
-            .map(|&doc| scope.spawn(move || cache.read(USER, doc)))
-            .collect();
-        wait_until("readers to park", || cache.queued_fetches() == PARKED);
+    let at_top = AtomicBool::new(false);
+    let mut schedule = Schedule::new(0, &clock);
+    schedule.spawn(|| drop(cache.read(USER, doc_hold).expect("holder read succeeds")));
+    park_behind(&mut schedule, &cache, &holder, &parked);
+    schedule
+        .spawn(|| {
+            wait_until("readers to park", || cache.queued_fetches() == PARKED);
+            // Each doomed miss is one pressure sample, one rung up.
+            for &doc in &doomed {
+                let opts = ReadOptions::default().deadline_micros(1);
+                let error = cache.read_with(USER, doc, opts).expect_err("doomed");
+                assert!(
+                    matches!(error, PlacelessError::Overloaded { .. }),
+                    "{error}"
+                );
+            }
+            assert_eq!(cache.stats().brownout_level, 4);
 
-        // Each doomed miss is one pressure sample, one rung up.
-        for &doc in &doomed {
-            let opts = ReadOptions::default().deadline_micros(1);
-            let error = cache.read_with(USER, doc, opts).expect_err("doomed");
-            assert!(
-                matches!(error, PlacelessError::Overloaded { .. }),
-                "{error}"
-            );
-        }
-        assert_eq!(cache.stats().brownout_level, 4);
-
-        for priority in [Priority::Refresh, Priority::Prefetch] {
-            let opts = ReadOptions::default().priority(priority);
-            let error = cache
-                .read_with(USER, doc_background, opts)
-                .expect_err("background work is refused at rung 4");
-            assert!(
-                matches!(error, PlacelessError::Overloaded { .. }),
-                "{error}"
-            );
-        }
-        let foreground_read = scope.spawn(move || cache.read(USER, doc_foreground));
-        wait_until("the foreground read to queue", || {
-            cache.queued_fetches() == PARKED + 1
+            for priority in [Priority::Refresh, Priority::Prefetch] {
+                let opts = ReadOptions::default().priority(priority);
+                let error = cache
+                    .read_with(USER, doc_background, opts)
+                    .expect_err("background work is refused at rung 4");
+                assert!(
+                    matches!(error, PlacelessError::Overloaded { .. }),
+                    "{error}"
+                );
+            }
+            at_top.store(true, Ordering::SeqCst);
+            wait_until("the foreground read to queue", || {
+                cache.queued_fetches() == PARKED + 1
+            });
+            holder.release();
+        })
+        .spawn(|| {
+            wait_until("the ladder's top rung", || at_top.load(Ordering::SeqCst));
+            cache
+                .read(USER, doc_foreground)
+                .expect("foreground read is served");
         });
-
-        holder.release();
-        hold_read.join().unwrap().expect("holder read succeeds");
-        for read in parked_reads {
-            read.join().unwrap().expect("parked read succeeds");
-        }
-        foreground_read
-            .join()
-            .unwrap()
-            .expect("foreground read is served");
-    });
+    schedule.run();
     assert_eq!(
         background.fetches(),
         0,
@@ -456,6 +461,7 @@ impl ActiveProperty for PanicsOnce {
 #[test]
 fn unwinding_fetch_frees_its_window_slot() {
     let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
+    let clock = space.clock().clone();
     let doc_buggy = space.create_document(USER, CheapProvider::new(500));
     let doc_next = space.create_document(USER, CheapProvider::new(500));
     let buggy = Arc::new(PanicsOnce {
@@ -476,19 +482,14 @@ fn unwinding_fetch_frees_its_window_slot() {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.read(USER, doc_buggy)));
     assert!(unwound.is_err(), "the property's panic reaches the caller");
 
-    // A leaked slot parks the next read on this origin forever, so it
-    // runs on its own thread and the test waits with a timeout.
-    let (done, outcome) = std::sync::mpsc::channel();
-    let reader = {
-        let cache = Arc::clone(&cache);
-        std::thread::spawn(move || done.send(cache.read(USER, doc_next)))
-    };
-    let body = outcome
-        .recv_timeout(std::time::Duration::from_secs(5))
-        .expect("the unwound fetch still holds the origin's only slot")
-        .expect("read succeeds");
-    assert_eq!(body, "cheap body");
-    reader.join().unwrap().expect("outcome was received");
+    // A leaked slot parks the next read on this origin forever, which a
+    // schedule reports as a run with no runnable thread.
+    let mut schedule = Schedule::new(0, &clock);
+    schedule.spawn(|| {
+        let body = cache.read(USER, doc_next).expect("read succeeds");
+        assert_eq!(body, "cheap body");
+    });
+    schedule.run();
     assert_eq!(cache.inflight_fetches(), 0, "no fetch is running");
     assert_eq!(cache.queued_fetches(), 0, "no reader left parked");
 }
@@ -533,35 +534,37 @@ fn shed_decision_trace(seed: u64) -> (Vec<String>, CacheStats) {
     );
 
     let mut trace = Vec::new();
-    std::thread::scope(|scope| {
-        let hold_read = {
-            let cache = &cache;
-            scope.spawn(move || cache.read(USER, doc_hold))
-        };
-        wait_until("holder to claim the slot", || holder.held());
-
-        // Phase A: the window is full and the cold-start expected
-        // service time is 2_000 µs, so any deadline below that is shed
-        // at the admission predicate — a decision driven only by the
-        // seeded (deadline, priority) stream and the virtual clock.
-        for &doc in &doomed {
-            let deadline = rng.next_range(1, 2_000);
-            let priority = priority_for(&mut rng);
-            let opts = ReadOptions::default()
-                .deadline_micros(deadline)
-                .priority(priority);
-            match cache.read_with(USER, doc, opts) {
-                Err(PlacelessError::Overloaded { retry_after }) => trace.push(format!(
-                    "shed deadline={deadline} class={priority:?} retry_after={retry_after}"
-                )),
-                other => panic!("doomed read must shed, got {other:?}"),
+    let held = OnceLock::new();
+    let mut schedule = Schedule::new(seed, &clock);
+    schedule
+        .spawn(|| {
+            let body = cache.read(USER, doc_hold).expect("holder read succeeds");
+            held.set(body.len()).expect("one holder read");
+        })
+        .spawn(|| {
+            wait_until("holder to claim the slot", || holder.held());
+            // Phase A: the window is full and the cold-start expected
+            // service time is 2_000 µs, so any deadline below that is shed
+            // at the admission predicate — a decision driven only by the
+            // seeded (deadline, priority) stream and the virtual clock.
+            for &doc in &doomed {
+                let deadline = rng.next_range(1, 2_000);
+                let priority = priority_for(&mut rng);
+                let opts = ReadOptions::default()
+                    .deadline_micros(deadline)
+                    .priority(priority);
+                match cache.read_with(USER, doc, opts) {
+                    Err(PlacelessError::Overloaded { retry_after }) => trace.push(format!(
+                        "shed deadline={deadline} class={priority:?} retry_after={retry_after}"
+                    )),
+                    other => panic!("doomed read must shed, got {other:?}"),
+                }
             }
-        }
-
-        holder.release();
-        let body = hold_read.join().unwrap().expect("holder read succeeds");
-        trace.push(format!("holder bytes={}", body.len()));
-    });
+            holder.release();
+        });
+    schedule.run();
+    let body_len = held.get().expect("the holder read ended");
+    trace.push(format!("holder bytes={body_len}"));
 
     // Phase B: the window is free again; comfortable deadlines admit.
     for &doc in &comfortable {

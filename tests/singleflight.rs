@@ -1,6 +1,6 @@
 //! Single-flight coalescing and the `read_with` options surface, tested
-//! end to end: racing OS threads against one cold document and asserting
-//! the origin saw exactly one fetch.
+//! end to end: scheduled threads (`simenv::sched`) read one cold document
+//! and the origin sees exactly one fetch.
 
 use bytes::Bytes;
 use placeless_bench::support::TagProperty;
@@ -12,16 +12,18 @@ use placeless_core::space::{DocumentSpace, Scope};
 use placeless_core::streams::{InputStream, MemoryInput, OutputStream};
 use placeless_core::verifier::Verifier;
 use placeless_repository::{FsProvider, MemFs};
+use placeless_simenv::sched::{self, Schedule};
 use placeless_simenv::{FaultPlan, LatencyModel, Link, VirtualClock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 const USER: UserId = UserId(1);
 
-/// A counting provider that parks its *first* fetch until the cache
-/// reports `expected_waiters` queued readers (so the race is real, not
-/// timing luck), optionally failing that first fetch after the waiters
-/// have queued.
+/// A counting provider that holds its *first* fetch open, yielding to the
+/// other scheduled threads, until the cache reports `expected_waiters`
+/// queued readers (so the readers coalesce whatever order the schedule
+/// drew), optionally failing that first fetch after the waiters have
+/// queued.
 struct GateProvider {
     body: Bytes,
     fetches: AtomicU64,
@@ -57,17 +59,9 @@ impl BitProvider for GateProvider {
 
     fn open_input(&self, _clock: &VirtualClock) -> Result<Box<dyn InputStream>> {
         if self.fetches.fetch_add(1, Ordering::SeqCst) == 0 {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            while std::time::Instant::now() < deadline {
-                let waiting = self
-                    .cache
-                    .get()
-                    .map(|cache| cache.waiting_reads())
-                    .unwrap_or(0);
-                if waiting >= self.expected_waiters {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_micros(200));
+            let cache = self.cache.get().expect("cache set before any read");
+            while cache.waiting_reads() < self.expected_waiters {
+                sched::yield_now();
             }
             if self.fail_first {
                 return Err(PlacelessError::Unavailable {
@@ -114,22 +108,35 @@ fn gated_world(
     (cache, provider, doc)
 }
 
-/// N racing threads miss the same cold document: the provider computes
+/// Runs `threads` scheduled readers of `doc`, collecting what each read.
+fn read_together(
+    cache: &DocumentCache,
+    doc: placeless_core::id::DocumentId,
+    threads: usize,
+) -> Vec<Result<Bytes>> {
+    let outcomes = Mutex::new(Vec::with_capacity(threads));
+    let mut schedule = Schedule::new(threads as u64, &VirtualClock::new());
+    for _ in 0..threads {
+        schedule.spawn(|| {
+            let outcome = cache.read(USER, doc);
+            outcomes.lock().expect("no reader panicked").push(outcome);
+        });
+    }
+    schedule.run();
+    outcomes.into_inner().expect("no reader panicked")
+}
+
+/// N scheduled threads miss the same cold document: the provider computes
 /// once, every other read coalesces, and all threads see identical bytes.
 #[test]
 fn concurrent_misses_compute_once() {
     const THREADS: usize = 8;
     let (cache, provider, doc) = gated_world(false, THREADS);
 
-    let bodies: Vec<Bytes> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let cache = &cache;
-                scope.spawn(move || cache.read(USER, doc).expect("read"))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let bodies: Vec<Bytes> = read_together(&cache, doc, THREADS)
+        .into_iter()
+        .map(|body| body.expect("read"))
+        .collect();
 
     assert!(bodies.windows(2).all(|w| w[0] == w[1]), "bytes diverged");
     assert_eq!(provider.fetches(), 1, "origin must compute exactly once");
@@ -151,15 +158,10 @@ fn leader_failure_is_shared_but_not_sticky() {
     const THREADS: usize = 4;
     let (cache, provider, doc) = gated_world(true, THREADS);
 
-    let errors: Vec<PlacelessError> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let cache = &cache;
-                scope.spawn(move || cache.read(USER, doc).expect_err("origin is dark"))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let errors: Vec<PlacelessError> = read_together(&cache, doc, THREADS)
+        .into_iter()
+        .map(|read| read.expect_err("origin is dark"))
+        .collect();
 
     assert_eq!(provider.fetches(), 1, "one failed attempt serves them all");
     assert!(
@@ -181,7 +183,7 @@ fn leader_failure_is_shared_but_not_sticky() {
 }
 
 /// A provider whose first fetch takes its bytes, then lands an out-of-band
-/// edit and parks until a reader has joined the fetch's flight: that
+/// edit and yields until a reader has joined the fetch's flight: that
 /// reader's read starts after the edit the leader's bytes predate.
 struct EditBehindFlight {
     inner: Arc<MemoryProvider>,
@@ -200,10 +202,9 @@ impl BitProvider for EditBehindFlight {
         let stream = self.inner.open_input(clock)?;
         if self.armed.swap(false, Ordering::SeqCst) {
             self.inner.set_out_of_band("v2");
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
             let cache = self.cache.get().expect("cache set before any read");
-            while cache.waiting_reads() < 1 && std::time::Instant::now() < deadline {
-                std::thread::sleep(std::time::Duration::from_micros(200));
+            while cache.waiting_reads() < 1 {
+                sched::yield_now();
             }
             self.joined
                 .store(cache.waiting_reads() >= 1, Ordering::SeqCst);
@@ -247,24 +248,36 @@ fn a_waiter_that_joins_after_an_edit_is_not_served_the_older_bytes() {
     );
     handle.set(cache.clone()).ok().expect("handle set once");
 
-    let (led, joined) = std::thread::scope(|scope| {
-        let leader = scope.spawn(|| cache.read(USER, doc).expect("leader read"));
-        while provider.inner.epoch() == 0 {
-            std::thread::yield_now();
-        }
-        let waiter = scope.spawn(|| cache.read_with(USER, doc, ReadOptions::default()));
-        let led = leader.join().unwrap();
-        (led, waiter.join().unwrap().expect("waiter read"))
-    });
+    let (led, joined) = (OnceLock::new(), OnceLock::new());
+    let mut schedule = Schedule::new(0, &VirtualClock::new());
+    schedule
+        .spawn(|| {
+            let read = cache.read(USER, doc).expect("leader read");
+            led.set(read).expect("one leader read");
+        })
+        .spawn(|| {
+            while provider.inner.epoch() == 0 {
+                sched::yield_now();
+            }
+            let read = cache.read_with(USER, doc, ReadOptions::default());
+            joined
+                .set(read.expect("waiter read"))
+                .expect("one waiter read");
+        });
+    schedule.run();
+    let (led, joined) = (
+        led.into_inner().expect("led"),
+        joined.into_inner().expect("joined"),
+    );
     assert!(provider.joined.load(Ordering::SeqCst), "the waiter joined");
     assert_eq!(led, "v1", "the leader's read began before the edit");
     assert_eq!(joined.bytes, "v2");
     assert_ne!(joined.class, HitClass::CoalescedWait);
 }
 
-/// A provider that costs nothing and yields the processor inside every
-/// fetch, so that a leader is routinely descheduled mid-flight and the
-/// other threads join it — on one core as on many.
+/// A provider that costs nothing and yields to the scheduler inside every
+/// fetch, so that a leader is routinely switched out mid-flight and the
+/// other threads join it.
 struct YieldingProvider(Bytes);
 
 impl BitProvider for YieldingProvider {
@@ -273,7 +286,7 @@ impl BitProvider for YieldingProvider {
     }
 
     fn open_input(&self, _clock: &VirtualClock) -> Result<Box<dyn InputStream>> {
-        std::thread::yield_now();
+        sched::yield_now();
         Ok(Box::new(MemoryInput::new(self.0.clone())))
     }
 
@@ -290,51 +303,52 @@ impl BitProvider for YieldingProvider {
     }
 }
 
-/// Lost-wake-up stress. A flight notifies only when a waiter registered, so
-/// a waiter the leader failed to count would sleep for ever. Four threads
-/// read eight documents that are never resident (the capacity is below one
+/// Lost-wake-up exploration. A flight notifies only when a waiter
+/// registered, so a waiter the leader failed to count would sleep for
+/// ever, which the scheduler reports as a run with no runnable thread,
+/// naming the seed that replays it. Under each seed four threads read
+/// eight documents that are never resident (the capacity is below one
 /// document, so every read is a miss) and keep leading and joining each
 /// other's flights: two threads a user, so version flights (same user) and
-/// stage flights (same document, other user) both coalesce. A hang fails
-/// the test after 30 s instead of stalling the suite.
+/// stage flights (same document, other user) both coalesce.
 #[test]
 fn a_cold_stampede_loses_no_wake_up() {
     const THREADS: u64 = 4;
-    const READS: u64 = 20_000;
+    const READS: u64 = 60;
     const DOCS: u64 = 8;
-    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
-    let users = [UserId(1), UserId(2)];
-    let docs: Vec<_> = (0..DOCS)
-        .map(|d| {
-            let body = Bytes::from(format!("cold document {d}"));
-            let doc = space.create_document(users[0], Arc::new(YieldingProvider(body)));
-            space.add_reference(users[1], doc).expect("doc exists");
-            space
-                .attach_active(Scope::Universal, doc, TagProperty::new("t", 0))
-                .expect("attach");
-            doc
-        })
-        .collect();
-    // What the uncached middleware serves: the oracle for every read.
-    let oracle: Vec<Bytes> = docs
-        .iter()
-        .map(|&doc| space.read_document(users[0], doc).expect("uncached").0)
-        .collect();
-    let cache = DocumentCache::new(
-        space,
-        CacheConfig::builder()
-            .capacity_bytes(1)
-            .stage_cache(true)
-            .local_latency(LatencyModel::FREE)
-            .build(),
-    );
+    for seed in 0..16 {
+        let clock = VirtualClock::new();
+        let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
+        let users = [UserId(1), UserId(2)];
+        let docs: Vec<_> = (0..DOCS)
+            .map(|d| {
+                let body = Bytes::from(format!("cold document {d}"));
+                let doc = space.create_document(users[0], Arc::new(YieldingProvider(body)));
+                space.add_reference(users[1], doc).expect("doc exists");
+                space
+                    .attach_active(Scope::Universal, doc, TagProperty::new("t", 0))
+                    .expect("attach");
+                doc
+            })
+            .collect();
+        // What the uncached middleware serves: the oracle for every read.
+        let oracle: Vec<Bytes> = docs
+            .iter()
+            .map(|&doc| space.read_document(users[0], doc).expect("uncached").0)
+            .collect();
+        let cache = DocumentCache::new(
+            space,
+            CacheConfig::builder()
+                .capacity_bytes(1)
+                .stage_cache(true)
+                .local_latency(LatencyModel::FREE)
+                .build(),
+        );
 
-    let (done, finished) = std::sync::mpsc::channel();
-    let workers: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let (cache, docs, oracle, done) =
-                (cache.clone(), docs.clone(), oracle.clone(), done.clone());
-            std::thread::spawn(move || {
+        let mut schedule = Schedule::new(seed, &clock);
+        for t in 0..THREADS {
+            let (cache, docs, oracle) = (&cache, &docs, &oracle);
+            schedule.spawn(move || {
                 let user = users[(t % 2) as usize];
                 let mut x = 0x9E37_79B9_7F4A_7C15_u64 + t;
                 for _ in 0..READS {
@@ -345,35 +359,17 @@ fn a_cold_stampede_loses_no_wake_up() {
                     let d = (x % DOCS) as usize;
                     assert_eq!(cache.read(user, docs[d]).expect("read"), oracle[d]);
                 }
-                done.send(()).expect("the watchdog outlives the workers");
-            })
-        })
-        .collect();
-    drop(done);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    for _ in 0..THREADS {
-        let left = deadline.saturating_duration_since(std::time::Instant::now());
-        // `Disconnected` is a worker that panicked: its join below says why.
-        if finished.recv_timeout(left) == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
-            panic!(
-                "a reader is still parked after 30 s: waiting_reads {}, inflight_fetches {}",
-                cache.waiting_reads(),
-                cache.inflight_fetches()
-            );
+            });
         }
-    }
-    for worker in workers {
-        worker
-            .join()
-            .expect("every read returned the oracle's bytes");
-    }
+        schedule.run();
 
-    let stats = cache.stats();
-    assert_eq!(stats.hits + stats.misses, THREADS * READS, "accounting");
-    assert!(stats.coalesced_waits > 0, "no flight was ever joined");
-    assert_eq!(cache.waiting_reads(), 0, "no waiter left behind");
-    assert_eq!(cache.inflight_fetches(), 0, "no fetch left running");
-    assert_eq!(cache.resident_bytes(), (0, 0), "the keys stayed cold");
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, THREADS * READS, "accounting");
+        assert!(stats.coalesced_waits > 0, "no flight was ever joined");
+        assert_eq!(cache.waiting_reads(), 0, "no waiter left behind");
+        assert_eq!(cache.inflight_fetches(), 0, "no fetch left running");
+        assert_eq!(cache.resident_bytes(), (0, 0), "the keys stayed cold");
+    }
 }
 
 /// `read()` is a thin wrapper: it returns exactly `read_with(..)`'s bytes
