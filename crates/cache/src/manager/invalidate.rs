@@ -19,6 +19,7 @@ impl DocumentCache {
             return;
         }
         AtomicCacheStats::bump(&self.table.stats.notifier_gaps);
+        self.table.invalidating(None);
         for mut shard in self.table.lock_each() {
             shard.drop_versions_after_gap();
         }
@@ -29,6 +30,7 @@ impl DocumentCache {
     /// each visit costs the document's versions in that shard. Returns how
     /// many entries went.
     pub(super) fn invalidate_doc(&self, doc: DocumentId) -> u64 {
+        self.table.invalidating(Some(doc));
         self.table
             .lock_each()
             .map(|mut shard| shard.remove_doc(doc))
@@ -41,6 +43,7 @@ impl DocumentCache {
             // only that key's shard is locked.
             Invalidation::UserDocument(doc, user) => {
                 let key = EntryKey::Version(doc, user);
+                self.table.invalidating(Some(doc));
                 u64::from(self.table.lock(key).remove(key, Removal::Invalidated))
             }
             Invalidation::Document(doc) => self.invalidate_doc(doc),

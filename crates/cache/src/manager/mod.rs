@@ -306,8 +306,8 @@ pub struct Recount {
 }
 
 /// Whether `verifier` still stands for content fetched after it was made:
-/// one that attests content is re-checked (uncharged: its probe paid),
-/// any other stands as it is.
-fn still_attests(verifier: &dyn Verifier, clock: &VirtualClock) -> bool {
-    !verifier.attests_content() || verifier.check(clock) == Validity::Valid
+/// one that attests content is re-checked (uncharged: its probe paid), and
+/// while some thread `waits` on a flight, any other too.
+fn still_attests(verifier: &dyn Verifier, clock: &VirtualClock, waits: bool) -> bool {
+    !(verifier.attests_content() || waits) || verifier.check(clock) == Validity::Valid
 }

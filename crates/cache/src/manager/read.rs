@@ -99,6 +99,8 @@ pub(super) struct Fetched {
     /// The entry's price: the whole path on the opaque read, the marginal
     /// replacement cost on the staged walk.
     pub(super) cost_micros: f64,
+    /// Its document's [`ShardTable::invalidations`] before the fetch began.
+    pub(super) seen: u64,
 }
 
 /// A document's origin record, resolved — one space lookup for the key,
@@ -224,8 +226,12 @@ impl DocumentCache {
             }
             Join::Waited(Some(FlightResult::Failed(error))) => {
                 // The flight's one fetch failed; every waiter shares
-                // the error (and its own stale fallback, if any).
+                // the error (and its own stale fallback, if any), and a
+                // shed is counted for each.
                 AtomicCacheStats::bump(&self.table.stats.coalesced_waits);
+                if let PlacelessError::Overloaded { .. } = error {
+                    return Err(self.origins.shed(read.opts.priority, &self.table.stats));
+                }
                 return self.stale_or_degraded(&read, error, stale);
             }
             // The leader's result may not be shared (uncacheable
@@ -239,22 +245,22 @@ impl DocumentCache {
         // (lock-order rule: no cache lock across middleware calls).
         let fetched = self.fetch_with_resilience(&read);
         if let Some(guard) = guard {
+            // A waiter may have joined after a write, an out-of-band edit or
+            // an invalidation this fetch missed: the bytes are shared only if
+            // no invalidation began since and the verifiers still vouch for
+            // them (those that attest content always, any other while a
+            // thread waits), now that nobody can join.
+            let fresh = |fetched: &Fetched| {
+                let waits = self.version_flights.waiting() > 0;
+                let mut verifiers = fetched.report.verifiers.iter();
+                self.table.invalidations(doc) == fetched.seen
+                    && verifiers.all(|v| still_attests(&**v, read.clock, waits))
+            };
             guard.complete(|| match &fetched {
                 Ok(fetched) if fetched.report.cacheability == Cacheability::Uncacheable => {
                     FlightResult::Unshared
                 }
-                // A waiter may have joined after a write this fetch missed:
-                // the bytes are shared only if the verifiers that attest
-                // content still vouch for them, now that nobody can join.
-                Ok(fetched)
-                    if !fetched
-                        .report
-                        .verifiers
-                        .iter()
-                        .all(|v| still_attests(&**v, read.clock)) =>
-                {
-                    FlightResult::Unshared
-                }
+                Ok(fetched) if !fresh(fetched) => FlightResult::Unshared,
                 Ok(fetched) => FlightResult::Shared {
                     bytes: fetched.bytes.clone(),
                     forward: fetched.report.cacheability.requires_event_forwarding(),
@@ -465,9 +471,11 @@ impl DocumentCache {
         if self.stage_cache {
             self.read_through_stages(user, doc, clock, ctx)
         } else {
+            let seen = self.table.invalidations(doc);
             self.space
                 .read_document(user, doc)
                 .map(|(bytes, report)| Fetched {
+                    seen,
                     bytes,
                     cost_micros: report.cost.effective_micros(),
                     report,
@@ -519,6 +527,7 @@ impl DocumentCache {
             content_sig,
             stage,
             cost_micros,
+            seen,
             ..
         } = fetched;
         let free = cost_micros == 0.0 && !report.pinned;
@@ -538,7 +547,14 @@ impl DocumentCache {
         );
         meta.pinned = report.pinned;
         meta.prefetched = prefetched;
-        self.table.lock(key).install(key, bytes, meta, sig);
+        let mut shard = self.table.lock(key);
+        let EntryKey::Version(doc, _) = key else {
+            unreachable!("a fill is a version's")
+        };
+        // An invalidation begun since the fetch may have removed its bytes.
+        if self.table.invalidations(doc) == seen {
+            shard.install(key, bytes, meta, sig);
+        }
         Some(sig)
     }
 

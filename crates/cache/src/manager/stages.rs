@@ -125,6 +125,7 @@ impl DocumentCache {
         clock: &VirtualClock,
         ctx: FetchCtx,
     ) -> Result<Fetched> {
+        let seen = self.table.invalidations(doc);
         let (chain_lease, root) = self.probe_lease(doc, clock);
         let (plan, chain_lease, chain_reused) =
             self.space
@@ -173,6 +174,7 @@ impl DocumentCache {
             stage: content_sig.is_none().then_some(stage),
             content_sig,
             cost_micros,
+            seen,
         })
     }
 

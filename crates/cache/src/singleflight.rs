@@ -153,7 +153,11 @@ impl FlightGroup {
         let flight = {
             let mut flights = self.flights.lock();
             match flights.get(&key) {
-                Some(flight) => Arc::clone(flight),
+                // Counted before the leader can close the flight.
+                Some(flight) => {
+                    self.waiting.fetch_add(1, Ordering::SeqCst);
+                    Arc::clone(flight)
+                }
                 None => {
                     let flight = Arc::<Flight>::default();
                     flights.insert(key, Arc::clone(&flight));
@@ -166,7 +170,6 @@ impl FlightGroup {
                 }
             }
         };
-        self.waiting.fetch_add(1, Ordering::SeqCst);
         let result = flight.wait();
         self.waiting.fetch_sub(1, Ordering::SeqCst);
         Join::Waited(result)

@@ -99,7 +99,7 @@ ALLOWED=(
   "simenv::StableStore::append_count: tests/journal.rs::ack_batch_appends_one_frame_and_skips_superseded_records — frames per ack"
   "simenv::StableStore::bytes_written: tests/journal.rs::flush_shaped_run_writes_under_three_bytes_per_user_byte — write amplification"
   "simenv::StableStore::is_empty: tests/journal.rs — pairs StableStore::len (clippy::len_without_is_empty)"
-  "simenv::TraceSampler::documents: tests/shard_stress.rs — sizes the trace's document set"
+  "simenv::TraceSampler::documents: tests/cache_manager.rs — sizes the trace's document set"
 )
 OPTION_STRUCTS=(CacheConfig OriginConfig WindowConfig OverloadControl ReadOptions MergePolicy
   PrefetchConfig)

@@ -209,6 +209,34 @@ fn nfs_failures_release_handles() {
     );
 }
 
+/// Four clients open, read and close one export at once: every handle is
+/// released.
+#[test]
+fn concurrent_nfs_clients() {
+    let space = space();
+    let doc = space.create_document(USER, MemoryProvider::new("d0", "content 0", 100));
+    for user in 2..=4 {
+        space.add_reference(UserId(user), doc).unwrap();
+    }
+    let nfs = NfsServer::new(DirectBackend::new(space));
+    nfs.export("/shared.txt", doc);
+    std::thread::scope(|scope| {
+        for user in 1..=4u64 {
+            let nfs = nfs.clone();
+            scope.spawn(move || {
+                for _ in 0..50 {
+                    let h = nfs
+                        .open(UserId(user), "/shared.txt", OpenMode::Read)
+                        .unwrap();
+                    let _ = nfs.read(h, 0, 64).unwrap();
+                    nfs.close(h).unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(nfs.open_count(), 0, "every handle closed");
+}
+
 #[test]
 fn proplang_runtime_errors_propagate() {
     let space = space();

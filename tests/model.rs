@@ -22,15 +22,21 @@
 //! runs must keep the same books. The vendored proptest does not shrink: a
 //! failure drops every op it does not need and prints a `replay` call to
 //! paste into a `#[test]` with `use {Kind::*, Op::*};`.
+//!
+//! Threads are the same oracle's ([`replay_threaded`]): a case's ops run on
+//! a seeded [`Schedule`], a mutator beside two readers and, writing back, a
+//! flusher. A read must serve what its key had at some moment while it ran,
+//! and the books at quiescence are the sequential mode's.
 
 mod reference;
 
 use bytes::Bytes;
+use parking_lot::Mutex as Lock;
 use placeless::prelude::*;
 use placeless_cache::manager::Recount;
 use placeless_cache::{
-    md5, BreakerState, EntryKey, MergePolicy, OriginConfig, OverloadControl, Priority, Signature,
-    StalenessBound, WindowConfig, WriteJournal, NO_EPOCH,
+    md5, BreakerState, EntryKey, FlushReport, MergePolicy, OriginConfig, OverloadControl, Priority,
+    Signature, StalenessBound, WindowConfig, WriteJournal, NO_EPOCH,
 };
 use placeless_core::bitprovider::BitProvider;
 use placeless_core::external::SimpleExternal;
@@ -38,6 +44,7 @@ use placeless_core::notifier::Invalidation;
 use placeless_core::op::{apply_all, rebasable, DocOp};
 use placeless_core::property::ActiveProperty;
 use placeless_properties::translate::EN_FR;
+use placeless_simenv::sched::{self, Schedule};
 use placeless_simenv::{FaultPlan, Instant, LatencyModel, StableStore};
 use proptest::prelude::*;
 use proptest::sample::select;
@@ -46,6 +53,7 @@ use reference::{reference_rot13, reference_translate};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A step's verdict: an error says what broke.
@@ -131,7 +139,7 @@ enum Kind {
 /// One step. Fields are indices — a document, a user (`None`: the
 /// universal list), then a body, an edit, a list position or a value — so
 /// that a printed sequence stays short.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Op {
     /// `(doc, user, options)` of [`read_options`].
     Read(usize, usize, usize),
@@ -260,32 +268,17 @@ struct Reference {
     served: [u64; 4],
     /// How often a buffered write was parked that was not parked before.
     parks: u64,
+    /// What overload control did: sheds, brownout shifts and queue wait.
+    /// Nothing, unless threads contended for a window.
+    overload: (u64, u64, u64),
 }
 
 impl Reference {
     /// What the uncached middleware reads for `user`: the origin's bytes
     /// through the universal list, then the user's own.
     fn render(&self, doc: usize, user: usize) -> Bytes {
-        let lossy = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
-        let translate = |pairs: &[(&str, &str)], bytes: &[u8]| {
-            let table = pairs.iter().map(|&(k, v)| (k.into(), v.into()));
-            reference_translate(&table.collect(), bytes)
-        };
-        let (mut bytes, lists) = (self.origin[doc].to_vec(), [None, Some(user)]);
-        let personal = &self.chains[&(doc, Some(user))];
-        let loud = personal.iter().any(|(_, slot)| *slot == Slot::Mode("loud"));
-        for (_, slot) in lists.iter().flat_map(|&list| &self.chains[&(doc, list)]) {
-            let Slot::Active(kind) = slot else { continue };
-            bytes = match kind {
-                Kind::Rot13 => bytes.iter().map(|&b| reference_rot13(b)).collect(),
-                Kind::Replace => lossy(&bytes).replace("the", "le").into_bytes(),
-                Kind::Fr => translate(EN_FR, &bytes),
-                Kind::Loud if loud => lossy(&bytes).to_uppercase().into_bytes(),
-                Kind::Loud => bytes,
-                Kind::Quote => (lossy(&bytes) + &lossy(&self.quote)).into_bytes(),
-            };
-        }
-        bytes.into()
+        let lists = [None, Some(user)].map(|list| &self.chains[&(doc, list)]);
+        render(&self.origin[doc], lists, &[&self.quote])
     }
 
     /// What a write of `data` leaves at the provider: rot13-at-rest is the
@@ -341,6 +334,36 @@ impl Reference {
     }
 }
 
+/// What the uncached middleware reads from `origin` through `lists`, the
+/// universal one, then a user's own, the `i`th quote stage reading the
+/// quote source's `quotes[i]`, or the last.
+fn render(origin: &[u8], lists: [&Chain; 2], quotes: &[&Bytes]) -> Bytes {
+    let lossy = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    let translate = |pairs: &[(&str, &str)], bytes: &[u8]| {
+        let table = pairs.iter().map(|&(k, v)| (k.into(), v.into()));
+        reference_translate(&table.collect(), bytes)
+    };
+    let (mut bytes, mut quotes) = (origin.to_vec(), quotes.iter());
+    let loud = lists[1].iter().any(|(_, slot)| *slot == Slot::Mode("loud"));
+    let mut quote = quotes.next().unwrap();
+    for (_, slot) in lists.iter().flat_map(|list| list.iter()) {
+        let Slot::Active(kind) = slot else { continue };
+        bytes = match kind {
+            Kind::Rot13 => bytes.iter().map(|&b| reference_rot13(b)).collect(),
+            Kind::Replace => lossy(&bytes).replace("the", "le").into_bytes(),
+            Kind::Fr => translate(EN_FR, &bytes),
+            Kind::Loud if loud => lossy(&bytes).to_uppercase().into_bytes(),
+            Kind::Loud => bytes,
+            Kind::Quote => {
+                let read = lossy(quote);
+                quote = quotes.next().unwrap_or(quote);
+                (lossy(&bytes) + &read).into_bytes()
+            }
+        };
+    }
+    bytes.into()
+}
+
 // ---- the machine -------------------------------------------------------
 
 struct Machine {
@@ -362,6 +385,8 @@ struct Machine {
     /// deliveries [`Op::DropNext`] armed that no post has used up.
     bus: (u64, u64),
     armed: u64,
+    /// What a threaded case's threads saw.
+    seen: Seen,
 }
 
 impl Machine {
@@ -435,6 +460,7 @@ impl Machine {
             last: Recount::default(),
             bus: (0, 0),
             armed: 0,
+            seen: Seen::default(),
         };
         machine.reference.origin = (0..DOCS).map(|d| machine.origin(d)).collect();
         machine.bus = machine.space.bus().counters();
@@ -862,12 +888,13 @@ impl Machine {
             served,
             books,
         );
-        let (reference, reads) = (&self.reference, self.reference.served.iter().sum());
+        let reference = &self.reference;
+        let reads = reference.served.iter().sum::<u64>() + reference.overload.0;
         let books = ([dirty, parked], dirty, reference.parks, reads);
         let recounted = (
             [dirty, parked],
             staged,
-            (0, 0, 0),
+            reference.overload,
             (0, 0),
             reference.served,
             books,
@@ -916,6 +943,24 @@ fn same(what: &str, got: &[u8], want: &[u8]) -> Checked {
     Ok(())
 }
 
+/// Drops one op at a time, last first, for as long as `fails` still says
+/// why the rest fail, until none can go.
+fn shrink(ops: &mut Vec<Op>, why: &mut String, fails: impl Fn(&[Op]) -> Option<String>) {
+    loop {
+        let before = ops.len();
+        for i in (0..before).rev() {
+            let mut fewer = ops.clone();
+            fewer.remove(i);
+            if let Some(failure) = fails(&fewer) {
+                (*ops, *why) = (fewer, failure);
+            }
+        }
+        if ops.len() == before {
+            break;
+        }
+    }
+}
+
 /// Runs `ops` over a fresh world: the cache's books at the end, or the step
 /// that broke an invariant, and why.
 fn replay(setup: Setup, shards: usize, ops: &[Op]) -> std::result::Result<String, (usize, String)> {
@@ -930,18 +975,22 @@ fn replay(setup: Setup, shards: usize, ops: &[Op]) -> std::result::Result<String
         }
         Ok(format!("{:?}\n{:?}", machine.cache.stats(), machine.last))
     };
+    unwound(run).map_err(|why| (step.get(), why))
+}
+
+/// What `run` returns, or why it failed or panicked.
+fn unwound<T>(run: impl FnOnce() -> Checked<T>) -> std::result::Result<T, String> {
     let outcome = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
         let message = panic.downcast_ref::<String>().cloned();
         let message = message.or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()));
         Err(message.unwrap_or_default().into())
     });
-    outcome.map_err(|why| (step.get(), why.to_string()))
+    outcome.map_err(|why| why.to_string())
 }
 
-#[test]
-fn the_cache_agrees_with_the_reference() {
-    // Two cases in three write back, half of them with a merge policy; one
-    // in four trusts its notifiers alone.
+/// Two cases in three write back, half of them with a merge policy; one in
+/// four trusts its notifiers alone.
+fn setups() -> impl Strategy<Value = Setup> {
     let modes = select(vec![(false, false), (true, false), (true, true)]);
     let faults = (
         any::<bool>(),
@@ -949,7 +998,7 @@ fn the_cache_agrees_with_the_reference() {
         any::<bool>(),
     );
     let setup = (modes, any::<bool>(), any::<bool>(), any::<bool>(), faults);
-    let setup = setup.prop_map(
+    setup.prop_map(
         |((back, merge), stage_cache, window, roomy, faults)| Setup {
             back,
             merge,
@@ -960,8 +1009,12 @@ fn the_cache_agrees_with_the_reference() {
             notifier_only: faults.1,
             resilient: faults.2,
         },
-    );
-    let ops = proptest::collection::vec(op(), 1..64);
+    )
+}
+
+#[test]
+fn the_cache_agrees_with_the_reference() {
+    let (setup, ops) = (setups(), proptest::collection::vec(op(), 1..64));
     for case in 0..CASES {
         let mut rng = TestRng::for_case("model", case);
         let (setup, mut ops) = (setup.generate(&mut rng), ops.generate(&mut rng));
@@ -974,21 +1027,10 @@ fn the_cache_agrees_with_the_reference() {
                 }
                 Err(failure) => failure,
             };
-            // Drops one op at a time, last first, until none can go.
             ops.truncate(step + 1);
-            loop {
-                let before = ops.len();
-                for i in (0..before).rev() {
-                    let mut fewer = ops.clone();
-                    fewer.remove(i);
-                    if let Err((_, failure)) = replay(setup, shards, &fewer) {
-                        (ops, why) = (fewer, failure);
-                    }
-                }
-                if ops.len() == before {
-                    break;
-                }
-            }
+            shrink(&mut ops, &mut why, |ops| {
+                replay(setup, shards, ops).err().map(|e| e.1)
+            });
             let replay = format!("replay({setup:?}, {shards}, &{ops:?})");
             panic!("case {case} at {shards} shard(s), step {step}: {why}\n{replay}");
         }
@@ -998,6 +1040,533 @@ fn the_cache_agrees_with_the_reference() {
             "case {case}: two runs at one shard differ\n{replay}"
         );
     }
+}
+
+// ---- the threaded mode -------------------------------------------------
+
+/// Threaded cases, eight times as many in the release build.
+const THREADED_CASES: u32 = if cfg!(debug_assertions) { 64 } else { 512 };
+/// What a read must overlap on its document in some case: a write, a flush
+/// racing a write, a bus post, an out-of-band edit, an attach or detach.
+const RACES: [&str; 5] = ["write", "flush", "bus", "out-of-band", "property"];
+
+/// When something happened: the virtual clock, then a sequence number for
+/// what the clock does not tell apart. A schedule runs one thread at a
+/// time, so moments are in the order things happened.
+type Moment = (Instant, u64);
+type Key = (usize, usize);
+
+/// The values an input had, or the views a writer's reads got, each from
+/// the start of the op that made it until the end of the one that undid it.
+type Spans<T> = Vec<(Moment, Option<Moment>, T)>;
+
+/// Closes the open span `now` unless it holds `value`, which opens `from`.
+fn note<T: Clone + PartialEq>(spans: &mut Spans<T>, value: Option<&T>, from: Moment, now: Moment) {
+    match spans.last_mut() {
+        Some((_, None, open)) if Some(&*open) == value => return,
+        Some((_, until @ None, _)) => *until = Some(now),
+        _ => {}
+    }
+    spans.extend(value.map(|value| (from, None, value.clone())));
+}
+
+/// The values `spans` had at some moment from `since` to `to`.
+fn during<T>(spans: Option<&Spans<T>>, (since, to): (Moment, Moment)) -> Vec<&T> {
+    let spans = spans.into_iter().flatten();
+    let had = spans.filter(|(from, until, _)| *from <= to && until.is_none_or(|u| u >= since));
+    had.map(|(.., value)| value).collect()
+}
+
+/// How many reads met each race, or why the run failed.
+type Replayed = std::result::Result<[u64; 5], String>;
+/// A read of a key from one moment to another, and what it got.
+type Served = (Key, Moment, Moment, Result<ReadOutcome>);
+
+/// What a threaded case's threads saw.
+#[derive(Default)]
+struct Seen {
+    /// The next moment's sequence number, shared with the readers.
+    sequence: Arc<AtomicU64>,
+    /// The inputs a rendition is made of: each document's origin bytes,
+    /// each property list, the quote; and each key's buffered views.
+    origins: HashMap<usize, Spans<Bytes>>,
+    chains: HashMap<(usize, Option<usize>), Spans<Chain>>,
+    quotes: Spans<Bytes>,
+    views: HashMap<Key, Spans<Bytes>>,
+    /// Each lost post's window: from the [`Op::DropNext`] that armed it
+    /// until a delivery after it was seen.
+    gaps: Spans<()>,
+    /// When document 2's link first went dark.
+    darkened: Option<Moment>,
+    /// Each op's race and document (a flush's: none), and when it ran.
+    touched: Vec<(usize, Option<usize>, Moment, Moment)>,
+    reads: Vec<Served>,
+}
+
+/// Every `(doc, user)`.
+fn keys() -> impl Iterator<Item = Key> {
+    (0..DOCS).flat_map(|doc| [(doc, 0), (doc, 1)])
+}
+
+/// The next moment of `clock`'s run.
+fn moment(clock: &VirtualClock, sequence: &AtomicU64) -> Moment {
+    (clock.now(), sequence.fetch_add(1, Ordering::Relaxed))
+}
+
+impl Seen {
+    /// `start`, or the start of a lost post's window open meanwhile.
+    fn horizon(&self, start: Moment, end: Moment) -> Moment {
+        let gaps = self.gaps.iter();
+        let lost = gaps.filter(|(from, until, _)| *from <= end && until.is_none_or(|u| u >= start));
+        lost.fold(start, |horizon, gap| horizon.min(gap.0))
+    }
+
+    /// Whether `holds` some rendition of `key` made of inputs each of which
+    /// it had at some moment of `span`: a read takes the property lists,
+    /// the origin's bytes and, stage by stage, the quote one after another,
+    /// so one that overlapped changes of two may see the new of one beside
+    /// the old of the other.
+    fn rendered(&self, key: Key, span: (Moment, Moment), holds: impl Fn(&Bytes) -> bool) -> bool {
+        let lists = [None, Some(key.1)].map(|list| during(self.chains.get(&(key.0, list)), span));
+        let ([all, own], quotes) = (&lists, during(Some(&self.quotes), span));
+        let quoted = |list: &&Chain| {
+            list.iter()
+                .filter(|p| p.1 == Slot::Active(Kind::Quote))
+                .count()
+        };
+        for origin in during(self.origins.get(&key.0), span) {
+            for lists in all
+                .iter()
+                .flat_map(|all| own.iter().map(move |own| [*all, *own]))
+            {
+                let stages = lists.iter().map(quoted).sum::<usize>().max(1);
+                let mut picks = choices(&vec![quotes.clone(); stages]).into_iter();
+                if picks.any(|quotes| holds(&render(origin, lists, &quotes))) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Opens a span from `from` for each input whose value is not its open
+    /// one's, which closes `now`.
+    fn record(&mut self, reference: &Reference, from: Moment, now: Moment) {
+        for (doc, origin) in reference.origin.iter().enumerate() {
+            let spans = self.origins.entry(doc).or_default();
+            note(spans, Some(origin), from, now);
+        }
+        for (&list, chain) in &reference.chains {
+            note(self.chains.entry(list).or_default(), Some(chain), from, now);
+        }
+        note(&mut self.quotes, Some(&reference.quote), from, now);
+    }
+
+    /// How many reads overlapped each of [`RACES`] on their document.
+    fn races(&self) -> [u64; 5] {
+        let overlap = |a: (Moment, Moment), b: (Moment, Moment)| a.0 <= b.1 && b.0 <= a.1;
+        let mut races = [0; 5];
+        for &((doc, _), start, end, _) in &self.reads {
+            for &(race, on, s, e) in &self.touched {
+                let mut writes = self.touched.iter().filter(|t| t.0 == 0 && t.1 == Some(doc));
+                let flush = on.is_none() && writes.any(|w| overlap((w.2, w.3), (s, e)));
+                let met = (on == Some(doc) || flush) && overlap((start, end), (s, e));
+                races[race] += u64::from(met);
+            }
+        }
+        races
+    }
+}
+
+impl Machine {
+    fn now(&self) -> Moment {
+        moment(self.space.clock(), &self.seen.sequence)
+    }
+
+    /// `Some` of what `result` holds, or `None` if it failed as it may:
+    /// transiently on document 2 once its link has gone dark (its breaker
+    /// may stay open after), or on any document a window may queue past
+    /// its deadline; shed, and counted, only by overload control.
+    fn excused<T>(&mut self, doc: usize, end: Moment, result: Result<T>) -> Checked<Option<T>> {
+        let dark = doc == WEB && self.seen.darkened.is_some_and(|at| at <= end);
+        match result {
+            Ok(value) => return Ok(Some(value)),
+            Err(PlacelessError::Overloaded { .. }) if self.setup.window => {
+                self.reference.overload.0 += 1;
+            }
+            Err(error) if error.is_transient() && (dark || self.setup.window) => {}
+            Err(error) => return Err(format!("doc {doc} failed: {error}").into()),
+        }
+        Ok(None)
+    }
+
+    /// Holds a read to the renditions and views its key had while it ran,
+    /// or since its horizon: a TTL hit's or a stale service's, or a lost
+    /// post's. The bytes it served, if it did.
+    fn judge(&mut self, (key, start, end, read): Served) -> Checked<Option<Bytes>> {
+        let failed = read.as_ref().is_err_and(|e| e.is_transient());
+        let Some(outcome) = self.excused(key.0, end, read)? else {
+            self.reference.served[3] += u64::from(failed);
+            return Ok(None);
+        };
+        let (class, bytes, seen) = (outcome.class, outcome.bytes, &self.seen);
+        let counted = match class {
+            HitClass::Hit | HitClass::CoalescedWait => 0,
+            HitClass::StaleServed => 2,
+            _ => 1,
+        };
+        self.reference.served[counted] += 1;
+        // A waiter is served what its flight's leader fetched, as a hit is.
+        let (stale, ttl) = (counted == 2, counted == 0 && key.0 == WEB && self.setup.ttl);
+        let age = [TTL, BOUND][usize::from(stale)];
+        let back = (stale || ttl).then(|| (Instant(start.0 .0.saturating_sub(age)), 0));
+        let span = (seen.horizon(start, end).min(back.unwrap_or(start)), end);
+        let viewed = during(seen.views.get(&key), span).contains(&&bytes);
+        let had = viewed || seen.rendered(key, span, |had| *had == bytes);
+        ensure!(
+            had,
+            "{key:?} served as {class:?} bytes it had at no moment of {span:?}"
+        );
+        Ok(Some(bytes))
+    }
+
+    /// Reads the bus's counters, as [`Machine::step`] does, while no post
+    /// is in flight. A window closes at a delivery after every armed drop
+    /// was used up, unless it saw a drop too: posts the threads raced for
+    /// may have come in either order.
+    fn observe(&mut self, now: Moment) {
+        let (posted, delivered) = self.space.bus().counters();
+        let dropped = (posted - self.bus.0) - (delivered - self.bus.1);
+        self.armed -= dropped;
+        if self.armed == 0 && dropped == 0 && delivered > self.bus.1 {
+            note(&mut self.seen.gaps, None, now, now);
+        }
+        self.bus = (posted, delivered);
+    }
+
+    /// Applies a non-read `op` to the cache, or the world under it, and to
+    /// the reference, checking what can be known of it while reads and a
+    /// flush run beside it; then records it.
+    fn mutate(&mut self, op: Op) -> Checked {
+        let (start, cache, at) = (self.now(), self.cache.clone(), |doc: usize| self.docs[doc]);
+        match op {
+            Op::Write(doc, user, b) if !self.setup.back => {
+                let written = cache.write(USERS[user], at(doc), &body(b));
+                if self.excused(doc, self.now(), written)?.is_some() {
+                    let stored = self.origin(doc);
+                    same("written", &stored, &self.reference.at_rest(doc, &body(b)))?;
+                    self.reference.origin[doc] = stored;
+                }
+            }
+            Op::Write(doc, user, b) => {
+                cache.write(USERS[user], at(doc), &body(b))?;
+                // Its epoch is the recount's, at the next flush.
+                let parked = self.reference.dirty.get(&(doc, user)).is_some_and(|w| w.3);
+                let write = Buffered(body(b), NO_EPOCH, Vec::new(), parked);
+                self.reference.dirty.insert((doc, user), write);
+                self.view((doc, user), Some(&body(b)), start);
+            }
+            Op::Edit(doc, user, e) if !self.setup.back => {
+                let written = cache.write_op(USERS[user], at(doc), edit(e));
+                let end = self.now();
+                if self.excused(doc, end, written)?.is_some() {
+                    // Applied to a rendition its probe may have read.
+                    let (stored, reference) = (self.origin(doc), &self.reference);
+                    let made = |base: &Bytes| reference.at_rest(doc, &edit(e).apply(base));
+                    let span = (self.seen.horizon(start, end), end);
+                    let probed = self.seen.rendered((doc, user), span, |b| made(b) == stored);
+                    ensure!(probed, "edited into {stored:?}");
+                    self.reference.origin[doc] = stored;
+                }
+            }
+            Op::Edit(doc, user, e) => self.edit((doc, user), e, start)?,
+            Op::Flush => {
+                let report = cache.flush()?;
+                self.flushed(&report, start)?;
+            }
+            Op::BusDoc(doc) => self.space.bus().post(Invalidation::Document(at(doc))),
+            Op::BusUser(doc, u) => {
+                let invalidation = Invalidation::UserDocument(at(doc), USERS[u]);
+                self.space.bus().post(invalidation);
+            }
+            Op::Read(..) => unreachable!("readers read"),
+            op => self.apply(&op)?,
+        }
+        let end = self.now();
+        let seen = &mut self.seen;
+        match op {
+            Op::Dark(true) => drop(seen.darkened.get_or_insert(start)),
+            Op::DropNext if seen.gaps.last().is_none_or(|gap| gap.1.is_some()) => {
+                seen.gaps.push((start, None, ()));
+            }
+            Op::SetMode(doc, user, _) => {
+                // It detaches the old value before it attaches the new one:
+                // a read between sees neither.
+                let list = (doc, Some(user));
+                let mut unset = self.reference.chains[&list].clone();
+                unset.retain(|(_, slot)| !matches!(slot, Slot::Mode(_)));
+                let spans = seen.chains.get_mut(&list).unwrap();
+                note(spans, Some(&unset), start, end);
+            }
+            _ => {}
+        }
+        seen.record(&self.reference, start, end);
+        let race = match op {
+            Op::Write(doc, ..) | Op::Edit(doc, ..) => Some((0, doc)),
+            Op::BusDoc(doc) | Op::BusUser(doc, _) => Some((2, doc)),
+            Op::OutOfBand(doc, _) => Some((3, doc)),
+            Op::Attach(doc, ..) | Op::Detach(doc, ..) => Some((4, doc)),
+            _ => None,
+        };
+        let touched = race.map(|(race, doc)| (race, Some(doc), start, end));
+        seen.touched.extend(touched);
+        Ok(())
+    }
+
+    /// Closes `key`'s open view now, and opens `view` from `start`.
+    fn view(&mut self, key: Key, view: Option<&Bytes>, start: Moment) {
+        let now = self.now();
+        note(self.seen.views.entry(key).or_default(), view, start, now);
+    }
+
+    /// A write-back `write_op`, with no flush beside it: a buffered write
+    /// gains the edit; else the edit applies to a rendition the key had, on
+    /// its epoch, or with the origin out of reach, to nothing on none.
+    fn edit(&mut self, key: Key, e: usize, start: Moment) -> Checked {
+        let (doc, user) = (self.docs[key.0], USERS[key.1]);
+        let before = self.reference.dirty.remove(&key);
+        self.cache.write_op(user, doc, edit(e))?;
+        let mut buffered = self.cache.recount().dirty.into_iter();
+        let Some((.., view, epoch, parked)) = buffered.find(|w| (w.0, w.1) == (doc, user)) else {
+            return Err(format!("an edit of {key:?} buffered nothing").into());
+        };
+        let ops = match before {
+            Some(Buffered(base, _, ops, was)) => {
+                same("edited", &view, &edit(e).apply(&base))?;
+                ensure!(parked == was, "an edit of {key:?} moved its parked mark");
+                let replaced = ops.is_empty().then_some(DocOp::Replace(base));
+                replaced.into_iter().chain(ops).chain([edit(e)]).collect()
+            }
+            None => {
+                let on = |base: &Bytes| epoch == md5(base) || base.is_empty() && epoch == NO_EPOCH;
+                let based = |base: &Bytes| edit(e).apply(base) == view && on(base);
+                let dark = key.0 == WEB && self.seen.darkened.is_some() && based(&Bytes::new());
+                let ever = ((Instant(0), 0), self.now());
+                let had = dark || self.seen.rendered(key, ever, based);
+                ensure!(!parked && had, "an edit of {key:?} on no rendition it had");
+                vec![edit(e)]
+            }
+        };
+        self.view(key, Some(&view), start);
+        let write = Buffered(view, epoch, ops, parked);
+        self.reference.dirty.insert(key, write);
+        Ok(())
+    }
+
+    /// Records a flush that ran from `start`: what the origins hold now,
+    /// and which writes stay buffered, and parked, as the cache recounts
+    /// them. With a journal no write is requeued or dropped, and only
+    /// document 2's park, once dark.
+    fn flushed(&mut self, report: &FlushReport, start: Moment) -> Checked {
+        let (now, reference) = (self.now(), &self.reference);
+        let kept = report.requeued.is_empty() && report.dropped.is_empty();
+        let parked = report.parked.is_empty() || self.seen.darkened.is_some();
+        let web = report.parked.iter().all(|write| write.0 == self.docs[WEB]);
+        ensure!(kept && parked && web, "{report}");
+        // A flush writes a document's writes in user order: a read between
+        // the two may see the first written alone, as its view, or rebased
+        // on the rendition its probe read.
+        let both = |doc| reference.dirty.range((doc, 0)..=(doc, 1)).count() == 2;
+        for doc in (0..DOCS).filter(|&doc| both(doc)) {
+            let ops = &reference.dirty[&(doc, 0)].2;
+            let rebase = self.setup.merge && rebasable(ops);
+            let rebased = rebase.then(|| apply_all(&reference.render(doc, 0), ops));
+            let views = during(self.seen.views.get(&(doc, 0)), (start, now));
+            for first in views.into_iter().cloned().chain(rebased) {
+                let (written, spans) = (reference.at_rest(doc, &first), &mut self.seen.origins);
+                note(spans.get_mut(&doc).unwrap(), Some(&written), start, now);
+            }
+        }
+        let mut left = HashMap::new();
+        for (doc, user, view, epoch, parked) in self.cache.recount().dirty {
+            let key = (self.index(doc), user.0 as usize - 1);
+            left.insert(key, (view, epoch, parked));
+        }
+        for key in keys() {
+            match (left.get(&key), self.reference.dirty.get_mut(&key)) {
+                (None, _) => {
+                    self.reference.dirty.remove(&key);
+                    self.view(key, None, start);
+                }
+                (Some((view, epoch, parked)), Some(write)) => {
+                    same("left buffered", view, &write.0)?;
+                    self.reference.parks += u64::from(*parked && !write.3);
+                    (write.1, write.3) = (*epoch, *parked);
+                }
+                (Some(_), None) => return Err(format!("{key:?} buffered an unmade write").into()),
+            }
+        }
+        self.reference.origin = (0..DOCS).map(|doc| self.origin(doc)).collect();
+        self.seen.record(&self.reference, start, now);
+        Ok(())
+    }
+
+    /// With every thread done: judges the reads; heals the link, waits out
+    /// the breaker and flushes as the sequential mode does, which checks
+    /// what each origin then holds; reads every key once more; and holds
+    /// the books to the reference as [`Machine::check`] does, each resident
+    /// version to what the last read of it served.
+    fn quiesce(&mut self) -> Checked<[u64; 5]> {
+        let races = self.seen.races();
+        for read in std::mem::take(&mut self.seen.reads) {
+            self.judge(read)?;
+        }
+        let start = self.now();
+        for op in [Op::Dark(false), Op::Tick(3)] {
+            self.apply(&op)?;
+        }
+        let recount = self.cache.recount();
+        for (doc, user, _, epoch, _) in &recount.dirty {
+            let key = (self.index(*doc), user.0 as usize - 1);
+            self.reference.dirty.get_mut(&key).unwrap().1 = *epoch;
+        }
+        let gap = self.seen.gaps.last().filter(|gap| gap.1.is_none());
+        (self.reference.unnoticed, self.last) = (gap.map(|gap| gap.0 .0), recount);
+        self.flush()?;
+        for (doc, written) in self.reference.origin.iter().enumerate() {
+            same("at the origin", &self.origin(doc), written)?;
+        }
+        keys().for_each(|key| self.view(key, None, start));
+        let end = self.now();
+        self.seen.record(&self.reference, start, end);
+        for (doc, user) in keys() {
+            let start = self.now();
+            let read = self
+                .cache
+                .read_with(USERS[user], self.docs[doc], Default::default());
+            let last = self.judge(((doc, user), start, self.now(), read))?;
+            let admissible = last.map(|bytes| (end.0, bytes)).into_iter().collect();
+            self.reference.admissible.insert((doc, user), admissible);
+        }
+        let (s, sheds) = (self.cache.stats(), self.reference.overload.0);
+        self.reference.overload = (sheds, s.brownout_shifts, s.queue_wait_micros);
+        self.check()?;
+        Ok(races)
+    }
+}
+
+/// Runs `ops` on threads under `seed`'s schedule: a mutator runs the ops
+/// that are not reads in order, each under the reference's lock, which it
+/// records before it lets go; two readers each run every read, in order,
+/// so that they meet on keys, the budget holding after each, and the
+/// reference judges them once every op is recorded; a write-back case's
+/// flusher flushes four times beside them.
+/// How many reads met each race, or why the run failed.
+fn replay_threaded(setup: Setup, shards: usize, seed: u64, ops: &[Op]) -> Replayed {
+    unwound(|| {
+        let mut machine = Machine::new(setup, shards);
+        let origin = machine.now();
+        machine.seen.record(&machine.reference, origin, origin);
+        let (cache, docs) = (machine.cache.clone(), machine.docs.clone());
+        let (clock, sequence) = (machine.space.clock().clone(), machine.seen.sequence.clone());
+        let capacity = [CAPACITY, 1 << 20][usize::from(setup.roomy)];
+        let shared = Lock::new(machine);
+        // Held across every flush and every op but a plain write, a bus
+        // post or a fault, taken before `shared`: a flush races reads and
+        // those, so what it wrote back and took is what the origins and the
+        // cache hold after it, under the lists they had.
+        let renditions = Lock::new(());
+        let read = |op: &&Op| matches!(op, Op::Read(..));
+        let (reads, writes): (Vec<Op>, Vec<Op>) = ops.iter().partition(read);
+        let fail = |checked: Checked| checked.unwrap_or_else(|why| panic!("{why}"));
+        let mut schedule = Schedule::new(seed, &clock);
+        schedule.spawn(|| {
+            for &op in &writes {
+                let quiet = matches!(op, Op::Write(..) | Op::BusDoc(_) | Op::BusUser(..));
+                let quiet = quiet || matches!(op, Op::Tick(_) | Op::Dark(_) | Op::DropNext);
+                let exclusive = setup.back && !quiet;
+                let _renditions = exclusive.then(|| renditions.lock());
+                let machine = &mut *shared.lock();
+                fail(machine.mutate(op));
+                if exclusive || !setup.back {
+                    let now = machine.now();
+                    machine.observe(now);
+                }
+            }
+        });
+        for _ in 0..2 {
+            let (reads, cache, docs, clock) = (&reads, &cache, &docs, &clock);
+            let (shared, sequence) = (&shared, &sequence);
+            schedule.spawn(move || {
+                let mut served = Vec::new();
+                for &op in reads {
+                    let Op::Read(doc, user, options) = op else {
+                        continue;
+                    };
+                    let start = moment(clock, sequence);
+                    let read = cache.read_with(USERS[user], docs[doc], read_options(options));
+                    let end = moment(clock, sequence);
+                    let (physical, logical) = cache.resident_bytes();
+                    let within = physical <= capacity.min(logical);
+                    assert!(within, "({physical}, {logical}) bytes resident mid-run");
+                    served.push(((doc, user), start, end, read));
+                }
+                shared.lock().seen.reads.extend(served);
+            });
+        }
+        if setup.back {
+            schedule.spawn(|| {
+                for _ in 0..4 {
+                    sched::yield_now();
+                    let _renditions = renditions.lock();
+                    let start = moment(&clock, &sequence);
+                    let report = cache.flush().unwrap_or_else(|why| panic!("{why}"));
+                    let machine = &mut *shared.lock();
+                    fail(machine.flushed(&report, start));
+                    let end = machine.now();
+                    machine.observe(end);
+                    machine.seen.touched.push((1, None, start, end));
+                }
+            });
+        }
+        schedule.run();
+        shared.into_inner().quiesce()
+    })
+}
+
+/// The drawn ops, as many reads again and half as many out-of-band edits:
+/// a race needs reads to meet, and the edits only verifiers see.
+fn threaded_op() -> impl Strategy<Value = Op> {
+    let doc = || select(vec![0, 0, 1, 2, 2, 2]);
+    let read = || (doc(), select(vec![0, 0, 1]), 0..2usize).prop_map(|(d, u, o)| Op::Read(d, u, o));
+    let edit = (doc(), 0..6usize).prop_map(|(d, b)| Op::OutOfBand(d, b));
+    prop_oneof![op(), op(), read(), read(), edit]
+}
+
+#[test]
+fn the_cache_agrees_with_the_reference_on_threads() {
+    let (setup, shards) = (setups(), select(vec![1, 4]));
+    let (seed, ops) = (
+        any::<u64>(),
+        proptest::collection::vec(threaded_op(), 1..64),
+    );
+    let mut met = [0; 5];
+    for case in 0..THREADED_CASES {
+        let mut rng = TestRng::for_case("threads", case);
+        let (setup, shards) = (setup.generate(&mut rng), shards.generate(&mut rng));
+        let (seed, mut ops) = (seed.generate(&mut rng), ops.generate(&mut rng));
+        match replay_threaded(setup, shards, seed, &ops) {
+            Ok(races) => met = std::array::from_fn(|i| met[i] + races[i]),
+            Err(mut why) => {
+                let fails = |ops: &[Op]| replay_threaded(setup, shards, seed, ops).err();
+                shrink(&mut ops, &mut why, fails);
+                let replay = format!("replay_threaded({setup:?}, {shards}, {seed}, &{ops:?})");
+                panic!("threaded case {case}: {why}\n{replay}");
+            }
+        }
+    }
+    let met: Vec<_> = RACES.iter().zip(met).collect();
+    assert!(met.iter().all(|(_, reads)| *reads > 0), "{met:?}");
 }
 
 /// A staged walk anchored on a leased root whose verifier, a TTL, attests

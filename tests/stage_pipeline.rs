@@ -18,6 +18,7 @@ use placeless_core::property::{ActiveProperty, PathCtx, PathReport};
 use placeless_core::streams::{InputStream, OutputStream, TransformingInput};
 use placeless_core::verifier::{ClosureVerifier, Validity, Verifier};
 use placeless_proplang::{ExtEnv, ScriptProperty};
+use placeless_simenv::sched::{self, Schedule};
 use placeless_simenv::trace::{lorem_bytes, TraceBuilder};
 use placeless_simenv::{LatencyModel, StableStore};
 use proptest::prelude::*;
@@ -827,7 +828,8 @@ fn successor_that_votes_uncacheable_leaves_the_intermediate_stored() {
     assert_eq!(world.cache.stats().uncacheable_reads, 2);
 }
 
-/// Appends `[w]` once `release` is set, and not before.
+/// Appends `[w]` once `release` is set, and not before: until then it
+/// yields, a switch point of a scheduled thread.
 struct Waits {
     release: Arc<AtomicBool>,
     runs: Arc<AtomicU64>,
@@ -855,7 +857,7 @@ impl ActiveProperty for Waits {
             Box::new(move |bytes| {
                 runs.fetch_add(1, Ordering::Relaxed);
                 while !release.load(Ordering::Acquire) {
-                    std::thread::yield_now();
+                    sched::yield_now();
                 }
                 Ok(Bytes::from([&bytes[..], b"[w]"].concat()))
             }),
@@ -866,42 +868,44 @@ impl ActiveProperty for Waits {
     }
 }
 
+/// Under each seed of a fixed range: a run in which nothing can proceed
+/// fails, naming its seed.
 #[test]
 fn two_threads_missing_one_document_run_each_stage_once() {
-    let world = ChainWorld::new(&[50]);
-    let tail = Arc::new(Waits {
-        release: Arc::default(),
-        runs: Arc::default(),
-    });
-    world.attach(Scope::Universal, tail.clone());
-    let (cache, doc) = (&world.cache, world.doc);
-    std::thread::scope(|scope| {
-        let readers: Vec<_> = READERS[..2]
-            .iter()
-            .map(|&user| scope.spawn(move || cache.read(user, doc).unwrap()))
-            .collect();
+    for seed in 0..8 {
+        let world = ChainWorld::new(&[50]);
+        let tail = Arc::new(Waits {
+            release: Arc::default(),
+            runs: Arc::default(),
+        });
+        world.attach(Scope::Universal, tail.clone());
+        let (cache, doc) = (&world.cache, world.doc);
+        let mut schedule = Schedule::new(seed, world.space.clock());
+        for &user in &READERS[..2] {
+            schedule.spawn(move || {
+                let expected = [&[b'x'; 100][..], b"[0][w]"].concat();
+                assert_eq!(cache.read(user, doc).unwrap(), expected);
+            });
+        }
         // One reader leads the segment's flight and is held inside its last
         // stage; the other has nothing to do but wait on that flight.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while cache.waiting_reads() < 1 {
-            assert!(std::time::Instant::now() < deadline, "nobody coalesced");
-            std::thread::yield_now();
-        }
-        tail.release.store(true, Ordering::Release);
-        for reader in readers {
-            let expected = [&[b'x'; 100][..], b"[0][w]"].concat();
-            assert_eq!(reader.join().unwrap(), expected);
-        }
-    });
-    let runs = (world.chain[0].runs(), tail.runs.load(Ordering::Relaxed));
-    assert_eq!(runs, (1, 1));
-    let stats = cache.stats();
-    assert_eq!(stats.coalesced_waits, 1, "one flight for the segment");
-    assert_eq!(
-        stats.stage_hits, 2,
-        "the waiter skipped a stage, adopted one"
-    );
-    assert_eq!(cache.stage_entry_count(), 1);
+        schedule.spawn(|| {
+            while cache.waiting_reads() < 1 {
+                sched::yield_now();
+            }
+            tail.release.store(true, Ordering::Release);
+        });
+        schedule.run();
+        let runs = (world.chain[0].runs(), tail.runs.load(Ordering::Relaxed));
+        assert_eq!(runs, (1, 1));
+        let stats = cache.stats();
+        assert_eq!(stats.coalesced_waits, 1, "one flight for the segment");
+        assert_eq!(
+            stats.stage_hits, 2,
+            "the waiter skipped a stage, adopted one"
+        );
+        assert_eq!(cache.stage_entry_count(), 1);
+    }
 }
 
 /// What a walk recorded of one stage: `(cached, signature, bytes)`.
