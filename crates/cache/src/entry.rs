@@ -37,7 +37,7 @@ pub(crate) struct EntryMeta {
     pub(crate) cacheability: Cacheability,
     /// Effective replacement cost (µs) supplied by the read path.
     pub(crate) cost_micros: f64,
-    /// When the entry was filled.
+    /// When the fetch that filled it began, or a verifier replaced it.
     pub(crate) filled_at: Instant,
     /// Whether a QoS property pinned this entry (never evicted).
     pub(crate) pinned: bool,

@@ -307,7 +307,8 @@ pub struct Recount {
 
 /// Whether `verifier` still stands for content fetched after it was made:
 /// one that attests content is re-checked (uncharged: its probe paid), and
-/// while some thread `waits` on a flight, any other too.
+/// while some thread `waits` on a flight, any other too: a TTL attests
+/// nothing, yet a waiter that joined once it lapsed must not share them.
 fn still_attests(verifier: &dyn Verifier, clock: &VirtualClock, waits: bool) -> bool {
     !(verifier.attests_content() || waits) || verifier.check(clock) == Validity::Valid
 }

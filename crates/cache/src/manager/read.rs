@@ -60,7 +60,7 @@ pub struct ReadOutcome {
 /// How long a resident entry may be served past a freshness check that
 /// could not run ([`OriginConfig::serve_stale`]).
 ///
-/// Age is measured from the entry's fill time. `StalenessBound::ZERO`
+/// Age counts from the filling fetch's start. `StalenessBound::ZERO`
 /// permits nothing; use [`StalenessBound::micros`] for a window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StalenessBound {
@@ -101,6 +101,8 @@ pub(super) struct Fetched {
     pub(super) cost_micros: f64,
     /// Its document's [`ShardTable::invalidations`] before the fetch began.
     pub(super) seen: u64,
+    /// When the attempt began, before it read the origin or a lease vouched.
+    pub(super) began: Instant,
 }
 
 /// A document's origin record, resolved — one space lookup for the key,
@@ -471,11 +473,12 @@ impl DocumentCache {
         if self.stage_cache {
             self.read_through_stages(user, doc, clock, ctx)
         } else {
-            let seen = self.table.invalidations(doc);
+            let (seen, began) = (self.table.invalidations(doc), clock.now());
             self.space
                 .read_document(user, doc)
                 .map(|(bytes, report)| Fetched {
                     seen,
+                    began,
                     bytes,
                     cost_micros: report.cost.effective_micros(),
                     report,
@@ -528,6 +531,7 @@ impl DocumentCache {
             stage,
             cost_micros,
             seen,
+            began,
             ..
         } = fetched;
         let free = cost_micros == 0.0 && !report.pinned;
@@ -539,12 +543,7 @@ impl DocumentCache {
         // What this version aliases is found by content from now on.
         let sig = content_sig
             .unwrap_or_else(|| self.refile(stage, ConcurrentStore::signature_of(&bytes)));
-        let mut meta = EntryMeta::new(
-            report.verifiers,
-            report.cacheability,
-            cost_micros,
-            self.space.clock().now(),
-        );
+        let mut meta = EntryMeta::new(report.verifiers, report.cacheability, cost_micros, began);
         meta.pinned = report.pinned;
         meta.prefetched = prefetched;
         let mut shard = self.table.lock(key);

@@ -125,7 +125,7 @@ impl DocumentCache {
         clock: &VirtualClock,
         ctx: FetchCtx,
     ) -> Result<Fetched> {
-        let seen = self.table.invalidations(doc);
+        let (seen, began) = (self.table.invalidations(doc), clock.now());
         let (chain_lease, root) = self.probe_lease(doc, clock);
         let (plan, chain_lease, chain_reused) =
             self.space
@@ -175,6 +175,7 @@ impl DocumentCache {
             content_sig,
             cost_micros,
             seen,
+            began,
         })
     }
 

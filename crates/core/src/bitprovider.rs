@@ -12,7 +12,7 @@
 use crate::cacheability::Cacheability;
 use crate::error::Result;
 use crate::streams::{CollectOutput, InputStream, MemoryInput, OutputStream};
-use crate::verifier::{Validity, Verifier};
+use crate::verifier::{RevisionPin, Verifier};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use placeless_simenv::VirtualClock;
@@ -103,39 +103,10 @@ pub struct MemoryProvider {
     fetch_cost: u64,
 }
 
-/// Polls the provider's modification epoch, like polling a file's mtime.
-struct MtimeVerifier {
-    epoch: Arc<AtomicU64>,
-    seen: u64,
-    label: Arc<str>,
-}
-
 /// Commits `bytes` through the held content lock, then bumps the epoch.
 fn commit(content: &mut Bytes, epoch: &AtomicU64, bytes: Bytes) {
     *content = bytes;
     epoch.fetch_add(1, Ordering::Release);
-}
-
-impl Verifier for MtimeVerifier {
-    fn check(&self, _clock: &VirtualClock) -> Validity {
-        if self.epoch.load(Ordering::Acquire) == self.seen {
-            Validity::Valid
-        } else {
-            Validity::Invalid
-        }
-    }
-
-    fn cost_micros(&self) -> u64 {
-        2
-    }
-
-    fn describe(&self) -> String {
-        self.label.to_string()
-    }
-
-    fn attests_content(&self) -> bool {
-        true
-    }
 }
 
 impl MemoryProvider {
@@ -209,11 +180,9 @@ impl BitProvider for MemoryProvider {
     }
 
     fn make_verifier(&self, _clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
-        Some(Box::new(MtimeVerifier {
-            epoch: self.epoch.clone(),
-            seen: self.epoch(),
-            label: self.verifier_label.clone(),
-        }))
+        let (label, epoch) = (self.verifier_label.clone(), self.epoch.clone());
+        let probe = move |_: &VirtualClock| Ok(epoch.load(Ordering::Acquire));
+        Some(RevisionPin::pinned(label, 2, self.epoch(), probe))
     }
 
     fn fetch_cost_micros(&self) -> u64 {
@@ -229,6 +198,7 @@ impl BitProvider for MemoryProvider {
 mod tests {
     use super::*;
     use crate::streams::{read_all, write_all};
+    use crate::verifier::Validity;
 
     #[test]
     fn read_charges_fetch_cost() {

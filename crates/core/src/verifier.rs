@@ -48,8 +48,8 @@ pub trait Verifier: Send + Sync {
     /// Returns a short human-readable description.
     fn describe(&self) -> String;
 
-    /// Whether `Valid` vouches that the provider's bytes have not changed
-    /// since this verifier was made, as an mtime poll does and a TTL does not.
+    /// Whether `Valid` vouches that the provider still holds the revision
+    /// pinned before its bytes were read, as an mtime poll does and a TTL not.
     fn attests_content(&self) -> bool {
         false
     }
@@ -125,6 +125,53 @@ impl Verifier for EpochVerifier {
 
     fn describe(&self) -> String {
         format!("epoch({}@{})", self.source.name(), self.seen)
+    }
+}
+
+/// Pins its origin's revision (a file's generation, a page's revision, a DMS
+/// version, a folder's message count), taken before the bytes are read, and
+/// passes while a probe of the current one agrees: a racing write can only
+/// make a spurious `Invalid`, so long as no revision recurs. A probe that
+/// cannot answer returns its verdict as the error.
+pub struct RevisionPin<P> {
+    label: Arc<str>,
+    cost: u64,
+    pinned: u64,
+    probe: P,
+}
+
+impl<P: Fn(&VirtualClock) -> Result<u64, Validity> + Send + Sync + 'static> RevisionPin<P> {
+    /// Pins `pinned`, probed by `probe` at `cost` microseconds a check.
+    pub fn pinned(label: Arc<str>, cost: u64, pinned: u64, probe: P) -> Box<dyn Verifier> {
+        let pin = Self {
+            label,
+            cost,
+            pinned,
+            probe,
+        };
+        Box::new(pin)
+    }
+}
+
+impl<P: Fn(&VirtualClock) -> Result<u64, Validity> + Send + Sync> Verifier for RevisionPin<P> {
+    fn check(&self, clock: &VirtualClock) -> Validity {
+        match (self.probe)(clock) {
+            Ok(current) if current == self.pinned => Validity::Valid,
+            Ok(_) => Validity::Invalid,
+            Err(verdict) => verdict,
+        }
+    }
+
+    fn cost_micros(&self) -> u64 {
+        self.cost
+    }
+
+    fn describe(&self) -> String {
+        self.label.to_string()
+    }
+
+    fn attests_content(&self) -> bool {
+        true
     }
 }
 
@@ -247,6 +294,24 @@ mod tests {
         assert_eq!(v.cost_micros(), 3);
         clock.advance(6_000);
         assert_eq!(v.check(&clock), Validity::Invalid);
+    }
+
+    #[test]
+    fn revision_pin_attests_its_revision() {
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        let clock = VirtualClock::new();
+        let revision = Arc::new(AtomicU64::new(3));
+        let current = revision.clone();
+        let v = RevisionPin::pinned("rev".into(), 4, 3, move |_| match current.load(Relaxed) {
+            u64::MAX => Err(Validity::Unverifiable),
+            now => Ok(now),
+        });
+        assert!(v.attests_content());
+        assert_eq!((v.check(&clock), v.cost_micros()), (Validity::Valid, 4));
+        revision.store(u64::MAX, Relaxed);
+        assert_eq!(v.check(&clock), Validity::Unverifiable, "unreachable");
+        revision.store(4, Relaxed);
+        assert_eq!(v.check(&clock), Validity::Invalid, "moved on");
     }
 
     #[test]

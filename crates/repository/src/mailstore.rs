@@ -11,7 +11,7 @@ use parking_lot::RwLock;
 use placeless_core::bitprovider::BitProvider;
 use placeless_core::error::{PlacelessError, Result};
 use placeless_core::streams::{InputStream, MemoryInput, OutputStream};
-use placeless_core::verifier::{ClosureVerifier, Validity, Verifier};
+use placeless_core::verifier::{RevisionPin, Validity, Verifier};
 use placeless_simenv::{Link, VirtualClock};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -91,6 +91,7 @@ pub struct MailDigestProvider {
     folder: String,
     limit: usize,
     link: Link,
+    label: Arc<str>,
 }
 
 impl MailDigestProvider {
@@ -102,6 +103,7 @@ impl MailDigestProvider {
             folder: folder.to_owned(),
             limit,
             link,
+            label: format!("mail-count:{folder}").into(),
         })
     }
 }
@@ -124,19 +126,13 @@ impl BitProvider for MailDigestProvider {
     }
 
     fn make_verifier(&self, _clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
-        // New mail bumps the count; the probe costs one RTT.
+        // New mail bumps the count, which never falls (the store only
+        // delivers): a revision. The probe costs one RTT.
         let pinned = self.store.count(&self.folder).ok()?;
-        let store = self.store.clone();
-        let folder = self.folder.clone();
-        let rtt = self.link.rtt_micros();
-        Some(ClosureVerifier::new(
-            &format!("mail-count:{folder}"),
-            rtt,
-            move |_| match store.count(&folder) {
-                Ok(count) if count == pinned => Validity::Valid,
-                _ => Validity::Invalid,
-            },
-        ))
+        let (store, folder) = (self.store.clone(), self.folder.clone());
+        let probe = move |_: &VirtualClock| store.count(&folder).map_err(|_| Validity::Invalid);
+        let (label, rtt) = (self.label.clone(), self.link.rtt_micros());
+        Some(RevisionPin::pinned(label, rtt, pinned, probe))
     }
 
     fn fetch_cost_micros(&self) -> u64 {

@@ -25,7 +25,7 @@ use placeless_core::error::{PlacelessError, Result};
 use placeless_core::id::DocumentId;
 use placeless_core::notifier::{Invalidation, InvalidationBus};
 use placeless_core::streams::{CollectOutput, InputStream, MemoryInput, OutputStream};
-use placeless_core::verifier::{ClosureVerifier, TtlVerifier, Validity, Verifier};
+use placeless_core::verifier::{RevisionPin, TtlVerifier, Validity, Verifier};
 use placeless_simenv::{Link, VirtualClock};
 use std::sync::Arc;
 
@@ -53,6 +53,7 @@ pub struct FsProvider {
     fs: Arc<MemFs>,
     path: String,
     link: Link,
+    label: Arc<str>,
 }
 
 impl FsProvider {
@@ -62,6 +63,7 @@ impl FsProvider {
             fs,
             path: path.to_owned(),
             link,
+            label: format!("fs-mtime:{path}").into(),
         })
     }
 }
@@ -125,23 +127,15 @@ impl BitProvider for FsProvider {
     fn make_verifier(&self, _clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
         // Poll the file's mtime/generation; the probe costs one RTT.
         let pinned = self.fs.stat(&self.path).ok()?.generation;
-        let fs = self.fs.clone();
-        let path = self.path.clone();
-        let link = self.link.clone();
-        let rtt = self.link.rtt_micros();
-        Some(ClosureVerifier::new(
-            &format!("fs-mtime:{path}"),
-            rtt,
-            move |clock| {
-                if let Err(unverifiable) = probe_link(&link, clock) {
-                    return unverifiable;
-                }
-                match fs.stat(&path) {
-                    Ok(stat) if stat.generation == pinned => Validity::Valid,
-                    _ => Validity::Invalid,
-                }
-            },
-        ))
+        let (fs, path, link) = (self.fs.clone(), self.path.clone(), self.link.clone());
+        let probe = move |clock: &VirtualClock| {
+            probe_link(&link, clock)?;
+            fs.stat(&path)
+                .map(|stat| stat.generation)
+                .map_err(|_| Validity::Invalid)
+        };
+        let (label, rtt) = (self.label.clone(), self.link.rtt_micros());
+        Some(RevisionPin::pinned(label, rtt, pinned, probe))
     }
 
     fn fetch_cost_micros(&self) -> u64 {
@@ -166,7 +160,7 @@ pub struct WebProvider {
     server: Arc<WebServer>,
     path: String,
     link: Link,
-    revalidate: bool,
+    revalidate: Option<Arc<str>>,
 }
 
 impl WebProvider {
@@ -177,7 +171,7 @@ impl WebProvider {
             server,
             path: path.to_owned(),
             link,
-            revalidate: false,
+            revalidate: None,
         })
     }
 
@@ -190,7 +184,7 @@ impl WebProvider {
             server,
             path: path.to_owned(),
             link,
-            revalidate: true,
+            revalidate: Some(format!("http-revalidate:{path}").into()),
         })
     }
 }
@@ -225,28 +219,22 @@ impl BitProvider for WebProvider {
     }
 
     fn make_verifier(&self, clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
-        if self.revalidate {
+        if let Some(label) = &self.revalidate {
             // Conditional GET pinned to the current revision: a 304 keeps
             // the entry, anything newer forces a refill through the full
             // property path. The probe costs one round trip.
             let pinned = self.server.revision(&self.path)?;
-            let server = self.server.clone();
-            let path = self.path.clone();
+            let (server, path) = (self.server.clone(), self.path.clone());
             let link = self.link.clone();
+            let probe = move |clock: &VirtualClock| {
+                probe_link(&link, clock)?;
+                let moved = server
+                    .conditional_get(&path, pinned)
+                    .map_err(|_| Validity::Invalid)?;
+                Ok(moved.map_or(pinned, |page| page.revision))
+            };
             let rtt = self.link.rtt_micros();
-            return Some(ClosureVerifier::new(
-                &format!("http-revalidate:{path}"),
-                rtt,
-                move |clock| {
-                    if let Err(unverifiable) = probe_link(&link, clock) {
-                        return unverifiable;
-                    }
-                    match server.conditional_get(&path, pinned) {
-                        Ok(None) => Validity::Valid,
-                        _ => Validity::Invalid,
-                    }
-                },
-            ));
+            return Some(RevisionPin::pinned(label.clone(), rtt, pinned, probe));
         }
         // The only consistency a 1999 web server grants otherwise is the
         // response TTL; the check itself is free (a clock comparison).
@@ -270,6 +258,7 @@ pub struct DmsProvider {
     key: String,
     holder: String,
     link: Link,
+    label: Arc<str>,
 }
 
 impl DmsProvider {
@@ -280,6 +269,7 @@ impl DmsProvider {
             key: key.to_owned(),
             holder: holder.to_owned(),
             link,
+            label: format!("dms-version:{key}").into(),
         })
     }
 
@@ -333,23 +323,13 @@ impl BitProvider for DmsProvider {
         // Pin the current version; the probe costs one RTT. When
         // `wire_invalidations` is used instead, callers may drop this.
         let pinned = self.dms.latest_version(&self.key).ok()?;
-        let dms = self.dms.clone();
-        let key = self.key.clone();
-        let link = self.link.clone();
-        let rtt = self.link.rtt_micros();
-        Some(ClosureVerifier::new(
-            &format!("dms-version:{key}"),
-            rtt,
-            move |clock| {
-                if let Err(unverifiable) = probe_link(&link, clock) {
-                    return unverifiable;
-                }
-                match dms.latest_version(&key) {
-                    Ok(v) if v == pinned => Validity::Valid,
-                    _ => Validity::Invalid,
-                }
-            },
-        ))
+        let (dms, key, link) = (self.dms.clone(), self.key.clone(), self.link.clone());
+        let probe = move |clock: &VirtualClock| {
+            probe_link(&link, clock)?;
+            dms.latest_version(&key).map_err(|_| Validity::Invalid)
+        };
+        let (label, rtt) = (self.label.clone(), self.link.rtt_micros());
+        Some(RevisionPin::pinned(label, rtt, pinned, probe))
     }
 
     fn fetch_cost_micros(&self) -> u64 {
